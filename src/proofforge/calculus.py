@@ -864,33 +864,43 @@ def print_proof_text(proof: Proof) -> str:
     return "\n".join(out) + "\n"
 
 
+_BARE_SCHEMATA = frozenset(("P1", "P2", "P3", "Q2", "BQ2A", "BQ2E", "BCONGA", "BCONGE", "EQSUBST", "IND"))
+_COMPUTE_RE = re.compile(r"COMPUTE\[v=(\d+)\]")
+_TERM_AXIOM_RE = re.compile(r"(Q1|EQREFL)\[t=(.*)\]")
+_QAX_RE = re.compile(r"QAX (\d+)")
+_THAX_RE = re.compile(r"THAX (\d+)")
+_MP_RE = re.compile(r"MP (\d+) (\d+)")
+_GEN_RE = re.compile(r"GEN (\d+) ([a-z][a-z0-9']*)")
+_BGEN_RE = re.compile(r"BGEN (\d+) ([a-z][a-z0-9']*) (.*)")
+
+
 def _parse_justification(text: str, arities: dict[str, int] | None) -> Justification | None:
     text = text.strip()
     if text == "?":
         return None
-    if text in ("P1", "P2", "P3", "Q2", "BQ2A", "BQ2E", "BCONGA", "BCONGE", "EQSUBST", "IND"):
+    if text in _BARE_SCHEMATA:
         return AxiomJust(text)
     if text == "COMPUTE":
         return ComputeJust()
-    m = re.fullmatch(r"COMPUTE\[v=(\d+)\]", text)
+    m = _COMPUTE_RE.fullmatch(text)
     if m:
         return ComputeJust(value=int(m.group(1)))
-    m = re.fullmatch(r"(Q1|EQREFL)\[t=(.*)\]", text)
+    m = _TERM_AXIOM_RE.fullmatch(text)
     if m:
         return AxiomJust(m.group(1), term=parse_term(m.group(2), arities))
-    m = re.fullmatch(r"QAX (\d+)", text)
+    m = _QAX_RE.fullmatch(text)
     if m:
         return AxiomJust("QAX", index=int(m.group(1)))
-    m = re.fullmatch(r"THAX (\d+)", text)
+    m = _THAX_RE.fullmatch(text)
     if m:
         return TheoryAxiomJust(int(m.group(1)))
-    m = re.fullmatch(r"MP (\d+) (\d+)", text)
+    m = _MP_RE.fullmatch(text)
     if m:
         return MPJust(int(m.group(1)) - 1, int(m.group(2)) - 1)
-    m = re.fullmatch(r"GEN (\d+) ([a-z][a-z0-9']*)", text)
+    m = _GEN_RE.fullmatch(text)
     if m:
         return GenJust(int(m.group(1)) - 1, m.group(2))
-    m = re.fullmatch(r"BGEN (\d+) ([a-z][a-z0-9']*) (.*)", text)
+    m = _BGEN_RE.fullmatch(text)
     if m:
         return BGenJust(int(m.group(1)) - 1, m.group(2), parse_term(m.group(3), arities))
     raise ValueError(f"unparsable justification {text!r}")

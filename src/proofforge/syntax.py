@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Union
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,9 @@ class BoundedExists:
 
 
 Formula = Union[Eq, Not, Implies, ForAll, BoundedForAll, BoundedExists]
+
+_TERM_TYPES = frozenset((Var, Zero, Succ, Plus, Times, DefFn))
+_FORMULA_TYPES = frozenset((Eq, Not, Implies, ForAll, BoundedForAll, BoundedExists))
 
 ZERO = Zero()
 
@@ -302,84 +306,122 @@ def _subst(f: Formula, var: str, rep: Term, rep_vars: frozenset[str]) -> Formula
 
 
 def print_term(t: Term) -> str:
-    ensure_recursion_headroom()
-    return _print_term(t)
-
-
-def _print_term(t: Term) -> str:
-    # precedence: atom > * > +
-    match t:
-        case Var(name):
-            return name
-        case Zero():
-            return "0"
-        case Succ(_):
-            # unroll S-chains iteratively; numerals can be large
-            depth = 0
-            inner: Term = t
-            while isinstance(inner, Succ):
-                depth += 1
-                inner = inner.arg
-            return "S(" * depth + _print_term(inner) + ")" * depth
-        case Plus(a, b):
-            return f"{_print_addend(a)} + {_print_factor_or_atom(b, allow_times=True)}"
-        case Times(a, b):
-            return f"{_print_times_left(a)} * {_print_atom(b)}"
-        case DefFn(sym, args):
-            return f"{sym}({', '.join(_print_term(a) for a in args)})"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _print_addend(t: Term) -> str:
-    # left child of +: + is left associative, so nested + needs no parens
-    return _print_term(t) if isinstance(t, (Plus, Times)) else _print_atom(t)
-
-
-def _print_factor_or_atom(t: Term, allow_times: bool) -> str:
-    if isinstance(t, Plus):
-        return f"({_print_term(t)})"
-    if isinstance(t, Times):
-        return _print_term(t) if allow_times else f"({_print_term(t)})"
-    return _print_atom(t)
-
-
-def _print_times_left(t: Term) -> str:
-    if isinstance(t, Plus):
-        return f"({_print_term(t)})"
-    if isinstance(t, Times):
-        return _print_term(t)
-    return _print_atom(t)
-
-
-def _print_atom(t: Term) -> str:
-    if isinstance(t, (Plus, Times)):
-        return f"({_print_term(t)})"
-    return _print_term(t)
+    if type(t) not in _TERM_TYPES:
+        raise TypeError(f"not a term: {t!r}")
+    return _print(t)
 
 
 def print_formula(f: Formula) -> str:
-    ensure_recursion_headroom()
-    return _print_formula(f)
+    if type(f) not in _FORMULA_TYPES:
+        raise TypeError(f"not a formula: {f!r}")
+    return _print(f)
 
 
-def _print_formula(f: Formula) -> str:
-    match f:
-        case Eq(a, b):
-            return f"{_print_term(a)} = {_print_term(b)}"
-        case Not(body):
-            return f"!({_print_formula(body)})"
-        case Implies(a, b):
-            left = _print_formula(a)
-            if isinstance(a, Implies):
-                left = f"({left})"
-            return f"{left} -> {_print_formula(b)}"
-        case ForAll(v, body):
-            return f"forall {v} ({_print_formula(body)})"
-        case BoundedForAll(v, bound, body):
-            return f"forall<= {v} {_print_atom(bound)} ({_print_formula(body)})"
-        case BoundedExists(v, bound, body):
-            return f"exists<= {v} {_print_atom(bound)} ({_print_formula(body)})"
-    raise TypeError(f"not a formula: {f!r}")
+def _print(root: Term | Formula) -> str:
+    """Canonical text of a term or formula, built without recursion.
+
+    The stack holds nodes still to print and literal strings, in reverse
+    output order.  Parenthesization, by position:
+      * left of + and arguments of S, functions and =: never;
+      * right of + and left of *: a Plus;
+      * right of * and a quantifier bound: a Plus or a Times;
+      * left of ->: an Implies.
+    """
+    out: list[str] = []
+    emit = out.append
+    stack: list = [root]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        x = pop()
+        cls = type(x)
+        if cls is str:
+            emit(x)
+        elif cls is DefFn:
+            emit(x.symbol + "(")
+            push(")")
+            args = x.args
+            for k in range(len(args) - 1, 0, -1):
+                push(args[k])
+                push(", ")
+            if args:
+                push(args[0])
+        elif cls is Succ:
+            depth = 0
+            while cls is Succ:
+                depth += 1
+                x = x.arg
+                cls = type(x)
+            emit("S(" * depth)
+            push(")" * depth)
+            push(x)
+        elif cls is Var:
+            emit(x.name)
+        elif cls is Zero:
+            emit("0")
+        elif cls is Eq:
+            push(x.right)
+            push(" = ")
+            push(x.left)
+        elif cls is Implies:
+            push(x.consequent)
+            a = x.antecedent
+            if type(a) is Implies:
+                push(") -> ")
+                push(a)
+                emit("(")
+            else:
+                push(" -> ")
+                push(a)
+        elif cls is Not:
+            emit("!(")
+            push(")")
+            push(x.body)
+        elif cls is Plus:
+            b = x.right
+            if type(b) is Plus:
+                push(")")
+                push(b)
+                push(" + (")
+            else:
+                push(b)
+                push(" + ")
+            push(x.left)
+        elif cls is Times:
+            b = x.right
+            if type(b) is Plus or type(b) is Times:
+                push(")")
+                push(b)
+                push(" * (")
+            else:
+                push(b)
+                push(" * ")
+            a = x.left
+            if type(a) is Plus:
+                push(")")
+                push(a)
+                emit("(")
+            else:
+                push(a)
+        elif cls is ForAll:
+            emit(f"forall {x.var} (")
+            push(")")
+            push(x.body)
+        elif cls is BoundedForAll or cls is BoundedExists:
+            emit(f"forall<= {x.var} " if cls is BoundedForAll else f"exists<= {x.var} ")
+            push(")")
+            push(x.body)
+            b = x.bound
+            if type(b) is Plus or type(b) is Times:
+                push(") (")
+                push(b)
+                emit("(")
+            else:
+                push(" (")
+                push(b)
+        else:
+            raise TypeError(f"not a term or formula: {x!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -452,230 +494,299 @@ def exists(var: str, body: Formula) -> Formula:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<iff><->)|(?P<le><=)|(?P<ident>[a-z][a-z0-9']*)"
-    r"|(?P<S>S)|(?P<zero>0)|(?P<ch>[()+*=!&|,]))"
-)
+# Every non-space character starts a token; the last alternative catches
+# characters that start no valid token, so findall skips only whitespace.
+_TOKEN_RE = re.compile(r"->|<->|<=|[a-z][a-z0-9']*|[S0()+*=!&|,]|\S")
 
-_KEYWORDS = {"forall", "exists"}
+_IDENT = "ident"
+_EOF = "eof"
+
+# Token kind by token text: fixed tokens are their own kind, any other token
+# is an identifier.  One-letter identifiers are listed so that a one-character
+# token missing here is a character that starts no token.
+_KINDS = {tok: tok for tok in ("->", "<->", "<=", "S", "0", "(", ")", "+", "*", "=", "!", "&", "|", ",")}
+_KINDS.update({kw: kw for kw in ("forall", "exists")})
+_KINDS.update({c: _IDENT for c in "abcdefghijklmnopqrstuvwxyz"})
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    pos: int
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """Token texts and kinds, each closed by an end-of-input entry."""
+    toks = _TOKEN_RE.findall(text)
+    kinds = list(map(_KINDS.get, toks, repeat(_IDENT)))
+    bad = [tok for tok in set(toks).difference(_KINDS) if len(tok) == 1]
+    if bad:
+        i = min(map(toks.index, bad))
+        end = _token_span(text, i - 1)[1] if i else 0
+        raise SyntaxErrorWithPos(f"unexpected character {toks[i]!r}", end)
+    toks.append("")
+    kinds.append(_EOF)
+    return toks, kinds
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            if text[i:].strip() == "":
-                break
-            raise SyntaxErrorWithPos(f"unexpected character {text[i:].lstrip()[0]!r}", i)
-        i = m.end()
-        kind = m.lastgroup or ""
-        val = m.group(kind)
-        pos = m.start(kind)
-        if kind == "ident" and val in _KEYWORDS:
-            kind = val
-        toks.append(_Tok(kind, val, pos))
-    toks.append(_Tok("eof", "", n))
-    return toks
+def _token_span(text: str, index: int) -> tuple[int, int]:
+    """Start and end offsets of token `index`; the end-of-input token sits at
+    len(text).  Only error paths need offsets, so they rescan the text."""
+    for k, m in enumerate(_TOKEN_RE.finditer(text)):
+        if k == index:
+            return m.span()
+    return len(text), len(text)
 
 
 # ---------------------------------------------------------------------------
 # Parser (recursive descent)
 # ---------------------------------------------------------------------------
 
+# Deepest nesting the parser accepts.  Each parenthesis, function
+# application, S(...), !, quantifier and binary operator around a token
+# counts one level.  The fixed-point certificates of corpus.diagonal_shapes
+# nest at most 1,318 levels (x + x = x * x); about three times that leaves
+# room for them while input nested at the cap still checks without running
+# the recursive equality, hashing and matching of the AST out of stack.
+MAX_NESTING = 4_000
+
+
+class _ParseError(Exception):
+    """A parse failure at a token index.  The parser's "(" backtracking
+    discards most of them, so the character offset is computed only when
+    one leaves the parser as a SyntaxErrorWithPos."""
+
+    def __init__(self, message: str, index: int):
+        self.message = message
+        self.index = index
+
+
+class _TooDeep(_ParseError):
+    """Raised past MAX_NESTING; the "(" backtracking does not retry it."""
+
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], deffn_arities: dict[str, int] | None):
-        self.toks = toks
+    __slots__ = ("text", "toks", "kinds", "i", "depth", "arities")
+
+    def __init__(self, text: str, deffn_arities: dict[str, int] | None):
+        self.text = text
+        self.toks, self.kinds = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.arities = deffn_arities
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def parse(self, rule) -> Term | Formula:
+        """Run `rule` over the whole input."""
+        try:
+            result = rule()
+            self.end()
+        except _ParseError as e:
+            raise SyntaxErrorWithPos(e.message, _token_span(self.text, e.index)[0]) from None
+        return result
 
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+    def found(self, what: str, index: int) -> _ParseError:
+        return _ParseError(f"expected {what}, found {self.toks[index] or 'end of input'!r}", index)
 
-    def expect(self, kind: str, what: str) -> _Tok:
-        t = self.next()
-        if t.kind != kind:
-            raise SyntaxErrorWithPos(f"expected {what}, found {t.text or 'end of input'!r}", t.pos)
-        return t
+    def nest(self, index: int) -> None:
+        """Enter one nesting level at token `index`."""
+        depth = self.depth + 1
+        if depth > MAX_NESTING:
+            raise _TooDeep(f"nesting deeper than {MAX_NESTING} levels", index)
+        self.depth = depth
 
-    def fail(self, msg: str) -> SyntaxErrorWithPos:
-        return SyntaxErrorWithPos(msg, self.peek().pos)
+    def variable(self) -> str:
+        i = self.i
+        if self.kinds[i] != _IDENT:
+            raise self.found("a variable", i)
+        self.i = i + 1
+        return self.toks[i]
+
+    def end(self) -> None:
+        i = self.i
+        if self.kinds[i] != _EOF:
+            raise _ParseError(f"trailing input {self.toks[i]!r}", i)
 
     # -- formulas, loosest first
 
     def formula(self) -> Formula:
         a = self.implication()
-        if self.peek().kind == "iff":
-            self.next()
+        if self.kinds[self.i] == "<->":
+            self.nest(self.i)
+            self.i += 1
             b = self.formula()
+            self.depth -= 1
             return iff(a, b)
         return a
 
     def implication(self) -> Formula:
         a = self.disjunct()
-        if self.peek().kind == "arrow":
-            self.next()
-            return Implies(a, self.implication())
+        if self.kinds[self.i] == "->":
+            self.nest(self.i)
+            self.i += 1
+            b = self.implication()
+            self.depth -= 1
+            return Implies(a, b)
         return a
 
     def disjunct(self) -> Formula:
         a = self.conjunct()
-        while self.peek().kind == "ch" and self.peek().text == "|":
-            self.next()
-            a = disj(a, self.conjunct())
+        if self.kinds[self.i] == "|":
+            depth = self.depth
+            while self.kinds[self.i] == "|":
+                self.nest(self.i)
+                self.i += 1
+                a = disj(a, self.conjunct())
+            self.depth = depth
         return a
 
     def conjunct(self) -> Formula:
         a = self.unary()
-        while self.peek().kind == "ch" and self.peek().text == "&":
-            self.next()
-            a = conj(a, self.unary())
+        if self.kinds[self.i] == "&":
+            depth = self.depth
+            while self.kinds[self.i] == "&":
+                self.nest(self.i)
+                self.i += 1
+                a = conj(a, self.unary())
+            self.depth = depth
         return a
 
     def unary(self) -> Formula:
-        t = self.peek()
-        if t.kind == "ch" and t.text == "!":
-            self.next()
-            return Not(self.unary())
-        if t.kind == "forall":
-            self.next()
-            if self.peek().kind == "le":
-                self.next()
-                return self.bounded(BoundedForAll)
-            v = self.expect("ident", "a variable").text
-            return ForAll(v, self.unary())
-        if t.kind == "exists":
-            self.next()
-            if self.peek().kind == "le":
-                self.next()
-                return self.bounded(BoundedExists)
-            v = self.expect("ident", "a variable").text
-            return exists(v, self.unary())
-        return self.atom_or_group()
+        i = self.i
+        k = self.kinds[i]
+        if k == "!":
+            self.nest(i)
+            self.i = i + 1
+            f: Formula = Not(self.unary())
+        elif k == "forall" or k == "exists":
+            self.nest(i)
+            if self.kinds[i + 1] == "<=":
+                self.i = i + 2
+                f = self.bounded(BoundedForAll if k == "forall" else BoundedExists)
+            else:
+                self.i = i + 1
+                v = self.variable()
+                body = self.unary()
+                f = ForAll(v, body) if k == "forall" else exists(v, body)
+        else:
+            return self.atom_or_group()
+        self.depth -= 1
+        return f
 
     def bounded(self, ctor) -> Formula:
-        v = self.expect("ident", "a variable").text
+        v = self.variable()
         bound = self.bound_term()
         if v in term_variables(bound):
-            raise SyntaxErrorWithPos(f"bound of {ctor.__name__} mentions its own variable {v!r}", self.peek().pos)
-        body = self.unary()
-        return ctor(v, bound, body)
+            raise _ParseError(f"bound of {ctor.__name__} mentions its own variable {v!r}", self.i)
+        return ctor(v, bound, self.unary())
 
     def atom_or_group(self) -> Formula:
         # "(" may open a parenthesized formula or a parenthesized term of an
         # atom; try the formula reading first and backtrack on failure.
-        t = self.peek()
-        if t.kind == "ch" and t.text == "(":
-            save = self.i
-            self.next()
+        save = self.i
+        if self.kinds[save] == "(":
+            depth = self.depth
+            self.nest(save)
+            self.i = save + 1
             try:
                 f = self.formula()
-            except SyntaxErrorWithPos:
-                self.i = save
+            except _TooDeep:
+                raise
+            except _ParseError:
+                pass
             else:
-                nxt = self.peek()
-                if nxt.kind == "ch" and nxt.text == ")":
-                    self.next()
-                    after = self.peek()
-                    if after.kind == "ch" and after.text == "=":
-                        self.i = save  # "(t1) = t2": reparse as a term atom
-                    else:
-                        return f
-                else:
-                    self.i = save
+                i = self.i
+                # "(t1) = t2" is an atom: reparse the group as a term
+                if self.kinds[i] == ")" and self.kinds[i + 1] != "=":
+                    self.i = i + 1
+                    self.depth = depth
+                    return f
+            self.i = save
+            self.depth = depth
         left = self.term()
-        self.expect_eq()
+        i = self.i
+        if self.kinds[i] != "=":
+            raise self.found("'='", i)
+        self.i = i + 1
         return Eq(left, self.term())
-
-    def expect_eq(self) -> None:
-        t = self.next()
-        if not (t.kind == "ch" and t.text == "="):
-            raise SyntaxErrorWithPos(f"expected '=', found {t.text or 'end of input'!r}", t.pos)
 
     # -- terms
 
     def term(self) -> Term:
         a = self.term_mul()
-        while self.peek().kind == "ch" and self.peek().text == "+":
-            self.next()
-            a = Plus(a, self.term_mul())
+        if self.kinds[self.i] == "+":
+            depth = self.depth
+            while self.kinds[self.i] == "+":
+                self.nest(self.i)
+                self.i += 1
+                a = Plus(a, self.term_mul())
+            self.depth = depth
         return a
 
     def term_mul(self) -> Term:
         a = self.term_primary()
-        while self.peek().kind == "ch" and self.peek().text == "*":
-            self.next()
-            a = Times(a, self.term_primary())
+        if self.kinds[self.i] == "*":
+            depth = self.depth
+            while self.kinds[self.i] == "*":
+                self.nest(self.i)
+                self.i += 1
+                a = Times(a, self.term_primary())
+            self.depth = depth
         return a
 
     def bound_term(self) -> Term:
         # A quantifier bound is immediately followed by the body, so a bare
         # identifier before "(" is the bound variable's limit, not a function
         # application — unless the name is a registered function symbol.
-        t = self.peek()
-        if t.kind == "ident" and not (self.arities is not None and t.text in self.arities):
-            self.next()
-            return Var(t.text)
+        i = self.i
+        if self.kinds[i] == _IDENT and not (self.arities is not None and self.toks[i] in self.arities):
+            self.i = i + 1
+            return Var(self.toks[i])
         return self.term_primary()
 
     def term_primary(self) -> Term:
-        t = self.next()
-        if t.kind == "zero":
+        i = self.i
+        k = self.kinds[i]
+        if k == "0":
+            self.i = i + 1
             return ZERO
-        if t.kind == "S":
-            self.open_paren()
-            arg = self.term()
-            self.close_paren()
-            return Succ(arg)
-        if t.kind == "ident":
-            if self.peek().kind == "ch" and self.peek().text == "(":
-                self.next()
-                args = [self.term()]
-                while self.peek().kind == "ch" and self.peek().text == ",":
-                    self.next()
-                    args.append(self.term())
-                self.close_paren()
-                if self.arities is not None:
-                    if t.text not in self.arities:
-                        raise SyntaxErrorWithPos(f"unknown function symbol {t.text!r}", t.pos)
-                    if self.arities[t.text] != len(args):
-                        raise SyntaxErrorWithPos(
-                            f"{t.text!r} expects {self.arities[t.text]} arguments, got {len(args)}", t.pos
-                        )
-                return DefFn(t.text, tuple(args))
-            if self.arities is not None and t.text in self.arities:
-                raise SyntaxErrorWithPos(f"{t.text!r} is a function symbol, not a variable", t.pos)
-            return Var(t.text)
-        if t.kind == "ch" and t.text == "(":
-            inner = self.term()
-            self.close_paren()
-            return inner
-        raise SyntaxErrorWithPos(f"expected a term, found {t.text or 'end of input'!r}", t.pos)
-
-    def open_paren(self) -> None:
-        t = self.next()
-        if not (t.kind == "ch" and t.text == "("):
-            raise SyntaxErrorWithPos("expected '('", t.pos)
-
-    def close_paren(self) -> None:
-        t = self.next()
-        if not (t.kind == "ch" and t.text == ")"):
-            raise SyntaxErrorWithPos("expected ')'", t.pos)
+        if k == "S":
+            self.nest(i)
+            if self.kinds[i + 1] != "(":
+                raise _ParseError("expected '('", i + 1)
+            self.i = i + 2
+            t: Term = Succ(self.term())
+        elif k == _IDENT:
+            name = self.toks[i]
+            arities = self.arities
+            if self.kinds[i + 1] != "(":
+                if arities is not None and name in arities:
+                    raise _ParseError(f"{name!r} is a function symbol, not a variable", i)
+                self.i = i + 1
+                return Var(name)
+            self.nest(i)
+            self.i = i + 2
+            args = [self.term()]
+            j = self.i
+            while self.kinds[j] == ",":
+                self.i = j + 1
+                args.append(self.term())
+                j = self.i
+            if self.kinds[j] != ")":
+                raise _ParseError("expected ')'", j)
+            self.i = j + 1
+            if arities is not None:
+                if name not in arities:
+                    raise _ParseError(f"unknown function symbol {name!r}", i)
+                if arities[name] != len(args):
+                    raise _ParseError(f"{name!r} expects {arities[name]} arguments, got {len(args)}", i)
+            self.depth -= 1
+            return DefFn(name, tuple(args))
+        elif k == "(":
+            self.nest(i)
+            self.i = i + 1
+            t = self.term()
+        else:
+            raise self.found("a term", i)
+        i = self.i
+        if self.kinds[i] != ")":
+            raise _ParseError("expected ')'", i)
+        self.i = i + 1
+        self.depth -= 1
+        return t
 
 
 # The formula/term grammar is fixed; DefFn arity checking is optional and
@@ -697,22 +808,14 @@ def _resolve_arities(deffn_arities: dict[str, int] | None) -> dict[str, int] | N
 def parse_formula(text: str, deffn_arities: dict[str, int] | None = None) -> Formula:
     """Parse a formula; raises SyntaxErrorWithPos with an offset on bad input."""
     ensure_recursion_headroom()
-    p = _Parser(_tokenize(text), _resolve_arities(deffn_arities))
-    f = p.formula()
-    t = p.peek()
-    if t.kind != "eof":
-        raise SyntaxErrorWithPos(f"trailing input {t.text!r}", t.pos)
-    return f
+    p = _Parser(text, _resolve_arities(deffn_arities))
+    return p.parse(p.formula)
 
 
 def parse_term(text: str, deffn_arities: dict[str, int] | None = None) -> Term:
     ensure_recursion_headroom()
-    p = _Parser(_tokenize(text), _resolve_arities(deffn_arities))
-    t = p.term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise SyntaxErrorWithPos(f"trailing input {tok.text!r}", tok.pos)
-    return t
+    p = _Parser(text, _resolve_arities(deffn_arities))
+    return p.parse(p.term)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ guarantee.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .calculus import (
     BGenJust,
@@ -163,13 +163,3 @@ def check_witness(theory: TheorySpec, phi: Formula, proof: Proof, k: int) -> boo
     if proof_size(proof) > formula_size(phi) ** k:
         return False
     return proof_of(theory, proof, phi)
-
-
-@dataclass
-class RejectLog:
-    """Cumulative diagnostics channel for repeated verification calls."""
-
-    entries: list[tuple[str, str]] = field(default_factory=list)
-
-    def note(self, target: str, reason: str) -> None:
-        self.entries.append((target, reason))

@@ -8,6 +8,7 @@ from proofforge import cli
 from proofforge import config as cfgmod
 from proofforge import suite as suitemod
 from proofforge.suite import CriterionResult
+from proofforge.syntax import MAX_NESTING
 
 VALID_PROOF = "1. 0 = 0 ; COMPUTE\n"
 
@@ -39,6 +40,24 @@ def test_missing_file_is_a_usage_error(capsys):
 
 def test_unparsable_formula_is_a_usage_error(proof_file, capsys):
     assert cli.main(["check", "q", proof_file, "0 = ="]) == 2
+
+
+@pytest.mark.parametrize(
+    "formula, offset",
+    [
+        ("S(" * 40_000 + "0" + ")" * 40_000 + " = 0", 2 * MAX_NESTING),
+        ("dbl(" * 40_000 + "0" + ")" * 40_000 + " = 0", 4 * MAX_NESTING),
+        ("!" * 40_000 + "0 = 0", MAX_NESTING),
+    ],
+    ids=["S", "dbl", "not"],
+)
+def test_deeply_nested_proof_line_is_a_usage_error(tmp_path, capsys, formula, offset):
+    p = tmp_path / "deep.fp"
+    p.write_text(f"1. {formula} ; COMPUTE\n")
+    assert cli.main(["check", "q", str(p), "0 = 0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"proof line 1: nesting deeper than {MAX_NESTING} levels (at offset {offset})" in err
 
 
 def test_no_arguments_prints_help_and_exits_two(capsys):

@@ -1,12 +1,22 @@
 """Terms and formulas: printing, parsing, substitution, and the size metric."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import proofforge
+from proofforge.calculus import parse_proof_text, print_proof_text
+from proofforge.goedel import DEFFN_ARITIES, diagonalize, standard_theory
 from proofforge.syntax import (
+    MAX_NESTING,
     BoundedExists,
     BoundedForAll,
+    DefFn,
     Eq,
     ForAll,
     Implies,
@@ -32,19 +42,23 @@ from proofforge.syntax import (
     term_variables,
 )
 
-VARS = ("x", "y", "z", "u", "v")
+VARS = ("x", "y", "z", "u", "v", "x'", "y''")
+DEFFN_SYMBOLS = sorted(DEFFN_ARITIES)
 
 
 def random_term(rng: random.Random, depth: int) -> object:
     if depth == 0:
         return rng.choice([ZERO, Var(rng.choice(VARS)), numeral(rng.randrange(4))])
-    match rng.randrange(4):
+    match rng.randrange(5):
         case 0:
             return Succ(random_term(rng, depth - 1))
         case 1:
             return Plus(random_term(rng, depth - 1), random_term(rng, depth - 1))
         case 2:
             return Times(random_term(rng, depth - 1), random_term(rng, depth - 1))
+        case 3:
+            sym = rng.choice(DEFFN_SYMBOLS)
+            return DefFn(sym, tuple(random_term(rng, depth - 1) for _ in range(DEFFN_ARITIES[sym])))
         case _:
             return rng.choice([ZERO, Var(rng.choice(VARS))])
 
@@ -163,6 +177,8 @@ def naive_substitute_term(t, var, rep):
             return Plus(naive_substitute_term(a, var, rep), naive_substitute_term(b, var, rep))
         case Times(a, b):
             return Times(naive_substitute_term(a, var, rep), naive_substitute_term(b, var, rep))
+        case DefFn(sym, args):
+            return DefFn(sym, tuple(naive_substitute_term(a, var, rep) for a in args))
     return t
 
 
@@ -213,10 +229,81 @@ def test_is_delta0(text, verdict):
     assert is_delta0(parse_formula(text)) is verdict
 
 
-@pytest.mark.parametrize("bad", ["", "0 =", "forall (x = x)", "S(0", "x = y ->", "= 0"])
-def test_parse_errors_carry_position(bad):
-    with pytest.raises(SyntaxErrorWithPos):
-        parse_formula(bad)
+# The parser's error contract, (input, message, offset), pinned; arities as
+# in the standard theory.
+PARSE_ERRORS = [
+    ("", "expected a term, found 'end of input'", 0),
+    ("0 =", "expected a term, found 'end of input'", 3),
+    ("forall (x = x)", "expected a variable, found '('", 7),
+    ("S(0", "expected ')'", 3),
+    ("x = y ->", "expected a term, found 'end of input'", 8),
+    ("= 0", "expected a term, found '='", 0),
+    ("   ", "expected a term, found 'end of input'", 3),
+    # a bad character reports the end of the previous token
+    ("0 =  $ 0", "unexpected character '$'", 3),
+    ("0 = 0 \t@", "unexpected character '@'", 5),
+    ("$ = 0", "unexpected character '$'", 0),
+    ("foo(0) = 0", "unknown function symbol 'foo'", 0),
+    ("sub(0) = 0", "'sub' expects 2 arguments, got 1", 0),
+    ("dbl = 0", "'dbl' is a function symbol, not a variable", 0),
+    ("forall<= x S(x) (x = x)", "bound of BoundedForAll mentions its own variable 'x'", 16),
+    ("exists<= y y + 0 (y = y)", "bound of BoundedExists mentions its own variable 'y'", 13),
+    ("dbl(0 = 0", "expected ')'", 6),
+    ("S(S(0) = 0", "expected ')'", 7),
+    ("x + 0", "expected '=', found 'end of input'", 5),
+    ("0 -> 0 = 0", "expected '=', found '->'", 2),
+    ("0 = 0 )", "trailing input ')'", 6),
+    ("0 = 0 0", "trailing input '0'", 6),
+]
+
+
+@pytest.mark.parametrize("bad, message, offset", PARSE_ERRORS, ids=[row[0] for row in PARSE_ERRORS])
+def test_parse_errors_carry_position(bad, message, offset):
+    with pytest.raises(SyntaxErrorWithPos) as info:
+        parse_formula(bad, DEFFN_ARITIES)
+    assert str(info.value) == f"{message} (at offset {offset})"
+    assert info.value.pos == offset
+
+
+def test_nesting_cap_is_inclusive():
+    text = "S(" * MAX_NESTING + "0" + ")" * MAX_NESTING
+    assert parse_term(text) == numeral(MAX_NESTING)
+    with pytest.raises(SyntaxErrorWithPos) as info:
+        parse_term("S(" + text + ")")
+    # the cap is crossed at the innermost S
+    assert info.value.pos == 2 * MAX_NESTING
+
+
+def test_x_equals_zero_certificate_is_pinned():
+    theory = standard_theory()
+    proof = diagonalize(theory, parse_formula("x = 0")).equivalence
+    text = print_proof_text(proof)
+    assert hashlib.sha256(text.encode()).hexdigest() == "f62341eb0821c7990ed7a71921b33b6a27328d980e9b1ddadfdcc7db9b52c0cf"
+    assert parse_proof_text(text, theory.arities()) == proof
+
+
+_DEEP_PRINT = """
+from proofforge.syntax import ZERO, DefFn, Eq, Not, print_formula, print_term
+
+n = 50_000
+t = ZERO
+for _ in range(n):
+    t = DefFn("dbl", (t,))
+assert print_term(t) == "dbl(" * n + "0" + ")" * n
+f = Eq(ZERO, ZERO)
+for _ in range(n):
+    f = Not(f)
+assert print_formula(f) == "!(" * n + "0 = 0" + ")" * n
+print("ok")
+"""
+
+
+def test_printing_deep_chains_does_not_recurse():
+    # a subprocess, so that a stack overflow fails this test instead of
+    # killing the test run
+    env = dict(os.environ, PYTHONPATH=str(Path(proofforge.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", _DEEP_PRINT], env=env, capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr[-2000:]
 
 
 def test_term_variables():
