@@ -28,15 +28,20 @@ silently narrowing the space.  Two further soundness notes:
   * Relevance heuristics (axiom instances assembled from the target's own
     subformulas and subterms) are added to speed up "found"; they never
     shrink the exhaustive pools, so they cannot corrupt a "none".
+
+Lines are justified by the verifier's own search: axiom lines by
+calculus.find_axiom_justification, the target by the same function (once,
+at the root: the target and theory never change) and otherwise by
+calculus.find_rule_justification over the lines above it.  Axiom pools are
+cached by the theory's content, not its name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .calculus import (
-    AxiomJust,
     BGenJust,
     GenJust,
     Justification,
@@ -45,6 +50,7 @@ from .calculus import (
     ProofLine,
     TheorySpec,
     find_axiom_justification,
+    find_rule_justification,
     proof_size,
 )
 from .goedel import DEFFN_ARITIES, VAR_POOL
@@ -179,12 +185,19 @@ def formulas_of_size(size: int, cap: int = 600_000) -> tuple[Formula, ...]:
     return tuple(out)
 
 
-_AXIOM_POOLS: dict[tuple[str, int, int], tuple[tuple[Formula, Justification], ...]] = {}
+_AXIOM_POOLS: dict[tuple, tuple[tuple[Formula, Justification], ...]] = {}
 
 
 def axiom_pool(theory: TheorySpec, size: int, cap: int) -> tuple[tuple[Formula, Justification], ...]:
-    """All axiom lines of exactly `size` tokens (schema instances + theory axioms)."""
-    key = (theory.name, size, cap)
+    """All axiom lines of exactly `size` tokens (schema instances + theory axioms).
+
+    Pools are cached by what decides them -- the theory's extra axioms, its
+    (symbol, arity) table and `induction` -- never by its name, which two
+    different extensions can share.  This assumes that a function symbol of
+    a theory with given axioms has one evaluator meaning, so COMPUTE accepts
+    the same equations wherever the key is the same.
+    """
+    key = (theory.extra_axioms, tuple(sorted(theory.arities().items())), theory.induction, size, cap)
     hit = _AXIOM_POOLS.get(key)
     if hit is not None:
         return hit
@@ -272,27 +285,6 @@ class _NodeCapHit(Exception):
     pass
 
 
-def _justify_from(theory: TheorySpec, f: Formula, lines: list[tuple[Formula, Justification]]) -> Justification | None:
-    j = find_axiom_justification(theory, f)
-    if j is not None:
-        return j
-    for i, (g, _) in enumerate(lines):
-        if isinstance(g, Implies) and g.consequent == f:
-            for k, (h, _) in enumerate(lines):
-                if h == g.antecedent:
-                    return MPJust(i, k)
-    match f:
-        case ForAll(v, body):
-            for i, (g, _) in enumerate(lines):
-                if g == body:
-                    return GenJust(i, v)
-        case BoundedForAll(v, bt, body):
-            for i, (g, _) in enumerate(lines):
-                if g == body:
-                    return BGenJust(i, v, bt)
-    return None
-
-
 def enumerate_proofs(
     theory: TheorySpec,
     target: Formula,
@@ -345,6 +337,9 @@ def enumerate_proofs(
                     for v in VAR_POOL:
                         yield BoundedForAll(v, bt, g), BGenJust(i, v, bt)
 
+    # the target and the theory are the same at every node, so the target is
+    # checked against the axioms once; each node then tries only the rules
+    target_axiom = find_axiom_justification(theory, target)
     found: list[Proof] = []
 
     def dfs(lines: list[tuple[Formula, Justification]], used: int) -> bool:
@@ -352,8 +347,9 @@ def enumerate_proofs(
         if state["nodes"] > limits.node_cap:
             raise _NodeCapHit
         sep = 1 if lines else 0
+        formulas = [f for f, _ in lines]
         if used + sep + tsize <= size_budget:
-            j = _justify_from(theory, target, lines)
+            j = target_axiom or find_rule_justification(target, formulas)
             if j is not None:
                 all_lines = tuple(ProofLine(f, jj) for f, jj in lines) + (ProofLine(target, j),)
                 found.append(Proof(all_lines))
@@ -373,7 +369,7 @@ def enumerate_proofs(
                 yield from pools.get(s, ())
             yield from closures(lines, room)
 
-        seen: set[Formula] = {f for f, _ in lines}
+        seen = set(formulas)
         for f, j in candidates():
             if f in seen:
                 continue

@@ -32,6 +32,13 @@ Every schema instance is true in the standard model under every variable
 assignment, theory axioms are closed, and the rules preserve that property,
 so everything provable is true in N.  Matching any single schema against a
 candidate line is linear in the line size.
+
+Each schema matcher returns the justification it proves, or None.  The one
+justification search lives here: `find_axiom_justification` tries the
+matchers in a fixed order and then the theory's axioms, and
+`find_rule_justification` looks for modus ponens or (bounded)
+generalization over earlier lines.  The searching verifier and the
+exhaustive proof search both use these two functions.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .syntax import (
     ZERO,
@@ -67,24 +74,6 @@ from .syntax import (
     print_term,
     substitute,
 )
-
-SCHEMATA = (
-    "P1",
-    "P2",
-    "P3",
-    "Q1",
-    "Q2",
-    "BQ2A",
-    "BQ2E",
-    "BCONGA",
-    "BCONGE",
-    "EQREFL",
-    "EQSUBST",
-    "QAX",
-    "IND",
-    "COMPUTE",
-)
-
 
 # ---------------------------------------------------------------------------
 # Cost accounting
@@ -358,37 +347,32 @@ def proof_of_formulas(formulas: list[Formula] | tuple[Formula, ...]) -> Proof:
 # ---------------------------------------------------------------------------
 # Schema matchers
 # ---------------------------------------------------------------------------
+#
+# Each matcher takes (theory, f, cost) and returns the justification that
+# makes f an instance of its schema -- AxiomJust("Q1", term=t),
+# AxiomJust("QAX", index=i), ComputeJust(value=v), AxiomJust(name) -- or None.
+
+Matcher = Callable[[TheorySpec, Formula, Cost], Union[AxiomJust, ComputeJust, None]]
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    ok: bool
-    bindings: Mapping[str, object] = field(default_factory=dict)
-    reason: str = ""
-
-
-_NO = MatchResult(False)
-
-
-def _match_p1(f: Formula, cost: Cost) -> MatchResult:
+def _match_p1(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
     if isinstance(f, Implies) and isinstance(f.consequent, Implies):
-        a, inner = f.antecedent, f.consequent
-        if eq_formulas(a, inner.consequent, cost):
-            return MatchResult(True, {"A": a, "B": inner.antecedent})
-    return _NO
+        if eq_formulas(f.antecedent, f.consequent.consequent, cost):
+            return AxiomJust("P1")
+    return None
 
 
-def _match_p2(f: Formula, cost: Cost) -> MatchResult:
+def _match_p2(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
     # (A -> (B -> C)) -> ((A -> B) -> (A -> C))
     if not (isinstance(f, Implies) and isinstance(f.antecedent, Implies)):
-        return _NO
+        return None
     left = f.antecedent
     if not isinstance(left.consequent, Implies):
-        return _NO
+        return None
     a, b, c = left.antecedent, left.consequent.antecedent, left.consequent.consequent
     r = f.consequent
     if not (isinstance(r, Implies) and isinstance(r.antecedent, Implies) and isinstance(r.consequent, Implies)):
-        return _NO
+        return None
     ab, ac = r.antecedent, r.consequent
     if (
         eq_formulas(ab.antecedent, a, cost)
@@ -396,21 +380,21 @@ def _match_p2(f: Formula, cost: Cost) -> MatchResult:
         and eq_formulas(ac.antecedent, a, cost)
         and eq_formulas(ac.consequent, c, cost)
     ):
-        return MatchResult(True, {"A": a, "B": b, "C": c})
-    return _NO
+        return AxiomJust("P2")
+    return None
 
 
-def _match_p3(f: Formula, cost: Cost) -> MatchResult:
+def _match_p3(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
     # (!A -> !B) -> (B -> A)
     if not (isinstance(f, Implies) and isinstance(f.antecedent, Implies) and isinstance(f.consequent, Implies)):
-        return _NO
+        return None
     left, right = f.antecedent, f.consequent
     if not (isinstance(left.antecedent, Not) and isinstance(left.consequent, Not)):
-        return _NO
+        return None
     a, b = left.antecedent.body, left.consequent.body
     if eq_formulas(right.antecedent, b, cost) and eq_formulas(right.consequent, a, cost):
-        return MatchResult(True, {"A": a, "B": b})
-    return _NO
+        return AxiomJust("P3")
+    return None
 
 
 def _leftmost_instance(phi: Formula, psi: Formula, x: str) -> Term | None:
@@ -480,84 +464,88 @@ def _leftmost_instance(phi: Formula, psi: Formula, x: str) -> Term | None:
     return cand if found else None
 
 
-def _match_q1(f: Formula, cost: Cost) -> MatchResult:
+def _match_q1(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
     # forall x A -> A[x := t]
     if not (isinstance(f, Implies) and isinstance(f.antecedent, ForAll)):
-        return _NO
+        return None
     x, phi, psi = f.antecedent.var, f.antecedent.body, f.consequent
     cost.symbol_comparisons += 1
     if x not in free_variables(phi):
         if eq_formulas(phi, psi, cost):
-            return MatchResult(True, {"x": x, "A": phi, "t": ZERO})
-        return _NO
+            return AxiomJust("Q1", term=ZERO)
+        return None
     t = _leftmost_instance(phi, psi, x)
     if t is None:
-        return _NO
+        return None
     cost.symbol_comparisons += formula_size(phi)
     if eq_formulas(substitute(phi, x, t), psi, cost):
-        return MatchResult(True, {"x": x, "A": phi, "t": t})
-    return _NO
+        return AxiomJust("Q1", term=t)
+    return None
 
 
-def _match_q2(f: Formula, cost: Cost) -> MatchResult:
+def _match_q2(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
     # forall x (A -> B) -> (forall x A -> forall x B)
     if not (isinstance(f, Implies) and isinstance(f.antecedent, ForAll) and isinstance(f.consequent, Implies)):
-        return _NO
+        return None
     q = f.antecedent
     if not isinstance(q.body, Implies):
-        return _NO
+        return None
     r = f.consequent
     if not (isinstance(r.antecedent, ForAll) and isinstance(r.consequent, ForAll)):
-        return _NO
+        return None
     if q.var != r.antecedent.var or q.var != r.consequent.var:
-        return _NO
+        return None
     if eq_formulas(r.antecedent.body, q.body.antecedent, cost) and eq_formulas(r.consequent.body, q.body.consequent, cost):
-        return MatchResult(True, {"x": q.var, "A": q.body.antecedent, "B": q.body.consequent})
-    return _NO
+        return AxiomJust("Q2")
+    return None
 
 
-def _match_bq2(f: Formula, cost: Cost, exists_form: bool) -> MatchResult:
+def _bq2_matcher(name: str, inner_type: type) -> Matcher:
     # forall<= x b (A -> B) -> (Q<= x b A -> Q<= x b B)
-    inner_type = BoundedExists if exists_form else BoundedForAll
-    if not (isinstance(f, Implies) and isinstance(f.antecedent, BoundedForAll) and isinstance(f.consequent, Implies)):
-        return _NO
-    q = f.antecedent
-    if not isinstance(q.body, Implies):
-        return _NO
-    r = f.consequent
-    if not (isinstance(r.antecedent, inner_type) and isinstance(r.consequent, inner_type)):
-        return _NO
-    if q.var != r.antecedent.var or q.var != r.consequent.var:
-        return _NO
-    if not (eq_terms(q.bound, r.antecedent.bound, cost) and eq_terms(q.bound, r.consequent.bound, cost)):
-        return _NO
-    if eq_formulas(r.antecedent.body, q.body.antecedent, cost) and eq_formulas(r.consequent.body, q.body.consequent, cost):
-        return MatchResult(True, {"x": q.var, "b": q.bound, "A": q.body.antecedent, "B": q.body.consequent})
-    return _NO
+    def match(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
+        if not (isinstance(f, Implies) and isinstance(f.antecedent, BoundedForAll) and isinstance(f.consequent, Implies)):
+            return None
+        q = f.antecedent
+        if not isinstance(q.body, Implies):
+            return None
+        r = f.consequent
+        if not (isinstance(r.antecedent, inner_type) and isinstance(r.consequent, inner_type)):
+            return None
+        if q.var != r.antecedent.var or q.var != r.consequent.var:
+            return None
+        if not (eq_terms(q.bound, r.antecedent.bound, cost) and eq_terms(q.bound, r.consequent.bound, cost)):
+            return None
+        if eq_formulas(r.antecedent.body, q.body.antecedent, cost) and eq_formulas(r.consequent.body, q.body.consequent, cost):
+            return AxiomJust(name)
+        return None
+
+    return match
 
 
-def _match_bcong(f: Formula, cost: Cost, exists_form: bool) -> MatchResult:
+def _bcong_matcher(name: str, qtype: type) -> Matcher:
     # b = b' -> (Q<= x b A -> Q<= x b' A)
-    qtype = BoundedExists if exists_form else BoundedForAll
-    if not (isinstance(f, Implies) and isinstance(f.antecedent, Eq) and isinstance(f.consequent, Implies)):
-        return _NO
-    b, b2 = f.antecedent.left, f.antecedent.right
-    r = f.consequent
-    if not (isinstance(r.antecedent, qtype) and isinstance(r.consequent, qtype)):
-        return _NO
-    if r.antecedent.var != r.consequent.var:
-        return _NO
-    if not (eq_terms(r.antecedent.bound, b, cost) and eq_terms(r.consequent.bound, b2, cost)):
-        return _NO
-    if eq_formulas(r.antecedent.body, r.consequent.body, cost):
-        return MatchResult(True, {"x": r.antecedent.var, "b": b, "b'": b2, "A": r.antecedent.body})
-    return _NO
+    def match(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
+        if not (isinstance(f, Implies) and isinstance(f.antecedent, Eq) and isinstance(f.consequent, Implies)):
+            return None
+        b, b2 = f.antecedent.left, f.antecedent.right
+        r = f.consequent
+        if not (isinstance(r.antecedent, qtype) and isinstance(r.consequent, qtype)):
+            return None
+        if r.antecedent.var != r.consequent.var:
+            return None
+        if not (eq_terms(r.antecedent.bound, b, cost) and eq_terms(r.consequent.bound, b2, cost)):
+            return None
+        if eq_formulas(r.antecedent.body, r.consequent.body, cost):
+            return AxiomJust(name)
+        return None
+
+    return match
 
 
-def _match_eqrefl(f: Formula, cost: Cost) -> MatchResult:
+def _match_eqrefl(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
     if isinstance(f, Eq) and eq_terms(f.left, f.right, cost):
-        return MatchResult(True, {"t": f.left})
-    return _NO
+        return AxiomJust("EQREFL", term=f.left)
+    return None
 
 
 def _replaceable_term(a: Term, b: Term, s: Term, u: Term, cost: Cost) -> bool:
@@ -581,66 +569,82 @@ def _replaceable_term(a: Term, b: Term, s: Term, u: Term, cost: Cost) -> bool:
             return False
 
 
-def _match_eqsubst(f: Formula, cost: Cost) -> MatchResult:
+def _match_eqsubst(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
     # s = u -> (A -> A'), A and A' atomic
     if not (isinstance(f, Implies) and isinstance(f.antecedent, Eq) and isinstance(f.consequent, Implies)):
-        return _NO
+        return None
     s, u = f.antecedent.left, f.antecedent.right
     a, b = f.consequent.antecedent, f.consequent.consequent
     if not (isinstance(a, Eq) and isinstance(b, Eq)):
-        return _NO
+        return None
     if _replaceable_term(a.left, b.left, s, u, cost) and _replaceable_term(a.right, b.right, s, u, cost):
-        return MatchResult(True, {"s": s, "u": u, "A": a, "A'": b})
-    return _NO
+        return AxiomJust("EQSUBST")
+    return None
 
 
-def _match_qax(f: Formula, cost: Cost, index: int | None = None) -> MatchResult:
+def _match_qax(theory: TheorySpec, f: Formula, cost: Cost, index: int | None = None) -> AxiomJust | None:
+    """The Robinson axiom f is (the `index`-th one only, when given)."""
     axioms = robinson_axioms()
-    if index is not None:
-        if 1 <= index <= len(axioms) and eq_formulas(f, axioms[index - 1], cost):
-            return MatchResult(True, {"index": index})
-        return _NO
-    for i, ax in enumerate(axioms, start=1):
-        if eq_formulas(f, ax, cost):
-            return MatchResult(True, {"index": i})
-    return _NO
+    for i in (range(1, len(axioms) + 1) if index is None else (index,)):
+        if 1 <= i <= len(axioms) and eq_formulas(f, axioms[i - 1], cost):
+            return AxiomJust("QAX", index=i)
+    return None
 
 
-def _match_ind(f: Formula, cost: Cost) -> MatchResult:
+def _match_ind(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
     # A[x:=0] -> (forall x (A -> A[x:=S(x)]) -> forall x A)
-    if not (isinstance(f, Implies) and isinstance(f.consequent, Implies)):
-        return _NO
+    if not (theory.induction and isinstance(f, Implies) and isinstance(f.consequent, Implies)):
+        return None
     base = f.antecedent
     mid, tail = f.consequent.antecedent, f.consequent.consequent
     if not (isinstance(mid, ForAll) and isinstance(mid.body, Implies) and isinstance(tail, ForAll)):
-        return _NO
+        return None
     x = tail.var
     if mid.var != x:
-        return _NO
+        return None
     a = tail.body
     if not eq_formulas(mid.body.antecedent, a, cost):
-        return _NO
+        return None
     if not eq_formulas(base, substitute(a, x, ZERO), cost):
-        return _NO
+        return None
     if not eq_formulas(mid.body.consequent, substitute(a, x, Succ(Var(x))), cost):
-        return _NO
-    return MatchResult(True, {"x": x, "A": a})
+        return None
+    return AxiomJust("IND")
 
 
-def _match_compute(theory: TheorySpec, f: Formula, cost: Cost) -> MatchResult:
+def _match_compute(theory: TheorySpec, f: Formula, cost: Cost) -> ComputeJust | None:
     if not isinstance(f, Eq):
-        return _NO
+        return None
     if free_variables(f):
-        return _NO
+        return None
     cost.symbol_comparisons += formula_size(f)
     try:
         lv = eval_term_in(theory, f.left)
         rv = eval_term_in(theory, f.right)
     except (EvalBudgetExceeded, KeyError, ValueError):
-        return _NO
+        return None
     if lv == rv:
-        return MatchResult(True, {"value": lv})
-    return _NO
+        return ComputeJust(value=lv)
+    return None
+
+
+# every schema, in search order: cheap structural matchers first, COMPUTE last
+_MATCHERS: dict[str, Matcher] = {
+    "EQREFL": _match_eqrefl,
+    "P1": _match_p1,
+    "P3": _match_p3,
+    "P2": _match_p2,
+    "Q1": _match_q1,
+    "Q2": _match_q2,
+    "BQ2A": _bq2_matcher("BQ2A", BoundedForAll),
+    "BQ2E": _bq2_matcher("BQ2E", BoundedExists),
+    "BCONGA": _bcong_matcher("BCONGA", BoundedForAll),
+    "BCONGE": _bcong_matcher("BCONGE", BoundedExists),
+    "EQSUBST": _match_eqsubst,
+    "QAX": _match_qax,
+    "IND": _match_ind,
+    "COMPUTE": _match_compute,
+}
 
 
 def match_schema(
@@ -649,79 +653,52 @@ def match_schema(
     f: Formula,
     index: int | None = None,
     cost: Cost = _NULL_COST,
-) -> MatchResult:
-    """Does formula f instantiate the named schema (for this theory)?"""
+) -> Justification | None:
+    """The justification that makes f an instance of the named schema, or None.
+
+    `index` pins QAX to one Robinson axiom; other schemata ignore it.
+    """
+    matcher = _MATCHERS.get(schema)
+    if matcher is None:
+        raise ValueError(f"unknown schema {schema!r}")
     ensure_recursion_headroom()
-    match schema:
-        case "P1":
-            return _match_p1(f, cost)
-        case "P2":
-            return _match_p2(f, cost)
-        case "P3":
-            return _match_p3(f, cost)
-        case "Q1":
-            return _match_q1(f, cost)
-        case "Q2":
-            return _match_q2(f, cost)
-        case "BQ2A":
-            return _match_bq2(f, cost, exists_form=False)
-        case "BQ2E":
-            return _match_bq2(f, cost, exists_form=True)
-        case "BCONGA":
-            return _match_bcong(f, cost, exists_form=False)
-        case "BCONGE":
-            return _match_bcong(f, cost, exists_form=True)
-        case "EQREFL":
-            return _match_eqrefl(f, cost)
-        case "EQSUBST":
-            return _match_eqsubst(f, cost)
-        case "QAX":
-            return _match_qax(f, cost, index)
-        case "IND":
-            if not theory.induction:
-                return MatchResult(False, reason="induction not enabled for this theory")
-            return _match_ind(f, cost)
-        case "COMPUTE":
-            return _match_compute(theory, f, cost)
-    raise ValueError(f"unknown schema {schema!r}")
-
-
-# fixed search order: cheap structural matchers first, COMPUTE last
-SEARCH_ORDER = (
-    "EQREFL",
-    "P1",
-    "P3",
-    "P2",
-    "Q1",
-    "Q2",
-    "BQ2A",
-    "BQ2E",
-    "BCONGA",
-    "BCONGE",
-    "EQSUBST",
-    "QAX",
-    "IND",
-    "COMPUTE",
-)
+    if schema == "QAX":
+        return _match_qax(theory, f, cost, index)
+    return matcher(theory, f, cost)
 
 
 def find_axiom_justification(theory: TheorySpec, f: Formula, cost: Cost = _NULL_COST) -> Justification | None:
     """Search the schemata and the theory's extra axioms for a justification of f."""
-    for name in SEARCH_ORDER:
-        if name == "IND" and not theory.induction:
-            continue
-        res = match_schema(theory, name, f, cost=cost)
-        if res.ok:
-            if name == "QAX":
-                return AxiomJust("QAX", index=res.bindings["index"])
-            if name == "COMPUTE":
-                return ComputeJust(value=res.bindings["value"])
-            if name in ("Q1", "EQREFL"):
-                return AxiomJust(name, term=res.bindings["t"])
-            return AxiomJust(name)
+    ensure_recursion_headroom()
+    for matcher in _MATCHERS.values():
+        just = matcher(theory, f, cost)
+        if just is not None:
+            return just
     for i, ax in enumerate(theory.extra_axioms, start=1):
         if eq_formulas(f, ax, cost):
             return TheoryAxiomJust(i)
+    return None
+
+
+def find_rule_justification(f: Formula, earlier: Sequence[Formula], cost: Cost = _NULL_COST) -> Justification | None:
+    """Justify f by a rule from the `earlier` lines (indices are positions there).
+
+    Modus ponens takes the first implication with consequent f whose
+    antecedent is also among the earlier lines; failing that, (bounded)
+    generalization takes the first earlier line equal to f's body.
+    """
+    for j, big in enumerate(earlier):
+        cost.lines_scanned += 1
+        if isinstance(big, Implies) and eq_formulas(big.consequent, f, cost):
+            for k, g in enumerate(earlier):
+                cost.pair_searches += 1
+                if eq_formulas(g, big.antecedent, cost):
+                    return MPJust(j, k)
+    if isinstance(f, (ForAll, BoundedForAll)):
+        for j, g in enumerate(earlier):
+            cost.lines_scanned += 1
+            if eq_formulas(g, f.body, cost):
+                return GenJust(j, f.var) if isinstance(f, ForAll) else BGenJust(j, f.var, f.bound)
     return None
 
 
@@ -761,8 +738,11 @@ def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost = _NULL_COST
                 if isinstance(f, Eq) and eq_terms(f.left, term, cost) and eq_terms(f.right, term, cost):
                     return LineCheck(True)
                 return LineCheck(False, "not the stated EQREFL instance")
-            res = match_schema(theory, schema, f, index=index, cost=cost)
-            return LineCheck(res.ok, "" if res.ok else res.reason or f"not an instance of {schema}")
+            if schema == "IND" and not theory.induction:
+                return LineCheck(False, "induction not enabled for this theory")
+            if match_schema(theory, schema, f, index=index, cost=cost) is None:
+                return LineCheck(False, f"not an instance of {schema}")
+            return LineCheck(True)
         case TheoryAxiomJust(index):
             if 1 <= index <= len(theory.extra_axioms) and eq_formulas(f, theory.extra_axioms[index - 1], cost):
                 return LineCheck(True)
@@ -796,11 +776,11 @@ def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost = _NULL_COST
                 return LineCheck(True)
             return LineCheck(False, "not a bounded generalization of the source line")
         case ComputeJust(value):
-            res = _match_compute(theory, f, cost)
-            if not res.ok:
+            found = _match_compute(theory, f, cost)
+            if found is None:
                 return LineCheck(False, "not a valid Compute step")
-            if value is not None and res.bindings["value"] != value:
-                return LineCheck(False, f"stored value {value} differs from computed {res.bindings['value']}")
+            if value is not None and found.value != value:
+                return LineCheck(False, f"stored value {value} differs from computed {found.value}")
             return LineCheck(True)
     return LineCheck(False, f"unknown justification {j!r}")
 
@@ -864,7 +844,8 @@ def print_proof_text(proof: Proof) -> str:
     return "\n".join(out) + "\n"
 
 
-_BARE_SCHEMATA = frozenset(("P1", "P2", "P3", "Q2", "BQ2A", "BQ2E", "BCONGA", "BCONGE", "EQSUBST", "IND"))
+# schemata written without a payload: all but Q1/EQREFL (term), QAX (index) and COMPUTE
+_BARE_SCHEMATA = frozenset(_MATCHERS) - {"Q1", "EQREFL", "QAX", "COMPUTE"}
 _COMPUTE_RE = re.compile(r"COMPUTE\[v=(\d+)\]")
 _TERM_AXIOM_RE = re.compile(r"(Q1|EQREFL)\[t=(.*)\]")
 _QAX_RE = re.compile(r"QAX (\d+)")

@@ -347,7 +347,7 @@ def cmd_prop_sp(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     for name in names:
         system = _SYSTEMS[name]()
         for alpha in formulas:
-            m = prop.measure_s_p(system, alpha, args.cap)
+            m = system.s_p(alpha, args.cap)
             w.writerow([name, prop.print_prop(alpha), prop.prop_size(alpha), m.value if m.value is not None else "", m.exceeds_cap, m.cap])
     _emit(args.csv or cfg.out, buf.getvalue())
     return EXIT_OK
@@ -425,7 +425,7 @@ OPERATION_MAP: dict[str, str] = {
     "propositional.parse_resolution_text": "prop check",
     "propositional.is_tautology_bruteforce": "prop taut",
     "propositional.translate_delta0": "prop translate",
-    "propositional.measure_s_p": "prop sp",
+    "propositional.min_refutation_steps": "prop sp",
     "propositional.p_simulation_check": "prop psim",
     "suite.run_suite": "suite",
 }

@@ -76,14 +76,13 @@ class Builder:
         return self._lines[i].formula
 
     def axiom(self, schema: str, f: Formula, index: int | None = None, term: Term | None = None) -> int:
-        res = match_schema(self.theory, schema, f, index=index)
-        if not res.ok:
+        just = match_schema(self.theory, schema, f, index=index)
+        if just is None:
             raise DerivationError(f"not an instance of {schema}: {print_formula(f)}")
-        if schema == "QAX":
-            return self._add(f, AxiomJust("QAX", index=res.bindings["index"]))
-        if schema in ("Q1", "EQREFL"):
-            return self._add(f, AxiomJust(schema, term=term if term is not None else res.bindings["t"]))
-        return self._add(f, AxiomJust(schema))
+        if term is not None and schema in ("Q1", "EQREFL"):
+            # the caller's instantiation: Q1 holds for any t when x is not free
+            just = AxiomJust(schema, term=term)
+        return self._add(f, just)
 
     def theory_axiom(self, index: int) -> int:
         if not 1 <= index <= len(self.theory.extra_axioms):

@@ -35,9 +35,8 @@ and disjunctions, and ground atoms collapse to constants.
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 import numpy as np
@@ -810,24 +809,23 @@ def min_refutation_steps(cs: ClauseSet, cap: int, node_cap: int = 250_000) -> SP
     return SPMeasure(None, True, cap)
 
 
-def resolution_system() -> ProofSystemHandle:
-    def s_p(alpha: PropFormula, cap: int) -> SPMeasure:
-        cs = negation_clauses(alpha).clause_set
-        return min_refutation_steps(cs, cap)
+def _resolution_s_p(alpha: PropFormula, cap: int) -> SPMeasure:
+    """s_p of every resolution-family system: minimal plain-resolution refutation.
 
-    return ProofSystemHandle("resolution", _resolution_verify(extended=False), s_p)
+    Extended resolution and the theorem-augmented system share it: extension
+    and Import steps can only help on larger instances than a desk cap
+    reaches, and any resolution proof is already a proof in those systems,
+    so the cap-bounded minimum never increases.
+    """
+    return min_refutation_steps(negation_clauses(alpha).clause_set, cap)
+
+
+def resolution_system() -> ProofSystemHandle:
+    return ProofSystemHandle("resolution", _resolution_verify(extended=False), _resolution_s_p)
 
 
 def extended_resolution_system() -> ProofSystemHandle:
-    # enumeration reuses the resolution search: extension steps can only help
-    # on larger instances than a desk cap reaches, and any resolution proof
-    # is already an extended-resolution proof, so the cap-bounded minimum
-    # never increases.
-    def s_p(alpha: PropFormula, cap: int) -> SPMeasure:
-        cs = negation_clauses(alpha).clause_set
-        return min_refutation_steps(cs, cap)
-
-    return ProofSystemHandle("extended-resolution", _resolution_verify(extended=True), s_p)
+    return ProofSystemHandle("extended-resolution", _resolution_verify(extended=True), _resolution_s_p)
 
 
 def truth_table_system() -> ProofSystemHandle:
@@ -879,14 +877,6 @@ def print_truth_table_proof(alpha: PropFormula) -> str:
         val = eval_prop(alpha, {i: bool((row >> i) & 1) for i in range(n)})
         lines.append(f"{bits} {1 if val else 0}")
     return "\n".join(lines) + "\n"
-
-
-def taut_proof_check(system: ProofSystemHandle, proof_bytes: bytes, alpha: PropFormula) -> bool:
-    return system.verify(proof_bytes, alpha)
-
-
-def measure_s_p(system: ProofSystemHandle, alpha: PropFormula, cap: int) -> SPMeasure:
-    return system.s_p(alpha, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -966,11 +956,7 @@ def theorem_augmented_system(registry: TheoremClauseRegistry, var_offsets: Itera
             cs, proof, extended=True, available=lambda c: registry.available(c, offsets)
         ).ok
 
-    def s_p(alpha: PropFormula, cap: int) -> SPMeasure:
-        cs = negation_clauses(alpha).clause_set
-        return min_refutation_steps(cs, cap)
-
-    return ProofSystemHandle("theorem-augmented-extended-resolution", verify, s_p)
+    return ProofSystemHandle("theorem-augmented-extended-resolution", verify, _resolution_s_p)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@ an earlier line.  No annotations are consulted, so any stored-justification
 valid proof is automatically search-valid (the converse direction of the
 fast path in calculus.check_line).
 
-Per line the search tries each schema matcher (linear in the line size) and
-then scans preceding lines and pairs of preceding lines with early-exit
-structural comparison.  `proof_of_with_cost` reports the deterministic work
-counters; wall time is measured separately and carries no determinism
-guarantee.
+Per line the search is calculus.find_axiom_justification (each schema
+matcher, linear in the line size, then the theory's axioms) and then
+calculus.find_rule_justification, which scans preceding lines and pairs of
+preceding lines with early-exit structural comparison.  The exhaustive
+search in the bounded module justifies its lines with the same two
+functions, so the checking relation is written down once.
+`proof_of_with_cost` reports the deterministic work counters; wall time is
+measured separately and carries no determinism guarantee.
 """
 
 from __future__ import annotations
@@ -20,25 +23,15 @@ import time
 from dataclasses import dataclass
 
 from .calculus import (
-    BGenJust,
     Cost,
-    GenJust,
-    Justification,
-    MPJust,
     Proof,
     TheorySpec,
     eq_formulas,
     find_axiom_justification,
+    find_rule_justification,
     proof_size,
 )
-from .syntax import (
-    BoundedForAll,
-    ForAll,
-    Formula,
-    Implies,
-    ensure_recursion_headroom,
-    formula_size,
-)
+from .syntax import Formula, ensure_recursion_headroom, formula_size
 
 
 @dataclass(frozen=True)
@@ -59,45 +52,6 @@ class CostReport:
         }
 
 
-def _justify_line(
-    theory: TheorySpec,
-    lines: tuple,
-    i: int,
-    cost: Cost,
-) -> Justification | None:
-    """Find any justification for line i given lines[0..i-1]."""
-    f = lines[i].formula
-
-    just = find_axiom_justification(theory, f, cost)
-    if just is not None:
-        return just
-
-    # modus ponens: an earlier implication with consequent f, whose
-    # antecedent also appears earlier
-    for j in range(i):
-        cost.lines_scanned += 1
-        big = lines[j].formula
-        if isinstance(big, Implies) and eq_formulas(big.consequent, f, cost):
-            for k in range(i):
-                cost.pair_searches += 1
-                if eq_formulas(lines[k].formula, big.antecedent, cost):
-                    return MPJust(j, k)
-
-    # generalization of an earlier line
-    if isinstance(f, ForAll):
-        for j in range(i):
-            cost.lines_scanned += 1
-            if eq_formulas(lines[j].formula, f.body, cost):
-                return GenJust(j, f.var)
-    if isinstance(f, BoundedForAll):
-        for j in range(i):
-            cost.lines_scanned += 1
-            if eq_formulas(lines[j].formula, f.body, cost):
-                return BGenJust(j, f.var, f.bound)
-
-    return None
-
-
 def verify(
     theory: TheorySpec,
     proof: Proof,
@@ -112,9 +66,9 @@ def verify(
         if diagnostics is not None:
             diagnostics.append("empty proof")
         return False
-    for i in range(len(proof.lines)):
-        just = _justify_line(theory, proof.lines, i, cost)
-        if just is None:
+    formulas = [ln.formula for ln in proof.lines]
+    for i, f in enumerate(formulas):
+        if find_axiom_justification(theory, f, cost) is None and find_rule_justification(f, formulas[:i], cost) is None:
             if diagnostics is not None:
                 diagnostics.append(f"line {i + 1}: no justification found")
             return False

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from proofforge import bounded
 from proofforge.bounded import (
     SearchLimits,
     enumerate_proofs,
@@ -14,7 +15,8 @@ from proofforge.bounded import (
     terms_of_size,
 )
 from proofforge.corpus import membership_formula_corpus
-from proofforge.goedel import eval_delta0, standard_theory
+from proofforge.calculus import print_proof_text
+from proofforge.goedel import eval_delta0, extend_with_axiom, standard_theory
 from proofforge.syntax import formula_size, is_delta0, is_sentence, parse_formula, print_formula, term_size
 from proofforge.verifier import check_witness, proof_of
 
@@ -92,6 +94,32 @@ def test_membership_pins_for_the_reference_witness():
     assert check_witness(Q, phi, inn.proof, 2)
 
 
+@pytest.mark.parametrize("budget, nodes", [(8, 18), (9, 30), (10, 288)])
+def test_refutation_outcomes_and_node_counts_are_pinned(budget, nodes):
+    r = enumerate_proofs(Q, parse_formula("!(0 = 0)"), budget)
+    assert (r.outcome, r.definitive, r.nodes) == ("none", True, nodes)
+
+
+REFLEXIVITY_WITNESS = "1. 0 = 0 ; EQREFL[t=0]\n2. 0 = 0 -> 0 = 0 -> 0 = 0 ; P1\n3. 0 = 0 -> 0 = 0 ; MP 2 1\n"
+MEMBERSHIP_PINS = [
+    # (phi, k, member, definitive, outcome, effective bound, witness text)
+    ("0 = 0 -> 0 = 0", 1, False, True, "none", 7, None),
+    ("0 = 0 -> 0 = 0", 2, True, True, "found", 24, REFLEXIVITY_WITNESS),
+    ("0 = 0 -> 0 = 0", 3, True, True, "found", 24, REFLEXIVITY_WITNESS),
+    ("!(0 = S(0))", 1, False, True, "none", 5, None),
+    ("!(0 = S(0))", 2, None, False, "budget_exhausted", 24, None),
+    ("0 = S(0)", 1, False, True, "none", 4, None),
+    ("0 = S(0)", 2, None, False, "budget_exhausted", 16, None),
+]
+
+
+@pytest.mark.parametrize("text, k, member, definitive, outcome, effective, witness", MEMBERSHIP_PINS)
+def test_membership_table_is_pinned(text, k, member, definitive, outcome, effective, witness):
+    rep = l_k_membership(Q, parse_formula(text), k, limits=DESK_LIMITS)
+    assert (rep.member, rep.definitive, rep.outcome, rep.effective_bound) == (member, definitive, outcome, effective)
+    assert (rep.proof and print_proof_text(rep.proof)) == witness
+
+
 def test_membership_agrees_with_direct_search_on_corpus():
     rng = random.Random(60089)
     checked = 0
@@ -135,6 +163,30 @@ def test_regeneration_chain_climbs_with_receipts():
         assert lvl.next_level_one_line_ok
         assert lvl.self_search.outcome == "none"
         assert lvl.self_search.definitive
+
+
+def test_regeneration_chain_reuses_axiom_pools_across_calls():
+    regeneration_chain(depth=2, m=8)
+    before = dict(bounded._AXIOM_POOLS)
+    regeneration_chain(depth=2, m=8)
+    assert bounded._AXIOM_POOLS.keys() == before.keys()
+    assert all(bounded._AXIOM_POOLS[key] is pool for key, pool in before.items())
+
+
+def test_axiom_pools_are_keyed_by_theory_content_not_name():
+    # two different extensions of Q that both get the default name "Q+1"
+    target = parse_formula("forall x !(0 = S(0))")
+    t1 = extend_with_axiom(Q, parse_formula("!(0 = S(0))"), "prft1")
+    t2 = extend_with_axiom(Q, parse_formula("0 = 0"), "prft1")
+    assert t1.name == t2.name
+    r1 = enumerate_proofs(t1, target, 13)
+    assert r1.outcome == "found" and proof_of(t1, r1.proof, target)
+    # a pool shared by name would hand t2 the axiom !(0 = S(0)) and a
+    # "proof" that proof_of rejects
+    r2 = enumerate_proofs(t2, target, 13)
+    assert (r2.outcome, r2.definitive) == ("none", True)
+    fresh = extend_with_axiom(Q, parse_formula("0 = 0"), "prft1", name="fresh")
+    assert enumerate_proofs(fresh, target, 13).nodes == r2.nodes
 
 
 def test_regeneration_depth_is_limited_by_the_symbol_pool():

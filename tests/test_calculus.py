@@ -11,6 +11,7 @@ from proofforge.calculus import (
     Proof,
     ProofLine,
     TheoryAxiomJust,
+    check_line,
     check_stored_proof,
     eval_term_in,
     match_schema,
@@ -20,8 +21,9 @@ from proofforge.calculus import (
     robinson_axioms,
 )
 from proofforge.corpus import derived_theorem_corpus
-from proofforge.goedel import standard_theory
+from proofforge.goedel import induction_theory, standard_theory
 from proofforge.syntax import (
+    ZERO,
     Eq,
     ForAll,
     Implies,
@@ -30,6 +32,7 @@ from proofforge.syntax import (
     exists,
     numeral,
     parse_formula,
+    parse_term,
     print_formula,
     substitute,
 )
@@ -56,7 +59,7 @@ POSITIVE_INSTANCES = [
 
 @pytest.mark.parametrize("schema, text", POSITIVE_INSTANCES, ids=[s for s, _ in POSITIVE_INSTANCES])
 def test_schema_accepts_instances(schema, text):
-    assert match_schema(Q, schema, parse_formula(text)).ok
+    assert match_schema(Q, schema, parse_formula(text)) is not None
 
 
 NEGATIVE_INSTANCES = [
@@ -70,23 +73,51 @@ NEGATIVE_INSTANCES = [
 
 @pytest.mark.parametrize("schema, text", NEGATIVE_INSTANCES, ids=[s for s, _ in NEGATIVE_INSTANCES])
 def test_schema_rejects_non_instances(schema, text):
-    assert not match_schema(Q, schema, parse_formula(text)).ok
+    assert match_schema(Q, schema, parse_formula(text)) is None
 
 
 def test_qax_matches_each_robinson_axiom_at_its_one_based_index():
     axioms = robinson_axioms()
     assert len(axioms) == 7
     for i, ax in enumerate(axioms, start=1):
-        assert match_schema(Q, "QAX", ax, index=i).ok
-        assert match_schema(Q, "QAX", ax).ok
+        assert match_schema(Q, "QAX", ax, index=i) is not None
+        assert match_schema(Q, "QAX", ax) is not None
         wrong = i % 7 + 1
-        assert not match_schema(Q, "QAX", ax, index=wrong).ok
+        assert match_schema(Q, "QAX", ax, index=wrong) is None
 
 
 def test_compute_accepts_only_true_closed_equations():
-    assert match_schema(Q, "COMPUTE", parse_formula("S(0) + S(0) = S(S(0))")).ok
-    assert not match_schema(Q, "COMPUTE", parse_formula("S(0) + S(0) = S(0)")).ok
-    assert not match_schema(Q, "COMPUTE", parse_formula("x + 0 = x")).ok  # not closed
+    assert match_schema(Q, "COMPUTE", parse_formula("S(0) + S(0) = S(S(0))")) is not None
+    assert match_schema(Q, "COMPUTE", parse_formula("S(0) + S(0) = S(0)")) is None
+    assert match_schema(Q, "COMPUTE", parse_formula("x + 0 = x")) is None  # not closed
+
+
+def test_match_schema_returns_the_justification_it_proves():
+    q1 = parse_formula("forall x (x = x) -> S(0) = S(0)")
+    assert match_schema(Q, "Q1", q1) == AxiomJust("Q1", term=parse_term("S(0)"))
+    # x not free in the body: every t instantiates it, and the matcher names 0
+    assert match_schema(Q, "Q1", parse_formula("forall x (0 = 0) -> 0 = 0")) == AxiomJust("Q1", term=ZERO)
+    assert match_schema(Q, "EQREFL", parse_formula("S(0) = S(0)")) == AxiomJust("EQREFL", term=parse_term("S(0)"))
+    for i, ax in enumerate(robinson_axioms(), start=1):
+        assert match_schema(Q, "QAX", ax) == AxiomJust("QAX", index=i)
+        assert match_schema(Q, "QAX", ax, index=i) == AxiomJust("QAX", index=i)
+    assert match_schema(Q, "COMPUTE", parse_formula("S(0) * S(S(0)) = S(S(0))")) == ComputeJust(value=2)
+    assert match_schema(Q, "P1", parse_formula("0 = 0 -> (S(0) = 0 -> 0 = 0)")) == AxiomJust("P1")
+
+
+def test_match_schema_rejects_an_unknown_schema():
+    with pytest.raises(ValueError, match="unknown schema 'P4'"):
+        match_schema(Q, "P4", parse_formula("0 = 0"))
+
+
+def test_induction_lines_are_refused_outside_an_induction_theory():
+    ind = parse_formula("0 = 0 -> (forall x (x = x -> S(x) = S(x)) -> forall x x = x)")
+    proof = one_line(ind, AxiomJust("IND"))
+    r = check_line(Q, proof, 0)
+    assert not r.ok and r.reason == "induction not enabled for this theory"
+    assert match_schema(Q, "IND", ind) is None
+    assert check_line(induction_theory(), proof, 0).ok
+    assert match_schema(induction_theory(), "IND", ind) == AxiomJust("IND")
 
 
 # --- the axioms are true: naive bounded-universe spot check ------------------

@@ -30,7 +30,6 @@ from proofforge.propositional import (
     from_dimacs,
     identity_translator,
     is_tautology_bruteforce,
-    measure_s_p,
     min_refutation_steps,
     negation_clauses,
     p_simulation_check,
@@ -42,7 +41,6 @@ from proofforge.propositional import (
     prop_vars,
     resolution_system,
     table_to_resolution_translator,
-    taut_proof_check,
     theorem_augmented_system,
     to_dimacs,
     translate_delta0,
@@ -92,9 +90,9 @@ def test_two_pigeons_one_hole_hand_refutation():
 def test_truth_table_sp_is_exactly_rows_times_width():
     tt = truth_table_system()
     alpha = parse_prop("x0 -> (x1 -> x0)")
-    m = measure_s_p(tt, alpha, cap=1_000)
+    m = tt.s_p(alpha, cap=1_000)
     assert m.value == (2**2) * (2 + 1)
-    assert taut_proof_check(tt, print_truth_table_proof(alpha).encode(), alpha)
+    assert tt.verify(print_truth_table_proof(alpha).encode(), alpha)
 
 
 # --- the reason channel -----------------------------------------------------------
@@ -331,8 +329,8 @@ def test_er_measure_never_exceeds_resolution_measure():
         f = random_prop(rng, rng.randrange(1, 4), n_vars=2)
         if not is_tautology_bruteforce(f):
             continue
-        a = measure_s_p(res, f, cap=13)
-        b = measure_s_p(er, f, cap=13)
+        a = res.s_p(f, cap=13)
+        b = er.s_p(f, cap=13)
         if a.value is not None and b.value is not None:
             compared += 1
             assert b.value <= a.value

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from proofforge.bench import mp_chain
 from proofforge.calculus import ComputeJust, Proof, ProofLine, check_stored_proof, proof_size
 from proofforge.corpus import derived_theorem_corpus, random_delta0_sentence
 from proofforge.goedel import eval_delta0, standard_theory
@@ -160,6 +161,15 @@ def test_cost_counters_scale_with_proof_length():
     assert ok
     assert c_big.symbol_comparisons > c_small.symbol_comparisons
     assert c_big.lines_scanned > c_small.lines_scanned
+
+
+@pytest.mark.parametrize("k, counters", [(50, (49, 3794, 408, 392)), (200, (199, 31308, 6633, 6567))])
+def test_chain_cost_counters_are_pinned(k, counters):
+    # (lines, symbol_comparisons, lines_scanned, pair_searches)
+    proof, phi = mp_chain(Q, k, 16)
+    ok, c = proof_of_with_cost(Q, proof, phi)
+    assert ok
+    assert (c.lines, c.symbol_comparisons, c.lines_scanned, c.pair_searches) == counters
 
 
 def test_search_handles_stored_free_justifications():
