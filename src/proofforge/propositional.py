@@ -56,6 +56,7 @@ from .syntax import (
     Times,
     Var,
     Zero,
+    ensure_recursion_headroom,
     free_variables,
     is_delta0,
 )
@@ -165,9 +166,21 @@ def print_prop(f: PropFormula) -> str:
 
 _PROP_TOKEN = re.compile(r"\s*(?:(x\d+)|(T|F)|(->)|([!&|()]))")
 
+# Deepest nesting parse_prop accepts.  Each parenthesis, `!` and binary
+# operator counts one level, both as written and in the formula built (a
+# chain of n `&` builds a tree n deep).  _fold, prop_size, print_prop,
+# eval_prop, _eval_chunk and tseitin recurse once per level; tseitin also
+# hashes each subformula whole, so its time grows with size times depth
+# (0.6 s at this depth, 7-12 s at 4,000 on a 2-core host).
+MAX_PROP_NESTING = 1_000
+
 
 def parse_prop(text: str) -> PropFormula:
-    """x<i>, T, F, !, &, |, ->, parentheses.  -> loosest and right-assoc."""
+    """x<i>, T, F, !, &, |, ->, parentheses.  -> loosest and right-assoc.
+
+    Input nested deeper than MAX_PROP_NESTING levels raises ValueError.
+    """
+    ensure_recursion_headroom()
     toks: list[str] = []
     i = 0
     while i < len(text):
@@ -179,6 +192,7 @@ def parse_prop(text: str) -> PropFormula:
         i = m.end()
         toks.append(next(g for g in m.groups() if g is not None))
     pos = 0
+    level = 0  # open parentheses, `!` and `->` around the current token
 
     def peek() -> str | None:
         return toks[pos] if pos < len(toks) else None
@@ -189,49 +203,69 @@ def parse_prop(text: str) -> PropFormula:
             raise ValueError(f"expected {t!r} at token {pos}")
         pos += 1
 
-    def imp() -> PropFormula:
-        a = disj()
-        if peek() == "->":
-            eat("->")
-            return PImp(a, imp())
-        return a
+    def too_deep(depth: int) -> int:
+        if depth > MAX_PROP_NESTING:
+            raise ValueError(f"nesting deeper than {MAX_PROP_NESTING} levels at token {pos}")
+        return depth
 
-    def disj() -> PropFormula:
-        a = conj()
+    def enter(t: str) -> None:
+        nonlocal level
+        eat(t)
+        level = too_deep(level + 1)
+
+    # Each rule returns the formula and its depth (0 for an atom).
+    def imp() -> tuple[PropFormula, int]:
+        nonlocal level
+        a, da = disj()
+        if peek() == "->":
+            enter("->")
+            b, db = imp()
+            level -= 1
+            return PImp(a, b), too_deep(1 + max(da, db))
+        return a, da
+
+    def disj() -> tuple[PropFormula, int]:
+        a, da = conj()
         while peek() == "|":
             eat("|")
-            a = POr(a, conj())
-        return a
+            b, db = conj()
+            a, da = POr(a, b), too_deep(1 + max(da, db))
+        return a, da
 
-    def conj() -> PropFormula:
-        a = atom_chain()
+    def conj() -> tuple[PropFormula, int]:
+        a, da = atom_chain()
         while peek() == "&":
             eat("&")
-            a = PAnd(a, atom_chain())
-        return a
+            b, db = atom_chain()
+            a, da = PAnd(a, b), too_deep(1 + max(da, db))
+        return a, da
 
-    def atom_chain() -> PropFormula:
+    def atom_chain() -> tuple[PropFormula, int]:
+        nonlocal level
         t = peek()
         if t == "!":
-            eat("!")
-            return PNot(atom_chain())
+            enter("!")
+            b, db = atom_chain()
+            level -= 1
+            return PNot(b), too_deep(1 + db)
         if t == "(":
-            eat("(")
+            enter("(")
             f = imp()
             eat(")")
+            level -= 1
             return f
         if t == "T":
             eat("T")
-            return TRUE
+            return TRUE, 0
         if t == "F":
             eat("F")
-            return FALSE
+            return FALSE, 0
         if t is not None and t.startswith("x"):
             eat(t)
-            return PVar(int(t[1:]))
+            return PVar(int(t[1:])), 0
         raise ValueError(f"unexpected token {t!r}")
 
-    f = imp()
+    f, _ = imp()
     if pos != len(toks):
         raise ValueError(f"trailing tokens after formula: {toks[pos:]}")
     return f
@@ -360,6 +394,8 @@ def from_dimacs(text: str) -> ClauseSet:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line: {line!r}")
             n_vars, declared = int(parts[2]), int(parts[3])
+            if n_vars < 0 or declared < 0:
+                raise ValueError(f"negative count in problem line: {line!r}")
             continue
         for tok in line.split():
             v = int(tok)
@@ -456,7 +492,8 @@ def check_resolution(
     whose clause the callback vouches for (the theorem-augmented system).
     """
     derived: list[Clause] = []
-    used_vars = {lit_var(l) for c in cs.clauses for l in c} | set(range(cs.n_vars))
+    # variables below cs.n_vars are in use too; they are not materialized
+    used_vars = {lit_var(l) for c in cs.clauses for l in c}
     for n, step in enumerate(proof.steps):
         match step:
             case Input(k):
@@ -476,7 +513,7 @@ def check_resolution(
             case Extend(v, a, b):
                 if not extended:
                     return ResolutionCheck(False, f"step {n}: extension not admitted in this system", tuple(derived))
-                if v in used_vars:
+                if v < cs.n_vars or v in used_vars:
                     return ResolutionCheck(False, f"step {n}: extension variable x{v} is not fresh", tuple(derived))
                 if lit_var(a) == v or lit_var(b) == v or a == 0 or b == 0:
                     return ResolutionCheck(False, f"step {n}: ill-formed extension definition", tuple(derived))
@@ -668,13 +705,17 @@ def negation_clauses(f: PropFormula) -> TseitinResult:
 # ---------------------------------------------------------------------------
 
 
-def dp_refutation(cs: ClauseSet, var_order: list[int] | None = None) -> ResolutionProof | None:
+def dp_refutation(cs: ClauseSet) -> ResolutionProof | None:
     """Resolution refutation by variable elimination, or None if satisfiable.
 
     Complete: eliminating every variable of an unsatisfiable set must surface
-    the empty clause.  The proof cites every input clause first, then records
-    each non-tautological resolvent; it is pruned afterwards to the steps the
-    empty clause actually uses.
+    the empty clause.  The next variable eliminated is the one with the
+    fewest resolvents, |pos|*|neg| - |pos| - |neg| over the live clauses,
+    ties to the lower index (the min-degree order of directional
+    resolution); a variable no live clause mentions would eliminate
+    nothing, so only mentioned ones are candidates.  The proof cites every
+    input clause first, then records each non-tautological resolvent; it is
+    pruned afterwards to the steps the empty clause actually uses.
     """
     steps: list[ResolutionStep] = [Input(k) for k in range(len(cs.clauses))]
     index_of: dict[Clause, int] = {}
@@ -686,28 +727,38 @@ def dp_refutation(cs: ClauseSet, var_order: list[int] | None = None) -> Resoluti
             alive[c] = index_of[c]
         if c == frozenset():
             return _prune_refutation(cs, ResolutionProof(tuple(steps[: index_of[c] + 1])))
-    order = var_order if var_order is not None else list(range(cs.n_vars))
-    for v in order:
+    while alive:
+        occurrences: dict[int, int] = {}
+        for c in alive:
+            for l in c:
+                occurrences[l] = occurrences.get(l, 0) + 1
+
+        def resolvent_bound(v: int) -> tuple[int, int]:
+            p, n = occurrences.get(v + 1, 0), occurrences.get(-v - 1, 0)
+            return p * n - p - n, v
+
+        v = min({lit_var(l) for l in occurrences}, key=resolvent_bound)
         pos_l, neg_l = lit(v, True), lit(v, False)
-        pos = [(c, i) for c, i in alive.items() if pos_l in c]
-        neg = [(c, i) for c, i in alive.items() if neg_l in c]
-        for cp, ip in pos:
-            for cn, jn in neg:
-                r = (cp - {pos_l}) | (cn - {neg_l})
-                if is_tautological_clause(r):
-                    continue
+        pos = [(c, c - {pos_l}, i) for c, i in alive.items() if pos_l in c]
+        neg = [(c, c - {neg_l}, i) for c, i in alive.items() if neg_l in c]
+        negated = [frozenset(-l for l in b) for _, b, _ in neg]
+        for _, a, ip in pos:
+            for (_, b, jn), nb in zip(neg, negated):
+                if not a.isdisjoint(nb):
+                    continue  # tautological: a and b clash outside the pivot
+                r = a | b
                 if r in index_of:
                     continue
                 steps.append(Resolve(ip, jn, v))
                 idx = len(steps) - 1
                 index_of[r] = idx
                 alive[r] = idx
-                if r == frozenset():
+                if not r:
                     return _prune_refutation(cs, ResolutionProof(tuple(steps)))
-        for c, _ in pos:
-            alive.pop(c, None)
-        for c, _ in neg:
-            alive.pop(c, None)
+        for c, _, _ in pos:
+            del alive[c]
+        for c, _, _ in neg:
+            del alive[c]
     return None
 
 
@@ -744,11 +795,20 @@ def _prune_refutation(cs: ClauseSet, proof: ResolutionProof) -> ResolutionProof:
 
 @dataclass(frozen=True)
 class SPMeasure:
-    """Minimal accepted proof size, or the cap it exceeded."""
+    """Minimal accepted proof size, or the cap it exceeded.
+
+    A search-based measure also says what ended the search: `nodes` is the
+    number of search nodes it visited, up to and including the first one
+    past its node cap, and `node_capped` says that the node cap, not the
+    step cap `cap`, ended it.  Measures that do not search keep the
+    defaults.
+    """
 
     value: int | None
     exceeds_cap: bool
     cap: int
+    nodes: int = 0
+    node_capped: bool = False
 
 
 @dataclass(frozen=True)
@@ -772,41 +832,157 @@ def _resolution_verify(extended: bool) -> Callable[[bytes, PropFormula], bool]:
     return verify
 
 
-def min_refutation_steps(cs: ClauseSet, cap: int, node_cap: int = 250_000) -> SPMeasure:
-    """Minimal refutation step count by iterative-deepening enumeration."""
-    nodes = [0]
-    capped = [False]
+class _NodeCapReached(Exception):
+    """Unwinds the refutation search at the first node past its node cap."""
 
-    def dfs(derived: list[Clause], depth_left: int) -> bool:
-        nodes[0] += 1
-        if nodes[0] > node_cap:
-            capped[0] = True
-            return False
-        if derived and derived[-1] == frozenset():
-            return True
-        if depth_left == 0:
-            return False
-        have = set(derived)
-        for k, c in enumerate(cs.clauses):
+
+def min_refutation_steps(cs: ClauseSet, cap: int, node_cap: int = 250_000) -> SPMeasure:
+    """Minimal refutation step count by iterative-deepening enumeration.
+
+    A node is a list of distinct derived clauses.  Its children, in order,
+    append each input clause not yet derived, then each resolvent
+    (ci - {l}) | (cj - {-l}) not yet derived, over the ordered pairs (i, j)
+    of derived clauses and the positive literals l of ci with -l in cj (the
+    same resolvent counts once per pair and literal).  A node whose last
+    clause is empty is a refutation; every node counts toward `node_cap`.
+
+    The search updates one derived list and one set in place, and keeps the
+    multiplicity of every pair resolvent of the derived list.  From those it
+    counts, without visiting them, the children of a node with one step
+    left and the children and grandchildren of a node with two steps left;
+    it visits them in order only where the empty clause is among them, so
+    the node count and the answer are those of a visit to every node.  For
+    the counts, the resolvents of each ordered pair of clauses are built
+    once per search.
+    """
+    inputs = cs.clauses
+    empty: Clause = frozenset()
+    input_count: dict[Clause, int] = {}
+    for c in inputs:
+        input_count[c] = input_count.get(c, 0) + 1
+    derived: list[Clause] = []
+    have: set[Clause] = set()
+    pair_count: dict[Clause, int] = {}  # resolvent -> (i, j, l) triples giving it
+    pairs = 0  # sum of pair_count values
+    nodes = 0
+
+    # clause -> (its positive literals, the negations of its negative ones);
+    # ci resolves with cj, pivot positive in ci, iff signs[ci][0] meets signs[cj][1]
+    signs: dict[Clause, tuple[frozenset[int], frozenset[int]]] = {}
+    pair_resolvents: dict[tuple[Clause, Clause], list[Clause]] = {}
+
+    def resolvents(ci: Clause, cj: Clause) -> list[Clause]:
+        """The resolvents of a resolving ordered pair, one per pivot."""
+        out = pair_resolvents.get((ci, cj))
+        if out is None:
+            out = pair_resolvents[ci, cj] = [(ci - {l}) | (cj - {-l}) for l in ci if l > 0 and -l in cj]
+        return out
+
+    def resolvents_with(c: Clause) -> list[Clause]:
+        """The pair resolvents that deriving c adds: c with itself and with
+        every derived clause, on either side."""
+        sc = signs.get(c)
+        if sc is None:
+            sc = signs[c] = (frozenset(l for l in c if l > 0), frozenset(-l for l in c if l < 0))
+        pc, nc = sc
+        new = [] if pc.isdisjoint(nc) else resolvents(c, c)[:]
+        for d in derived:
+            pd, nd = signs[d]
+            if not pd.isdisjoint(nc):
+                new += resolvents(d, c)
+            if not pc.isdisjoint(nd):
+                new += resolvents(c, d)
+        return new
+
+    def push(c: Clause, new: list[Clause]) -> None:
+        nonlocal pairs
+        for r in new:
+            pair_count[r] = pair_count.get(r, 0) + 1
+        pairs += len(new)
+        derived.append(c)
+        have.add(c)
+
+    def pop(new: list[Clause]) -> None:
+        nonlocal pairs
+        have.remove(derived.pop())
+        for r in new:
+            k = pair_count[r] - 1
+            if k:
+                pair_count[r] = k
+            else:
+                del pair_count[r]
+        pairs -= len(new)
+
+    def children() -> Iterable[Clause]:
+        for c in inputs:
             if c not in have:
-                if dfs(derived + [c], depth_left - 1):
-                    return True
-        for i, ci in enumerate(derived):
-            for j, cj in enumerate(derived):
+                yield c
+        n = len(derived)
+        for i in range(n):
+            ci = derived[i]
+            for j in range(n):
+                cj = derived[j]
                 for l in ci:
                     if l > 0 and -l in cj:
                         r = (ci - {l}) | (cj - {-l})
                         if r not in have:
-                            if dfs(derived + [r], depth_left - 1):
-                                return True
+                            yield r
+
+    def missing() -> int:
+        """The number of children of the current node."""
+        k = len(inputs) + pairs
+        for h in have:
+            k -= input_count.get(h, 0) + pair_count.get(h, 0)
+        return k
+
+    def count(k: int) -> None:
+        nonlocal nodes
+        nodes += k
+        if nodes > node_cap:
+            raise _NodeCapReached
+
+    def dfs(depth_left: int) -> bool:
+        count(1)
+        if derived and not derived[-1]:
+            return True
+        if depth_left == 0:
+            return False
+        no_empty = empty not in pair_count and empty not in input_count
+        if depth_left == 1 and no_empty:
+            count(missing())
+            return False
+        # with two steps left, a child whose own children hold no empty
+        # clause is counted with them instead of visited
+        counting = depth_left == 2 and no_empty
+        base = missing() if counting else 0
+        for c in children():
+            if depth_left == 1:
+                count(1)
+                if not c:
+                    return True
+                continue
+            new = resolvents_with(c)
+            if counting and c and empty not in new:
+                k = base - input_count.get(c, 0) - pair_count.get(c, 0) + len(new)
+                for r in new:
+                    if r in have or r == c:
+                        k -= 1
+                count(1 + k)
+                continue
+            push(c, new)
+            found = dfs(depth_left - 1)
+            pop(new)
+            if found:
+                return True
         return False
 
-    for depth in range(1, cap + 1):
-        if dfs([], depth):
-            return SPMeasure(depth, False, cap)
-        if capped[0]:
-            return SPMeasure(None, True, cap)
-    return SPMeasure(None, True, cap)
+    try:
+        for depth in range(1, cap + 1):
+            if dfs(depth):
+                return SPMeasure(depth, False, cap, nodes)
+    except _NodeCapReached:
+        return SPMeasure(None, True, cap, node_cap + 1, True)
+    return SPMeasure(None, True, cap, nodes)
 
 
 def _resolution_s_p(alpha: PropFormula, cap: int) -> SPMeasure:
@@ -1137,8 +1313,9 @@ def table_to_resolution_translator(proof_bytes: bytes, alpha: PropFormula) -> by
     """Naive translator: rebuild a refutation of the negation by elimination.
 
     The truth table certifies tautologyhood; the translated proof re-derives
-    it as a resolution refutation, with the expected exponential blowup in
-    the variable count.
+    it as a Davis-Putnam refutation of the Tseitin clauses (dp_refutation).
+    Its size is whatever that elimination produces, measured by
+    p_simulation_check and not bounded here.
     """
     cs = negation_clauses(alpha).clause_set
     proof = dp_refutation(cs)

@@ -1,12 +1,15 @@
 """The forge command: exit codes, dispatch coverage, and reproducible outputs."""
 
 import json
+import random
 
 import pytest
 
 from proofforge import cli
 from proofforge import config as cfgmod
+from proofforge import propositional as prop
 from proofforge import suite as suitemod
+from proofforge.corpus import random_clause_set
 from proofforge.suite import CriterionResult
 from proofforge.syntax import MAX_NESTING
 
@@ -155,6 +158,105 @@ def test_prop_psim_reports_growth(tmp_path, capsys):
     assert "all accepted: True" in capsys.readouterr().err
     header = out.read_text().splitlines()[0]
     assert header == "formula,original_ok,translated_ok,original_size,translated_size"
+
+
+def test_prop_psim_table_to_resolution_completes_at_its_default_bound(tmp_path, capsys):
+    out = tmp_path / "psim.csv"
+    assert cli.main(["prop", "psim", "--csv", str(out)]) == 0
+    assert "10 items, all accepted: True" in capsys.readouterr().err
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 10 and all(",True,True," in row for row in rows)
+
+
+# --- hostile propositional input ------------------------------------------------------
+
+
+@pytest.mark.parametrize("op", ["taut", "sp"])
+@pytest.mark.parametrize("formula", ["!" * 5_000 + "x0", "(" * 3_000 + "x0" + ")" * 3_000], ids=["not", "parens"])
+def test_deeply_nested_prop_formula_is_a_usage_error(capsys, op, formula):
+    assert cli.main(["prop", op, formula]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"nesting deeper than {prop.MAX_PROP_NESTING} levels" in err
+
+
+@pytest.mark.parametrize("op", ["taut", "sp"])
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "(" * (prop.MAX_PROP_NESTING - 1) + "x0 | !x0" + ")" * (prop.MAX_PROP_NESTING - 1),
+        "x0 | " * prop.MAX_PROP_NESTING + "!x0",
+    ],
+    ids=["parens", "or-chain"],
+)
+def test_prop_formula_at_the_nesting_cap_is_measured(capsys, op, formula):
+    assert cli.main(["prop", op, formula]) == 0
+    if op == "taut":
+        assert capsys.readouterr().out.startswith("tautology")
+
+
+def test_dimacs_negative_count_is_a_usage_error(tmp_path, capsys):
+    cnf, rp = tmp_path / "neg.cnf", tmp_path / "neg.rp"
+    cnf.write_text("p cnf -3 0\n")
+    rp.write_text("i 0\n")
+    assert cli.main(["prop", "check", str(cnf), str(rp)]) == 2
+    assert "negative count" in capsys.readouterr().err
+
+
+def _mutate(rng, text, alphabet):
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randrange(len(chars) + 1)
+        match rng.randrange(4):
+            case 0 if chars:
+                del chars[min(k, len(chars) - 1)]
+            case 1:
+                chars.insert(k, rng.choice(alphabet))
+            case 2 if chars:
+                chars[min(k, len(chars) - 1)] = rng.choice(alphabet)
+            case _:
+                j = rng.randrange(len(chars) + 1)
+                chars[k:k] = chars[min(j, k) : max(j, k)]
+    return "".join(chars)
+
+
+def _assert_clean_exit(code, capsys):
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "Traceback" not in err and err.strip()
+
+
+def test_fuzzed_prop_inputs_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(8301)
+    pairs = []
+    while len(pairs) < 12:
+        cs = random_clause_set(rng)
+        proof = prop.dp_refutation(cs)
+        if proof is not None:
+            pairs.append((prop.to_dimacs(cs), prop.print_resolution_text(proof)))
+    cnf, rp = tmp_path / "f.cnf", tmp_path / "f.rp"
+    codes = set()
+    for _ in range(150):
+        cnf_text, rp_text = rng.choice(pairs)
+        if rng.random() < 0.7:
+            cnf_text = _mutate(rng, cnf_text, "0123456789- \npcnf")
+        if rng.random() < 0.7:
+            rp_text = _mutate(rng, rp_text, "0123456789- \nirea#")
+        cnf.write_text(cnf_text)
+        rp.write_text(rp_text)
+        extended = ["--extended"] if rng.random() < 0.5 else []
+        code = cli.main(["prop", "check", str(cnf), str(rp), *extended])
+        _assert_clean_exit(code, capsys)
+        codes.add(code)
+    texts = ["x0 -> (x1 -> x0)", "((x0 -> x1) -> x0) -> x0", "(x0 & x1) -> x0", "!(x0 & !x0)", "x0 | !x1"]
+    for _ in range(150):
+        text = _mutate(rng, rng.choice(texts), "x01!&|->() TF#")
+        for argv in (["prop", "taut", text], ["prop", "sp", text, "--cap", "4"]):
+            code = cli.main(argv)
+            _assert_clean_exit(code, capsys)
+            codes.add(code)
+    assert codes == {0, 1, 2}
 
 
 # --- configuration ----------------------------------------------------------

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from proofforge.cli import _psim_corpus
 from proofforge.corpus import mutate_resolution_proof, random_clause_set, random_delta0_single_var
 from proofforge.goedel import eval_delta0, standard_theory
 from proofforge.propositional import (
+    MAX_PROP_NESTING,
     ClauseSet,
     Extend,
     Import,
@@ -18,6 +20,7 @@ from proofforge.propositional import (
     PVar,
     Resolve,
     ResolutionProof,
+    SPMeasure,
     TheoremClauseRegistry,
     TooManyVariables,
     TranslationError,
@@ -334,6 +337,12 @@ def test_er_measure_never_exceeds_resolution_measure():
         if a.value is not None and b.value is not None:
             compared += 1
             assert b.value <= a.value
+        # both measures are the plain resolution search, so each decided
+        # value is also checked against the reference search
+        decided = [m.value for m in (a, b) if m.value is not None]
+        if decided:
+            value, _, _, _ = reference_min_refutation_steps(negation_clauses(f).clause_set, 13)
+            assert decided == [value] * len(decided), print_prop(f)
     assert compared >= 5
 
 
@@ -363,6 +372,190 @@ def test_broken_translator_is_reported_not_masked():
     corpus = [(alpha, print_truth_table_proof(alpha).encode())]
     report = p_simulation_check(resolution_system(), truth_table_system(), lambda b, a: b"i 0\n", corpus)
     assert not report.all_ok
+
+
+# --- the s_p search and Davis-Putnam against independent references -----------------
+
+
+def reference_min_refutation_steps(cs, cap, node_cap=250_000):
+    """The original node-per-child search, kept verbatim as the oracle.
+
+    Returns (value, exceeds_cap, nodes, node_capped); past the node cap it
+    keeps counting the children it still visits, so its node count means
+    something only when the cap was not hit.
+    """
+    nodes = [0]
+    capped = [False]
+
+    def dfs(derived, depth_left):
+        nodes[0] += 1
+        if nodes[0] > node_cap:
+            capped[0] = True
+            return False
+        if derived and derived[-1] == frozenset():
+            return True
+        if depth_left == 0:
+            return False
+        have = set(derived)
+        for k, c in enumerate(cs.clauses):
+            if c not in have:
+                if dfs(derived + [c], depth_left - 1):
+                    return True
+        for i, ci in enumerate(derived):
+            for j, cj in enumerate(derived):
+                for l in ci:
+                    if l > 0 and -l in cj:
+                        r = (ci - {l}) | (cj - {-l})
+                        if r not in have:
+                            if dfs(derived + [r], depth_left - 1):
+                                return True
+        return False
+
+    for depth in range(1, cap + 1):
+        if dfs([], depth):
+            return depth, False, nodes[0], False
+        if capped[0]:
+            return None, True, nodes[0], True
+    return None, True, nodes[0], False
+
+
+# The six fixed tautologies of the propositional benchmark workload with
+# their cap-13 measures: five end at the default node cap of 250,000.
+SP_TAUTOLOGY_MEASURES = [
+    ("x0 -> (x1 -> x0)", None, 250_001, True),
+    ("((x0 -> x1) -> x0) -> x0", None, 250_001, True),
+    ("(x0 & x1) -> x0", 7, 242_598, False),
+    ("(x0 & (x0 -> x1)) -> x1", None, 250_001, True),
+    ("(x0 -> x1) -> (!x1 -> !x0)", None, 250_001, True),
+    ("(x0 | x1) -> (x1 | x0)", None, 250_001, True),
+]
+
+@pytest.mark.parametrize("text, value, nodes, node_capped", SP_TAUTOLOGY_MEASURES, ids=lambda v: str(v))
+def test_workload_tautology_measures_are_pinned(text, value, nodes, node_capped):
+    m = resolution_system().s_p(parse_prop(text), 13)
+    assert m == SPMeasure(value, value is None, 13, nodes, node_capped)
+
+
+def test_min_refutation_search_matches_the_reference_search():
+    rng = random.Random(8199)
+    formulas = [random_prop(rng, rng.randrange(1, 4), n_vars=2) for _ in range(110)]
+    formulas += [parse_prop(text) for text, *_ in SP_TAUTOLOGY_MEASURES]
+    formulas += _psim_corpus(3)  # what `forge prop psim` measures at its defaults
+    cases = capped = 0
+    seen = {}  # equal clause sets give equal answers: search each once
+    for f in formulas:
+        cs = negation_clauses(f).clause_set
+        for node_cap in (300, 3_000, 30_000):
+            for cap in (6, 13):
+                key = (cs, cap, node_cap)
+                if key not in seen:
+                    seen[key] = reference_min_refutation_steps(cs, cap, node_cap), min_refutation_steps(cs, cap, node_cap)
+                (value, exceeds, nodes, hit), m = seen[key]
+                where = (print_prop(f), node_cap, cap)
+                assert (m.value, m.exceeds_cap, m.node_capped) == (value, exceeds, hit), where
+                if hit:
+                    capped += 1
+                    assert m.nodes == node_cap + 1, where
+                else:
+                    assert m.nodes == nodes, where
+                cases += 1
+    assert cases == 6 * len(formulas) >= 720
+    assert 0 < capped < cases
+
+
+def test_min_refutation_search_reports_what_ended_it():
+    assert min_refutation_steps(CONTRADICTION, cap=5) == SPMeasure(3, False, 5, 12)
+    # satisfiable: only the step cap ends the search
+    sat = ClauseSet((frozenset({1}),), 1)
+    assert min_refutation_steps(sat, cap=4) == SPMeasure(None, True, 4, 8)
+    # the node cap ends it at the first node past the cap
+    assert min_refutation_steps(CONTRADICTION, cap=5, node_cap=4) == SPMeasure(None, True, 5, 5, True)
+    # measures that do not search keep the defaults
+    tt = truth_table_system().s_p(parse_prop("x0 | !x0"), 100)
+    assert (tt.nodes, tt.node_capped) == (0, False)
+
+
+def random_3cnf(rng, n_vars):
+    clauses = []
+    for _ in range(5 * n_vars):
+        vs = rng.sample(range(n_vars), 3)
+        clauses.append(frozenset((v + 1) if rng.random() < 0.5 else -(v + 1) for v in vs))
+    return ClauseSet(tuple(clauses), n_vars)
+
+
+def test_dp_refutation_agrees_with_brute_force_and_replay():
+    rng = random.Random(8200)
+    sets = [random_clause_set(rng) for _ in range(200)]
+    sets += [random_3cnf(rng, n) for n in range(4, 13) for _ in range(6)]
+    refuted = 0
+    for cs in sets:
+        proof = dp_refutation(cs)
+        assert (proof is None) == brute_force_satisfiable(cs)
+        if proof is None:
+            continue
+        refuted += 1
+        assert check_resolution(cs, proof).ok
+        derived = replay(cs, proof, extended=False)
+        assert derived is not None and derived[-1] == frozenset()
+    assert refuted >= 60
+
+
+def test_dp_refutes_the_reflexivity_translations_quickly():
+    # the n=3 instance took hundreds of seconds under index-order elimination
+    for n, steps in ((1, 18), (2, 27), (3, 36)):
+        cs = negation_clauses(translate_delta0(parse_formula("x = x"), x="x", n=n)).clause_set
+        proof = dp_refutation(cs)
+        assert proof is not None and len(proof.steps) == steps
+        assert check_resolution(cs, proof).ok
+
+
+# --- hostile input ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda d: "!" * d + "x0",
+        lambda d: "(" * d + "x0" + ")" * d,
+        lambda d: " & ".join(["x0"] * (d + 1)),
+        lambda d: " | ".join(["x1", "x0"] * (d // 2) + ["x0"]),
+        lambda d: " -> ".join(["x0"] * (d + 1)),
+        lambda d: "!(" * (d // 2) + "x0" + ")" * (d // 2),
+    ],
+    ids=["not", "parens", "and", "or", "implies", "not-parens"],
+)
+def test_prop_nesting_cap_boundary(make):
+    f = parse_prop(make(MAX_PROP_NESTING))
+    assert tseitin(f).clause_set.clauses
+    print_prop(f)
+    eval_prop(f, {0: True, 1: False})
+    with pytest.raises(ValueError, match=f"nesting deeper than {MAX_PROP_NESTING} levels"):
+        parse_prop(make(MAX_PROP_NESTING + 2))
+
+
+def test_prop_nesting_cap_counts_the_built_depth():
+    # each group is shallow as written, but the chains stack up in the tree
+    text = "x0"
+    for _ in range(40):
+        text = "(" + text + " & x1" * 40 + ")"
+    with pytest.raises(ValueError, match="nesting deeper"):
+        parse_prop(text)
+
+
+def test_dimacs_rejects_negative_counts():
+    for header in ("p cnf -3 0", "p cnf 3 -1"):
+        with pytest.raises(ValueError, match="negative"):
+            from_dimacs(header + "\n")
+
+
+def test_declared_but_unused_variables_are_not_fresh():
+    cs = from_dimacs("p cnf 50 2\n1 0\n-1 0\n")
+    for v in (1, 49):
+        proof = ResolutionProof((Input(0), Input(1), Extend(v, 1, -1), Resolve(0, 1, 0)))
+        r = check_resolution(cs, proof, extended=True)
+        assert not r.ok and "fresh" in r.reason
+    fresh = ResolutionProof((Input(0), Input(1), Extend(50, 1, -1), Resolve(0, 1, 0)))
+    assert check_resolution(cs, fresh, extended=True).ok
 
 
 # --- the theorem-augmented system ------------------------------------------------------
