@@ -290,7 +290,6 @@ def enumerate_proofs(
     target: Formula,
     size_budget: int,
     limits: SearchLimits | None = None,
-    relevance: bool = True,
 ) -> SearchReport:
     """Search every proof of `target` with total size <= size_budget."""
     limits = limits or SearchLimits()
@@ -312,7 +311,7 @@ def enumerate_proofs(
         except PoolCapExceeded:
             state["capped"] = True
 
-    rel = _relevance_instances(theory, target, max_prefix_line) if relevance else []
+    rel = _relevance_instances(theory, target, max_prefix_line)
 
     def closures(lines: list[tuple[Formula, Justification]], max_size: int):
         for i, (g, _) in enumerate(lines):

@@ -229,47 +229,78 @@ def robinson_axioms() -> tuple[Formula, ...]:
     return tuple(parse_formula(t, deffn_arities={}) for t in texts)
 
 
-def eval_term_in(theory: TheorySpec, t: Term, budget: EvalBudget | None = None) -> int:
-    """Value of a closed term in N under the theory's definitional evaluators.
+def eval_term_in(
+    theory: TheorySpec,
+    t: Term,
+    budget: EvalBudget | None = None,
+    env: Mapping[str, int] | None = None,
+) -> int:
+    """Value of a term in N under the theory's definitional evaluators.
 
-    Raises ValueError on free variables, EvalBudgetExceeded when the budget
-    runs out, KeyError on an unregistered symbol.
+    `env` gives the values of the term's variables.  Closed subterms are
+    evaluated once per call.  Raises ValueError on a variable missing from
+    `env`, EvalBudgetExceeded when the budget runs out, KeyError on an
+    unregistered symbol.
     """
     ensure_recursion_headroom()
     if budget is None:
         budget = EvalBudget()
-    return _eval_term(theory, t, budget)
+    return _eval_term(theory, t, budget, env or {}, {})
 
 
-def _eval_term(theory: TheorySpec, t: Term, budget: EvalBudget) -> int:
+def _eval_term(theory: TheorySpec, t: Term, budget: EvalBudget, env: Mapping[str, int], memo: dict[int, int]) -> int:
+    """The one term evaluator.  `memo` maps id(node) to the value of a
+    variable-free node: a node goes in once all its children are in, and a
+    hit costs no budget.  Ids are reused after garbage collection, so a memo
+    serves one top-level call, whose term keeps every keyed node alive, and
+    is never shared across calls.  It holds no Var, so `env` may change
+    between evaluations that share it.
+    """
+    v = memo.get(id(t))
+    if v is not None:
+        return v
     budget.charge()
     match t:
+        case Var(name):
+            if name not in env:
+                raise ValueError(f"cannot evaluate open term (free variable {name!r})")
+            return env[name]
         case Zero():
-            return 0
+            v = 0
         case Succ(_):
-            n = 0
-            while isinstance(t, Succ):
+            inner, n = t, 0
+            while isinstance(inner, Succ):
                 n += 1
-                t = t.arg
+                inner = inner.arg
             budget.charge(n)
-            return n + _eval_term(theory, t, budget)
+            v = n + _eval_term(theory, inner, budget, env, memo)
+            if id(inner) not in memo:
+                return v
         case Plus(a, b):
-            return _eval_term(theory, a, budget) + _eval_term(theory, b, budget)
+            v = _eval_term(theory, a, budget, env, memo) + _eval_term(theory, b, budget, env, memo)
+            if id(a) not in memo or id(b) not in memo:
+                return v
         case Times(a, b):
-            va = _eval_term(theory, a, budget)
-            vb = _eval_term(theory, b, budget)
+            va = _eval_term(theory, a, budget, env, memo)
+            vb = _eval_term(theory, b, budget, env, memo)
             budget.charge(max(va.bit_length() + vb.bit_length(), 1) // 8)
-            return va * vb
+            v = va * vb
+            if id(a) not in memo or id(b) not in memo:
+                return v
         case DefFn(sym, args):
             ext = theory.def_extensions.get(sym)
             if ext is None:
                 raise KeyError(f"function symbol {sym!r} not registered in theory {theory.name!r}")
-            vals = [_eval_term(theory, a, budget) for a in args]
+            vals = [_eval_term(theory, a, budget, env, memo) for a in args]
             budget.charge(4)
-            return ext.evaluator(*vals, budget=budget)
-        case Var(name):
-            raise ValueError(f"cannot evaluate open term (free variable {name!r})")
-    raise TypeError(f"not a term: {t!r}")
+            v = ext.evaluator(*vals, budget=budget)
+            for a in args:
+                if id(a) not in memo:
+                    return v
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    memo[id(t)] = v
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +369,6 @@ def proof_size(proof: Proof) -> int:
     if not proof.lines:
         return 0
     return sum(formula_size(ln.formula) for ln in proof.lines) + len(proof.lines) - 1
-
-
-def proof_of_formulas(formulas: list[Formula] | tuple[Formula, ...]) -> Proof:
-    return Proof(tuple(ProofLine(f) for f in formulas))
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,10 @@ def _psim_corpus(n_max: int) -> list[prop.PropFormula]:
 
 
 def cmd_prop_psim(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
+    # the translation at bound n has n + 1 variables; past the truth-table
+    # limit no table proof is accepted, and building the tables never ends
+    if args.n_max + 1 > prop.MAX_BRUTE_VARS:
+        raise UsageError(f"--n-max {args.n_max} exceeds {prop.MAX_BRUTE_VARS - 1}, the largest bound with a checkable truth table")
     corpus_formulas = _psim_corpus(args.n_max)
     if args.pair == "table:resolution":
         source = prop.truth_table_system()

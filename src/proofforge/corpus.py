@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from .calculus import TheorySpec, robinson_axioms
 from .derivations import Builder
 from .goedel import provability_formula
-from .propositional import ClauseSet, Extend, Input, Resolve, ResolutionProof, ResolutionStep
+from .propositional import ClauseSet, Extend, Input, Resolve, ResolutionProof
+from .reference import closed_term_value
 from .syntax import (
     BoundedExists,
     BoundedForAll,
@@ -30,7 +31,6 @@ from .syntax import (
     Times,
     Var,
     ZERO,
-    Zero,
     free_variables,
     numeral,
     substitute,
@@ -40,24 +40,11 @@ from .verifier import Proof
 _FRESH_POOL = ("y", "z", "u", "v", "w", "p")
 
 
-def _closed_value(t: Term) -> int:
-    match t:
-        case Zero():
-            return 0
-        case Succ(a):
-            return _closed_value(a) + 1
-        case Plus(a, b):
-            return _closed_value(a) + _closed_value(b)
-        case Times(a, b):
-            return _closed_value(a) * _closed_value(b)
-    raise ValueError(f"not a closed base term: {t!r}")
-
-
 def random_closed_term(rng: random.Random, depth: int = 2, value_cap: int = 60) -> Term:
     """Closed base term (no definitional symbols) with a small value."""
     for _ in range(50):
         t = _rand_term(rng, depth, scope=())
-        if _closed_value(t) <= value_cap:
+        if closed_term_value(t) <= value_cap:
             return t
     return numeral(rng.randrange(0, 3))
 
@@ -184,11 +171,11 @@ def _closed_axiom_instance(b: Builder, rng: random.Random) -> int:
 
 def _true_equation(rng: random.Random) -> Eq:
     t = random_closed_term(rng, depth=2)
-    v = _closed_value(t)
+    v = closed_term_value(t)
     if rng.random() < 0.5:
         return Eq(t, numeral(v))
     u = random_closed_term(rng, depth=1, value_cap=20)
-    return Eq(Plus(t, u), numeral(v + _closed_value(u)))
+    return Eq(Plus(t, u), numeral(v + closed_term_value(u)))
 
 
 def derived_theorem_corpus(theory: TheorySpec, rng: random.Random, count: int) -> list[TheoremSample]:

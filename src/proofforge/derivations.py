@@ -20,7 +20,6 @@ from __future__ import annotations
 from .calculus import (
     AxiomJust,
     BGenJust,
-    ComputeJust,
     GenJust,
     Justification,
     MPJust,
@@ -90,13 +89,10 @@ class Builder:
         return self._add(self.theory.extra_axioms[index - 1], TheoryAxiomJust(index))
 
     def compute(self, f: Formula) -> int:
-        if not isinstance(f, Eq) or free_variables(f):
-            raise DerivationError(f"Compute line must be a closed equation: {print_formula(f)}")
-        lv = eval_term_in(self.theory, f.left)
-        rv = eval_term_in(self.theory, f.right)
-        if lv != rv:
-            raise DerivationError(f"Compute line is false: {print_formula(f)} ({lv} != {rv})")
-        return self._add(f, ComputeJust(value=lv))
+        just = match_schema(self.theory, "COMPUTE", f)
+        if just is None:
+            raise DerivationError(f"Compute line is not a true closed equation: {print_formula(f)}")
+        return self._add(f, just)
 
     def mp(self, i_impl: int, i_ant: int) -> int:
         big = self.formula_at(i_impl)
@@ -323,12 +319,6 @@ class Builder:
             # x occurs in neither bound nor body — unreachable (handled by _lift)
             return self.identity(ctor(v, b_s, body_s))
         return cur
-
-
-def implication_proof(theory: TheorySpec, phi: Formula, x: str, s: Term, u: Term) -> Proof:
-    """Standalone proof of phi[x:=s] -> phi[x:=u]."""
-    b = Builder(theory)
-    return b.proof(b.lift(phi, x, s, u))
 
 
 def equivalence_proof(theory: TheorySpec, phi: Formula, x: str, s: Term, u: Term) -> Proof:

@@ -47,6 +47,7 @@ from .calculus import (
     Proof,
     ProofLine,
     TheorySpec,
+    _eval_term,
     eval_term_in,
 )
 from .derivations import equivalence_proof
@@ -578,10 +579,14 @@ def eval_delta0(
 ) -> bool:
     """Truth value of a bounded formula in N (env supplies free variables).
 
-    Unbounded quantifiers raise ValueError.  Closed subterms are evaluated
-    once and cached for the duration of the call, so sweeping a bounded
-    quantifier over a large range stays close to the cost of the varying
-    parts.  Budget limits total work; EvalBudgetExceeded propagates.
+    Unbounded quantifiers raise ValueError.  Terms go to the one evaluator
+    behind `eval_term_in`, with the current values of the bound variables
+    and one memo for the whole call: every variable-free subterm, such as
+    the numeral inside `prft(p, N)`, is evaluated once and costs nothing
+    afterwards, so sweeping a bounded quantifier over a large range stays
+    close to the cost of the varying parts.  Budget counts the nodes
+    evaluated (memo hits are free), the formula nodes visited and the
+    quantifier steps; EvalBudgetExceeded propagates.
     """
     ensure_recursion_headroom()
     b = _as_budget(budget)
@@ -589,96 +594,31 @@ def eval_delta0(
     missing = free_variables(f) - scope.keys()
     if missing:
         raise ValueError(f"free variables {sorted(missing)} have no value")
-
-    closed: dict[int, bool] = {}
-    values: dict[int, int] = {}
-
-    def is_closed(t: Term) -> bool:
-        r = closed.get(id(t))
-        if r is not None:
-            return r
-        match t:
-            case Var(_):
-                r = False
-            case syntax.Zero():
-                r = True
-            case Succ(arg):
-                r = is_closed(arg)
-            case Plus(left, right) | Times(left, right):
-                r = is_closed(left) and is_closed(right)
-            case DefFn(_, args):
-                r = all(is_closed(a) for a in args)
-            case _:
-                raise TypeError(f"not a term: {t!r}")
-        closed[id(t)] = r
-        return r
-
-    def ev_term(t: Term) -> int:
-        b.charge()
-        if is_closed(t):
-            v = values.get(id(t))
-            if v is None:
-                v = eval_term_in(theory, t, budget=b)
-                values[id(t)] = v
-            return v
-        match t:
-            case Var(name):
-                return scope[name]
-            case Succ(arg):
-                n = 1
-                inner = arg
-                while isinstance(inner, Succ):
-                    n += 1
-                    inner = inner.arg
-                b.charge(n)
-                return n + ev_term(inner)
-            case Plus(left, right):
-                return ev_term(left) + ev_term(right)
-            case Times(left, right):
-                return ev_term(left) * ev_term(right)
-            case DefFn(symbol, args):
-                ext = theory.def_extensions.get(symbol)
-                if ext is None:
-                    raise KeyError(f"function symbol {symbol!r} not registered in theory {theory.name!r}")
-                vals = [ev_term(a) for a in args]
-                b.charge(4)
-                return ext.evaluator(*vals, budget=b)
-        raise TypeError(f"not a term: {t!r}")
+    # the memo holds only variable-free nodes, so changing `scope` during a
+    # sweep leaves every entry valid
+    memo: dict[int, int] = {}
 
     def ev(g: Formula) -> bool:
         b.charge()
         match g:
             case Eq(left, right):
-                return ev_term(left) == ev_term(right)
+                return _eval_term(theory, left, b, scope, memo) == _eval_term(theory, right, b, scope, memo)
             case Not(body):
                 return not ev(body)
             case Implies(a, c):
                 return (not ev(a)) or ev(c)
-            case BoundedForAll(var, bound, body):
-                n = ev_term(bound)
+            case BoundedForAll(var, bound, body) | BoundedExists(var, bound, body):
+                # forall stops at the first false body, exists at the first true one
+                stop = isinstance(g, BoundedExists)
+                n = _eval_term(theory, bound, b, scope, memo)
                 saved = scope.get(var)
                 try:
                     for i in range(n + 1):
                         b.charge()
                         scope[var] = i
-                        if not ev(body):
-                            return False
-                    return True
-                finally:
-                    if saved is None:
-                        scope.pop(var, None)
-                    else:
-                        scope[var] = saved
-            case BoundedExists(var, bound, body):
-                n = ev_term(bound)
-                saved = scope.get(var)
-                try:
-                    for i in range(n + 1):
-                        b.charge()
-                        scope[var] = i
-                        if ev(body):
-                            return True
-                    return False
+                        if ev(body) is stop:
+                            return stop
+                    return not stop
                 finally:
                     if saved is None:
                         scope.pop(var, None)
@@ -732,14 +672,6 @@ def con_bounded(
     pr = provability_formula(theory, m, var="x", numeral_mode=numeral_mode, symbol=symbol)
     c = encode_formula(refutation_target())
     return Not(substitute(pr, "x", binary_numeral(c)))
-
-
-def provability_formula_unbounded(theory: TheorySpec, var: str = "x", symbol: str = "prft") -> Formula:
-    """Ordinary (unbounded) provability; not Delta0, offered for completeness."""
-    if symbol not in theory.def_extensions:
-        raise CodingError(f"{symbol!r} is not registered in theory {theory.name!r}")
-    pvar = "p" if var != "p" else "q"
-    return syntax.exists(pvar, Eq(DefFn(symbol, (Var(pvar), Var(var))), Succ(ZERO)))
 
 
 # ---------------------------------------------------------------------------

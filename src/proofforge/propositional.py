@@ -41,6 +41,7 @@ from typing import Callable, Iterable, Union
 
 import numpy as np
 
+from .calculus import TheorySpec, eval_term_in
 from .syntax import (
     BoundedExists,
     BoundedForAll,
@@ -1181,21 +1182,9 @@ def _combine(
     return sorted(byval.items())
 
 
-def _closed_term_value(t: Term, env: dict[str, int]) -> int:
-    match t:
-        case Zero():
-            return 0
-        case Var(name):
-            if name in env:
-                return env[name]
-            raise TranslationError(f"quantifier bound mentions {name!r}")
-        case Succ(arg):
-            return _closed_term_value(arg, env) + 1
-        case Plus(a, b):
-            return _closed_term_value(a, env) + _closed_term_value(b, env)
-        case Times(a, b):
-            return _closed_term_value(a, env) * _closed_term_value(b, env)
-    raise TranslationError("quantifier bound is not a closed base term")
+# the base language: no definitional symbols, so a quantifier bound that
+# mentions one is refused like any other untranslatable bound
+_BASE = TheorySpec("base")
 
 
 def translate_delta0(A: Formula, x: str | None = None, n: int = 1) -> PropFormula:
@@ -1250,7 +1239,10 @@ def translate_delta0(A: Formula, x: str | None = None, n: int = 1) -> PropFormul
                 sub = tr(body, {**env, v: i})
                 out.append(PAnd(ge, sub) if exists else PImp(ge, sub))
             return out
-        b = _closed_term_value(bound, env)
+        try:
+            b = eval_term_in(_BASE, bound, env=env)
+        except (KeyError, ValueError) as e:
+            raise TranslationError(f"untranslatable quantifier bound: {e.args[0]}") from None
         return [tr(body, {**env, v: i}) for i in range(b + 1)]
 
     guard_any = big_or([PVar(i) for i in range(n + 1)])

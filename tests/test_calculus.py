@@ -7,10 +7,12 @@ import pytest
 from proofforge.calculus import (
     AxiomJust,
     ComputeJust,
+    EvalBudget,
     MPJust,
     Proof,
     ProofLine,
     TheoryAxiomJust,
+    TheorySpec,
     check_line,
     check_stored_proof,
     eval_term_in,
@@ -24,10 +26,12 @@ from proofforge.corpus import derived_theorem_corpus
 from proofforge.goedel import induction_theory, standard_theory
 from proofforge.syntax import (
     ZERO,
+    DefFn,
     Eq,
     ForAll,
     Implies,
     Not,
+    Plus,
     Var,
     exists,
     numeral,
@@ -243,8 +247,40 @@ def test_proof_text_parse_errors(bad, message_part):
 
 
 def test_eval_term_in_handles_definitional_symbols():
-    from proofforge.syntax import DefFn
-
     assert eval_term_in(Q, parse_formula("S(0) + S(S(0)) = 0").left) == 3
     assert eval_term_in(Q, DefFn("dbl", (numeral(3),))) == 6
     assert eval_term_in(Q, DefFn("le", (numeral(2), numeral(5)))) == 1
+
+
+def test_eval_term_in_reads_variables_from_env():
+    t = parse_term("x * S(y) + dbl(x)")
+    assert eval_term_in(Q, t, env={"x": 3, "y": 4}) == 3 * 5 + 6
+    assert eval_term_in(Q, t, env={"x": 0, "y": 9}) == 0
+    with pytest.raises(ValueError, match="'y'"):
+        eval_term_in(Q, t, env={"x": 3})
+    with pytest.raises(ValueError, match="'x'"):
+        eval_term_in(Q, Var("x"))
+    with pytest.raises(KeyError, match="dbl"):
+        eval_term_in(TheorySpec("base"), t, env={"x": 3, "y": 4})
+
+
+def _eval_cost(t):
+    b = EvalBudget()
+    eval_term_in(Q, t, b)
+    return b.used
+
+
+def test_eval_term_in_evaluates_a_shared_closed_node_once():
+    c = parse_term("dbl(S(S(0))) * S(S(0))")
+    shared, copied = EvalBudget(), EvalBudget()
+    assert eval_term_in(Q, Plus(c, c), shared) == 16
+    assert eval_term_in(Q, Plus(c, parse_term("dbl(S(S(0))) * S(S(0))")), copied) == 16
+    # the second visit of the shared node is a memo hit and costs nothing
+    assert shared.used == _eval_cost(c) + 1 < copied.used
+    # a shared open node is evaluated at each visit: the root, then Plus and
+    # Var twice, and c once
+    x_plus_c = Plus(Var("x"), c)
+    b = EvalBudget()
+    assert eval_term_in(Q, Plus(x_plus_c, x_plus_c), b, env={"x": 1}) == 18
+    assert b.used == 1 + 2 * 2 + _eval_cost(c)
+

@@ -160,6 +160,14 @@ def test_prop_psim_reports_growth(tmp_path, capsys):
     assert header == "formula,original_ok,translated_ok,original_size,translated_size"
 
 
+def test_prop_psim_refuses_a_bound_past_the_truth_table_limit(tmp_path, capsys):
+    out = tmp_path / "psim.csv"
+    assert cli.main(["prop", "psim", "--n-max", "24", "--csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--n-max 24" in err
+    assert not out.exists()
+
+
 def test_prop_psim_table_to_resolution_completes_at_its_default_bound(tmp_path, capsys):
     out = tmp_path / "psim.csv"
     assert cli.main(["prop", "psim", "--csv", str(out)]) == 0

@@ -26,7 +26,14 @@ from proofforge.goedel import (
 )
 from proofforge.reference import sentence_truth
 from proofforge.syntax import (
+    BoundedExists,
+    BoundedForAll,
     DefFn,
+    Eq,
+    Not,
+    Plus,
+    Times,
+    Var,
     formula_size,
     numeral,
     numeral_value,
@@ -160,6 +167,39 @@ def test_eval_budget_is_enforced():
 def test_eval_rejects_open_formulas():
     with pytest.raises(ValueError):
         eval_delta0(Q, parse_formula("x = x"))
+
+
+def test_eval_shares_a_closed_node_between_a_bound_and_an_open_term():
+    # one object c is both the quantifier bound and a summand next to the
+    # bound variables, so the memo sees it while the sweep changes y and z
+    c = Plus(numeral(2), Times(numeral(1), numeral(1)))
+    y, z = Var("y"), Var("z")
+    sentences = [
+        BoundedForAll("y", c, BoundedExists("z", c, Eq(Plus(y, c), Plus(c, z)))),
+        BoundedForAll("y", c, Not(Eq(Times(y, c), c))),
+        BoundedExists("y", c, Eq(Times(y, c), Plus(c, Plus(c, c)))),
+        BoundedForAll("y", c, BoundedExists("z", Plus(y, c), Eq(z, Plus(y, c)))),
+    ]
+    assert [eval_delta0(Q, s) for s in sentences] == [sentence_truth(s) for s in sentences] == [True, False, True, True]
+
+
+# work of the con_bounded sweeps; `before` is the count when every visit of a
+# closed node cost one unit, an upper bound that memo hits may only lower
+@pytest.mark.parametrize(
+    "m, mode, used, before",
+    [
+        (1, "binary", 615, 706),
+        (2, "binary", 23_240, 27_115),
+        (3, "binary", 1_094_242, 1_264_613),
+        (1, "unary", 611, 702),
+        (2, "unary", 23_231, 27_106),
+        (3, "unary", 1_094_234, 1_264_605),
+    ],
+)
+def test_con_bounded_eval_work_is_pinned(m, mode, used, before):
+    budget = EvalBudget(10**10)
+    assert eval_delta0(Q, con_bounded(Q, m, numeral_mode=mode), budget=budget) is True
+    assert budget.used == used <= before
 
 
 # --- fixed points ---------------------------------------------------------------

@@ -305,8 +305,8 @@ def test_translation_agreement_bulk():
 
 @pytest.mark.parametrize(
     "text",
-    ["x = y", "forall z (z = x)", "0 = 0 -> forall z (z = z)"],
-    ids=["two-free", "unbounded", "unbounded-subformula"],
+    ["x = y", "forall z (z = x)", "0 = 0 -> forall z (z = z)", "forall<= y dbl(S(0)) (y = x)", "forall<= y S(x) (y = x)"],
+    ids=["two-free", "unbounded", "unbounded-subformula", "definitional-bound", "bound-mentions-x"],
 )
 def test_translation_rejects_out_of_scope_shapes(text):
     with pytest.raises(TranslationError):
