@@ -85,6 +85,11 @@ _UNARY_FNS = tuple(s for s, a in DEFFN_ARITIES.items() if a == 1)
 _BINARY_FNS = tuple(s for s, a in DEFFN_ARITIES.items() if a == 2)
 
 
+# Largest axiom-pool line size the search builds; a prefix line that could
+# be larger makes the outcome budget_exhausted.
+MAX_POOL_LINE_SIZE = 6
+
+
 class PoolCapExceeded(Exception):
     pass
 
@@ -95,7 +100,6 @@ class SearchLimits:
 
     pool_cap: int = 600_000
     node_cap: int = 300_000
-    max_pool_line_size: int = 6
 
 
 @dataclass(frozen=True)
@@ -303,7 +307,7 @@ def enumerate_proofs(
     # complete axiom pools, one per admissible prefix-line size
     pools: dict[int, tuple[tuple[Formula, Justification], ...]] = {}
     for s in range(3, max_prefix_line + 1):
-        if s > limits.max_pool_line_size:
+        if s > MAX_POOL_LINE_SIZE:
             state["capped"] = True
             continue
         try:

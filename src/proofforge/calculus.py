@@ -64,7 +64,6 @@ from .syntax import (
     Times,
     Var,
     Zero,
-    ensure_recursion_headroom,
     formula_size,
     free_variables,
     is_sentence,
@@ -242,7 +241,6 @@ def eval_term_in(
     `env`, EvalBudgetExceeded when the budget runs out, KeyError on an
     unregistered symbol.
     """
-    ensure_recursion_headroom()
     if budget is None:
         budget = EvalBudget()
     return _eval_term(theory, t, budget, env or {}, {})
@@ -688,7 +686,6 @@ def match_schema(
     matcher = _MATCHERS.get(schema)
     if matcher is None:
         raise ValueError(f"unknown schema {schema!r}")
-    ensure_recursion_headroom()
     if schema == "QAX":
         return _match_qax(theory, f, cost, index)
     return matcher(theory, f, cost)
@@ -696,7 +693,6 @@ def match_schema(
 
 def find_axiom_justification(theory: TheorySpec, f: Formula, cost: Cost = _NULL_COST) -> Justification | None:
     """Search the schemata and the theory's extra axioms for a justification of f."""
-    ensure_recursion_headroom()
     for matcher in _MATCHERS.values():
         just = matcher(theory, f, cost)
         if just is not None:

@@ -5,10 +5,8 @@ proof, non-member, non-tautology, failed suite), 2 = usage error (bad
 arguments, unreadable or unparsable inputs).
 
 Configuration comes from an optional `--config` key=value file (see
-`config.RunConfig`) with per-command flags layered on top.  The only
-environment variable honored anywhere is FORGE_THREADS, which parallelizes
-independent acceptance-suite criteria; the report order stays canonical
-regardless of scheduling.
+`config.RunConfig`) with per-command flags layered on top.  No environment
+variable is read.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import Callable
 
@@ -135,7 +132,7 @@ def cmd_bench(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     if not points:
         kp, _ = benchmod.run_chain_bench(theory, k_values=k_points, m_values=[], fixed_k=fixed_k, fixed_m=fixed_m)
         points = kp
-    text = benchmod.points_to_csv(points, deterministic=args.deterministic or cfg.deterministic)
+    text = benchmod.points_to_csv(points, deterministic=cfg.deterministic)
     _emit(args.csv or cfg.out, text)
     if kp and mp:
         slope_k, slope_m = benchmod.chain_slopes(kp, mp)
@@ -262,14 +259,7 @@ def cmd_demo(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_suite(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
-    threads = 1
-    raw = os.environ.get("FORGE_THREADS", "")
-    if raw:
-        try:
-            threads = max(1, int(raw))
-        except ValueError:
-            raise UsageError(f"FORGE_THREADS must be an integer, got {raw!r}") from None
-    report = suitemod.run_suite(cfg, threads=threads)
+    report = suitemod.run_suite(cfg)
     out = args.report or cfg.out or "report.json"
     _write_text(out, suitemod.report_to_json(report))
     print(f"wrote {out}")
@@ -455,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", help="proof-length sweep, 'lo:hi' or 'a,b,c' or single value")
     sp.add_argument("--m", help="formula-size sweep, 'lo:hi' or 'a,b,c' or single value")
     sp.add_argument("--csv", metavar="FILE", help="write CSV here instead of stdout")
-    sp.add_argument("--deterministic", action="store_true")
     sp.set_defaults(handler=cmd_bench)
 
     sp = sub.add_parser("diagonalize", help="fixed point of a one-free-variable formula")
@@ -468,8 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("con", help="bounded consistency statement and its truth value")
     sp.add_argument("theory", choices=("q", "pa"))
     sp.add_argument("--m", type=int, required=True, help="proof-size bound (tokens)")
-    sp.add_argument("--binary-numerals", action="store_true", help="force binary numerals")
-    sp.add_argument("--unary-numerals", action="store_true", help="force unary numerals")
+    numerals = sp.add_mutually_exclusive_group()
+    numerals.add_argument("--binary-numerals", action="store_true", help="force binary numerals")
+    numerals.add_argument("--unary-numerals", action="store_true", help="force unary numerals")
     sp.add_argument("--no-eval", action="store_true", help="print the statement without sweeping for its truth value")
     sp.set_defaults(handler=cmd_con)
 

@@ -1,8 +1,7 @@
 """Run configuration: a flat key=value file that pins every knob.
 
 The same config must reproduce byte-identical CSV/JSON outputs, so all
-sampling ladders are canonical and the only environment variable honored
-anywhere is FORGE_THREADS.
+sampling ladders are canonical and no environment variable is read.
 """
 
 from __future__ import annotations

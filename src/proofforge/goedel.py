@@ -52,6 +52,7 @@ from .calculus import (
 )
 from .derivations import equivalence_proof
 from .syntax import (
+    DEFFN_ARITIES,
     ZERO,
     BoundedExists,
     BoundedForAll,
@@ -66,7 +67,6 @@ from .syntax import (
     Term,
     Times,
     Var,
-    ensure_recursion_headroom,
     free_variables,
     numeral,
     print_formula,
@@ -100,27 +100,7 @@ _DEFFN_IDS = {name: 29 + i for i, name in enumerate(_DEFFN_NAMES)}
 TOKEN_IDS: dict[str, int] = {**_STRUCTURAL, ";": SEP_ID, "'": PRIME_ID, **_VAR_IDS, **_DEFFN_IDS}
 ID_TOKENS: dict[int, str] = {i: t for t, i in TOKEN_IDS.items()}
 assert len(TOKEN_IDS) == BASE - 1
-
-DEFFN_ARITIES: dict[str, int] = {
-    "sub": 2,
-    "diag": 1,
-    "len": 1,
-    "le": 2,
-    "bnd": 1,
-    "dbl": 1,
-    "dbl1": 1,
-    "pair": 2,
-    "fst": 1,
-    "snd": 1,
-    "prft": 2,
-    "prft1": 2,
-    "prft2": 2,
-    "prft3": 2,
-    "prft4": 2,
-}
-
-# Make the text parser accept applications of the registered symbols.
-syntax.set_default_arities(DEFFN_ARITIES)
+assert set(_DEFFN_NAMES) == set(DEFFN_ARITIES)
 
 
 class CodingError(ValueError):
@@ -320,7 +300,6 @@ def encode_formula(f: Formula) -> int:
 
 
 def decode_term(code: int) -> Term:
-    ensure_recursion_headroom()
     r = _TokenReader(code_to_tokens(code))
     t = r.read_term()
     r.expect_end()
@@ -328,7 +307,6 @@ def decode_term(code: int) -> Term:
 
 
 def decode_formula(code: int) -> Formula:
-    ensure_recursion_headroom()
     r = _TokenReader(code_to_tokens(code))
     f = r.read_formula()
     r.expect_end()
@@ -346,7 +324,6 @@ def encode_proof(proof: Proof) -> int:
 
 def decode_proof(code: int) -> Proof:
     """Inverse of encode_proof; justifications come back empty (search-checked)."""
-    ensure_recursion_headroom()
     d = _digits(code)
     if d is None:
         raise CodingError(f"{code} is not the code of a proof")
@@ -588,7 +565,6 @@ def eval_delta0(
     evaluated (memo hits are free), the formula nodes visited and the
     quantifier steps; EvalBudgetExceeded propagates.
     """
-    ensure_recursion_headroom()
     b = _as_budget(budget)
     scope: dict[str, int] = dict(env) if env else {}
     missing = free_variables(f) - scope.keys()

@@ -57,7 +57,6 @@ from .syntax import (
     Times,
     Var,
     Zero,
-    ensure_recursion_headroom,
     free_variables,
     is_delta0,
 )
@@ -181,7 +180,6 @@ def parse_prop(text: str) -> PropFormula:
 
     Input nested deeper than MAX_PROP_NESTING levels raises ValueError.
     """
-    ensure_recursion_headroom()
     toks: list[str] = []
     i = 0
     while i < len(text):

@@ -13,7 +13,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import config as cfgmod
 from .bench import chain_slopes, run_chain_bench
@@ -42,7 +42,6 @@ from .goedel import (
     standard_theory,
 )
 from .propositional import (
-    Clause,
     ClauseSet,
     Extend,
     Input,
@@ -51,11 +50,9 @@ from .propositional import (
     brute_force_satisfiable,
     check_resolution,
     dp_refutation,
-    eval_prop,
     is_tautology_bruteforce,
     lit,
     lit_var,
-    prop_vars,
     translate_delta0,
 )
 from .reference import sentence_truth
@@ -427,26 +424,15 @@ ALL_CRITERIA = (
 )
 
 
-def run_suite(cfg: cfgmod.RunConfig | None = None, echo=print, threads: int = 1) -> dict:
-    """Run every criterion; report order is canonical regardless of scheduling."""
+def run_suite(cfg: cfgmod.RunConfig | None = None) -> dict:
+    """Run every criterion in canonical order, printing one line per result."""
     cfg = cfg or cfgmod.RunConfig()
     cfg.validate()
     results = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # map() yields in submission order, so the report stays canonical.
-            for r in pool.map(lambda fn: fn(cfg), ALL_CRITERIA):
-                if echo is not None:
-                    echo(r.line())
-                results.append(r)
-    else:
-        for fn in ALL_CRITERIA:
-            r = fn(cfg)
-            if echo is not None:
-                echo(r.line())
-            results.append(r)
+    for fn in ALL_CRITERIA:
+        r = fn(cfg)
+        print(r.line())
+        results.append(r)
     return {
         "schema": SCHEMA,
         "config": {k: v for k, v in sorted(vars(cfg).items())},

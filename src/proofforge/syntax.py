@@ -130,15 +130,6 @@ _FORMULA_TYPES = frozenset((Eq, Not, Implies, ForAll, BoundedForAll, BoundedExis
 
 ZERO = Zero()
 
-# Deep formulas (binary numerals of large codes) exceed CPython's default
-# recursion limit; every public recursive entry point calls this first.
-_RECURSION_HEADROOM = 100_000
-
-
-def ensure_recursion_headroom() -> None:
-    if sys.getrecursionlimit() < _RECURSION_HEADROOM:
-        sys.setrecursionlimit(_RECURSION_HEADROOM)
-
 
 class SyntaxErrorWithPos(ValueError):
     """Parse error carrying a character offset into the source text."""
@@ -196,22 +187,17 @@ def term_variables(t: Term) -> frozenset[str]:
 
 
 def free_variables(f: Formula) -> frozenset[str]:
-    ensure_recursion_headroom()
-    return _free_variables(f)
-
-
-def _free_variables(f: Formula) -> frozenset[str]:
     match f:
         case Eq(a, b):
             return term_variables(a) | term_variables(b)
         case Not(body):
-            return _free_variables(body)
+            return free_variables(body)
         case Implies(a, b):
-            return _free_variables(a) | _free_variables(b)
+            return free_variables(a) | free_variables(b)
         case ForAll(v, body):
-            return _free_variables(body) - {v}
+            return free_variables(body) - {v}
         case BoundedForAll(v, bound, body) | BoundedExists(v, bound, body):
-            return term_variables(bound) | (_free_variables(body) - {v})
+            return term_variables(bound) | (free_variables(body) - {v})
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -267,7 +253,6 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
     are renamed deterministically (minimal prime count), e.g.
     substitute(forall y (x = y), x, y) = forall y' (y = y').
     """
-    ensure_recursion_headroom()
     return _subst(f, var, replacement, term_variables(replacement))
 
 
@@ -282,8 +267,8 @@ def _subst(f: Formula, var: str, rep: Term, rep_vars: frozenset[str]) -> Formula
         case ForAll(v, body):
             if v == var:
                 return f
-            if v in rep_vars and var in _free_variables(body):
-                v2 = fresh_variable(v, rep_vars | _free_variables(body) | {var})
+            if v in rep_vars and var in free_variables(body):
+                v2 = fresh_variable(v, rep_vars | free_variables(body) | {var})
                 body = _subst(body, v, Var(v2), frozenset((v2,)))
                 return ForAll(v2, _subst(body, var, rep, rep_vars))
             return ForAll(v, _subst(body, var, rep, rep_vars))
@@ -292,8 +277,8 @@ def _subst(f: Formula, var: str, rep: Term, rep_vars: frozenset[str]) -> Formula
             new_bound = substitute_term(bound, var, rep)
             if v == var:
                 return ctor(v, new_bound, body)
-            if v in rep_vars and var in _free_variables(body):
-                v2 = fresh_variable(v, rep_vars | _free_variables(body) | {var})
+            if v in rep_vars and var in free_variables(body):
+                v2 = fresh_variable(v, rep_vars | free_variables(body) | {var})
                 body = _subst(body, v, Var(v2), frozenset((v2,)))
                 return ctor(v2, new_bound, _subst(body, var, rep, rep_vars))
             return ctor(v, new_bound, _subst(body, var, rep, rep_vars))
@@ -450,22 +435,17 @@ def term_size(t: Term) -> int:
 
 def formula_size(f: Formula) -> int:
     """Number of symbols in the canonical print, parentheses/commas excluded."""
-    ensure_recursion_headroom()
-    return _formula_size(f)
-
-
-def _formula_size(f: Formula) -> int:
     match f:
         case Eq(a, b):
             return term_size(a) + term_size(b) + 1
         case Not(body):
-            return _formula_size(body) + 1
+            return formula_size(body) + 1
         case Implies(a, b):
-            return _formula_size(a) + _formula_size(b) + 1
+            return formula_size(a) + formula_size(b) + 1
         case ForAll(v, body):
-            return _formula_size(body) + 2 + v.count("'")
+            return formula_size(body) + 2 + v.count("'")
         case BoundedForAll(v, bound, body) | BoundedExists(v, bound, body):
-            return _formula_size(body) + term_size(bound) + 2 + v.count("'")
+            return formula_size(body) + term_size(bound) + 2 + v.count("'")
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -544,6 +524,32 @@ def _token_span(text: str, index: int) -> tuple[int, int]:
 # the recursive equality, hashing and matching of the AST out of stack.
 MAX_NESTING = 4_000
 
+# Input nested MAX_NESTING deep, and the deeper formulas that decoding large
+# Goedel codes and the derivation builder produce, recurse past CPython's
+# default limit in the tree walks over the AST.  Raised once, here, for the
+# whole process; never lowered.
+sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
+
+# Arity of every definitional function symbol the parser accepts.  The
+# standard registry in `goedel` gives each one its meaning and its token id.
+DEFFN_ARITIES: dict[str, int] = {
+    "sub": 2,
+    "diag": 1,
+    "len": 1,
+    "le": 2,
+    "bnd": 1,
+    "dbl": 1,
+    "dbl1": 1,
+    "pair": 2,
+    "fst": 1,
+    "snd": 1,
+    "prft": 2,
+    "prft1": 2,
+    "prft2": 2,
+    "prft3": 2,
+    "prft4": 2,
+}
+
 
 class _ParseError(Exception):
     """A parse failure at a token index.  The parser's "(" backtracking
@@ -567,7 +573,7 @@ class _Parser:
         self.toks, self.kinds = _tokenize(text)
         self.i = 0
         self.depth = 0
-        self.arities = deffn_arities
+        self.arities = DEFFN_ARITIES if deffn_arities is None else deffn_arities
 
     def parse(self, rule) -> Term | Formula:
         """Run `rule` over the whole input."""
@@ -732,7 +738,7 @@ class _Parser:
         # identifier before "(" is the bound variable's limit, not a function
         # application — unless the name is a registered function symbol.
         i = self.i
-        if self.kinds[i] == _IDENT and not (self.arities is not None and self.toks[i] in self.arities):
+        if self.kinds[i] == _IDENT and self.toks[i] not in self.arities:
             self.i = i + 1
             return Var(self.toks[i])
         return self.term_primary()
@@ -753,7 +759,7 @@ class _Parser:
             name = self.toks[i]
             arities = self.arities
             if self.kinds[i + 1] != "(":
-                if arities is not None and name in arities:
+                if name in arities:
                     raise _ParseError(f"{name!r} is a function symbol, not a variable", i)
                 self.i = i + 1
                 return Var(name)
@@ -768,11 +774,10 @@ class _Parser:
             if self.kinds[j] != ")":
                 raise _ParseError("expected ')'", j)
             self.i = j + 1
-            if arities is not None:
-                if name not in arities:
-                    raise _ParseError(f"unknown function symbol {name!r}", i)
-                if arities[name] != len(args):
-                    raise _ParseError(f"{name!r} expects {arities[name]} arguments, got {len(args)}", i)
+            if name not in arities:
+                raise _ParseError(f"unknown function symbol {name!r}", i)
+            if arities[name] != len(args):
+                raise _ParseError(f"{name!r} expects {arities[name]} arguments, got {len(args)}", i)
             self.depth -= 1
             return DefFn(name, tuple(args))
         elif k == "(":
@@ -789,32 +794,16 @@ class _Parser:
         return t
 
 
-# The formula/term grammar is fixed; DefFn arity checking is optional and
-# defaults to the standard registry's table (set lazily to avoid a cycle).
-_DEFAULT_ARITIES: dict[str, int] | None = None
-
-
-def set_default_arities(arities: dict[str, int]) -> None:
-    global _DEFAULT_ARITIES
-    _DEFAULT_ARITIES = dict(arities)
-
-
-def _resolve_arities(deffn_arities: dict[str, int] | None) -> dict[str, int] | None:
-    if deffn_arities is not None:
-        return deffn_arities
-    return _DEFAULT_ARITIES
-
-
 def parse_formula(text: str, deffn_arities: dict[str, int] | None = None) -> Formula:
-    """Parse a formula; raises SyntaxErrorWithPos with an offset on bad input."""
-    ensure_recursion_headroom()
-    p = _Parser(text, _resolve_arities(deffn_arities))
+    """Parse a formula; raises SyntaxErrorWithPos with an offset on bad input.
+    Function symbols and their arities come from `deffn_arities`, by default
+    DEFFN_ARITIES."""
+    p = _Parser(text, deffn_arities)
     return p.parse(p.formula)
 
 
 def parse_term(text: str, deffn_arities: dict[str, int] | None = None) -> Term:
-    ensure_recursion_headroom()
-    p = _Parser(text, _resolve_arities(deffn_arities))
+    p = _Parser(text, deffn_arities)
     return p.parse(p.term)
 
 

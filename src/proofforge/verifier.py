@@ -31,7 +31,7 @@ from .calculus import (
     find_rule_justification,
     proof_size,
 )
-from .syntax import Formula, ensure_recursion_headroom, formula_size
+from .syntax import Formula, formula_size
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ def verify(
     diagnostics: list[str] | None = None,
 ) -> bool:
     """Every line justifiable by search?  Empty proofs are rejected."""
-    ensure_recursion_headroom()
     if cost is None:
         cost = Cost()
     if not proof.lines:

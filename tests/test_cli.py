@@ -306,6 +306,24 @@ def test_bench_symbol_comparisons_column_is_monotone_in_k(tmp_path):
     assert comparisons == sorted(comparisons)
 
 
+def test_global_deterministic_flag_zeroes_bench_wall_time(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert cli.main(["--deterministic", "bench", "verifier", "--k", "10,20", "--m", "8", "--csv", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert rows[0].split(",")[-1] == "wall_ns"
+    assert [r.split(",")[-1] for r in rows[1:]] == ["0"] * (len(rows) - 1)
+    # the flag belongs to the top-level parser only
+    assert cli.main(["bench", "verifier", "--k", "10,20", "--m", "8", "--deterministic"]) == 2
+
+
+def test_con_rejects_both_numeral_flags(capsys):
+    argv = ["con", "q", "--m", "1", "--binary-numerals", "--unary-numerals", "--no-eval"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: forge con")
+    assert "not allowed with argument" in err
+
+
 def test_config_file_unreadable_is_usage_error():
     assert cli.main(["--config", "/nonexistent/run.cfg", "member", "q", "0 = 0", "--k", "1"]) == 2
 
@@ -380,34 +398,6 @@ def test_suite_failure_exits_one(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert cli.main(["suite", "--report", str(out)]) == 1
     assert json.loads(out.read_text())["passed"] is False
-
-
-def test_suite_honors_forge_threads_with_canonical_order(tmp_path, monkeypatch, capsys):
-    import threading
-    import time
-
-    seen_threads = set()
-
-    def make(i):
-        def run(cfg):
-            seen_threads.add(threading.get_ident())
-            time.sleep(0.02 if i == 1 else 0.0)  # slowest first, order must hold
-            return CriterionResult(i, f"stub_{i}", True, {})
-
-        return run
-
-    monkeypatch.setattr(suitemod, "ALL_CRITERIA", tuple(make(i) for i in (1, 2, 3)))
-    monkeypatch.setenv("FORGE_THREADS", "3")
-    out = tmp_path / "report.json"
-    assert cli.main(["suite", "--report", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert [c["id"] for c in report["criteria"]] == [1, 2, 3]
-    assert len(seen_threads) >= 2
-
-
-def test_suite_rejects_malformed_forge_threads(monkeypatch, tmp_path):
-    monkeypatch.setenv("FORGE_THREADS", "many")
-    assert cli.main(["suite", "--report", str(tmp_path / "r.json")]) == 2
 
 
 def test_suite_report_is_byte_identical_across_runs(tmp_path, monkeypatch):

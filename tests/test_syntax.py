@@ -306,6 +306,37 @@ def test_printing_deep_chains_does_not_recurse():
     assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr[-2000:]
 
 
+_DEEP_WALKS = """
+import sys
+
+from proofforge.syntax import MAX_NESTING, ZERO, formula_size, free_variables, parse_formula, print_formula, substitute
+
+assert sys.getrecursionlimit() >= 100_000
+text = "!" * MAX_NESTING + "x = 0"
+f = parse_formula(text)
+assert free_variables(f) == {"x"}
+assert formula_size(f) == MAX_NESTING + 3
+g = substitute(f, "x", ZERO)
+assert free_variables(g) == frozenset()
+assert print_formula(g) == "!(" * MAX_NESTING + "0 = 0" + ")" * MAX_NESTING
+print("ok")
+"""
+
+
+def test_importing_syntax_alone_covers_formulas_nested_to_the_cap():
+    # a fresh interpreter that has imported nothing but proofforge.syntax:
+    # the module itself raises the recursion limit the tree walks need
+    env = dict(os.environ, PYTHONPATH=str(Path(proofforge.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", _DEEP_WALKS], env=env, capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr[-2000:]
+
+
+def test_parser_checks_function_symbols_against_the_default_table():
+    with pytest.raises(SyntaxErrorWithPos, match="unknown function symbol 'foo'"):
+        parse_formula("foo(0) = 0")
+    assert parse_term("dbl(0)") == DefFn("dbl", (ZERO,))
+
+
 def test_term_variables():
     assert term_variables(parse_term("x + S(y) * 0")) == frozenset({"x", "y"})
     assert term_variables(numeral(7)) == frozenset()
