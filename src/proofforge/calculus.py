@@ -185,7 +185,7 @@ class TheorySpec:
     """A theory: Robinson arithmetic plus extra closed axioms and definitional symbols.
 
     `induction` switches the full arithmetic mode (IND schema available).
-    Immutable after construction; extension builds a new spec.
+    Immutable after construction; `goedel.extend_with_axiom` builds an extension.
     """
 
     name: str
@@ -200,17 +200,6 @@ class TheorySpec:
 
     def arities(self) -> dict[str, int]:
         return {s: d.arity for s, d in self.def_extensions.items()}
-
-    def extended(self, name: str, axiom: Formula, new_symbols: Mapping[str, DefExtension] | None = None) -> "TheorySpec":
-        exts = dict(self.def_extensions)
-        if new_symbols:
-            exts.update(new_symbols)
-        return TheorySpec(
-            name=name,
-            extra_axioms=self.extra_axioms + (axiom,),
-            def_extensions=exts,
-            induction=self.induction,
-        )
 
 
 @lru_cache(maxsize=1)

@@ -96,7 +96,7 @@ def _emit(out: str, text: str) -> None:
 
 
 def cmd_check(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
-    theory = _theory(args.theory)
+    theory = _theory(cfg.theory)
     try:
         proof = parse_proof_text(_read_text(args.proof_file), theory.arities())
     except ValueError as e:
@@ -141,7 +141,7 @@ def cmd_bench(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_diagonalize(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
-    theory = _theory(args.theory)
+    theory = _theory(cfg.theory)
     psi = _parse_formula_arg(args.psi)
     fv = free_variables(psi)
     if args.var not in fv and fv:
@@ -160,7 +160,7 @@ def cmd_diagonalize(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_con(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
-    theory = _theory(args.theory)
+    theory = _theory(cfg.theory)
     mode = "binary" if args.binary_numerals else ("unary" if args.unary_numerals else cfg.numeral_mode)
     sentence = con_bounded(theory, args.m, numeral_mode=mode)
     print(f"con({args.m}): {print_formula(sentence)}")
@@ -176,7 +176,7 @@ def cmd_con(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_member(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
-    theory = _theory(args.theory)
+    theory = _theory(cfg.theory)
     phi = _parse_formula_arg(args.formula)
     limits = SearchLimits(pool_cap=cfg.pool_cap, node_cap=cfg.node_cap)
     report = l_k_membership(theory, phi, args.k, desk_cap=cfg.desk_cap, limits=limits)
@@ -191,7 +191,7 @@ def cmd_member(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_shortest(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
-    theory = _theory(args.theory)
+    theory = _theory(cfg.theory)
     phi = _parse_formula_arg(args.formula)
     limits = SearchLimits(pool_cap=cfg.pool_cap, node_cap=cfg.node_cap)
     length, definitive = shortest_proof_length(theory, phi, args.cap, limits=limits)
@@ -316,7 +316,6 @@ def cmd_prop_translate(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 _SYSTEMS: dict[str, Callable[[], prop.ProofSystemHandle]] = {
     "resolution": prop.resolution_system,
-    "er": prop.extended_resolution_system,
     "table": prop.truth_table_system,
 }
 
@@ -365,24 +364,10 @@ def cmd_prop_psim(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     # limit no table proof is accepted, and building the tables never ends
     if args.n_max + 1 > prop.MAX_BRUTE_VARS:
         raise UsageError(f"--n-max {args.n_max} exceeds {prop.MAX_BRUTE_VARS - 1}, the largest bound with a checkable truth table")
-    corpus_formulas = _psim_corpus(args.n_max)
-    if args.pair == "table:resolution":
-        source = prop.truth_table_system()
-        target = prop.resolution_system()
-        translator = prop.table_to_resolution_translator
-        corpus = [(a, prop.print_truth_table_proof(a).encode()) for a in corpus_formulas]
-    elif args.pair == "resolution:er":
-        source = prop.resolution_system()
-        target = prop.extended_resolution_system()
-        translator = prop.identity_translator
-        corpus = []
-        for a in corpus_formulas:
-            refutation = prop.dp_refutation(prop.negation_clauses(a).clause_set)
-            if refutation is not None:
-                corpus.append((a, prop.print_resolution_text(refutation).encode()))
-    else:
-        raise UsageError(f"unknown pair {args.pair!r} (expected 'table:resolution' or 'resolution:er')")
-    report = prop.p_simulation_check(target, source, translator, corpus)
+    corpus = [(a, prop.print_truth_table_proof(a).encode()) for a in _psim_corpus(args.n_max)]
+    report = prop.p_simulation_check(
+        prop.resolution_system(), prop.truth_table_system(), prop.table_to_resolution_translator, corpus
+    )
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["formula", "original_ok", "translated_ok", "original_size", "translated_size"])
@@ -435,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
 
     sp = sub.add_parser("check", help="verify a first-order proof file against a conclusion")
-    sp.add_argument("theory", choices=("q", "pa"))
+    sp.add_argument("theory_arg", metavar="theory", choices=("q", "pa"))
     sp.add_argument("proof_file")
     sp.add_argument("formula")
     sp.set_defaults(handler=cmd_check)
@@ -448,14 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_bench)
 
     sp = sub.add_parser("diagonalize", help="fixed point of a one-free-variable formula")
-    sp.add_argument("theory", choices=("q", "pa"))
+    sp.add_argument("theory_arg", metavar="theory", choices=("q", "pa"))
     sp.add_argument("--psi", required=True, help="formula with one free variable")
     sp.add_argument("--var", default="x", help="the diagonalized variable (default x)")
     sp.add_argument("--out", metavar="FILE", help="write the equivalence proof file here")
     sp.set_defaults(handler=cmd_diagonalize)
 
     sp = sub.add_parser("con", help="bounded consistency statement and its truth value")
-    sp.add_argument("theory", choices=("q", "pa"))
+    sp.add_argument("theory_arg", metavar="theory", choices=("q", "pa"))
     sp.add_argument("--m", type=int, required=True, help="proof-size bound (tokens)")
     numerals = sp.add_mutually_exclusive_group()
     numerals.add_argument("--binary-numerals", action="store_true", help="force binary numerals")
@@ -464,13 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_con)
 
     sp = sub.add_parser("member", help="bounded-provability language membership")
-    sp.add_argument("theory", choices=("q", "pa"))
+    sp.add_argument("theory_arg", metavar="theory", choices=("q", "pa"))
     sp.add_argument("formula")
     sp.add_argument("--k", type=int, required=True, help="exponent: proof size bound is size(phi)^k")
     sp.set_defaults(handler=cmd_member)
 
     sp = sub.add_parser("shortest", help="shortest-proof length by iterative deepening")
-    sp.add_argument("theory", choices=("q", "pa"))
+    sp.add_argument("theory_arg", metavar="theory", choices=("q", "pa"))
     sp.add_argument("formula")
     sp.add_argument("--cap", type=int, required=True, help="largest proof size to try")
     sp.set_defaults(handler=cmd_shortest)
@@ -512,13 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = psub.add_parser("sp", help="minimal accepted-proof size per system")
     sp.add_argument("formula", nargs="?", help="propositional formula")
     sp.add_argument("--file", metavar="FILE", help="formulas, one per line")
-    sp.add_argument("--systems", default="resolution,table", help="comma list: resolution,er,table")
+    sp.add_argument("--systems", default="resolution,table", help="comma list: resolution,table")
     sp.add_argument("--cap", type=int, default=12)
     sp.add_argument("--csv", metavar="FILE")
     sp.set_defaults(handler=cmd_prop_sp)
 
-    sp = psub.add_parser("psim", help="p-simulation check on a small built-in corpus")
-    sp.add_argument("--pair", default="table:resolution", help="'table:resolution' or 'resolution:er'")
+    sp = psub.add_parser("psim", help="p-simulation of truth tables by resolution on a small built-in corpus")
     sp.add_argument("--n-max", type=int, default=3, help="largest translation bound in the corpus")
     sp.add_argument("--csv", metavar="FILE")
     sp.set_defaults(handler=cmd_prop_psim)
@@ -543,8 +527,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = cfgmod.loads(_read_text(args.config)) if args.config else cfgmod.RunConfig()
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.theory is not None:
-            cfg.theory = args.theory
+        # the theory a command names must agree with the global --theory
+        theory = getattr(args, "theory_arg", None) or args.theory
+        if args.theory not in (None, theory):
+            raise UsageError(f"--theory {args.theory} contradicts the command's theory {theory}")
+        if theory is not None:
+            cfg.theory = theory
         if args.deterministic:
             cfg.deterministic = True
         cfg.validate()

@@ -25,7 +25,6 @@ from .calculus import (
     MPJust,
     Proof,
     ProofLine,
-    TheoryAxiomJust,
     TheorySpec,
     eval_term_in,
     match_schema,
@@ -82,11 +81,6 @@ class Builder:
             # the caller's instantiation: Q1 holds for any t when x is not free
             just = AxiomJust(schema, term=term)
         return self._add(f, just)
-
-    def theory_axiom(self, index: int) -> int:
-        if not 1 <= index <= len(self.theory.extra_axioms):
-            raise DerivationError(f"theory {self.theory.name!r} has no axiom {index}")
-        return self._add(self.theory.extra_axioms[index - 1], TheoryAxiomJust(index))
 
     def compute(self, f: Formula) -> int:
         just = match_schema(self.theory, "COMPUTE", f)

@@ -14,8 +14,6 @@ positively and -(i+1) negatively.  Resolution proofs are step lists:
     Extend(v, a, b)       introduce fresh variable v with v <-> (a and b),
                           appending its three defining clauses
                           {-v, a}, {-v, b}, {v, -a, -b}   [extended mode]
-    Import(clause)        cite an externally available clause, admitted by a
-                          callback [theorem-augmented mode]
 
 Indices count derived clauses from 0 in order; Extend appends three.  A
 refutation must end with the empty clause.  The line-oriented text format
@@ -24,7 +22,6 @@ uses 1-based DIMACS variable numbers:
     i <idx>
     r <i> <j> <pivot>
     e <var> <a> <b>
-    a <lit> ... <lit> 0
 
 Tautology proofs refute the Tseitin clausification of the negated formula.
 The Delta0 translation maps an arithmetic formula with one free variable x
@@ -367,10 +364,6 @@ class ClauseSet:
                 if l == 0 or lit_var(l) >= self.n_vars:
                     raise ValueError(f"literal {l} out of range for {self.n_vars} variables")
 
-    @property
-    def tautological_flags(self) -> tuple[bool, ...]:
-        return tuple(is_tautological_clause(c) for c in self.clauses)
-
 
 def to_dimacs(cs: ClauseSet) -> str:
     lines = [f"p cnf {cs.n_vars} {len(cs.clauses)}"]
@@ -458,12 +451,7 @@ class Extend:
     b: int  # literals; defines var <-> (a and b)
 
 
-@dataclass(frozen=True)
-class Import:
-    clause: Clause
-
-
-ResolutionStep = Union[Input, Resolve, Extend, Import]
+ResolutionStep = Union[Input, Resolve, Extend]
 
 
 @dataclass(frozen=True)
@@ -478,17 +466,11 @@ class ResolutionCheck:
     derived: tuple[Clause, ...] = ()
 
 
-def check_resolution(
-    cs: ClauseSet,
-    proof: ResolutionProof,
-    extended: bool = False,
-    available: Callable[[Clause], bool] | None = None,
-) -> ResolutionCheck:
+def check_resolution(cs: ClauseSet, proof: ResolutionProof, extended: bool = False) -> ResolutionCheck:
     """Validate a refutation.  Invalid proofs report a reason, never raise.
 
     `extended` admits Extend steps (fresh variable, exactly the three
-    defining clauses for v <-> (a and b)).  `available` admits Import steps
-    whose clause the callback vouches for (the theorem-augmented system).
+    defining clauses for v <-> (a and b)).
     """
     derived: list[Clause] = []
     # variables below cs.n_vars are in use too; they are not materialized
@@ -522,13 +504,6 @@ def check_resolution(
                 derived.append(frozenset({nv, a}))
                 derived.append(frozenset({nv, b}))
                 derived.append(frozenset({pv, -a, -b}))
-            case Import(c):
-                if available is None:
-                    return ResolutionCheck(False, f"step {n}: clause import not admitted in this system", tuple(derived))
-                if not available(c):
-                    return ResolutionCheck(False, f"step {n}: imported clause not available", tuple(derived))
-                used_vars.update(lit_var(l) for l in c)
-                derived.append(c)
             case _:
                 return ResolutionCheck(False, f"step {n}: unknown step kind", tuple(derived))
     if not derived:
@@ -548,8 +523,6 @@ def print_resolution_text(proof: ResolutionProof) -> str:
                 out.append(f"r {i} {j} {p + 1}")
             case Extend(v, a, b):
                 out.append(f"e {v + 1} {a} {b}")
-            case Import(c):
-                out.append("a " + " ".join(str(l) for l in sorted(c, key=abs)) + " 0")
     return "\n".join(out) + "\n"
 
 
@@ -574,8 +547,6 @@ def parse_resolution_text(text: str) -> ResolutionProof:
                     if vv < 1:
                         raise ValueError("extension variable must be positive")
                     steps.append(Extend(vv - 1, int(a), int(b)))
-                case ["a", *lits, "0"]:
-                    steps.append(Import(frozenset(int(l) for l in lits)))
                 case _:
                     raise ValueError(f"unrecognized step {line!r}")
         except ValueError as e:
@@ -819,16 +790,12 @@ class ProofSystemHandle:
     s_p: Callable[[PropFormula, int], SPMeasure]
 
 
-def _resolution_verify(extended: bool) -> Callable[[bytes, PropFormula], bool]:
-    def verify(proof_bytes: bytes, alpha: PropFormula) -> bool:
-        try:
-            proof = parse_resolution_text(proof_bytes.decode("utf-8", errors="strict"))
-        except (ValueError, UnicodeDecodeError):
-            return False
-        cs = negation_clauses(alpha).clause_set
-        return check_resolution(cs, proof, extended=extended).ok
-
-    return verify
+def _resolution_verify(proof_bytes: bytes, alpha: PropFormula) -> bool:
+    try:
+        proof = parse_resolution_text(proof_bytes.decode("utf-8", errors="strict"))
+    except (ValueError, UnicodeDecodeError):
+        return False
+    return check_resolution(negation_clauses(alpha).clause_set, proof).ok
 
 
 class _NodeCapReached(Exception):
@@ -985,22 +952,12 @@ def min_refutation_steps(cs: ClauseSet, cap: int, node_cap: int = 250_000) -> SP
 
 
 def _resolution_s_p(alpha: PropFormula, cap: int) -> SPMeasure:
-    """s_p of every resolution-family system: minimal plain-resolution refutation.
-
-    Extended resolution and the theorem-augmented system share it: extension
-    and Import steps can only help on larger instances than a desk cap
-    reaches, and any resolution proof is already a proof in those systems,
-    so the cap-bounded minimum never increases.
-    """
+    """s_p of resolution: the minimal refutation of the negation's clauses."""
     return min_refutation_steps(negation_clauses(alpha).clause_set, cap)
 
 
 def resolution_system() -> ProofSystemHandle:
-    return ProofSystemHandle("resolution", _resolution_verify(extended=False), _resolution_s_p)
-
-
-def extended_resolution_system() -> ProofSystemHandle:
-    return ProofSystemHandle("extended-resolution", _resolution_verify(extended=True), _resolution_s_p)
+    return ProofSystemHandle("resolution", _resolution_verify, _resolution_s_p)
 
 
 def truth_table_system() -> ProofSystemHandle:
@@ -1052,86 +1009,6 @@ def print_truth_table_proof(alpha: PropFormula) -> str:
         val = eval_prop(alpha, {i: bool((row >> i) & 1) for i in range(n)})
         lines.append(f"{bits} {1 if val else 0}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# the theorem-augmented system
-# ---------------------------------------------------------------------------
-
-
-class TheoremClauseRegistry:
-    """Lazily answers \"is this clause a translation instance of a registered
-    theorem?\" — the full set of translations is never materialized.
-
-    Registered theorems are arithmetic formulas with one free variable; a
-    clause is available if it belongs to the Tseitin clausification of some
-    registered translation at some bound n <= max_bound, laid out at a caller
-    -chosen variable offset.
-    """
-
-    def __init__(self, max_bound: int = 6):
-        self.max_bound = max_bound
-        self._theorems: list[Formula] = []
-        self._cache: dict[tuple[int, int, int], frozenset[Clause]] = {}
-
-    def register(self, theorem: Formula) -> int:
-        self._theorems.append(theorem)
-        return len(self._theorems) - 1
-
-    def clauses_for(self, theorem_index: int, n: int, var_offset: int) -> frozenset[Clause]:
-        key = (theorem_index, n, var_offset)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        alpha = translate_delta0(self._theorems[theorem_index], n=n)
-        shifted = _shift_vars(alpha, var_offset)
-        ts = tseitin(shifted)
-        out = frozenset(ts.clause_set.clauses)
-        self._cache[key] = out
-        return out
-
-    def available(self, clause: Clause, var_offsets: Iterable[int] = (0,)) -> bool:
-        for ti in range(len(self._theorems)):
-            for n in range(1, self.max_bound + 1):
-                for off in var_offsets:
-                    if clause in self.clauses_for(ti, n, off):
-                        return True
-        return False
-
-
-def _shift_vars(f: PropFormula, offset: int) -> PropFormula:
-    match f:
-        case PVar(i):
-            return PVar(i + offset)
-        case PConst(_):
-            return f
-        case PNot(b):
-            return PNot(_shift_vars(b, offset))
-        case PAnd(a, b):
-            return PAnd(_shift_vars(a, offset), _shift_vars(b, offset))
-        case POr(a, b):
-            return POr(_shift_vars(a, offset), _shift_vars(b, offset))
-        case PImp(a, b):
-            return PImp(_shift_vars(a, offset), _shift_vars(b, offset))
-    raise TypeError(f"not a propositional formula: {f!r}")
-
-
-def theorem_augmented_system(registry: TheoremClauseRegistry, var_offsets: Iterable[int] = (0,)) -> ProofSystemHandle:
-    """Extended resolution plus Import steps vouched for by the registry."""
-
-    offsets = tuple(var_offsets)
-
-    def verify(proof_bytes: bytes, alpha: PropFormula) -> bool:
-        try:
-            proof = parse_resolution_text(proof_bytes.decode("utf-8", errors="strict"))
-        except (ValueError, UnicodeDecodeError):
-            return False
-        cs = negation_clauses(alpha).clause_set
-        return check_resolution(
-            cs, proof, extended=True, available=lambda c: registry.available(c, offsets)
-        ).ok
-
-    return ProofSystemHandle("theorem-augmented-extended-resolution", verify, _resolution_s_p)
 
 
 # ---------------------------------------------------------------------------
@@ -1312,7 +1189,3 @@ def table_to_resolution_translator(proof_bytes: bytes, alpha: PropFormula) -> by
     if proof is None:
         return b""
     return print_resolution_text(proof).encode()
-
-
-def identity_translator(proof_bytes: bytes, alpha: PropFormula) -> bytes:
-    return proof_bytes

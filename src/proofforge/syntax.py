@@ -552,25 +552,25 @@ DEFFN_ARITIES: dict[str, int] = {
 
 
 class _ParseError(Exception):
-    """A parse failure at a token index.  The parser's "(" backtracking
-    discards most of them, so the character offset is computed only when
-    one leaves the parser as a SyntaxErrorWithPos."""
+    """A parse failure at a token index; the character offset is computed
+    only when it leaves the parser as a SyntaxErrorWithPos."""
 
     def __init__(self, message: str, index: int):
         self.message = message
         self.index = index
 
 
-class _TooDeep(_ParseError):
-    """Raised past MAX_NESTING; the "(" backtracking does not retry it."""
+# Token kinds that occur in formulas but never in terms.
+_FORMULA_ONLY = frozenset(("=", "!", "->", "<->", "&", "|", "forall", "exists"))
 
 
 class _Parser:
-    __slots__ = ("text", "toks", "kinds", "i", "depth", "arities")
+    __slots__ = ("text", "toks", "kinds", "formula_groups", "i", "depth", "arities")
 
     def __init__(self, text: str, deffn_arities: dict[str, int] | None):
         self.text = text
         self.toks, self.kinds = _tokenize(text)
+        self.formula_groups: set[int] = set()  # "(" indices known to open a formula
         self.i = 0
         self.depth = 0
         self.arities = DEFFN_ARITIES if deffn_arities is None else deffn_arities
@@ -591,8 +591,38 @@ class _Parser:
         """Enter one nesting level at token `index`."""
         depth = self.depth + 1
         if depth > MAX_NESTING:
-            raise _TooDeep(f"nesting deeper than {MAX_NESTING} levels", index)
+            raise _ParseError(f"nesting deeper than {MAX_NESTING} levels", index)
         self.depth = depth
+
+    def opens_formula(self, i: int) -> bool:
+        """Whether the "(" at token i opens a formula: whether its group, up
+        to the matching ")" or the end of input, holds a token of
+        _FORMULA_ONLY.  Every formula holds an "=", so on valid input the
+        answer is exact.
+
+        The scan stops at the first such token and records every group still
+        open there.  A group it passes that closed before it holds only a
+        term, which the parser reads without asking about the groups inside,
+        so no token is scanned more than twice.
+        """
+        if i in self.formula_groups:
+            return True
+        kinds = self.kinds
+        open_parens = [i]
+        j = i + 1
+        while open_parens:
+            k = kinds[j]
+            if k == "(":
+                open_parens.append(j)
+            elif k == ")":
+                open_parens.pop()
+            elif k in _FORMULA_ONLY:
+                self.formula_groups.update(open_parens)
+                return True
+            elif k == _EOF:
+                return False
+            j += 1
+        return False
 
     def variable(self) -> str:
         i = self.i
@@ -680,28 +710,18 @@ class _Parser:
         return ctor(v, bound, self.unary())
 
     def atom_or_group(self) -> Formula:
-        # "(" may open a parenthesized formula or a parenthesized term of an
-        # atom; try the formula reading first and backtrack on failure.
-        save = self.i
-        if self.kinds[save] == "(":
-            depth = self.depth
-            self.nest(save)
-            self.i = save + 1
-            try:
-                f = self.formula()
-            except _TooDeep:
-                raise
-            except _ParseError:
-                pass
-            else:
-                i = self.i
-                # "(t1) = t2" is an atom: reparse the group as a term
-                if self.kinds[i] == ")" and self.kinds[i + 1] != "=":
-                    self.i = i + 1
-                    self.depth = depth
-                    return f
-            self.i = save
-            self.depth = depth
+        # "(" opens a parenthesized formula or a parenthesized term of an atom
+        i = self.i
+        if self.kinds[i] == "(" and self.opens_formula(i):
+            self.nest(i)
+            self.i = i + 1
+            f = self.formula()
+            i = self.i
+            if self.kinds[i] != ")":
+                raise _ParseError("expected ')'", i)
+            self.i = i + 1
+            self.depth -= 1
+            return f
         left = self.term()
         i = self.i
         if self.kinds[i] != "=":

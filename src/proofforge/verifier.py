@@ -42,15 +42,6 @@ class CostReport:
     pair_searches: int
     wall_ns: int
 
-    def as_dict(self) -> dict:
-        return {
-            "lines": self.lines,
-            "symbol_comparisons": self.symbol_comparisons,
-            "lines_scanned": self.lines_scanned,
-            "pair_searches": self.pair_searches,
-            "wall_ns": self.wall_ns,
-        }
-
 
 def verify(
     theory: TheorySpec,

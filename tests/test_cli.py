@@ -89,6 +89,13 @@ def test_member_verdicts(capsys):
     assert cli.main(["member", "q", "0 = 0 -> 0 = 0", "--k", "1"]) == 1
 
 
+def test_global_theory_must_agree_with_the_commands_theory(capsys):
+    assert cli.main(["--theory", "pa", "member", "q", "0 = 0", "--k", "1"]) == 2
+    assert "contradicts" in capsys.readouterr().err
+    assert cli.main(["--theory", "q", "member", "q", "0 = 0", "--k", "1"]) == 0
+    assert cli.main(["member", "pa", "0 = 0", "--k", "1"]) == 0
+
+
 def test_shortest_verdicts(capsys):
     assert cli.main(["shortest", "q", "0 = 0", "--cap", "6"]) == 0
     assert cli.main(["shortest", "q", "0 = 0 -> 0 = 0", "--cap", "6"]) == 1
@@ -119,6 +126,9 @@ def test_prop_check_verdicts(tmp_path, capsys):
     garbled = tmp_path / "garbled.rp"
     garbled.write_text("z z z\n")
     assert cli.main(["prop", "check", str(cnf), str(garbled)]) == 2
+    clause_import = tmp_path / "import.rp"
+    clause_import.write_text("a 1 0\ni 1\nr 0 1 1\n")
+    assert cli.main(["prop", "check", str(cnf), str(clause_import)]) == 2
 
 
 def test_con_prints_statement_and_verdict(capsys):
@@ -152,9 +162,15 @@ def test_prop_sp_emits_csv(tmp_path):
     assert len(lines) == 3  # resolution + table rows
 
 
+def test_removed_proof_systems_are_usage_errors(tmp_path, capsys):
+    assert cli.main(["prop", "sp", "x0 | !x0", "--systems", "er"]) == 2
+    assert "unknown proof system" in capsys.readouterr().err
+    assert cli.main(["prop", "psim", "--pair", "table:resolution", "--csv", str(tmp_path / "p.csv")]) == 2
+
+
 def test_prop_psim_reports_growth(tmp_path, capsys):
     out = tmp_path / "psim.csv"
-    assert cli.main(["prop", "psim", "--pair", "resolution:er", "--n-max", "1", "--csv", str(out)]) == 0
+    assert cli.main(["prop", "psim", "--n-max", "1", "--csv", str(out)]) == 0
     assert "all accepted: True" in capsys.readouterr().err
     header = out.read_text().splitlines()[0]
     assert header == "formula,original_ok,translated_ok,original_size,translated_size"

@@ -1,0 +1,51 @@
+"""Every name a module imports is read in that module (`__init__` re-exports
+and is left out)."""
+
+import ast
+from pathlib import Path
+
+import proofforge
+
+MODULES = sorted(p for p in Path(proofforge.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.update(a.asname or a.name for a in node.names)
+    return out
+
+
+def _annotations(tree: ast.Module) -> list[ast.expr]:
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.returns is not None:
+            out.append(node.returns)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            out.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            out.append(node.annotation)
+    return out
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere in the tree, including inside string annotations."""
+    out = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for annotation in _annotations(tree):
+        for n in ast.walk(annotation):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                out |= _read(ast.parse(n.value, mode="eval"))
+    return out
+
+
+def test_every_imported_name_is_read():
+    unused = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        names = sorted(_imported(tree) - _read(tree))
+        if names:
+            unused[path.name] = names
+    assert unused == {}

@@ -11,7 +11,6 @@ from proofforge.propositional import (
     MAX_PROP_NESTING,
     ClauseSet,
     Extend,
-    Import,
     Input,
     PAnd,
     PImp,
@@ -21,17 +20,14 @@ from proofforge.propositional import (
     Resolve,
     ResolutionProof,
     SPMeasure,
-    TheoremClauseRegistry,
     TooManyVariables,
     TranslationError,
     brute_force_satisfiable,
     check_resolution,
     dp_refutation,
     eval_prop,
-    extended_resolution_system,
     falsifying_assignment,
     from_dimacs,
-    identity_translator,
     is_tautology_bruteforce,
     min_refutation_steps,
     negation_clauses,
@@ -44,7 +40,6 @@ from proofforge.propositional import (
     prop_vars,
     resolution_system,
     table_to_resolution_translator,
-    theorem_augmented_system,
     to_dimacs,
     translate_delta0,
     truth_table_system,
@@ -109,9 +104,8 @@ def test_truth_table_sp_is_exactly_rows_times_width():
         ((Input(0), Input(1), Resolve(1, 0, 0)), "not positive"),
         ((Input(0),), "final clause"),
         ((Input(0), Input(1), Resolve(0, 5, 0)), "out of range"),
-        ((Import(frozenset({1})),), "import"),
     ],
-    ids=["bad-input", "bad-pivot", "swapped-operands", "no-empty-clause", "future-step", "gated-import"],
+    ids=["bad-input", "bad-pivot", "swapped-operands", "no-empty-clause", "future-step"],
 )
 def test_rejection_reasons_name_the_offense(steps, part):
     r = check_resolution(CONTRADICTION, ResolutionProof(tuple(steps)))
@@ -157,7 +151,7 @@ def test_resolution_text_round_trip():
         trips += 1
         assert parse_resolution_text(print_resolution_text(proof)) == proof
     assert trips >= 40
-    fancy = ResolutionProof((Input(0), Extend(5, 1, -2), Import(frozenset({-3, 4})), Resolve(0, 1, 0)))
+    fancy = ResolutionProof((Input(0), Extend(5, 1, -2), Resolve(0, 1, 0)))
     assert parse_resolution_text(print_resolution_text(fancy)) == fancy
 
 
@@ -235,8 +229,6 @@ def replay(cs, proof, extended):
                 used.add(v)
                 pos = v + 1
                 derived.extend([frozenset({-pos, a}), frozenset({-pos, b}), frozenset({pos, -a, -b})])
-            case Import(_):
-                return None
     return derived
 
 
@@ -324,37 +316,19 @@ def test_brute_force_refuses_wide_formulas():
 # --- proof systems and simulations ----------------------------------------------------
 
 
-def test_er_measure_never_exceeds_resolution_measure():
+def test_decided_resolution_measure_matches_the_reference_search():
     rng = random.Random(8198)
-    er, res = extended_resolution_system(), resolution_system()
-    compared = 0
+    decided = 0
     for _ in range(150):
         f = random_prop(rng, rng.randrange(1, 4), n_vars=2)
         if not is_tautology_bruteforce(f):
             continue
-        a = res.s_p(f, cap=13)
-        b = er.s_p(f, cap=13)
-        if a.value is not None and b.value is not None:
-            compared += 1
-            assert b.value <= a.value
-        # both measures are the plain resolution search, so each decided
-        # value is also checked against the reference search
-        decided = [m.value for m in (a, b) if m.value is not None]
-        if decided:
+        m = resolution_system().s_p(f, cap=13)
+        if m.value is not None:
+            decided += 1
             value, _, _, _ = reference_min_refutation_steps(negation_clauses(f).clause_set, 13)
-            assert decided == [value] * len(decided), print_prop(f)
-    assert compared >= 5
-
-
-def test_identity_simulation_resolution_into_er():
-    corpus = []
-    for text in ("x0 -> x0", "x0 | !x0", "(x0 & x1) -> x1"):
-        alpha = parse_prop(text)
-        proof = dp_refutation(negation_clauses(alpha).clause_set)
-        assert proof is not None
-        corpus.append((alpha, print_resolution_text(proof).encode()))
-    report = p_simulation_check(extended_resolution_system(), resolution_system(), identity_translator, corpus)
-    assert report.all_ok
+            assert m.value == value, print_prop(f)
+    assert decided >= 5
 
 
 def test_table_to_resolution_simulation():
@@ -556,33 +530,3 @@ def test_declared_but_unused_variables_are_not_fresh():
         assert not r.ok and "fresh" in r.reason
     fresh = ResolutionProof((Input(0), Input(1), Extend(50, 1, -1), Resolve(0, 1, 0)))
     assert check_resolution(cs, fresh, extended=True).ok
-
-
-# --- the theorem-augmented system ------------------------------------------------------
-
-
-def test_registry_gates_imports_by_registered_theorems():
-    reg = TheoremClauseRegistry(max_bound=3)
-    reg.register(parse_formula("x = x"))
-    system = theorem_augmented_system(reg)
-    alpha = parse_prop("x0 -> x0")
-    negated = negation_clauses(alpha).clause_set
-
-    available = reg.available
-    ok_clause = next(iter(reg.clauses_for(0, 1, 0)))
-    assert available(ok_clause)
-    assert not available(frozenset({7, 9}))
-
-    # an import of a registered clause passes; a foreign clause is refused
-    plain = dp_refutation(negated)
-    assert plain is not None and system.verify(print_resolution_text(plain).encode(), alpha)
-    bad = ResolutionProof((Import(frozenset({7, 9})),))
-    assert not system.verify(print_resolution_text(bad).encode(), alpha)
-
-
-def test_import_needs_an_availability_callback():
-    p = ResolutionProof((Import(frozenset({1})), Input(1), Resolve(0, 1, 0)))
-    gated = check_resolution(CONTRADICTION, p, available=lambda c: c == frozenset({1}))
-    assert gated.ok
-    refused = check_resolution(CONTRADICTION, p, available=lambda c: False)
-    assert not refused.ok

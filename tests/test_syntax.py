@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,14 @@ def test_nesting_cap_is_inclusive():
         parse_term("S(" + text + ")")
     # the cap is crossed at the innermost S
     assert info.value.pos == 2 * MAX_NESTING
+
+
+def test_nested_term_parentheses_parse_in_linear_time():
+    # each "(" is read once, not first as a formula and again as a term
+    text = "(" * MAX_NESTING + "0" + ")" * MAX_NESTING + " = 0"
+    start = time.perf_counter()
+    assert parse_formula(text) == Eq(ZERO, ZERO)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_x_equals_zero_certificate_is_pinned():
