@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .calculus import TheorySpec
 from .derivations import Builder
@@ -129,10 +128,11 @@ def run_chain_bench(
 
 
 def loglog_slope(xs: list[int], ys: list[int]) -> float:
-    """Least-squares slope of log(y) vs log(x)."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.maximum(np.asarray(ys, dtype=float), 1.0))
-    return float(np.polyfit(lx, ly, 1)[0])
+    """Least-squares slope of log(y) vs log(x), y clamped to at least 1."""
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(max(y, 1)) for y in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum((a - mx) ** 2 for a in lx)
 
 
 def chain_slopes(k_points: list[BenchPoint], m_points: list[BenchPoint]) -> tuple[float, float]:

@@ -24,15 +24,8 @@ from . import config as cfgmod
 from . import propositional as prop
 from . import suite as suitemod
 from .bounded import SearchLimits, l_k_membership, regeneration_chain, shortest_proof_length
-from .calculus import TheorySpec, parse_proof_text, print_proof_text
-from .goedel import (
-    con_bounded,
-    diagonalize,
-    encode_formula,
-    eval_delta0,
-    induction_theory,
-    standard_theory,
-)
+from .calculus import parse_proof_text, print_proof_text
+from .goedel import THEORIES, con_bounded, diagonalize, encode_formula, eval_delta0
 from .syntax import formula_size, free_variables, parse_formula, print_formula
 from .verifier import proof_of
 
@@ -43,14 +36,6 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     """Bad input that argparse cannot catch (unreadable file, parse failure)."""
-
-
-def _theory(name: str) -> TheorySpec:
-    if name == "q":
-        return standard_theory()
-    if name == "pa":
-        return induction_theory()
-    raise UsageError(f"unknown theory {name!r} (expected 'q' or 'pa')")
 
 
 def _read_text(path: str) -> str:
@@ -96,7 +81,7 @@ def _emit(out: str, text: str) -> None:
 
 
 def cmd_check(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
-    theory = _theory(cfg.theory)
+    theory = THEORIES[cfg.theory]()
     try:
         proof = parse_proof_text(_read_text(args.proof_file), theory.arities())
     except ValueError as e:
@@ -117,7 +102,7 @@ def cmd_bench(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
         m_points = cfgmod.parse_points(m_spec, cfgmod.M_LADDER)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    theory = _theory(cfg.theory)
+    theory = THEORIES[cfg.theory]()
     # A single value on one axis pins it while the other sweeps.
     fixed_m = m_points[0] if len(m_points) == 1 else cfg.fixed_m
     fixed_k = k_points[0] if len(k_points) == 1 else cfg.fixed_k
@@ -141,7 +126,7 @@ def cmd_bench(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_diagonalize(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
-    theory = _theory(cfg.theory)
+    theory = THEORIES[cfg.theory]()
     psi = _parse_formula_arg(args.psi)
     fv = free_variables(psi)
     if args.var not in fv and fv:
@@ -160,7 +145,7 @@ def cmd_diagonalize(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_con(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
-    theory = _theory(cfg.theory)
+    theory = THEORIES[cfg.theory]()
     mode = "binary" if args.binary_numerals else ("unary" if args.unary_numerals else cfg.numeral_mode)
     sentence = con_bounded(theory, args.m, numeral_mode=mode)
     print(f"con({args.m}): {print_formula(sentence)}")
@@ -176,7 +161,7 @@ def cmd_con(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_member(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
-    theory = _theory(cfg.theory)
+    theory = THEORIES[cfg.theory]()
     phi = _parse_formula_arg(args.formula)
     limits = SearchLimits(pool_cap=cfg.pool_cap, node_cap=cfg.node_cap)
     report = l_k_membership(theory, phi, args.k, desk_cap=cfg.desk_cap, limits=limits)
@@ -191,7 +176,7 @@ def cmd_member(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_shortest(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
-    theory = _theory(cfg.theory)
+    theory = THEORIES[cfg.theory]()
     phi = _parse_formula_arg(args.formula)
     limits = SearchLimits(pool_cap=cfg.pool_cap, node_cap=cfg.node_cap)
     length, definitive = shortest_proof_length(theory, phi, args.cap, limits=limits)
@@ -287,14 +272,12 @@ def cmd_prop_check(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 def cmd_prop_taut(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     alpha = _parse_prop_arg(args.formula)
     try:
-        verdict = prop.is_tautology_bruteforce(alpha)
+        witness = prop.falsifying_assignment(alpha)
     except prop.TooManyVariables as e:
         raise UsageError(str(e)) from e
-    if verdict:
+    if witness is None:
         print(f"tautology: {prop.print_prop(alpha)}")
         return EXIT_OK
-    witness = prop.falsifying_assignment(alpha)
-    assert witness is not None
     shown = " ".join(f"x{i}={'1' if v else '0'}" for i, v in sorted(witness.items()))
     print(f"NOT a tautology, falsified by: {shown if shown else '(empty assignment)'}")
     return EXIT_VERDICT
@@ -415,12 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"forge {__version__}")
     p.add_argument("--config", metavar="FILE", help="key=value run configuration file")
     p.add_argument("--seed", type=int, help="override the configured random seed")
-    p.add_argument("--theory", choices=("q", "pa"), help="override the configured theory")
+    p.add_argument("--theory", choices=tuple(THEORIES), help="override the configured theory")
     p.add_argument("--deterministic", action="store_true", help="zero wall-clock fields for byte-identical outputs")
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
 
     sp = sub.add_parser("check", help="verify a first-order proof file against a conclusion")
-    sp.add_argument("theory_arg", metavar="theory", choices=("q", "pa"))
+    sp.add_argument("theory_arg", metavar="theory", choices=tuple(THEORIES))
     sp.add_argument("proof_file")
     sp.add_argument("formula")
     sp.set_defaults(handler=cmd_check)
@@ -433,14 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_bench)
 
     sp = sub.add_parser("diagonalize", help="fixed point of a one-free-variable formula")
-    sp.add_argument("theory_arg", metavar="theory", choices=("q", "pa"))
+    sp.add_argument("theory_arg", metavar="theory", choices=tuple(THEORIES))
     sp.add_argument("--psi", required=True, help="formula with one free variable")
     sp.add_argument("--var", default="x", help="the diagonalized variable (default x)")
     sp.add_argument("--out", metavar="FILE", help="write the equivalence proof file here")
     sp.set_defaults(handler=cmd_diagonalize)
 
     sp = sub.add_parser("con", help="bounded consistency statement and its truth value")
-    sp.add_argument("theory_arg", metavar="theory", choices=("q", "pa"))
+    sp.add_argument("theory_arg", metavar="theory", choices=tuple(THEORIES))
     sp.add_argument("--m", type=int, required=True, help="proof-size bound (tokens)")
     numerals = sp.add_mutually_exclusive_group()
     numerals.add_argument("--binary-numerals", action="store_true", help="force binary numerals")
@@ -449,13 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_con)
 
     sp = sub.add_parser("member", help="bounded-provability language membership")
-    sp.add_argument("theory_arg", metavar="theory", choices=("q", "pa"))
+    sp.add_argument("theory_arg", metavar="theory", choices=tuple(THEORIES))
     sp.add_argument("formula")
     sp.add_argument("--k", type=int, required=True, help="exponent: proof size bound is size(phi)^k")
     sp.set_defaults(handler=cmd_member)
 
     sp = sub.add_parser("shortest", help="shortest-proof length by iterative deepening")
-    sp.add_argument("theory_arg", metavar="theory", choices=("q", "pa"))
+    sp.add_argument("theory_arg", metavar="theory", choices=tuple(THEORIES))
     sp.add_argument("formula")
     sp.add_argument("--cap", type=int, required=True, help="largest proof size to try")
     sp.set_defaults(handler=cmd_shortest)

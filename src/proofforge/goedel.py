@@ -520,6 +520,10 @@ def induction_theory() -> TheorySpec:
     return _theory_with_prover("PA", "prft", induction=True)
 
 
+# The theories `forge` and the suite run on, by their configuration name.
+THEORIES = {"q": standard_theory, "pa": induction_theory}
+
+
 PROVER_CHAIN = ("prft", "prft1", "prft2", "prft3", "prft4")
 
 

@@ -2,8 +2,11 @@
 
 Formulas are variable-indexed (PVar(0), PVar(1), ...) with constants, so a
 formula over n variables uses indices dense in [0, n).  The brute-force
-tautology oracle exhausts the truth table (numpy-vectorized, chunked, capped
-at 24 variables by default).
+tautology oracle, the SAT oracle and the truth-table proof system share one
+bit-parallel sweep of the truth table (at most 24 variables): each chunk of
+2**18 rows is a Python integer per variable, bit j holding the variable's
+value in the chunk's row j, and a formula evaluates to one integer mask per
+chunk.
 
 Clauses are frozensets of DIMACS-style literals: variable i appears as i+1
 positively and -(i+1) negatively.  Resolution proofs are step lists:
@@ -34,10 +37,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
-import numpy as np
-
+from .bench import loglog_slope
 from .calculus import TheorySpec, eval_term_in
 from .syntax import (
     BoundedExists,
@@ -118,6 +120,12 @@ def prop_vars(f: PropFormula) -> set[int]:
     return out
 
 
+def _n_vars(f: PropFormula) -> int:
+    """Width of f's truth table: one past its highest variable index."""
+    vs = prop_vars(f)
+    return max(vs) + 1 if vs else 0
+
+
 def prop_size(f: PropFormula) -> int:
     """Connective-and-atom count (parentheses don't count)."""
     match f:
@@ -166,9 +174,8 @@ _PROP_TOKEN = re.compile(r"\s*(?:(x\d+)|(T|F)|(->)|([!&|()]))")
 # Deepest nesting parse_prop accepts.  Each parenthesis, `!` and binary
 # operator counts one level, both as written and in the formula built (a
 # chain of n `&` builds a tree n deep).  _fold, prop_size, print_prop,
-# eval_prop, _eval_chunk and tseitin recurse once per level; tseitin also
-# hashes each subformula whole, so its time grows with size times depth
-# (0.6 s at this depth, 7-12 s at 4,000 on a 2-core host).
+# eval_prop, _eval_mask and tseitin recurse once per level, and each visits
+# a node once, so their time grows with the formula's size alone.
 MAX_PROP_NESTING = 1_000
 
 
@@ -279,20 +286,46 @@ class TooManyVariables(ValueError):
     pass
 
 
-def _eval_chunk(f: PropFormula, rows: np.ndarray) -> np.ndarray:
+def _sweep(n: int) -> Iterator[tuple[int, int, list[int]]]:
+    """The truth table over n variables, chunk by chunk, in row order.
+
+    Per chunk of 2**_CHUNK_BITS rows (one chunk if n is smaller): the
+    chunk's first row, the all-ones mask of the chunk, and one integer
+    column per variable, whose bit j is the variable's value in row
+    first + j.
+    """
+    if n > MAX_BRUTE_VARS:
+        raise TooManyVariables(f"{n} variables exceeds the brute-force cap of {MAX_BRUTE_VARS}")
+    low = min(n, _CHUNK_BITS)
+    width = 1 << low
+    full = (1 << width) - 1
+    low_cols = []
+    for i in range(low):
+        # 2**i zeros then 2**i ones, doubled until it fills the chunk
+        block, size = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while size < width:
+            block |= block << size
+            size <<= 1
+        low_cols.append(block)
+    for first in range(0, 1 << n, width):
+        yield first, full, low_cols + [full if (first >> i) & 1 else 0 for i in range(low, n)]
+
+
+def _eval_mask(f: PropFormula, cols: list[int], full: int) -> int:
+    """f over a chunk of rows: bit j is f's value in the chunk's row j."""
     match f:
         case PVar(i):
-            return ((rows >> i) & 1).astype(bool)
+            return cols[i]
         case PConst(v):
-            return np.full(rows.shape, v, dtype=bool)
+            return full if v else 0
         case PNot(b):
-            return ~_eval_chunk(b, rows)
+            return full ^ _eval_mask(b, cols, full)
         case PAnd(a, b):
-            return _eval_chunk(a, rows) & _eval_chunk(b, rows)
+            return _eval_mask(a, cols, full) & _eval_mask(b, cols, full)
         case POr(a, b):
-            return _eval_chunk(a, rows) | _eval_chunk(b, rows)
+            return _eval_mask(a, cols, full) | _eval_mask(b, cols, full)
         case PImp(a, b):
-            return ~_eval_chunk(a, rows) | _eval_chunk(b, rows)
+            return (full ^ _eval_mask(a, cols, full)) | _eval_mask(b, cols, full)
     raise TypeError(f"not a propositional formula: {f!r}")
 
 
@@ -313,25 +346,19 @@ def eval_prop(f: PropFormula, assignment: dict[int, bool]) -> bool:
     raise TypeError(f"not a propositional formula: {f!r}")
 
 
-def falsifying_assignment(f: PropFormula, max_vars: int = MAX_BRUTE_VARS) -> dict[int, bool] | None:
+def falsifying_assignment(f: PropFormula) -> dict[int, bool] | None:
     """First assignment (row order) making f false, or None if f is a tautology."""
-    vs = prop_vars(f)
-    n = (max(vs) + 1) if vs else 0
-    if n > max_vars:
-        raise TooManyVariables(f"{n} variables exceeds the brute-force cap of {max_vars}")
-    total = 1 << n
-    step = 1 << _CHUNK_BITS
-    for start in range(0, total, step):
-        rows = np.arange(start, min(start + step, total), dtype=np.int64)
-        vals = _eval_chunk(f, rows)
-        if not vals.all():
-            row = int(rows[int(np.argmin(vals))])
+    n = _n_vars(f)
+    for first, full, cols in _sweep(n):
+        bad = full ^ _eval_mask(f, cols, full)
+        if bad:
+            row = first + (bad & -bad).bit_length() - 1
             return {i: bool((row >> i) & 1) for i in range(n)}
     return None
 
 
-def is_tautology_bruteforce(f: PropFormula, max_vars: int = MAX_BRUTE_VARS) -> bool:
-    return falsifying_assignment(f, max_vars) is None
+def is_tautology_bruteforce(f: PropFormula) -> bool:
+    return falsifying_assignment(f) is None
 
 
 # ---------------------------------------------------------------------------
@@ -404,25 +431,17 @@ def from_dimacs(text: str) -> ClauseSet:
     return ClauseSet(tuple(clauses), n_vars)
 
 
-def brute_force_satisfiable(cs: ClauseSet, max_vars: int = 20) -> bool:
-    if cs.n_vars > max_vars:
-        raise TooManyVariables(f"{cs.n_vars} variables exceeds the SAT brute-force cap of {max_vars}")
-    if any(len(c) == 0 for c in cs.clauses):
-        return False
-    total = 1 << cs.n_vars
-    step = 1 << _CHUNK_BITS
-    for start in range(0, total, step):
-        rows = np.arange(start, min(start + step, total), dtype=np.int64)
-        ok = np.ones(rows.shape, dtype=bool)
+def brute_force_satisfiable(cs: ClauseSet) -> bool:
+    for _, full, cols in _sweep(cs.n_vars):
+        ok = full
         for c in cs.clauses:
-            sat = np.zeros(rows.shape, dtype=bool)
+            sat = 0
             for l in c:
-                col = ((rows >> (abs(l) - 1)) & 1).astype(bool)
-                sat |= col if l > 0 else ~col
+                sat |= cols[l - 1] if l > 0 else full ^ cols[-l - 1]
             ok &= sat
-            if not ok.any():
+            if not ok:
                 break
-        if ok.any():
+        if ok:
             return True
     return False
 
@@ -599,68 +618,65 @@ class TseitinResult:
     n_input_vars: int
 
 
+# The three defining clauses of v <-> (a op b), by connective.
+_GATES = {
+    PAnd: lambda v, a, b: ((-v, a), (-v, b), (v, -a, -b)),
+    POr: lambda v, a, b: ((-v, a, b), (v, -a), (v, -b)),
+    PImp: lambda v, a, b: ((-v, -a, b), (v, a), (v, -b)),
+}
+
+
 def tseitin(f: PropFormula) -> TseitinResult:
     """CNF asserting f, via one definitional variable per connective node.
 
     Deterministic: auxiliary variables are numbered in first-visit postorder
     after the input variables; identical subformulas share a definition.
+    Each node object gets a structure number from its type and its payload
+    or its children's numbers, so no lookup hashes a whole subformula.
     """
     g = _fold(f)
-    vs = prop_vars(g)
-    n_inputs = (max(vs) + 1) if vs else 0
+    n_inputs = _n_vars(g)
     if isinstance(g, PConst):
         if g.value:
             return TseitinResult(ClauseSet((), n_inputs), None, n_inputs)
         return TseitinResult(ClauseSet((frozenset(),), n_inputs), None, n_inputs)
     clauses: list[Clause] = []
-    memo: dict[PropFormula, int] = {}
+    number: dict[int, int] = {}  # id(node) -> structure number; g keeps every node alive
+    numbers: dict[tuple, int] = {}  # (type, payload or children's numbers) -> structure number
+    lits: list[int] = []  # structure number -> equivalent literal
     counter = [n_inputs]
 
-    def walk(node: PropFormula) -> int:
-        """Literal equivalent to the node."""
-        hit = memo.get(node)
-        if hit is not None:
-            return hit
+    def walk(node: PropFormula) -> tuple[int, int]:
+        """Structure number of the node, and a literal equivalent to it."""
+        k = number.get(id(node))
+        if k is not None:
+            return k, lits[k]
         match node:
             case PVar(i):
-                l = lit(i, True)
+                key, l = (PVar, i), lit(i, True)
             case PNot(b):
-                l = -walk(b)
-            case PAnd(a, b):
-                la, lb = walk(a), walk(b)
-                v = counter[0]
-                counter[0] += 1
-                pv = lit(v, True)
-                clauses.append(frozenset({-pv, la}))
-                clauses.append(frozenset({-pv, lb}))
-                clauses.append(frozenset({pv, -la, -lb}))
-                l = pv
-            case POr(a, b):
-                la, lb = walk(a), walk(b)
-                v = counter[0]
-                counter[0] += 1
-                pv = lit(v, True)
-                clauses.append(frozenset({-pv, la, lb}))
-                clauses.append(frozenset({pv, -la}))
-                clauses.append(frozenset({pv, -lb}))
-                l = pv
-            case PImp(a, b):
-                la, lb = walk(a), walk(b)
-                v = counter[0]
-                counter[0] += 1
-                pv = lit(v, True)
-                clauses.append(frozenset({-pv, -la, lb}))
-                clauses.append(frozenset({pv, la}))
-                clauses.append(frozenset({pv, -lb}))
-                l = pv
+                kb, lb = walk(b)
+                key, l = (PNot, kb), -lb
+            case PAnd(a, b) | POr(a, b) | PImp(a, b):
+                ka, la = walk(a)
+                kb, lb = walk(b)
+                key = (type(node), ka, kb)
             case PConst(_):
                 raise AssertionError("constants were folded away")
             case _:
                 raise TypeError(f"not a propositional formula: {node!r}")
-        memo[node] = l
-        return l
+        k = number[id(node)] = numbers.setdefault(key, len(numbers))
+        if k < len(lits):
+            return k, lits[k]
+        gate = _GATES.get(type(node))
+        if gate is not None:
+            l = lit(counter[0], True)
+            counter[0] += 1
+            clauses.extend(map(frozenset, gate(l, la, lb)))
+        lits.append(l)
+        return k, l
 
-    root = walk(g)
+    _, root = walk(g)
     clauses.append(frozenset({root}))
     return TseitinResult(ClauseSet(tuple(clauses), counter[0]), root, n_inputs)
 
@@ -968,30 +984,15 @@ def truth_table_system() -> ProofSystemHandle:
             text = proof_bytes.decode("utf-8", errors="strict")
         except UnicodeDecodeError:
             return False
-        vs = prop_vars(alpha)
-        n = (max(vs) + 1) if vs else 0
-        if n > MAX_BRUTE_VARS:
-            return False
         rows = [ln for ln in text.splitlines() if ln.strip()]
-        if len(rows) != (1 << n):
+        n = _n_vars(alpha)
+        # the row count first: a short proof never builds a large table
+        if n > MAX_BRUTE_VARS or len(rows) != (1 << n) or not is_tautology_bruteforce(alpha):
             return False
-        for row_index, row in enumerate(rows):
-            parts = row.split()
-            if len(parts) != 2 or parts[1] not in ("0", "1"):
-                return False
-            canonical = "".join("1" if (row_index >> i) & 1 else "0" for i in range(n)) if n else "-"
-            if parts[0] != canonical:
-                return False
-            value = eval_prop(alpha, {i: bool((row_index >> i) & 1) for i in range(n)})
-            if parts[1] != ("1" if value else "0"):
-                return False
-            if not value:
-                return False
-        return True
+        return all(row.split() == line.split() for row, line in zip(rows, _table_lines(alpha)))
 
     def s_p(alpha: PropFormula, cap: int) -> SPMeasure:
-        vs = prop_vars(alpha)
-        n = (max(vs) + 1) if vs else 0
+        n = _n_vars(alpha)
         size = (1 << n) * (max(n, 1) + 1)
         if not is_tautology_bruteforce(alpha):
             return SPMeasure(None, False, cap)
@@ -1000,15 +1001,19 @@ def truth_table_system() -> ProofSystemHandle:
     return ProofSystemHandle("truth-table", verify, s_p)
 
 
+def _table_lines(alpha: PropFormula) -> Iterator[str]:
+    """The rows of alpha's truth table, '<bits> <0|1>' each, in row order."""
+    n = _n_vars(alpha)
+    for first, full, cols in _sweep(n):
+        width = full.bit_length()
+        values = format(_eval_mask(alpha, cols, full), f"0{width}b")[::-1]
+        for j in range(width):
+            bits = format(first + j, f"0{n}b")[::-1] if n else "-"
+            yield f"{bits} {values[j]}"
+
+
 def print_truth_table_proof(alpha: PropFormula) -> str:
-    vs = prop_vars(alpha)
-    n = (max(vs) + 1) if vs else 0
-    lines = []
-    for row in range(1 << n):
-        bits = "".join("1" if (row >> i) & 1 else "0" for i in range(n)) if n else "-"
-        val = eval_prop(alpha, {i: bool((row >> i) & 1) for i in range(n)})
-        lines.append(f"{bits} {1 if val else 0}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_table_lines(alpha)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1168,11 +1173,8 @@ def p_simulation_check(
     ok = all(i.original_ok and i.translated_ok for i in items)
     pts = [(i.original_size, i.translated_size) for i in items if i.original_size > 1 and i.translated_size > 1]
     exponent: float | None = None
-    if len(pts) >= 2:
-        xs = np.log([p[0] for p in pts])
-        ys = np.log([p[1] for p in pts])
-        if float(np.ptp(xs)) > 1e-9:
-            exponent = float(np.polyfit(xs, ys, 1)[0])
+    if len({x for x, _ in pts}) >= 2:
+        exponent = loglog_slope([x for x, _ in pts], [y for _, y in pts])
     return SimulationReport(tuple(items), ok, exponent)
 
 

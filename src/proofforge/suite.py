@@ -23,7 +23,6 @@ from .bounded import (
     l_k_membership,
     regeneration_chain,
 )
-from .calculus import TheorySpec
 from .corpus import (
     derived_theorem_corpus,
     diagonal_shapes,
@@ -34,12 +33,11 @@ from .corpus import (
     random_delta0_single_var,
 )
 from .goedel import (
+    THEORIES,
     con_bounded,
     diagonalize,
     eval_delta0,
-    induction_theory,
     refutation_target,
-    standard_theory,
 )
 from .propositional import (
     ClauseSet,
@@ -73,10 +71,6 @@ class CriterionResult:
         return f"criterion {self.cid} ({self.name}): {'PASS' if self.passed else 'FAIL'}"
 
 
-def _theory(cfg: cfgmod.RunConfig) -> TheorySpec:
-    return induction_theory() if cfg.theory == "pa" else standard_theory()
-
-
 # -- 1: checker cost scaling ------------------------------------------------
 
 
@@ -84,7 +78,7 @@ def criterion_1_verifier_scaling(cfg: cfgmod.RunConfig) -> CriterionResult:
     t0 = time.monotonic()
     ks = cfgmod.parse_points(cfg.bench_k, cfgmod.K_LADDER)
     ms = cfgmod.parse_points(cfg.bench_m, cfgmod.M_LADDER)
-    k_points, m_points = run_chain_bench(_theory(cfg), ks, ms, fixed_k=cfg.fixed_k, fixed_m=cfg.fixed_m)
+    k_points, m_points = run_chain_bench(THEORIES[cfg.theory](), ks, ms, fixed_k=cfg.fixed_k, fixed_m=cfg.fixed_m)
     slope_k, slope_m = chain_slopes(k_points, m_points)
     elapsed = time.monotonic() - t0
     passed = slope_k <= 2.2 and slope_m <= 1.3 and elapsed < 120
@@ -108,7 +102,7 @@ def criterion_1_verifier_scaling(cfg: cfgmod.RunConfig) -> CriterionResult:
 
 
 def criterion_2_membership_agreement(cfg: cfgmod.RunConfig) -> CriterionResult:
-    th = _theory(cfg)
+    th = THEORIES[cfg.theory]()
     rng = random.Random(cfg.seed)
     formulas = membership_formula_corpus(rng, 200)
     limits = SearchLimits(pool_cap=cfg.pool_cap, node_cap=min(cfg.node_cap, 4000))
@@ -142,7 +136,7 @@ def criterion_2_membership_agreement(cfg: cfgmod.RunConfig) -> CriterionResult:
 
 
 def criterion_3_soundness(cfg: cfgmod.RunConfig) -> CriterionResult:
-    th = _theory(cfg)
+    th = THEORIES[cfg.theory]()
     rng = random.Random(cfg.seed + 1)
     samples = derived_theorem_corpus(th, rng, 1000)
     accepted = true_conclusions = 0
@@ -175,7 +169,7 @@ def criterion_3_soundness(cfg: cfgmod.RunConfig) -> CriterionResult:
 
 
 def criterion_4_fixed_point(cfg: cfgmod.RunConfig) -> CriterionResult:
-    th = _theory(cfg)
+    th = THEORIES[cfg.theory]()
     shapes = diagonal_shapes(th)
     sizes: list[list[int]] = []
     accepted = 0
@@ -203,7 +197,7 @@ def criterion_4_fixed_point(cfg: cfgmod.RunConfig) -> CriterionResult:
 
 
 def criterion_5_bounded_consistency(cfg: cfgmod.RunConfig) -> CriterionResult:
-    th = _theory(cfg)
+    th = THEORIES[cfg.theory]()
     enum_budget = 10
     refutation = enumerate_proofs(th, refutation_target(), enum_budget)
     enum_ok = refutation.outcome == "none" and refutation.definitive
@@ -319,12 +313,9 @@ def criterion_7_resolution(cfg: cfgmod.RunConfig) -> CriterionResult:
             false_accepts += 1
 
     violations = 0
-    sets_checked = 0
-    for _ in range(60):
+    sets_checked = 60
+    for _ in range(sets_checked):
         cs = random_clause_set(rng, max_vars=6, max_clauses=8)
-        if cs.n_vars > 20:
-            continue
-        sets_checked += 1
         proof = dp_refutation(cs)
         sat = brute_force_satisfiable(cs)
         if proof is None:
@@ -352,7 +343,7 @@ def criterion_7_resolution(cfg: cfgmod.RunConfig) -> CriterionResult:
 
 
 def criterion_8_translation(cfg: cfgmod.RunConfig) -> CriterionResult:
-    th = _theory(cfg)
+    th = THEORIES[cfg.theory]()
     rng = random.Random(cfg.seed + 3)
     t0 = time.monotonic()
     formulas = [random_delta0_single_var(rng) for _ in range(200)]
@@ -383,7 +374,7 @@ def criterion_8_translation(cfg: cfgmod.RunConfig) -> CriterionResult:
 
 
 def criterion_9_witness(cfg: cfgmod.RunConfig) -> CriterionResult:
-    th = _theory(cfg)
+    th = THEORIES[cfg.theory]()
     phi = parse_formula("0 = 0 -> 0 = 0")
     truth = eval_delta0(th, phi)
     m1 = l_k_membership(th, phi, 1, desk_cap=cfg.desk_cap)

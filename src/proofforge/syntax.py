@@ -8,14 +8,16 @@ function symbols:
                   | forall<= x b A | exists<= x b A
 
 Bounded quantifiers are primitive constructors (a formula is Delta0 iff it
-contains no unbounded forall).  Conjunction, disjunction, biconditional and
-unbounded exists are accepted by the parser as abbreviations and expanded
-immediately:
+contains no unbounded forall).  Conjunction, disjunction and unbounded exists
+are accepted by the parser as abbreviations and expanded immediately:
 
     A & B   ==  !(A -> !B)
     A | B   ==  !A -> B
-    A <-> B ==  (A -> B) & (B -> A)
     exists x A  ==  !forall x !A
+
+The biconditional is not part of the input language: its expansion holds
+each side twice, so a chain of them would grow exponentially.  `iff` builds
+it for code that needs one.
 
 Canonical printing puts single spaces around binary operators, always
 parenthesizes negation bodies and quantifier bodies, and never emits the
@@ -476,7 +478,7 @@ def exists(var: str, body: Formula) -> Formula:
 
 # Every non-space character starts a token; the last alternative catches
 # characters that start no valid token, so findall skips only whitespace.
-_TOKEN_RE = re.compile(r"->|<->|<=|[a-z][a-z0-9']*|[S0()+*=!&|,]|\S")
+_TOKEN_RE = re.compile(r"->|<=|[a-z][a-z0-9']*|[S0()+*=!&|,]|\S")
 
 _IDENT = "ident"
 _EOF = "eof"
@@ -484,7 +486,7 @@ _EOF = "eof"
 # Token kind by token text: fixed tokens are their own kind, any other token
 # is an identifier.  One-letter identifiers are listed so that a one-character
 # token missing here is a character that starts no token.
-_KINDS = {tok: tok for tok in ("->", "<->", "<=", "S", "0", "(", ")", "+", "*", "=", "!", "&", "|", ",")}
+_KINDS = {tok: tok for tok in ("->", "<=", "S", "0", "(", ")", "+", "*", "=", "!", "&", "|", ",")}
 _KINDS.update({kw: kw for kw in ("forall", "exists")})
 _KINDS.update({c: _IDENT for c in "abcdefghijklmnopqrstuvwxyz"})
 
@@ -561,7 +563,7 @@ class _ParseError(Exception):
 
 
 # Token kinds that occur in formulas but never in terms.
-_FORMULA_ONLY = frozenset(("=", "!", "->", "<->", "&", "|", "forall", "exists"))
+_FORMULA_ONLY = frozenset(("=", "!", "->", "&", "|", "forall", "exists"))
 
 
 class _Parser:
@@ -639,21 +641,11 @@ class _Parser:
     # -- formulas, loosest first
 
     def formula(self) -> Formula:
-        a = self.implication()
-        if self.kinds[self.i] == "<->":
-            self.nest(self.i)
-            self.i += 1
-            b = self.formula()
-            self.depth -= 1
-            return iff(a, b)
-        return a
-
-    def implication(self) -> Formula:
         a = self.disjunct()
         if self.kinds[self.i] == "->":
             self.nest(self.i)
             self.i += 1
-            b = self.implication()
+            b = self.formula()
             self.depth -= 1
             return Implies(a, b)
         return a

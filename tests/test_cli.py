@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -87,6 +88,15 @@ def test_prop_without_operation_exits_two(capsys):
 def test_member_verdicts(capsys):
     assert cli.main(["member", "q", "0 = 0", "--k", "1"]) == 0
     assert cli.main(["member", "q", "0 = 0 -> 0 = 0", "--k", "1"]) == 1
+
+
+def test_biconditional_chain_is_a_usage_error(capsys):
+    # `<->` expanded each side twice, so a 20-term chain was an 18 MB formula
+    chain = " <-> ".join(["0 = 0"] * 20)
+    start = time.perf_counter()
+    assert cli.main(["member", "q", chain, "--k", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "unexpected character '<'" in capsys.readouterr().err
 
 
 def test_global_theory_must_agree_with_the_commands_theory(capsys):

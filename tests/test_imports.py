@@ -1,12 +1,15 @@
 """Every name a module imports is read in that module (`__init__` re-exports
-and is left out)."""
+and is left out), and the package imports nothing outside the standard
+library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import proofforge
 
-MODULES = sorted(p for p in Path(proofforge.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(proofforge.__file__).resolve().parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -49,3 +52,19 @@ def test_every_imported_name_is_read():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def test_the_package_imports_only_the_standard_library():
+    outside = {}
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    outside.setdefault(path.name, []).append(name)
+    assert outside == {}

@@ -1,6 +1,7 @@
 """Clause sets, resolution checking, Tseitin, translations, and s_P measures."""
 
 import random
+import time
 
 import pytest
 
@@ -8,11 +9,14 @@ from proofforge.cli import _psim_corpus
 from proofforge.corpus import mutate_resolution_proof, random_clause_set, random_delta0_single_var
 from proofforge.goedel import eval_delta0, standard_theory
 from proofforge.propositional import (
+    _CHUNK_BITS,
+    MAX_BRUTE_VARS,
     MAX_PROP_NESTING,
     ClauseSet,
     Extend,
     Input,
     PAnd,
+    PConst,
     PImp,
     PNot,
     POr,
@@ -22,6 +26,7 @@ from proofforge.propositional import (
     SPMeasure,
     TooManyVariables,
     TranslationError,
+    big_and,
     brute_force_satisfiable,
     check_resolution,
     dp_refutation,
@@ -172,6 +177,17 @@ def test_tseitin_preserves_satisfiability():
         assert brute_force_satisfiable(cs) == f_sat, print_prop(f)
 
 
+@pytest.mark.parametrize("op", [PNot, PAnd, PImp], ids=["not", "and", "implies"])
+def test_tseitin_is_fast_on_deep_chains(op):
+    f = PVar(0)
+    for i in range(1, 4001):
+        f = PNot(f) if op is PNot else op(f, PVar(i % 7))
+    start = time.perf_counter()
+    cs = tseitin(f).clause_set
+    assert time.perf_counter() - start < 2.0
+    assert len(cs.clauses) == (0 if op is PNot else 3 * 4000) + 1
+
+
 def test_tseitin_constant_folding():
     from proofforge.propositional import FALSE, TRUE
 
@@ -311,6 +327,115 @@ def test_brute_force_refuses_wide_formulas():
     wide = big_or(PVar(i) for i in range(30))
     with pytest.raises(TooManyVariables):
         is_tautology_bruteforce(wide)
+    with pytest.raises(TooManyVariables):
+        falsifying_assignment(PVar(MAX_BRUTE_VARS))
+    with pytest.raises(TooManyVariables):
+        brute_force_satisfiable(ClauseSet((frozenset({MAX_BRUTE_VARS + 1}),), MAX_BRUTE_VARS + 1))
+
+
+# --- the truth-table sweep ----------------------------------------------------------
+
+
+def _spread(f, vs):
+    """f with variable i renamed to vs[i]."""
+    match f:
+        case PVar(i):
+            return PVar(vs[i])
+        case PNot(b):
+            return PNot(_spread(b, vs))
+        case PAnd(a, b) | POr(a, b) | PImp(a, b):
+            return type(f)(_spread(a, vs), _spread(b, vs))
+    return f
+
+
+def _rows_over(vs, n):
+    """The rows of an n-variable table that set no variable outside vs
+    (sorted), in increasing order, with their assignments.  Clearing the
+    other bits of a row keeps the value of a formula over vs and never
+    increases the row, so such a formula's first false row is among them."""
+    for k in range(1 << len(vs)):
+        row = sum(1 << v for j, v in enumerate(vs) if (k >> j) & 1)
+        yield row, {i: bool((row >> i) & 1) for i in range(n)}
+
+
+def _first_false_row(f, n):
+    return next((row for row, a in _rows_over(sorted(prop_vars(f)), n) if not eval_prop(f, a)), None)
+
+
+@pytest.mark.parametrize("n", [0, 1, 17, 18, 19, 24])
+def test_falsifying_assignment_matches_a_row_scan(n):
+    rng = random.Random(8300 + n)
+    if n == 0:
+        formulas = [PConst(True), PConst(False), PNot(PConst(False)), PAnd(PConst(True), PConst(False))]
+    else:
+        vs = sorted({0, 1, 2, 16, 17, n - 1} & set(range(n)))
+        top = PVar(n - 1)
+        formulas = [POr(_spread(random_prop(rng, rng.randrange(1, 5), len(vs)), vs), PAnd(top, PNot(top))) for _ in range(40)]
+    late = 0
+    for f in formulas:
+        row = _first_false_row(f, n)
+        want = None if row is None else {i: bool((row >> i) & 1) for i in range(n)}
+        assert falsifying_assignment(f) == want, print_prop(f)
+        late += row is not None and row >= 1 << _CHUNK_BITS
+    if n > _CHUNK_BITS:
+        assert late > 0  # some first falsifying rows lie past the first chunk
+    if n:
+        # false only in the last row, all n variables true
+        last = PNot(big_and(PVar(i) for i in range(n)))
+        assert falsifying_assignment(last) == {i: True for i in range(n)}
+        assert is_tautology_bruteforce(POr(PVar(n - 1), PNot(PVar(n - 1))))
+
+
+@pytest.mark.parametrize("n", [19, 20, 21])
+def test_brute_force_sat_matches_a_row_scan(n):
+    rng = random.Random(8310 + n)
+    vs = [0, 1, 2, 16, 17, 18, n - 1]
+    verdicts = set()
+    for _ in range(20):
+        clauses = tuple(
+            frozenset(rng.choice((1, -1)) * (v + 1) for v in rng.sample(vs, rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 30))
+        )
+        cs = ClauseSet(clauses, n)
+        want = any(all(any(a[abs(l) - 1] == (l > 0) for l in c) for c in clauses) for _, a in _rows_over(vs, n))
+        assert brute_force_satisfiable(cs) is want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_printed_truth_table_matches_eval_prop():
+    rng = random.Random(8320)
+    for _ in range(50):
+        f = random_prop(rng, rng.randrange(0, 4))
+        n = max(prop_vars(f)) + 1
+        rows = print_truth_table_proof(f).splitlines()
+        assert len(rows) == 1 << n
+        for row, line in enumerate(rows):
+            a = {i: bool((row >> i) & 1) for i in range(n)}
+            assert line == "".join("1" if a[i] else "0" for i in range(n)) + f" {int(eval_prop(f, a))}"
+
+
+_TAUT = parse_prop("x0 -> (x1 -> x0)")
+_TABLE = print_truth_table_proof(_TAUT)
+_NON_TAUT = parse_prop("x0 -> x1")
+
+
+@pytest.mark.parametrize(
+    "alpha, proof, accepted",
+    [
+        (_TAUT, _TABLE.encode(), True),
+        (_TAUT, _TABLE.rsplit("\n", 2)[0].encode(), False),
+        (_TAUT, _TABLE.replace(" ", " \t  ").encode(), True),
+        (_TAUT, ("\n  \n" + _TABLE.replace("\n", "\n\n")).encode(), True),
+        (_TAUT, _TABLE.replace("11 1", "11 0").encode(), False),
+        (_TAUT, _TABLE.replace("10 1", "01 1", 1).encode(), False),
+        (_NON_TAUT, print_truth_table_proof(_NON_TAUT).encode(), False),
+        (_TAUT, _TABLE.encode() + b"\xff", False),
+    ],
+    ids=["valid", "truncated", "re-spaced", "blank-padded", "flipped-value", "wrong-row", "non-tautology", "invalid-utf-8"],
+)
+def test_truth_table_verify_verdicts(alpha, proof, accepted):
+    assert truth_table_system().verify(proof, alpha) is accepted
 
 
 # --- proof systems and simulations ----------------------------------------------------

@@ -255,6 +255,8 @@ PARSE_ERRORS = [
     ("0 -> 0 = 0", "expected '=', found '->'", 2),
     ("0 = 0 )", "trailing input ')'", 6),
     ("0 = 0 0", "trailing input '0'", 6),
+    # the biconditional is not part of the input language
+    ("0 = 0 <-> 0 = 0", "unexpected character '<'", 5),
 ]
 
 
