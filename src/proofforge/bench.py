@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .calculus import TheorySpec
 from .derivations import Builder
 from .goedel import standard_theory
-from .syntax import Eq, Formula, Implies, Plus, Succ, Term, Times, ZERO, formula_size
+from .syntax import Eq, Formula, Implies, Plus, Succ, Term, Times, ZERO, build_flat_key, formula_size
 from .verifier import CostReport, Proof, proof_of_with_cost
 
 
@@ -43,11 +43,12 @@ def _equal_value_atoms(m: int, count: int) -> list[Eq]:
     Both sides evaluate to 0, so every atom is a computation axiom; distinct
     shapes keep the checker's scan from short-circuiting on repeats."""
     atoms: list[Eq] = []
-    seen: set[Eq] = set()
+    seen: set[str] = set()  # flat keys: the atoms hold no payload, so none is empty
 
     def emit(a: Eq) -> bool:
-        if a not in seen:
-            seen.add(a)
+        key = build_flat_key(a)
+        if key not in seen:
+            seen.add(key)
             atoms.append(a)
         return len(atoms) >= count
 

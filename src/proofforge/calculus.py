@@ -64,6 +64,7 @@ from .syntax import (
     Times,
     Var,
     Zero,
+    flat_key,
     formula_size,
     free_variables,
     is_sentence,
@@ -80,7 +81,13 @@ from .syntax import (
 
 
 class Cost:
-    """Mutable counter for deterministic work measures."""
+    """Mutable counter for deterministic work measures.
+
+    symbol_comparisons counts syntax nodes compared, in the right-first
+    preorder of eq_formulas up to and including the first mismatch; eq_lines
+    counts the same nodes from flat keys.  lines_scanned and pair_searches
+    count the earlier lines find_rule_justification looks at, singly and as
+    modus ponens antecedents."""
 
     __slots__ = ("symbol_comparisons", "lines_scanned", "pair_searches")
 
@@ -144,6 +151,58 @@ def eq_formulas(a: Formula, b: Formula, cost: Cost = _NULL_COST) -> bool:
                     return False
                 stack.append((body, y.body))
     return True
+
+
+def _common_prefix_length(a: str, b: str) -> int:
+    """Length of the longest common prefix of a and b.  Most keys part within
+    a few characters, so the first 32 are compared one by one; a longer
+    prefix is found by galloping and bisecting with C-level comparisons."""
+    lo = 0
+    for x, y in zip(a, b):
+        if x != y:
+            return lo
+        lo += 1
+        if lo == 32:
+            break
+    else:
+        return lo
+    hi = min(len(a), len(b))
+    step = 32
+    while lo + step < hi and a.startswith(b[lo : lo + step], lo):
+        lo += step
+        step <<= 1
+    hi = min(hi, lo + step)
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if a.startswith(b[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def eq_lines(a: Formula, b: Formula, cost: Cost = _NULL_COST) -> bool:
+    """eq_formulas on flat keys, for comparing proof lines and their parts.
+
+    The verdict and the count are eq_formulas': a match compares every node
+    (the key's length), a mismatch stops at the first differing node (the
+    common prefix plus one).  Roots of different types or quantifier
+    variables cost one comparison and build no key; other keys are built
+    once and cached on their nodes, so rescanning a line is one string
+    comparison.  A tree without a key is compared structurally."""
+    cls = type(a)
+    if cls is not type(b) or (cls is ForAll or cls is BoundedForAll or cls is BoundedExists) and a.var != b.var:
+        cost.symbol_comparisons += 1
+        return False
+    ka = flat_key(a)
+    kb = flat_key(b)
+    if not (ka and kb):
+        return eq_formulas(a, b, cost)
+    if ka == kb:
+        cost.symbol_comparisons += len(ka)
+        return True
+    cost.symbol_comparisons += _common_prefix_length(ka, kb) + 1
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -701,15 +760,15 @@ def find_rule_justification(f: Formula, earlier: Sequence[Formula], cost: Cost =
     """
     for j, big in enumerate(earlier):
         cost.lines_scanned += 1
-        if isinstance(big, Implies) and eq_formulas(big.consequent, f, cost):
+        if isinstance(big, Implies) and eq_lines(big.consequent, f, cost):
             for k, g in enumerate(earlier):
                 cost.pair_searches += 1
-                if eq_formulas(g, big.antecedent, cost):
+                if eq_lines(g, big.antecedent, cost):
                     return MPJust(j, k)
     if isinstance(f, (ForAll, BoundedForAll)):
         for j, g in enumerate(earlier):
             cost.lines_scanned += 1
-            if eq_formulas(g, f.body, cost):
+            if eq_lines(g, f.body, cost):
                 return GenJust(j, f.var) if isinstance(f, ForAll) else BGenJust(j, f.var, f.bound)
     return None
 
@@ -765,15 +824,15 @@ def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost = _NULL_COST
             big = proof.lines[imp].formula
             if not isinstance(big, Implies):
                 return LineCheck(False, f"line {imp + 1} is not an implication")
-            if not eq_formulas(big.antecedent, proof.lines[ant].formula, cost):
+            if not eq_lines(big.antecedent, proof.lines[ant].formula, cost):
                 return LineCheck(False, "antecedent mismatch")
-            if not eq_formulas(big.consequent, f, cost):
+            if not eq_lines(big.consequent, f, cost):
                 return LineCheck(False, "consequent mismatch")
             return LineCheck(True)
         case GenJust(src, var):
             if not 0 <= src < i:
                 return LineCheck(False, "generalization source must precede the line")
-            if isinstance(f, ForAll) and f.var == var and eq_formulas(f.body, proof.lines[src].formula, cost):
+            if isinstance(f, ForAll) and f.var == var and eq_lines(f.body, proof.lines[src].formula, cost):
                 return LineCheck(True)
             return LineCheck(False, "not a generalization of the source line")
         case BGenJust(src, var, bound):
@@ -783,7 +842,7 @@ def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost = _NULL_COST
                 isinstance(f, BoundedForAll)
                 and f.var == var
                 and eq_terms(f.bound, bound, cost)
-                and eq_formulas(f.body, proof.lines[src].formula, cost)
+                and eq_lines(f.body, proof.lines[src].formula, cost)
             ):
                 return LineCheck(True)
             return LineCheck(False, "not a bounded generalization of the source line")

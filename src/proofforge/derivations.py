@@ -38,6 +38,7 @@ from .syntax import (
     Implies,
     Not,
     Term,
+    build_flat_key,
     free_variables,
     print_formula,
     substitute,
@@ -56,12 +57,12 @@ class Builder:
     def __init__(self, theory: TheorySpec):
         self.theory = theory
         self._lines: list[ProofLine] = []
-        self._index: dict[str, int] = {}
+        self._index: dict[str | Formula, int] = {}
 
     # -- line-level primitives ------------------------------------------------
 
     def _add(self, f: Formula, just: Justification) -> int:
-        key = print_formula(f)
+        key = build_flat_key(f) or f  # the formula itself once the key table is full
         existing = self._index.get(key)
         if existing is not None:
             return existing

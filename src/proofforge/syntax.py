@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from typing import Iterator, Union
 
 # ---------------------------------------------------------------------------
@@ -449,6 +449,130 @@ def formula_size(f: Formula) -> int:
         case BoundedForAll(v, bound, body) | BoundedExists(v, bound, body):
             return formula_size(body) + term_size(bound) + 2 + v.count("'")
     raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# Flat comparison keys
+# ---------------------------------------------------------------------------
+
+# A node's flat key has one character per node of its tree, in the order
+# calculus.eq_formulas and eq_terms visit them: a right-first preorder (the
+# consequent before the antecedent, the right operand of + and * before the
+# left, function arguments last to first, the left side of = before the
+# right, a bounded quantifier's bound before its body).  A character stands
+# for a node type and its payload (a variable's name, a function's symbol
+# and arity, a quantifier's variable), so it fixes the node's arity and the
+# key is injective: two trees are equal exactly when their keys are, and
+# where they differ the first differing character is the node at which the
+# structural walk stops.
+#
+# Zero, Succ, Plus, Times, Eq, Not and Implies carry no payload and are "\0"
+# to "\6".  Payload characters follow in order of first use, each issued by
+# one step of a counter, so no two payloads ever share one.  Fewer than
+# KEY_CODES exist; a tree holding a payload seen after that has the empty
+# key, and callers compare it structurally.
+KEY_CODES = 1 << 16
+_var_codes: dict[str, str] = {}
+_unary_codes: dict[str, str] = {}  # symbol of a one-argument DefFn
+_payload_codes: dict[tuple, str] = {}  # (type, payload) of DefFn and the quantifiers
+_issued = count(7)
+
+for _cls in _TERM_TYPES | _FORMULA_TYPES:
+    _cls._k = None  # flat_key's cache; a node's own value is set with object.__setattr__
+
+
+def _new_code(table: dict, payload) -> str:
+    n = next(_issued)
+    return table.setdefault(payload, chr(n)) if n < KEY_CODES else ""
+
+
+def flat_key(node: Term | Formula) -> str:
+    """The node's flat key, built on first use and cached on the node.  The
+    key of an implication is cached on its two halves too."""
+    k = node._k
+    if k is None:
+        if type(node) is Implies:
+            # modus ponens compares a line's halves on their own: key them
+            # first, and the line's key is their concatenation
+            c = _own_key(node.consequent)
+            a = _own_key(node.antecedent)
+            k = "\6" + c + a if c and a else ""
+        else:
+            k = build_flat_key(node)
+        object.__setattr__(node, "_k", k)
+    return k
+
+
+def _own_key(node: Term | Formula) -> str:
+    k = node._k
+    if k is None:
+        k = build_flat_key(node)
+        object.__setattr__(node, "_k", k)
+    return k
+
+
+def build_flat_key(root: Term | Formula) -> str:
+    """The flat key of a tree, built anew and cached nowhere, for keys that
+    serve as dict keys rather than for comparing lines again and again."""
+    out: list[str] = []
+    emit = out.append
+    stack: list = [root]
+    push = stack.append
+    pop = stack.pop
+    var_codes = _var_codes
+    unary_codes = _unary_codes
+    while stack:
+        x = pop()
+        cls = type(x)
+        if cls is Succ:
+            n = 0
+            while cls is Succ:
+                n += 1
+                x = x.arg
+                cls = type(x)
+            emit("\1" * n)
+            push(x)
+            continue
+        if cls is DefFn and len(x.args) == 1:
+            c = unary_codes.get(x.symbol) or _new_code(unary_codes, x.symbol)
+            push(x.args[0])
+        elif cls is Var:
+            c = var_codes.get(x.name) or _new_code(var_codes, x.name)
+        elif cls is Zero:
+            c = "\0"
+        elif cls is Plus or cls is Times:
+            c = "\2" if cls is Plus else "\3"
+            push(x.left)
+            push(x.right)
+        elif cls is Eq:
+            c = "\4"
+            push(x.right)
+            push(x.left)
+        elif cls is Implies:
+            c = "\6"
+            push(x.antecedent)
+            push(x.consequent)
+        elif cls is Not:
+            c = "\5"
+            push(x.body)
+        else:
+            if cls is DefFn:
+                payload = (DefFn, x.symbol, len(x.args))
+                stack.extend(x.args)
+            elif cls is ForAll:
+                payload = (ForAll, x.var)
+                push(x.body)
+            elif cls is BoundedForAll or cls is BoundedExists:
+                payload = (cls, x.var)
+                push(x.body)
+                push(x.bound)
+            else:
+                raise TypeError(f"not a term or formula: {x!r}")
+            c = _payload_codes.get(payload) or _new_code(_payload_codes, payload)
+        if not c:
+            return ""
+        emit(c)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

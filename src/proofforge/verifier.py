@@ -10,11 +10,21 @@ fast path in calculus.check_line).
 Per line the search is calculus.find_axiom_justification (each schema
 matcher, linear in the line size, then the theory's axioms) and then
 calculus.find_rule_justification, which scans preceding lines and pairs of
-preceding lines with early-exit structural comparison.  The exhaustive
-search in the bounded module justifies its lines with the same two
-functions, so the checking relation is written down once.
+preceding lines.  The exhaustive search in the bounded module justifies its
+lines with the same two functions, so the checking relation is written down
+once.
+
 `proof_of_with_cost` reports the deterministic work counters; wall time is
 measured separately and carries no determinism guarantee.
+`symbol_comparisons` counts syntax nodes compared: two trees are compared
+node by node in a right-first preorder (the consequent before the
+antecedent, the right operand before the left) until the first mismatch,
+which is counted too.  Whole lines and their parts (the conclusion, modus
+ponens premises, generalization sources) are compared by calculus.eq_lines
+through flat keys, strings with one character per node in that order,
+built once per node and cached on it: a match costs the key's length, a
+mismatch the common prefix plus one, exactly the nodes the walk would have
+compared.  Schema matchers walk the trees.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from .calculus import (
     Cost,
     Proof,
     TheorySpec,
-    eq_formulas,
+    eq_lines,
     find_axiom_justification,
     find_rule_justification,
     proof_size,
@@ -76,7 +86,7 @@ def proof_of(
         if diagnostics is not None:
             diagnostics.append("empty proof")
         return False
-    if not eq_formulas(proof.conclusion, phi):
+    if not eq_lines(proof.conclusion, phi):
         if diagnostics is not None:
             diagnostics.append("conclusion differs from the target formula")
         return False
@@ -86,7 +96,7 @@ def proof_of(
 def proof_of_with_cost(theory: TheorySpec, proof: Proof, phi: Formula) -> tuple[bool, CostReport]:
     cost = Cost()
     t0 = time.perf_counter_ns()
-    ok = bool(proof.lines) and eq_formulas(proof.conclusion, phi, cost) and verify(theory, proof, cost)
+    ok = bool(proof.lines) and eq_lines(proof.conclusion, phi, cost) and verify(theory, proof, cost)
     wall = time.perf_counter_ns() - t0
     return ok, CostReport(
         lines=len(proof.lines),

@@ -1,20 +1,28 @@
 """Axiom schema recognition, the stored-proof checker, and proof text files."""
 
 import random
+import sys
+from dataclasses import fields
 
 import pytest
 
+from proofforge import syntax
+from proofforge.bench import _equal_value_atoms, mp_chain
 from proofforge.calculus import (
     AxiomJust,
     ComputeJust,
+    Cost,
     EvalBudget,
     MPJust,
     Proof,
     ProofLine,
     TheoryAxiomJust,
     TheorySpec,
+    _common_prefix_length,
     check_line,
     check_stored_proof,
+    eq_formulas,
+    eq_lines,
     eval_term_in,
     match_schema,
     parse_proof_text,
@@ -23,17 +31,22 @@ from proofforge.calculus import (
     robinson_axioms,
 )
 from proofforge.corpus import derived_theorem_corpus
-from proofforge.goedel import induction_theory, standard_theory
+from proofforge.derivations import Builder
+from proofforge.goedel import diagonalize, induction_theory, standard_theory
 from proofforge.syntax import (
     ZERO,
+    BoundedExists,
+    BoundedForAll,
     DefFn,
     Eq,
     ForAll,
     Implies,
     Not,
     Plus,
+    Succ,
     Var,
     exists,
+    flat_key,
     numeral,
     parse_formula,
     parse_term,
@@ -284,3 +297,154 @@ def test_eval_term_in_evaluates_a_shared_closed_node_once():
     assert eval_term_in(Q, Plus(x_plus_c, x_plus_c), b, env={"x": 1}) == 18
     assert b.used == 1 + 2 * 2 + _eval_cost(c)
 
+
+
+# --- flat comparison keys ------------------------------------------------------
+
+
+def _fresh(node):
+    """An equal tree of new objects, so that no key is cached on it yet."""
+    if isinstance(node, tuple):
+        return tuple(map(_fresh, node))
+    if isinstance(node, str):
+        return node
+    return type(node)(*(_fresh(getattr(node, f.name)) for f in fields(node)))
+
+
+def _with_parts(formulas):
+    """The formulas and the parts modus ponens and generalization compare on
+    their own: implication halves and quantifier bodies."""
+    out = []
+    for f in formulas:
+        out.append(f)
+        if isinstance(f, Implies):
+            out += [f.antecedent, f.consequent]
+        elif isinstance(f, (ForAll, BoundedForAll, BoundedExists)):
+            out.append(f.body)
+    return out
+
+
+def _assert_agrees(pairs):
+    """eq_lines gives eq_formulas' verdict and symbol_comparisons."""
+    for n, (a, b) in enumerate(pairs):
+        walk, keyed = Cost(), Cost()
+        verdict = eq_formulas(a, b, walk)
+        assert eq_lines(a, b, keyed) is verdict, n
+        assert keyed.symbol_comparisons == walk.symbol_comparisons, n
+
+
+def _all_pairs(formulas):
+    """Every ordered pair of a formula and a fresh copy of one, so that the
+    first comparisons build keys and the later ones reuse them."""
+    copies = [_fresh(f) for f in formulas]
+    return [(a, b) for a in formulas for b in copies]
+
+
+def test_flat_keys_agree_with_the_walk_on_the_derived_corpus():
+    rng = random.Random(4242)
+    pool = []
+    for sample in derived_theorem_corpus(Q, rng, 40):
+        lines = _with_parts([ln.formula for ln in sample.proof.lines])
+        _assert_agrees(_all_pairs(lines))
+        pool += lines
+    _assert_agrees([(rng.choice(pool), rng.choice(pool)) for _ in range(20_000)])
+
+
+def test_flat_keys_agree_with_the_walk_on_chain_atoms_and_lines():
+    _assert_agrees(_all_pairs(_equal_value_atoms(64, 70)))
+    proof, _ = mp_chain(Q, 60, 24)
+    _assert_agrees(_all_pairs(_with_parts([ln.formula for ln in proof.lines])))
+
+
+def test_flat_keys_agree_with_the_walk_on_deep_numerals():
+    sizes = (0, 1, 1299, 1300, 1301)
+    atoms = [Eq(numeral(n), numeral(m)) for n in sizes for m in sizes]
+    atoms += [Eq(Plus(numeral(1300), ZERO), numeral(1300)), Eq(DefFn("dbl", (numeral(650),)), numeral(1300))]
+    _assert_agrees(_all_pairs(atoms))
+    # the fixed-point certificate of x = 0: binary numerals ~1,300 nodes deep
+    result = diagonalize(Q, parse_formula("x = 0"))
+    lines = _with_parts([ln.formula for ln in result.equivalence.lines])
+    _assert_agrees(list(zip(lines, map(_fresh, lines))))
+    rng = random.Random(5)
+    _assert_agrees([(rng.choice(lines), rng.choice(lines)) for _ in range(3_000)])
+
+
+def test_flat_keys_separate_function_symbols_arities_and_binders():
+    x, y = Var("x"), Var("y")
+    terms = [
+        DefFn("f", (x,)),
+        DefFn("g", (x,)),
+        DefFn("f", (x, x)),
+        DefFn("f", (x, y)),
+        DefFn("f", (y, x)),
+        DefFn("f", ()),
+        DefFn("g", ()),
+        DefFn("f", (DefFn("f", (x,)),)),
+        DefFn("f", (DefFn("g", (x,)),)),
+        DefFn("f", (DefFn("f", (x, x)),)),
+        Succ(DefFn("f", (x,))),
+        Var("f"),
+    ]
+    _assert_agrees(_all_pairs([Eq(t, u) for t in terms for u in terms[:4]]))
+    body, bound = Eq(x, y), Var("z")
+    binders = []
+    for v in ("x", "y", "x'"):
+        binders += [BoundedForAll(v, bound, body), BoundedExists(v, bound, body), ForAll(v, body)]
+    binders += [BoundedForAll("x", Var("w"), body), BoundedExists("x", Succ(bound), body)]
+    wrapped = [Not(q) for q in binders] + [Implies(body, q) for q in binders] + [Implies(q, body) for q in binders]
+    _assert_agrees(_all_pairs(binders + wrapped))
+
+
+def test_flat_keys_take_any_variable_name():
+    names = ["", "\0", "\1", "\4", "\6", "0", "S", "x\0", "\ud800", "é", chr(sys.maxunicode), "x" * 1000, "a b"]
+    formulas = []
+    for n in names:
+        v = Var(n)
+        formulas += [Eq(v, ZERO), Eq(Plus(v, ZERO), v), Eq(DefFn(n, (v,)), ZERO), ForAll(n, Eq(v, v))]
+        formulas.append(BoundedExists(n, v, Eq(v, DefFn(n, ()))))
+    _assert_agrees(_all_pairs(formulas))
+    assert len({flat_key(f) for f in formulas}) == len(formulas)
+
+
+def test_deep_chains_compare_without_recursion():
+    def negations(n, atom):
+        for _ in range(n):
+            atom = Not(atom)
+        return atom
+
+    a = negations(20_000, Eq(ZERO, ZERO))
+    b = negations(20_000, Eq(ZERO, Succ(ZERO)))
+    _assert_agrees([(a, b), (b, a), (a, negations(20_000, Eq(ZERO, ZERO)))])
+    deep = Eq(numeral(50_000), ZERO)
+    _assert_agrees([(deep, Eq(numeral(50_000), ZERO)), (deep, Eq(numeral(49_999), ZERO))])
+
+
+def test_a_full_key_table_falls_back_to_the_structural_walk(monkeypatch):
+    # the table never needs a character chr() cannot make
+    assert syntax.KEY_CODES <= sys.maxunicode + 1
+    monkeypatch.setattr(syntax, "KEY_CODES", 0)
+    v = Var("a name first seen while the table is full")
+    a, b = Eq(v, ZERO), Eq(v, Succ(ZERO))
+    assert flat_key(a) == "" and flat_key(Eq(ZERO, ZERO)) != ""
+    _assert_agrees([(a, b), (a, _fresh(a)), (Implies(a, b), Implies(a, _fresh(b))), (Implies(a, a), Implies(b, a))])
+    # the Builder then dedups such a line by the formula itself
+    builder = Builder(Q)
+    first = builder.axiom("EQREFL", Eq(v, v))
+    assert builder.axiom("EQREFL", Eq(Var(v.name), Var(v.name))) == first
+    assert builder.axiom("EQREFL", Eq(ZERO, ZERO)) == first + 1
+
+
+def test_common_prefix_length_matches_a_scan():
+    def scan(a, b):
+        n = 0
+        while n < min(len(a), len(b)) and a[n] == b[n]:
+            n += 1
+        return n
+
+    rng = random.Random(11)
+    for _ in range(3_000):
+        base = "".join(rng.choice("ab\0ā") for _ in range(rng.randrange(0, 300)))
+        cut = rng.randrange(0, len(base) + 1)
+        other = base[:cut] + "".join(rng.choice("ab") for _ in range(rng.randrange(0, 40)))
+        assert _common_prefix_length(base, other) == scan(base, other)
+        assert _common_prefix_length(other, base) == scan(base, other)

@@ -1,5 +1,6 @@
 """The forge command: exit codes, dispatch coverage, and reproducible outputs."""
 
+import argparse
 import json
 import random
 import time
@@ -361,7 +362,7 @@ def collect_subcommands():
     parser = cli.build_parser()
     subs = {}
     for action in parser._actions:
-        if hasattr(action, "choices") and isinstance(action.choices, dict):
+        if isinstance(action, argparse._SubParsersAction):
             for name, sp in action.choices.items():
                 subs[name] = sp
     return subs
@@ -371,7 +372,7 @@ def test_every_module_operation_maps_to_a_real_subcommand():
     subs = collect_subcommands()
     prop_ops = set()
     for action in subs["prop"]._actions:
-        if hasattr(action, "choices") and isinstance(action.choices, dict):
+        if isinstance(action, argparse._SubParsersAction):
             prop_ops = set(action.choices)
     assert prop_ops == {"check", "taut", "translate", "sp", "psim"}
     for op, path in cli.OPERATION_MAP.items():

@@ -7,7 +7,7 @@ import pytest
 from proofforge.bench import mp_chain
 from proofforge.calculus import ComputeJust, Proof, ProofLine, check_stored_proof, proof_size
 from proofforge.corpus import derived_theorem_corpus, random_delta0_sentence
-from proofforge.goedel import eval_delta0, standard_theory
+from proofforge.goedel import diagonalize, eval_delta0, standard_theory
 from proofforge.syntax import (
     Eq,
     Implies,
@@ -170,6 +170,20 @@ def test_chain_cost_counters_are_pinned(k, counters):
     ok, c = proof_of_with_cost(Q, proof, phi)
     assert ok
     assert (c.lines, c.symbol_comparisons, c.lines_scanned, c.pair_searches) == counters
+
+
+def test_deep_cost_counters_are_pinned():
+    # (lines, symbol_comparisons, lines_scanned, pair_searches) where lines
+    # are long: atoms of size 64, and the fixed-point certificate of x = 0,
+    # whose binary numerals are ~1,300 nodes deep
+    proof, phi = mp_chain(Q, 200, 64)
+    ok, c = proof_of_with_cost(Q, proof, phi)
+    assert ok
+    assert (c.lines, c.symbol_comparisons, c.lines_scanned, c.pair_searches) == (199, 254896, 6633, 6567)
+    result = diagonalize(Q, parse_formula("x = 0"))
+    ok, c = proof_of_with_cost(Q, result.equivalence, result.biconditional)
+    assert ok
+    assert (c.lines, c.symbol_comparisons, c.lines_scanned, c.pair_searches) == (97, 149153, 2413, 2718)
 
 
 def test_search_handles_stored_free_justifications():
