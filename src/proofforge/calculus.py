@@ -300,7 +300,9 @@ def _eval_term(theory: TheorySpec, t: Term, budget: EvalBudget, env: Mapping[str
     hit costs no budget.  Ids are reused after garbage collection, so a memo
     serves one top-level call, whose term keeps every keyed node alive, and
     is never shared across calls.  It holds no Var, so `env` may change
-    between evaluations that share it.
+    between evaluations that share it.  A parsed term holds each distinct
+    subtree once (see `syntax`), so its repeated closed subterms are
+    evaluated and charged once.
     """
     v = memo.get(id(t))
     if v is not None:

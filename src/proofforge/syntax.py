@@ -29,6 +29,10 @@ size("0 = 0") = 3, size(S(S(0))) = 3, size(!A) = size(A) + 1.
 Operator binding, loosest to tightest:  ->  (right associative), then
 | then & (parse-time sugar, left associative), then ! / quantifiers,
 then atoms.  In terms, * binds tighter than +; both are left associative.
+
+Equal subtrees within one parse are one object: a proof line's repeated
+numerals are built once.  Nodes compare by value, so nothing may rely on
+two equal nodes being distinct objects.
 """
 
 from __future__ import annotations
@@ -584,10 +588,6 @@ def conj(a: Formula, b: Formula) -> Formula:
     return Not(Implies(a, Not(b)))
 
 
-def disj(a: Formula, b: Formula) -> Formula:
-    return Implies(Not(a), b)
-
-
 def iff(a: Formula, b: Formula) -> Formula:
     return conj(Implies(a, b), Implies(b, a))
 
@@ -686,12 +686,23 @@ class _ParseError(Exception):
         self.index = index
 
 
+def _too_deep(index: int) -> _ParseError:
+    return _ParseError(f"nesting deeper than {MAX_NESTING} levels", index)
+
+
 # Token kinds that occur in formulas but never in terms.
 _FORMULA_ONLY = frozenset(("=", "!", "->", "&", "|", "forall", "exists"))
 
 
 class _Parser:
-    __slots__ = ("text", "toks", "kinds", "formula_groups", "i", "depth", "arities")
+    """Recursive descent over one text.  Every node it builds other than ZERO
+    is looked up first in `share`, keyed by its constructor (a function
+    application by its symbol, a variable by its bare name), its payload and
+    the ids of its children, so equal subtrees of one parse are one object.
+    The table keeps every node it keys alive, so those ids stay valid; it
+    lives only as long as the parser."""
+
+    __slots__ = ("text", "toks", "kinds", "formula_groups", "i", "depth", "arities", "share")
 
     def __init__(self, text: str, deffn_arities: dict[str, int] | None):
         self.text = text
@@ -700,6 +711,7 @@ class _Parser:
         self.i = 0
         self.depth = 0
         self.arities = DEFFN_ARITIES if deffn_arities is None else deffn_arities
+        self.share: dict = {}
 
     def parse(self, rule) -> Term | Formula:
         """Run `rule` over the whole input."""
@@ -717,7 +729,7 @@ class _Parser:
         """Enter one nesting level at token `index`."""
         depth = self.depth + 1
         if depth > MAX_NESTING:
-            raise _ParseError(f"nesting deeper than {MAX_NESTING} levels", index)
+            raise _too_deep(index)
         self.depth = depth
 
     def opens_formula(self, i: int) -> bool:
@@ -771,7 +783,8 @@ class _Parser:
             self.i += 1
             b = self.formula()
             self.depth -= 1
-            return Implies(a, b)
+            key = (Implies, id(a), id(b))
+            return self.share.get(key) or self.share.setdefault(key, Implies(a, b))
         return a
 
     def disjunct(self) -> Formula:
@@ -781,7 +794,8 @@ class _Parser:
             while self.kinds[self.i] == "|":
                 self.nest(self.i)
                 self.i += 1
-                a = disj(a, self.conjunct())
+                b = self.conjunct()
+                a = self.shared(Implies, self.shared(Not, a), b)
             self.depth = depth
         return a
 
@@ -792,9 +806,16 @@ class _Parser:
             while self.kinds[self.i] == "&":
                 self.nest(self.i)
                 self.i += 1
-                a = conj(a, self.unary())
+                b = self.unary()
+                a = self.shared(Not, self.shared(Implies, a, self.shared(Not, b)))
             self.depth = depth
         return a
+
+    def shared(self, ctor, *parts) -> Formula:
+        """The table's node for `ctor(*parts)`, for the abbreviations; the
+        grammar's own construction sites inline the same lookup."""
+        key = (ctor, *[p if type(p) is str else id(p) for p in parts])
+        return self.share.get(key) or self.share.setdefault(key, ctor(*parts))
 
     def unary(self) -> Formula:
         i = self.i
@@ -802,7 +823,9 @@ class _Parser:
         if k == "!":
             self.nest(i)
             self.i = i + 1
-            f: Formula = Not(self.unary())
+            body = self.unary()
+            key = (Not, id(body))
+            f: Formula = self.share.get(key) or self.share.setdefault(key, Not(body))
         elif k == "forall" or k == "exists":
             self.nest(i)
             if self.kinds[i + 1] == "<=":
@@ -812,7 +835,11 @@ class _Parser:
                 self.i = i + 1
                 v = self.variable()
                 body = self.unary()
-                f = ForAll(v, body) if k == "forall" else exists(v, body)
+                if k == "forall":
+                    key = (ForAll, v, id(body))
+                    f = self.share.get(key) or self.share.setdefault(key, ForAll(v, body))
+                else:
+                    f = self.shared(Not, self.shared(ForAll, v, self.shared(Not, body)))
         else:
             return self.atom_or_group()
         self.depth -= 1
@@ -823,7 +850,9 @@ class _Parser:
         bound = self.bound_term()
         if v in term_variables(bound):
             raise _ParseError(f"bound of {ctor.__name__} mentions its own variable {v!r}", self.i)
-        return ctor(v, bound, self.unary())
+        body = self.unary()
+        key = (ctor, v, id(bound), id(body))
+        return self.share.get(key) or self.share.setdefault(key, ctor(v, bound, body))
 
     def atom_or_group(self) -> Formula:
         # "(" opens a parenthesized formula or a parenthesized term of an atom
@@ -843,30 +872,49 @@ class _Parser:
         if self.kinds[i] != "=":
             raise self.found("'='", i)
         self.i = i + 1
-        return Eq(left, self.term())
+        right = self.term()
+        key = (Eq, id(left), id(right))
+        return self.share.get(key) or self.share.setdefault(key, Eq(left, right))
 
     # -- terms
 
     def term(self) -> Term:
-        a = self.term_mul()
-        if self.kinds[self.i] == "+":
+        a = self.term_primary()
+        k = self.kinds[self.i]
+        return self.term_rest(a) if k == "*" or k == "+" else a
+
+    def term_rest(self, a: Term) -> Term:
+        """The term whose first factor is `a`, already read: the rest of its
+        product, then any "+" operands."""
+        kinds = self.kinds
+        share = self.share
+        if kinds[self.i] == "*":
+            a = self.product_rest(a)
+        if kinds[self.i] == "+":
             depth = self.depth
-            while self.kinds[self.i] == "+":
+            while kinds[self.i] == "+":
                 self.nest(self.i)
                 self.i += 1
-                a = Plus(a, self.term_mul())
+                b = self.term_primary()
+                if kinds[self.i] == "*":
+                    b = self.product_rest(b)
+                key = (Plus, id(a), id(b))
+                a = share.get(key) or share.setdefault(key, Plus(a, b))
             self.depth = depth
         return a
 
-    def term_mul(self) -> Term:
-        a = self.term_primary()
-        if self.kinds[self.i] == "*":
-            depth = self.depth
-            while self.kinds[self.i] == "*":
-                self.nest(self.i)
-                self.i += 1
-                a = Times(a, self.term_primary())
-            self.depth = depth
+    def product_rest(self, a: Term) -> Term:
+        """The product whose first factor is `a`, already read."""
+        kinds = self.kinds
+        share = self.share
+        depth = self.depth
+        while kinds[self.i] == "*":
+            self.nest(self.i)
+            self.i += 1
+            b = self.term_primary()
+            key = (Times, id(a), id(b))
+            a = share.get(key) or share.setdefault(key, Times(a, b))
+        self.depth = depth
         return a
 
     def bound_term(self) -> Term:
@@ -874,60 +922,131 @@ class _Parser:
         # identifier before "(" is the bound variable's limit, not a function
         # application — unless the name is a registered function symbol.
         i = self.i
-        if self.kinds[i] == _IDENT and self.toks[i] not in self.arities:
+        name = self.toks[i]
+        if self.kinds[i] == _IDENT and name not in self.arities:
             self.i = i + 1
-            return Var(self.toks[i])
+            return self.share.get(name) or self.share.setdefault(name, Var(name))
         return self.term_primary()
 
     def term_primary(self) -> Term:
+        """A factor: 0 and variables here, runs of one-argument heads in
+        head_run, anything else in factor."""
         i = self.i
-        k = self.kinds[i]
+        kinds = self.kinds
+        k = kinds[i]
         if k == "0":
             self.i = i + 1
             return ZERO
+        if k == _IDENT and kinds[i + 1] != "(":
+            name = self.toks[i]
+            if name in self.arities:
+                raise _ParseError(f"{name!r} is a function symbol, not a variable", i)
+            self.i = i + 1
+            return self.share.get(name) or self.share.setdefault(name, Var(name))
+        if (k == "S" or k == _IDENT and self.arities.get(self.toks[i]) == 1) and kinds[i + 1] == "(":
+            return self.head_run()
+        return self.factor()
+
+    def head_run(self) -> Term:
+        """A run of one-argument heads, S( and f( for an f of arity 1, read
+        in a loop: enter every level, read the innermost factor, then close
+        the levels from the inside out, finishing each level's argument term
+        where an operator follows it.  Nesting is counted and errors are
+        raised as if each level were read by its own call."""
+        kinds = self.kinds
+        toks = self.toks
+        arities = self.arities
+        share = self.share
+        i = first = self.i
+        depth = self.depth
+        k = kinds[i]
+        while (k == "S" or k == _IDENT and arities.get(toks[i]) == 1) and kinds[i + 1] == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise _too_deep(i)
+            i += 2
+            k = kinds[i]
+        heads = range(i - 2, first - 1, -2)  # token index of each head, innermost first
+        self.i = i
+        self.depth = depth
+        t = self.term_primary()
+        i = self.i
+        # i and depth are kept in locals here, and handed over around calls
+        for h in heads:
+            k = kinds[i]
+            if k == "*" or k == "+":
+                self.i = i
+                self.depth = depth
+                t = self.term_rest(t)
+                i = self.i
+                k = kinds[i]
+            if k != ")":
+                if kinds[h] == "S":
+                    raise _ParseError("expected ')'", i)
+                self.i = i
+                self.depth = depth
+                t = self.arguments(h, t)
+                i = self.i
+                depth = self.depth
+                continue
+            i += 1
+            depth -= 1
+            if kinds[h] == "S":
+                key = (Succ, id(t))
+                t = share.get(key) or share.setdefault(key, Succ(t))
+            else:
+                key = (toks[h], id(t))
+                t = share.get(key) or share.setdefault(key, DefFn(toks[h], (t,)))
+        self.i = i
+        self.depth = depth
+        return t
+
+    def factor(self) -> Term:
+        """A factor other than 0, a variable or a run of one-argument heads:
+        a parenthesized term, an application of another arity, or an error."""
+        i = self.i
+        k = self.kinds[i]
         if k == "S":
             self.nest(i)
-            if self.kinds[i + 1] != "(":
-                raise _ParseError("expected '('", i + 1)
-            self.i = i + 2
-            t: Term = Succ(self.term())
-        elif k == _IDENT:
-            name = self.toks[i]
-            arities = self.arities
-            if self.kinds[i + 1] != "(":
-                if name in arities:
-                    raise _ParseError(f"{name!r} is a function symbol, not a variable", i)
-                self.i = i + 1
-                return Var(name)
+            raise _ParseError("expected '('", i + 1)
+        if k == _IDENT:
             self.nest(i)
             self.i = i + 2
-            args = [self.term()]
-            j = self.i
-            while self.kinds[j] == ",":
-                self.i = j + 1
-                args.append(self.term())
-                j = self.i
-            if self.kinds[j] != ")":
-                raise _ParseError("expected ')'", j)
-            self.i = j + 1
-            if name not in arities:
-                raise _ParseError(f"unknown function symbol {name!r}", i)
-            if arities[name] != len(args):
-                raise _ParseError(f"{name!r} expects {arities[name]} arguments, got {len(args)}", i)
-            self.depth -= 1
-            return DefFn(name, tuple(args))
-        elif k == "(":
-            self.nest(i)
-            self.i = i + 1
-            t = self.term()
-        else:
+            return self.arguments(i, self.term())
+        if k != "(":
             raise self.found("a term", i)
+        self.nest(i)
+        self.i = i + 1
+        t = self.term()
         i = self.i
         if self.kinds[i] != ")":
             raise _ParseError("expected ')'", i)
         self.i = i + 1
         self.depth -= 1
         return t
+
+    def arguments(self, i: int, first: Term) -> Term:
+        """The application whose head is token i and whose first argument
+        has been read: the remaining arguments, the ")" and the checks of
+        the symbol and its arity, in that order."""
+        args = [first]
+        j = self.i
+        while self.kinds[j] == ",":
+            self.i = j + 1
+            args.append(self.term())
+            j = self.i
+        if self.kinds[j] != ")":
+            raise _ParseError("expected ')'", j)
+        self.i = j + 1
+        name = self.toks[i]
+        arities = self.arities
+        if name not in arities:
+            raise _ParseError(f"unknown function symbol {name!r}", i)
+        if arities[name] != len(args):
+            raise _ParseError(f"{name!r} expects {arities[name]} arguments, got {len(args)}", i)
+        self.depth -= 1
+        key = (name, *map(id, args))
+        return self.share.get(key) or self.share.setdefault(key, DefFn(name, tuple(args)))
 
 
 def parse_formula(text: str, deffn_arities: dict[str, int] | None = None) -> Formula:

@@ -1,5 +1,6 @@
-"""Process-wide settings have one owner: no module reads the environment, and
-only `syntax` touches the recursion limit."""
+"""Process-wide settings have one owner: no module reads the environment,
+only `syntax` touches the recursion limit, and none switches the garbage
+collector."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,16 @@ def test_only_syntax_sets_the_recursion_limit():
         and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "setrecursionlimit"
     ]
     assert calls == ["syntax.py"]
+
+
+def test_no_module_calls_into_the_garbage_collector():
+    # the collector's cost is kept down by allocating less (the parser shares
+    # equal subtrees), not by gc.disable, gc.freeze or gc.set_threshold
+    users = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        imports = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+        names = [name for name in _dotted_names(tree) if name.startswith("gc.")]
+        if "gc" in imports or names:
+            users[path.name] = names
+    assert users == {}

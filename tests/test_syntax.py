@@ -28,6 +28,7 @@ from proofforge.syntax import (
     Times,
     Var,
     ZERO,
+    build_flat_key,
     formula_size,
     free_variables,
     is_delta0,
@@ -113,6 +114,8 @@ def test_term_print_parse_round_trip_bulk():
         "exists<= p S(S(0)) (p = 0)",
         "x * (y + S(0)) = y -> y = x",
         "forall x (forall<= y x (exists<= z y (z + y = x)))",
+        # a closed run of one-argument heads followed by * and then +
+        "S(dbl(S(0)) * S(0)) + 0 = 0",
     ],
     ids=lambda s: s.replace(" ", ""),
 )
@@ -255,6 +258,13 @@ PARSE_ERRORS = [
     ("0 -> 0 = 0", "expected '=', found '->'", 2),
     ("0 = 0 )", "trailing input ')'", 6),
     ("0 = 0 0", "trailing input '0'", 6),
+    # inside runs of one-argument heads: extra arguments are read before the
+    # arity check, and an operator after a closed level continues its term
+    ("dbl(dbl(0, 0)) = 0", "'dbl' expects 1 arguments, got 2", 4),
+    ("S(0, 0) = 0", "expected ')'", 3),
+    ("S(dbl(0) + ) = 0", "expected a term, found ')'", 11),
+    ("dbl(S(dbl(0)) = 0", "expected ')'", 14),
+    ("dbl(sub(0)) = 0", "'sub' expects 2 arguments, got 1", 4),
     # the biconditional is not part of the input language
     ("0 = 0 <-> 0 = 0", "unexpected character '<'", 5),
 ]
@@ -277,6 +287,19 @@ def test_nesting_cap_is_inclusive():
     assert info.value.pos == 2 * MAX_NESTING
 
 
+def test_nesting_cap_is_inclusive_on_mixed_heads():
+    half = MAX_NESTING // 2
+    text = "dbl(S(" * half + "0" + "))" * half
+    expected = ZERO
+    for _ in range(half):
+        expected = DefFn("dbl", (Succ(expected),))
+    assert parse_term(text) == expected
+    with pytest.raises(SyntaxErrorWithPos) as info:
+        parse_term("S(" + text + ")")
+    # the cap is crossed at the innermost S
+    assert str(info.value) == f"nesting deeper than {MAX_NESTING} levels (at offset {6 * half})"
+
+
 def test_nested_term_parentheses_parse_in_linear_time():
     # each "(" is read once, not first as a formula and again as a term
     text = "(" * MAX_NESTING + "0" + ")" * MAX_NESTING + " = 0"
@@ -291,6 +314,48 @@ def test_x_equals_zero_certificate_is_pinned():
     text = print_proof_text(proof)
     assert hashlib.sha256(text.encode()).hexdigest() == "f62341eb0821c7990ed7a71921b33b6a27328d980e9b1ddadfdcc7db9b52c0cf"
     assert parse_proof_text(text, theory.arities()) == proof
+
+
+def _children(x) -> list:
+    names = ("arg", "left", "right", "body", "antecedent", "consequent", "bound")
+    return [getattr(x, n) for n in names if hasattr(x, n)] + list(getattr(x, "args", ()))
+
+
+def _distinct_nodes(root) -> list:
+    """Every node object reachable from root, each once, children first."""
+    seen = {}
+    stack = [(root, False)]
+    while stack:
+        x, done = stack.pop()
+        if done:
+            seen[id(x)] = x
+        elif id(x) not in seen:
+            stack.append((x, True))
+            stack.extend((c, False) for c in _children(x))
+    return list(seen.values())
+
+
+def test_a_parse_builds_each_distinct_subtree_once():
+    theory = standard_theory()
+    proof = diagonalize(theory, parse_formula("x = 0")).equivalence
+    text = print_proof_text(proof)
+    parsed = parse_proof_text(text, theory.arities())
+    assert parsed == proof
+    objects = nodes = 0
+    for line in parsed.lines:
+        distinct = _distinct_nodes(line.formula)
+        # flat keys are equal exactly when trees are: one object per key
+        assert len(distinct) == len({build_flat_key(x) for x in distinct})
+        size = {}
+        for x in distinct:
+            size[id(x)] = 1 + sum(size[id(c)] for c in _children(x))
+        objects += len(distinct)
+        nodes += size[id(line.formula)]
+    # node objects, against the nodes of the lines' trees counted with repetition
+    assert (objects, nodes) == (14_800, 96_004)
+    f = parse_formula("S(x) + S(x) = dbl(S(x)) -> S(x) + S(x) = dbl(S(x))")
+    assert f.antecedent is f.consequent
+    assert f.antecedent.left.left is f.antecedent.left.right is f.antecedent.right.args[0]
 
 
 _DEEP_PRINT = """
