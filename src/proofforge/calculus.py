@@ -46,7 +46,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .syntax import (
     ZERO,
@@ -231,12 +231,19 @@ class EvalBudget:
 
 @dataclass(frozen=True)
 class DefExtension:
-    """A definitional function symbol: total evaluator plus its defining story."""
+    """A definitional function symbol: total evaluator plus its defining story.
+
+    `support(c, bound)`, where a binary symbol has one, yields in increasing
+    order every p <= bound at which `evaluator(p, c)` can be nonzero; it may
+    yield more, never fewer.  `goedel.eval_delta0` sweeps only these points
+    in a bounded exists whose body is `symbol(p, c) = r` with r nonzero.
+    """
 
     symbol: str
     arity: int
     evaluator: Callable[..., int]
     description: str
+    support: Callable[[int, int], Iterator[int]] | None = None
 
 
 @dataclass(frozen=True)

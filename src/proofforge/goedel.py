@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 from . import syntax
 from .calculus import (
@@ -71,6 +72,7 @@ from .syntax import (
     numeral,
     print_formula,
     substitute,
+    term_variables,
 )
 from .verifier import verify
 
@@ -477,6 +479,72 @@ def _make_prft(cell: dict) -> object:
     return prover
 
 
+# What `_TokenReader` reads: for each slot ("f" a formula, "t" a term, "v" a
+# variable, "" between two lines), the tokens that may fill it and the slots
+# each opens, in reading order.  A prime may follow a variable or a prime.
+_OPENS = {
+    "f": {"=": "tt", "!": "f", "->": "ff", "forall": "vf", "forall<=": "vtf", "exists<=": "vtf"},
+    "t": {"0": "", "S": "t", "+": "tt", "*": "tt", **{v: "" for v in VAR_POOL}, **{s: "t" * DEFFN_ARITIES[s] for s in _DEFFN_NAMES}},
+    "v": {v: "" for v in VAR_POOL},
+    "": {";": "f"},
+}
+_FEWEST_TOKENS = {"f": 3, "t": 1, "v": 1}
+
+
+def _line_prefixes(k: int) -> Iterator[int]:
+    """Codes of the k-token strings that are one or more whole lines joined
+    by separators, as `decode_proof` reads them, in increasing order."""
+
+    def walk(code: int, pending: str, primed: bool, left: int) -> Iterator[int]:
+        # `pending` holds the slots still to read, the next one last
+        if not left:
+            if not pending:
+                yield code
+            return
+        opens = _OPENS[pending[-1:]]
+        for tid in range(1, BASE):
+            tok = ID_TOKENS[tid]
+            if tok == "'" and primed:
+                rest = pending
+            elif tok in opens:
+                rest = pending[:-1] + opens[tok][::-1]
+            else:
+                continue
+            if sum(_FEWEST_TOKENS[s] for s in rest) < left:
+                yield from walk(code * BASE + tid, rest, tok in _VAR_IDS or tok == "'", left - 1)
+
+    return walk(0, "f", False, k)
+
+
+def proof_candidates(c: int, bound: int) -> Iterator[int]:
+    """Every p <= bound at which prft(p, c) can be 1, in increasing order.
+
+    The evaluator accepts only codes whose digits after the last separator
+    are c's, so the candidates are c itself and `prefix ; c` for each prefix
+    of whole lines; a longer code is always the larger, so prefixes go by
+    token count, and within one count in token order.
+    """
+    target = _cached_digits(c)
+    if target is None or SEP_ID in target or c > bound:
+        return
+    try:
+        decode_formula(c)
+    except CodingError:
+        return
+    yield c
+    shift = BASE ** (len(target) + 1)
+    tail = SEP_ID * BASE ** len(target) + c
+    k = 1
+    # a k-token prefix has a nonzero leading digit, so its code is >= 44**(k-1)
+    while BASE ** (k - 1) * shift + tail <= bound:
+        for prefix in _line_prefixes(k):
+            p = prefix * shift + tail
+            if p > bound:
+                return
+            yield p
+        k += 1
+
+
 def base_registry() -> dict[str, DefExtension]:
     """The definitional symbols shared by every theory (no provability)."""
     return {
@@ -497,7 +565,9 @@ def _theory_with_prover(name: str, symbol: str, *, extra_axioms: tuple = (), bas
     """Build a theory whose `symbol` tests provability in the theory itself."""
     cell: dict = {}
     exts = dict(base.def_extensions) if base is not None else base_registry()
-    exts[symbol] = DefExtension(symbol, 2, _make_prft(cell), f"{symbol}(p,c) = 1 if p codes a proof of the formula coded by c")
+    exts[symbol] = DefExtension(
+        symbol, 2, _make_prft(cell), f"{symbol}(p,c) = 1 if p codes a proof of the formula coded by c", support=proof_candidates
+    )
     spec = TheorySpec(
         name=name,
         extra_axioms=(base.extra_axioms if base is not None else ()) + extra_axioms,
@@ -552,6 +622,24 @@ def _as_budget(budget: EvalBudget | int | None) -> EvalBudget:
     return budget
 
 
+def _exists_points(
+    theory: TheorySpec, var: str, body: Formula, n: int, b: EvalBudget, scope: dict[str, int], memo: dict[int, int]
+) -> Iterable[int]:
+    """The values of `var` up to n at which `exists<= var n body` needs a
+    look: the support when the prune of `eval_delta0` applies, else all."""
+    match body:
+        case Eq(DefFn(sym, (Var(v), t)), r) if v == var:
+            ext = theory.def_extensions.get(sym)
+            if (
+                ext is not None
+                and ext.support is not None
+                and var not in term_variables(t) | term_variables(r)
+                and _eval_term(theory, r, b, scope, memo) != 0
+            ):
+                return ext.support(_eval_term(theory, t, b, scope, memo), n)
+    return range(n + 1)
+
+
 def eval_delta0(
     theory: TheorySpec,
     f: Formula,
@@ -565,9 +653,17 @@ def eval_delta0(
     and one memo for the whole call: every variable-free subterm, such as
     the numeral inside `prft(p, N)`, is evaluated once and costs nothing
     afterwards, so sweeping a bounded quantifier over a large range stays
-    close to the cost of the varying parts.  Budget counts the nodes
-    evaluated (memo hits are free), the formula nodes visited and the
-    quantifier steps; EvalBudgetExceeded propagates.
+    close to the cost of the varying parts.
+
+    A bounded exists over p whose body is `sym(p, t) = r` skips the values
+    of p at which sym is surely 0, when `sym` has a `support` (see
+    `DefExtension`), p occurs in neither t nor r, and r evaluates to a
+    nonzero value: it then visits only `support(value of t, bound)`, the
+    codes of the right shape for `prft`.  With r = 0 the body holds at every
+    other p, so that sweep, like every other, visits the whole range.
+
+    Budget counts the nodes evaluated (memo hits are free), the formula
+    nodes visited and the quantifier steps; EvalBudgetExceeded propagates.
     """
     b = _as_budget(budget)
     scope: dict[str, int] = dict(env) if env else {}
@@ -593,7 +689,7 @@ def eval_delta0(
                 n = _eval_term(theory, bound, b, scope, memo)
                 saved = scope.get(var)
                 try:
-                    for i in range(n + 1):
+                    for i in _exists_points(theory, var, body, n, b, scope, memo) if stop else range(n + 1):
                         b.charge()
                         scope[var] = i
                         if ev(body) is stop:

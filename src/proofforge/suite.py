@@ -33,10 +33,14 @@ from .corpus import (
     random_delta0_single_var,
 )
 from .goedel import (
+    BASE,
     THEORIES,
     con_bounded,
     diagonalize,
+    encode_formula,
     eval_delta0,
+    goedel_sentence_bounded,
+    proof_candidates,
     refutation_target,
 )
 from .propositional import (
@@ -201,13 +205,16 @@ def criterion_5_bounded_consistency(cfg: cfgmod.RunConfig) -> CriterionResult:
     enum_budget = 10
     refutation = enumerate_proofs(th, refutation_target(), enum_budget)
     enum_ok = refutation.outcome == "none" and refutation.definitive
-    eval_cap = 4
-    # the m=4 point sweeps every candidate code below bnd(4); give the
-    # evaluator room for all ~3.7M of them
+    eval_cap = 8
+    # the sweep visits only the codes that end in the refutation target:
+    # none below m = 4, the target itself up to m = 7, and at m = 8 also
+    # every 3-token line followed by a separator
     truths = {
         m: bool(eval_delta0(th, con_bounded(th, m, numeral_mode=cfg.numeral_mode), budget=10**10))
         for m in range(1, eval_cap + 1)
     }
+    target = encode_formula(refutation_target())
+    candidates = {m: sum(1 for _ in proof_candidates(target, BASE**m - 1)) for m in truths}
     all_true = all(truths.values())
     # downward monotonicity: consistency at m forces consistency below m
     monotone = all(truths[m] or not truths[m + 1] for m in range(1, eval_cap))
@@ -224,6 +231,7 @@ def criterion_5_bounded_consistency(cfg: cfgmod.RunConfig) -> CriterionResult:
             "enumeration_outcome": refutation.outcome,
             "enumeration_nodes": refutation.nodes,
             "evaluated": {str(m): truths[m] for m in truths},
+            "candidates": {str(m): candidates[m] for m in candidates},
             "monotone": monotone,
             "sizes": {str(m): sizes[m] for m in sizes},
             "growth_bound": f"size <= {c}*log2(m) + {c0}",
@@ -387,7 +395,21 @@ def criterion_9_witness(cfg: cfgmod.RunConfig) -> CriterionResult:
             in_level = k
             witness_lines = len(mk.proof.lines) if mk.proof is not None else None
             break
-    passed = truth and out_of_l1 and in_level is not None
+    # G_m says "no proof of me has at most m tokens"; it has 120 tokens for
+    # m = 64..127, so these m leave room for a separator and 0..3 tokens of
+    # lines before it
+    goedel_rows = []
+    for m in range(121, 125):
+        g = goedel_sentence_bounded(th, m)
+        goedel_rows.append(
+            {
+                "m": m,
+                "tokens": formula_size(g.sentence),
+                "candidates": sum(1 for _ in proof_candidates(g.code, BASE**m - 1)),
+                "eval_true": eval_delta0(th, g.sentence, budget=10**9),
+            }
+        )
+    passed = truth and out_of_l1 and in_level is not None and all(row["eval_true"] for row in goedel_rows)
     return CriterionResult(
         9,
         "true but not cheaply provable",
@@ -398,6 +420,7 @@ def criterion_9_witness(cfg: cfgmod.RunConfig) -> CriterionResult:
             "level_1": {"member": m1.member, "definitive": m1.definitive, "outcome": m1.outcome},
             "member_at_level": in_level,
             "witness_proof_lines": witness_lines,
+            "goedel_sentences": goedel_rows,
         },
     )
 

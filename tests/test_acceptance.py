@@ -57,6 +57,9 @@ def test_criterion_4_fixed_points():
 def test_criterion_5_bounded_consistency():
     r = run(criterion_5_bounded_consistency)
     assert r.details["monotone"] is True
+    assert list(r.details["evaluated"]) == [str(m) for m in range(1, 9)]
+    # 0, 0, 0, then the target alone, then 17 * 17 lines `a = b` before it
+    assert list(r.details["candidates"].values()) == [0, 0, 0, 1, 1, 1, 1, 290]
 
 
 def test_criterion_6_regeneration_chain():
@@ -81,3 +84,10 @@ def test_criterion_9_language_witness():
     assert r.details["eval_true"] is True
     assert r.details["level_1"] == {"member": False, "definitive": True, "outcome": "none"}
     assert r.details["member_at_level"] >= 2
+    rows = r.details["goedel_sentences"]
+    assert [(row["m"], row["tokens"], row["candidates"], row["eval_true"]) for row in rows] == [
+        (121, 120, 1, True),
+        (122, 120, 1, True),
+        (123, 120, 1, True),
+        (124, 120, 290, True),
+    ]

@@ -148,6 +148,14 @@ def test_con_prints_statement_and_verdict(capsys):
     assert "con(2):" in out and "size: 32" in out and "eval: true" in out
 
 
+def test_con_evaluates_past_the_brute_force_range(capsys):
+    # a sweep of every code up to bnd(8) would visit 44**8 of them
+    start = time.perf_counter()
+    assert cli.main(["con", "q", "--m", "8"]) == 0
+    assert time.perf_counter() - start < 30
+    assert "eval: true" in capsys.readouterr().out
+
+
 def test_con_no_eval_skips_the_sweep(capsys):
     assert cli.main(["con", "q", "--m", "64", "--no-eval"]) == 0
     assert "eval" not in capsys.readouterr().out

@@ -1,12 +1,16 @@
 """Codes, the arithmetized substitution/diagonal operators, and eval_delta0."""
 
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
-from proofforge.calculus import EvalBudget, EvalBudgetExceeded, eval_term_in
+from proofforge.calculus import EvalBudget, EvalBudgetExceeded, Proof, ProofLine, eval_term_in
 from proofforge.corpus import diagonal_shapes, random_delta0_sentence
 from proofforge.goedel import (
+    BASE,
+    ID_TOKENS,
     CodingError,
     binary_numeral,
     code_to_tokens,
@@ -19,6 +23,7 @@ from proofforge.goedel import (
     eval_delta0,
     goedel_sentence_bounded,
     make_numeral,
+    proof_candidates,
     provability_formula,
     refutation_target,
     standard_theory,
@@ -32,8 +37,10 @@ from proofforge.syntax import (
     Eq,
     Not,
     Plus,
+    Succ,
     Times,
     Var,
+    ZERO,
     formula_size,
     numeral,
     numeral_value,
@@ -183,23 +190,129 @@ def test_eval_shares_a_closed_node_between_a_bound_and_an_open_term():
     assert [eval_delta0(Q, s) for s in sentences] == [sentence_truth(s) for s in sentences] == [True, False, True, True]
 
 
-# work of the con_bounded sweeps; `before` is the count when every visit of a
+def _without_support(theory):
+    """The same theory with the prft sweep left unpruned."""
+    exts = dict(theory.def_extensions)
+    exts["prft"] = replace(exts["prft"], support=None)
+    return replace(theory, def_extensions=exts)
+
+
+# work of the con_bounded sweeps.  `used` visits only the codes that can pass
+# prft's filter; `brute` sweeps every code up to bnd(m) (the counts before
+# the sweep was pruned); `before` is the brute count when every visit of a
 # closed node cost one unit, an upper bound that memo hits may only lower
+CON_WORK = [
+    (1, "binary", 132, 615, 706),
+    (2, "binary", 139, 23_240, 27_115),
+    (3, "binary", 140, 1_094_242, 1_264_613),
+    (1, "unary", 128, 611, 702),
+    (2, "unary", 130, 23_231, 27_106),
+    (3, "unary", 132, 1_094_234, 1_264_605),
+]
+
+
 @pytest.mark.parametrize(
-    "m, mode, used, before",
-    [
-        (1, "binary", 615, 706),
-        (2, "binary", 23_240, 27_115),
-        (3, "binary", 1_094_242, 1_264_613),
-        (1, "unary", 611, 702),
-        (2, "unary", 23_231, 27_106),
-        (3, "unary", 1_094_234, 1_264_605),
-    ],
+    "m, mode, used, brute, before", CON_WORK, ids=[f"{m}-{mode}-{brute}-{before}" for m, mode, _, brute, before in CON_WORK]
 )
-def test_con_bounded_eval_work_is_pinned(m, mode, used, before):
+def test_con_bounded_eval_work_is_pinned(m, mode, used, brute, before):
+    sentence = con_bounded(Q, m, numeral_mode=mode)
     budget = EvalBudget(10**10)
-    assert eval_delta0(Q, con_bounded(Q, m, numeral_mode=mode), budget=budget) is True
-    assert budget.used == used <= before
+    assert eval_delta0(Q, sentence, budget=budget) is True
+    assert budget.used == used <= brute <= before
+    swept = EvalBudget(10**10)
+    assert eval_delta0(_without_support(Q), sentence, budget=swept) is True
+    assert swept.used == brute
+
+
+# --- the pruned provability sweep ----------------------------------------------
+
+
+@pytest.mark.parametrize("target", ["!(0 = 0)", "0 = 0", "S(0) = 0"])
+def test_pruned_sweep_matches_a_naive_loop(target):
+    c = encode_formula(parse_formula(target))
+    top = BASE**3 - 1
+    # the naive loop: prft at every code up to bnd(3), through eval_term_in
+    naive = DefFn("prft", (Var("p"), Var("c")))
+    values = [eval_term_in(Q, naive, EvalBudget(10**9), env={"p": p, "c": c}) for p in range(top + 1)]
+    prft = DefFn("prft", (Var("p"), binary_numeral(c)))
+    hits = [p for p, v in enumerate(values) if v]
+    assert set(hits) <= set(proof_candidates(c, top))
+    for bound in (BASE - 1, BASE**2 - 1, top, c - 1, c, c + 1, 50_000):
+        sentence = BoundedExists("p", binary_numeral(bound), Eq(prft, Succ(ZERO)))
+        want = any(v == 1 for v in values[: bound + 1])
+        assert eval_delta0(Q, sentence) is want, (target, bound)
+    assert eval_delta0(Q, provability_formula(Q, 3, var="x"), env={"x": c}) is bool(hits)
+    # 0 = 0 is its own one-line proof: provable within 3 tokens, not within 2
+    assert hits == ([c] if target == "0 = 0" else [])
+
+
+def test_proof_candidates_are_exactly_the_decodable_codes():
+    c = encode_formula(parse_formula("0 = 0"))
+    tail = code_to_tokens(c)
+    candidates = list(proof_candidates(c, BASE ** (3 + 1 + len(tail)) - 1))
+    assert candidates == sorted(candidates) and candidates[0] == c
+    brute = [c]
+    for k in (1, 2, 3):
+        for digits in itertools.product(range(1, BASE), repeat=k):
+            p = tokens_to_code([ID_TOKENS[d] for d in digits] + [";"] + tail)
+            try:
+                decode_proof(p)
+            except CodingError:
+                continue
+            brute.append(p)
+    assert candidates == brute
+    assert len(candidates) == 1 + 17 * 17  # `a = b` over 0 and the 16 variables
+    for bound in (brute[100] - 1, brute[100], brute[100] + 1):
+        assert list(proof_candidates(c, bound)) == [p for p in brute if p <= bound]
+
+
+def test_proof_candidates_include_primed_variables_and_longer_lines():
+    c = encode_formula(parse_formula("0 = 0"))
+    tail = (ProofLine(parse_formula("0 = 0")),)
+    upto_four = list(proof_candidates(c, BASE**8 - 1))
+    upto_five = set(proof_candidates(c, BASE**9 - 1))
+    for text in ("x' = 0", "0 = y'", "!(x = x)", "dbl(x) = 0", "x + 0 = 0", "pair(0, x) = 0", "forall x (x = x)", "!!(0 = 0)"):
+        code = encode_proof(Proof((ProofLine(parse_formula(text)),) + tail))
+        assert code in upto_five, text
+    for p in upto_four:
+        decode_proof(p)
+    # 4 tokens: `! a = b`, and `= a b` with one side a 2-token term: S t, a
+    # primed variable or one of the 7 one-argument symbols applied to t
+    assert len(upto_four) == 1 + 17 * 17 + 17 * 17 + 2 * 17 * (17 + 16 + 7 * 17)
+
+
+def test_proof_candidates_reject_non_formula_targets():
+    for bad in (0, tokens_to_code(["0"]), tokens_to_code(["=", "0", "0", ";", "=", "0", "0"])):
+        assert list(proof_candidates(bad, BASE**8 - 1)) == []
+    c = encode_formula(parse_formula("0 = 0"))
+    assert list(proof_candidates(c, c - 1)) == []
+
+
+def test_sweep_is_not_pruned_when_its_variable_occurs_in_the_equation():
+    c = binary_numeral(encode_formula(parse_formula("0 = 0")))
+    p = Var("p")
+    for body in (
+        Eq(DefFn("prft", (p, p)), Succ(ZERO)),
+        Eq(DefFn("prft", (p, Plus(c, Times(p, ZERO)))), Succ(ZERO)),
+        Eq(DefFn("prft", (p, c)), DefFn("le", (p, p))),
+    ):
+        sentence = BoundedExists("p", DefFn("bnd", (numeral(3),)), body)
+        budget, swept = EvalBudget(10**9), EvalBudget(10**9)
+        assert eval_delta0(Q, sentence, budget=budget) is eval_delta0(_without_support(Q), sentence, budget=swept)
+        assert budget.used == swept.used
+
+
+def test_sweep_for_a_zero_right_side_is_not_pruned():
+    # with r = 0 the body holds wherever prft rejects, e.g. at p = 0; at the
+    # bound c the only candidate is c, a proof, so a pruned sweep would say false
+    c = encode_formula(parse_formula("0 = 0"))
+    prft_is_zero = Eq(DefFn("prft", (Var("p"), binary_numeral(c))), ZERO)
+    for bound in (DefFn("bnd", (numeral(7),)), binary_numeral(c)):
+        sentence = BoundedExists("p", bound, prft_is_zero)
+        budget, swept = EvalBudget(), EvalBudget()
+        assert eval_delta0(Q, sentence, budget=budget) is True
+        assert eval_delta0(_without_support(Q), sentence, budget=swept) is True
+        assert budget.used == swept.used
 
 
 # --- fixed points ---------------------------------------------------------------
