@@ -68,6 +68,7 @@ from .syntax import (
     formula_size,
     free_variables,
     is_sentence,
+    node_count,
     parse_formula,
     parse_term,
     print_formula,
@@ -84,10 +85,12 @@ class Cost:
     """Mutable counter for deterministic work measures.
 
     symbol_comparisons counts syntax nodes compared, in the right-first
-    preorder of eq_formulas up to and including the first mismatch; eq_lines
-    counts the same nodes from flat keys.  lines_scanned and pair_searches
-    count the earlier lines find_rule_justification looks at, singly and as
-    modus ponens antecedents."""
+    preorder of eq_formulas up to and including the first mismatch.  The
+    count is the walk's whatever the shortcut: a subtree compared with
+    itself (one object, as shared nodes are) costs its node_count without a
+    walk, and eq_lines counts mismatches from flat keys.  lines_scanned and
+    pair_searches count the earlier lines find_rule_justification looks at,
+    singly and as modus ponens antecedents."""
 
     __slots__ = ("symbol_comparisons", "lines_scanned", "pair_searches")
 
@@ -97,14 +100,22 @@ class Cost:
         self.pair_searches = 0
 
 
-_NULL_COST = Cost()  # shared sink when the caller does not measure
+# shared sink when the caller does not measure; a pair of one object adds
+# nothing to it, so an unmeasured check never counts a subtree's nodes
+_NULL_COST = Cost()
 
 
 def eq_terms(a: Term, b: Term, cost: Cost = _NULL_COST) -> bool:
-    """Structural equality with early exit, counting node comparisons."""
+    """Structural equality with early exit, counting node comparisons.  A
+    pair of one object is equal without a walk and costs the nodes the walk
+    would have compared, its node count."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
+        if x is y:
+            if cost is not _NULL_COST:
+                cost.symbol_comparisons += node_count(x)
+            continue
         cost.symbol_comparisons += 1
         if type(x) is not type(y):
             return False
@@ -127,9 +138,14 @@ def eq_terms(a: Term, b: Term, cost: Cost = _NULL_COST) -> bool:
 
 
 def eq_formulas(a: Formula, b: Formula, cost: Cost = _NULL_COST) -> bool:
+    """eq_terms for formulas, with the same counts."""
     stack: list[tuple] = [(a, b)]
     while stack:
         x, y = stack.pop()
+        if x is y:
+            if cost is not _NULL_COST:
+                cost.symbol_comparisons += node_count(x)
+            continue
         cost.symbol_comparisons += 1
         if type(x) is not type(y):
             return False
@@ -184,12 +200,17 @@ def _common_prefix_length(a: str, b: str) -> int:
 def eq_lines(a: Formula, b: Formula, cost: Cost = _NULL_COST) -> bool:
     """eq_formulas on flat keys, for comparing proof lines and their parts.
 
-    The verdict and the count are eq_formulas': a match compares every node
-    (the key's length), a mismatch stops at the first differing node (the
-    common prefix plus one).  Roots of different types or quantifier
+    The verdict and the count are eq_formulas': one object is equal to
+    itself at the cost of its node count; otherwise a match compares every
+    node (the key's length), a mismatch stops at the first differing node
+    (the common prefix plus one).  Roots of different types or quantifier
     variables cost one comparison and build no key; other keys are built
     once and cached on their nodes, so rescanning a line is one string
     comparison.  A tree without a key is compared structurally."""
+    if a is b:
+        if cost is not _NULL_COST:
+            cost.symbol_comparisons += node_count(a)
+        return True
     cls = type(a)
     if cls is not type(b) or (cls is ForAll or cls is BoundedForAll or cls is BoundedExists) and a.var != b.var:
         cost.symbol_comparisons += 1
@@ -935,7 +956,7 @@ _GEN_RE = re.compile(r"GEN (\d+) ([a-z][a-z0-9']*)")
 _BGEN_RE = re.compile(r"BGEN (\d+) ([a-z][a-z0-9']*) (.*)")
 
 
-def _parse_justification(text: str, arities: dict[str, int] | None) -> Justification | None:
+def _parse_justification(text: str, arities: dict[str, int] | None, share: dict) -> Justification | None:
     text = text.strip()
     if text == "?":
         return None
@@ -948,7 +969,7 @@ def _parse_justification(text: str, arities: dict[str, int] | None) -> Justifica
         return ComputeJust(value=int(m.group(1)))
     m = _TERM_AXIOM_RE.fullmatch(text)
     if m:
-        return AxiomJust(m.group(1), term=parse_term(m.group(2), arities))
+        return AxiomJust(m.group(1), term=parse_term(m.group(2), arities, share))
     m = _QAX_RE.fullmatch(text)
     if m:
         return AxiomJust("QAX", index=int(m.group(1)))
@@ -963,12 +984,15 @@ def _parse_justification(text: str, arities: dict[str, int] | None) -> Justifica
         return GenJust(int(m.group(1)) - 1, m.group(2))
     m = _BGEN_RE.fullmatch(text)
     if m:
-        return BGenJust(int(m.group(1)) - 1, m.group(2), parse_term(m.group(3), arities))
+        return BGenJust(int(m.group(1)) - 1, m.group(2), parse_term(m.group(3), arities, share))
     raise ValueError(f"unparsable justification {text!r}")
 
 
 def parse_proof_text(text: str, deffn_arities: dict[str, int] | None = None) -> Proof:
-    """Parse the proof text format; raises ValueError with the offending line."""
+    """Parse the proof text format; raises ValueError with the offending line.
+    One share table serves the whole text, so equal subtrees are one object
+    across its lines and their justification terms."""
+    share: dict = {}
     lines: list[ProofLine] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -980,8 +1004,8 @@ def parse_proof_text(text: str, deffn_arities: dict[str, int] | None = None) -> 
         if idx != len(lines) + 1:
             raise ValueError(f"proof line {lineno}: index {idx} out of order (expected {len(lines) + 1})")
         try:
-            formula = parse_formula(m.group(2), deffn_arities)
-            just = _parse_justification(m.group(3), deffn_arities)
+            formula = parse_formula(m.group(2), deffn_arities, share)
+            just = _parse_justification(m.group(3), deffn_arities, share)
         except ValueError as e:
             raise ValueError(f"proof line {lineno}: {e}") from e
         lines.append(ProofLine(formula, just))

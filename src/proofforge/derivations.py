@@ -6,6 +6,12 @@ once.  Each combinator returns the 0-based index of its conclusion line.
 Every added axiom line is matched against its schema eagerly, so a bug in a
 template raises at construction time rather than at verification time.
 
+A Builder owns one share table (see `syntax.share_tree`).  Every formula
+and justification term passes through it before its schema check, so equal
+subtrees of the whole proof are one object: the matchers compare them by
+identity, a line is found again by the id of its formula, and modus
+ponens checks its premise with `is`.  The table dies with the Builder.
+
 The centerpiece is `lift`: given closed terms s and u with the same value,
 it derives  phi[x:=s] -> phi[x:=u]  by structural recursion — EQSUBST at
 atoms, contraposition under negation, monotone composition under
@@ -38,9 +44,9 @@ from .syntax import (
     Implies,
     Not,
     Term,
-    build_flat_key,
     free_variables,
     print_formula,
+    share_tree,
     substitute,
     substitute_term,
     term_variables,
@@ -57,33 +63,36 @@ class Builder:
     def __init__(self, theory: TheorySpec):
         self.theory = theory
         self._lines: list[ProofLine] = []
-        self._index: dict[str | Formula, int] = {}
+        self._share: dict = {}  # the share table of every formula and term of the proof
+        self._index: dict[int, int] = {}  # id of a line's formula -> the line
 
     # -- line-level primitives ------------------------------------------------
 
     def _add(self, f: Formula, just: Justification) -> int:
-        key = build_flat_key(f) or f  # the formula itself once the key table is full
-        existing = self._index.get(key)
+        """Append f unless it is a line already; f is the table's node."""
+        existing = self._index.get(id(f))
         if existing is not None:
             return existing
         self._lines.append(ProofLine(f, just))
         idx = len(self._lines) - 1
-        self._index[key] = idx
+        self._index[id(f)] = idx
         return idx
 
     def formula_at(self, i: int) -> Formula:
         return self._lines[i].formula
 
     def axiom(self, schema: str, f: Formula, index: int | None = None, term: Term | None = None) -> int:
+        f = share_tree(f, self._share)
         just = match_schema(self.theory, schema, f, index=index)
         if just is None:
             raise DerivationError(f"not an instance of {schema}: {print_formula(f)}")
         if term is not None and schema in ("Q1", "EQREFL"):
             # the caller's instantiation: Q1 holds for any t when x is not free
-            just = AxiomJust(schema, term=term)
+            just = AxiomJust(schema, term=share_tree(term, self._share))
         return self._add(f, just)
 
     def compute(self, f: Formula) -> int:
+        f = share_tree(f, self._share)
         just = match_schema(self.theory, "COMPUTE", f)
         if just is None:
             raise DerivationError(f"Compute line is not a true closed equation: {print_formula(f)}")
@@ -93,15 +102,17 @@ class Builder:
         big = self.formula_at(i_impl)
         if not isinstance(big, Implies):
             raise DerivationError(f"line {i_impl} is not an implication")
-        if big.antecedent != self.formula_at(i_ant):
+        # lines are the table's nodes, so equal parts of them are one object
+        if big.antecedent is not self.formula_at(i_ant):
             raise DerivationError("modus ponens premise mismatch")
         return self._add(big.consequent, MPJust(i_impl, i_ant))
 
     def gen(self, i: int, var: str) -> int:
-        return self._add(ForAll(var, self.formula_at(i)), GenJust(i, var))
+        return self._add(share_tree(ForAll(var, self.formula_at(i)), self._share), GenJust(i, var))
 
     def bgen(self, i: int, var: str, bound: Term) -> int:
-        return self._add(BoundedForAll(var, bound, self.formula_at(i)), BGenJust(i, var, bound))
+        f = share_tree(BoundedForAll(var, bound, self.formula_at(i)), self._share)
+        return self._add(f, BGenJust(i, var, f.bound))
 
     def proof(self, conclusion_index: int) -> Proof:
         """Finish, making the conclusion the last line (re-stating it if needed)."""

@@ -30,9 +30,15 @@ Operator binding, loosest to tightest:  ->  (right associative), then
 | then & (parse-time sugar, left associative), then ! / quantifiers,
 then atoms.  In terms, * binds tighter than +; both are left associative.
 
-Equal subtrees within one parse are one object: a proof line's repeated
-numerals are built once.  Nodes compare by value, so nothing may rely on
-two equal nodes being distinct objects.
+Equal subtrees within one proof text or Builder are one object: the
+parser and `share_tree` key every node through a share table, which
+`calculus.parse_proof_text` keeps for a whole text and a
+`derivations.Builder` for its whole proof.  A numeral repeated from line
+to line is then built once, and comparing it with itself is an identity
+test (`calculus.eq_terms` charges its cached `node_count`).  A table dies
+with its parse or Builder; none is module-wide, so the lru-cached pools of
+`bounded` are never interned.  Nodes still compare by value, so nothing may
+rely on two equal nodes being distinct objects, nor on them being one.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import count, repeat
+from operator import is_ as _is
 from typing import Iterator, Union
 
 # ---------------------------------------------------------------------------
@@ -482,7 +489,10 @@ _payload_codes: dict[tuple, str] = {}  # (type, payload) of DefFn and the quanti
 _issued = count(7)
 
 for _cls in _TERM_TYPES | _FORMULA_TYPES:
-    _cls._k = None  # flat_key's cache; a node's own value is set with object.__setattr__
+    # per-node caches of flat_key and node_count; a node's own values are
+    # set with object.__setattr__
+    _cls._k = None
+    _cls._n = None
 
 
 def _new_code(table: dict, payload) -> str:
@@ -577,6 +587,146 @@ def build_flat_key(root: Term | Formula) -> str:
             return ""
         emit(c)
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# Shared nodes
+# ---------------------------------------------------------------------------
+
+# A share table makes equal subtrees one object.  It is a dict that maps
+#   * a variable's name to the table's Var of that name;
+#   * (constructor, payload, ids of the children) to the node built from
+#     them, where a function application's constructor is its symbol and a
+#     quantifier's payload is its variable; Zero is always ZERO;
+#   * the id of a node to the node, for the nodes share_tree has handed
+#     out, and the id of a root share_tree was given to the table's node
+#     equal to it, with (id,) of that root to the root, which keeps it alive.
+# Every id among its keys belongs to a node the table keeps alive (or to
+# ZERO), so no id is reused while the table lives.  The parser and
+# share_tree key nodes alike, and a table serves one proof text or one
+# derivation: no table is module-wide.
+
+
+def _children(x: Term | Formula) -> tuple:
+    cls = type(x)
+    if cls is Succ:
+        return (x.arg,)
+    if cls is DefFn:
+        return x.args
+    if cls is Plus or cls is Times or cls is Eq:
+        return (x.left, x.right)
+    if cls is Implies:
+        return (x.antecedent, x.consequent)
+    if cls is Not or cls is ForAll:
+        return (x.body,)
+    if cls is BoundedForAll or cls is BoundedExists:
+        return (x.bound, x.body)
+    if cls is Var or cls is Zero:
+        return ()
+    raise TypeError(f"not a term or formula: {x!r}")
+
+
+def node_count(root: Term | Formula) -> int:
+    """The number of nodes of a tree, a shared subtree counted at each of its
+    occurrences: the length of its flat key, and what a structural walk of
+    two equal trees compares.  Counted without recursion and cached on every
+    node counted, so a shared tree costs one step per distinct node."""
+    n = root._n
+    if n is not None:
+        return n
+    stack = [root]
+    while stack:
+        x = stack[-1]
+        parts = _children(x)
+        todo = [p for p in parts if p._n is None]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        object.__setattr__(x, "_n", 1 + sum(p._n for p in parts))
+    return root._n
+
+
+def share_tree(root: Term | Formula, table: dict) -> Term | Formula:
+    """The table's node equal to `root`, entering the subtrees it lacks.  A
+    node whose children are the table's enters as it is; any other is
+    rebuilt on the table's children.  The table remembers the id of every
+    node it hands out and of `root`, so sharing a subtree already shared, or
+    a tree handed in before, is one lookup.  Walks without recursion: a node
+    stays on the stack until its children are the table's, and one met
+    twice is looked up in the table the second time."""
+    get = table.get
+    got = get(id(root))
+    if got is not None:
+        return got
+    memo: dict[int, Term | Formula] = {}  # id of a node of this walk the table lacks -> the table's node
+    mget = memo.get
+    stack = [root]
+    push = stack.append
+    while stack:
+        x = stack[-1]
+        cls = type(x)
+        if cls is Succ or cls is Not:
+            a = x.arg if cls is Succ else x.body
+            ia = id(a)
+            ca = get(ia) or mget(ia)
+            if ca is None:
+                push(a)
+                continue
+            key = (cls, id(ca))
+            got = get(key)
+            if got is None:
+                got = x if ca is a else cls(ca)
+                table[key] = table[id(got)] = got
+        elif cls is Plus or cls is Times or cls is Eq or cls is Implies:
+            a, b = (x.antecedent, x.consequent) if cls is Implies else (x.left, x.right)
+            ia, ib = id(a), id(b)
+            ca = get(ia) or mget(ia)
+            cb = get(ib) or mget(ib)
+            if ca is None or cb is None:
+                if ca is None:
+                    push(a)
+                if cb is None:
+                    push(b)
+                continue
+            key = (cls, id(ca), id(cb))
+            got = get(key)
+            if got is None:
+                got = x if ca is a and cb is b else cls(ca, cb)
+                table[key] = table[id(got)] = got
+        elif cls is Var:
+            got = get(x.name)
+            if got is None:
+                got = table[x.name] = x
+        elif cls is Zero:
+            got = ZERO
+        else:
+            parts = _children(x)
+            shared = [get(id(p)) or mget(id(p)) for p in parts]
+            if None in shared:
+                stack += [p for p, q in zip(parts, shared) if q is None]
+                continue
+            ids = map(id, shared)
+            key = (x.symbol, *ids) if cls is DefFn else (cls, x.var, *ids)
+            got = get(key)
+            if got is None:
+                if all(map(_is, shared, parts)):
+                    got = x
+                elif cls is DefFn:
+                    got = DefFn(x.symbol, tuple(shared))
+                else:
+                    got = cls(x.var, *shared)
+                table[key] = table[id(got)] = got
+        stack.pop()
+        if got is x:
+            table[id(x)] = x
+        else:
+            memo[id(x)] = got
+    got = get(id(root)) or memo[id(root)]
+    if got is not root:
+        table[id(root)] = got
+        table[(id(root),)] = root
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -696,22 +846,20 @@ _FORMULA_ONLY = frozenset(("=", "!", "->", "&", "|", "forall", "exists"))
 
 class _Parser:
     """Recursive descent over one text.  Every node it builds other than ZERO
-    is looked up first in `share`, keyed by its constructor (a function
-    application by its symbol, a variable by its bare name), its payload and
-    the ids of its children, so equal subtrees of one parse are one object.
-    The table keeps every node it keys alive, so those ids stay valid; it
-    lives only as long as the parser."""
+    is looked up first in the share table `share` (see share_tree), so equal
+    subtrees are one object: within the text, and across every text parsed
+    with the same table."""
 
     __slots__ = ("text", "toks", "kinds", "formula_groups", "i", "depth", "arities", "share")
 
-    def __init__(self, text: str, deffn_arities: dict[str, int] | None):
+    def __init__(self, text: str, deffn_arities: dict[str, int] | None, share: dict | None):
         self.text = text
         self.toks, self.kinds = _tokenize(text)
         self.formula_groups: set[int] = set()  # "(" indices known to open a formula
         self.i = 0
         self.depth = 0
         self.arities = DEFFN_ARITIES if deffn_arities is None else deffn_arities
-        self.share: dict = {}
+        self.share: dict = {} if share is None else share
 
     def parse(self, rule) -> Term | Formula:
         """Run `rule` over the whole input."""
@@ -1049,16 +1197,17 @@ class _Parser:
         return self.share.get(key) or self.share.setdefault(key, DefFn(name, tuple(args)))
 
 
-def parse_formula(text: str, deffn_arities: dict[str, int] | None = None) -> Formula:
+def parse_formula(text: str, deffn_arities: dict[str, int] | None = None, share: dict | None = None) -> Formula:
     """Parse a formula; raises SyntaxErrorWithPos with an offset on bad input.
     Function symbols and their arities come from `deffn_arities`, by default
-    DEFFN_ARITIES."""
-    p = _Parser(text, deffn_arities)
+    DEFFN_ARITIES.  Nodes are shared through the share table `share`, by
+    default one for this text alone."""
+    p = _Parser(text, deffn_arities, share)
     return p.parse(p.formula)
 
 
-def parse_term(text: str, deffn_arities: dict[str, int] | None = None) -> Term:
-    p = _Parser(text, deffn_arities)
+def parse_term(text: str, deffn_arities: dict[str, int] | None = None, share: dict | None = None) -> Term:
+    p = _Parser(text, deffn_arities, share)
     return p.parse(p.term)
 
 

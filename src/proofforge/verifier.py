@@ -19,12 +19,18 @@ measured separately and carries no determinism guarantee.
 `symbol_comparisons` counts syntax nodes compared: two trees are compared
 node by node in a right-first preorder (the consequent before the
 antecedent, the right operand before the left) until the first mismatch,
-which is counted too.  Whole lines and their parts (the conclusion, modus
-ponens premises, generalization sources) are compared by calculus.eq_lines
+which is counted too.  The count is the walk's, but the walk is mostly not
+taken.  A parsed proof text, or a Builder's proof, holds each distinct
+subtree once (see `syntax`), so equal parts are one object, and a pair of
+one object costs its cached node count without a walk.  Whole lines and
+their parts (the conclusion, modus ponens premises, generalization
+sources) that are not one object are compared by calculus.eq_lines
 through flat keys, strings with one character per node in that order,
 built once per node and cached on it: a match costs the key's length, a
 mismatch the common prefix plus one, exactly the nodes the walk would have
-compared.  Schema matchers walk the trees.
+compared.  Schema matchers walk the trees and skip every pair of one
+object.  A proof built by hand, with no shared nodes, is checked by the
+walks alone, to the same counts.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from proofforge.calculus import (
     check_stored_proof,
     eq_formulas,
     eq_lines,
+    eq_terms,
     eval_term_in,
     match_schema,
     parse_proof_text,
@@ -44,7 +45,9 @@ from proofforge.syntax import (
     Not,
     Plus,
     Succ,
+    Times,
     Var,
+    Zero,
     exists,
     flat_key,
     numeral,
@@ -427,11 +430,177 @@ def test_a_full_key_table_falls_back_to_the_structural_walk(monkeypatch):
     a, b = Eq(v, ZERO), Eq(v, Succ(ZERO))
     assert flat_key(a) == "" and flat_key(Eq(ZERO, ZERO)) != ""
     _assert_agrees([(a, b), (a, _fresh(a)), (Implies(a, b), Implies(a, _fresh(b))), (Implies(a, a), Implies(b, a))])
-    # the Builder then dedups such a line by the formula itself
+    # the Builder dedups such a line too: it finds a line by the id of its
+    # shared formula, not by its key
     builder = Builder(Q)
     first = builder.axiom("EQREFL", Eq(v, v))
     assert builder.axiom("EQREFL", Eq(Var(v.name), Var(v.name))) == first
     assert builder.axiom("EQREFL", Eq(ZERO, ZERO)) == first + 1
+
+
+# --- shared nodes and identity-first equality ---------------------------------
+
+_TERM_TYPES = (Var, Zero, Succ, Plus, Times, DefFn)
+
+
+def _assert_identity_agrees(pairs, copies=None):
+    """eq_terms, eq_formulas and eq_lines give pairs that share objects the
+    verdicts and symbol_comparisons of the walk over fresh copies, which
+    share none (`copies`, where a copy cannot be made by recursion)."""
+    __tracebackhide__ = True  # a failure must not print the pairs: repr recurses
+    if copies is None:
+        fresh = {}
+        for x in (x for pair in pairs for x in pair if id(x) not in fresh):
+            fresh[id(x)] = _fresh(x)
+        copies = [(fresh[id(a)], fresh[id(b)]) for a, b in pairs]
+    for n, ((a, b), (fa, fb)) in enumerate(zip(pairs, copies)):
+        walk = Cost()
+        term = type(a) in _TERM_TYPES
+        verdict = (eq_terms if term else eq_formulas)(fa, fb, walk)
+        for eq in (eq_terms,) if term else (eq_formulas, eq_lines):
+            shared = Cost()
+            same = eq(a, b, shared)  # not in the assert, whose message would print the trees
+            assert same is verdict, (n, eq.__name__)
+            assert shared.symbol_comparisons == walk.symbol_comparisons, (n, eq.__name__)
+
+
+def _with_terms(formulas):
+    """The formulas, their parts and the two sides of every atom among them."""
+    out = _with_parts(formulas)
+    return out + [side for f in out if isinstance(f, Eq) for side in (f.left, f.right)]
+
+
+def _copies(roots):
+    """Equal trees of new objects, one per root, sharing among themselves what
+    the roots share, built without recursion."""
+    made = {}
+    stack = list(roots)
+    while stack:
+        x = stack[-1]
+        if id(x) in made:
+            stack.pop()
+            continue
+        values = [getattr(x, f.name) for f in fields(x)]
+        parts = [p for v in values for p in (v if isinstance(v, tuple) else (v,)) if not isinstance(p, str)]
+        todo = [p for p in parts if id(p) not in made]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        new = [tuple(made[id(p)] for p in v) if isinstance(v, tuple) else v if isinstance(v, str) else made[id(v)] for v in values]
+        made[id(x)] = type(x)(*new)
+    return [made[id(r)] for r in roots]
+
+
+def _line_pairs(rng, formulas, n):
+    """Pairs of nodes of the lines, their parts and their atoms' sides, which
+    share objects: every distinct node with itself and n random pairs of
+    terms and of formulas.  Then the same pairs taken from two fresh copies
+    of the lines."""
+    nodes = _with_terms(formulas)
+    copies = [_with_terms(_copies(formulas)) for _ in range(2)]
+    first = sorted({id(x): i for i, x in reversed(list(enumerate(nodes)))}.values())
+    at = [(i, i) for i in first]
+    for group in ([i for i in first if type(nodes[i]) in _TERM_TYPES], [i for i in first if type(nodes[i]) not in _TERM_TYPES]):
+        at += [(rng.choice(group), rng.choice(group)) for _ in range(n if group else 0)]
+    return [(nodes[i], nodes[j]) for i, j in at], [(copies[0][i], copies[1][j]) for i, j in at]
+
+
+def test_identity_first_equality_agrees_with_the_walk_on_the_derived_corpus():
+    rng = random.Random(777)
+    for sample in derived_theorem_corpus(Q, rng, 40):
+        _assert_identity_agrees(*_line_pairs(rng, [ln.formula for ln in sample.proof.lines], 200))
+
+
+def test_identity_first_equality_agrees_with_the_walk_on_certificates():
+    rng = random.Random(6)
+    theory = standard_theory()
+    for shape in ("x = 0", "!(x = 0)"):
+        built = diagonalize(theory, parse_formula(shape)).equivalence
+        parsed = parse_proof_text(print_proof_text(built), theory.arities())
+        for proof in (built, parsed):
+            _assert_identity_agrees(*_line_pairs(rng, [ln.formula for ln in proof.lines], 300))
+        # the two proofs hold equal lines as different objects
+        lines = [[ln.formula for ln in proof.lines] for proof in (built, parsed)]
+        _assert_identity_agrees(list(zip(*lines)), list(zip(*map(_copies, lines))))
+
+
+def test_identity_first_equality_counts_a_mismatch_below_a_shared_prefix():
+    s, x = numeral(300), Var("x")
+    one, two = Succ(ZERO), Succ(Succ(ZERO))
+    atom = Eq(s, s)
+    pairs = [
+        # the consequents are one object, the antecedents part at their last node
+        (Implies(Eq(s, ZERO), atom), Implies(Eq(s, one), atom)),
+        # the consequents part first: the shared antecedent is never reached
+        (Implies(atom, Eq(s, ZERO)), Implies(atom, Eq(s, one))),
+        (Eq(Plus(s, ZERO), s), Eq(Plus(s, one), s)),
+        (Eq(Plus(one, s), s), Eq(Plus(two, s), s)),
+        (Eq(Times(s, two), x), Eq(Times(s, two), Var("y"))),
+        (Eq(DefFn("pair", (s, x)), s), Eq(DefFn("pair", (s, ZERO)), s)),
+        (Eq(DefFn("pair", (x, s)), s), Eq(DefFn("pair", (ZERO, s)), s)),
+        (BoundedForAll("z", s, atom), BoundedForAll("z", s, Eq(s, one))),
+        (BoundedExists("z", s, atom), BoundedExists("z", Succ(s), atom)),
+        (ForAll("z", Not(atom)), ForAll("z", Not(Eq(s, Succ(s))))),
+        (Not(Implies(atom, atom)), Not(Implies(atom, Eq(Succ(s), s)))),
+        (s, Succ(s)),
+        (Plus(s, s), Plus(s, Succ(s))),
+    ]
+    _assert_identity_agrees(pairs + [(b, a) for a, b in pairs])
+
+
+def test_identity_first_equality_with_a_full_key_table(monkeypatch):
+    monkeypatch.setattr(syntax, "KEY_CODES", 0)
+    v = Var("another name first seen while the table is full")
+    s = numeral(40)
+    a, b = Eq(Plus(v, s), s), Eq(Plus(v, s), Succ(s))
+    assert flat_key(a) == "" == flat_key(b)
+    pairs = [(a, a), (a, b), (Implies(a, b), Implies(a, a)), (Implies(b, a), Implies(a, a)), (Not(a), Not(a))]
+    _assert_identity_agrees(pairs + [(q, p) for p, q in pairs])
+
+
+def test_identity_first_equality_on_deep_chains():
+    # the copies are built apart, down to their zeros, so that the walk over
+    # them meets no pair of one object
+    def wrap(ctor, n, node):
+        for _ in range(n):
+            node = ctor(node)
+        return node
+
+    deep = wrap(Succ, 50_000, ZERO)
+    a, b = (wrap(Succ, 50_000, Zero()) for _ in range(2))
+    _assert_identity_agrees(
+        [(deep, deep), (Succ(deep), deep), (Eq(deep, ZERO), Eq(deep, ZERO)), (Eq(ZERO, deep), Eq(ZERO, Succ(deep)))],
+        [(a, b), (Succ(a), b), (Eq(a, Zero()), Eq(b, Zero())), (Eq(Zero(), a), Eq(Zero(), Succ(b)))],
+    )
+    atom = Eq(ZERO, ZERO)
+    chain = wrap(Not, 20_000, atom)
+    wrong = wrap(Not, 20_000, Eq(ZERO, Succ(ZERO)))
+    x, y = (wrap(Not, 20_000, Eq(Zero(), Zero())) for _ in range(2))
+    z = wrap(Not, 20_000, Eq(Zero(), Succ(Zero())))
+    _assert_identity_agrees(
+        [(chain, chain), (Implies(chain, atom), Implies(chain, atom)), (Implies(atom, chain), Implies(atom, wrong))],
+        [(x, y), (Implies(x, Eq(Zero(), Zero())), Implies(y, Eq(Zero(), Zero()))), (Implies(Eq(Zero(), Zero()), x), Implies(Eq(Zero(), Zero()), z))],
+    )
+
+
+def test_builder_gives_equal_formulas_one_line():
+    builder = Builder(Q)
+    f = parse_formula("S(0) + S(0) = S(S(0))")
+    first = builder.compute(f)
+    assert builder.compute(parse_formula("S(0) + S(0) = S(S(0))")) == first
+    assert builder.compute(_fresh(f)) == first
+    p1 = builder.axiom("P1", Implies(f, Implies(_fresh(f), f)))
+    assert builder.axiom("P1", _fresh(Implies(f, Implies(f, f)))) == p1
+    assert builder.mp(p1, first) == p1 + 1
+    # the lines hold one object per distinct subtree
+    line = builder.formula_at(p1)
+    assert line.antecedent is line.consequent.antecedent is line.consequent.consequent is builder.formula_at(first)
+    assert builder.formula_at(p1 + 1) is line.consequent
+    assert builder.axiom("EQREFL", Eq(f.left, _fresh(f.left)), term=_fresh(f.left)) == p1 + 2
+    proof = builder.proof(p1 + 2)
+    assert proof.lines[-1].justification.term is proof.lines[-1].formula.left is line.antecedent.left
+    assert check_stored_proof(Q, proof).ok
 
 
 def test_common_prefix_length_matches_a_scan():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import proofforge
-from proofforge.calculus import parse_proof_text, print_proof_text
+from proofforge.calculus import AxiomJust, MPJust, parse_proof_text, print_proof_text
 from proofforge.goedel import DEFFN_ARITIES, diagonalize, standard_theory
 from proofforge.syntax import (
     MAX_NESTING,
@@ -28,17 +28,20 @@ from proofforge.syntax import (
     Times,
     Var,
     ZERO,
+    Zero,
     build_flat_key,
     formula_size,
     free_variables,
     is_delta0,
     is_sentence,
+    node_count,
     numeral,
     numeral_value,
     parse_formula,
     parse_term,
     print_formula,
     print_term,
+    share_tree,
     substitute,
     term_size,
     term_variables,
@@ -321,10 +324,10 @@ def _children(x) -> list:
     return [getattr(x, n) for n in names if hasattr(x, n)] + list(getattr(x, "args", ()))
 
 
-def _distinct_nodes(root) -> list:
-    """Every node object reachable from root, each once, children first."""
+def _distinct_nodes(*roots) -> list:
+    """Every node object reachable from the roots, each once, children first."""
     seen = {}
-    stack = [(root, False)]
+    stack = [(root, False) for root in reversed(roots)]
     while stack:
         x, done = stack.pop()
         if done:
@@ -356,6 +359,109 @@ def test_a_parse_builds_each_distinct_subtree_once():
     f = parse_formula("S(x) + S(x) = dbl(S(x)) -> S(x) + S(x) = dbl(S(x))")
     assert f.antecedent is f.consequent
     assert f.antecedent.left.left is f.antecedent.left.right is f.antecedent.right.args[0]
+
+
+def _proof_roots(proof) -> list:
+    """The formulas of a proof's lines and the terms of their justifications."""
+    roots = []
+    for line in proof.lines:
+        roots.append(line.formula)
+        just = line.justification
+        roots += [t for t in (getattr(just, "term", None), getattr(just, "bound", None)) if t is not None]
+    return roots
+
+
+def test_a_proof_text_shares_each_distinct_subtree_across_its_lines():
+    theory = standard_theory()
+    proof = diagonalize(theory, parse_formula("x = 0")).equivalence
+    parsed = parse_proof_text(print_proof_text(proof), theory.arities())
+    distinct = _distinct_nodes(*_proof_roots(parsed))
+    # one object per flat key over the whole text: 260, where the lines,
+    # each shared on its own, hold 14,800
+    assert len(distinct) == len({build_flat_key(x) for x in distinct}) == 260
+    lines = parsed.lines
+    for line in lines:
+        just = line.justification
+        if isinstance(just, MPJust):
+            assert lines[just.implication].formula.antecedent is lines[just.antecedent].formula
+            assert lines[just.implication].formula.consequent is line.formula
+        elif isinstance(just, AxiomJust) and just.schema == "EQREFL":
+            assert just.term is line.formula.left is line.formula.right
+
+
+def test_a_derivation_shares_each_distinct_subtree_across_its_lines():
+    proof = diagonalize(standard_theory(), parse_formula("x = 0")).equivalence
+    distinct = _distinct_nodes(*_proof_roots(proof))
+    assert len(distinct) == len({build_flat_key(x) for x in distinct}) == 260
+
+
+def test_share_tree_enters_new_subtrees_and_finds_known_ones():
+    table: dict = {}
+    x = Var("x")
+    a = Eq(Plus(x, numeral(3)), Succ(Var("y")))
+    assert share_tree(a, table) is a  # nothing equal is known: a enters as it is
+    b = Eq(Plus(Var("x"), numeral(3)), Succ(Var("y")))
+    assert share_tree(b, table) is a
+    size = len(table)
+    assert share_tree(a, table) is a and share_tree(b, table) is a and len(table) == size
+    # a new node over known children enters as it is; one over copies is rebuilt
+    c = Implies(a, a)
+    assert share_tree(c, table) is c
+    d = share_tree(Implies(a, Eq(Plus(Var("x"), numeral(3)), Succ(Var("z")))), table)
+    assert d.antecedent is a and d.consequent.left is a.left and d.consequent.right.arg is not a.right.arg
+    assert share_tree(Zero(), table) is ZERO
+    # the parser keys nodes alike, so a table serves parses and built trees
+    assert parse_formula("x + S(S(S(0))) = S(y) -> x + S(S(S(0))) = S(z)", share=table) is d
+    assert parse_term("S(y)", share=table) is a.right
+    y = a.right.arg
+    for quantifier in (ForAll("x", a), BoundedForAll("x", y, a), BoundedExists("x", y, a)):
+        assert share_tree(quantifier, table) is quantifier
+    assert share_tree(BoundedExists("x", Var("y"), b), table) is quantifier
+    assert share_tree(BoundedExists("x'", y, a), table) is not quantifier
+    assert share_tree(BoundedForAll("x", ZERO, a), table) is not share_tree(BoundedForAll("x", y, a), table)
+    f = DefFn("pair", (x, ZERO))
+    assert share_tree(f, table) is f and share_tree(DefFn("pair", (Var("x"), Zero())), table) is f
+    assert share_tree(DefFn("pair", (ZERO, x)), table) is not f
+
+
+_DEEP_SHARING = """
+import sys
+
+from proofforge.syntax import ZERO, Eq, Not, Succ, build_flat_key, node_count, numeral, share_tree
+
+def negations(n):
+    f = Eq(ZERO, ZERO)
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+# a recursive walk of these trees would fail far below their depth
+sys.setrecursionlimit(200)
+deep = [numeral(50_000), negations(20_000), Eq(numeral(50_000), numeral(49_999))]
+for tree in deep:
+    assert node_count(tree) == len(build_flat_key(tree))
+table = {}
+assert share_tree(deep[0], table) is deep[0] and share_tree(deep[1], table) is deep[1]
+eq = share_tree(deep[2], table)
+assert eq.left is deep[0] and eq.right is deep[0].arg
+assert share_tree(numeral(50_000), table) is deep[0]
+print("ok")
+"""
+
+
+def test_node_count_and_share_tree_walk_deep_trees_without_recursion():
+    env = dict(os.environ, PYTHONPATH=str(Path(proofforge.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", _DEEP_SHARING], env=env, capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr[-2000:]
+
+
+def test_node_count_is_the_flat_key_length():
+    theory = standard_theory()
+    proof = diagonalize(theory, parse_formula("x = 0")).equivalence
+    nodes = _distinct_nodes(*_proof_roots(proof))
+    nodes += [parse_formula(t) for t in ("forall x forall y (x * S(y) = x * y + x)", "exists<= z S(x) pair(z, z) = 0")]
+    for x in nodes:
+        assert node_count(x) == len(build_flat_key(x))
 
 
 _DEEP_PRINT = """
