@@ -317,12 +317,13 @@ def cmd_prop_sp(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
             raise UsageError(f"unknown proof system {name!r} (choose from {sorted(_SYSTEMS)})")
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["system", "formula", "size", "s_p", "exceeds_cap", "cap"])
+    w.writerow(["system", "formula", "size", "s_p", "exceeds_cap", "cap", "nodes", "node_capped"])
     for name in names:
         system = _SYSTEMS[name]()
         for alpha in formulas:
             m = system.s_p(alpha, args.cap)
-            w.writerow([name, prop.print_prop(alpha), prop.prop_size(alpha), m.value if m.value is not None else "", m.exceeds_cap, m.cap])
+            value = m.value if m.value is not None else ""
+            w.writerow([name, prop.print_prop(alpha), prop.prop_size(alpha), value, m.exceeds_cap, m.cap, m.nodes, m.node_capped])
     _emit(args.csv or cfg.out, buf.getvalue())
     return EXIT_OK
 

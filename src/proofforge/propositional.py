@@ -109,14 +109,14 @@ def prop_vars(f: PropFormula) -> set[int]:
     stack = [f]
     while stack:
         g = stack.pop()
-        match g:
-            case PVar(i):
-                out.add(i)
-            case PNot(b):
-                stack.append(b)
-            case PAnd(a, b) | POr(a, b) | PImp(a, b):
-                stack.append(a)
-                stack.append(b)
+        t = type(g)
+        if t is PVar:
+            out.add(g.index)
+        elif t is PNot:
+            stack.append(g.body)
+        elif t is PAnd or t is POr or t is PImp:
+            stack.append(g.left)
+            stack.append(g.right)
     return out
 
 
@@ -828,94 +828,50 @@ def min_refutation_steps(cs: ClauseSet, cap: int, node_cap: int = 250_000) -> SP
     same resolvent counts once per pair and literal).  A node whose last
     clause is empty is a refutation; every node counts toward `node_cap`.
 
-    The search updates one derived list and one set in place, and keeps the
-    multiplicity of every pair resolvent of the derived list.  From those it
-    counts, without visiting them, the children of a node with one step
-    left and the children and grandchildren of a node with two steps left;
-    it visits them in order only where the empty clause is among them, so
-    the node count and the answer are those of a visit to every node.  For
-    the counts, the resolvents of each ordered pair of clauses are built
-    once per search.
+    The search walks that tree in that order, but walks the subtree below
+    a *set* of derived clauses once per depth: a subtree walked in full is
+    stored under the set's bitmask, in a table per depth, and a later child
+    with the same set adds the stored node count instead of being visited.
+    The count is exactly that of a visit to every node:
+    - the multiset of a node's children depends only on its set of derived
+      clauses: the inputs not yet derived, duplicates included, and one
+      resolvent per ordered pair and pivot.  So the size of a subtree with
+      no refutation depends only on the set and the steps left, and within
+      one depth the set's size fixes the steps left.
+    - a subtree that holds a refutation ends the search, so it is never
+      stored, and the path to the refutation is walked in the order above.
+    - counts only grow, so the node cap still fires at node cap + 1.
+    The tables live and die with one call.
     """
-    inputs = cs.clauses
-    empty: Clause = frozenset()
-    input_count: dict[Clause, int] = {}
-    for c in inputs:
-        input_count[c] = input_count.get(c, 0) + 1
+    entries: dict[Clause, tuple[int, Clause]] = {}  # clause -> (its bit, the clause)
+
+    def entry(c: Clause) -> tuple[int, Clause]:
+        e = entries.get(c)
+        if e is None:
+            e = entries[c] = (1 << len(entries), c)
+        return e
+
+    inputs = [entry(c) for c in cs.clauses]
+    pair_resolvents: dict[tuple[Clause, Clause], list[tuple[int, Clause]]] = {}
     derived: list[Clause] = []
-    have: set[Clause] = set()
-    pair_count: dict[Clause, int] = {}  # resolvent -> (i, j, l) triples giving it
-    pairs = 0  # sum of pair_count values
     nodes = 0
 
-    # clause -> (its positive literals, the negations of its negative ones);
-    # ci resolves with cj, pivot positive in ci, iff signs[ci][0] meets signs[cj][1]
-    signs: dict[Clause, tuple[frozenset[int], frozenset[int]]] = {}
-    pair_resolvents: dict[tuple[Clause, Clause], list[Clause]] = {}
-
-    def resolvents(ci: Clause, cj: Clause) -> list[Clause]:
-        """The resolvents of a resolving ordered pair, one per pivot."""
-        out = pair_resolvents.get((ci, cj))
-        if out is None:
-            out = pair_resolvents[ci, cj] = [(ci - {l}) | (cj - {-l}) for l in ci if l > 0 and -l in cj]
+    def children(mask: int) -> list[tuple[int, Clause]]:
+        """The current node's children, as (bit, clause), up to an empty one."""
+        # the pairs without the last clause got their resolvents when the
+        # parent's children were listed
+        if derived:
+            c = derived[-1]
+            for d in derived:
+                for ci, cj in ((d, c), (c, d)):
+                    if (ci, cj) not in pair_resolvents:
+                        pair_resolvents[ci, cj] = [entry((ci - {l}) | (cj - {-l})) for l in ci if l > 0 and -l in cj]
+        out = [e for e in inputs if not mask & e[0]]
+        out += [e for ci in derived for cj in derived for e in pair_resolvents[ci, cj] if not mask & e[0]]
+        empty = entries.get(frozenset())
+        if empty in out:
+            del out[out.index(empty) + 1:]
         return out
-
-    def resolvents_with(c: Clause) -> list[Clause]:
-        """The pair resolvents that deriving c adds: c with itself and with
-        every derived clause, on either side."""
-        sc = signs.get(c)
-        if sc is None:
-            sc = signs[c] = (frozenset(l for l in c if l > 0), frozenset(-l for l in c if l < 0))
-        pc, nc = sc
-        new = [] if pc.isdisjoint(nc) else resolvents(c, c)[:]
-        for d in derived:
-            pd, nd = signs[d]
-            if not pd.isdisjoint(nc):
-                new += resolvents(d, c)
-            if not pc.isdisjoint(nd):
-                new += resolvents(c, d)
-        return new
-
-    def push(c: Clause, new: list[Clause]) -> None:
-        nonlocal pairs
-        for r in new:
-            pair_count[r] = pair_count.get(r, 0) + 1
-        pairs += len(new)
-        derived.append(c)
-        have.add(c)
-
-    def pop(new: list[Clause]) -> None:
-        nonlocal pairs
-        have.remove(derived.pop())
-        for r in new:
-            k = pair_count[r] - 1
-            if k:
-                pair_count[r] = k
-            else:
-                del pair_count[r]
-        pairs -= len(new)
-
-    def children() -> Iterable[Clause]:
-        for c in inputs:
-            if c not in have:
-                yield c
-        n = len(derived)
-        for i in range(n):
-            ci = derived[i]
-            for j in range(n):
-                cj = derived[j]
-                for l in ci:
-                    if l > 0 and -l in cj:
-                        r = (ci - {l}) | (cj - {-l})
-                        if r not in have:
-                            yield r
-
-    def missing() -> int:
-        """The number of children of the current node."""
-        k = len(inputs) + pairs
-        for h in have:
-            k -= input_count.get(h, 0) + pair_count.get(h, 0)
-        return k
 
     def count(k: int) -> None:
         nonlocal nodes
@@ -923,44 +879,35 @@ def min_refutation_steps(cs: ClauseSet, cap: int, node_cap: int = 250_000) -> SP
         if nodes > node_cap:
             raise _NodeCapReached
 
-    def dfs(depth_left: int) -> bool:
-        count(1)
-        if derived and not derived[-1]:
-            return True
-        if depth_left == 0:
-            return False
-        no_empty = empty not in pair_count and empty not in input_count
-        if depth_left == 1 and no_empty:
-            count(missing())
-            return False
-        # with two steps left, a child whose own children hold no empty
-        # clause is counted with them instead of visited
-        counting = depth_left == 2 and no_empty
-        base = missing() if counting else 0
-        for c in children():
-            if depth_left == 1:
+    def below(mask: int, steps_left: int, done: dict[int, int]) -> bool:
+        """Count the nodes below the current one; True at a refutation."""
+        ks = children(mask)
+        if steps_left == 1:
+            count(len(ks))
+            return bool(ks) and not ks[-1][1]
+        for b, c in ks:
+            if not c:
                 count(1)
-                if not c:
-                    return True
+                return True
+            child = mask | b
+            size = done.get(child)
+            if size is not None:
+                count(size)
                 continue
-            new = resolvents_with(c)
-            if counting and c and empty not in new:
-                k = base - input_count.get(c, 0) - pair_count.get(c, 0) + len(new)
-                for r in new:
-                    if r in have or r == c:
-                        k -= 1
-                count(1 + k)
-                continue
-            push(c, new)
-            found = dfs(depth_left - 1)
-            pop(new)
+            start = nodes
+            count(1)
+            derived.append(c)
+            found = below(child, steps_left - 1, done)
+            derived.pop()
             if found:
                 return True
+            done[child] = nodes - start
         return False
 
     try:
         for depth in range(1, cap + 1):
-            if dfs(depth):
+            count(1)
+            if below(0, depth, {}):
                 return SPMeasure(depth, False, cap, nodes)
     except _NodeCapReached:
         return SPMeasure(None, True, cap, node_cap + 1, True)

@@ -329,10 +329,12 @@ def _with_parts(formulas):
 
 def _assert_agrees(pairs):
     """eq_lines gives eq_formulas' verdict and symbol_comparisons."""
+    __tracebackhide__ = True  # a failure must not print the pairs: repr recurses
     for n, (a, b) in enumerate(pairs):
         walk, keyed = Cost(), Cost()
         verdict = eq_formulas(a, b, walk)
-        assert eq_lines(a, b, keyed) is verdict, n
+        same = eq_lines(a, b, keyed)  # not in the assert, whose message would print the trees
+        assert same is verdict, n
         assert keyed.symbol_comparisons == walk.symbol_comparisons, n
 
 

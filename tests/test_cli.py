@@ -177,8 +177,18 @@ def test_prop_sp_emits_csv(tmp_path):
     out = tmp_path / "sp.csv"
     assert cli.main(["prop", "sp", "x0 | !x0", "--cap", "8", "--csv", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "system,formula,size,s_p,exceeds_cap,cap"
+    assert lines[0] == "system,formula,size,s_p,exceeds_cap,cap,nodes,node_capped"
     assert len(lines) == 3  # resolution + table rows
+
+
+def test_prop_sp_says_which_cap_ended_the_search(tmp_path):
+    out = tmp_path / "sp.csv"
+    assert cli.main(["prop", "sp", "x0 -> (x1 -> x0)", "--cap", "13", "--csv", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    # the node cap, not the step cap, ends the resolution search
+    assert rows[0] == "resolution,(x0 -> (x1 -> x0)),5,,True,13,250001,True"
+    # the table measure does not search
+    assert rows[1] == "table,(x0 -> (x1 -> x0)),5,12,False,13,0,False"
 
 
 def test_removed_proof_systems_are_usage_errors(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Clause sets, resolution checking, Tseitin, translations, and s_P measures."""
 
 import random
+import re
 import time
 
 import pytest
@@ -186,6 +187,15 @@ def test_tseitin_is_fast_on_deep_chains(op):
     cs = tseitin(f).clause_set
     assert time.perf_counter() - start < 2.0
     assert len(cs.clauses) == (0 if op is PNot else 3 * 4000) + 1
+
+
+def test_prop_vars_are_the_printed_variables():
+    rng = random.Random(8203)
+    formulas = [random_prop(rng, rng.randrange(0, 5)) for _ in range(200)]
+    formulas += [parse_prop("T"), parse_prop("x3 & !F"), parse_prop("(x0 -> T) | !(x7 & x0)")]
+    formulas += [translate_delta0(random_delta0_single_var(rng), "x", n) for n in (1, 3) for _ in range(10)]
+    for f in formulas:
+        assert prop_vars(f) == {int(i) for i in re.findall(r"x(\d+)", print_prop(f))}
 
 
 def test_tseitin_constant_folding():
@@ -572,6 +582,82 @@ def test_min_refutation_search_reports_what_ended_it():
     # measures that do not search keep the defaults
     tt = truth_table_system().s_p(parse_prop("x0 | !x0"), 100)
     assert (tt.nodes, tt.node_capped) == (0, False)
+
+
+def _assert_matches_the_reference(cs, cap, node_cap):
+    value, exceeds, nodes, hit = reference_min_refutation_steps(cs, cap, node_cap)
+    expected = SPMeasure(value, exceeds, cap, node_cap + 1 if hit else nodes, hit)
+    assert min_refutation_steps(cs, cap, node_cap) == expected, (cs.clauses, cap, node_cap)
+
+
+F = frozenset
+# Repeated inputs and tautologies: a child per copy of an input, and sets of
+# derived clauses reached in many orders.
+REPEATS_AND_TAUTOLOGIES = [
+    ClauseSet((F({1}), F({1}), F({-1, 2}), F({-2}), F({-1, 2})), 2),
+    ClauseSet((F({1, -1}), F({1}), F({-1, 2}), F({-2})), 2),
+    ClauseSet((F({1, 2}), F({2, -2}), F({-1, 2}), F({1, 2}), F({-2})), 2),
+    ClauseSet((F({1, 2}), F({-1, 2}), F({1, 2}), F({1, -2}), F({-1, -2}), F({2, -2})), 2),
+    ClauseSet((F({1, 2}), F({-1}), F({1, -2, 2}), F({-1})), 2),  # satisfiable
+]
+
+
+def test_min_refutation_search_counts_repeated_and_tautological_inputs():
+    for cs in REPEATS_AND_TAUTOLOGIES:
+        for cap in (2, 4, 6, 8):
+            for node_cap in (10, 100, 250_000):
+                _assert_matches_the_reference(cs, cap, node_cap)
+    rng = random.Random(8201)
+    for _ in range(60):
+        base = random_clause_set(rng, max_vars=3, max_clauses=4)
+        v = rng.randint(1, base.n_vars)
+        clauses = [*base.clauses, rng.choice(base.clauses), F({v, -v})]
+        rng.shuffle(clauses)
+        _assert_matches_the_reference(ClauseSet(tuple(clauses), base.n_vars), 6, 20_000)
+
+
+def test_min_refutation_search_node_cap_inside_the_last_depth():
+    for cs in (CONTRADICTION, REPEATS_AND_TAUTOLOGIES[2], ClauseSet((F({1, 2}), F({-1, 2}), F({1, -2}), F({-1, -2})), 2)):
+        value, _, total, _ = reference_min_refutation_steps(cs, 13)
+        earlier = reference_min_refutation_steps(cs, value - 1)[2]  # every node of the shallower depths
+        assert value >= 3 and earlier + 2 < total
+        # the cap at the last depth's first node, inside it, at the node
+        # before the refutation, at the refutation and past it
+        for node_cap in (earlier, earlier + 1, (earlier + total) // 2, total - 1, total, total + 1):
+            _assert_matches_the_reference(cs, 13, node_cap)
+        assert min_refutation_steps(cs, 13, total - 1) == SPMeasure(None, True, 13, total, True)
+        assert min_refutation_steps(cs, 13, total) == SPMeasure(value, False, 13, total)
+
+
+def test_min_refutation_search_at_step_caps_one_and_three():
+    rng = random.Random(8202)
+    sets = [random_clause_set(rng, max_vars=3, max_clauses=6) for _ in range(80)]
+    sets += REPEATS_AND_TAUTOLOGIES + [CONTRADICTION, ClauseSet((F(),), 0), ClauseSet((F({1}), F(), F({-1})), 1)]
+    for cs in sets:
+        for cap in (1, 3):
+            for node_cap in (2, 4, 40, 250_000):
+                _assert_matches_the_reference(cs, cap, node_cap)
+
+
+def test_min_refutation_search_keeps_nothing_between_calls():
+    from proofforge import propositional
+
+    def held():
+        """What the module holds that a call could fill: its containers and caches."""
+        out = {}
+        for name, v in vars(propositional).items():
+            if isinstance(v, (dict, list, set)):
+                out[name] = len(v)
+            elif hasattr(v, "cache_info"):
+                out[name] = v.cache_info().currsize
+        return out
+
+    cs = negation_clauses(parse_prop("(x0 & x1) -> x0")).clause_set
+    before = held()
+    first = min_refutation_steps(cs, 13, 30_000)
+    assert held() == before
+    assert min_refutation_steps(cs, 13, 30_000) == first
+    assert min_refutation_steps(cs, 13) == SPMeasure(7, False, 13, 242_598)
 
 
 def random_3cnf(rng, n_vars):
