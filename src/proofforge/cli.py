@@ -69,7 +69,8 @@ def _parse_prop_arg(text: str) -> prop.PropFormula:
 
 
 def _emit(out: str, text: str) -> None:
-    if out:
+    """Write `text` to the file `out`, or to stdout when `out` is empty or `-`."""
+    if out and out != "-":
         _write_text(out, text)
     else:
         sys.stdout.write(text)

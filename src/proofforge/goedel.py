@@ -12,6 +12,10 @@ string of at most m tokens.  Consequently the in-theory length function `len`
 proofs, and a single bounded quantifier  exists<= p bnd(m) ...  ranges over
 every proof of size at most m.
 
+The token grammar is written once, as the slot table `_OPENS`: the encoder,
+the decoder and the enumeration of `proof_candidates` all read it, so the
+codes `proof_candidates` lists are exactly those the decoder accepts.
+
 Proofs are coded as the lines' formula token sequences joined by a separator
 token.  A proof code is accepted by `prft` when the decoded line sequence
 verifies under the standard search-based checker and its last line is the
@@ -68,6 +72,7 @@ from .syntax import (
     Term,
     Times,
     Var,
+    Zero,
     free_variables,
     numeral,
     print_formula,
@@ -101,8 +106,29 @@ _DEFFN_IDS = {name: 29 + i for i, name in enumerate(_DEFFN_NAMES)}
 
 TOKEN_IDS: dict[str, int] = {**_STRUCTURAL, ";": SEP_ID, "'": PRIME_ID, **_VAR_IDS, **_DEFFN_IDS}
 ID_TOKENS: dict[int, str] = {i: t for t, i in TOKEN_IDS.items()}
+
+# The token grammar: for each slot ("f" a formula, "t" a term, "v" a
+# variable, "" after a proof line), the tokens that may fill it and the slots
+# each opens, in reading order.  A prime may follow a variable or a prime.
+_OPENS = {
+    "f": {"=": "tt", "!": "f", "->": "ff", "forall": "vf", "forall<=": "vtf", "exists<=": "vtf"},
+    "t": {"0": "", "S": "t", "+": "tt", "*": "tt", **{v: "" for v in VAR_POOL}, **{s: "t" * DEFFN_ARITIES[s] for s in _DEFFN_NAMES}},
+    "v": {v: "" for v in VAR_POOL},
+    "": {";": "f"},
+}
+_FEWEST_TOKENS = {"f": 3, "t": 1, "v": 1}
+_SORT_NAMES = {"f": "formula", "t": "term", "v": "variable", "": "proof line"}
+# the slots each token opens, whichever slot it fills
+_SLOTS = {tok: slots for table in _OPENS.values() for tok, slots in table.items()}
+# the node class of each token whose parts are the class's fields in order;
+# variables and `DefFn` symbols carry their token in a name
+_TOKEN_CLASSES = {"0": Zero, "S": Succ, "+": Plus, "*": Times, "=": Eq, "!": Not, "->": Implies, "forall": ForAll, "forall<=": BoundedForAll, "exists<=": BoundedExists}
+_CLASS_TOKENS = {cls: tok for tok, cls in _TOKEN_CLASSES.items()}
+
 assert len(TOKEN_IDS) == BASE - 1
 assert set(_DEFFN_NAMES) == set(DEFFN_ARITIES)
+assert {"'", *_OPENS["t"], *_OPENS["f"], *_OPENS[""]} == set(TOKEN_IDS)
+assert tuple(_OPENS["v"]) == VAR_POOL
 
 
 class CodingError(ValueError):
@@ -110,65 +136,90 @@ class CodingError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# tokenization
+# coding: tokens and codes, by the grammar `_OPENS`
 # ---------------------------------------------------------------------------
 
 
-def _var_tokens(name: str) -> list[str]:
-    base = name.rstrip("'")
-    if base not in _VAR_IDS:
-        raise CodingError(f"variable {name!r} is outside the codable pool")
-    return [base] + ["'"] * (len(name) - len(base))
-
-
-def term_tokens(t: Term) -> list[str]:
+def _tokens(node: Term | Formula, sort: str) -> list[str]:
+    """Polish tokens of `node` read in a `sort` slot ("t" or "f"): each node
+    must be written with a token that its slot admits in `_OPENS`."""
     out: list[str] = []
-    stack: list[Term] = [t]
+    stack: list[tuple[str, object]] = [(sort, node)]
     while stack:
-        node = stack.pop()
-        match node:
-            case syntax.Zero():
-                out.append("0")
-            case Succ(arg):
-                out.append("S")
-                stack.append(arg)
-            case Plus(left, right):
-                out.append("+")
-                stack.append(right)
-                stack.append(left)
-            case Times(left, right):
-                out.append("*")
-                stack.append(right)
-                stack.append(left)
-            case Var(name):
-                out.extend(_var_tokens(name))
-            case DefFn(symbol, args):
-                if symbol not in _DEFFN_IDS:
-                    raise CodingError(f"function symbol {symbol!r} is not in the token alphabet")
-                if len(args) != DEFFN_ARITIES[symbol]:
-                    raise CodingError(f"{symbol!r} applied to {len(args)} arguments")
-                out.append(symbol)
-                stack.extend(reversed(args))
-            case _:
-                raise CodingError(f"not a term: {node!r}")
+        sort, node = stack.pop()
+        primes, parts = "", ()
+        if sort == "v" or type(node) is Var:
+            name = node if sort == "v" else node.name
+            tok = name.rstrip("'")
+            primes = name[len(tok) :]
+            if tok not in _OPENS["v"]:
+                raise CodingError(f"variable {name!r} is outside the codable pool")
+        elif type(node) is DefFn:
+            tok, parts = node.symbol, node.args
+            if tok not in _DEFFN_IDS:
+                raise CodingError(f"function symbol {tok!r} is not in the token alphabet")
+        else:
+            tok = _CLASS_TOKENS.get(type(node))
+            if tok is not None:
+                parts = tuple(getattr(node, field) for field in node.__match_args__)
+        slots = _OPENS[sort].get(tok)
+        if slots is None:
+            raise CodingError(f"a {type(node).__name__} cannot fill a {_SORT_NAMES[sort]} slot")
+        if len(parts) != len(slots):
+            raise CodingError(f"{tok!r} applied to {len(parts)} arguments")
+        out.append(tok)
+        out.extend(primes)
+        stack.extend(zip(slots[::-1], parts[::-1]))
     return out
 
 
-def formula_tokens(f: Formula) -> list[str]:
-    match f:
-        case Eq(left, right):
-            return ["="] + term_tokens(left) + term_tokens(right)
-        case Not(body):
-            return ["!"] + formula_tokens(body)
-        case Implies(a, b):
-            return ["->"] + formula_tokens(a) + formula_tokens(b)
-        case ForAll(var, body):
-            return ["forall"] + _var_tokens(var) + formula_tokens(body)
-        case BoundedForAll(var, bound, body):
-            return ["forall<="] + _var_tokens(var) + term_tokens(bound) + formula_tokens(body)
-        case BoundedExists(var, bound, body):
-            return ["exists<="] + _var_tokens(var) + term_tokens(bound) + formula_tokens(body)
-    raise CodingError(f"not a formula: {f!r}")
+def _read(digits: list[int] | tuple[int, ...], sort: str) -> list:
+    """The values of a token string that is one `sort` item followed by any
+    number of lines, each opened by a separator, in reading order.
+
+    The string is read right to left, so the parts of a token are on the
+    stack, leftmost on top, when the token is met; each part must be a token
+    that its slot admits in `_OPENS`.
+    """
+    stack: list[tuple[str, object]] = []  # (token, value) of each whole item
+    primes = 0
+    for d in reversed(digits):
+        tok = ID_TOKENS[d]
+        if tok == "'":
+            primes += 1
+            continue
+        if primes and tok not in _OPENS["v"]:
+            raise CodingError(f"a prime follows {tok!r}, not a variable")
+        slots = _SLOTS[tok]
+        if len(stack) < len(slots):
+            raise CodingError("truncated token string")
+        parts = []
+        for slot in slots:
+            part, value = stack.pop()
+            if part not in _OPENS[slot]:
+                raise CodingError(f"{part!r} cannot fill a {_SORT_NAMES[slot]} slot of {tok!r}")
+            parts.append(value.name if slot == "v" else value)
+        if tok in _OPENS["v"]:
+            value, primes = Var(tok + "'" * primes), 0
+        elif tok in _DEFFN_IDS:
+            value = DefFn(tok, tuple(parts))
+        elif tok == ";":
+            value = parts[0]
+        else:
+            value = ZERO if tok == "0" else _TOKEN_CLASSES[tok](*parts)
+        stack.append((tok, value))
+    if primes:
+        raise CodingError("a prime opens the token string")
+    if stack[-1][0] not in _OPENS[sort] or any(tok not in _OPENS[""] for tok, _ in stack[:-1]):
+        raise CodingError(f"not a {_SORT_NAMES[sort]} followed by whole proof lines")
+    return [value for _, value in reversed(stack)]
+
+
+def _read_one(digits: list[int] | tuple[int, ...], sort: str) -> Term | Formula:
+    value, *lines = _read(digits, sort)
+    if lines:
+        raise CodingError(f"a separator inside a {_SORT_NAMES[sort]} code")
+    return value
 
 
 def tokens_to_code(tokens: list[str]) -> int:
@@ -201,118 +252,31 @@ def _cached_digits(n: int) -> tuple[int, ...] | None:
     return None if d is None else tuple(d)
 
 
-def code_to_tokens(code: int) -> list[str]:
+def _code_digits(code: int) -> list[int]:
     d = _digits(code)
     if d is None:
         raise CodingError(f"{code} is not the code of a token string")
-    return [ID_TOKENS[x] for x in d]
+    return d
 
 
-# ---------------------------------------------------------------------------
-# Polish parsing (decode side)
-# ---------------------------------------------------------------------------
-
-
-class _TokenReader:
-    __slots__ = ("tokens", "pos")
-
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def next(self) -> str:
-        if self.pos >= len(self.tokens):
-            raise CodingError("truncated token string")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def read_var(self) -> str:
-        tok = self.next()
-        if tok not in _VAR_IDS:
-            raise CodingError(f"expected a variable token, got {tok!r}")
-        primes = 0
-        while self.pos < len(self.tokens) and self.tokens[self.pos] == "'":
-            primes += 1
-            self.pos += 1
-        return tok + "'" * primes
-
-    def read_term(self) -> Term:
-        tok = self.next()
-        if tok == "0":
-            return ZERO
-        if tok == "S":
-            # unroll S-chains iteratively to keep huge numerals cheap
-            depth = 1
-            while self.pos < len(self.tokens) and self.tokens[self.pos] == "S":
-                depth += 1
-                self.pos += 1
-            core = self.read_term()
-            for _ in range(depth):
-                core = Succ(core)
-            return core
-        if tok == "+":
-            left = self.read_term()
-            return Plus(left, self.read_term())
-        if tok == "*":
-            left = self.read_term()
-            return Times(left, self.read_term())
-        if tok in _VAR_IDS:
-            self.pos -= 1
-            return Var(self.read_var())
-        if tok in _DEFFN_IDS:
-            args = tuple(self.read_term() for _ in range(DEFFN_ARITIES[tok]))
-            return DefFn(tok, args)
-        raise CodingError(f"token {tok!r} cannot start a term")
-
-    def read_formula(self) -> Formula:
-        tok = self.next()
-        if tok == "=":
-            left = self.read_term()
-            return Eq(left, self.read_term())
-        if tok == "!":
-            return Not(self.read_formula())
-        if tok == "->":
-            a = self.read_formula()
-            return Implies(a, self.read_formula())
-        if tok == "forall":
-            v = self.read_var()
-            return ForAll(v, self.read_formula())
-        if tok == "forall<=":
-            v = self.read_var()
-            bound = self.read_term()
-            return BoundedForAll(v, bound, self.read_formula())
-        if tok == "exists<=":
-            v = self.read_var()
-            bound = self.read_term()
-            return BoundedExists(v, bound, self.read_formula())
-        raise CodingError(f"token {tok!r} cannot start a formula")
-
-    def expect_end(self) -> None:
-        if self.pos != len(self.tokens):
-            raise CodingError(f"trailing tokens at position {self.pos}")
+def code_to_tokens(code: int) -> list[str]:
+    return [ID_TOKENS[x] for x in _code_digits(code)]
 
 
 def encode_term(t: Term) -> int:
-    return tokens_to_code(term_tokens(t))
+    return tokens_to_code(_tokens(t, "t"))
 
 
 def encode_formula(f: Formula) -> int:
-    return tokens_to_code(formula_tokens(f))
+    return tokens_to_code(_tokens(f, "f"))
 
 
 def decode_term(code: int) -> Term:
-    r = _TokenReader(code_to_tokens(code))
-    t = r.read_term()
-    r.expect_end()
-    return t
+    return _read_one(_code_digits(code), "t")
 
 
 def decode_formula(code: int) -> Formula:
-    r = _TokenReader(code_to_tokens(code))
-    f = r.read_formula()
-    r.expect_end()
-    return f
+    return _read_one(_code_digits(code), "f")
 
 
 def encode_proof(proof: Proof) -> int:
@@ -320,28 +284,13 @@ def encode_proof(proof: Proof) -> int:
     for i, line in enumerate(proof.lines):
         if i:
             toks.append(";")
-        toks.extend(formula_tokens(line.formula))
+        toks.extend(_tokens(line.formula, "f"))
     return tokens_to_code(toks)
 
 
 def decode_proof(code: int) -> Proof:
     """Inverse of encode_proof; justifications come back empty (search-checked)."""
-    d = _digits(code)
-    if d is None:
-        raise CodingError(f"{code} is not the code of a proof")
-    lines: list[ProofLine] = []
-    start = 0
-    boundaries = [i for i, x in enumerate(d) if x == SEP_ID] + [len(d)]
-    for end in boundaries:
-        seg = d[start:end]
-        if not seg:
-            raise CodingError("empty proof line segment")
-        r = _TokenReader([ID_TOKENS[x] for x in seg])
-        f = r.read_formula()
-        r.expect_end()
-        lines.append(ProofLine(f))
-        start = end + 1
-    return Proof(tuple(lines))
+    return Proof(tuple(map(ProofLine, _read(_code_digits(code), "f"))))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +377,7 @@ def _substituted_code(c: int, d: int, budget: EvalBudget) -> int:
         return 0
     budget.charge(4 * len(digs))
     try:
-        f = decode_formula(c)
+        f = _read_one(digs, "f")
     except CodingError:
         return 0
     fv = free_variables(f)
@@ -471,24 +420,12 @@ def _make_prft(cell: dict) -> object:
             raise RuntimeError("provability evaluator used before its theory was built")
         budget.charge(8 * len(pd))
         try:
-            proof = decode_proof(p)
+            proof = Proof(tuple(map(ProofLine, _read(pd, "f"))))
         except CodingError:
             return 0
         return 1 if verify(theory, proof) else 0
 
     return prover
-
-
-# What `_TokenReader` reads: for each slot ("f" a formula, "t" a term, "v" a
-# variable, "" between two lines), the tokens that may fill it and the slots
-# each opens, in reading order.  A prime may follow a variable or a prime.
-_OPENS = {
-    "f": {"=": "tt", "!": "f", "->": "ff", "forall": "vf", "forall<=": "vtf", "exists<=": "vtf"},
-    "t": {"0": "", "S": "t", "+": "tt", "*": "tt", **{v: "" for v in VAR_POOL}, **{s: "t" * DEFFN_ARITIES[s] for s in _DEFFN_NAMES}},
-    "v": {v: "" for v in VAR_POOL},
-    "": {";": "f"},
-}
-_FEWEST_TOKENS = {"f": 3, "t": 1, "v": 1}
 
 
 def _line_prefixes(k: int) -> Iterator[int]:
@@ -528,7 +465,7 @@ def proof_candidates(c: int, bound: int) -> Iterator[int]:
     if target is None or SEP_ID in target or c > bound:
         return
     try:
-        decode_formula(c)
+        _read_one(target, "f")
     except CodingError:
         return
     yield c

@@ -181,6 +181,22 @@ def test_prop_sp_emits_csv(tmp_path):
     assert len(lines) == 3  # resolution + table rows
 
 
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["prop", "sp", "x0 | !x0", "--cap", "8"], "system,formula,size"),
+        (["prop", "psim", "--n-max", "1"], "formula,original_ok"),
+        (["--deterministic", "bench", "verifier", "--k", "10,20", "--m", "8"], "k,m"),
+    ],
+    ids=["sp", "psim", "bench"],
+)
+def test_csv_dash_writes_to_stdout(tmp_path, monkeypatch, capsys, argv, header):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--csv", "-"]) == 0
+    assert capsys.readouterr().out.startswith(header)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_prop_sp_says_which_cap_ended_the_search(tmp_path):
     out = tmp_path / "sp.csv"
     assert cli.main(["prop", "sp", "x0 -> (x1 -> x0)", "--cap", "13", "--csv", str(out)]) == 0

@@ -1,11 +1,16 @@
 """Codes, the arithmetized substitution/diagonal operators, and eval_delta0."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import proofforge
 from proofforge.calculus import EvalBudget, EvalBudgetExceeded, Proof, ProofLine, eval_term_in
 from proofforge.corpus import diagonal_shapes, random_delta0_sentence
 from proofforge.goedel import (
@@ -17,9 +22,11 @@ from proofforge.goedel import (
     con_bounded,
     decode_formula,
     decode_proof,
+    decode_term,
     diagonalize,
     encode_formula,
     encode_proof,
+    encode_term,
     eval_delta0,
     goedel_sentence_bounded,
     make_numeral,
@@ -88,6 +95,35 @@ def test_token_round_trip_and_bad_codes():
         decode_formula(1)  # not a well-formed token stream
     with pytest.raises(CodingError):
         code_to_tokens(0)
+    primed = Eq(Var("x''"), Var("y'"))
+    assert code_to_tokens(encode_formula(primed)) == ["=", "x", "'", "'", "y", "'"]
+    assert decode_formula(encode_formula(primed)) == primed
+    assert decode_term(encode_term(Var("x''"))) == Var("x''")
+    line = ["=", "0", "0"]
+    for bad, decode in (
+        (["=", "x", "S", "'", "0"], decode_formula),  # a prime after a non-variable
+        (["=", "0", "0", "'"], decode_formula),  # a trailing prime
+        (["'", "=", "x", "0"], decode_formula),  # a leading prime
+        (["S", "0"], decode_formula),  # a term code
+        (line, decode_term),  # a formula code
+        (line + [";"] + line, decode_formula),  # a separator inside a formula
+        (["0", ";"] + line, decode_term),  # a separator inside a term
+        (line + [";", ";"] + line, decode_proof),  # an empty proof line
+        ([";"] + line, decode_proof),  # a leading separator
+        (line + [";"], decode_proof),  # a trailing separator
+        (line + line, decode_proof),  # two lines without a separator
+    ):
+        with pytest.raises(CodingError):
+            decode(tokens_to_code(bad))
+    for tree, encode in (
+        (Eq(DefFn("dbl", (ZERO, ZERO)), ZERO), encode_formula),  # a wrong arity
+        (Eq(DefFn("x", ()), ZERO), encode_formula),  # a variable as a symbol
+        (Eq(Var("0"), ZERO), encode_formula),  # a name outside the variable pool
+        (Not(Var("x")), encode_formula),  # a term in a formula slot
+        (Eq(ZERO, ZERO), encode_term),  # a formula in a term slot
+    ):
+        with pytest.raises(CodingError):
+            encode(tree)
 
 
 def test_proof_codes_round_trip():
@@ -100,6 +136,31 @@ def test_proof_codes_round_trip():
         )
     )
     assert decode_proof(encode_proof(p)).lines[1].formula == parse_formula("S(0) = S(0)")
+
+
+_DEEP_CODES = """
+import sys
+from proofforge.goedel import decode_formula, decode_term, encode_formula, encode_term
+from proofforge.syntax import ZERO, DefFn, Eq, Not
+
+# a recursive encoder or decoder would fail far below these depths; codes
+# are compared, since dataclass equality recurses too
+sys.setrecursionlimit(1000)
+f = Eq(ZERO, ZERO)
+t = ZERO
+for _ in range(3000):
+    f = Not(f)
+    t = DefFn("dbl", (t,))
+assert encode_formula(decode_formula(encode_formula(f))) == encode_formula(f)
+assert encode_term(decode_term(encode_term(t))) == encode_term(t)
+print("ok")
+"""
+
+
+def test_deep_trees_encode_and_decode_without_recursion():
+    env = dict(os.environ, PYTHONPATH=str(Path(proofforge.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", _DEEP_CODES], env=env, capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr[-2000:]
 
 
 # --- numerals ------------------------------------------------------------------
