@@ -34,6 +34,12 @@ calculus.find_axiom_justification, the target by the same function (once,
 at the root: the target and theory never change) and otherwise by
 calculus.find_rule_justification over the lines above it.  Axiom pools are
 cached by the theory's content, not its name.
+
+Every line and candidate carries its size, so no node walks a formula to
+size it: a pool of size s holds formulas of size s, relevance instances are
+sized once per search, a generalization adds two symbols (pool variables
+are unprimed) and a bounded one its bound's size more, and a modus ponens
+consequent reads the size cached on it.
 """
 
 from __future__ import annotations
@@ -241,7 +247,7 @@ def _subformulas(f: Formula) -> set[Formula]:
     return out
 
 
-def _relevance_instances(theory: TheorySpec, target: Formula, max_size: int) -> list[tuple[Formula, Justification]]:
+def _relevance_instances(theory: TheorySpec, target: Formula, max_size: int) -> list[tuple[Formula, Justification, int]]:
     subf = sorted(_subformulas(target), key=print_formula)
     subt: set[Term] = set()
     for g in subf:
@@ -268,15 +274,16 @@ def _relevance_instances(theory: TheorySpec, target: Formula, max_size: int) -> 
         if isinstance(g, ForAll):
             for t in terms:
                 cands.append(Implies(g, substitute(g.body, g.var, t)))
-    out: list[tuple[Formula, Justification]] = []
+    out: list[tuple[Formula, Justification, int]] = []
     seen: set[Formula] = set()
     for f in cands:
-        if f in seen or formula_size(f) > max_size:
+        size = formula_size(f)
+        if f in seen or size > max_size:
             continue
         seen.add(f)
         j = find_axiom_justification(theory, f)
         if j is not None:
-            out.append((f, j))
+            out.append((f, j, size))
     return out
 
 
@@ -304,31 +311,31 @@ def enumerate_proofs(
         return SearchReport(NONE, None, size_budget, 0, True)
 
     max_prefix_line = size_budget - tsize - 1
-    # complete axiom pools, one per admissible prefix-line size
-    pools: dict[int, tuple[tuple[Formula, Justification], ...]] = {}
+    # Lines and candidates are (formula, justification, size) triples.
+    # Complete axiom pools, one per admissible prefix-line size:
+    pools: dict[int, tuple[tuple[Formula, Justification, int], ...]] = {}
     for s in range(3, max_prefix_line + 1):
         if s > MAX_POOL_LINE_SIZE:
             state["capped"] = True
             continue
         try:
-            pools[s] = axiom_pool(theory, s, limits.pool_cap)
+            pools[s] = tuple((f, j, s) for f, j in axiom_pool(theory, s, limits.pool_cap))
         except PoolCapExceeded:
             state["capped"] = True
 
     rel = _relevance_instances(theory, target, max_prefix_line)
 
-    def closures(lines: list[tuple[Formula, Justification]], max_size: int):
-        for i, (g, _) in enumerate(lines):
+    def closures(lines: list[tuple[Formula, Justification, int]], max_size: int):
+        for i, (g, _, _) in enumerate(lines):
             if isinstance(g, Implies) and formula_size(g.consequent) <= max_size:
-                for k, (h, _) in enumerate(lines):
+                for k, (h, _, _) in enumerate(lines):
                     if h == g.antecedent:
-                        yield g.consequent, MPJust(i, k)
-        for i, (g, _) in enumerate(lines):
-            gsize = formula_size(g)
+                        yield g.consequent, MPJust(i, k), formula_size(g.consequent)
+        for i, (g, _, gsize) in enumerate(lines):
             if gsize + 2 > max_size:
                 continue
             for v in VAR_POOL:
-                yield ForAll(v, g), GenJust(i, v)
+                yield ForAll(v, g), GenJust(i, v), gsize + 2
             room = max_size - gsize - 2
             for bsize in range(1, room + 1):
                 try:
@@ -338,23 +345,23 @@ def enumerate_proofs(
                     continue
                 for bt in bts:
                     for v in VAR_POOL:
-                        yield BoundedForAll(v, bt, g), BGenJust(i, v, bt)
+                        yield BoundedForAll(v, bt, g), BGenJust(i, v, bt), gsize + 2 + bsize
 
     # the target and the theory are the same at every node, so the target is
     # checked against the axioms once; each node then tries only the rules
     target_axiom = find_axiom_justification(theory, target)
     found: list[Proof] = []
 
-    def dfs(lines: list[tuple[Formula, Justification]], used: int) -> bool:
+    def dfs(lines: list[tuple[Formula, Justification, int]], used: int) -> bool:
         state["nodes"] += 1
         if state["nodes"] > limits.node_cap:
             raise _NodeCapHit
         sep = 1 if lines else 0
-        formulas = [f for f, _ in lines]
+        formulas = [f for f, _, _ in lines]
         if used + sep + tsize <= size_budget:
             j = target_axiom or find_rule_justification(target, formulas)
             if j is not None:
-                all_lines = tuple(ProofLine(f, jj) for f, jj in lines) + (ProofLine(target, j),)
+                all_lines = tuple(ProofLine(f, jj) for f, jj, _ in lines) + (ProofLine(target, j),)
                 found.append(Proof(all_lines))
                 return True
         room = size_budget - used - sep - (tsize + 1)
@@ -365,19 +372,20 @@ def enumerate_proofs(
             # cheap, targeted material first so a "found" surfaces quickly;
             # closure lines last (they fan out widest).  Order never affects
             # the definitive outcomes, only how fast a witness is reached.
-            for f, j in rel:
-                if formula_size(f) <= room:
-                    yield f, j
+            for line in rel:
+                if line[2] <= room:
+                    yield line
             for s in range(3, room + 1):
                 yield from pools.get(s, ())
             yield from closures(lines, room)
 
         seen = set(formulas)
-        for f, j in candidates():
+        for line in candidates():
+            f = line[0]
             if f in seen:
                 continue
             seen.add(f)
-            if dfs(lines + [(f, j)], used + sep + formula_size(f)):
+            if dfs(lines + [line], used + sep + line[2]):
                 return True
         return False
 

@@ -222,27 +222,67 @@ def _read_one(digits: list[int] | tuple[int, ...], sort: str) -> Term | Formula:
     return value
 
 
+# Codes and digit strings convert in chunks of _CHUNK digits: a code is
+# split, and chunks are joined, by 44^(_CHUNK * 2^j) for each j, largest
+# first, so a long code costs a few divisions or multiplications of numbers
+# its size instead of one pass over the whole code per digit.
+_CHUNK = 32
+_CHUNK_POWER = BASE**_CHUNK
+
+
 def tokens_to_code(tokens: list[str]) -> int:
-    code = 0
-    for tok in tokens:
-        tid = TOKEN_IDS.get(tok)
-        if tid is None:
-            raise CodingError(f"unknown token {tok!r}")
-        code = code * BASE + tid
-    return code
+    ids = [TOKEN_IDS.get(tok) for tok in tokens]
+    if None in ids:
+        raise CodingError(f"unknown token {tokens[ids.index(None)]!r}")
+    # the first chunk is the short one, so every other keeps its full width
+    cuts = [0, *range(len(ids) % _CHUNK or _CHUNK, len(ids) + 1, _CHUNK)]
+    parts = []
+    for a, b in zip(cuts, cuts[1:]):
+        code = 0
+        for tid in ids[a:b]:
+            code = code * BASE + tid
+        parts.append(code)
+    power = _CHUNK_POWER
+    while len(parts) > 1:
+        # join neighbours from the right, again so that only the first is short
+        odd = len(parts) % 2
+        parts[odd:] = [hi * power + lo for hi, lo in zip(parts[odd::2], parts[odd + 1 :: 2])]
+        if len(parts) > 1:
+            power *= power
+    return parts[0] if parts else 0
 
 
 def _digits(n: int) -> list[int] | None:
     """Base-44 digits of n, most significant first; None if any digit is 0."""
     if n <= 0:
         return None
+    parts = [n]
+    if n >= _CHUNK_POWER:
+        powers = [_CHUNK_POWER]
+        while powers[-1] <= n // powers[-1]:  # until one squared exceeds n
+            powers.append(powers[-1] * powers[-1])
+        for power in reversed(powers):
+            halves: list[int] = []
+            for x in parts:
+                hi, lo = divmod(x, power)
+                if hi or halves:  # a zero leading half has no digits
+                    halves.append(hi)
+                halves.append(lo)
+            parts = halves
     out: list[int] = []
-    while n:
-        n, d = divmod(n, BASE)
-        if d == 0:
+    width = 0  # every chunk after the first has _CHUNK digits, leading zeros included
+    for x in parts:
+        chunk = []
+        while x:
+            x, d = divmod(x, BASE)
+            if d == 0:
+                return None
+            chunk.append(d)
+        if len(chunk) < width:
             return None
-        out.append(d)
-    out.reverse()
+        chunk.reverse()
+        out += chunk
+        width = _CHUNK
     return out
 
 

@@ -30,6 +30,14 @@ Operator binding, loosest to tightest:  ->  (right associative), then
 | then & (parse-time sugar, left associative), then ! / quantifiers,
 then atoms.  In terms, * binds tighter than +; both are left associative.
 
+Every node caches four values of its tree on itself, each computed on
+first use without recursion: its flat key (`_k`), `node_count` (`_n`),
+hash (`_h`) and size (`_s`).  `hash(node)` is the value the
+dataclass-generated `__hash__` gives, the hash of the tuple of the node's
+fields, so no set or dict changes its order; only the walk of the whole
+tree per call is gone.  Equality is the generated `__eq__`, which still
+recurses.
+
 Equal subtrees within one proof text or Builder are one object: the
 parser and `share_tree` key every node through a share table, which
 `calculus.parse_proof_text` keeps for a whole text and a
@@ -142,6 +150,72 @@ _TERM_TYPES = frozenset((Var, Zero, Succ, Plus, Times, DefFn))
 _FORMULA_TYPES = frozenset((Eq, Not, Implies, ForAll, BoundedForAll, BoundedExists))
 
 ZERO = Zero()
+
+
+# ---------------------------------------------------------------------------
+# Per-node caches
+# ---------------------------------------------------------------------------
+
+# The caches of the module docstring are set on a node with
+# object.__setattr__; its class holds None for a value not computed yet.
+
+
+def _hash(node: Term | Formula) -> int:
+    h = node._h
+    return _fill(node, "_h", _field_hash) if h is None else h
+
+
+def _field_hash(x: Term | Formula, parts: tuple) -> int:
+    # the generated hash of x's fields; it hashes x's children, whose hashes
+    # _fill has already cached
+    return x._dataclass_hash()
+
+
+for _cls in _TERM_TYPES | _FORMULA_TYPES:
+    _cls._k = _cls._n = _cls._h = _cls._s = None
+    _cls._dataclass_hash = _cls.__hash__
+    _cls.__hash__ = _hash
+
+
+def _children(x: Term | Formula) -> tuple:
+    cls = type(x)
+    if cls is Succ:
+        return (x.arg,)
+    if cls is DefFn:
+        return x.args
+    if cls is Plus or cls is Times or cls is Eq:
+        return (x.left, x.right)
+    if cls is Implies:
+        return (x.antecedent, x.consequent)
+    if cls is Not or cls is ForAll:
+        return (x.body,)
+    if cls is BoundedForAll or cls is BoundedExists:
+        return (x.bound, x.body)
+    if cls is Var or cls is Zero:
+        return ()
+    raise TypeError(f"not a term or formula: {x!r}")
+
+
+def _fill(root: Term | Formula, attr: str, value):
+    """Cache value(x, children of x) as `attr` on every node x of root's tree
+    that lacks it, children first, so that value reads the children's cached
+    values; return root's.  Without recursion: a node is expanded into an
+    entry (node, children) and the children above it, and the entry is
+    computed once they are.  A node met again after its value is set is
+    skipped, so a shared subtree is computed once."""
+    stack: list = [root]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        x = pop()
+        if type(x) is tuple:
+            node, parts = x
+            object.__setattr__(node, attr, value(node, parts))
+        elif getattr(x, attr) is None:
+            parts = _children(x)
+            push((x, parts))
+            stack += parts
+    return getattr(root, attr)
 
 
 class SyntaxErrorWithPos(ValueError):
@@ -428,38 +502,34 @@ def _print(root: Term | Formula) -> str:
 
 
 def term_size(t: Term) -> int:
-    match t:
-        case Var(name):
-            return 1 + name.count("'")
-        case Zero():
-            return 1
-        case Succ(_):
-            n = 0
-            while isinstance(t, Succ):
-                n += 1
-                t = t.arg
-            return n + term_size(t)
-        case Plus(a, b) | Times(a, b):
-            return term_size(a) + term_size(b) + 1
-        case DefFn(_, args):
-            return 1 + sum(term_size(a) for a in args)
-    raise TypeError(f"not a term: {t!r}")
+    if type(t) not in _TERM_TYPES:
+        raise TypeError(f"not a term: {t!r}")
+    return _size(t)
 
 
 def formula_size(f: Formula) -> int:
     """Number of symbols in the canonical print, parentheses/commas excluded."""
-    match f:
-        case Eq(a, b):
-            return term_size(a) + term_size(b) + 1
-        case Not(body):
-            return formula_size(body) + 1
-        case Implies(a, b):
-            return formula_size(a) + formula_size(b) + 1
-        case ForAll(v, body):
-            return formula_size(body) + 2 + v.count("'")
-        case BoundedForAll(v, bound, body) | BoundedExists(v, bound, body):
-            return formula_size(body) + term_size(bound) + 2 + v.count("'")
-    raise TypeError(f"not a formula: {f!r}")
+    if type(f) not in _FORMULA_TYPES:
+        raise TypeError(f"not a formula: {f!r}")
+    return _size(f)
+
+
+def _size(root: Term | Formula) -> int:
+    s = root._s
+    return _fill(root, "_s", _own_size_plus_parts) if s is None else s
+
+
+def _own_size_plus_parts(x: Term | Formula, parts: tuple) -> int:
+    cls = type(x)
+    if cls is Var:
+        own = 1 + x.name.count("'")
+    elif cls is ForAll or cls is BoundedForAll or cls is BoundedExists:
+        own = 2 + x.var.count("'")
+    else:
+        own = 1
+    for p in parts:
+        own += p._s
+    return own
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +557,6 @@ _var_codes: dict[str, str] = {}
 _unary_codes: dict[str, str] = {}  # symbol of a one-argument DefFn
 _payload_codes: dict[tuple, str] = {}  # (type, payload) of DefFn and the quantifiers
 _issued = count(7)
-
-for _cls in _TERM_TYPES | _FORMULA_TYPES:
-    # per-node caches of flat_key and node_count; a node's own values are
-    # set with object.__setattr__
-    _cls._k = None
-    _cls._n = None
-
 
 def _new_code(table: dict, payload) -> str:
     n = next(_issued)
@@ -607,44 +670,20 @@ def build_flat_key(root: Term | Formula) -> str:
 # derivation: no table is module-wide.
 
 
-def _children(x: Term | Formula) -> tuple:
-    cls = type(x)
-    if cls is Succ:
-        return (x.arg,)
-    if cls is DefFn:
-        return x.args
-    if cls is Plus or cls is Times or cls is Eq:
-        return (x.left, x.right)
-    if cls is Implies:
-        return (x.antecedent, x.consequent)
-    if cls is Not or cls is ForAll:
-        return (x.body,)
-    if cls is BoundedForAll or cls is BoundedExists:
-        return (x.bound, x.body)
-    if cls is Var or cls is Zero:
-        return ()
-    raise TypeError(f"not a term or formula: {x!r}")
-
-
 def node_count(root: Term | Formula) -> int:
     """The number of nodes of a tree, a shared subtree counted at each of its
     occurrences: the length of its flat key, and what a structural walk of
     two equal trees compares.  Counted without recursion and cached on every
     node counted, so a shared tree costs one step per distinct node."""
     n = root._n
-    if n is not None:
-        return n
-    stack = [root]
-    while stack:
-        x = stack[-1]
-        parts = _children(x)
-        todo = [p for p in parts if p._n is None]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        object.__setattr__(x, "_n", 1 + sum(p._n for p in parts))
-    return root._n
+    return _fill(root, "_n", _one_plus_parts) if n is None else n
+
+
+def _one_plus_parts(x: Term | Formula, parts: tuple) -> int:
+    n = 1
+    for p in parts:
+        n += p._n
+    return n
 
 
 def share_tree(root: Term | Formula, table: dict) -> Term | Formula:

@@ -120,6 +120,63 @@ def test_membership_table_is_pinned(text, k, member, definitive, outcome, effect
     assert (rep.proof and print_proof_text(rep.proof)) == witness
 
 
+# (phi, budget, outcome, nodes, printed proof): the search that each
+# MEMBERSHIP_PINS row makes at its effective bound, then searches whose
+# proofs need a generalized prefix line.  The order in which the search
+# meets its candidates fixes the node count and which proof it finds first.
+SEARCH_PINS = [
+    ("0 = 0 -> 0 = 0", 7, "none", 1, None),
+    ("0 = 0 -> 0 = 0", 24, "found", 3, REFLEXIVITY_WITNESS),
+    ("!(0 = S(0))", 5, "none", 1, None),
+    ("!(0 = S(0))", 24, "budget_exhausted", 4001, None),
+    ("0 = S(0)", 4, "none", 1, None),
+    ("0 = S(0)", 16, "budget_exhausted", 4001, None),
+    ("forall y forall x (x = x)", 16, "budget_exhausted", 968, None),
+    (
+        "forall y forall x (x = x)",
+        17,
+        "found",
+        289,
+        "1. x = x ; EQREFL[t=x]\n2. forall x (x = x) ; GEN 1 x\n3. forall y (forall x (x = x)) ; GEN 2 y\n",
+    ),
+    ("forall y forall<= x S(0) (x = x)", 20, "budget_exhausted", 4001, None),
+    (
+        "forall y forall<= x S(0) (x = x)",
+        21,
+        "found",
+        817,
+        "1. x = x ; EQREFL[t=x]\n2. forall<= x S(0) (x = x) ; BGEN 1 x S(0)\n"
+        "3. forall y (forall<= x S(0) (x = x)) ; GEN 2 y\n",
+    ),
+    (
+        "forall<= y 0 forall<= x 0 (x = x)",
+        22,
+        "found",
+        929,
+        "1. x = x ; EQREFL[t=x]\n2. forall<= x 0 (x = x) ; BGEN 1 x 0\n3. forall<= y 0 (forall<= x 0 (x = x)) ; BGEN 2 y 0\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, budget, outcome, nodes, proof", SEARCH_PINS)
+def test_search_order_is_pinned(text, budget, outcome, nodes, proof):
+    assert {(t, min(formula_size(parse_formula(t)) ** k, 24)) for t, k, *_ in MEMBERSHIP_PINS} <= {
+        (t, b) for t, b, *_ in SEARCH_PINS
+    }
+    r = enumerate_proofs(Q, parse_formula(text), budget, limits=DESK_LIMITS)
+    assert (r.outcome, r.nodes, r.proof and print_proof_text(r.proof)) == (outcome, nodes, proof)
+
+
+def test_regeneration_self_searches_are_pinned():
+    levels = regeneration_chain(3, 8)
+    searches = [(lv.con_size, lv.self_search) for lv in levels]
+    assert [(size, r.budget, r.outcome, r.definitive, r.nodes, r.proof) for size, r in searches] == [
+        (34, 40, "none", True, 288, None),
+        (34, 40, "none", True, 290, None),
+        (34, 40, "none", True, 292, None),
+    ]
+
+
 def test_membership_agrees_with_direct_search_on_corpus():
     rng = random.Random(60089)
     checked = 0

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -161,6 +162,63 @@ def test_deep_trees_encode_and_decode_without_recursion():
     env = dict(os.environ, PYTHONPATH=str(Path(proofforge.__file__).resolve().parents[1]))
     res = subprocess.run([sys.executable, "-c", _DEEP_CODES], env=env, capture_output=True, text=True, timeout=120)
     assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr[-2000:]
+
+
+def _digit_loop(code: int) -> list[int] | None:
+    """Base-44 digits one division at a time: the reference for long codes."""
+    out = []
+    while code > 0:
+        code, d = divmod(code, BASE)
+        if d == 0:
+            return None
+        out.append(d)
+    return out[::-1] or None
+
+
+def test_long_codes_convert_like_the_digit_loop():
+    rng = random.Random(40180)
+    for _ in range(600):
+        n = rng.choice((1, 5, 31, 32, 33, 64, 65, 200, 1000, 2500))
+        digits = [rng.randint(1, 43) for _ in range(n)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            if n >= 64 and rng.random() < 0.3:
+                # one or two whole 32-digit blocks of zeros, counted from the
+                # last digit, as long codes are split
+                end = n - 32 * rng.randrange(n // 32 - 1)
+                start = end - rng.choice((32, 64))
+            else:
+                # a zero digit or a run of zeros, anywhere
+                start = rng.randrange(n)
+                end = min(n, start + rng.choice((1, rng.randint(2, 130))))
+            digits[start:end] = [0] * (end - start)
+        code = 0
+        for d in digits:
+            code = code * BASE + d
+        expected = _digit_loop(code)
+        if expected is None:
+            with pytest.raises(CodingError):
+                code_to_tokens(code)
+        else:
+            assert code_to_tokens(code) == [ID_TOKENS[d] for d in expected]
+        if 0 not in digits:
+            assert expected == digits
+            assert tokens_to_code([ID_TOKENS[d] for d in digits]) == code
+    assert tokens_to_code([]) == 0
+
+
+def test_a_40000_token_code_round_trips_quickly():
+    # converting one digit at a time took about 1.8 s for this round trip on
+    # a 2-core x86-64 host, since every step divides or multiplies a number
+    # of the code's size; by halves it takes about 0.4 s
+    f = Eq(ZERO, ZERO)
+    for _ in range(40_000 - 3):
+        f = Not(f)
+    start = time.perf_counter()
+    code = encode_formula(f)
+    back = decode_formula(code)
+    elapsed = time.perf_counter() - start
+    assert formula_size(back) == 40_000 and encode_formula(back) == code
+    assert elapsed < 1.5, elapsed
 
 
 # --- numerals ------------------------------------------------------------------

@@ -6,13 +6,15 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import proofforge
 from proofforge.calculus import AxiomJust, MPJust, parse_proof_text, print_proof_text
-from proofforge.goedel import DEFFN_ARITIES, diagonalize, standard_theory
+from proofforge.corpus import derived_theorem_corpus, diagonal_shapes, random_delta0_sentence
+from proofforge.goedel import DEFFN_ARITIES, code_to_tokens, diagonalize, encode_formula, encode_term, standard_theory
 from proofforge.syntax import (
     MAX_NESTING,
     BoundedExists,
@@ -522,3 +524,65 @@ def test_parser_checks_function_symbols_against_the_default_table():
 def test_term_variables():
     assert term_variables(parse_term("x + S(y) * 0")) == frozenset({"x", "y"})
     assert term_variables(numeral(7)) == frozenset()
+
+
+_DEEP_HASH_AND_SIZE = """
+import sys
+
+from proofforge.syntax import ZERO, Eq, Not, formula_size, numeral, term_size
+
+def negations(n):
+    f = Eq(ZERO, ZERO)
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+# hashing and sizing walk the tree without recursion, so a limit far below
+# the depth of these trees is no obstacle
+sys.setrecursionlimit(1000)
+chain, num = negations(20_000), numeral(50_000)
+for tree in (chain, num):
+    assert hash(tree) == hash(tree)
+    assert tree in {tree}
+assert term_size(num) == 50_001
+assert formula_size(negations(50_000)) == 50_003
+assert formula_size(Eq(num, numeral(49_999))) == 100_002
+print("ok")
+"""
+
+
+def test_deep_trees_hash_and_size_without_recursion():
+    # a subprocess, since a recursive hash of the chain overflows the C stack
+    env = dict(os.environ, PYTHONPATH=str(Path(proofforge.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", _DEEP_HASH_AND_SIZE], env=env, capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr[-2000:]
+
+
+def test_hash_is_the_hash_of_the_fields():
+    # the value the dataclass-generated __hash__ gives, node by node, so set
+    # and dict order is what it was before hashes were cached
+    theory = standard_theory()
+    roots = _proof_roots(diagonalize(theory, parse_formula("x = 0")).equivalence)
+    for sample in derived_theorem_corpus(theory, random.Random(5), 40):
+        roots += _proof_roots(sample.proof)
+    nodes = _distinct_nodes(*roots)
+    assert len({type(x) for x in nodes}) == 12  # every node type
+    for x in nodes:
+        assert hash(x) == hash(tuple(getattr(x, f.name) for f in fields(x))), x
+
+
+def test_size_is_the_token_count_of_the_code():
+    # an oracle of its own: the number of base-44 digits of the Goedel code
+    theory = standard_theory()
+    rng = random.Random(40179)
+    shapes = diagonal_shapes(theory)
+    primed = [
+        substitute(parse_formula("forall y (x = y -> exists<= z y (z = x + y))"), "x", parse_term("y + z")),
+        parse_formula("forall x' (x' = y'' -> forall<= z'' x' !(z'' = dbl(x')))"),
+    ]
+    assert len(shapes) == 24 and all("'" in print_formula(f) for f in primed)
+    for f in [random_delta0_sentence(rng) for _ in range(300)] + shapes + primed:
+        assert formula_size(f) == len(code_to_tokens(encode_formula(f))), print_formula(f)
+        for x in _distinct_nodes(f):
+            if type(x) in (Var, Zero, Succ, Plus, Times, DefFn):
+                assert term_size(x) == len(code_to_tokens(encode_term(x))), print_term(x)
