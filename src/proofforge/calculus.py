@@ -64,6 +64,7 @@ from .syntax import (
     Times,
     Var,
     Zero,
+    equal,
     flat_key,
     formula_size,
     free_variables,
@@ -85,12 +86,13 @@ class Cost:
     """Mutable counter for deterministic work measures.
 
     symbol_comparisons counts syntax nodes compared, in the right-first
-    preorder of eq_formulas up to and including the first mismatch.  The
+    preorder of `syntax.equal` up to and including the first mismatch.  The
     count is the walk's whatever the shortcut: a subtree compared with
     itself (one object, as shared nodes are) costs its node_count without a
     walk, and eq_lines counts mismatches from flat keys.  lines_scanned and
     pair_searches count the earlier lines find_rule_justification looks at,
-    singly and as modus ponens antecedents."""
+    singly and as modus ponens antecedents.  A function given no Cost counts
+    nothing, so an unmeasured check never walks a subtree to count it."""
 
     __slots__ = ("symbol_comparisons", "lines_scanned", "pair_searches")
 
@@ -98,75 +100,6 @@ class Cost:
         self.symbol_comparisons = 0
         self.lines_scanned = 0
         self.pair_searches = 0
-
-
-# shared sink when the caller does not measure; a pair of one object adds
-# nothing to it, so an unmeasured check never counts a subtree's nodes
-_NULL_COST = Cost()
-
-
-def eq_terms(a: Term, b: Term, cost: Cost = _NULL_COST) -> bool:
-    """Structural equality with early exit, counting node comparisons.  A
-    pair of one object is equal without a walk and costs the nodes the walk
-    would have compared, its node count."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            if cost is not _NULL_COST:
-                cost.symbol_comparisons += node_count(x)
-            continue
-        cost.symbol_comparisons += 1
-        if type(x) is not type(y):
-            return False
-        match x:
-            case Var(n):
-                if n != y.name:
-                    return False
-            case Zero():
-                pass
-            case Succ(arg):
-                stack.append((arg, y.arg))
-            case Plus(l, r) | Times(l, r):
-                stack.append((l, y.left))
-                stack.append((r, y.right))
-            case DefFn(sym, args):
-                if sym != y.symbol or len(args) != len(y.args):
-                    return False
-                stack.extend(zip(args, y.args))
-    return True
-
-
-def eq_formulas(a: Formula, b: Formula, cost: Cost = _NULL_COST) -> bool:
-    """eq_terms for formulas, with the same counts."""
-    stack: list[tuple] = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            if cost is not _NULL_COST:
-                cost.symbol_comparisons += node_count(x)
-            continue
-        cost.symbol_comparisons += 1
-        if type(x) is not type(y):
-            return False
-        match x:
-            case Eq(l, r):
-                if not eq_terms(l, y.left, cost) or not eq_terms(r, y.right, cost):
-                    return False
-            case Not(body):
-                stack.append((body, y.body))
-            case Implies(p, q):
-                stack.append((p, y.antecedent))
-                stack.append((q, y.consequent))
-            case ForAll(v, body):
-                if v != y.var:
-                    return False
-                stack.append((body, y.body))
-            case BoundedForAll(v, bound, body) | BoundedExists(v, bound, body):
-                if v != y.var or not eq_terms(bound, y.bound, cost):
-                    return False
-                stack.append((body, y.body))
-    return True
 
 
 def _common_prefix_length(a: str, b: str) -> int:
@@ -197,33 +130,33 @@ def _common_prefix_length(a: str, b: str) -> int:
     return lo
 
 
-def eq_lines(a: Formula, b: Formula, cost: Cost = _NULL_COST) -> bool:
-    """eq_formulas on flat keys, for comparing proof lines and their parts.
+def eq_lines(a: Formula, b: Formula, cost: Cost | None = None) -> bool:
+    """`equal` on flat keys, for comparing proof lines and their parts.
 
-    The verdict and the count are eq_formulas': one object is equal to
-    itself at the cost of its node count; otherwise a match compares every
-    node (the key's length), a mismatch stops at the first differing node
-    (the common prefix plus one).  Roots of different types or quantifier
+    The verdict and the count are `equal`'s: one object is equal to itself
+    at the cost of its node count; otherwise a match compares every node
+    (the key's length), a mismatch stops at the first differing node (the
+    common prefix plus one).  Roots of different types or quantifier
     variables cost one comparison and build no key; other keys are built
     once and cached on their nodes, so rescanning a line is one string
-    comparison.  A tree without a key is compared structurally."""
+    comparison.  A tree without a key is compared by `equal`."""
     if a is b:
-        if cost is not _NULL_COST:
+        if cost is not None:
             cost.symbol_comparisons += node_count(a)
         return True
     cls = type(a)
     if cls is not type(b) or (cls is ForAll or cls is BoundedForAll or cls is BoundedExists) and a.var != b.var:
-        cost.symbol_comparisons += 1
+        if cost is not None:
+            cost.symbol_comparisons += 1
         return False
     ka = flat_key(a)
     kb = flat_key(b)
     if not (ka and kb):
-        return eq_formulas(a, b, cost)
-    if ka == kb:
-        cost.symbol_comparisons += len(ka)
-        return True
-    cost.symbol_comparisons += _common_prefix_length(ka, kb) + 1
-    return False
+        return equal(a, b, cost)
+    same = ka == kb
+    if cost is not None:
+        cost.symbol_comparisons += len(ka) if same else _common_prefix_length(ka, kb) + 1
+    return same
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +388,17 @@ def proof_size(proof: Proof) -> int:
 # makes f an instance of its schema -- AxiomJust("Q1", term=t),
 # AxiomJust("QAX", index=i), ComputeJust(value=v), AxiomJust(name) -- or None.
 
-Matcher = Callable[[TheorySpec, Formula, Cost], Union[AxiomJust, ComputeJust, None]]
+Matcher = Callable[[TheorySpec, Formula, Cost | None], Union[AxiomJust, ComputeJust, None]]
 
 
-def _match_p1(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
+def _match_p1(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
     if isinstance(f, Implies) and isinstance(f.consequent, Implies):
-        if eq_formulas(f.antecedent, f.consequent.consequent, cost):
+        if equal(f.antecedent, f.consequent.consequent, cost):
             return AxiomJust("P1")
     return None
 
 
-def _match_p2(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
+def _match_p2(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
     # (A -> (B -> C)) -> ((A -> B) -> (A -> C))
     if not (isinstance(f, Implies) and isinstance(f.antecedent, Implies)):
         return None
@@ -478,16 +411,16 @@ def _match_p2(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
         return None
     ab, ac = r.antecedent, r.consequent
     if (
-        eq_formulas(ab.antecedent, a, cost)
-        and eq_formulas(ab.consequent, b, cost)
-        and eq_formulas(ac.antecedent, a, cost)
-        and eq_formulas(ac.consequent, c, cost)
+        equal(ab.antecedent, a, cost)
+        and equal(ab.consequent, b, cost)
+        and equal(ac.antecedent, a, cost)
+        and equal(ac.consequent, c, cost)
     ):
         return AxiomJust("P2")
     return None
 
 
-def _match_p3(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
+def _match_p3(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
     # (!A -> !B) -> (B -> A)
     if not (isinstance(f, Implies) and isinstance(f.antecedent, Implies) and isinstance(f.consequent, Implies)):
         return None
@@ -495,7 +428,7 @@ def _match_p3(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
     if not (isinstance(left.antecedent, Not) and isinstance(left.consequent, Not)):
         return None
     a, b = left.antecedent.body, left.consequent.body
-    if eq_formulas(right.antecedent, b, cost) and eq_formulas(right.consequent, a, cost):
+    if equal(right.antecedent, b, cost) and equal(right.consequent, a, cost):
         return AxiomJust("P3")
     return None
 
@@ -503,90 +436,60 @@ def _match_p3(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
 def _leftmost_instance(phi: Formula, psi: Formula, x: str) -> Term | None:
     """Subterm of psi at the position of the leftmost free occurrence of x in phi.
 
-    The walk follows phi's structure; binder names may differ between the two
-    sides (canonical renaming), which the walk tolerates — the caller verifies
-    the candidate by substitution, so leniency here is harmless.
+    The walk follows phi's structure without recursion, left to right, and
+    skips the parts where psi's shape differs and the body of every
+    quantifier that binds x.  Binder names may differ between the two sides
+    (canonical renaming), which the walk tolerates — the caller verifies the
+    candidate by substitution, so leniency here is harmless.
     """
-
-    def walk_term(pt: Term, qt: Term) -> tuple[bool, Term | None]:
-        # returns (found, candidate)
-        if isinstance(pt, Var):
-            if pt.name == x:
-                return True, qt
-            return False, None
-        if type(pt) is not type(qt):
-            return False, None
-        match pt:
-            case Succ(arg):
-                return walk_term(arg, qt.arg)
-            case Plus(a, b) | Times(a, b):
-                found, cand = walk_term(a, qt.left)
-                if found:
-                    return found, cand
-                return walk_term(b, qt.right)
-            case DefFn(_, args):
-                if len(args) != len(qt.args):
-                    return False, None
-                for pa, qa in zip(args, qt.args):
-                    found, cand = walk_term(pa, qa)
-                    if found:
-                        return found, cand
-                return False, None
-            case _:
-                return False, None
-
-    def walk(pf: Formula, qf: Formula, shadowed: bool) -> tuple[bool, Term | None]:
-        if type(pf) is not type(qf):
-            return False, None
-        match pf:
-            case Eq(a, b):
-                if not shadowed:
-                    found, cand = walk_term(a, qf.left)
-                    if found:
-                        return found, cand
-                    return walk_term(b, qf.right)
-                return False, None
-            case Not(body):
-                return walk(body, qf.body, shadowed)
-            case Implies(p, q):
-                found, cand = walk(p, qf.antecedent, shadowed)
-                if found:
-                    return found, cand
-                return walk(q, qf.consequent, shadowed)
-            case ForAll(v, body):
-                return walk(body, qf.body, shadowed or v == x)
-            case BoundedForAll(v, bound, body) | BoundedExists(v, bound, body):
-                if not shadowed:
-                    found, cand = walk_term(bound, qf.bound)
-                    if found:
-                        return found, cand
-                return walk(body, qf.body, shadowed or v == x)
-        return False, None
-
-    found, cand = walk(phi, psi, False)
-    return cand if found else None
+    stack = [(phi, psi)]
+    while stack:
+        p, q = stack.pop()
+        cls = type(p)
+        if cls is Var:
+            if p.name == x:
+                return q
+        elif cls is not type(q):
+            pass
+        elif cls is Succ or cls is Not:
+            stack.append((p.arg, q.arg) if cls is Succ else (p.body, q.body))
+        elif cls is Plus or cls is Times or cls is Eq:
+            stack += ((p.right, q.right), (p.left, q.left))
+        elif cls is Implies:
+            stack += ((p.consequent, q.consequent), (p.antecedent, q.antecedent))
+        elif cls is DefFn:
+            if len(p.args) == len(q.args):
+                stack += reversed(tuple(zip(p.args, q.args)))
+        elif cls is not Zero:
+            if p.var != x:
+                stack.append((p.body, q.body))
+            if cls is not ForAll:
+                stack.append((p.bound, q.bound))
+    return None
 
 
-def _match_q1(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
+def _match_q1(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
     # forall x A -> A[x := t]
     if not (isinstance(f, Implies) and isinstance(f.antecedent, ForAll)):
         return None
     x, phi, psi = f.antecedent.var, f.antecedent.body, f.consequent
-    cost.symbol_comparisons += 1
+    if cost is not None:
+        cost.symbol_comparisons += 1
     if x not in free_variables(phi):
-        if eq_formulas(phi, psi, cost):
+        if equal(phi, psi, cost):
             return AxiomJust("Q1", term=ZERO)
         return None
     t = _leftmost_instance(phi, psi, x)
     if t is None:
         return None
-    cost.symbol_comparisons += formula_size(phi)
-    if eq_formulas(substitute(phi, x, t), psi, cost):
+    if cost is not None:
+        cost.symbol_comparisons += formula_size(phi)
+    if equal(substitute(phi, x, t), psi, cost):
         return AxiomJust("Q1", term=t)
     return None
 
 
-def _match_q2(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
+def _match_q2(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
     # forall x (A -> B) -> (forall x A -> forall x B)
     if not (isinstance(f, Implies) and isinstance(f.antecedent, ForAll) and isinstance(f.consequent, Implies)):
         return None
@@ -598,14 +501,14 @@ def _match_q2(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
         return None
     if q.var != r.antecedent.var or q.var != r.consequent.var:
         return None
-    if eq_formulas(r.antecedent.body, q.body.antecedent, cost) and eq_formulas(r.consequent.body, q.body.consequent, cost):
+    if equal(r.antecedent.body, q.body.antecedent, cost) and equal(r.consequent.body, q.body.consequent, cost):
         return AxiomJust("Q2")
     return None
 
 
 def _bq2_matcher(name: str, inner_type: type) -> Matcher:
     # forall<= x b (A -> B) -> (Q<= x b A -> Q<= x b B)
-    def match(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
+    def match(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
         if not (isinstance(f, Implies) and isinstance(f.antecedent, BoundedForAll) and isinstance(f.consequent, Implies)):
             return None
         q = f.antecedent
@@ -616,9 +519,9 @@ def _bq2_matcher(name: str, inner_type: type) -> Matcher:
             return None
         if q.var != r.antecedent.var or q.var != r.consequent.var:
             return None
-        if not (eq_terms(q.bound, r.antecedent.bound, cost) and eq_terms(q.bound, r.consequent.bound, cost)):
+        if not (equal(q.bound, r.antecedent.bound, cost) and equal(q.bound, r.consequent.bound, cost)):
             return None
-        if eq_formulas(r.antecedent.body, q.body.antecedent, cost) and eq_formulas(r.consequent.body, q.body.consequent, cost):
+        if equal(r.antecedent.body, q.body.antecedent, cost) and equal(r.consequent.body, q.body.consequent, cost):
             return AxiomJust(name)
         return None
 
@@ -627,7 +530,7 @@ def _bq2_matcher(name: str, inner_type: type) -> Matcher:
 
 def _bcong_matcher(name: str, qtype: type) -> Matcher:
     # b = b' -> (Q<= x b A -> Q<= x b' A)
-    def match(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
+    def match(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
         if not (isinstance(f, Implies) and isinstance(f.antecedent, Eq) and isinstance(f.consequent, Implies)):
             return None
         b, b2 = f.antecedent.left, f.antecedent.right
@@ -636,26 +539,26 @@ def _bcong_matcher(name: str, qtype: type) -> Matcher:
             return None
         if r.antecedent.var != r.consequent.var:
             return None
-        if not (eq_terms(r.antecedent.bound, b, cost) and eq_terms(r.consequent.bound, b2, cost)):
+        if not (equal(r.antecedent.bound, b, cost) and equal(r.consequent.bound, b2, cost)):
             return None
-        if eq_formulas(r.antecedent.body, r.consequent.body, cost):
+        if equal(r.antecedent.body, r.consequent.body, cost):
             return AxiomJust(name)
         return None
 
     return match
 
 
-def _match_eqrefl(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
-    if isinstance(f, Eq) and eq_terms(f.left, f.right, cost):
+def _match_eqrefl(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
+    if isinstance(f, Eq) and equal(f.left, f.right, cost):
         return AxiomJust("EQREFL", term=f.left)
     return None
 
 
-def _replaceable_term(a: Term, b: Term, s: Term, u: Term, cost: Cost) -> bool:
+def _replaceable_term(a: Term, b: Term, s: Term, u: Term, cost: Cost | None) -> bool:
     """b arises from a by replacing some (possibly zero) occurrences of s by u."""
-    if eq_terms(a, b, cost):
+    if equal(a, b, cost):
         return True
-    if eq_terms(a, s, cost) and eq_terms(b, u, cost):
+    if equal(a, s, cost) and equal(b, u, cost):
         return True
     if type(a) is not type(b):
         return False
@@ -672,7 +575,7 @@ def _replaceable_term(a: Term, b: Term, s: Term, u: Term, cost: Cost) -> bool:
             return False
 
 
-def _match_eqsubst(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
+def _match_eqsubst(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
     # s = u -> (A -> A'), A and A' atomic
     if not (isinstance(f, Implies) and isinstance(f.antecedent, Eq) and isinstance(f.consequent, Implies)):
         return None
@@ -685,16 +588,16 @@ def _match_eqsubst(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | No
     return None
 
 
-def _match_qax(theory: TheorySpec, f: Formula, cost: Cost, index: int | None = None) -> AxiomJust | None:
+def _match_qax(theory: TheorySpec, f: Formula, cost: Cost | None, index: int | None = None) -> AxiomJust | None:
     """The Robinson axiom f is (the `index`-th one only, when given)."""
     axioms = robinson_axioms()
     for i in (range(1, len(axioms) + 1) if index is None else (index,)):
-        if 1 <= i <= len(axioms) and eq_formulas(f, axioms[i - 1], cost):
+        if 1 <= i <= len(axioms) and equal(f, axioms[i - 1], cost):
             return AxiomJust("QAX", index=i)
     return None
 
 
-def _match_ind(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
+def _match_ind(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
     # A[x:=0] -> (forall x (A -> A[x:=S(x)]) -> forall x A)
     if not (theory.induction and isinstance(f, Implies) and isinstance(f.consequent, Implies)):
         return None
@@ -706,21 +609,22 @@ def _match_ind(theory: TheorySpec, f: Formula, cost: Cost) -> AxiomJust | None:
     if mid.var != x:
         return None
     a = tail.body
-    if not eq_formulas(mid.body.antecedent, a, cost):
+    if not equal(mid.body.antecedent, a, cost):
         return None
-    if not eq_formulas(base, substitute(a, x, ZERO), cost):
+    if not equal(base, substitute(a, x, ZERO), cost):
         return None
-    if not eq_formulas(mid.body.consequent, substitute(a, x, Succ(Var(x))), cost):
+    if not equal(mid.body.consequent, substitute(a, x, Succ(Var(x))), cost):
         return None
     return AxiomJust("IND")
 
 
-def _match_compute(theory: TheorySpec, f: Formula, cost: Cost) -> ComputeJust | None:
+def _match_compute(theory: TheorySpec, f: Formula, cost: Cost | None) -> ComputeJust | None:
     if not isinstance(f, Eq):
         return None
     if free_variables(f):
         return None
-    cost.symbol_comparisons += formula_size(f)
+    if cost is not None:
+        cost.symbol_comparisons += formula_size(f)
     try:
         lv = eval_term_in(theory, f.left)
         rv = eval_term_in(theory, f.right)
@@ -755,7 +659,7 @@ def match_schema(
     schema: str,
     f: Formula,
     index: int | None = None,
-    cost: Cost = _NULL_COST,
+    cost: Cost | None = None,
 ) -> Justification | None:
     """The justification that makes f an instance of the named schema, or None.
 
@@ -769,19 +673,19 @@ def match_schema(
     return matcher(theory, f, cost)
 
 
-def find_axiom_justification(theory: TheorySpec, f: Formula, cost: Cost = _NULL_COST) -> Justification | None:
+def find_axiom_justification(theory: TheorySpec, f: Formula, cost: Cost | None = None) -> Justification | None:
     """Search the schemata and the theory's extra axioms for a justification of f."""
     for matcher in _MATCHERS.values():
         just = matcher(theory, f, cost)
         if just is not None:
             return just
     for i, ax in enumerate(theory.extra_axioms, start=1):
-        if eq_formulas(f, ax, cost):
+        if equal(f, ax, cost):
             return TheoryAxiomJust(i)
     return None
 
 
-def find_rule_justification(f: Formula, earlier: Sequence[Formula], cost: Cost = _NULL_COST) -> Justification | None:
+def find_rule_justification(f: Formula, earlier: Sequence[Formula], cost: Cost | None = None) -> Justification | None:
     """Justify f by a rule from the `earlier` lines (indices are positions there).
 
     Modus ponens takes the first implication with consequent f whose
@@ -789,15 +693,18 @@ def find_rule_justification(f: Formula, earlier: Sequence[Formula], cost: Cost =
     generalization takes the first earlier line equal to f's body.
     """
     for j, big in enumerate(earlier):
-        cost.lines_scanned += 1
+        if cost is not None:
+            cost.lines_scanned += 1
         if isinstance(big, Implies) and eq_lines(big.consequent, f, cost):
             for k, g in enumerate(earlier):
-                cost.pair_searches += 1
+                if cost is not None:
+                    cost.pair_searches += 1
                 if eq_lines(g, big.antecedent, cost):
                     return MPJust(j, k)
     if isinstance(f, (ForAll, BoundedForAll)):
         for j, g in enumerate(earlier):
-            cost.lines_scanned += 1
+            if cost is not None:
+                cost.lines_scanned += 1
             if eq_lines(g, f.body, cost):
                 return GenJust(j, f.var) if isinstance(f, ForAll) else BGenJust(j, f.var, f.bound)
     return None
@@ -814,7 +721,7 @@ class LineCheck:
     reason: str = ""
 
 
-def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost = _NULL_COST) -> LineCheck:
+def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost | None = None) -> LineCheck:
     """Validate line i of the proof against its *stored* justification.
 
     A None justification is rejected here (the search-based verifier in the
@@ -832,11 +739,11 @@ def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost = _NULL_COST
             if schema == "Q1" and term is not None:
                 if isinstance(f, Implies) and isinstance(f.antecedent, ForAll):
                     expected = substitute(f.antecedent.body, f.antecedent.var, term)
-                    if eq_formulas(expected, f.consequent, cost):
+                    if equal(expected, f.consequent, cost):
                         return LineCheck(True)
                 return LineCheck(False, "not the stated Q1 instance")
             if schema == "EQREFL" and term is not None:
-                if isinstance(f, Eq) and eq_terms(f.left, term, cost) and eq_terms(f.right, term, cost):
+                if isinstance(f, Eq) and equal(f.left, term, cost) and equal(f.right, term, cost):
                     return LineCheck(True)
                 return LineCheck(False, "not the stated EQREFL instance")
             if schema == "IND" and not theory.induction:
@@ -845,7 +752,7 @@ def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost = _NULL_COST
                 return LineCheck(False, f"not an instance of {schema}")
             return LineCheck(True)
         case TheoryAxiomJust(index):
-            if 1 <= index <= len(theory.extra_axioms) and eq_formulas(f, theory.extra_axioms[index - 1], cost):
+            if 1 <= index <= len(theory.extra_axioms) and equal(f, theory.extra_axioms[index - 1], cost):
                 return LineCheck(True)
             return LineCheck(False, f"not theory axiom {index}")
         case MPJust(imp, ant):
@@ -871,7 +778,7 @@ def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost = _NULL_COST
             if (
                 isinstance(f, BoundedForAll)
                 and f.var == var
-                and eq_terms(f.bound, bound, cost)
+                and equal(f.bound, bound, cost)
                 and eq_lines(f.body, proof.lines[src].formula, cost)
             ):
                 return LineCheck(True)

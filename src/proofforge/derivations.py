@@ -49,7 +49,6 @@ from .syntax import (
     share_tree,
     substitute,
     substitute_term,
-    term_variables,
 )
 
 
@@ -235,7 +234,7 @@ class Builder:
 
     def lift(self, phi: Formula, x: str, s: Term, u: Term) -> int:
         """|- phi[x:=s] -> phi[x:=u]  for closed, equal-valued s and u."""
-        if term_variables(s) or term_variables(u):
+        if free_variables(s) or free_variables(u):
             raise DerivationError("lift requires closed replacement terms")
         if eval_term_in(self.theory, s) != eval_term_in(self.theory, u):
             raise DerivationError("lift requires equal-valued replacement terms")
@@ -291,7 +290,7 @@ class Builder:
         ctor = BoundedExists if exists_form else BoundedForAll
         dist_schema = "BQ2E" if exists_form else "BQ2A"
         cong_schema = "BCONGE" if exists_form else "BCONGA"
-        bvars = term_variables(bound)
+        bvars = free_variables(bound)
         if bvars - {x}:
             raise DerivationError(
                 f"quantifier bound {print_formula(phi)} mentions variables other than {x!r}; lift unsupported"

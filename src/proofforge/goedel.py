@@ -77,7 +77,6 @@ from .syntax import (
     numeral,
     print_formula,
     substitute,
-    term_variables,
 )
 from .verifier import verify
 
@@ -610,7 +609,7 @@ def _exists_points(
             if (
                 ext is not None
                 and ext.support is not None
-                and var not in term_variables(t) | term_variables(r)
+                and var not in free_variables(t) | free_variables(r)
                 and _eval_term(theory, r, b, scope, memo) != 0
             ):
                 return ext.support(_eval_term(theory, t, b, scope, memo), n)

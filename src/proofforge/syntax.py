@@ -35,15 +35,15 @@ first use without recursion: its flat key (`_k`), `node_count` (`_n`),
 hash (`_h`) and size (`_s`).  `hash(node)` is the value the
 dataclass-generated `__hash__` gives, the hash of the tuple of the node's
 fields, so no set or dict changes its order; only the walk of the whole
-tree per call is gone.  Equality is the generated `__eq__`, which still
-recurses.
+tree per call is gone.  Equality is `equal`, one walk without recursion
+that can also count the nodes it compares; every node's `==` calls it.
 
 Equal subtrees within one proof text or Builder are one object: the
 parser and `share_tree` key every node through a share table, which
 `calculus.parse_proof_text` keeps for a whole text and a
 `derivations.Builder` for its whole proof.  A numeral repeated from line
 to line is then built once, and comparing it with itself is an identity
-test (`calculus.eq_terms` charges its cached `node_count`).  A table dies
+test (`equal` charges its cached `node_count`).  A table dies
 with its parse or Builder; none is module-wide, so the lru-cached pools of
 `bounded` are never interned.  Nodes still compare by value, so nothing may
 rely on two equal nodes being distinct objects, nor on them being one.
@@ -171,10 +171,18 @@ def _field_hash(x: Term | Formula, parts: tuple) -> int:
     return x._dataclass_hash()
 
 
+def _eq(self: Term | Formula, other: object) -> bool:
+    # as the generated __eq__: a node of another class is not compared here
+    if type(other) is not type(self):
+        return NotImplemented
+    return equal(self, other)
+
+
 for _cls in _TERM_TYPES | _FORMULA_TYPES:
     _cls._k = _cls._n = _cls._h = _cls._s = None
     _cls._dataclass_hash = _cls.__hash__
     _cls.__hash__ = _hash
+    _cls.__eq__ = _eq
 
 
 def _children(x: Term | Formula) -> tuple:
@@ -218,6 +226,96 @@ def _fill(root: Term | Formula, attr: str, value):
     return getattr(root, attr)
 
 
+# ---------------------------------------------------------------------------
+# Equality
+# ---------------------------------------------------------------------------
+
+
+def equal(a: Term | Formula, b: Term | Formula, cost=None) -> bool:
+    """Whether two terms or formulas are equal: one walk of both trees in
+    flat-key order (see below), without recursion, up to the first mismatch.
+
+    `cost`, when given, gets the number of node pairs compared, the mismatch
+    included, added to its `symbol_comparisons`; a pair of one object is
+    equal without a walk and counts its `node_count`.  Without `cost` nothing
+    is counted, so no subtree is walked to count it."""
+    if a is b:
+        if cost is not None:
+            cost.symbol_comparisons += node_count(a)
+        return True
+    if type(a) is not type(b):
+        # most comparisons of the proof search stop here
+        if cost is not None:
+            cost.symbol_comparisons += 1
+        return False
+    # a node's first child in visit order is compared next, its others
+    # wait on the stack in pairs
+    n = 0
+    same = False
+    stack: list = []
+    pop = stack.pop
+    x, y = a, b
+    while True:
+        if x is y:
+            if cost is not None:
+                n += node_count(x)
+        else:
+            n += 1
+            cls = type(x)
+            if cls is not type(y):
+                break
+            if cls is DefFn:
+                xs, ys = x.args, y.args
+                if x.symbol != y.symbol or len(xs) != len(ys):
+                    break
+                if len(xs) > 1:
+                    for k in range(len(xs) - 1):
+                        stack += (xs[k], ys[k])
+                if xs:
+                    x, y = xs[-1], ys[-1]
+                    continue
+            elif cls is Succ:
+                x, y = x.arg, y.arg
+                continue
+            elif cls is Var:
+                if x.name != y.name:
+                    break
+            elif cls is Plus or cls is Times:
+                stack += (x.left, y.left)
+                x, y = x.right, y.right
+                continue
+            elif cls is Eq:
+                stack += (x.right, y.right)
+                x, y = x.left, y.left
+                continue
+            elif cls is Implies:
+                stack += (x.antecedent, y.antecedent)
+                x, y = x.consequent, y.consequent
+                continue
+            elif cls is Not:
+                x, y = x.body, y.body
+                continue
+            elif cls is ForAll or cls is BoundedForAll or cls is BoundedExists:
+                if x.var != y.var:
+                    break
+                if cls is ForAll:
+                    x, y = x.body, y.body
+                else:
+                    stack += (x.body, y.body)
+                    x, y = x.bound, y.bound
+                continue
+            elif cls is not Zero:
+                raise TypeError(f"not a term or formula: {x!r}")
+        if not stack:
+            same = True
+            break
+        y = pop()
+        x = pop()
+    if cost is not None:
+        cost.symbol_comparisons += n
+    return same
+
+
 class SyntaxErrorWithPos(ValueError):
     """Parse error carrying a character offset into the source text."""
 
@@ -255,37 +353,36 @@ def numeral_value(t: Term) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def term_variables(t: Term) -> frozenset[str]:
-    match t:
-        case Var(name):
-            return frozenset((name,))
-        case Zero():
-            return frozenset()
-        case Succ(arg):
-            return term_variables(arg)
-        case Plus(a, b) | Times(a, b):
-            return term_variables(a) | term_variables(b)
-        case DefFn(_, args):
-            out: frozenset[str] = frozenset()
-            for a in args:
-                out |= term_variables(a)
-            return out
-    raise TypeError(f"not a term: {t!r}")
-
-
-def free_variables(f: Formula) -> frozenset[str]:
-    match f:
-        case Eq(a, b):
-            return term_variables(a) | term_variables(b)
-        case Not(body):
-            return free_variables(body)
-        case Implies(a, b):
-            return free_variables(a) | free_variables(b)
-        case ForAll(v, body):
-            return free_variables(body) - {v}
-        case BoundedForAll(v, bound, body) | BoundedExists(v, bound, body):
-            return term_variables(bound) | (free_variables(body) - {v})
-    raise TypeError(f"not a formula: {f!r}")
+def free_variables(root: Term | Formula) -> frozenset[str]:
+    """The variables that occur free in a term or formula, found without
+    recursion.  Below a quantifier's body the stack holds the set of
+    variables bound outside it, which is restored when the body is done; a
+    bounded quantifier's bound is visited before its variable is bound."""
+    found: set[str] = set()
+    bound: frozenset[str] = frozenset()
+    stack: list = [root]
+    pop = stack.pop
+    while stack:
+        x = pop()
+        cls = type(x)
+        while cls is Succ:
+            x = x.arg
+            cls = type(x)
+        if cls is Var:
+            if x.name not in bound:
+                found.add(x.name)
+        elif cls is DefFn:
+            stack += x.args
+        elif cls is frozenset:
+            bound = x
+        elif cls is ForAll:
+            stack += (bound, x.body)
+            bound = bound | {x.var}
+        elif cls is BoundedForAll or cls is BoundedExists:
+            stack += (bound, x.body, bound | {x.var}, x.bound)
+        else:
+            stack += _children(x)
+    return frozenset(found)
 
 
 def is_sentence(f: Formula) -> bool:
@@ -340,7 +437,7 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
     are renamed deterministically (minimal prime count), e.g.
     substitute(forall y (x = y), x, y) = forall y' (y = y').
     """
-    return _subst(f, var, replacement, term_variables(replacement))
+    return _subst(f, var, replacement, free_variables(replacement))
 
 
 def _subst(f: Formula, var: str, rep: Term, rep_vars: frozenset[str]) -> Formula:
@@ -537,21 +634,21 @@ def _own_size_plus_parts(x: Term | Formula, parts: tuple) -> int:
 # ---------------------------------------------------------------------------
 
 # A node's flat key has one character per node of its tree, in the order
-# calculus.eq_formulas and eq_terms visit them: a right-first preorder (the
+# `equal` visits them: a right-first preorder (the
 # consequent before the antecedent, the right operand of + and * before the
 # left, function arguments last to first, the left side of = before the
 # right, a bounded quantifier's bound before its body).  A character stands
 # for a node type and its payload (a variable's name, a function's symbol
 # and arity, a quantifier's variable), so it fixes the node's arity and the
 # key is injective: two trees are equal exactly when their keys are, and
-# where they differ the first differing character is the node at which the
-# structural walk stops.
+# where they differ the first differing character is the node at which
+# `equal` stops.
 #
 # Zero, Succ, Plus, Times, Eq, Not and Implies carry no payload and are "\0"
 # to "\6".  Payload characters follow in order of first use, each issued by
 # one step of a counter, so no two payloads ever share one.  Fewer than
 # KEY_CODES exist; a tree holding a payload seen after that has the empty
-# key, and callers compare it structurally.
+# key, and callers compare it with `equal`.
 KEY_CODES = 1 << 16
 _var_codes: dict[str, str] = {}
 _unary_codes: dict[str, str] = {}  # symbol of a one-argument DefFn
@@ -672,8 +769,8 @@ def build_flat_key(root: Term | Formula) -> str:
 
 def node_count(root: Term | Formula) -> int:
     """The number of nodes of a tree, a shared subtree counted at each of its
-    occurrences: the length of its flat key, and what a structural walk of
-    two equal trees compares.  Counted without recursion and cached on every
+    occurrences: the length of its flat key, and what `equal` compares on
+    two equal trees.  Counted without recursion and cached on every
     node counted, so a shared tree costs one step per distinct node."""
     n = root._n
     return _fill(root, "_n", _one_plus_parts) if n is None else n
@@ -742,8 +839,9 @@ def share_tree(root: Term | Formula, table: dict) -> Term | Formula:
         else:
             parts = _children(x)
             shared = [get(id(p)) or mget(id(p)) for p in parts]
-            if None in shared:
-                stack += [p for p, q in zip(parts, shared) if q is None]
+            todo = [p for p, q in zip(parts, shared) if q is None]
+            if todo:
+                stack += todo
                 continue
             ids = map(id, shared)
             key = (x.symbol, *ids) if cls is DefFn else (cls, x.var, *ids)
@@ -836,7 +934,8 @@ def _token_span(text: str, index: int) -> tuple[int, int]:
 # counts one level.  The fixed-point certificates of corpus.diagonal_shapes
 # nest at most 1,318 levels (x + x = x * x); about three times that leaves
 # room for them while input nested at the cap still checks without running
-# the recursive equality, hashing and matching of the AST out of stack.
+# the walks that still recurse, such as substitution and term evaluation, out
+# of stack; equality, hashing, sizes and free variables do not recurse.
 MAX_NESTING = 4_000
 
 # Input nested MAX_NESTING deep, and the deeper formulas that decoding large
@@ -1035,7 +1134,7 @@ class _Parser:
     def bounded(self, ctor) -> Formula:
         v = self.variable()
         bound = self.bound_term()
-        if v in term_variables(bound):
+        if v in free_variables(bound):
             raise _ParseError(f"bound of {ctor.__name__} mentions its own variable {v!r}", self.i)
         body = self.unary()
         key = (ctor, v, id(bound), id(body))
@@ -1256,17 +1355,9 @@ def parse_term(text: str, deffn_arities: dict[str, int] | None = None, share: di
 
 
 def subterms(t: Term) -> Iterator[Term]:
+    """Every subterm occurrence of t in preorder, left to right."""
     stack = [t]
     while stack:
         cur = stack.pop()
         yield cur
-        match cur:
-            case Succ(arg):
-                stack.append(arg)
-            case Plus(a, b) | Times(a, b):
-                stack.append(b)
-                stack.append(a)
-            case DefFn(_, args):
-                stack.extend(reversed(args))
-            case _:
-                pass
+        stack += reversed(_children(cur))

@@ -1,6 +1,7 @@
 """Exhaustive proof search, language membership, and the regeneration chain."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -15,7 +16,7 @@ from proofforge.bounded import (
     terms_of_size,
 )
 from proofforge.corpus import membership_formula_corpus
-from proofforge.calculus import print_proof_text
+from proofforge.calculus import print_proof_text, proof_size
 from proofforge.goedel import eval_delta0, extend_with_axiom, standard_theory
 from proofforge.syntax import formula_size, is_delta0, is_sentence, parse_formula, print_formula, term_size
 from proofforge.verifier import check_witness, proof_of
@@ -165,6 +166,26 @@ def test_search_order_is_pinned(text, budget, outcome, nodes, proof):
     }
     r = enumerate_proofs(Q, parse_formula(text), budget, limits=DESK_LIMITS)
     assert (r.outcome, r.nodes, r.proof and print_proof_text(r.proof)) == (outcome, nodes, proof)
+
+
+def test_a_bounded_generalization_line_counts_its_bound(monkeypatch):
+    # with no axiom pools and three pool variables the search is small: the
+    # target's shortest proof is 0 = 0, then forall<= x 0, forall y and
+    # forall z over it, of size 3 + 6 + 8 + 10 plus three separators
+    monkeypatch.setattr(bounded, "axiom_pool", lambda theory, size, cap: ())
+    monkeypatch.setattr(bounded, "VAR_POOL", ("x", "y", "z"))
+    # a cache of its own, so the bounds are drawn from the three variables
+    # and the module's cached pools never see them
+    monkeypatch.setattr(bounded, "terms_of_size", lru_cache(bounded.terms_of_size.__wrapped__))
+    target = parse_formula("forall z forall y forall<= x 0 0 = 0")
+    found = enumerate_proofs(Q, target, 30)
+    assert (found.outcome, found.nodes, proof_size(found.proof)) == ("found", 58_768, 30)
+    assert [type(ln.justification).__name__ for ln in found.proof.lines] == ["AxiomJust", "BGenJust", "GenJust", "GenJust"]
+    # a line placed after the bgen line must see the bound's size too, or
+    # this proof would fit the smaller budgets
+    for budget in (28, 29):
+        r = enumerate_proofs(Q, target, budget, limits=SearchLimits(node_cap=3_000))
+        assert r.proof is None or proof_size(r.proof) <= budget, (budget, print_proof_text(r.proof))
 
 
 def test_regeneration_self_searches_are_pinned():

@@ -21,9 +21,7 @@ from proofforge.calculus import (
     _common_prefix_length,
     check_line,
     check_stored_proof,
-    eq_formulas,
     eq_lines,
-    eq_terms,
     eval_term_in,
     match_schema,
     parse_proof_text,
@@ -48,6 +46,7 @@ from proofforge.syntax import (
     Times,
     Var,
     Zero,
+    equal,
     exists,
     flat_key,
     numeral,
@@ -328,11 +327,11 @@ def _with_parts(formulas):
 
 
 def _assert_agrees(pairs):
-    """eq_lines gives eq_formulas' verdict and symbol_comparisons."""
+    """eq_lines gives the verdict and symbol_comparisons of `equal`."""
     __tracebackhide__ = True  # a failure must not print the pairs: repr recurses
     for n, (a, b) in enumerate(pairs):
         walk, keyed = Cost(), Cost()
-        verdict = eq_formulas(a, b, walk)
+        verdict = equal(a, b, walk)
         same = eq_lines(a, b, keyed)  # not in the assert, whose message would print the trees
         assert same is verdict, n
         assert keyed.symbol_comparisons == walk.symbol_comparisons, n
@@ -446,7 +445,7 @@ _TERM_TYPES = (Var, Zero, Succ, Plus, Times, DefFn)
 
 
 def _assert_identity_agrees(pairs, copies=None):
-    """eq_terms, eq_formulas and eq_lines give pairs that share objects the
+    """`equal` and, on formulas, eq_lines give pairs that share objects the
     verdicts and symbol_comparisons of the walk over fresh copies, which
     share none (`copies`, where a copy cannot be made by recursion)."""
     __tracebackhide__ = True  # a failure must not print the pairs: repr recurses
@@ -458,8 +457,8 @@ def _assert_identity_agrees(pairs, copies=None):
     for n, ((a, b), (fa, fb)) in enumerate(zip(pairs, copies)):
         walk = Cost()
         term = type(a) in _TERM_TYPES
-        verdict = (eq_terms if term else eq_formulas)(fa, fb, walk)
-        for eq in (eq_terms,) if term else (eq_formulas, eq_lines):
+        verdict = equal(fa, fb, walk)
+        for eq in (equal,) if term else (equal, eq_lines):
             shared = Cost()
             same = eq(a, b, shared)  # not in the assert, whose message would print the trees
             assert same is verdict, (n, eq.__name__)

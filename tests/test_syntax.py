@@ -46,7 +46,6 @@ from proofforge.syntax import (
     share_tree,
     substitute,
     term_size,
-    term_variables,
 )
 
 VARS = ("x", "y", "z", "u", "v", "x'", "y''")
@@ -83,11 +82,11 @@ def random_formula(rng: random.Random, depth: int) -> object:
             return ForAll(rng.choice(VARS), random_formula(rng, depth - 1))
         case 3:
             bound = random_term(rng, 1)
-            v = rng.choice([w for w in VARS if w not in term_variables(bound)])
+            v = rng.choice([w for w in VARS if w not in free_variables(bound)])
             return BoundedForAll(v, bound, random_formula(rng, depth - 1))
         case 4:
             bound = random_term(rng, 1)
-            v = rng.choice([w for w in VARS if w not in term_variables(bound)])
+            v = rng.choice([w for w in VARS if w not in free_variables(bound)])
             return BoundedExists(v, bound, random_formula(rng, depth - 1))
         case _:
             return Eq(random_term(rng, depth - 1), random_term(rng, depth - 1))
@@ -522,8 +521,8 @@ def test_parser_checks_function_symbols_against_the_default_table():
 
 
 def test_term_variables():
-    assert term_variables(parse_term("x + S(y) * 0")) == frozenset({"x", "y"})
-    assert term_variables(numeral(7)) == frozenset()
+    assert free_variables(parse_term("x + S(y) * 0")) == frozenset({"x", "y"})
+    assert free_variables(numeral(7)) == frozenset()
 
 
 _DEEP_HASH_AND_SIZE = """
@@ -586,3 +585,162 @@ def test_size_is_the_token_count_of_the_code():
         for x in _distinct_nodes(f):
             if type(x) in (Var, Zero, Succ, Plus, Times, DefFn):
                 assert term_size(x) == len(code_to_tokens(encode_term(x))), print_term(x)
+
+
+# --- equality and free variables: one walk each, neither recursive ----------
+
+NODE_TYPES = (Var, Zero, Succ, Plus, Times, DefFn, Eq, Not, Implies, ForAll, BoundedForAll, BoundedExists)  # terms first
+
+
+def test_no_node_class_keeps_a_generated_eq():
+    from proofforge import syntax
+
+    for cls in NODE_TYPES:
+        assert cls.__eq__ is syntax._eq, cls.__name__
+        assert cls.__eq__.__qualname__ != f"{cls.__qualname__}.__eq__"
+    x = Var("x")
+    assert x.__eq__(Zero()) is NotImplemented and x.__eq__("x") is NotImplemented and x.__eq__(None) is NotImplemented
+
+
+_DEEP_EQUALITY = """
+import sys
+
+from proofforge.syntax import ZERO, Eq, Not, Plus, Succ, Var, Zero, free_variables
+
+def wrap(ctor, n, node):
+    for _ in range(n):
+        node = ctor(node)
+    return node
+
+# equality and free variables walk the tree without recursion, so a limit far
+# below the depth of these trees is no obstacle; every copy is built apart,
+# down to its atom, so no walk meets a pair of one object
+sys.setrecursionlimit(1000)
+chains = [wrap(Not, 20_000, Eq(Zero(), Var("x"))) for _ in range(2)]
+other = wrap(Not, 20_000, Eq(Zero(), Var("y")))
+numerals = [wrap(Succ, 50_000, Zero()) for _ in range(2)]
+open_numeral = wrap(Succ, 50_000, Var("z"))
+for (a, b), c in ((chains, other), (numerals, open_numeral)):
+    assert a == b and b == a and not a != b
+    assert a != c and c != a and not a == c
+    assert b in {a} and c not in {a}
+    assert {a: 1}[b] == 1 and {a: 1}.get(c) is None
+assert free_variables(chains[0]) == {"x"} and free_variables(other) == {"y"}
+assert free_variables(numerals[0]) == frozenset() and free_variables(open_numeral) == {"z"}
+assert free_variables(Eq(Plus(open_numeral, ZERO), numerals[1])) == {"z"}
+print("ok")
+"""
+
+
+def test_deep_trees_compare_and_find_free_variables_without_recursion():
+    # a subprocess, since a recursive == of the chains overflows the C stack
+    env = dict(os.environ, PYTHONPATH=str(Path(proofforge.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", _DEEP_EQUALITY], env=env, capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr[-2000:]
+
+
+def _reference_equal(a, b) -> bool:
+    """Dataclass equality: field by field, recursively."""
+    if type(a) is not type(b):
+        return False
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, str):
+            same = x == y
+        elif isinstance(x, tuple):
+            same = len(x) == len(y) and all(map(_reference_equal, x, y))
+        else:
+            same = _reference_equal(x, y)
+        if not same:
+            return False
+    return True
+
+
+_VISIT_ORDER = {
+    Succ: lambda x: [x.arg],
+    Plus: lambda x: [x.right, x.left],
+    Times: lambda x: [x.right, x.left],
+    DefFn: lambda x: list(reversed(x.args)),
+    Eq: lambda x: [x.left, x.right],
+    Not: lambda x: [x.body],
+    Implies: lambda x: [x.consequent, x.antecedent],
+    ForAll: lambda x: [x.body],
+    BoundedForAll: lambda x: [x.bound, x.body],
+    BoundedExists: lambda x: [x.bound, x.body],
+}
+
+
+def _reference_walk(a, b) -> tuple[bool, int]:
+    """The verdict and the nodes compared up to the first mismatch of a
+    recursive walk in flat-key order: right-first preorder, with the left
+    side of = and a quantifier's bound first."""
+    if type(a) is not type(b) or any(getattr(a, n, None) != getattr(b, n, None) for n in ("name", "symbol", "var")):
+        return False, 1
+    if isinstance(a, DefFn) and len(a.args) != len(b.args):
+        return False, 1
+    parts = _VISIT_ORDER.get(type(a), lambda x: [])
+    n = 1
+    for p, q in zip(parts(a), parts(b)):
+        same, k = _reference_walk(p, q)
+        n += k
+        if not same:
+            return False, n
+    return True, n
+
+
+def _reference_variables(x) -> frozenset:
+    """The free variables, by their recursive definition."""
+    match x:
+        case Var(name):
+            return frozenset((name,))
+        case Succ(a) | Not(a):
+            return _reference_variables(a)
+        case Plus(a, b) | Times(a, b) | Eq(a, b) | Implies(a, b):
+            return _reference_variables(a) | _reference_variables(b)
+        case DefFn(_, args):
+            return frozenset().union(*map(_reference_variables, args))
+        case ForAll(v, body):
+            return _reference_variables(body) - {v}
+        case BoundedForAll(v, bound, body) | BoundedExists(v, bound, body):
+            return _reference_variables(bound) | (_reference_variables(body) - {v})
+    return frozenset()
+
+
+def _copy(x):
+    """An equal tree of new objects."""
+    if isinstance(x, (str, tuple)):
+        return x if isinstance(x, str) else tuple(map(_copy, x))
+    return type(x)(*(_copy(getattr(x, f.name)) for f in fields(x)))
+
+
+def test_equality_and_free_variables_agree_with_recursive_references():
+    from proofforge.calculus import Cost
+    from proofforge.syntax import equal
+
+    theory = standard_theory()
+    rng = random.Random(16)
+    roots = [random_delta0_sentence(rng) for _ in range(300)] + diagonal_shapes(theory)
+    roots += [random_formula(rng, 4) for _ in range(300)]  # open, with unbounded quantifiers
+    x, y = Var("x"), Var("y")
+    # bounds that mention their own variable, which the parser rejects
+    roots += [BoundedForAll("x", x, Eq(x, y)), Implies(BoundedExists("y", Plus(y, x), ForAll("x", Eq(x, y))), Eq(y, x))]
+    for sample in derived_theorem_corpus(theory, rng, 40):
+        roots += _proof_roots(sample.proof)
+    nodes = _distinct_nodes(*roots)
+    assert {type(x) for x in nodes} == set(NODE_TYPES)
+    terms = [t for t in nodes if type(t) in NODE_TYPES[:6]]
+    formulas = [f for f in nodes if type(f) in NODE_TYPES[6:]]
+    pairs = [(x, x) for x in nodes] + [(x, _copy(x)) for x in nodes]
+    for group in (terms, formulas):
+        pairs += [(rng.choice(group), rng.choice(group)) for _ in range(20_000)]
+    pairs += [(rng.choice(nodes), rng.choice(nodes)) for _ in range(5_000)]  # across kinds
+    pairs += [(x, _copy(y)) for x, y in pairs[-5_000:]]
+    assert sum(not _reference_equal(a, b) for a, b in pairs) > 40_000
+    for a, b in pairs:
+        same = _reference_equal(a, b)
+        cost = Cost()
+        assert equal(a, b, cost) is same and (a == b) is same and (a != b) is not same, (a, b)
+        assert (same, cost.symbol_comparisons) == _reference_walk(a, b), (a, b)
+    for x in nodes:
+        assert free_variables(x) == _reference_variables(x), x
+        assert (x == None, x != None, x == 0, x != 0, x == "x") == (False, True, False, True, False)  # noqa: E711
