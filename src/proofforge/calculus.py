@@ -33,19 +33,23 @@ assignment, theory axioms are closed, and the rules preserve that property,
 so everything provable is true in N.  Matching any single schema against a
 candidate line is linear in the line size.
 
-Each schema matcher returns the justification it proves, or None.  The one
-justification search lives here: `find_axiom_justification` tries the
-matchers in a fixed order and then the theory's axioms, and
-`find_rule_justification` looks for modus ponens or (bounded)
-generalization over earlier lines.  The searching verifier and the
-exhaustive proof search both use these two functions.
+Nine schemata, P1-P3, Q2, BQ2A-BCONGE and EQREFL, are a shape alone: rows
+of one table, `_PATTERNS`, each its line above, checked by one matcher,
+`_schema_matcher`.  Q1, EQSUBST, QAX, IND and COMPUTE are written by hand.
+Each matcher returns the justification it proves, or None.  The one
+justification search lives here: `find_axiom_justification` tries, in a
+fixed order, the matchers that accept the formula's root class (QAX accepts
+every root), then the theory's axioms; `find_rule_justification` looks for
+modus ponens or (bounded) generalization over earlier lines.  The searching
+verifier and the exhaustive proof search both use these two functions.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .syntax import (
@@ -390,47 +394,96 @@ def proof_size(proof: Proof) -> int:
 
 Matcher = Callable[[TheorySpec, Formula, Cost | None], Union[AxiomJust, ComputeJust, None]]
 
-
-def _match_p1(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
-    if isinstance(f, Implies) and isinstance(f.consequent, Implies):
-        if equal(f.antecedent, f.consequent.consequent, cost):
-            return AxiomJust("P1")
-    return None
-
-
-def _match_p2(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
-    # (A -> (B -> C)) -> ((A -> B) -> (A -> C))
-    if not (isinstance(f, Implies) and isinstance(f.antecedent, Implies)):
-        return None
-    left = f.antecedent
-    if not isinstance(left.consequent, Implies):
-        return None
-    a, b, c = left.antecedent, left.consequent.antecedent, left.consequent.consequent
-    r = f.consequent
-    if not (isinstance(r, Implies) and isinstance(r.antecedent, Implies) and isinstance(r.consequent, Implies)):
-        return None
-    ab, ac = r.antecedent, r.consequent
-    if (
-        equal(ab.antecedent, a, cost)
-        and equal(ab.consequent, b, cost)
-        and equal(ac.antecedent, a, cost)
-        and equal(ac.consequent, c, cost)
-    ):
-        return AxiomJust("P2")
-    return None
+# The schemata that are a shape alone, each its line of the module docstring.
+# A pattern's leaves are metavariables, Var nodes: upper case stands for a
+# formula, lower case for a term (`t` goes into the justification).  A
+# quantifier's variable matches any variable, one variable per name.
+_A, _B, _C, _b, _b2, _t = (Var(name) for name in ("A", "B", "C", "b", "b'", "t"))
+_PATTERNS: dict[str, Formula] = {
+    "EQREFL": Eq(_t, _t),
+    "P1": Implies(_A, Implies(_B, _A)),
+    "P2": Implies(Implies(_A, Implies(_B, _C)), Implies(Implies(_A, _B), Implies(_A, _C))),
+    "P3": Implies(Implies(Not(_A), Not(_B)), Implies(_B, _A)),
+    "Q2": Implies(ForAll("x", Implies(_A, _B)), Implies(ForAll("x", _A), ForAll("x", _B))),
+    "BQ2A": Implies(BoundedForAll("x", _b, Implies(_A, _B)), Implies(BoundedForAll("x", _b, _A), BoundedForAll("x", _b, _B))),
+    "BQ2E": Implies(BoundedForAll("x", _b, Implies(_A, _B)), Implies(BoundedExists("x", _b, _A), BoundedExists("x", _b, _B))),
+    "BCONGA": Implies(Eq(_b, _b2), Implies(BoundedForAll("x", _b, _A), BoundedForAll("x", _b2, _A))),
+    "BCONGE": Implies(Eq(_b, _b2), Implies(BoundedExists("x", _b, _A), BoundedExists("x", _b2, _A))),
+}
 
 
-def _match_p3(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
-    # (!A -> !B) -> (B -> A)
-    if not (isinstance(f, Implies) and isinstance(f.antecedent, Implies) and isinstance(f.consequent, Implies)):
-        return None
-    left, right = f.antecedent, f.consequent
-    if not (isinstance(left.antecedent, Not) and isinstance(left.consequent, Not)):
-        return None
-    a, b = left.antecedent.body, left.consequent.body
-    if equal(right.antecedent, b, cost) and equal(right.consequent, a, cost):
-        return AxiomJust("P3")
-    return None
+def _reader(base: Callable | None, fields: tuple[str, ...]) -> Callable | None:
+    """Reader of the part of f reached by `base` (none: f), then `fields`."""
+    read = attrgetter(".".join(fields)) if fields else None
+    if base is None or read is None:
+        return base or read
+    return lambda f: read(base(f))
+
+
+def _application(read: Callable, symbol: str, arity: int, f: Formula) -> DefFn | None:
+    x = read(f)
+    return x if type(x) is DefFn and x.symbol == symbol and len(x.args) == arity else None
+
+
+def _read_pattern(pattern: Formula) -> tuple[list, list, list, Callable | None]:
+    """A pattern read once, in preorder and syntax._children order, into
+    readers of an instance's parts: (reader, class) of each node below the
+    root; pairs of quantifier variables of one name; each metavariable's
+    (first occurrence, later occurrence), terms before formulas; and t."""
+    shape: list = []
+    binders: list = []
+    terms: list = []
+    formulas: list = []
+    first: dict[str, Callable] = {}
+    first_var: dict[str, Callable] = {}
+    stack: list = [(pattern, None, ())]
+    while stack:
+        node, base, fields = stack.pop()
+        cls = type(node)
+        read = _reader(base, fields)
+        if cls is Var:
+            if node.name in first:
+                (formulas if node.name[0].isupper() else terms).append((first[node.name], read))
+            first.setdefault(node.name, read)
+            continue
+        if cls is DefFn:  # reads None, failing the class check, for another symbol or arity
+            check = partial(_application, read, node.symbol, len(node.args))
+            kids = [(a, lambda f, r=read, k=k: r(f).args[k], ()) for k, a in enumerate(node.args)]
+        else:
+            check = read
+            kids = [(getattr(node, name), base, fields + (name,)) for name in cls.__match_args__ if name != "var"]
+        if read is not None:  # the root's class is checked apart
+            shape.append((check, cls))
+        if cls is ForAll or cls is BoundedForAll or cls is BoundedExists:
+            read_var = _reader(base, fields + ("var",))
+            if node.var in first_var:
+                binders.append((first_var[node.var], read_var))
+            first_var.setdefault(node.var, read_var)
+        stack += reversed(kids)
+    return shape, binders, terms + formulas, first.get("t")
+
+
+def _schema_matcher(name: str, pattern: Formula) -> Matcher:
+    """The matcher of a shape schema: every class and quantifier variable is
+    checked, counting nothing, before the metavariables are compared."""
+    root = type(pattern)
+    shape, binders, pairs, read_t = _read_pattern(pattern)
+
+    def match(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
+        if type(f) is not root:
+            return None
+        for read, cls in shape:
+            if type(read(f)) is not cls:
+                return None
+        for read, again in binders:
+            if read(f) != again(f):
+                return None
+        for read, again in pairs:
+            if not equal(read(f), again(f), cost):
+                return None
+        return AxiomJust(name) if read_t is None else AxiomJust(name, term=read_t(f))
+
+    return match
 
 
 def _leftmost_instance(phi: Formula, psi: Formula, x: str) -> Term | None:
@@ -486,71 +539,6 @@ def _match_q1(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | 
         cost.symbol_comparisons += formula_size(phi)
     if equal(substitute(phi, x, t), psi, cost):
         return AxiomJust("Q1", term=t)
-    return None
-
-
-def _match_q2(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
-    # forall x (A -> B) -> (forall x A -> forall x B)
-    if not (isinstance(f, Implies) and isinstance(f.antecedent, ForAll) and isinstance(f.consequent, Implies)):
-        return None
-    q = f.antecedent
-    if not isinstance(q.body, Implies):
-        return None
-    r = f.consequent
-    if not (isinstance(r.antecedent, ForAll) and isinstance(r.consequent, ForAll)):
-        return None
-    if q.var != r.antecedent.var or q.var != r.consequent.var:
-        return None
-    if equal(r.antecedent.body, q.body.antecedent, cost) and equal(r.consequent.body, q.body.consequent, cost):
-        return AxiomJust("Q2")
-    return None
-
-
-def _bq2_matcher(name: str, inner_type: type) -> Matcher:
-    # forall<= x b (A -> B) -> (Q<= x b A -> Q<= x b B)
-    def match(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
-        if not (isinstance(f, Implies) and isinstance(f.antecedent, BoundedForAll) and isinstance(f.consequent, Implies)):
-            return None
-        q = f.antecedent
-        if not isinstance(q.body, Implies):
-            return None
-        r = f.consequent
-        if not (isinstance(r.antecedent, inner_type) and isinstance(r.consequent, inner_type)):
-            return None
-        if q.var != r.antecedent.var or q.var != r.consequent.var:
-            return None
-        if not (equal(q.bound, r.antecedent.bound, cost) and equal(q.bound, r.consequent.bound, cost)):
-            return None
-        if equal(r.antecedent.body, q.body.antecedent, cost) and equal(r.consequent.body, q.body.consequent, cost):
-            return AxiomJust(name)
-        return None
-
-    return match
-
-
-def _bcong_matcher(name: str, qtype: type) -> Matcher:
-    # b = b' -> (Q<= x b A -> Q<= x b' A)
-    def match(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
-        if not (isinstance(f, Implies) and isinstance(f.antecedent, Eq) and isinstance(f.consequent, Implies)):
-            return None
-        b, b2 = f.antecedent.left, f.antecedent.right
-        r = f.consequent
-        if not (isinstance(r.antecedent, qtype) and isinstance(r.consequent, qtype)):
-            return None
-        if r.antecedent.var != r.consequent.var:
-            return None
-        if not (equal(r.antecedent.bound, b, cost) and equal(r.consequent.bound, b2, cost)):
-            return None
-        if equal(r.antecedent.body, r.consequent.body, cost):
-            return AxiomJust(name)
-        return None
-
-    return match
-
-
-def _match_eqrefl(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
-    if isinstance(f, Eq) and equal(f.left, f.right, cost):
-        return AxiomJust("EQREFL", term=f.left)
     return None
 
 
@@ -635,23 +623,30 @@ def _match_compute(theory: TheorySpec, f: Formula, cost: Cost | None) -> Compute
     return None
 
 
-# every schema, in search order: cheap structural matchers first, COMPUTE last
+# every schema, in search order: cheap structural matchers first, COMPUTE
+# last.  The order is part of the count: a matcher tried earlier adds its
+# comparisons to it.
 _MATCHERS: dict[str, Matcher] = {
-    "EQREFL": _match_eqrefl,
-    "P1": _match_p1,
-    "P3": _match_p3,
-    "P2": _match_p2,
+    **{name: _schema_matcher(name, _PATTERNS[name]) for name in ("EQREFL", "P1", "P3", "P2")},
     "Q1": _match_q1,
-    "Q2": _match_q2,
-    "BQ2A": _bq2_matcher("BQ2A", BoundedForAll),
-    "BQ2E": _bq2_matcher("BQ2E", BoundedExists),
-    "BCONGA": _bcong_matcher("BCONGA", BoundedForAll),
-    "BCONGE": _bcong_matcher("BCONGE", BoundedExists),
+    **{name: _schema_matcher(name, _PATTERNS[name]) for name in ("Q2", "BQ2A", "BQ2E", "BCONGA", "BCONGE")},
     "EQSUBST": _match_eqsubst,
     "QAX": _match_qax,
     "IND": _match_ind,
     "COMPUTE": _match_compute,
 }
+
+# the matchers that can accept a formula of each root class, in _MATCHERS
+# order; QAX is in every list, as it compares f with each Robinson axiom
+_ROOTS = {name: type(p) for name, p in _PATTERNS.items()} | {"Q1": Implies, "EQSUBST": Implies, "IND": Implies, "COMPUTE": Eq}
+_BY_ROOT: dict[type, tuple[Matcher, ...]] = {
+    cls: tuple(m for name, m in _MATCHERS.items() if _ROOTS.get(name, cls) is cls)
+    for cls in (Eq, Not, Implies, ForAll, BoundedForAll, BoundedExists)
+}
+
+# the schemata an AxiomJust may name, each printed bare without its payload;
+# COMPUTE's justification is a ComputeJust
+_AXIOM_SCHEMATA = frozenset(_MATCHERS) - {"COMPUTE"}
 
 
 def match_schema(
@@ -675,7 +670,7 @@ def match_schema(
 
 def find_axiom_justification(theory: TheorySpec, f: Formula, cost: Cost | None = None) -> Justification | None:
     """Search the schemata and the theory's extra axioms for a justification of f."""
-    for matcher in _MATCHERS.values():
+    for matcher in _BY_ROOT.get(type(f), (_match_qax,)):
         just = matcher(theory, f, cost)
         if just is not None:
             return just
@@ -736,6 +731,10 @@ def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost | None = Non
         case None:
             return LineCheck(False, "no stored justification")
         case AxiomJust(schema, index, term):
+            if schema not in _AXIOM_SCHEMATA:
+                return LineCheck(False, f"no axiom schema {schema}")
+            if (index is not None and schema != "QAX") or (term is not None and schema not in ("Q1", "EQREFL")):
+                return LineCheck(False, f"{schema} takes no such payload")
             if schema == "Q1" and term is not None:
                 if isinstance(f, Implies) and isinstance(f.antecedent, ForAll):
                     expected = substitute(f.antecedent.body, f.antecedent.var, term)
@@ -810,7 +809,7 @@ def check_stored_proof(theory: TheorySpec, proof: Proof) -> LineCheck:
 #   <idx>. <formula> ; <justification>
 #
 # indices are 1-based; justifications:
-#   P1 | P2 | P3 | Q2 | BQ2A | BQ2E | BCONGA | BCONGE | EQSUBST | IND
+#   <schema>     any schema but COMPUTE, bare: P1 | Q1 | EQREFL | QAX | ...
 #   Q1[t=<term>] | EQREFL[t=<term>]
 #   QAX <i> | THAX <i> | MP <i> <j> | GEN <i> <var> | BGEN <i> <var> <bound>
 #   COMPUTE | COMPUTE[v=<int>]
@@ -824,7 +823,7 @@ def _print_justification(j: Justification | None) -> str:
     match j:
         case None:
             return "?"
-        case AxiomJust("QAX", index, _):
+        case AxiomJust("QAX", index, _) if index is not None:
             return f"QAX {index}"
         case AxiomJust(schema, _, term) if term is not None and schema in ("Q1", "EQREFL"):
             return f"{schema}[t={print_term(term)}]"
@@ -852,8 +851,6 @@ def print_proof_text(proof: Proof) -> str:
     return "\n".join(out) + "\n"
 
 
-# schemata written without a payload: all but Q1/EQREFL (term), QAX (index) and COMPUTE
-_BARE_SCHEMATA = frozenset(_MATCHERS) - {"Q1", "EQREFL", "QAX", "COMPUTE"}
 _COMPUTE_RE = re.compile(r"COMPUTE\[v=(\d+)\]")
 _TERM_AXIOM_RE = re.compile(r"(Q1|EQREFL)\[t=(.*)\]")
 _QAX_RE = re.compile(r"QAX (\d+)")
@@ -867,7 +864,7 @@ def _parse_justification(text: str, arities: dict[str, int] | None, share: dict)
     text = text.strip()
     if text == "?":
         return None
-    if text in _BARE_SCHEMATA:
+    if text in _AXIOM_SCHEMATA:
         return AxiomJust(text)
     if text == "COMPUTE":
         return ComputeJust()

@@ -8,7 +8,7 @@ valid proof is automatically search-valid (the converse direction of the
 fast path in calculus.check_line).
 
 Per line the search is calculus.find_axiom_justification (each schema
-matcher, linear in the line size, then the theory's axioms) and then
+matcher for the line's root class, then the theory's axioms) and then
 calculus.find_rule_justification, which scans preceding lines and pairs of
 preceding lines.  The exhaustive search in the bounded module justifies its
 lines with the same two functions, so the checking relation is written down
@@ -65,9 +65,8 @@ def verify(
     cost: Cost | None = None,
     diagnostics: list[str] | None = None,
 ) -> bool:
-    """Every line justifiable by search?  Empty proofs are rejected."""
-    if cost is None:
-        cost = Cost()
+    """Every line justifiable by search?  Empty proofs are rejected.  Work
+    is counted into `cost` when one is given."""
     if not proof.lines:
         if diagnostics is not None:
             diagnostics.append("empty proof")

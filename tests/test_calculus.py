@@ -247,6 +247,58 @@ def test_proof_text_round_trip_on_derived_corpus():
         assert again == sample.proof, sample.strategy
 
 
+def test_every_accepted_justification_round_trips_through_text():
+    from proofforge.calculus import _MATCHERS, BGenJust, GenJust
+
+    ind = parse_formula("0 = 0 -> (forall x (x = x -> S(x) = S(x)) -> forall x x = x)")
+    con = parse_formula("forall x (x = x)")
+    ext = TheorySpec("ext", extra_axioms=(con,), def_extensions=Q.def_extensions)
+    formulas = [
+        parse_formula(t)
+        for t in (
+            "0 = 0",
+            "0 = 0 -> (S(0) = S(0) -> 0 = 0)",
+            "S(0) = S(0) -> 0 = 0",
+            "forall x (0 = 0)",
+            "forall<= x S(0) (0 = 0)",
+            "forall x (x = x) -> 0 = 0",
+            "x = y -> (x + 0 = 0 -> y + 0 = 0)",
+        )
+    ] + [robinson_axioms()[0], ind, con]
+    payloads = [None, ZERO, numeral(1), Var("x")]
+    cands = [AxiomJust(s, i, t) for s in [*_MATCHERS, "P4"] for i in (None, 1, 8) for t in payloads]
+    cands += [ComputeJust(), ComputeJust(0), ComputeJust(1), TheoryAxiomJust(1), TheoryAxiomJust(2)]
+    cands += [MPJust(a, b) for a in range(4) for b in range(4)]
+    cands += [GenJust(k, v) for k in range(4) for v in "xy"] + [BGenJust(k, "x", b) for k in range(4) for b in payloads[1:]]
+    accepted = set()
+    for theory in (Q, induction_theory(), ext):
+        for i, f in enumerate(formulas):
+            for j in cands:
+                lines = [ProofLine(g) for g in formulas[:i]] + [ProofLine(f, j)]
+                if check_line(theory, Proof(tuple(lines)), i).ok:
+                    accepted.add(j)
+                    again = parse_proof_text(print_proof_text(one_line(f, j)), Q.arities())
+                    assert again.lines[0].justification == j, (print_formula(f), j)
+    assert {AxiomJust("Q1"), AxiomJust("EQREFL"), AxiomJust("QAX"), AxiomJust("IND")} <= accepted
+    assert {AxiomJust("EQREFL", term=ZERO), AxiomJust("QAX", index=1), MPJust(1, 0), TheoryAxiomJust(1)} <= accepted
+
+
+def test_bare_payload_schemata_parse_and_check():
+    for text in ("1. forall x (x = x) -> 0 = 0 ; Q1", "1. 0 = 0 ; EQREFL", "1. forall x (!(S(x) = 0)) ; QAX"):
+        proof = parse_proof_text(text)
+        assert check_stored_proof(Q, proof).ok, text
+        assert print_proof_text(proof) == text + "\n"
+
+
+def test_stored_proof_refuses_a_payload_its_schema_does_not_take():
+    zero = parse_formula("0 = 0")
+    assert check_line(Q, one_line(zero, AxiomJust("COMPUTE")), 0).reason == "no axiom schema COMPUTE"
+    assert check_line(Q, one_line(zero, AxiomJust("P4")), 0).reason == "no axiom schema P4"
+    assert check_line(Q, one_line(zero, AxiomJust("EQREFL", index=1)), 0).reason == "EQREFL takes no such payload"
+    ax = robinson_axioms()[0]
+    assert check_line(Q, one_line(ax, AxiomJust("QAX", index=1, term=ZERO)), 0).reason == "QAX takes no such payload"
+
+
 @pytest.mark.parametrize(
     "bad, message_part",
     [

@@ -57,6 +57,24 @@ def test_cost_report_is_deterministic_except_wall_clock():
     )
 
 
+def test_verify_counts_only_when_given_a_cost(monkeypatch):
+    from proofforge import verifier
+
+    costs = []
+    for name in ("find_axiom_justification", "find_rule_justification"):
+        real = getattr(verifier, name)
+        monkeypatch.setattr(verifier, name, lambda *args, real=real: costs.append(args[-1]) or real(*args))
+    sample = sample_proofs(5)[-1]
+    phi = sample.proof.conclusion
+    assert verify(Q, sample.proof) and proof_of(Q, sample.proof, phi)
+    assert check_witness(Q, phi, sample.proof, 3)
+    assert costs and all(c is None for c in costs)
+    costs.clear()
+    ok, report = proof_of_with_cost(Q, sample.proof, phi)
+    assert ok and report.symbol_comparisons > 0
+    assert costs and all(c is not None for c in costs)
+
+
 def test_every_prefix_of_a_valid_proof_is_valid():
     sample = max(sample_proofs(40), key=lambda s: len(s.proof.lines))
     for cut in range(1, len(sample.proof.lines) + 1):
