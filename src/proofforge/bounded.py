@@ -33,7 +33,26 @@ Lines are justified by the verifier's own search: axiom lines by
 calculus.find_axiom_justification, the target by the same function (once,
 at the root: the target and theory never change) and otherwise by
 calculus.find_rule_justification over the lines above it.  Axiom pools are
-cached by the theory's content, not its name.
+cached by the theory's content and the variable pool, not the theory's name.
+
+Almost every node is a leaf: its newest line leaves no room (fewer than 3
+symbols) for another.  A parent visits each child in its own loop: it
+counts the child against the node cap, checks the target on it, and calls
+itself on the child only when the child is inner, handing on its formula
+list extended by the one new line.  A leaf costs its own line only.  The
+target is checked on a child only where the child's newest line f can be
+cited.  A child checks the target only if its parent did (its prefix is
+longer), and the parent's check found nothing, or the search would have
+stopped there; so a justification on the child cites f.  That needs one of:
+
+  (a) f is an implication whose consequent is the target (f is MP's major
+      premise);
+  (b) f is the antecedent of an earlier line whose consequent is the target
+      (f is the minor premise; the parent collects these antecedents once);
+  (c) f is the body of a `forall` or `forall<=` target (GEN or BGEN).
+
+When one holds, find_rule_justification runs over all the lines, so the
+justification found is the one a check of every child would find.
 
 Every line and candidate carries its size, so no node walks a formula to
 size it: a pool of size s holds formulas of size s, relevance instances are
@@ -126,23 +145,37 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def terms_of_size(size: int, cap: int = 600_000) -> tuple[Term, ...]:
-    """Every term of exactly `size` tokens over the 16-variable pool."""
+    """Every term of exactly `size` tokens over the variable pool `VAR_POOL`."""
+    return _terms_of_size(size, cap, tuple(VAR_POOL))
+
+
+def formulas_of_size(size: int, cap: int = 600_000) -> tuple[Formula, ...]:
+    """Every formula of exactly `size` tokens over the variable pool `VAR_POOL`."""
+    return _formulas_of_size(size, cap, tuple(VAR_POOL))
+
+
+# The pools are cached by the variable pool they are built over, as well as
+# by size and cap, so a pool built under one `VAR_POOL` is never served
+# under another.
+
+
+@lru_cache(maxsize=None)
+def _terms_of_size(size: int, cap: int, names: tuple[str, ...]) -> tuple[Term, ...]:
     if size < 1:
         return ()
     out: list[Term] = []
     if size == 1:
         out.append(ZERO)
-        out.extend(Var(v) for v in VAR_POOL)
+        out.extend(Var(v) for v in names)
         return tuple(out)
-    for inner in terms_of_size(size - 1, cap):
+    for inner in _terms_of_size(size - 1, cap, names):
         out.append(Succ(inner))
         for sym in _UNARY_FNS:
             out.append(DefFn(sym, (inner,)))
     for left_size in range(1, size - 1):
-        lefts = terms_of_size(left_size, cap)
-        rights = terms_of_size(size - 1 - left_size, cap)
+        lefts = _terms_of_size(left_size, cap, names)
+        rights = _terms_of_size(size - 1 - left_size, cap, names)
         if len(out) + len(lefts) * len(rights) * (2 + len(_BINARY_FNS)) > cap:
             raise PoolCapExceeded(f"term pool at size {size}")
         for a in lefts:
@@ -157,34 +190,33 @@ def terms_of_size(size: int, cap: int = 600_000) -> tuple[Term, ...]:
 
 
 @lru_cache(maxsize=None)
-def formulas_of_size(size: int, cap: int = 600_000) -> tuple[Formula, ...]:
-    """Every formula of exactly `size` tokens over the 16-variable pool."""
+def _formulas_of_size(size: int, cap: int, names: tuple[str, ...]) -> tuple[Formula, ...]:
     if size < 3:
         return ()
     out: list[Formula] = []
     for left_size in range(1, size - 1):
-        lefts = terms_of_size(left_size, cap)
-        rights = terms_of_size(size - 1 - left_size, cap)
+        lefts = _terms_of_size(left_size, cap, names)
+        rights = _terms_of_size(size - 1 - left_size, cap, names)
         if len(out) + len(lefts) * len(rights) > cap:
             raise PoolCapExceeded(f"formula pool at size {size}")
         for a in lefts:
             for b in rights:
                 out.append(Eq(a, b))
-    for body in formulas_of_size(size - 1, cap):
+    for body in _formulas_of_size(size - 1, cap, names):
         out.append(Not(body))
     for a_size in range(3, size - 3):
-        for a in formulas_of_size(a_size, cap):
-            for b in formulas_of_size(size - 1 - a_size, cap):
+        for a in _formulas_of_size(a_size, cap, names):
+            for b in _formulas_of_size(size - 1 - a_size, cap, names):
                 out.append(Implies(a, b))
                 if len(out) > cap:
                     raise PoolCapExceeded(f"formula pool at size {size}")
-    for body in formulas_of_size(size - 2, cap):
-        for v in VAR_POOL:
+    for body in _formulas_of_size(size - 2, cap, names):
+        for v in names:
             out.append(ForAll(v, body))
     for bound_size in range(1, size - 4):
-        bounds = terms_of_size(bound_size, cap)
-        for body in formulas_of_size(size - 2 - bound_size, cap):
-            for v in VAR_POOL:
+        bounds = _terms_of_size(bound_size, cap, names)
+        for body in _formulas_of_size(size - 2 - bound_size, cap, names):
+            for v in names:
                 for bt in bounds:
                     out.append(BoundedForAll(v, bt, body))
                     out.append(BoundedExists(v, bt, body))
@@ -202,12 +234,12 @@ def axiom_pool(theory: TheorySpec, size: int, cap: int) -> tuple[tuple[Formula, 
     """All axiom lines of exactly `size` tokens (schema instances + theory axioms).
 
     Pools are cached by what decides them -- the theory's extra axioms, its
-    (symbol, arity) table and `induction` -- never by its name, which two
-    different extensions can share.  This assumes that a function symbol of
-    a theory with given axioms has one evaluator meaning, so COMPUTE accepts
-    the same equations wherever the key is the same.
+    (symbol, arity) table, `induction` and the variable pool -- never by its
+    name, which two different extensions can share.  This assumes that a
+    function symbol of a theory with given axioms has one evaluator meaning,
+    so COMPUTE accepts the same equations wherever the key is the same.
     """
-    key = (theory.extra_axioms, tuple(sorted(theory.arities().items())), theory.induction, size, cap)
+    key = (theory.extra_axioms, tuple(sorted(theory.arities().items())), theory.induction, tuple(VAR_POOL), size, cap)
     hit = _AXIOM_POOLS.get(key)
     if hit is not None:
         return hit
@@ -348,25 +380,20 @@ def enumerate_proofs(
                         yield BoundedForAll(v, bt, g), BGenJust(i, v, bt), gsize + 2 + bsize
 
     # the target and the theory are the same at every node, so the target is
-    # checked against the axioms once; each node then tries only the rules
+    # checked against the axioms once, at the root; every other node tries
+    # only the rules, and only when its newest line can be cited (see above)
     target_axiom = find_axiom_justification(theory, target)
+    body = target.body if isinstance(target, (ForAll, BoundedForAll)) else None
+    check_limit = size_budget - tsize - 1  # a child with more used cannot fit the target
+    leaf_limit = size_budget - tsize - 5  # a child with more used has no room for a line
     found: list[Proof] = []
 
-    def dfs(lines: list[tuple[Formula, Justification, int]], used: int) -> bool:
-        state["nodes"] += 1
-        if state["nodes"] > limits.node_cap:
-            raise _NodeCapHit
+    def expand(lines: list[tuple[Formula, Justification, int]], formulas: list[Formula], used: int) -> bool:
+        """Visit every child of an inner node: count it, check the target
+        on it, and expand it in turn unless it is a leaf."""
         sep = 1 if lines else 0
-        formulas = [f for f, _, _ in lines]
-        if used + sep + tsize <= size_budget:
-            j = target_axiom or find_rule_justification(target, formulas)
-            if j is not None:
-                all_lines = tuple(ProofLine(f, jj) for f, jj, _ in lines) + (ProofLine(target, j),)
-                found.append(Proof(all_lines))
-                return True
         room = size_budget - used - sep - (tsize + 1)
-        if room < 3:
-            return False
+        cites = {g.antecedent for g in formulas if type(g) is Implies and g.consequent == target}
 
         def candidates():
             # cheap, targeted material first so a "found" surfaces quickly;
@@ -385,12 +412,34 @@ def enumerate_proofs(
             if f in seen:
                 continue
             seen.add(f)
-            if dfs(lines + [line], used + sep + line[2]):
+            state["nodes"] += 1
+            if state["nodes"] > limits.node_cap:
+                raise _NodeCapHit
+            cused = used + sep + line[2]
+            child = None
+            if cused <= check_limit and (
+                (type(f) is Implies and f.consequent == target) or f in cites or (body is not None and f == body)
+            ):
+                child = formulas + [f]
+                j = find_rule_justification(target, child)
+                if j is not None:
+                    prefix = tuple(ProofLine(g, jj) for g, jj, _ in lines)
+                    found.append(Proof(prefix + (ProofLine(f, line[1]), ProofLine(target, j))))
+                    return True
+            if cused <= leaf_limit and expand(lines + [line], child or formulas + [f], cused):
                 return True
         return False
 
     try:
-        ok = dfs([], 0)
+        # the root: no lines, no separator, and the target fits the budget
+        state["nodes"] += 1
+        if state["nodes"] > limits.node_cap:
+            raise _NodeCapHit
+        if target_axiom is not None:
+            found.append(Proof((ProofLine(target, target_axiom),)))
+            ok = True
+        else:
+            ok = size_budget - (tsize + 1) >= 3 and expand([], [], 0)
     except _NodeCapHit:
         ok = False
         state["capped"] = True

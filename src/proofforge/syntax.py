@@ -162,7 +162,15 @@ ZERO = Zero()
 
 def _hash(node: Term | Formula) -> int:
     h = node._h
-    return _fill(node, "_h", _field_hash) if h is None else h
+    if h is None:
+        # a node built on hashed children (a generalization over a search
+        # line, say) hashes its fields at once; any other walks its tree
+        for part in _children(node):
+            if part._h is None:
+                return _fill(node, "_h", _field_hash)
+        h = node._dataclass_hash()
+        object.__setattr__(node, "_h", h)
+    return h
 
 
 def _field_hash(x: Term | Formula, parts: tuple) -> int:

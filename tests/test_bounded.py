@@ -1,7 +1,6 @@
 """Exhaustive proof search, language membership, and the regeneration chain."""
 
 import random
-from functools import lru_cache
 
 import pytest
 
@@ -18,7 +17,17 @@ from proofforge.bounded import (
 from proofforge.corpus import membership_formula_corpus
 from proofforge.calculus import print_proof_text, proof_size
 from proofforge.goedel import eval_delta0, extend_with_axiom, standard_theory
-from proofforge.syntax import formula_size, is_delta0, is_sentence, parse_formula, print_formula, term_size
+from proofforge.syntax import (
+    ZERO,
+    Var,
+    formula_size,
+    free_variables,
+    is_delta0,
+    is_sentence,
+    parse_formula,
+    print_formula,
+    term_size,
+)
 from proofforge.verifier import check_witness, proof_of
 
 Q = standard_theory()
@@ -37,6 +46,27 @@ def test_formula_pool_counts_are_pinned(size, count):
     pool = formulas_of_size(size)
     assert len(pool) == count
     assert len(set(pool)) == count
+
+
+def test_pools_are_keyed_by_the_variable_pool(monkeypatch):
+    default = (terms_of_size(1), terms_of_size(2), formulas_of_size(3), bounded.axiom_pool(Q, 3, 600_000))
+    names = ("x", "y", "z")
+    with monkeypatch.context() as m:
+        m.setattr(bounded, "VAR_POOL", names)
+        atoms, terms = terms_of_size(1), terms_of_size(2)
+        formulas = formulas_of_size(3)
+        axioms = bounded.axiom_pool(Q, 3, 600_000)
+    assert atoms == (ZERO, Var("x"), Var("y"), Var("z"))
+    assert (len(terms), len(formulas), len(axioms)) == (4 * 8, 16, 4)
+    used = set()
+    for f in formulas:
+        used |= free_variables(f)
+    assert used == set(names)
+    assert [print_formula(f) for f, _ in axioms] == ["0 = 0", "x = x", "y = y", "z = z"]
+    # the default pools are the ones cached before, not rebuilt over the names
+    after = (terms_of_size(1), terms_of_size(2), formulas_of_size(3), bounded.axiom_pool(Q, 3, 600_000))
+    assert all(a is b for a, b in zip(after, default))
+    assert [len(p) for p in after] == [17, 136, 289, 17]
 
 
 def test_pools_contain_exactly_the_declared_size():
@@ -174,9 +204,6 @@ def test_a_bounded_generalization_line_counts_its_bound(monkeypatch):
     # forall z over it, of size 3 + 6 + 8 + 10 plus three separators
     monkeypatch.setattr(bounded, "axiom_pool", lambda theory, size, cap: ())
     monkeypatch.setattr(bounded, "VAR_POOL", ("x", "y", "z"))
-    # a cache of its own, so the bounds are drawn from the three variables
-    # and the module's cached pools never see them
-    monkeypatch.setattr(bounded, "terms_of_size", lru_cache(bounded.terms_of_size.__wrapped__))
     target = parse_formula("forall z forall y forall<= x 0 0 = 0")
     found = enumerate_proofs(Q, target, 30)
     assert (found.outcome, found.nodes, proof_size(found.proof)) == ("found", 58_768, 30)
