@@ -273,45 +273,49 @@ def _eval_term(theory: TheorySpec, t: Term, budget: EvalBudget, env: Mapping[str
     if v is not None:
         return v
     budget.charge()
-    match t:
-        case Var(name):
-            if name not in env:
-                raise ValueError(f"cannot evaluate open term (free variable {name!r})")
-            return env[name]
-        case Zero():
-            v = 0
-        case Succ(_):
-            inner, n = t, 0
-            while isinstance(inner, Succ):
-                n += 1
-                inner = inner.arg
-            budget.charge(n)
-            v = n + _eval_term(theory, inner, budget, env, memo)
-            if id(inner) not in memo:
+    cls = type(t)
+    if cls is Succ:
+        inner, n = t.arg, 1
+        while type(inner) is Succ:
+            n += 1
+            inner = inner.arg
+        budget.charge(n)
+        v = n + _eval_term(theory, inner, budget, env, memo)
+        if id(inner) not in memo:
+            return v
+    elif cls is Var:
+        name = t.name
+        if name not in env:
+            raise ValueError(f"cannot evaluate open term (free variable {name!r})")
+        return env[name]
+    elif cls is Zero:
+        v = 0
+    elif cls is Plus:
+        a, b = t.left, t.right
+        v = _eval_term(theory, a, budget, env, memo) + _eval_term(theory, b, budget, env, memo)
+        if id(a) not in memo or id(b) not in memo:
+            return v
+    elif cls is Times:
+        a, b = t.left, t.right
+        va = _eval_term(theory, a, budget, env, memo)
+        vb = _eval_term(theory, b, budget, env, memo)
+        budget.charge(max(va.bit_length() + vb.bit_length(), 1) // 8)
+        v = va * vb
+        if id(a) not in memo or id(b) not in memo:
+            return v
+    elif cls is DefFn:
+        ext = theory.def_extensions.get(t.symbol)
+        if ext is None:
+            raise KeyError(f"function symbol {t.symbol!r} not registered in theory {theory.name!r}")
+        args = t.args
+        vals = [_eval_term(theory, a, budget, env, memo) for a in args]
+        budget.charge(4)
+        v = ext.evaluator(*vals, budget=budget)
+        for a in args:
+            if id(a) not in memo:
                 return v
-        case Plus(a, b):
-            v = _eval_term(theory, a, budget, env, memo) + _eval_term(theory, b, budget, env, memo)
-            if id(a) not in memo or id(b) not in memo:
-                return v
-        case Times(a, b):
-            va = _eval_term(theory, a, budget, env, memo)
-            vb = _eval_term(theory, b, budget, env, memo)
-            budget.charge(max(va.bit_length() + vb.bit_length(), 1) // 8)
-            v = va * vb
-            if id(a) not in memo or id(b) not in memo:
-                return v
-        case DefFn(sym, args):
-            ext = theory.def_extensions.get(sym)
-            if ext is None:
-                raise KeyError(f"function symbol {sym!r} not registered in theory {theory.name!r}")
-            vals = [_eval_term(theory, a, budget, env, memo) for a in args]
-            budget.charge(4)
-            v = ext.evaluator(*vals, budget=budget)
-            for a in args:
-                if id(a) not in memo:
-                    return v
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    else:
+        raise TypeError(f"not a term: {t!r}")
     memo[id(t)] = v
     return v
 
@@ -609,7 +613,7 @@ def _match_ind(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust |
 def _match_compute(theory: TheorySpec, f: Formula, cost: Cost | None) -> ComputeJust | None:
     if not isinstance(f, Eq):
         return None
-    if free_variables(f):
+    if not is_sentence(f):
         return None
     if cost is not None:
         cost.symbol_comparisons += formula_size(f)

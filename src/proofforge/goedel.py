@@ -603,16 +603,19 @@ def _exists_points(
 ) -> Iterable[int]:
     """The values of `var` up to n at which `exists<= var n body` needs a
     look: the support when the prune of `eval_delta0` applies, else all."""
-    match body:
-        case Eq(DefFn(sym, (Var(v), t)), r) if v == var:
-            ext = theory.def_extensions.get(sym)
-            if (
-                ext is not None
-                and ext.support is not None
-                and var not in free_variables(t) | free_variables(r)
-                and _eval_term(theory, r, b, scope, memo) != 0
-            ):
-                return ext.support(_eval_term(theory, t, b, scope, memo), n)
+    if type(body) is Eq:
+        left, r = body.left, body.right
+        if type(left) is DefFn and len(left.args) == 2:
+            p, t = left.args
+            if type(p) is Var and p.name == var:
+                ext = theory.def_extensions.get(left.symbol)
+                if (
+                    ext is not None
+                    and ext.support is not None
+                    and var not in free_variables(t) | free_variables(r)
+                    and _eval_term(theory, r, b, scope, memo) != 0
+                ):
+                    return ext.support(_eval_term(theory, t, b, scope, memo), n)
     return range(n + 1)
 
 
@@ -652,32 +655,33 @@ def eval_delta0(
 
     def ev(g: Formula) -> bool:
         b.charge()
-        match g:
-            case Eq(left, right):
-                return _eval_term(theory, left, b, scope, memo) == _eval_term(theory, right, b, scope, memo)
-            case Not(body):
-                return not ev(body)
-            case Implies(a, c):
-                return (not ev(a)) or ev(c)
-            case BoundedForAll(var, bound, body) | BoundedExists(var, bound, body):
-                # forall stops at the first false body, exists at the first true one
-                stop = isinstance(g, BoundedExists)
-                n = _eval_term(theory, bound, b, scope, memo)
-                saved = scope.get(var)
-                try:
-                    for i in _exists_points(theory, var, body, n, b, scope, memo) if stop else range(n + 1):
-                        b.charge()
-                        scope[var] = i
-                        if ev(body) is stop:
-                            return stop
-                    return not stop
-                finally:
-                    if saved is None:
-                        scope.pop(var, None)
-                    else:
-                        scope[var] = saved
-            case ForAll(_, _):
-                raise ValueError(f"not a bounded formula: {print_formula(g)}")
+        cls = type(g)
+        if cls is Eq:
+            return _eval_term(theory, g.left, b, scope, memo) == _eval_term(theory, g.right, b, scope, memo)
+        if cls is Implies:
+            return (not ev(g.antecedent)) or ev(g.consequent)
+        if cls is Not:
+            return not ev(g.body)
+        if cls is BoundedForAll or cls is BoundedExists:
+            # forall stops at the first false body, exists at the first true one
+            stop = cls is BoundedExists
+            var, body = g.var, g.body
+            n = _eval_term(theory, g.bound, b, scope, memo)
+            saved = scope.get(var)
+            try:
+                for i in _exists_points(theory, var, body, n, b, scope, memo) if stop else range(n + 1):
+                    b.charge()
+                    scope[var] = i
+                    if ev(body) is stop:
+                        return stop
+                return not stop
+            finally:
+                if saved is None:
+                    scope.pop(var, None)
+                else:
+                    scope[var] = saved
+        if cls is ForAll:
+            raise ValueError(f"not a bounded formula: {print_formula(g)}")
         raise TypeError(f"not a formula: {g!r}")
 
     return ev(f)

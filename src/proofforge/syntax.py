@@ -362,55 +362,83 @@ def numeral_value(t: Term) -> int | None:
 
 
 def free_variables(root: Term | Formula) -> frozenset[str]:
-    """The variables that occur free in a term or formula, found without
-    recursion.  Below a quantifier's body the stack holds the set of
-    variables bound outside it, which is restored when the body is done; a
-    bounded quantifier's bound is visited before its variable is bound."""
-    found: set[str] = set()
+    """The variables that occur free in a term or formula."""
+    return frozenset(_free_occurrences(root))
+
+
+def is_sentence(f: Term | Formula) -> bool:
+    """Whether f has no free variable; the walk stops at the first one."""
+    for _ in _free_occurrences(f):
+        return False
+    return True
+
+
+def _free_occurrences(root: Term | Formula) -> Iterator[str]:
+    """The name at each free occurrence of a variable in a term or formula,
+    found without recursion.  Below a quantifier's body the stack holds the
+    set of variables bound outside it, which is restored when the body is
+    done; a bounded quantifier's bound is visited before its variable is
+    bound."""
     bound: frozenset[str] = frozenset()
     stack: list = [root]
+    push = stack.append
     pop = stack.pop
     while stack:
         x = pop()
-        cls = type(x)
-        while cls is Succ:
-            x = x.arg
+        # descend into the child visited next, stacking the others
+        while True:
             cls = type(x)
-        if cls is Var:
-            if x.name not in bound:
-                found.add(x.name)
-        elif cls is DefFn:
-            stack += x.args
-        elif cls is frozenset:
-            bound = x
-        elif cls is ForAll:
-            stack += (bound, x.body)
-            bound = bound | {x.var}
-        elif cls is BoundedForAll or cls is BoundedExists:
-            stack += (bound, x.body, bound | {x.var}, x.bound)
-        else:
-            stack += _children(x)
-    return frozenset(found)
-
-
-def is_sentence(f: Formula) -> bool:
-    return not free_variables(f)
+            if cls is Succ:
+                x = x.arg
+            elif cls is DefFn:
+                args = x.args
+                if len(args) != 1:
+                    stack += args
+                    break
+                x = args[0]
+            elif cls is Plus or cls is Times or cls is Eq:
+                push(x.left)
+                x = x.right
+            elif cls is Implies:
+                push(x.antecedent)
+                x = x.consequent
+            elif cls is Not:
+                x = x.body
+            elif cls is ForAll:
+                push(bound)
+                bound = bound | {x.var}
+                x = x.body
+            elif cls is BoundedForAll or cls is BoundedExists:
+                stack += (bound, x.body, bound | {x.var})
+                x = x.bound
+            else:
+                if cls is Var:
+                    if x.name not in bound:
+                        yield x.name
+                elif cls is frozenset:
+                    bound = x
+                elif cls is not Zero:
+                    raise TypeError(f"not a term or formula: {x!r}")
+                break
 
 
 def is_delta0(f: Formula) -> bool:
-    """True iff f contains no unbounded quantifier."""
-    match f:
-        case Eq(_, _):
-            return True
-        case Not(body):
-            return is_delta0(body)
-        case Implies(a, b):
-            return is_delta0(a) and is_delta0(b)
-        case ForAll(_, _):
+    """True iff f contains no unbounded quantifier.  Without recursion: the
+    subformulas are visited in preorder, antecedent first, up to the first
+    unbounded quantifier or the first node that is not a formula."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        cls = type(g)
+        if cls is Implies:
+            stack += (g.consequent, g.antecedent)
+        elif cls is Not or cls is BoundedForAll or cls is BoundedExists:
+            stack.append(g.body)
+        elif cls is ForAll:
             return False
-        case BoundedForAll(_, _, body) | BoundedExists(_, _, body):
-            return is_delta0(body)
-    raise TypeError(f"not a formula: {f!r}")
+        elif cls is not Eq:
+            raise TypeError(f"not a formula: {g!r}")
+    return True
 
 
 def fresh_variable(base: str, taken: frozenset[str] | set[str]) -> str:

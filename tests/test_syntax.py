@@ -237,6 +237,49 @@ def test_is_delta0(text, verdict):
     assert is_delta0(parse_formula(text)) is verdict
 
 
+_DEEP_DELTA0 = """
+import sys
+
+from proofforge.syntax import ZERO, BoundedExists, Eq, ForAll, Implies, Not, Var, is_delta0
+
+# a recursive walk would fail far below this depth
+sys.setrecursionlimit(1000)
+atom = Eq(ZERO, ZERO)
+chain = atom
+for _ in range(20_000):
+    chain = Not(chain)
+assert is_delta0(chain) is True
+unbounded = ForAll("x", Eq(Var("x"), ZERO))
+deep = unbounded
+right = atom
+for _ in range(20_000):
+    deep = Not(deep)
+    right = Implies(BoundedExists("y", ZERO, atom), right)
+assert is_delta0(deep) is False
+assert is_delta0(right) is True
+assert is_delta0(Implies(right, Not(deep))) is False
+print("ok")
+"""
+
+
+def test_is_delta0_walks_deep_formulas_without_recursion():
+    env = dict(os.environ, PYTHONPATH=str(Path(proofforge.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", _DEEP_DELTA0], env=env, capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr[-2000:]
+
+
+def test_is_delta0_rejects_a_non_formula():
+    atom = Eq(ZERO, ZERO)
+    for bad in (ZERO, Var("x"), "0 = 0", Not(ZERO), Implies(atom, Succ(ZERO)), Not(Implies(atom, None))):
+        with pytest.raises(TypeError, match="not a formula"):
+            is_delta0(bad)
+    # the walk stops at the first unbounded quantifier, antecedent first,
+    # as the recursive one did: a non-formula after it is never reached
+    assert is_delta0(Implies(ForAll("x", atom), ZERO)) is False
+    with pytest.raises(TypeError, match="not a formula"):
+        is_delta0(Implies(ZERO, ForAll("x", atom)))
+
+
 # The parser's error contract, (input, message, offset), pinned; arities as
 # in the standard theory.
 PARSE_ERRORS = [
