@@ -15,7 +15,12 @@ L_k = {phi : some proof of phi has size <= size(phi)^k} decidable at small
 sizes, so the engine is deliberately conservative about them.  Candidate
 lines are drawn from complete pools of axiom instances -- every formula of
 each admissible size is generated and filtered through the axiom matchers --
-plus the closure of existing lines under the inference rules.  When a pool
+plus the closure of existing lines under the inference rules.  The filter
+has two stages.  The first reads no theory and runs once per size: it keeps
+every sentence and every instance of a schema other than COMPUTE, with IND
+on.  The second, per theory, runs find_axiom_justification on what the
+first kept.  It loses nothing, as only IND and COMPUTE read the theory, and
+COMPUTE instances and theory axioms are sentences.  When a pool
 would exceed its cap the outcome degrades to budget_exhausted rather than
 silently narrowing the space.  Two further soundness notes:
 
@@ -74,6 +79,7 @@ from .calculus import (
     Proof,
     ProofLine,
     TheorySpec,
+    could_be_axiom,
     find_axiom_justification,
     find_rule_justification,
     proof_size,
@@ -227,11 +233,27 @@ def _formulas_of_size(size: int, cap: int, names: tuple[str, ...]) -> tuple[Form
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _axiom_candidates(size: int, cap: int, names: tuple[str, ...]) -> tuple[Formula, ...]:
+    """The formulas of `_formulas_of_size` that some theory takes as axiom
+    lines (`calculus.could_be_axiom`), in that order."""
+    return tuple(f for f in _formulas_of_size(size, cap, names) if could_be_axiom(f))
+
+
 _AXIOM_POOLS: dict[tuple, tuple[tuple[Formula, Justification], ...]] = {}
 
 
 def axiom_pool(theory: TheorySpec, size: int, cap: int) -> tuple[tuple[Formula, Justification], ...]:
     """All axiom lines of exactly `size` tokens (schema instances + theory axioms).
+
+    A pool is built in two stages.  The first reads no theory and runs once
+    per size, cap and variable pool: it keeps, in generation order, the
+    formulas some theory could justify -- every sentence, and every instance
+    of a schema other than COMPUTE, with IND on.  The second runs
+    `find_axiom_justification(theory, f)` on those candidates only.  This
+    is exact: of the schemata only IND reads the theory (`induction`, which
+    the first stage turns on) and COMPUTE (the evaluators), every COMPUTE
+    and QAX instance is a sentence, and so is every theory axiom.
 
     Pools are cached by what decides them -- the theory's extra axioms, its
     (symbol, arity) table, `induction` and the variable pool -- never by its
@@ -239,12 +261,13 @@ def axiom_pool(theory: TheorySpec, size: int, cap: int) -> tuple[tuple[Formula, 
     function symbol of a theory with given axioms has one evaluator meaning,
     so COMPUTE accepts the same equations wherever the key is the same.
     """
-    key = (theory.extra_axioms, tuple(sorted(theory.arities().items())), theory.induction, tuple(VAR_POOL), size, cap)
+    names = tuple(VAR_POOL)
+    key = (theory.extra_axioms, tuple(sorted(theory.arities().items())), theory.induction, names, size, cap)
     hit = _AXIOM_POOLS.get(key)
     if hit is not None:
         return hit
     pool: list[tuple[Formula, Justification]] = []
-    for f in formulas_of_size(size, cap):
+    for f in _axiom_candidates(size, cap, names):
         j = find_axiom_justification(theory, f)
         if j is not None:
             pool.append((f, j))

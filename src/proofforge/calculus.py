@@ -38,10 +38,13 @@ of one table, `_PATTERNS`, each its line above, checked by one matcher,
 `_schema_matcher`.  Q1, EQSUBST, QAX, IND and COMPUTE are written by hand.
 Each matcher returns the justification it proves, or None.  The one
 justification search lives here: `find_axiom_justification` tries, in a
-fixed order, the matchers that accept the formula's root class (QAX accepts
-every root), then the theory's axioms; `find_rule_justification` looks for
-modus ponens or (bounded) generalization over earlier lines.  The searching
-verifier and the exhaustive proof search both use these two functions.
+fixed order, the matchers that accept the formula's root class (QAX is
+tried on every root and turns down all but `forall` at once), then the
+theory's axioms; `find_rule_justification` looks for modus ponens or
+(bounded) generalization over earlier lines.  The searching verifier and
+the exhaustive proof search both use these two functions.  Of the
+schemata, only IND and COMPUTE read the theory, so `could_be_axiom` tells
+without one which formulas some theory accepts as axiom lines.
 """
 
 from __future__ import annotations
@@ -581,8 +584,15 @@ def _match_eqsubst(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJu
 
 
 def _match_qax(theory: TheorySpec, f: Formula, cost: Cost | None, index: int | None = None) -> AxiomJust | None:
-    """The Robinson axiom f is (the `index`-th one only, when given)."""
+    """The Robinson axiom f is (the `index`-th one only, when given).
+
+    Every axiom is a `forall`, so f of another root class is none of them;
+    it is charged the one root comparison `equal` makes with each axiom."""
     axioms = robinson_axioms()
+    if type(f) is not ForAll:
+        if cost is not None:
+            cost.symbol_comparisons += len(axioms) if index is None else int(1 <= index <= len(axioms))
+        return None
     for i in (range(1, len(axioms) + 1) if index is None else (index,)):
         if 1 <= i <= len(axioms) and equal(f, axioms[i - 1], cost):
             return AxiomJust("QAX", index=i)
@@ -641,12 +651,32 @@ _MATCHERS: dict[str, Matcher] = {
 }
 
 # the matchers that can accept a formula of each root class, in _MATCHERS
-# order; QAX is in every list, as it compares f with each Robinson axiom
+# order; QAX is in every list, as a measured search charges it the root
+# comparison with each Robinson axiom
 _ROOTS = {name: type(p) for name, p in _PATTERNS.items()} | {"Q1": Implies, "EQSUBST": Implies, "IND": Implies, "COMPUTE": Eq}
 _BY_ROOT: dict[type, tuple[Matcher, ...]] = {
     cls: tuple(m for name, m in _MATCHERS.items() if _ROOTS.get(name, cls) is cls)
     for cls in (Eq, Not, Implies, ForAll, BoundedForAll, BoundedExists)
 }
+
+# the matchers that can accept an open formula: every one but QAX and
+# COMPUTE, whose instances, like a theory's axioms, are sentences.  Of these
+# only IND reads the theory, and only its `induction`.
+_OPEN_BY_ROOT = {cls: tuple(m for m in ms if m is not _match_qax and m is not _match_compute) for cls, ms in _BY_ROOT.items()}
+_INDUCTIVE = TheorySpec("induction", induction=True)
+
+
+def could_be_axiom(f: Formula) -> bool:
+    """Whether some theory justifies f by `find_axiom_justification`: f is a
+    sentence (an axiom of some theory), or an instance of a schema that can
+    have open instances, IND included."""
+    if is_sentence(f):
+        return True
+    for matcher in _OPEN_BY_ROOT.get(type(f), ()):
+        if matcher(_INDUCTIVE, f, None) is not None:
+            return True
+    return False
+
 
 # the schemata an AxiomJust may name, each printed bare without its payload;
 # COMPUTE's justification is a ComputeJust

@@ -1,6 +1,7 @@
 """Exhaustive proof search, language membership, and the regeneration chain."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,8 +16,15 @@ from proofforge.bounded import (
     terms_of_size,
 )
 from proofforge.corpus import membership_formula_corpus
-from proofforge.calculus import print_proof_text, proof_size
-from proofforge.goedel import eval_delta0, extend_with_axiom, standard_theory
+from proofforge.calculus import find_axiom_justification, print_proof_text, proof_size
+from proofforge.goedel import (
+    PROVER_CHAIN,
+    con_bounded,
+    eval_delta0,
+    extend_with_axiom,
+    induction_theory,
+    standard_theory,
+)
 from proofforge.syntax import (
     ZERO,
     Var,
@@ -292,6 +300,75 @@ def test_axiom_pools_are_keyed_by_theory_content_not_name():
     assert (r2.outcome, r2.definitive) == ("none", True)
     fresh = extend_with_axiom(Q, parse_formula("0 = 0"), "prft1", name="fresh")
     assert enumerate_proofs(fresh, target, 13).nodes == r2.nodes
+
+
+def reference_pool(theory, size, cap):
+    """`axiom_pool` as it was: every formula of the size through the one
+    justification search."""
+    pool = []
+    for f in formulas_of_size(size, cap):
+        j = find_axiom_justification(theory, f)
+        if j is not None:
+            pool.append((f, j))
+    return tuple(pool)
+
+
+def chain_theories(depth, m):
+    """The theories `regeneration_chain(depth, m)` climbs through."""
+    theories = [standard_theory()]
+    for i in range(depth - 1):
+        con = con_bounded(theories[-1], m, symbol=PROVER_CHAIN[i])
+        theories.append(extend_with_axiom(theories[-1], con, PROVER_CHAIN[i + 1], name=f"{theories[-1].name}+c{i + 1}"))
+    return theories
+
+
+# small sentences of every root class, true and false; 0 = 0 is also an
+# EQREFL and a COMPUTE instance, and forall x !(S(x) = 0) is QAX 1
+SMALL_AXIOMS = (
+    "0 = 0",
+    "0 = S(0)",
+    "!(0 = S(0))",
+    "!(0 = 0)",
+    "0 = 0 -> 0 = 0",
+    "0 = 0 -> 0 = S(0)",
+    "forall x x = x",
+    "forall x x = 0",
+    "forall x !(S(x) = 0)",
+    "forall<= x 0 x = 0",
+    "forall<= x S(0) x = 0",
+    "exists<= x S(0) x = S(0)",
+    "exists<= x 0 x = S(0)",
+)
+
+
+def test_axiom_pools_equal_the_generate_and_filter_pools(monkeypatch):
+    small = replace(Q, name="small", extra_axioms=tuple(parse_formula(t) for t in SMALL_AXIOMS))
+    for theory in (Q, induction_theory(), *chain_theories(3, 8), small):
+        for size in (3, 4, 5):
+            assert bounded.axiom_pool(theory, size, 600_000) == reference_pool(theory, size, 600_000), (theory.name, size)
+    assert len(bounded.axiom_pool(small, 5, 600_000)) == len(bounded.axiom_pool(Q, 5, 600_000)) + 3
+    with pytest.raises(bounded.PoolCapExceeded):
+        bounded.axiom_pool(Q, 5, 1_000)
+    monkeypatch.setattr(bounded, "VAR_POOL", ("x", "y", "z"))
+    for theory in (Q, induction_theory(), small):
+        for size in (3, 4, 5):
+            assert bounded.axiom_pool(theory, size, 600_000) == reference_pool(theory, size, 600_000), (theory.name, size)
+
+
+def test_a_new_theory_justifies_only_the_candidates(monkeypatch):
+    names = tuple(bounded.VAR_POOL)
+    assert [len(bounded._axiom_candidates(size, 600_000, names)) for size in (3, 4, 5)] == [17, 17, 421]
+    monkeypatch.setattr(bounded, "_AXIOM_POOLS", {})
+    bounded.axiom_pool(Q, 5, 600_000)
+    calls = []
+
+    def record(theory, f, cost=None):
+        calls.append(f)
+        return find_axiom_justification(theory, f, cost)
+
+    monkeypatch.setattr(bounded, "find_axiom_justification", record)
+    bounded.axiom_pool(chain_theories(2, 8)[1], 5, 600_000)
+    assert calls == list(bounded._axiom_candidates(5, 600_000, names))
 
 
 def test_regeneration_depth_is_limited_by_the_symbol_pool():

@@ -24,11 +24,12 @@ from proofforge.calculus import (
     _match_q1,
     _match_qax,
     _schema_matcher,
+    could_be_axiom,
     find_axiom_justification,
     robinson_axioms,
 )
 from proofforge.corpus import derived_theorem_corpus, membership_formula_corpus
-from proofforge.goedel import con_bounded, extend_with_axiom, induction_theory, standard_theory
+from proofforge.goedel import con_bounded, diagonalize, extend_with_axiom, induction_theory, standard_theory
 from proofforge.syntax import (
     BoundedExists,
     BoundedForAll,
@@ -39,6 +40,7 @@ from proofforge.syntax import (
     Not,
     Var,
     equal,
+    is_sentence,
     parse_formula,
     parse_term,
     print_formula,
@@ -310,6 +312,34 @@ def test_the_table_agrees_with_the_hand_written_matchers(monkeypatch):
     assert all(n >= 20 for n in accepted.values()), accepted
 
 
+def test_a_formula_could_be_an_axiom_exactly_when_some_theory_takes_it(monkeypatch):
+    open_instances = [
+        parse_formula(t)
+        for t in (
+            "0 = y -> (forall x (x = y -> S(x) = y) -> forall x x = y)",  # IND
+            "0 = y -> (forall x (x = y -> S(x) = S(y)) -> forall x x = y)",  # not IND
+            "forall x x = y -> S(0) = y",  # Q1
+            "y = 0 -> (y = y -> 0 = y)",  # EQSUBST
+        )
+    ]
+    formulas = (
+        list(formulas_of_size(3))
+        + list(formulas_of_size(4))
+        + seeded_near_instances()
+        + corpus_lines()
+        + relevance_candidates(monkeypatch)
+        + FORMULA_PARTS
+        + list(robinson_axioms())
+        + open_instances
+    )
+    pa = induction_theory()
+    for f in formulas:
+        # a sentence is an axiom of the theory that adds it; an open formula
+        # is an axiom line of some theory exactly when it is of PA
+        assert could_be_axiom(f) == (is_sentence(f) or find_axiom_justification(pa, f) is not None), print_formula(f)
+    assert [could_be_axiom(f) for f in open_instances] == [True, False, True, True]
+
+
 def test_the_matchers_keep_their_names_and_order():
     assert list(_MATCHERS) == list(OLD_MATCHERS)
     assert set(_PATTERNS) == {"EQREFL", "P1", "P2", "P3", "Q2", "BQ2A", "BQ2E", "BCONGA", "BCONGE"}
@@ -327,6 +357,40 @@ def test_a_pattern_reads_succ_and_function_arguments():
     assert fn(Q, Eq(DefFn("f", (Var("x"), Var("y"))), DefFn("g", (Var("y"), Var("x")))), None) is None
     assert fn(Q, Eq(DefFn("f", (Var("x"), Var("y"))), DefFn("f", (Var("y"),))), None) is None
     assert fn(Q, Eq(DefFn("f", (Var("x"), Var("y"))), DefFn("f", (Var("x"), Var("x")))), None) is None
+
+
+# --- QAX by root class -------------------------------------------------------------
+
+
+def walk_qax(theory, f, cost, index=None):
+    """`_match_qax` as it was: f compared by `equal` with each Robinson axiom
+    in turn (the `index`-th one only, when given)."""
+    axioms = robinson_axioms()
+    for i in (range(1, len(axioms) + 1) if index is None else (index,)):
+        if 1 <= i <= len(axioms) and equal(f, axioms[i - 1], cost):
+            return AxiomJust("QAX", index=i)
+    return None
+
+
+def test_qax_by_root_class_agrees_with_the_walk():
+    axioms = robinson_axioms()
+    certificate = diagonalize(Q, parse_formula("x = 0")).equivalence
+    formulas = (
+        [f for size in (3, 4, 5) for f in formulas_of_size(size)]
+        + list(axioms)
+        + [parse_formula(print_formula(a)) for a in axioms]  # equal trees that are other objects
+        + [Not(a) for a in axioms]
+        + [line.formula for line in certificate.lines]
+    )
+    hits = 0
+    for f in formulas:
+        for index in (None, 1, 4, 7, 0, 8):
+            got = outcome(lambda theory, g, cost: _match_qax(theory, g, cost, index), Q, f)
+            assert got == outcome(lambda theory, g, cost: walk_qax(theory, g, cost, index), Q, f), (index, print_formula(f))
+            assert _match_qax(Q, f, None, index) == got[0]
+            hits += got[0] is not None
+    # both copies of each axiom under no index, and of axioms 1, 4 and 7 under their own
+    assert hits == 2 * len(axioms) + 2 * 3
 
 
 # --- the table and the docstring -------------------------------------------------
