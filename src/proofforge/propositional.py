@@ -30,14 +30,20 @@ Tautology proofs refute the Tseitin clausification of the negated formula.
 The Delta0 translation maps an arithmetic formula with one free variable x
 to a propositional formula over selector variables x_0..x_n guarded by an
 exactly-one constraint; bounded quantifiers expand to finite conjunctions
-and disjunctions, and ground atoms collapse to constants.
+and disjunctions, and ground atoms collapse to constants.  Constants are
+folded as each node is built (`_not`, `_and`, `_or`, `_imp`), so no subtree
+is walked twice; the selector variables, their disjunctions and the guard of
+each n are built once and shared between results, which is safe because
+nodes are immutable.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Union
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .bench import loglog_slope
 from .calculus import TheorySpec, eval_term_in
@@ -313,19 +319,19 @@ def _sweep(n: int) -> Iterator[tuple[int, int, list[int]]]:
 
 def _eval_mask(f: PropFormula, cols: list[int], full: int) -> int:
     """f over a chunk of rows: bit j is f's value in the chunk's row j."""
-    match f:
-        case PVar(i):
-            return cols[i]
-        case PConst(v):
-            return full if v else 0
-        case PNot(b):
-            return full ^ _eval_mask(b, cols, full)
-        case PAnd(a, b):
-            return _eval_mask(a, cols, full) & _eval_mask(b, cols, full)
-        case POr(a, b):
-            return _eval_mask(a, cols, full) | _eval_mask(b, cols, full)
-        case PImp(a, b):
-            return (full ^ _eval_mask(a, cols, full)) | _eval_mask(b, cols, full)
+    t = type(f)
+    if t is PVar:
+        return cols[f.index]
+    if t is PAnd:
+        return _eval_mask(f.left, cols, full) & _eval_mask(f.right, cols, full)
+    if t is POr:
+        return _eval_mask(f.left, cols, full) | _eval_mask(f.right, cols, full)
+    if t is PNot:
+        return full ^ _eval_mask(f.body, cols, full)
+    if t is PImp:
+        return (full ^ _eval_mask(f.left, cols, full)) | _eval_mask(f.right, cols, full)
+    if t is PConst:
+        return full if f.value else 0
     raise TypeError(f"not a propositional formula: {f!r}")
 
 
@@ -574,41 +580,62 @@ def parse_resolution_text(text: str) -> ResolutionProof:
 
 
 # ---------------------------------------------------------------------------
-# Tseitin clausification
+# constant folding
 # ---------------------------------------------------------------------------
+
+# One level of folding each, for children that are already folded: the
+# result is a constant or a formula without constants.
+
+
+def _not(b: PropFormula) -> PropFormula:
+    if type(b) is PConst:
+        return FALSE if b.value else TRUE
+    return PNot(b)
+
+
+def _and(a: PropFormula, b: PropFormula) -> PropFormula:
+    if type(a) is PConst:
+        return b if a.value else FALSE
+    if type(b) is PConst:
+        return a if b.value else FALSE
+    return PAnd(a, b)
+
+
+def _or(a: PropFormula, b: PropFormula) -> PropFormula:
+    if type(a) is PConst:
+        return TRUE if a.value else b
+    if type(b) is PConst:
+        return TRUE if b.value else a
+    return POr(a, b)
+
+
+def _imp(a: PropFormula, b: PropFormula) -> PropFormula:
+    if type(a) is PConst:
+        return b if a.value else TRUE
+    if type(b) is PConst:
+        return TRUE if b.value else PNot(a)
+    return PImp(a, b)
 
 
 def _fold(f: PropFormula) -> PropFormula:
-    match f:
-        case PVar(_) | PConst(_):
-            return f
-        case PNot(b):
-            fb = _fold(b)
-            if isinstance(fb, PConst):
-                return PConst(not fb.value)
-            return PNot(fb)
-        case PAnd(a, b):
-            fa, fb = _fold(a), _fold(b)
-            if isinstance(fa, PConst):
-                return fb if fa.value else FALSE
-            if isinstance(fb, PConst):
-                return fa if fb.value else FALSE
-            return PAnd(fa, fb)
-        case POr(a, b):
-            fa, fb = _fold(a), _fold(b)
-            if isinstance(fa, PConst):
-                return TRUE if fa.value else fb
-            if isinstance(fb, PConst):
-                return TRUE if fb.value else fa
-            return POr(fa, fb)
-        case PImp(a, b):
-            fa, fb = _fold(a), _fold(b)
-            if isinstance(fa, PConst):
-                return fb if fa.value else TRUE
-            if isinstance(fb, PConst):
-                return TRUE if fb.value else PNot(fa)
-            return PImp(fa, fb)
+    """f rebuilt bottom-up through the folding constructors."""
+    t = type(f)
+    if t is PAnd:
+        return _and(_fold(f.left), _fold(f.right))
+    if t is POr:
+        return _or(_fold(f.left), _fold(f.right))
+    if t is PImp:
+        return _imp(_fold(f.left), _fold(f.right))
+    if t is PNot:
+        return _not(_fold(f.body))
+    if t is PVar or t is PConst:
+        return f
     raise TypeError(f"not a propositional formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# Tseitin clausification
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -972,41 +999,57 @@ class TranslationError(ValueError):
     pass
 
 
-def _term_value_cases(t: Term, x: str, n: int, env: dict[str, int]) -> list[tuple[int, PropFormula]]:
-    """Possible values of t with their selector conditions (TRUE if forced)."""
-    match t:
-        case Zero():
-            return [(0, TRUE)]
-        case Var(name):
-            if name == x:
-                return [(i, PVar(i)) for i in range(n + 1)]
-            if name in env:
-                return [(env[name], TRUE)]
-            raise TranslationError(f"unbound variable {name!r} in translation")
-        case Succ(arg):
-            return [(v + 1, c) for v, c in _term_value_cases(arg, x, n, env)]
-        case Plus(left, right):
-            return _combine(_term_value_cases(left, x, n, env), _term_value_cases(right, x, n, env), lambda a, b: a + b)
-        case Times(left, right):
-            return _combine(_term_value_cases(left, x, n, env), _term_value_cases(right, x, n, env), lambda a, b: a * b)
-        case DefFn(symbol, _):
-            raise TranslationError(f"definitional symbol {symbol!r} has no propositional translation")
+_Cases = Sequence[tuple[int, PropFormula]]
+
+
+def _term_value_cases(t: Term, x: str, selectors: _Cases, env: dict[str, int]) -> _Cases:
+    """Possible values of t with their selector conditions (TRUE if forced).
+
+    `selectors` holds x's cases: (i, x_i) for each i in 0..n.
+    """
+    k = type(t)
+    if k is Var:
+        if t.name == x:
+            return selectors
+        if t.name in env:
+            return [(env[t.name], TRUE)]
+        raise TranslationError(f"unbound variable {t.name!r} in translation")
+    if k is Zero:
+        return [(0, TRUE)]
+    if k is Succ:
+        return [(v + 1, c) for v, c in _term_value_cases(t.arg, x, selectors, env)]
+    if k is Plus or k is Times:
+        op = operator.add if k is Plus else operator.mul
+        return _combine(_term_value_cases(t.left, x, selectors, env), _term_value_cases(t.right, x, selectors, env), op)
+    if k is DefFn:
+        raise TranslationError(f"definitional symbol {t.symbol!r} has no propositional translation")
     raise TypeError(f"not a term: {t!r}")
 
 
-def _combine(
-    left: list[tuple[int, PropFormula]],
-    right: list[tuple[int, PropFormula]],
-    op: Callable[[int, int], int],
-) -> list[tuple[int, PropFormula]]:
+def _combine(left: _Cases, right: _Cases, op: Callable[[int, int], int]) -> _Cases:
     byval: dict[int, PropFormula] = {}
     for v1, c1 in left:
         for v2, c2 in right:
             v = op(v1, v2)
-            cond = c1 if isinstance(c2, PConst) and c2.value else (c2 if isinstance(c1, PConst) and c1.value else PAnd(c1, c2))
+            cond = _and(c1, c2)
             prev = byval.get(v)
-            byval[v] = cond if prev is None else POr(prev, cond)
+            byval[v] = cond if prev is None else _or(prev, cond)
     return sorted(byval.items())
+
+
+# The guard has O(n^2) nodes; callers sweep a few small bounds (criterion 8
+# and the benchmark use n = 1..6), so a few entries suffice.
+@lru_cache(maxsize=8)
+def _selector_nodes(n: int) -> tuple[_Cases, tuple[PropFormula, ...], PropFormula]:
+    """The nodes every translation at bound n shares.
+
+    x's cases (i, x_i) for i in 0..n; for each i the disjunction
+    x_i | ... | x_n; and the guard (x_0 | ... | x_n) & (no two x_i).
+    """
+    xs = [PVar(i) for i in range(n + 1)]
+    at_least = tuple(big_or(xs[i:]) for i in range(n + 1))
+    guard_one = big_and([PNot(PAnd(xs[i], xs[j])) for i in range(n + 1) for j in range(i + 1, n + 1)])
+    return tuple(enumerate(xs)), at_least, PAnd(big_or(xs), guard_one)
 
 
 # the base language: no definitional symbols, so a quantifier bound that
@@ -1021,6 +1064,12 @@ def translate_delta0(A: Formula, x: str | None = None, n: int = 1) -> PropFormul
     result is (exactly-one guard) -> expansion, a tautology iff A holds at
     every x in {0..n}.  Bounds inside A must be closed terms, the variable x
     itself, or a previously bound variable.
+
+    The expansion is folded as it is built: each node goes through one of
+    the folding constructors once, over children already folded.  Its
+    conjunctions and disjunctions nest to the left, in case order.  The
+    selector variables, the disjunctions x_i | ... | x_n and the guard are
+    built once per n and shared by every result at that n.
     """
     if not is_delta0(A):
         raise TranslationError("formula is not Delta0")
@@ -1031,52 +1080,45 @@ def translate_delta0(A: Formula, x: str | None = None, n: int = 1) -> PropFormul
         x = next(iter(fv))
     elif fv != {x}:
         raise TranslationError(f"free variables {sorted(fv)} are not exactly {{{x!r}}}")
+    selectors, at_least, guard = _selector_nodes(n)
 
     def tr(g: Formula, env: dict[str, int]) -> PropFormula:
-        match g:
-            case Eq(left, right):
-                lcases = _term_value_cases(left, x, n, env)
-                rcases = _term_value_cases(right, x, n, env)
-                rmap = dict(rcases)
-                parts: list[PropFormula] = []
-                for v, c1 in lcases:
-                    c2 = rmap.get(v)
-                    if c2 is None:
-                        continue
-                    parts.append(_fold(PAnd(c1, c2)))
-                return _fold(big_or(parts))
-            case Not(body):
-                return _fold(PNot(tr(body, env)))
-            case Implies(a, b):
-                return _fold(PImp(tr(a, env), tr(b, env)))
-            case BoundedForAll(v, bound, body):
-                return _fold(big_and(_quantifier_cases(v, bound, body, env, tr, exists=False)))
-            case BoundedExists(v, bound, body):
-                return _fold(big_or(_quantifier_cases(v, bound, body, env, tr, exists=True)))
-            case ForAll(_, _):
-                raise TranslationError("unbounded quantifier in a Delta0 formula")
+        t = type(g)
+        if t is Eq:
+            lcases = _term_value_cases(g.left, x, selectors, env)
+            rmap = dict(_term_value_cases(g.right, x, selectors, env))
+            out = FALSE
+            for v, c1 in lcases:
+                c2 = rmap.get(v)
+                if c2 is not None:
+                    out = _or(out, _and(c1, c2))
+            return out
+        if t is Implies:
+            return _imp(tr(g.antecedent, env), tr(g.consequent, env))
+        if t is Not:
+            return _not(tr(g.body, env))
+        if t is BoundedForAll or t is BoundedExists:
+            exists = t is BoundedExists
+            join, out = (_or, FALSE) if exists else (_and, TRUE)
+            v, bound, body = g.var, g.bound, g.body
+            if type(bound) is Var and bound.name == x:
+                # value i admissible when i <= x: guarded by the selectors x_i..x_n
+                case = _and if exists else _imp
+                for i in range(n + 1):
+                    out = join(out, case(at_least[i], tr(body, {**env, v: i})))
+                return out
+            try:
+                b = eval_term_in(_BASE, bound, env=env)
+            except (KeyError, ValueError) as e:
+                raise TranslationError(f"untranslatable quantifier bound: {e.args[0]}") from None
+            for i in range(b + 1):
+                out = join(out, tr(body, {**env, v: i}))
+            return out
+        if t is ForAll:
+            raise TranslationError("unbounded quantifier in a Delta0 formula")
         raise TypeError(f"not a formula: {g!r}")
 
-    def _quantifier_cases(v, bound, body, env, tr, exists: bool) -> list[PropFormula]:
-        if bound == Var(x):
-            # value i admissible when i <= x: guarded by the selectors x_i..x_n
-            out = []
-            for i in range(n + 1):
-                ge = big_or([PVar(k) for k in range(i, n + 1)])
-                sub = tr(body, {**env, v: i})
-                out.append(PAnd(ge, sub) if exists else PImp(ge, sub))
-            return out
-        try:
-            b = eval_term_in(_BASE, bound, env=env)
-        except (KeyError, ValueError) as e:
-            raise TranslationError(f"untranslatable quantifier bound: {e.args[0]}") from None
-        return [tr(body, {**env, v: i}) for i in range(b + 1)]
-
-    guard_any = big_or([PVar(i) for i in range(n + 1)])
-    guard_one = big_and(
-        [PNot(PAnd(PVar(i), PVar(j))) for i in range(n + 1) for j in range(i + 1, n + 1)]
-    )
-    return PImp(PAnd(guard_any, guard_one), tr(A, {}))
+    return PImp(guard, tr(A, {}))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 import argparse
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,14 @@ def test_unknown_subcommand_exits_two(capsys):
 def test_version_flag_exits_zero(capsys):
     assert cli.main(["--version"]) == 0
     assert "forge" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", [(["prop", "taut", "x0 | !x0"], 0), (["frobnicate"], 2)], ids=["taut", "usage"])
+def test_python_dash_m_runs_the_command(argv, code):
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-m", "proofforge", *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
 
 
 def test_prop_without_operation_exits_two(capsys):
@@ -262,6 +274,20 @@ def test_prop_formula_at_the_nesting_cap_is_measured(capsys, op, formula):
     assert cli.main(["prop", op, formula]) == 0
     if op == "taut":
         assert capsys.readouterr().out.startswith("tautology")
+
+
+def test_deeply_nested_translation_is_linear(capsys):
+    # 2,400 nested connectives, under MAX_NESTING.  A translation that folds
+    # every subtree again at each connective is quadratic in the nesting:
+    # about 21 s on this input on a 2-core x86-64 host.
+    formula = "x = x"
+    for _ in range(1_200):
+        formula = "!(x = x -> " + formula + ")"
+    assert len(formula) == 14_405
+    start = time.perf_counter()
+    assert cli.main(["prop", "translate", formula, "--n", "2"]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert "tautology at n=2: yes" in capsys.readouterr().err
 
 
 def test_dimacs_negative_count_is_a_usage_error(tmp_path, capsys):

@@ -3,16 +3,21 @@
 import random
 import re
 import time
+from typing import Callable, Iterable
 
 import pytest
 
+from proofforge.calculus import TheorySpec, eval_term_in
 from proofforge.cli import _psim_corpus
+from proofforge.config import RunConfig
 from proofforge.corpus import mutate_resolution_proof, random_clause_set, random_delta0_single_var
 from proofforge.goedel import eval_delta0, standard_theory
 from proofforge.propositional import (
     _CHUNK_BITS,
+    FALSE,
     MAX_BRUTE_VARS,
     MAX_PROP_NESTING,
+    TRUE,
     ClauseSet,
     Extend,
     Input,
@@ -21,12 +26,14 @@ from proofforge.propositional import (
     PImp,
     PNot,
     POr,
+    PropFormula,
     PVar,
     Resolve,
     ResolutionProof,
     SPMeasure,
     TooManyVariables,
     TranslationError,
+    _fold,
     big_and,
     brute_force_satisfiable,
     check_resolution,
@@ -51,7 +58,25 @@ from proofforge.propositional import (
     truth_table_system,
     tseitin,
 )
-from proofforge.syntax import parse_formula
+from proofforge.syntax import (
+    BoundedExists,
+    BoundedForAll,
+    DefFn,
+    Eq,
+    ForAll,
+    Formula,
+    Implies,
+    Not,
+    Plus,
+    Succ,
+    Term,
+    Times,
+    Var,
+    Zero,
+    free_variables,
+    is_delta0,
+    parse_formula,
+)
 
 Q = standard_theory()
 
@@ -319,6 +344,208 @@ def test_translation_agreement_bulk():
             alpha = translate_delta0(phi, x="x", n=n)
             want = all(eval_delta0(Q, substitute(phi, "x", numeral(i))) for i in range(n + 1))
             assert is_tautology_bruteforce(alpha) is want
+
+
+# --- the translation against a reference copy ------------------------------------
+# The translation and its folding as they were before folding moved into the
+# node constructors: every connective folded its whole subtree again, and
+# each call built its own guard.  Kept verbatim but for the names.
+
+
+def reference_fold(f: PropFormula) -> PropFormula:
+    match f:
+        case PVar(_) | PConst(_):
+            return f
+        case PNot(b):
+            fb = reference_fold(b)
+            if isinstance(fb, PConst):
+                return PConst(not fb.value)
+            return PNot(fb)
+        case PAnd(a, b):
+            fa, fb = reference_fold(a), reference_fold(b)
+            if isinstance(fa, PConst):
+                return fb if fa.value else FALSE
+            if isinstance(fb, PConst):
+                return fa if fb.value else FALSE
+            return PAnd(fa, fb)
+        case POr(a, b):
+            fa, fb = reference_fold(a), reference_fold(b)
+            if isinstance(fa, PConst):
+                return TRUE if fa.value else fb
+            if isinstance(fb, PConst):
+                return TRUE if fb.value else fa
+            return POr(fa, fb)
+        case PImp(a, b):
+            fa, fb = reference_fold(a), reference_fold(b)
+            if isinstance(fa, PConst):
+                return fb if fa.value else TRUE
+            if isinstance(fb, PConst):
+                return TRUE if fb.value else PNot(fa)
+            return PImp(fa, fb)
+    raise TypeError(f"not a propositional formula: {f!r}")
+
+
+def reference_big_and(parts: Iterable[PropFormula]) -> PropFormula:
+    acc: PropFormula | None = None
+    for p in parts:
+        acc = p if acc is None else PAnd(acc, p)
+    return acc if acc is not None else TRUE
+
+
+def reference_big_or(parts: Iterable[PropFormula]) -> PropFormula:
+    acc: PropFormula | None = None
+    for p in parts:
+        acc = p if acc is None else POr(acc, p)
+    return acc if acc is not None else FALSE
+
+
+def reference_term_value_cases(t: Term, x: str, n: int, env: dict[str, int]) -> list[tuple[int, PropFormula]]:
+    """Possible values of t with their selector conditions (TRUE if forced)."""
+    match t:
+        case Zero():
+            return [(0, TRUE)]
+        case Var(name):
+            if name == x:
+                return [(i, PVar(i)) for i in range(n + 1)]
+            if name in env:
+                return [(env[name], TRUE)]
+            raise TranslationError(f"unbound variable {name!r} in translation")
+        case Succ(arg):
+            return [(v + 1, c) for v, c in reference_term_value_cases(arg, x, n, env)]
+        case Plus(left, right):
+            return reference_combine(reference_term_value_cases(left, x, n, env), reference_term_value_cases(right, x, n, env), lambda a, b: a + b)
+        case Times(left, right):
+            return reference_combine(reference_term_value_cases(left, x, n, env), reference_term_value_cases(right, x, n, env), lambda a, b: a * b)
+        case DefFn(symbol, _):
+            raise TranslationError(f"definitional symbol {symbol!r} has no propositional translation")
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_combine(
+    left: list[tuple[int, PropFormula]],
+    right: list[tuple[int, PropFormula]],
+    op: Callable[[int, int], int],
+) -> list[tuple[int, PropFormula]]:
+    byval: dict[int, PropFormula] = {}
+    for v1, c1 in left:
+        for v2, c2 in right:
+            v = op(v1, v2)
+            cond = c1 if isinstance(c2, PConst) and c2.value else (c2 if isinstance(c1, PConst) and c1.value else PAnd(c1, c2))
+            prev = byval.get(v)
+            byval[v] = cond if prev is None else POr(prev, cond)
+    return sorted(byval.items())
+
+
+_BASE = TheorySpec("base")
+
+
+def reference_translate_delta0(A: Formula, x: str | None = None, n: int = 1) -> PropFormula:
+    """The selector-variable translation at bound n.
+
+    x is represented by selector variables x_0..x_n (indices 0..n); the
+    result is (exactly-one guard) -> expansion, a tautology iff A holds at
+    every x in {0..n}.  Bounds inside A must be closed terms, the variable x
+    itself, or a previously bound variable.
+    """
+    if not is_delta0(A):
+        raise TranslationError("formula is not Delta0")
+    fv = free_variables(A)
+    if x is None:
+        if len(fv) != 1:
+            raise TranslationError(f"need exactly one free variable, got {sorted(fv)}")
+        x = next(iter(fv))
+    elif fv != {x}:
+        raise TranslationError(f"free variables {sorted(fv)} are not exactly {{{x!r}}}")
+
+    def tr(g: Formula, env: dict[str, int]) -> PropFormula:
+        match g:
+            case Eq(left, right):
+                lcases = reference_term_value_cases(left, x, n, env)
+                rcases = reference_term_value_cases(right, x, n, env)
+                rmap = dict(rcases)
+                parts: list[PropFormula] = []
+                for v, c1 in lcases:
+                    c2 = rmap.get(v)
+                    if c2 is None:
+                        continue
+                    parts.append(reference_fold(PAnd(c1, c2)))
+                return reference_fold(reference_big_or(parts))
+            case Not(body):
+                return reference_fold(PNot(tr(body, env)))
+            case Implies(a, b):
+                return reference_fold(PImp(tr(a, env), tr(b, env)))
+            case BoundedForAll(v, bound, body):
+                return reference_fold(reference_big_and(_quantifier_cases(v, bound, body, env, tr, exists=False)))
+            case BoundedExists(v, bound, body):
+                return reference_fold(reference_big_or(_quantifier_cases(v, bound, body, env, tr, exists=True)))
+            case ForAll(_, _):
+                raise TranslationError("unbounded quantifier in a Delta0 formula")
+        raise TypeError(f"not a formula: {g!r}")
+
+    def _quantifier_cases(v, bound, body, env, tr, exists: bool) -> list[PropFormula]:
+        if bound == Var(x):
+            # value i admissible when i <= x: guarded by the selectors x_i..x_n
+            out = []
+            for i in range(n + 1):
+                ge = reference_big_or([PVar(k) for k in range(i, n + 1)])
+                sub = tr(body, {**env, v: i})
+                out.append(PAnd(ge, sub) if exists else PImp(ge, sub))
+            return out
+        try:
+            b = eval_term_in(_BASE, bound, env=env)
+        except (KeyError, ValueError) as e:
+            raise TranslationError(f"untranslatable quantifier bound: {e.args[0]}") from None
+        return [tr(body, {**env, v: i}) for i in range(b + 1)]
+
+    guard_any = reference_big_or([PVar(i) for i in range(n + 1)])
+    guard_one = reference_big_and(
+        [PNot(PAnd(PVar(i), PVar(j))) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    )
+    return PImp(PAnd(guard_any, guard_one), tr(A, {}))
+
+
+def test_translation_matches_the_reference_copy():
+    rng = random.Random(8330)
+    formulas = [random_delta0_single_var(rng) for _ in range(1000)]
+    # criterion 8's formulas
+    crit = random.Random(RunConfig().seed + 3)
+    formulas += [random_delta0_single_var(crit) for _ in range(200)]
+    for A in formulas:
+        for n in range(1, 7):
+            got, want = translate_delta0(A, "x", n), reference_translate_delta0(A, "x", n)
+            assert got == want
+            assert print_prop(got) == print_prop(want)
+            assert negation_clauses(got).clause_set == negation_clauses(want).clause_set
+
+
+def test_translation_refuses_what_the_reference_copy_refuses():
+    texts = ["x = y", "forall z (z = x)", "0 = 0 -> forall z (z = z)", "forall<= y dbl(S(0)) (y = x)"]
+    texts += ["forall<= y S(x) (y = x)", "x = dbl(0)", "exists<= y S(S(0)) (dbl(y) = x)"]
+    for text in texts:
+        for x in ("x", None):
+            with pytest.raises(TranslationError) as got:
+                translate_delta0(parse_formula(text), x=x, n=2)
+            with pytest.raises(TranslationError) as want:
+                reference_translate_delta0(parse_formula(text), x=x, n=2)
+            assert str(got.value) == str(want.value)
+
+
+def random_prop_with_constants(rng: random.Random, depth: int):
+    if depth == 0:
+        return rng.choice([TRUE, FALSE, PVar(0), PVar(1), PVar(2)])
+    kind = rng.choice([PNot, PAnd, POr, PImp])
+    if kind is PNot:
+        return PNot(random_prop_with_constants(rng, depth - 1))
+    return kind(random_prop_with_constants(rng, depth - 1), random_prop_with_constants(rng, depth - 1))
+
+
+def test_fold_matches_the_reference_copy():
+    rng = random.Random(8331)
+    for _ in range(2000):
+        f = random_prop_with_constants(rng, rng.randrange(0, 6))
+        assert _fold(f) == reference_fold(f)
+        assert print_prop(_fold(f)) == print_prop(reference_fold(f))
+        assert tseitin(f).clause_set == tseitin(reference_fold(f)).clause_set
 
 
 @pytest.mark.parametrize(
