@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .calculus import TheorySpec
 from .derivations import Builder
 from .goedel import standard_theory
-from .syntax import Eq, Formula, Implies, Plus, Succ, Term, Times, ZERO, build_flat_key, formula_size
+from .syntax import Eq, Formula, Implies, Plus, Succ, Term, Times, ZERO, formula_size, print_formula
 from .verifier import CostReport, Proof, proof_of_with_cost
 
 
@@ -43,12 +43,15 @@ def _equal_value_atoms(m: int, count: int) -> list[Eq]:
     Both sides evaluate to 0, so every atom is a computation axiom; distinct
     shapes keep the checker's scan from short-circuiting on repeats."""
     atoms: list[Eq] = []
-    seen: set[str] = set()  # flat keys: the atoms hold no payload, so none is empty
+    # printed texts: two atoms print alike exactly when they are equal.  A
+    # set of the atoms would put all atoms of one size in one hash bucket,
+    # because node hashes ignore the node class (+, * and = alike)
+    seen: set[str] = set()
 
     def emit(a: Eq) -> bool:
-        key = build_flat_key(a)
-        if key not in seen:
-            seen.add(key)
+        text = print_formula(a)
+        if text not in seen:
+            seen.add(text)
             atoms.append(a)
         return len(atoms) >= count
 

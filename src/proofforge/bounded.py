@@ -531,6 +531,8 @@ def shortest_proof_length(
     `none` make the length exact; any budget_exhausted along the way keeps
     the result honest but non-definitive.
     """
+    if max_budget < 1:
+        raise ValueError("the size cap must be >= 1")
     definitive = True
     for budget in range(formula_size(phi), max_budget + 1):
         r = enumerate_proofs(theory, phi, budget, limits=limits)

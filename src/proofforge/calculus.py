@@ -72,11 +72,9 @@ from .syntax import (
     Var,
     Zero,
     equal,
-    flat_key,
     formula_size,
     free_variables,
     is_sentence,
-    node_count,
     parse_formula,
     parse_term,
     print_formula,
@@ -96,10 +94,10 @@ class Cost:
     preorder of `syntax.equal` up to and including the first mismatch.  The
     count is the walk's whatever the shortcut: a subtree compared with
     itself (one object, as shared nodes are) costs its node_count without a
-    walk, and eq_lines counts mismatches from flat keys.  lines_scanned and
-    pair_searches count the earlier lines find_rule_justification looks at,
-    singly and as modus ponens antecedents.  A function given no Cost counts
-    nothing, so an unmeasured check never walks a subtree to count it."""
+    walk.  lines_scanned and pair_searches count the earlier lines
+    find_rule_justification looks at, singly and as modus ponens
+    antecedents.  A function given no Cost counts nothing, so an unmeasured
+    check never walks a subtree to count it."""
 
     __slots__ = ("symbol_comparisons", "lines_scanned", "pair_searches")
 
@@ -107,63 +105,6 @@ class Cost:
         self.symbol_comparisons = 0
         self.lines_scanned = 0
         self.pair_searches = 0
-
-
-def _common_prefix_length(a: str, b: str) -> int:
-    """Length of the longest common prefix of a and b.  Most keys part within
-    a few characters, so the first 32 are compared one by one; a longer
-    prefix is found by galloping and bisecting with C-level comparisons."""
-    lo = 0
-    for x, y in zip(a, b):
-        if x != y:
-            return lo
-        lo += 1
-        if lo == 32:
-            break
-    else:
-        return lo
-    hi = min(len(a), len(b))
-    step = 32
-    while lo + step < hi and a.startswith(b[lo : lo + step], lo):
-        lo += step
-        step <<= 1
-    hi = min(hi, lo + step)
-    while lo < hi:
-        mid = (lo + hi + 1) >> 1
-        if a.startswith(b[lo:mid], lo):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def eq_lines(a: Formula, b: Formula, cost: Cost | None = None) -> bool:
-    """`equal` on flat keys, for comparing proof lines and their parts.
-
-    The verdict and the count are `equal`'s: one object is equal to itself
-    at the cost of its node count; otherwise a match compares every node
-    (the key's length), a mismatch stops at the first differing node (the
-    common prefix plus one).  Roots of different types or quantifier
-    variables cost one comparison and build no key; other keys are built
-    once and cached on their nodes, so rescanning a line is one string
-    comparison.  A tree without a key is compared by `equal`."""
-    if a is b:
-        if cost is not None:
-            cost.symbol_comparisons += node_count(a)
-        return True
-    cls = type(a)
-    if cls is not type(b) or (cls is ForAll or cls is BoundedForAll or cls is BoundedExists) and a.var != b.var:
-        if cost is not None:
-            cost.symbol_comparisons += 1
-        return False
-    ka = flat_key(a)
-    kb = flat_key(b)
-    if not (ka and kb):
-        return equal(a, b, cost)
-    same = ka == kb
-    if cost is not None:
-        cost.symbol_comparisons += len(ka) if same else _common_prefix_length(ka, kb) + 1
-    return same
 
 
 # ---------------------------------------------------------------------------
@@ -724,17 +665,17 @@ def find_rule_justification(f: Formula, earlier: Sequence[Formula], cost: Cost |
     for j, big in enumerate(earlier):
         if cost is not None:
             cost.lines_scanned += 1
-        if isinstance(big, Implies) and eq_lines(big.consequent, f, cost):
+        if isinstance(big, Implies) and equal(big.consequent, f, cost):
             for k, g in enumerate(earlier):
                 if cost is not None:
                     cost.pair_searches += 1
-                if eq_lines(g, big.antecedent, cost):
+                if equal(g, big.antecedent, cost):
                     return MPJust(j, k)
     if isinstance(f, (ForAll, BoundedForAll)):
         for j, g in enumerate(earlier):
             if cost is not None:
                 cost.lines_scanned += 1
-            if eq_lines(g, f.body, cost):
+            if equal(g, f.body, cost):
                 return GenJust(j, f.var) if isinstance(f, ForAll) else BGenJust(j, f.var, f.bound)
     return None
 
@@ -794,15 +735,15 @@ def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost | None = Non
             big = proof.lines[imp].formula
             if not isinstance(big, Implies):
                 return LineCheck(False, f"line {imp + 1} is not an implication")
-            if not eq_lines(big.antecedent, proof.lines[ant].formula, cost):
+            if not equal(big.antecedent, proof.lines[ant].formula, cost):
                 return LineCheck(False, "antecedent mismatch")
-            if not eq_lines(big.consequent, f, cost):
+            if not equal(big.consequent, f, cost):
                 return LineCheck(False, "consequent mismatch")
             return LineCheck(True)
         case GenJust(src, var):
             if not 0 <= src < i:
                 return LineCheck(False, "generalization source must precede the line")
-            if isinstance(f, ForAll) and f.var == var and eq_lines(f.body, proof.lines[src].formula, cost):
+            if isinstance(f, ForAll) and f.var == var and equal(f.body, proof.lines[src].formula, cost):
                 return LineCheck(True)
             return LineCheck(False, "not a generalization of the source line")
         case BGenJust(src, var, bound):
@@ -812,7 +753,7 @@ def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost | None = Non
                 isinstance(f, BoundedForAll)
                 and f.var == var
                 and equal(f.bound, bound, cost)
-                and eq_lines(f.body, proof.lines[src].formula, cost)
+                and equal(f.body, proof.lines[src].formula, cost)
             ):
                 return LineCheck(True)
             return LineCheck(False, "not a bounded generalization of the source line")

@@ -171,7 +171,11 @@ def cmd_member(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     verdict = "member" if report.member else ("non-member" if report.member is False else "unknown")
     print(f"L_{args.k} membership of {print_formula(phi)}: {verdict}")
     print(f"outcome: {report.outcome}  definitive: {report.definitive}")
-    print(f"size bound: {report.bound} (searched up to {report.effective_bound})")
+    try:
+        bound = str(report.bound)
+    except ValueError:  # more digits than str() converts
+        bound = f"{formula_size(phi)}^{args.k}"
+    print(f"size bound: {bound} (searched up to {report.effective_bound})")
     if report.proof is not None:
         print(f"witness proof ({len(report.proof.lines)} lines):")
         sys.stdout.write(print_proof_text(report.proof))
@@ -292,10 +296,12 @@ def cmd_prop_translate(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     x = args.x if args.x else (next(iter(fv)) if len(fv) == 1 else None)
     try:
         alpha = prop.translate_delta0(phi, x=x, n=args.n)
-    except prop.TranslationError as e:
+        # decided before printing: a formula past the brute-force cap is
+        # refused without writing it out
+        verdict = prop.is_tautology_bruteforce(alpha)
+    except (prop.TranslationError, prop.TooManyVariables) as e:
         raise UsageError(str(e)) from e
     print(prop.print_prop(alpha))
-    verdict = prop.is_tautology_bruteforce(alpha)
     print(f"tautology at n={args.n}: {'yes' if verdict else 'no'}", file=sys.stderr)
     return EXIT_OK if verdict else EXIT_VERDICT
 

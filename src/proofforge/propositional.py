@@ -1071,6 +1071,8 @@ def translate_delta0(A: Formula, x: str | None = None, n: int = 1) -> PropFormul
     selector variables, the disjunctions x_i | ... | x_n and the guard are
     built once per n and shared by every result at that n.
     """
+    if n < 0:
+        raise TranslationError(f"the bound n must be >= 0, got {n}")
     if not is_delta0(A):
         raise TranslationError("formula is not Delta0")
     fv = free_variables(A)

@@ -30,13 +30,13 @@ Operator binding, loosest to tightest:  ->  (right associative), then
 | then & (parse-time sugar, left associative), then ! / quantifiers,
 then atoms.  In terms, * binds tighter than +; both are left associative.
 
-Every node caches four values of its tree on itself, each computed on
-first use without recursion: its flat key (`_k`), `node_count` (`_n`),
-hash (`_h`) and size (`_s`).  `hash(node)` is the value the
-dataclass-generated `__hash__` gives, the hash of the tuple of the node's
-fields, so no set or dict changes its order; only the walk of the whole
-tree per call is gone.  Equality is `equal`, one walk without recursion
-that can also count the nodes it compares; every node's `==` calls it.
+Every node caches three values of its tree on itself, each computed on
+first use without recursion: `node_count` (`_n`), hash (`_h`) and size
+(`_s`).  `hash(node)` is the value the dataclass-generated `__hash__`
+gives, the hash of the tuple of the node's fields, so no set or dict
+changes its order; only the walk of the whole tree per call is gone.
+Equality is `equal`, one walk without recursion that can also count the
+nodes it compares; every node's `==` calls it.
 
 Equal subtrees within one proof text or Builder are one object: the
 parser and `share_tree` key every node through a share table, which
@@ -54,7 +54,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import repeat
 from operator import is_ as _is
 from typing import Iterator, Union
 
@@ -187,7 +187,7 @@ def _eq(self: Term | Formula, other: object) -> bool:
 
 
 for _cls in _TERM_TYPES | _FORMULA_TYPES:
-    _cls._k = _cls._n = _cls._h = _cls._s = None
+    _cls._n = _cls._h = _cls._s = None
     _cls._dataclass_hash = _cls.__hash__
     _cls.__hash__ = _hash
     _cls.__eq__ = _eq
@@ -241,7 +241,10 @@ def _fill(root: Term | Formula, attr: str, value):
 
 def equal(a: Term | Formula, b: Term | Formula, cost=None) -> bool:
     """Whether two terms or formulas are equal: one walk of both trees in
-    flat-key order (see below), without recursion, up to the first mismatch.
+    right-first preorder (the consequent before the antecedent, the right
+    operand of + and * before the left, function arguments last to first,
+    the left side of = before the right, a bounded quantifier's bound before
+    its body), without recursion, up to the first mismatch.
 
     `cost`, when given, gets the number of node pairs compared, the mismatch
     included, added to its `symbol_comparisons`; a pair of one object is
@@ -266,13 +269,25 @@ def equal(a: Term | Formula, b: Term | Formula, cost=None) -> bool:
     while True:
         if x is y:
             if cost is not None:
-                n += node_count(x)
+                # the count cached on x, or node_count's, which caches it
+                n += x._n or node_count(x)
         else:
             n += 1
             cls = type(x)
             if cls is not type(y):
                 break
-            if cls is DefFn:
+            if cls is Plus or cls is Times:
+                if x.right is y.right:
+                    # left-folded chains that share their right operands
+                    # step straight to the left ones
+                    if cost is not None:
+                        n += x.right._n or node_count(x.right)
+                    x, y = x.left, y.left
+                else:
+                    stack += (x.left, y.left)
+                    x, y = x.right, y.right
+                continue
+            elif cls is DefFn:
                 xs, ys = x.args, y.args
                 if x.symbol != y.symbol or len(xs) != len(ys):
                     break
@@ -288,10 +303,6 @@ def equal(a: Term | Formula, b: Term | Formula, cost=None) -> bool:
             elif cls is Var:
                 if x.name != y.name:
                     break
-            elif cls is Plus or cls is Times:
-                stack += (x.left, y.left)
-                x, y = x.right, y.right
-                continue
             elif cls is Eq:
                 stack += (x.right, y.right)
                 x, y = x.left, y.left
@@ -666,126 +677,6 @@ def _own_size_plus_parts(x: Term | Formula, parts: tuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Flat comparison keys
-# ---------------------------------------------------------------------------
-
-# A node's flat key has one character per node of its tree, in the order
-# `equal` visits them: a right-first preorder (the
-# consequent before the antecedent, the right operand of + and * before the
-# left, function arguments last to first, the left side of = before the
-# right, a bounded quantifier's bound before its body).  A character stands
-# for a node type and its payload (a variable's name, a function's symbol
-# and arity, a quantifier's variable), so it fixes the node's arity and the
-# key is injective: two trees are equal exactly when their keys are, and
-# where they differ the first differing character is the node at which
-# `equal` stops.
-#
-# Zero, Succ, Plus, Times, Eq, Not and Implies carry no payload and are "\0"
-# to "\6".  Payload characters follow in order of first use, each issued by
-# one step of a counter, so no two payloads ever share one.  Fewer than
-# KEY_CODES exist; a tree holding a payload seen after that has the empty
-# key, and callers compare it with `equal`.
-KEY_CODES = 1 << 16
-_var_codes: dict[str, str] = {}
-_unary_codes: dict[str, str] = {}  # symbol of a one-argument DefFn
-_payload_codes: dict[tuple, str] = {}  # (type, payload) of DefFn and the quantifiers
-_issued = count(7)
-
-def _new_code(table: dict, payload) -> str:
-    n = next(_issued)
-    return table.setdefault(payload, chr(n)) if n < KEY_CODES else ""
-
-
-def flat_key(node: Term | Formula) -> str:
-    """The node's flat key, built on first use and cached on the node.  The
-    key of an implication is cached on its two halves too."""
-    k = node._k
-    if k is None:
-        if type(node) is Implies:
-            # modus ponens compares a line's halves on their own: key them
-            # first, and the line's key is their concatenation
-            c = _own_key(node.consequent)
-            a = _own_key(node.antecedent)
-            k = "\6" + c + a if c and a else ""
-        else:
-            k = build_flat_key(node)
-        object.__setattr__(node, "_k", k)
-    return k
-
-
-def _own_key(node: Term | Formula) -> str:
-    k = node._k
-    if k is None:
-        k = build_flat_key(node)
-        object.__setattr__(node, "_k", k)
-    return k
-
-
-def build_flat_key(root: Term | Formula) -> str:
-    """The flat key of a tree, built anew and cached nowhere, for keys that
-    serve as dict keys rather than for comparing lines again and again."""
-    out: list[str] = []
-    emit = out.append
-    stack: list = [root]
-    push = stack.append
-    pop = stack.pop
-    var_codes = _var_codes
-    unary_codes = _unary_codes
-    while stack:
-        x = pop()
-        cls = type(x)
-        if cls is Succ:
-            n = 0
-            while cls is Succ:
-                n += 1
-                x = x.arg
-                cls = type(x)
-            emit("\1" * n)
-            push(x)
-            continue
-        if cls is DefFn and len(x.args) == 1:
-            c = unary_codes.get(x.symbol) or _new_code(unary_codes, x.symbol)
-            push(x.args[0])
-        elif cls is Var:
-            c = var_codes.get(x.name) or _new_code(var_codes, x.name)
-        elif cls is Zero:
-            c = "\0"
-        elif cls is Plus or cls is Times:
-            c = "\2" if cls is Plus else "\3"
-            push(x.left)
-            push(x.right)
-        elif cls is Eq:
-            c = "\4"
-            push(x.right)
-            push(x.left)
-        elif cls is Implies:
-            c = "\6"
-            push(x.antecedent)
-            push(x.consequent)
-        elif cls is Not:
-            c = "\5"
-            push(x.body)
-        else:
-            if cls is DefFn:
-                payload = (DefFn, x.symbol, len(x.args))
-                stack.extend(x.args)
-            elif cls is ForAll:
-                payload = (ForAll, x.var)
-                push(x.body)
-            elif cls is BoundedForAll or cls is BoundedExists:
-                payload = (cls, x.var)
-                push(x.body)
-                push(x.bound)
-            else:
-                raise TypeError(f"not a term or formula: {x!r}")
-            c = _payload_codes.get(payload) or _new_code(_payload_codes, payload)
-        if not c:
-            return ""
-        emit(c)
-    return "".join(out)
-
-
-# ---------------------------------------------------------------------------
 # Shared nodes
 # ---------------------------------------------------------------------------
 
@@ -805,9 +696,9 @@ def build_flat_key(root: Term | Formula) -> str:
 
 def node_count(root: Term | Formula) -> int:
     """The number of nodes of a tree, a shared subtree counted at each of its
-    occurrences: the length of its flat key, and what `equal` compares on
-    two equal trees.  Counted without recursion and cached on every
-    node counted, so a shared tree costs one step per distinct node."""
+    occurrences: what `equal` compares on two equal trees.  Counted without
+    recursion and cached on every node counted, so a shared tree costs one
+    step per distinct node."""
     n = root._n
     return _fill(root, "_n", _one_plus_parts) if n is None else n
 

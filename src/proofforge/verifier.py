@@ -16,21 +16,15 @@ once.
 
 `proof_of_with_cost` reports the deterministic work counters; wall time is
 measured separately and carries no determinism guarantee.
-`symbol_comparisons` counts syntax nodes compared: two trees are compared
-node by node in a right-first preorder (the consequent before the
-antecedent, the right operand before the left) until the first mismatch,
-which is counted too.  The count is the walk's, but the walk is mostly not
-taken.  A parsed proof text, or a Builder's proof, holds each distinct
-subtree once (see `syntax`), so equal parts are one object, and a pair of
-one object costs its cached node count without a walk.  Whole lines and
-their parts (the conclusion, modus ponens premises, generalization
-sources) that are not one object are compared by calculus.eq_lines
-through flat keys, strings with one character per node in that order,
-built once per node and cached on it: a match costs the key's length, a
-mismatch the common prefix plus one, exactly the nodes the walk would have
-compared.  Schema matchers walk the trees and skip every pair of one
-object.  A proof built by hand, with no shared nodes, is checked by the
-walks alone, to the same counts.
+`symbol_comparisons` counts syntax nodes compared: `syntax.equal` compares
+two trees node by node in a right-first preorder (the consequent before
+the antecedent, the right operand before the left) until the first
+mismatch, which is counted too.  The count is the walk's, but the walk is
+mostly not taken.  A parsed proof text, or a Builder's proof, holds each
+distinct subtree once (see `syntax`), so equal parts are one object, and a
+pair of one object costs its cached node count without a walk.  A proof
+built by hand, with no shared nodes, is walked node by node, to the same
+counts.
 """
 
 from __future__ import annotations
@@ -42,12 +36,11 @@ from .calculus import (
     Cost,
     Proof,
     TheorySpec,
-    eq_lines,
     find_axiom_justification,
     find_rule_justification,
     proof_size,
 )
-from .syntax import Formula, formula_size
+from .syntax import Formula, equal, formula_size
 
 
 @dataclass(frozen=True)
@@ -91,7 +84,7 @@ def proof_of(
         if diagnostics is not None:
             diagnostics.append("empty proof")
         return False
-    if not eq_lines(proof.conclusion, phi):
+    if not equal(proof.conclusion, phi):
         if diagnostics is not None:
             diagnostics.append("conclusion differs from the target formula")
         return False
@@ -101,7 +94,7 @@ def proof_of(
 def proof_of_with_cost(theory: TheorySpec, proof: Proof, phi: Formula) -> tuple[bool, CostReport]:
     cost = Cost()
     t0 = time.perf_counter_ns()
-    ok = bool(proof.lines) and eq_lines(proof.conclusion, phi, cost) and verify(theory, proof, cost)
+    ok = bool(proof.lines) and equal(proof.conclusion, phi, cost) and verify(theory, proof, cost)
     wall = time.perf_counter_ns() - t0
     return ok, CostReport(
         lines=len(proof.lines),

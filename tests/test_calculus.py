@@ -1,12 +1,10 @@
 """Axiom schema recognition, the stored-proof checker, and proof text files."""
 
 import random
-import sys
 from dataclasses import fields
 
 import pytest
 
-from proofforge import syntax
 from proofforge.bench import _equal_value_atoms, mp_chain
 from proofforge.calculus import (
     AxiomJust,
@@ -18,10 +16,8 @@ from proofforge.calculus import (
     ProofLine,
     TheoryAxiomJust,
     TheorySpec,
-    _common_prefix_length,
     check_line,
     check_stored_proof,
-    eq_lines,
     eval_term_in,
     match_schema,
     parse_proof_text,
@@ -48,11 +44,11 @@ from proofforge.syntax import (
     Zero,
     equal,
     exists,
-    flat_key,
     numeral,
     parse_formula,
     parse_term,
     print_formula,
+    share_tree,
     substitute,
 )
 
@@ -353,11 +349,12 @@ def test_eval_term_in_evaluates_a_shared_closed_node_once():
 
 
 
-# --- flat comparison keys ------------------------------------------------------
+# --- shared nodes and identity-first equality ---------------------------------
 
 
 def _fresh(node):
-    """An equal tree of new objects, so that no key is cached on it yet."""
+    """An equal tree of new objects, sharing none with `node`, so that a walk
+    over it meets no pair of one object."""
     if isinstance(node, tuple):
         return tuple(map(_fresh, node))
     if isinstance(node, str):
@@ -378,90 +375,6 @@ def _with_parts(formulas):
     return out
 
 
-def _assert_agrees(pairs):
-    """eq_lines gives the verdict and symbol_comparisons of `equal`."""
-    __tracebackhide__ = True  # a failure must not print the pairs: repr recurses
-    for n, (a, b) in enumerate(pairs):
-        walk, keyed = Cost(), Cost()
-        verdict = equal(a, b, walk)
-        same = eq_lines(a, b, keyed)  # not in the assert, whose message would print the trees
-        assert same is verdict, n
-        assert keyed.symbol_comparisons == walk.symbol_comparisons, n
-
-
-def _all_pairs(formulas):
-    """Every ordered pair of a formula and a fresh copy of one, so that the
-    first comparisons build keys and the later ones reuse them."""
-    copies = [_fresh(f) for f in formulas]
-    return [(a, b) for a in formulas for b in copies]
-
-
-def test_flat_keys_agree_with_the_walk_on_the_derived_corpus():
-    rng = random.Random(4242)
-    pool = []
-    for sample in derived_theorem_corpus(Q, rng, 40):
-        lines = _with_parts([ln.formula for ln in sample.proof.lines])
-        _assert_agrees(_all_pairs(lines))
-        pool += lines
-    _assert_agrees([(rng.choice(pool), rng.choice(pool)) for _ in range(20_000)])
-
-
-def test_flat_keys_agree_with_the_walk_on_chain_atoms_and_lines():
-    _assert_agrees(_all_pairs(_equal_value_atoms(64, 70)))
-    proof, _ = mp_chain(Q, 60, 24)
-    _assert_agrees(_all_pairs(_with_parts([ln.formula for ln in proof.lines])))
-
-
-def test_flat_keys_agree_with_the_walk_on_deep_numerals():
-    sizes = (0, 1, 1299, 1300, 1301)
-    atoms = [Eq(numeral(n), numeral(m)) for n in sizes for m in sizes]
-    atoms += [Eq(Plus(numeral(1300), ZERO), numeral(1300)), Eq(DefFn("dbl", (numeral(650),)), numeral(1300))]
-    _assert_agrees(_all_pairs(atoms))
-    # the fixed-point certificate of x = 0: binary numerals ~1,300 nodes deep
-    result = diagonalize(Q, parse_formula("x = 0"))
-    lines = _with_parts([ln.formula for ln in result.equivalence.lines])
-    _assert_agrees(list(zip(lines, map(_fresh, lines))))
-    rng = random.Random(5)
-    _assert_agrees([(rng.choice(lines), rng.choice(lines)) for _ in range(3_000)])
-
-
-def test_flat_keys_separate_function_symbols_arities_and_binders():
-    x, y = Var("x"), Var("y")
-    terms = [
-        DefFn("f", (x,)),
-        DefFn("g", (x,)),
-        DefFn("f", (x, x)),
-        DefFn("f", (x, y)),
-        DefFn("f", (y, x)),
-        DefFn("f", ()),
-        DefFn("g", ()),
-        DefFn("f", (DefFn("f", (x,)),)),
-        DefFn("f", (DefFn("g", (x,)),)),
-        DefFn("f", (DefFn("f", (x, x)),)),
-        Succ(DefFn("f", (x,))),
-        Var("f"),
-    ]
-    _assert_agrees(_all_pairs([Eq(t, u) for t in terms for u in terms[:4]]))
-    body, bound = Eq(x, y), Var("z")
-    binders = []
-    for v in ("x", "y", "x'"):
-        binders += [BoundedForAll(v, bound, body), BoundedExists(v, bound, body), ForAll(v, body)]
-    binders += [BoundedForAll("x", Var("w"), body), BoundedExists("x", Succ(bound), body)]
-    wrapped = [Not(q) for q in binders] + [Implies(body, q) for q in binders] + [Implies(q, body) for q in binders]
-    _assert_agrees(_all_pairs(binders + wrapped))
-
-
-def test_flat_keys_take_any_variable_name():
-    names = ["", "\0", "\1", "\4", "\6", "0", "S", "x\0", "\ud800", "é", chr(sys.maxunicode), "x" * 1000, "a b"]
-    formulas = []
-    for n in names:
-        v = Var(n)
-        formulas += [Eq(v, ZERO), Eq(Plus(v, ZERO), v), Eq(DefFn(n, (v,)), ZERO), ForAll(n, Eq(v, v))]
-        formulas.append(BoundedExists(n, v, Eq(v, DefFn(n, ()))))
-    _assert_agrees(_all_pairs(formulas))
-    assert len({flat_key(f) for f in formulas}) == len(formulas)
-
-
 def test_deep_chains_compare_without_recursion():
     def negations(n, atom):
         for _ in range(n):
@@ -470,36 +383,29 @@ def test_deep_chains_compare_without_recursion():
 
     a = negations(20_000, Eq(ZERO, ZERO))
     b = negations(20_000, Eq(ZERO, Succ(ZERO)))
-    _assert_agrees([(a, b), (b, a), (a, negations(20_000, Eq(ZERO, ZERO)))])
     deep = Eq(numeral(50_000), ZERO)
-    _assert_agrees([(deep, Eq(numeral(50_000), ZERO)), (deep, Eq(numeral(49_999), ZERO))])
+    # (pair, verdict, nodes compared), counted by hand: one per pair of Nots,
+    # Ss or =s and per pair of ZERO with itself, and one for the mismatch
+    cases = [
+        ((a, b), False, 20_003),
+        ((b, a), False, 20_003),
+        ((a, negations(20_000, Eq(ZERO, ZERO))), True, 20_003),
+        ((deep, Eq(numeral(50_000), ZERO)), True, 50_003),
+        ((deep, Eq(numeral(49_999), ZERO)), False, 50_001),
+    ]
+    for n, ((x, y), verdict, compared) in enumerate(cases):
+        cost = Cost()
+        same = equal(x, y, cost)  # not in the assert, whose message would print the trees
+        assert (same, cost.symbol_comparisons) == (verdict, compared), n
 
-
-def test_a_full_key_table_falls_back_to_the_structural_walk(monkeypatch):
-    # the table never needs a character chr() cannot make
-    assert syntax.KEY_CODES <= sys.maxunicode + 1
-    monkeypatch.setattr(syntax, "KEY_CODES", 0)
-    v = Var("a name first seen while the table is full")
-    a, b = Eq(v, ZERO), Eq(v, Succ(ZERO))
-    assert flat_key(a) == "" and flat_key(Eq(ZERO, ZERO)) != ""
-    _assert_agrees([(a, b), (a, _fresh(a)), (Implies(a, b), Implies(a, _fresh(b))), (Implies(a, a), Implies(b, a))])
-    # the Builder dedups such a line too: it finds a line by the id of its
-    # shared formula, not by its key
-    builder = Builder(Q)
-    first = builder.axiom("EQREFL", Eq(v, v))
-    assert builder.axiom("EQREFL", Eq(Var(v.name), Var(v.name))) == first
-    assert builder.axiom("EQREFL", Eq(ZERO, ZERO)) == first + 1
-
-
-# --- shared nodes and identity-first equality ---------------------------------
 
 _TERM_TYPES = (Var, Zero, Succ, Plus, Times, DefFn)
 
 
 def _assert_identity_agrees(pairs, copies=None):
-    """`equal` and, on formulas, eq_lines give pairs that share objects the
-    verdicts and symbol_comparisons of the walk over fresh copies, which
-    share none (`copies`, where a copy cannot be made by recursion)."""
+    """`equal` gives pairs that share objects the verdicts and
+    symbol_comparisons of the walk over fresh copies, which share none
+    (`copies`, where a copy cannot be made by recursion)."""
     __tracebackhide__ = True  # a failure must not print the pairs: repr recurses
     if copies is None:
         fresh = {}
@@ -507,14 +413,11 @@ def _assert_identity_agrees(pairs, copies=None):
             fresh[id(x)] = _fresh(x)
         copies = [(fresh[id(a)], fresh[id(b)]) for a, b in pairs]
     for n, ((a, b), (fa, fb)) in enumerate(zip(pairs, copies)):
-        walk = Cost()
-        term = type(a) in _TERM_TYPES
+        walk, shared = Cost(), Cost()
         verdict = equal(fa, fb, walk)
-        for eq in (equal,) if term else (equal, eq_lines):
-            shared = Cost()
-            same = eq(a, b, shared)  # not in the assert, whose message would print the trees
-            assert same is verdict, (n, eq.__name__)
-            assert shared.symbol_comparisons == walk.symbol_comparisons, (n, eq.__name__)
+        same = equal(a, b, shared)  # not in the assert, whose message would print the trees
+        assert same is verdict, n
+        assert shared.symbol_comparisons == walk.symbol_comparisons, n
 
 
 def _with_terms(formulas):
@@ -578,6 +481,18 @@ def test_identity_first_equality_agrees_with_the_walk_on_certificates():
         _assert_identity_agrees(list(zip(*lines)), list(zip(*map(_copies, lines))))
 
 
+def test_identity_first_equality_on_chain_atoms_and_lines():
+    # left-folded + and * chains over one ZERO, their prefixes shared through
+    # one table: most pairs meet a right operand that is one object
+    table: dict = {}
+    atoms = [share_tree(a, table) for a in _equal_value_atoms(64, 70)]
+    _assert_identity_agrees([(a, b) for a in atoms for b in atoms])
+    proof, _ = mp_chain(Q, 60, 24)
+    parsed = parse_proof_text(print_proof_text(proof), Q.arities())
+    lines = _with_parts([ln.formula for ln in parsed.lines])
+    _assert_identity_agrees([(a, b) for a in lines for b in lines])
+
+
 def test_identity_first_equality_counts_a_mismatch_below_a_shared_prefix():
     s, x = numeral(300), Var("x")
     one, two = Succ(ZERO), Succ(Succ(ZERO))
@@ -599,17 +514,13 @@ def test_identity_first_equality_counts_a_mismatch_below_a_shared_prefix():
         (s, Succ(s)),
         (Plus(s, s), Plus(s, Succ(s))),
     ]
+    # sums whose right operands are one object, matching and not
+    v = Var("v")
+    same, other = Eq(Plus(v, s), s), Eq(Plus(v, s), Succ(s))
+    pairs += [(same, same), (same, other), (Implies(same, other), Implies(same, same))]
+    pairs += [(Implies(other, same), Implies(same, same)), (Not(same), Not(same))]
+    pairs += [(Plus(v, s), Plus(x, s)), (Times(Plus(v, s), s), Times(Plus(v, s), s)), (Plus(Times(v, s), s), Plus(Plus(v, s), s))]
     _assert_identity_agrees(pairs + [(b, a) for a, b in pairs])
-
-
-def test_identity_first_equality_with_a_full_key_table(monkeypatch):
-    monkeypatch.setattr(syntax, "KEY_CODES", 0)
-    v = Var("another name first seen while the table is full")
-    s = numeral(40)
-    a, b = Eq(Plus(v, s), s), Eq(Plus(v, s), Succ(s))
-    assert flat_key(a) == "" == flat_key(b)
-    pairs = [(a, a), (a, b), (Implies(a, b), Implies(a, a)), (Implies(b, a), Implies(a, a)), (Not(a), Not(a))]
-    _assert_identity_agrees(pairs + [(q, p) for p, q in pairs])
 
 
 def test_identity_first_equality_on_deep_chains():
@@ -620,6 +531,10 @@ def test_identity_first_equality_on_deep_chains():
             node = ctor(node)
         return node
 
+    sizes = (0, 1, 1299, 1300, 1301)
+    atoms = [Eq(numeral(n), numeral(m)) for n in sizes for m in sizes]
+    atoms += [Eq(Plus(numeral(1300), ZERO), numeral(1300)), Eq(DefFn("dbl", (numeral(650),)), numeral(1300))]
+    _assert_identity_agrees([(a, b) for a in atoms for b in atoms])
     deep = wrap(Succ, 50_000, ZERO)
     a, b = (wrap(Succ, 50_000, Zero()) for _ in range(2))
     _assert_identity_agrees(
@@ -654,19 +569,3 @@ def test_builder_gives_equal_formulas_one_line():
     proof = builder.proof(p1 + 2)
     assert proof.lines[-1].justification.term is proof.lines[-1].formula.left is line.antecedent.left
     assert check_stored_proof(Q, proof).ok
-
-
-def test_common_prefix_length_matches_a_scan():
-    def scan(a, b):
-        n = 0
-        while n < min(len(a), len(b)) and a[n] == b[n]:
-            n += 1
-        return n
-
-    rng = random.Random(11)
-    for _ in range(3_000):
-        base = "".join(rng.choice("ab\0ā") for _ in range(rng.randrange(0, 300)))
-        cut = rng.randrange(0, len(base) + 1)
-        other = base[:cut] + "".join(rng.choice("ab") for _ in range(rng.randrange(0, 40)))
-        assert _common_prefix_length(base, other) == scan(base, other)
-        assert _common_prefix_length(other, base) == scan(base, other)

@@ -1,6 +1,7 @@
 """The forge command: exit codes, dispatch coverage, and reproducible outputs."""
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -101,6 +102,13 @@ def test_prop_without_operation_exits_two(capsys):
 def test_member_verdicts(capsys):
     assert cli.main(["member", "q", "0 = 0", "--k", "1"]) == 0
     assert cli.main(["member", "q", "0 = 0 -> 0 = 0", "--k", "1"]) == 1
+    capsys.readouterr()
+    assert cli.main(["member", "q", "0 = 0", "--k", "3"]) == 0
+    assert "size bound: 27 (searched up to 24)" in capsys.readouterr().out
+    # 3^99999 has 47,712 digits, past what str() converts by default
+    assert cli.main(["member", "q", "0 = 0", "--k", "99999"]) == 0
+    out = capsys.readouterr().out
+    assert "size bound: 3^99999 (searched up to 24)" in out and "witness proof" in out
 
 
 def test_biconditional_chain_is_a_usage_error(capsys):
@@ -122,6 +130,11 @@ def test_global_theory_must_agree_with_the_commands_theory(capsys):
 def test_shortest_verdicts(capsys):
     assert cli.main(["shortest", "q", "0 = 0", "--cap", "6"]) == 0
     assert cli.main(["shortest", "q", "0 = 0 -> 0 = 0", "--cap", "6"]) == 1
+    capsys.readouterr()
+    for cap in ("-1", "0"):
+        assert cli.main(["shortest", "q", "0 = 0", "--cap", cap]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "size cap must be >= 1" in err
 
 
 def test_prop_taut_verdicts(capsys):
@@ -133,8 +146,21 @@ def test_prop_taut_verdicts(capsys):
 
 def test_prop_translate_verdicts(capsys):
     assert cli.main(["prop", "translate", "x = x", "--n", "2"]) == 0
+    assert cli.main(["prop", "translate", "x = x", "--n", "0"]) == 0
     assert cli.main(["prop", "translate", "x = 0", "--n", "2"]) == 1
-    assert cli.main(["prop", "translate", "x = y", "--n", "2"]) == 2  # two free variables
+    capsys.readouterr()
+    # refused before anything is printed: two free variables, a negative
+    # bound, more selector variables than brute force takes
+    cap = prop.MAX_BRUTE_VARS
+    refused = [
+        ("x = y", 2, "need exactly one free variable"),
+        ("x = x", -3, "bound n must be >= 0"),
+        ("x = x", cap, f"{cap + 1} variables exceeds the brute-force cap"),
+    ]
+    for formula, n, message in refused:
+        assert cli.main(["prop", "translate", formula, "--n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err, n
 
 
 def test_prop_check_verdicts(tmp_path, capsys):
@@ -495,6 +521,13 @@ def test_suite_report_is_byte_identical_across_runs(tmp_path, monkeypatch):
         assert cli.main(["--deterministic", "suite", "--report", str(out)]) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_deterministic_suite_report_is_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main(["--deterministic", "suite", "--report", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "c7967af632f5352faa8d0d3f24d1ad308babe9239e14ba9d2cbd9388f8d59f1a"
 
 
 def test_regen_report_schema(tmp_path):

@@ -31,7 +31,6 @@ from proofforge.syntax import (
     Var,
     ZERO,
     Zero,
-    build_flat_key,
     formula_size,
     free_variables,
     is_delta0,
@@ -368,6 +367,12 @@ def _children(x) -> list:
     return [getattr(x, n) for n in names if hasattr(x, n)] + list(getattr(x, "args", ()))
 
 
+def _text(x) -> str:
+    """The printed text of a term or formula, which the parser reads back to
+    an equal tree: two nodes print alike exactly when they are equal."""
+    return print_term(x) if type(x) in NODE_TYPES[:6] else print_formula(x)
+
+
 def _distinct_nodes(*roots) -> list:
     """Every node object reachable from the roots, each once, children first."""
     seen = {}
@@ -391,8 +396,8 @@ def test_a_parse_builds_each_distinct_subtree_once():
     objects = nodes = 0
     for line in parsed.lines:
         distinct = _distinct_nodes(line.formula)
-        # flat keys are equal exactly when trees are: one object per key
-        assert len(distinct) == len({build_flat_key(x) for x in distinct})
+        # one object per printed text
+        assert len(distinct) == len({_text(x) for x in distinct})
         size = {}
         for x in distinct:
             size[id(x)] = 1 + sum(size[id(c)] for c in _children(x))
@@ -420,9 +425,9 @@ def test_a_proof_text_shares_each_distinct_subtree_across_its_lines():
     proof = diagonalize(theory, parse_formula("x = 0")).equivalence
     parsed = parse_proof_text(print_proof_text(proof), theory.arities())
     distinct = _distinct_nodes(*_proof_roots(parsed))
-    # one object per flat key over the whole text: 260, where the lines,
+    # one object per printed text over the whole text: 260, where the lines,
     # each shared on its own, hold 14,800
-    assert len(distinct) == len({build_flat_key(x) for x in distinct}) == 260
+    assert len(distinct) == len({_text(x) for x in distinct}) == 260
     lines = parsed.lines
     for line in lines:
         just = line.justification
@@ -436,7 +441,7 @@ def test_a_proof_text_shares_each_distinct_subtree_across_its_lines():
 def test_a_derivation_shares_each_distinct_subtree_across_its_lines():
     proof = diagonalize(standard_theory(), parse_formula("x = 0")).equivalence
     distinct = _distinct_nodes(*_proof_roots(proof))
-    assert len(distinct) == len({build_flat_key(x) for x in distinct}) == 260
+    assert len(distinct) == len({_text(x) for x in distinct}) == 260
 
 
 def test_share_tree_enters_new_subtrees_and_finds_known_ones():
@@ -471,7 +476,7 @@ def test_share_tree_enters_new_subtrees_and_finds_known_ones():
 _DEEP_SHARING = """
 import sys
 
-from proofforge.syntax import ZERO, Eq, Not, Succ, build_flat_key, node_count, numeral, share_tree
+from proofforge.syntax import ZERO, Eq, Not, Succ, node_count, numeral, share_tree
 
 def negations(n):
     f = Eq(ZERO, ZERO)
@@ -482,8 +487,7 @@ def negations(n):
 # a recursive walk of these trees would fail far below their depth
 sys.setrecursionlimit(200)
 deep = [numeral(50_000), negations(20_000), Eq(numeral(50_000), numeral(49_999))]
-for tree in deep:
-    assert node_count(tree) == len(build_flat_key(tree))
+assert [node_count(tree) for tree in deep] == [50_001, 20_003, 100_002]
 table = {}
 assert share_tree(deep[0], table) is deep[0] and share_tree(deep[1], table) is deep[1]
 eq = share_tree(deep[2], table)
@@ -499,13 +503,13 @@ def test_node_count_and_share_tree_walk_deep_trees_without_recursion():
     assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr[-2000:]
 
 
-def test_node_count_is_the_flat_key_length():
+def test_node_count_is_what_the_reference_walk_compares():
     theory = standard_theory()
     proof = diagonalize(theory, parse_formula("x = 0")).equivalence
     nodes = _distinct_nodes(*_proof_roots(proof))
     nodes += [parse_formula(t) for t in ("forall x forall y (x * S(y) = x * y + x)", "exists<= z S(x) pair(z, z) = 0")]
     for x in nodes:
-        assert node_count(x) == len(build_flat_key(x))
+        assert node_count(x) == _reference_walk(x, _copy(x))[1]
 
 
 _DEEP_PRINT = """
@@ -715,8 +719,8 @@ _VISIT_ORDER = {
 
 def _reference_walk(a, b) -> tuple[bool, int]:
     """The verdict and the nodes compared up to the first mismatch of a
-    recursive walk in flat-key order: right-first preorder, with the left
-    side of = and a quantifier's bound first."""
+    recursive walk in right-first preorder, with the left side of = and a
+    quantifier's bound first."""
     if type(a) is not type(b) or any(getattr(a, n, None) != getattr(b, n, None) for n in ("name", "symbol", "var")):
         return False, 1
     if isinstance(a, DefFn) and len(a.args) != len(b.args):
@@ -787,3 +791,47 @@ def test_equality_and_free_variables_agree_with_recursive_references():
     for x in nodes:
         assert free_variables(x) == _reference_variables(x), x
         assert (x == None, x != None, x == 0, x != 0, x == "x") == (False, True, False, True, False)  # noqa: E711
+
+
+def test_equality_separates_symbols_arities_binders_and_names():
+    from proofforge.calculus import Cost
+    from proofforge.syntax import equal
+
+    x, y = Var("x"), Var("y")
+    terms = [
+        DefFn("f", (x,)),
+        DefFn("g", (x,)),
+        DefFn("f", (x, x)),
+        DefFn("f", (x, y)),
+        DefFn("f", (y, x)),
+        DefFn("f", ()),
+        DefFn("g", ()),
+        DefFn("f", (DefFn("f", (x,)),)),
+        DefFn("f", (DefFn("g", (x,)),)),
+        DefFn("f", (DefFn("f", (x, x)),)),
+        Succ(DefFn("f", (x,))),
+        Var("f"),
+    ]
+    formulas = [Eq(t, u) for t in terms for u in terms[:4]]
+    body, bound = Eq(x, y), Var("z")
+    binders = []
+    for v in ("x", "y", "x'"):
+        binders += [BoundedForAll(v, bound, body), BoundedExists(v, bound, body), ForAll(v, body)]
+    binders += [BoundedForAll("x", Var("w"), body), BoundedExists("x", Succ(bound), body)]
+    formulas += binders + [Not(q) for q in binders] + [Implies(body, q) for q in binders] + [Implies(q, body) for q in binders]
+    # names the parser would refuse, control characters and a lone surrogate among them
+    for n in ["", "\0", "\1", "\4", "\6", "0", "S", "x\0", "\ud800", "é", chr(sys.maxunicode), "x" * 1000, "a b"]:
+        v = Var(n)
+        formulas += [Eq(v, ZERO), Eq(Plus(v, ZERO), v), Eq(DefFn(n, (v,)), ZERO), ForAll(n, Eq(v, v))]
+        formulas.append(BoundedExists(n, v, Eq(v, DefFn(n, ()))))
+    copies = [_copy(f) for f in formulas]
+    equal_pairs = []
+    for i, a in enumerate(formulas):
+        for j, b in enumerate(copies):
+            reference = _reference_walk(a, b)
+            cost = Cost()
+            assert (equal(a, b, cost), cost.symbol_comparisons) == reference, (i, j)
+            if reference[0]:
+                equal_pairs.append((i, j))
+    # every formula is equal to its own copy only
+    assert equal_pairs == [(i, i) for i in range(len(formulas))]
