@@ -1,6 +1,7 @@
 """Axiom schema recognition, the stored-proof checker, and proof text files."""
 
 import random
+import sys
 from dataclasses import fields
 
 import pytest
@@ -51,6 +52,7 @@ from proofforge.syntax import (
     share_tree,
     substitute,
 )
+from test_syntax import _reference_walk  # the recursive reference for `equal`
 
 Q = standard_theory()
 
@@ -373,6 +375,60 @@ def _with_parts(formulas):
         elif isinstance(f, (ForAll, BoundedForAll, BoundedExists)):
             out.append(f.body)
     return out
+
+
+def _assert_separates(formulas):
+    """Each formula is `equal` to a fresh copy of itself and of no other, with
+    the verdicts and nodes compared of the recursive reference walk."""
+    __tracebackhide__ = True
+    copies = [_fresh(f) for f in formulas]
+    equal_pairs = []
+    for i, a in enumerate(formulas):
+        for j, b in enumerate(copies):
+            reference = _reference_walk(a, b)
+            cost = Cost()
+            assert (equal(a, b, cost), cost.symbol_comparisons) == reference, (i, j)
+            if reference[0]:
+                equal_pairs.append((i, j))
+    assert equal_pairs == [(i, i) for i in range(len(formulas))]
+
+
+def test_flat_keys_separate_function_symbols_arities_and_binders():
+    # named for the flat keys this comparison once went through
+    x, y = Var("x"), Var("y")
+    terms = [
+        DefFn("f", (x,)),
+        DefFn("g", (x,)),
+        DefFn("f", (x, x)),
+        DefFn("f", (x, y)),
+        DefFn("f", (y, x)),
+        DefFn("f", ()),
+        DefFn("g", ()),
+        DefFn("f", (DefFn("f", (x,)),)),
+        DefFn("f", (DefFn("g", (x,)),)),
+        DefFn("f", (DefFn("f", (x, x)),)),
+        Succ(DefFn("f", (x,))),
+        Var("f"),
+    ]
+    _assert_separates([Eq(t, u) for t in terms for u in terms[:4]])
+    body, bound = Eq(x, y), Var("z")
+    binders = []
+    for v in ("x", "y", "x'"):
+        binders += [BoundedForAll(v, bound, body), BoundedExists(v, bound, body), ForAll(v, body)]
+    binders += [BoundedForAll("x", Var("w"), body), BoundedExists("x", Succ(bound), body)]
+    wrapped = [Not(q) for q in binders] + [Implies(body, q) for q in binders] + [Implies(q, body) for q in binders]
+    _assert_separates(binders + wrapped)
+
+
+def test_flat_keys_take_any_variable_name():
+    # names the parser would refuse, control characters and a lone surrogate among them
+    names = ["", "\0", "\1", "\4", "\6", "0", "S", "x\0", "\ud800", "é", chr(sys.maxunicode), "x" * 1000, "a b"]
+    formulas = []
+    for n in names:
+        v = Var(n)
+        formulas += [Eq(v, ZERO), Eq(Plus(v, ZERO), v), Eq(DefFn(n, (v,)), ZERO), ForAll(n, Eq(v, v))]
+        formulas.append(BoundedExists(n, v, Eq(v, DefFn(n, ()))))
+    _assert_separates(formulas)
 
 
 def test_deep_chains_compare_without_recursion():
