@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .calculus import TheorySpec
 from .derivations import Builder
 from .goedel import standard_theory
-from .syntax import Eq, Formula, Implies, Plus, Succ, Term, Times, ZERO, formula_size, print_formula
+from .syntax import Eq, Formula, Implies, Plus, Succ, Term, Times, ZERO, formula_size
 from .verifier import CostReport, Proof, proof_of_with_cost
 
 
@@ -38,21 +38,15 @@ def _operator_chains(size: int, limit: int) -> list[Term]:
 
 
 def _equal_value_atoms(m: int, count: int) -> list[Eq]:
-    """Pairwise-distinct true closed equations of size close to m.
+    """Pairwise-distinct true closed equations of size close to m, each
+    (size split, left chain, right chain) built once.
 
     Both sides evaluate to 0, so every atom is a computation axiom; distinct
     shapes keep the checker's scan from short-circuiting on repeats."""
     atoms: list[Eq] = []
-    # printed texts: two atoms print alike exactly when they are equal.  A
-    # set of the atoms would put all atoms of one size in one hash bucket,
-    # because node hashes ignore the node class (+, * and = alike)
-    seen: set[str] = set()
 
     def emit(a: Eq) -> bool:
-        text = print_formula(a)
-        if text not in seen:
-            seen.add(text)
-            atoms.append(a)
+        atoms.append(a)
         return len(atoms) >= count
 
     top = m if m % 2 else m - 1
@@ -71,9 +65,7 @@ def _equal_value_atoms(m: int, count: int) -> list[Eq]:
                     if emit(Eq(Succ(t), Succ(u))):
                         return atoms
     # degenerate m: cycle what exists rather than fail
-    while atoms and len(atoms) < count:
-        atoms.append(atoms[len(atoms) % len(seen)])
-    return atoms
+    return [atoms[i % len(atoms)] for i in range(count)] if atoms else []
 
 
 def mp_chain(theory: TheorySpec, k: int, m: int) -> tuple[Proof, Formula]:

@@ -107,6 +107,7 @@ from .syntax import (
     subterms,
     term_size,
 )
+from .verifier import power_capped, proof_of
 
 FOUND = "found"
 NONE = "none"
@@ -484,14 +485,20 @@ def enumerate_proofs(
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """Decision for `phi in L_k` (proof of size <= size(phi)^k exists)."""
+    """Decision for `phi in L_k` (proof of size <= size(phi)^k exists); the
+    bound size^k is computed in full on each read of `bound`."""
 
     member: bool | None
     definitive: bool
     outcome: str
-    bound: int
+    size: int
+    k: int
     effective_bound: int
     proof: Proof | None = None
+
+    @property
+    def bound(self) -> int:
+        return self.size**self.k
 
 
 def l_k_membership(
@@ -509,14 +516,15 @@ def l_k_membership(
     """
     if k < 1:
         raise ValueError("level must be >= 1")
-    bound = formula_size(phi) ** k
+    size = formula_size(phi)
+    bound = power_capped(size, k, desk_cap)  # desk_cap + 1 past the cap
     effective = min(bound, desk_cap)
     r = enumerate_proofs(theory, phi, effective, limits=limits)
     if r.outcome == FOUND:
-        return MembershipReport(True, True, r.outcome, bound, effective, r.proof)
+        return MembershipReport(True, True, r.outcome, size, k, effective, r.proof)
     if r.outcome == NONE and effective == bound:
-        return MembershipReport(False, True, r.outcome, bound, effective)
-    return MembershipReport(None, False, r.outcome, bound, effective)
+        return MembershipReport(False, True, r.outcome, size, k, effective)
+    return MembershipReport(None, False, r.outcome, size, k, effective)
 
 
 def shortest_proof_length(
@@ -569,7 +577,6 @@ def regeneration_chain(depth: int = 3, m: int = 8, margin: int = 6, limits: Sear
     """
     from .calculus import TheoryAxiomJust, check_stored_proof
     from .goedel import PROVER_CHAIN, con_bounded, encode_formula, extend_with_axiom, standard_theory
-    from .verifier import proof_of
 
     if not 1 <= depth < len(PROVER_CHAIN):
         raise ValueError(f"depth must be in 1..{len(PROVER_CHAIN) - 1}")

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Callable
 
@@ -171,10 +172,9 @@ def cmd_member(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     verdict = "member" if report.member else ("non-member" if report.member is False else "unknown")
     print(f"L_{args.k} membership of {print_formula(phi)}: {verdict}")
     print(f"outcome: {report.outcome}  definitive: {report.definitive}")
-    try:
-        bound = str(report.bound)
-    except ValueError:  # more digits than str() converts
-        bound = f"{formula_size(phi)}^{args.k}"
+    # size^k where the bound has more digits than str() converts, told from k
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = f"{report.size}^{args.k}" if limit and args.k * math.log10(report.size) >= limit else report.bound
     print(f"size bound: {bound} (searched up to {report.effective_bound})")
     if report.proof is not None:
         print(f"witness proof ({len(report.proof.lines)} lines):")

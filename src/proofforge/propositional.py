@@ -158,30 +158,40 @@ def big_or(parts: Iterable[PropFormula]) -> PropFormula:
     return acc if acc is not None else FALSE
 
 
+_INFIX = {PAnd: (" & ",), POr: (" | ",), PImp: (" -> ",)}
+
+
 def print_prop(f: PropFormula) -> str:
-    match f:
-        case PVar(i):
-            return f"x{i}"
-        case PConst(v):
-            return "T" if v else "F"
-        case PNot(b):
-            return f"!({print_prop(b)})"
-        case PAnd(a, b):
-            return f"({print_prop(a)} & {print_prop(b)})"
-        case POr(a, b):
-            return f"({print_prop(a)} | {print_prop(b)})"
-        case PImp(a, b):
-            return f"({print_prop(a)} -> {print_prop(b)})"
-    raise TypeError(f"not a propositional formula: {f!r}")
+    """The text of a propositional formula, written into one buffer without
+    recursion: the stack holds formulas and literal texts (1-tuples) still
+    to print, in reverse output order."""
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        x = stack.pop()
+        cls = type(x)
+        if cls is tuple:
+            out.append(x[0])
+        elif cls is PVar:
+            out.append(f"x{x.index}")
+        elif cls is PConst:
+            out.append("T" if x.value else "F")
+        elif cls is PNot:
+            stack += ((")",), x.body, ("!(",))
+        elif cls in _INFIX:
+            stack += ((")",), x.right, _INFIX[cls], x.left, ("(",))
+        else:
+            raise TypeError(f"not a propositional formula: {x!r}")
+    return "".join(out)
 
 
 _PROP_TOKEN = re.compile(r"\s*(?:(x\d+)|(T|F)|(->)|([!&|()]))")
 
 # Deepest nesting parse_prop accepts.  Each parenthesis, `!` and binary
 # operator counts one level, both as written and in the formula built (a
-# chain of n `&` builds a tree n deep).  _fold, prop_size, print_prop,
-# eval_prop, _eval_mask and tseitin recurse once per level, and each visits
-# a node once, so their time grows with the formula's size alone.
+# chain of n `&` builds a tree n deep).  _fold, prop_size, eval_prop,
+# _eval_mask and tseitin recurse once per level, and each visits a node
+# once, so their time grows with the formula's size alone.
 MAX_PROP_NESTING = 1_000
 
 

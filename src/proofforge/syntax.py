@@ -32,9 +32,9 @@ then atoms.  In terms, * binds tighter than +; both are left associative.
 
 Every node caches three values of its tree on itself, each computed on
 first use without recursion: `node_count` (`_n`), hash (`_h`) and size
-(`_s`).  `hash(node)` is the value the dataclass-generated `__hash__`
-gives, the hash of the tuple of the node's fields, so no set or dict
-changes its order; only the walk of the whole tree per call is gone.
+(`_s`).  `hash(node)` is the hash of the node's fields salted by its
+class, so that `+`, `*` and `=` over the same children hash apart; no
+output depends on the order of a set of nodes.
 Equality is `equal`, one walk without recursion that can also count the
 nodes it compares; every node's `==` calls it.
 
@@ -168,15 +168,14 @@ def _hash(node: Term | Formula) -> int:
         for part in _children(node):
             if part._h is None:
                 return _fill(node, "_h", _field_hash)
-        h = node._dataclass_hash()
+        h = node._dataclass_hash() ^ node._salt
         object.__setattr__(node, "_h", h)
     return h
 
 
 def _field_hash(x: Term | Formula, parts: tuple) -> int:
-    # the generated hash of x's fields; it hashes x's children, whose hashes
-    # _fill has already cached
-    return x._dataclass_hash()
+    # the generated hash of x's fields (its children's are cached), salted
+    return x._dataclass_hash() ^ x._salt
 
 
 def _eq(self: Term | Formula, other: object) -> bool:
@@ -189,6 +188,7 @@ def _eq(self: Term | Formula, other: object) -> bool:
 for _cls in _TERM_TYPES | _FORMULA_TYPES:
     _cls._n = _cls._h = _cls._s = None
     _cls._dataclass_hash = _cls.__hash__
+    _cls._salt = hash(_cls.__name__)  # so that classes over equal fields hash apart
     _cls.__hash__ = _hash
     _cls.__eq__ = _eq
 
@@ -905,22 +905,19 @@ def _too_deep(index: int) -> _ParseError:
     return _ParseError(f"nesting deeper than {MAX_NESTING} levels", index)
 
 
-# Token kinds that occur in formulas but never in terms.
-_FORMULA_ONLY = frozenset(("=", "!", "->", "&", "|", "forall", "exists"))
-
-
 class _Parser:
-    """Recursive descent over one text.  Every node it builds other than ZERO
-    is looked up first in the share table `share` (see share_tree), so equal
-    subtrees are one object: within the text, and across every text parsed
-    with the same table."""
+    """Recursive descent over one text, reading each token once: a "(" where
+    an atom can start is read by `group`, which learns from what it reads
+    whether the group holds a formula or a term.  Every node it builds other
+    than ZERO is looked up first in the share table `share` (see
+    share_tree), so equal subtrees are one object: within the text, and
+    across every text parsed with the same table."""
 
-    __slots__ = ("text", "toks", "kinds", "formula_groups", "i", "depth", "arities", "share")
+    __slots__ = ("text", "toks", "kinds", "i", "depth", "arities", "share")
 
     def __init__(self, text: str, deffn_arities: dict[str, int] | None, share: dict | None):
         self.text = text
         self.toks, self.kinds = _tokenize(text)
-        self.formula_groups: set[int] = set()  # "(" indices known to open a formula
         self.i = 0
         self.depth = 0
         self.arities = DEFFN_ARITIES if deffn_arities is None else deffn_arities
@@ -930,7 +927,9 @@ class _Parser:
         """Run `rule` over the whole input."""
         try:
             result = rule()
-            self.end()
+            i = self.i
+            if self.kinds[i] != _EOF:
+                raise _ParseError(f"trailing input {self.toks[i]!r}", i)
         except _ParseError as e:
             raise SyntaxErrorWithPos(e.message, _token_span(self.text, e.index)[0]) from None
         return result
@@ -945,35 +944,13 @@ class _Parser:
             raise _too_deep(index)
         self.depth = depth
 
-    def opens_formula(self, i: int) -> bool:
-        """Whether the "(" at token i opens a formula: whether its group, up
-        to the matching ")" or the end of input, holds a token of
-        _FORMULA_ONLY.  Every formula holds an "=", so on valid input the
-        answer is exact.
-
-        The scan stops at the first such token and records every group still
-        open there.  A group it passes that closed before it holds only a
-        term, which the parser reads without asking about the groups inside,
-        so no token is scanned more than twice.
-        """
-        if i in self.formula_groups:
-            return True
-        kinds = self.kinds
-        open_parens = [i]
-        j = i + 1
-        while open_parens:
-            k = kinds[j]
-            if k == "(":
-                open_parens.append(j)
-            elif k == ")":
-                open_parens.pop()
-            elif k in _FORMULA_ONLY:
-                self.formula_groups.update(open_parens)
-                return True
-            elif k == _EOF:
-                return False
-            j += 1
-        return False
+    def close(self) -> None:
+        """Read the ")" that closes the innermost level."""
+        i = self.i
+        if self.kinds[i] != ")":
+            raise _ParseError("expected ')'", i)
+        self.i = i + 1
+        self.depth -= 1
 
     def variable(self) -> str:
         i = self.i
@@ -982,15 +959,11 @@ class _Parser:
         self.i = i + 1
         return self.toks[i]
 
-    def end(self) -> None:
-        i = self.i
-        if self.kinds[i] != _EOF:
-            raise _ParseError(f"trailing input {self.toks[i]!r}", i)
+    # -- formulas, loosest first; formula, disjunct and conjunct take as `a`
+    # a first operand that group has already read
 
-    # -- formulas, loosest first
-
-    def formula(self) -> Formula:
-        a = self.disjunct()
+    def formula(self, a: Formula | None = None) -> Formula:
+        a = self.disjunct(a)
         if self.kinds[self.i] == "->":
             self.nest(self.i)
             self.i += 1
@@ -1000,8 +973,8 @@ class _Parser:
             return self.share.get(key) or self.share.setdefault(key, Implies(a, b))
         return a
 
-    def disjunct(self) -> Formula:
-        a = self.conjunct()
+    def disjunct(self, a: Formula | None = None) -> Formula:
+        a = self.conjunct(a)
         if self.kinds[self.i] == "|":
             depth = self.depth
             while self.kinds[self.i] == "|":
@@ -1012,8 +985,9 @@ class _Parser:
             self.depth = depth
         return a
 
-    def conjunct(self) -> Formula:
-        a = self.unary()
+    def conjunct(self, a: Formula | None = None) -> Formula:
+        if a is None:
+            a = self.unary()
         if self.kinds[self.i] == "&":
             depth = self.depth
             while self.kinds[self.i] == "&":
@@ -1068,19 +1042,38 @@ class _Parser:
         return self.share.get(key) or self.share.setdefault(key, ctor(v, bound, body))
 
     def atom_or_group(self) -> Formula:
-        # "(" opens a parenthesized formula or a parenthesized term of an atom
+        """An atom or a parenthesized formula.  A "(" here is read by group;
+        a term it returns is the first factor of the atom's left side."""
+        if self.kinds[self.i] != "(":
+            return self.atom(self.term())
+        g = self.group()
+        return g if type(g) in _FORMULA_TYPES else self.atom(self.term_rest(g))
+
+    def group(self) -> Term | Formula:
+        """The group opened by a "(" where an atom can start, up to its ")".
+        It holds a formula if "!" or a quantifier comes first.  Otherwise
+        its first factor (a "(" read by group again) and that factor's term
+        are read: a term closed by ")" is returned, any other term is an
+        atom's left side.  A formula read so far is the first operand of the
+        formula the group holds."""
         i = self.i
-        if self.kinds[i] == "(" and self.opens_formula(i):
-            self.nest(i)
-            self.i = i + 1
+        self.nest(i)
+        self.i = i + 1
+        k = self.kinds[i + 1]
+        if k == "!" or k == "forall" or k == "exists":
             f = self.formula()
-            i = self.i
-            if self.kinds[i] != ")":
-                raise _ParseError("expected ')'", i)
-            self.i = i + 1
-            self.depth -= 1
-            return f
-        left = self.term()
+        else:
+            a = self.group() if k == "(" else self.term_primary()
+            if type(a) in _FORMULA_TYPES:
+                f = self.formula(a)
+            else:
+                a = self.term_rest(a)
+                f = a if self.kinds[self.i] == ")" else self.formula(self.atom(a))
+        self.close()
+        return f
+
+    def atom(self, left: Term) -> Formula:
+        """The atom whose left side `left` has been read."""
         i = self.i
         if self.kinds[i] != "=":
             raise self.found("'='", i)
@@ -1092,9 +1085,7 @@ class _Parser:
     # -- terms
 
     def term(self) -> Term:
-        a = self.term_primary()
-        k = self.kinds[self.i]
-        return self.term_rest(a) if k == "*" or k == "+" else a
+        return self.term_rest(self.term_primary())
 
     def term_rest(self, a: Term) -> Term:
         """The term whose first factor is `a`, already read: the rest of its
@@ -1231,11 +1222,7 @@ class _Parser:
         self.nest(i)
         self.i = i + 1
         t = self.term()
-        i = self.i
-        if self.kinds[i] != ")":
-            raise _ParseError("expected ')'", i)
-        self.i = i + 1
-        self.depth -= 1
+        self.close()
         return t
 
     def arguments(self, i: int, first: Term) -> Term:
@@ -1243,21 +1230,16 @@ class _Parser:
         has been read: the remaining arguments, the ")" and the checks of
         the symbol and its arity, in that order."""
         args = [first]
-        j = self.i
-        while self.kinds[j] == ",":
-            self.i = j + 1
+        while self.kinds[self.i] == ",":
+            self.i += 1
             args.append(self.term())
-            j = self.i
-        if self.kinds[j] != ")":
-            raise _ParseError("expected ')'", j)
-        self.i = j + 1
+        self.close()
         name = self.toks[i]
         arities = self.arities
         if name not in arities:
             raise _ParseError(f"unknown function symbol {name!r}", i)
         if arities[name] != len(args):
             raise _ParseError(f"{name!r} expects {arities[name]} arguments, got {len(args)}", i)
-        self.depth -= 1
         key = (name, *map(id, args))
         return self.share.get(key) or self.share.setdefault(key, DefFn(name, tuple(args)))
 

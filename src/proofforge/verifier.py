@@ -77,24 +77,23 @@ def proof_of(
     theory: TheorySpec,
     proof: Proof,
     phi: Formula,
+    cost: Cost | None = None,
     diagnostics: list[str] | None = None,
 ) -> bool:
-    """The checking relation: proof is valid under theory and concludes phi."""
-    if not proof.lines:
-        if diagnostics is not None:
-            diagnostics.append("empty proof")
-        return False
-    if not equal(proof.conclusion, phi):
+    """The checking relation: proof is valid under theory and concludes phi
+    (an empty proof is rejected by verify).  Work, the comparison of the
+    conclusion with phi included, is counted into `cost` when one is given."""
+    if proof.lines and not equal(proof.conclusion, phi, cost):
         if diagnostics is not None:
             diagnostics.append("conclusion differs from the target formula")
         return False
-    return verify(theory, proof, diagnostics=diagnostics)
+    return verify(theory, proof, cost, diagnostics)
 
 
 def proof_of_with_cost(theory: TheorySpec, proof: Proof, phi: Formula) -> tuple[bool, CostReport]:
     cost = Cost()
     t0 = time.perf_counter_ns()
-    ok = bool(proof.lines) and equal(proof.conclusion, phi, cost) and verify(theory, proof, cost)
+    ok = proof_of(theory, proof, phi, cost)
     wall = time.perf_counter_ns() - t0
     return ok, CostReport(
         lines=len(proof.lines),
@@ -112,6 +111,16 @@ def check_witness(theory: TheorySpec, phi: Formula, proof: Proof, k: int) -> boo
     """
     if k < 1:
         raise ValueError("the polynomial exponent k must be >= 1")
-    if proof_size(proof) > formula_size(phi) ** k:
-        return False
-    return proof_of(theory, proof, phi)
+    size = proof_size(proof)
+    return size <= power_capped(formula_size(phi), k, size) and proof_of(theory, proof, phi)
+
+
+def power_capped(base: int, k: int, cap: int) -> int:
+    """base ** k if that is at most cap, else cap + 1.  The product is
+    multiplied only up to the cap, so any k answers at once (base >= 2)."""
+    p = 1
+    for _ in range(k):
+        p *= base
+        if p > cap:
+            return cap + 1
+    return p

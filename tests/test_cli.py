@@ -111,6 +111,15 @@ def test_member_verdicts(capsys):
     assert "size bound: 3^99999 (searched up to 24)" in out and "witness proof" in out
 
 
+def test_member_answers_at_once_for_any_k(capsys):
+    # 3^30000000 is computed neither to compare it with the desk cap nor to
+    # tell how to print it
+    start = time.perf_counter()
+    assert cli.main(["member", "q", "0 = 0", "--k", "30000000"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert "size bound: 3^30000000 (searched up to 24)" in capsys.readouterr().out
+
+
 def test_biconditional_chain_is_a_usage_error(capsys):
     # `<->` expanded each side twice, so a 20-term chain was an 18 MB formula
     chain = " <-> ".join(["0 = 0"] * 20)

@@ -1,5 +1,6 @@
 """Clause sets, resolution checking, Tseitin, translations, and s_P measures."""
 
+import hashlib
 import random
 import re
 import time
@@ -546,6 +547,46 @@ def test_fold_matches_the_reference_copy():
         assert _fold(f) == reference_fold(f)
         assert print_prop(_fold(f)) == print_prop(reference_fold(f))
         assert tseitin(f).clause_set == tseitin(reference_fold(f)).clause_set
+
+
+def reference_print_prop(f: PropFormula) -> str:
+    """print_prop written recursively, each level copying its children's text."""
+    match f:
+        case PVar(i):
+            return f"x{i}"
+        case PConst(v):
+            return "T" if v else "F"
+        case PNot(b):
+            return f"!({reference_print_prop(b)})"
+        case PAnd(a, b):
+            return f"({reference_print_prop(a)} & {reference_print_prop(b)})"
+        case POr(a, b):
+            return f"({reference_print_prop(a)} | {reference_print_prop(b)})"
+        case PImp(a, b):
+            return f"({reference_print_prop(a)} -> {reference_print_prop(b)})"
+    raise TypeError(f"not a propositional formula: {f!r}")
+
+
+def test_print_prop_matches_the_reference_copy():
+    rng = random.Random(8332)
+    formulas = [parse_prop(reference_print_prop(random_prop_with_constants(rng, rng.randrange(0, 7)))) for _ in range(500)]
+    formulas += [parse_prop(text) for text in ("x0 -> x1 -> x2", "!!x0 & x1 & x2 | T", "((x3))", "!(x0 -> F)")]
+    formulas += [translate_delta0(random_delta0_single_var(rng), "x", n) for n in range(1, 7) for _ in range(40)]
+    formulas.append(translate_delta0(parse_formula("x = x"), "x", 40))
+    for f in formulas:
+        assert print_prop(f) == reference_print_prop(f)
+
+
+def test_print_prop_is_linear_in_a_deep_chain():
+    # the guard of the n = 400 translation is a left-nested chain of 80,200
+    # conjuncts: quadratic to print if each level copied its children's text
+    f = translate_delta0(parse_formula("x = x"), "x", 400)
+    start = time.perf_counter()
+    text = print_prop(f)
+    assert time.perf_counter() - start < 2.0
+    # the text the recursive print gave
+    assert len(text) == 1_650_693
+    assert hashlib.sha256(text.encode()).hexdigest() == "c47c72fb98313a4f31663ab9e4cc814ed4bf5b692dec06b70b6bf37435622ec4"
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import proofforge
+from proofforge.bench import _equal_value_atoms
 from proofforge.calculus import AxiomJust, MPJust, parse_proof_text, print_proof_text
 from proofforge.corpus import derived_theorem_corpus, diagonal_shapes, random_delta0_sentence
 from proofforge.goedel import DEFFN_ARITIES, code_to_tokens, diagonalize, encode_formula, encode_term, standard_theory
@@ -313,6 +314,9 @@ PARSE_ERRORS = [
     ("dbl(sub(0)) = 0", "'sub' expects 2 arguments, got 1", 4),
     # the biconditional is not part of the input language
     ("0 = 0 <-> 0 = 0", "unexpected character '<'", 5),
+    # a group whose term is not closed by ")" holds an atom
+    ("(x", "expected '=', found 'end of input'", 2),
+    ("(0 0) = 0", "expected '=', found '0'", 3),
 ]
 
 
@@ -352,6 +356,34 @@ def test_nested_term_parentheses_parse_in_linear_time():
     start = time.perf_counter()
     assert parse_formula(text) == Eq(ZERO, ZERO)
     assert time.perf_counter() - start < 1.0
+
+
+MIXED_GROUPS = [
+    ("((x + y) * z = w)", Eq(Times(Plus(Var("x"), Var("y")), Var("z")), Var("w"))),
+    ("((0) = 0 -> (0 = 0))", Implies(Eq(ZERO, ZERO), Eq(ZERO, ZERO))),
+    ("(((0)) = (0))", Eq(ZERO, ZERO)),
+    ("((0 = 0))", Eq(ZERO, ZERO)),
+    (
+        "(S(x) * (y + 0) = x) & x = 0",
+        Not(Implies(Eq(Times(Succ(Var("x")), Plus(Var("y"), ZERO)), Var("x")), Not(Eq(Var("x"), ZERO)))),
+    ),
+]
+
+
+@pytest.mark.parametrize("text, tree", MIXED_GROUPS, ids=[row[0] for row in MIXED_GROUPS])
+def test_groups_of_terms_and_formulas_mix(text, tree):
+    assert parse_formula(text) == tree
+    assert parse_formula(print_formula(tree)) == tree
+
+
+def test_formula_groups_at_the_nesting_cap():
+    text = "(" * MAX_NESTING + "0 = 0" + ")" * MAX_NESTING
+    start = time.perf_counter()
+    assert parse_formula(text) == Eq(ZERO, ZERO)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(SyntaxErrorWithPos) as info:
+        parse_formula("(" + text + ")")
+    assert str(info.value) == f"nesting deeper than {MAX_NESTING} levels (at offset {MAX_NESTING})"
 
 
 def test_x_equals_zero_certificate_is_pinned():
@@ -604,17 +636,27 @@ def test_deep_trees_hash_and_size_without_recursion():
     assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr[-2000:]
 
 
-def test_hash_is_the_hash_of_the_fields():
-    # the value the dataclass-generated __hash__ gives, node by node, so set
-    # and dict order is what it was before hashes were cached
+def test_equal_nodes_hash_alike_and_classes_hash_apart():
     theory = standard_theory()
     roots = _proof_roots(diagonalize(theory, parse_formula("x = 0")).equivalence)
     for sample in derived_theorem_corpus(theory, random.Random(5), 40):
         roots += _proof_roots(sample.proof)
     nodes = _distinct_nodes(*roots)
     assert len({type(x) for x in nodes}) == 12  # every node type
+    alike = ((Plus, Times, Eq), (Succ, Not), (BoundedForAll, BoundedExists))
     for x in nodes:
-        assert hash(x) == hash(tuple(getattr(x, f.name) for f in fields(x))), x
+        # a copy parsed from the text has no hash cached yet; the parser
+        # reads every 0 as ZERO, so Zero's copy is built here
+        copy = Zero() if x is ZERO else parse_term(_text(x)) if type(x) in NODE_TYPES[:6] else parse_formula(_text(x))
+        assert copy is not x and hash(copy) == hash(x), x
+        for classes in alike:
+            if type(x) in classes:
+                parts = [getattr(x, f.name) for f in fields(x)]
+                assert len({hash(cls(*parts)) for cls in classes}) == len(classes), x
+    # left-folded chains of + and * over 0, distinct as built: one hash
+    # each, where all 70 had one hash while the class was left out
+    atoms = _equal_value_atoms(24, 70)
+    assert len(set(atoms)) == len(set(map(hash, atoms))) == 70
 
 
 def test_size_is_the_token_count_of_the_code():

@@ -158,6 +158,8 @@ def test_check_witness_enforces_the_size_bound():
     assert proof_size(padded) == 9  # 5 + 3 + one separator
     assert not check_witness(Q, phi, padded, 1)  # over budget at k=1
     assert check_witness(Q, phi, padded, 2)  # exactly at the 3**2 bound
+    # 3**k is multiplied only up to the proof's size
+    assert check_witness(Q, phi, padded, 10**7)
 
 
 def test_check_witness_rejects_nonpositive_exponent():
