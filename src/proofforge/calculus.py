@@ -212,56 +212,107 @@ def _eval_term(theory: TheorySpec, t: Term, budget: EvalBudget, env: Mapping[str
     between evaluations that share it.  A parsed term holds each distinct
     subtree once (see `syntax`), so its repeated closed subterms are
     evaluated and charged once.
+
+    Without recursion, charging as a recursive walk would: a node is charged
+    when it is entered, then its children are evaluated left to right, each
+    entered in place of its parent; the stack holds the nodes waiting on a
+    child, with the values of their children so far.
     """
     v = memo.get(id(t))
     if v is not None:
         return v
-    budget.charge()
-    cls = type(t)
-    if cls is Succ:
-        inner, n = t.arg, 1
-        while type(inner) is Succ:
-            n += 1
-            inner = inner.arg
-        budget.charge(n)
-        v = n + _eval_term(theory, inner, budget, env, memo)
-        if id(inner) not in memo:
+    charge = budget.charge
+    get = memo.get
+    stack: list = []
+    x = t
+    while True:
+        v = get(id(x))
+        if v is None:
+            charge()
+            cls = type(x)
+            if cls is Succ:
+                inner, n = x.arg, 1
+                while type(inner) is Succ:
+                    n += 1
+                    inner = inner.arg
+                charge(n)
+                stack.append((x, n, inner))
+                x = inner
+                continue
+            if cls is Plus or cls is Times:
+                stack.append((x,))
+                x = x.left
+                continue
+            if cls is DefFn:
+                ext = theory.def_extensions.get(x.symbol)
+                if ext is None:
+                    raise KeyError(f"function symbol {x.symbol!r} not registered in theory {theory.name!r}")
+                args = x.args
+                if args:
+                    # a one-argument symbol waits as (node, ext), any other
+                    # as (node, ext, values of its arguments so far)
+                    stack.append((x, ext) if len(args) == 1 else (x, ext, []))
+                    x = args[0]
+                    continue
+                charge(4)
+                v = memo[id(x)] = ext.evaluator(budget=budget)
+            elif cls is Var:
+                name = x.name
+                if name not in env:
+                    raise ValueError(f"cannot evaluate open term (free variable {name!r})")
+                v = env[name]
+            elif cls is Zero:
+                v = memo[id(x)] = 0
+            else:
+                raise TypeError(f"not a term: {x!r}")
+        # v is x's value: hand it to the nodes waiting on it
+        while stack:
+            frame = stack[-1]
+            node = frame[0]
+            cls = type(node)
+            if cls is Succ:
+                stack.pop()
+                v += frame[1]
+                if id(frame[2]) in memo:
+                    memo[id(node)] = v
+            elif cls is DefFn:
+                args = node.args
+                if len(frame) == 2:
+                    stack.pop()
+                    charge(4)
+                    v = frame[1].evaluator(v, budget=budget)
+                    if id(args[0]) in memo:
+                        memo[id(node)] = v
+                    continue
+                vals = frame[2]
+                vals.append(v)
+                if len(vals) < len(args):
+                    x = args[len(vals)]
+                    break
+                stack.pop()
+                charge(4)
+                v = frame[1].evaluator(*vals, budget=budget)
+                for a in args:
+                    if id(a) not in memo:
+                        break
+                else:
+                    memo[id(node)] = v
+            elif len(frame) == 1:
+                stack[-1] = (node, v)
+                x = node.right
+                break
+            else:
+                stack.pop()
+                a = frame[1]
+                if cls is Plus:
+                    v = a + v
+                else:
+                    charge(max(a.bit_length() + v.bit_length(), 1) // 8)
+                    v = a * v
+                if id(node.left) in memo and id(node.right) in memo:
+                    memo[id(node)] = v
+        else:
             return v
-    elif cls is Var:
-        name = t.name
-        if name not in env:
-            raise ValueError(f"cannot evaluate open term (free variable {name!r})")
-        return env[name]
-    elif cls is Zero:
-        v = 0
-    elif cls is Plus:
-        a, b = t.left, t.right
-        v = _eval_term(theory, a, budget, env, memo) + _eval_term(theory, b, budget, env, memo)
-        if id(a) not in memo or id(b) not in memo:
-            return v
-    elif cls is Times:
-        a, b = t.left, t.right
-        va = _eval_term(theory, a, budget, env, memo)
-        vb = _eval_term(theory, b, budget, env, memo)
-        budget.charge(max(va.bit_length() + vb.bit_length(), 1) // 8)
-        v = va * vb
-        if id(a) not in memo or id(b) not in memo:
-            return v
-    elif cls is DefFn:
-        ext = theory.def_extensions.get(t.symbol)
-        if ext is None:
-            raise KeyError(f"function symbol {t.symbol!r} not registered in theory {theory.name!r}")
-        args = t.args
-        vals = [_eval_term(theory, a, budget, env, memo) for a in args]
-        budget.charge(4)
-        v = ext.evaluator(*vals, budget=budget)
-        for a in args:
-            if id(a) not in memo:
-                return v
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    memo[id(t)] = v
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -491,24 +542,27 @@ def _match_q1(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | 
 
 
 def _replaceable_term(a: Term, b: Term, s: Term, u: Term, cost: Cost | None) -> bool:
-    """b arises from a by replacing some (possibly zero) occurrences of s by u."""
-    if equal(a, b, cost):
-        return True
-    if equal(a, s, cost) and equal(b, u, cost):
-        return True
-    if type(a) is not type(b):
-        return False
-    match a:
-        case Succ(arg):
-            return _replaceable_term(arg, b.arg, s, u, cost)
-        case Plus(l, r) | Times(l, r):
-            return _replaceable_term(l, b.left, s, u, cost) and _replaceable_term(r, b.right, s, u, cost)
-        case DefFn(sym, args):
-            if sym != b.symbol or len(args) != len(b.args):
-                return False
-            return all(_replaceable_term(x, y, s, u, cost) for x, y in zip(args, b.args))
-        case _:
+    """b arises from a by replacing some (possibly zero) occurrences of s by u.
+
+    The pairs of parts still to compare wait on a stack, left before right,
+    and the first pair that fails ends the walk."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if equal(a, b, cost) or equal(a, s, cost) and equal(b, u, cost):
+            continue
+        cls = type(a)
+        if cls is not type(b):
             return False
+        if cls is Succ:
+            stack.append((a.arg, b.arg))
+        elif cls is Plus or cls is Times:
+            stack += ((a.right, b.right), (a.left, b.left))
+        elif cls is DefFn and a.symbol == b.symbol and len(a.args) == len(b.args):
+            stack += reversed(tuple(zip(a.args, b.args)))
+        else:
+            return False
+    return True
 
 
 def _match_eqsubst(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:

@@ -69,6 +69,15 @@ def _parse_prop_arg(text: str) -> prop.PropFormula:
         raise UsageError(f"cannot parse propositional formula {text!r}: {e}") from e
 
 
+def _int_text(n: int) -> str:
+    """n in decimal when str() converts it (see sys.get_int_max_str_digits),
+    else in hexadecimal, which needs no decimal conversion."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and n.bit_length() * math.log10(2) >= limit - 1:
+        return f"{n:#x} (hexadecimal)"
+    return str(n)
+
+
 def _emit(out: str, text: str) -> None:
     """Write `text` to the file `out`, or to stdout when `out` is empty or `-`."""
     if out and out != "-":
@@ -136,7 +145,7 @@ def cmd_diagonalize(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     result = diagonalize(theory, psi, args.var)
     delta = result.sentence
     print(f"fixed point: {print_formula(delta)}")
-    print(f"code: {result.code}")
+    print(f"code: {_int_text(result.code)}")
     print(f"size: {formula_size(delta)}")
     ok = proof_of(theory, result.equivalence, result.biconditional)
     print(f"equivalence proof: {len(result.equivalence.lines)} lines, {'accepted' if ok else 'REJECTED'}")
@@ -152,7 +161,7 @@ def cmd_con(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     sentence = con_bounded(theory, args.m, numeral_mode=mode)
     print(f"con({args.m}): {print_formula(sentence)}")
     print(f"size: {formula_size(sentence)}")
-    print(f"code: {encode_formula(sentence)}")
+    print(f"code: {_int_text(encode_formula(sentence))}")
     if args.no_eval:
         return EXIT_OK
     # The sweep visits only the codes that end in the refutation target: the

@@ -13,7 +13,7 @@ identity, a line is found again by the id of its formula, and modus
 ponens checks its premise with `is`.  The table dies with the Builder.
 
 The centerpiece is `lift`: given closed terms s and u with the same value,
-it derives  phi[x:=s] -> phi[x:=u]  by structural recursion — EQSUBST at
+it derives  phi[x:=s] -> phi[x:=u]  along phi's structure — EQSUBST at
 atoms, contraposition under negation, monotone composition under
 implication, Q2/BQ2A/BQ2E distribution plus (bounded) generalization under
 quantifiers, and bound-congruence when the substituted variable occurs in a
@@ -48,7 +48,6 @@ from .syntax import (
     print_formula,
     share_tree,
     substitute,
-    substitute_term,
 )
 
 
@@ -241,66 +240,79 @@ class Builder:
         return self._lift(phi, x, s, u)
 
     def _lift(self, phi: Formula, x: str, s: Term, u: Term) -> int:
-        if x not in free_variables(phi):
-            return self.identity(phi)
-        match phi:
-            case Eq(_, _):
+        """The line of  phi[x:=s] -> phi[x:=u], built without recursion: the
+        stack holds the lifts still to do as (phi, s, u), and below them, as
+        [phi, s, u], each connective whose parts they are; its lines are
+        built once its parts' lines are, so lines come in the order of a
+        recursive walk, parts left to right."""
+        todo: list = [(phi, s, u)]
+        done: list[int] = []  # the lines of the lifts done, in order
+        while todo:
+            item = todo.pop()
+            phi, s, u = item
+            cls = type(phi)
+            if type(item) is list:
+                if cls is Not:
+                    done.append(self.contrapose(done.pop()))
+                elif cls is Implies:
+                    ib = done.pop()
+                    done.append(self.imp_mono(done.pop(), ib))
+                elif cls is ForAll:
+                    v, body = phi.var, phi.body
+                    g = self.gen(done.pop(), v)
+                    body_s = substitute(body, x, s)
+                    body_u = substitute(body, x, u)
+                    q2 = self.axiom(
+                        "Q2",
+                        Implies(
+                            ForAll(v, Implies(body_s, body_u)),
+                            Implies(ForAll(v, body_s), ForAll(v, body_u)),
+                        ),
+                    )
+                    done.append(self.mp(q2, g))
+                else:
+                    done.append(self._lift_bounded(phi, x, s, u, done.pop()))
+            elif x not in free_variables(phi):
+                done.append(self.identity(phi))
+            elif cls is Eq:
                 a_s = substitute(phi, x, s)
                 a_u = substitute(phi, x, u)
                 eq = self.compute(Eq(s, u))
                 ax = self.axiom("EQSUBST", Implies(Eq(s, u), Implies(a_s, a_u)))
-                return self.mp(ax, eq)
-            case Not(body):
-                rev = self._lift(body, x, u, s)
-                return self.contrapose(rev)
-            case Implies(a, b):
-                ia = self._lift(a, x, u, s)
-                ib = self._lift(b, x, s, u)
-                return self.imp_mono(ia, ib)
-            case ForAll(v, body):
-                r = self._lift(body, x, s, u)
-                g = self.gen(r, v)
-                body_s = substitute(body, x, s)
-                body_u = substitute(body, x, u)
-                q2 = self.axiom(
-                    "Q2",
-                    Implies(
-                        ForAll(v, Implies(body_s, body_u)),
-                        Implies(ForAll(v, body_s), ForAll(v, body_u)),
-                    ),
-                )
-                return self.mp(q2, g)
-            case BoundedForAll(v, bound, body):
-                return self._lift_bounded(phi, x, s, u, v, bound, body, exists_form=False)
-            case BoundedExists(v, bound, body):
-                return self._lift_bounded(phi, x, s, u, v, bound, body, exists_form=True)
-        raise DerivationError(f"cannot lift through {type(phi).__name__}")
+                done.append(self.mp(ax, eq))
+            elif cls is Not:
+                todo += ([phi, s, u], (phi.body, u, s))
+            elif cls is Implies:
+                todo += ([phi, s, u], (phi.consequent, s, u), (phi.antecedent, u, s))
+            elif cls is ForAll:
+                todo += ([phi, s, u], (phi.body, s, u))
+            elif cls is BoundedForAll or cls is BoundedExists:
+                if free_variables(phi.bound) - {x}:
+                    raise DerivationError(
+                        f"quantifier bound {print_formula(phi)} mentions variables other than {x!r}; lift unsupported"
+                    )
+                if x in free_variables(phi.body):
+                    todo += ([phi, s, u], (phi.body, s, u))
+                else:
+                    done.append(self._lift_bounded(phi, x, s, u, None))
+            else:
+                raise DerivationError(f"cannot lift through {cls.__name__}")
+        return done[0]
 
-    def _lift_bounded(
-        self,
-        phi: Formula,
-        x: str,
-        s: Term,
-        u: Term,
-        v: str,
-        bound: Term,
-        body: Formula,
-        exists_form: bool,
-    ) -> int:
-        ctor = BoundedExists if exists_form else BoundedForAll
+    def _lift_bounded(self, phi: Formula, x: str, s: Term, u: Term, r: int | None) -> int:
+        """The lift through a bounded quantifier whose bound mentions no
+        variable but x, given the line r of its body's lift (None when x is
+        not free in the body)."""
+        ctor = type(phi)
+        exists_form = ctor is BoundedExists
         dist_schema = "BQ2E" if exists_form else "BQ2A"
         cong_schema = "BCONGE" if exists_form else "BCONGA"
-        bvars = free_variables(bound)
-        if bvars - {x}:
-            raise DerivationError(
-                f"quantifier bound {print_formula(phi)} mentions variables other than {x!r}; lift unsupported"
-            )
-        b_s = substitute_term(bound, x, s)
-        b_u = substitute_term(bound, x, u)
+        v, bound, body = phi.var, phi.bound, phi.body
+        b_s = substitute(bound, x, s)
+        b_u = substitute(bound, x, u)
         body_s = substitute(body, x, s)
         body_u = substitute(body, x, u)
-        if x in free_variables(body):
-            r = self._lift(body, x, s, u)
+        if r is not None:
             g = self.bgen(r, v, b_s)
             ax = self.axiom(
                 dist_schema,

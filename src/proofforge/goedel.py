@@ -653,38 +653,71 @@ def eval_delta0(
     # sweep leaves every entry valid
     memo: dict[int, int] = {}
 
-    def ev(g: Formula) -> bool:
+    # Without recursion: a node is charged when entered, and the stack holds
+    # the nodes waiting on a subformula's truth value: a negation, an
+    # implication's antecedent (its consequent is entered in its place), and
+    # a bounded quantifier's sweep, as [node, values left, saved value of
+    # its variable].
+    stack: list = []
+    g = f
+    while True:
         b.charge()
         cls = type(g)
         if cls is Eq:
-            return _eval_term(theory, g.left, b, scope, memo) == _eval_term(theory, g.right, b, scope, memo)
-        if cls is Implies:
-            return (not ev(g.antecedent)) or ev(g.consequent)
-        if cls is Not:
-            return not ev(g.body)
-        if cls is BoundedForAll or cls is BoundedExists:
+            r = _eval_term(theory, g.left, b, scope, memo) == _eval_term(theory, g.right, b, scope, memo)
+        elif cls is Implies or cls is Not:
+            stack.append(g)
+            g = g.antecedent if cls is Implies else g.body
+            continue
+        elif cls is BoundedForAll or cls is BoundedExists:
             # forall stops at the first false body, exists at the first true one
             stop = cls is BoundedExists
-            var, body = g.var, g.body
+            var = g.var
             n = _eval_term(theory, g.bound, b, scope, memo)
-            saved = scope.get(var)
-            try:
-                for i in _exists_points(theory, var, body, n, b, scope, memo) if stop else range(n + 1):
-                    b.charge()
-                    scope[var] = i
-                    if ev(body) is stop:
-                        return stop
-                return not stop
-            finally:
-                if saved is None:
-                    scope.pop(var, None)
-                else:
-                    scope[var] = saved
-        if cls is ForAll:
+            points = iter(_exists_points(theory, var, g.body, n, b, scope, memo) if stop else range(n + 1))
+            i = next(points, None)
+            if i is not None:
+                stack.append([g, points, scope.get(var)])
+                b.charge()
+                scope[var] = i
+                g = g.body
+                continue
+            r = not stop
+        elif cls is ForAll:
             raise ValueError(f"not a bounded formula: {print_formula(g)}")
-        raise TypeError(f"not a formula: {g!r}")
-
-    return ev(f)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        # r is g's truth value: hand it to the nodes waiting on it
+        while stack:
+            node = stack[-1]
+            cls = type(node)
+            if cls is Not:
+                stack.pop()
+                r = not r
+            elif cls is Implies:
+                stack.pop()
+                if r:
+                    g = node.consequent
+                    break
+                r = True
+            else:
+                g, points, saved = node
+                stop = type(g) is BoundedExists
+                if r is not stop:
+                    i = next(points, None)
+                    if i is not None:
+                        b.charge()
+                        scope[g.var] = i
+                        g = g.body
+                        break
+                    r = not stop
+                stack.pop()
+                if saved is None:
+                    scope.pop(g.var, None)
+                else:
+                    scope[g.var] = saved
+        else:
+            return r
 
 
 # ---------------------------------------------------------------------------

@@ -111,18 +111,26 @@ FALSE = PConst(False)
 
 
 def prop_vars(f: PropFormula) -> set[int]:
+    # the walk steps into a node's left part in place; right parts wait
     out: set[int] = set()
+    add = out.add
     stack = [f]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        g = stack.pop()
+        g = pop()
         t = type(g)
-        if t is PVar:
-            out.add(g.index)
-        elif t is PNot:
-            stack.append(g.body)
-        elif t is PAnd or t is POr or t is PImp:
-            stack.append(g.left)
-            stack.append(g.right)
+        while t is not PVar:
+            if t is PNot:
+                g = g.body
+            elif t is PAnd or t is POr or t is PImp:
+                push(g.right)
+                g = g.left
+            else:
+                break
+            t = type(g)
+        else:
+            add(g.index)
     return out
 
 
@@ -134,14 +142,48 @@ def _n_vars(f: PropFormula) -> int:
 
 def prop_size(f: PropFormula) -> int:
     """Connective-and-atom count (parentheses don't count)."""
-    match f:
-        case PVar(_) | PConst(_):
-            return 1
-        case PNot(b):
-            return 1 + prop_size(b)
-        case PAnd(a, b) | POr(a, b) | PImp(a, b):
-            return 1 + prop_size(a) + prop_size(b)
-    raise TypeError(f"not a propositional formula: {f!r}")
+    return _dag_fold(f, _one_plus)
+
+
+def _one_plus(x: PropFormula, a: int | None, b: int | None) -> int:
+    return 1 + (a or 0) + (b or 0)
+
+
+def _dag_fold(root: PropFormula, combine: Callable) -> object:
+    """combine(x, a, b) for every distinct node object x of root, children
+    first and left to right, in the order a recursive walk first finishes
+    them; a and b are the values of x's children (None where it has fewer).
+    Returns root's value.  Without recursion: a node stays on the stack
+    until its children's values are in, and a node met again is not walked
+    again, so a shared subtree costs one visit.  Values must not be None."""
+    done: dict[int, object] = {}
+    get = done.get
+    stack = [root]
+    push = stack.append
+    while stack:
+        x = stack[-1]
+        t = type(x)
+        if t is PVar or t is PConst:
+            a = b = None
+        elif t is PNot:
+            a, b = get(id(x.body)), None
+            if a is None:
+                push(x.body)
+                continue
+        elif t is PAnd or t is POr or t is PImp:
+            a, b = get(id(x.left)), get(id(x.right))
+            if a is None or b is None:
+                if b is None:
+                    push(x.right)
+                if a is None:
+                    push(x.left)
+                continue
+        else:
+            raise TypeError(f"not a propositional formula: {x!r}")
+        stack.pop()
+        if id(x) not in done:
+            done[id(x)] = combine(x, a, b)
+    return done[id(root)]
 
 
 def big_and(parts: Iterable[PropFormula]) -> PropFormula:
@@ -189,9 +231,9 @@ _PROP_TOKEN = re.compile(r"\s*(?:(x\d+)|(T|F)|(->)|([!&|()]))")
 
 # Deepest nesting parse_prop accepts.  Each parenthesis, `!` and binary
 # operator counts one level, both as written and in the formula built (a
-# chain of n `&` builds a tree n deep).  _fold, prop_size, eval_prop,
-# _eval_mask and tseitin recurse once per level, and each visits a node
-# once, so their time grows with the formula's size alone.
+# chain of n `&` builds a tree n deep).  No walk recurses; the cap bounds the
+# depth, not the stack, of what a formula can ask of the translations and
+# the brute force, whose time grows with the formula's size alone.
 MAX_PROP_NESTING = 1_000
 
 
@@ -199,6 +241,9 @@ def parse_prop(text: str) -> PropFormula:
     """x<i>, T, F, !, &, |, ->, parentheses.  -> loosest and right-assoc.
 
     Input nested deeper than MAX_PROP_NESTING levels raises ValueError.
+    Without recursion: the stack holds each open `!` and `(`, and each
+    operator waiting for its right operand with its left one and that
+    one's depth.
     """
     toks: list[str] = []
     i = 0
@@ -210,84 +255,77 @@ def parse_prop(text: str) -> PropFormula:
             raise ValueError(f"bad character {text[i:].lstrip()[0]!r} in propositional formula")
         i = m.end()
         toks.append(next(g for g in m.groups() if g is not None))
+    toks.append("")
     pos = 0
     level = 0  # open parentheses, `!` and `->` around the current token
-
-    def peek() -> str | None:
-        return toks[pos] if pos < len(toks) else None
-
-    def eat(t: str) -> None:
-        nonlocal pos
-        if peek() != t:
-            raise ValueError(f"expected {t!r} at token {pos}")
-        pos += 1
 
     def too_deep(depth: int) -> int:
         if depth > MAX_PROP_NESTING:
             raise ValueError(f"nesting deeper than {MAX_PROP_NESTING} levels at token {pos}")
         return depth
 
-    def enter(t: str) -> None:
-        nonlocal level
-        eat(t)
-        level = too_deep(level + 1)
-
-    # Each rule returns the formula and its depth (0 for an atom).
-    def imp() -> tuple[PropFormula, int]:
-        nonlocal level
-        a, da = disj()
-        if peek() == "->":
-            enter("->")
-            b, db = imp()
+    stack: list = []
+    while True:
+        # an atom, after the `!` and `(` that open before it
+        t = toks[pos]
+        while t == "!" or t == "(":
+            pos += 1
+            level = too_deep(level + 1)
+            stack.append(t)
+            t = toks[pos]
+        if t == "T" or t == "F":
+            f: PropFormula = TRUE if t == "T" else FALSE
+        elif t.startswith("x"):
+            f = PVar(int(t[1:]))
+        else:
+            raise ValueError(f"unexpected token {t or None!r}")
+        pos += 1
+        d = 0  # the depth of f
+        # hand f up until an operator waits for its right operand
+        while True:
+            top = stack[-1] if stack else None
+            if top == "!":
+                stack.pop()
+                level -= 1
+                f, d = PNot(f), too_deep(1 + d)
+                continue
+            # f is an operand of `&`
+            if type(top) is tuple and top[0] == "&":
+                stack.pop()
+                f, d = PAnd(top[1], f), too_deep(1 + max(top[2], d))
+                top = stack[-1] if stack else None
+            if toks[pos] == "&":
+                pos += 1
+                stack.append(("&", f, d))
+                break
+            # f is an operand of `|`
+            if type(top) is tuple and top[0] == "|":
+                stack.pop()
+                f, d = POr(top[1], f), too_deep(1 + max(top[2], d))
+            if toks[pos] == "|":
+                pos += 1
+                stack.append(("|", f, d))
+                break
+            if toks[pos] == "->":
+                pos += 1
+                level = too_deep(level + 1)
+                stack.append(("->", f, d))
+                break
+            # f is a whole implication
+            while stack and type(stack[-1]) is tuple:
+                _, a, da = stack.pop()
+                level -= 1
+                f, d = PImp(a, f), too_deep(1 + max(da, d))
+            if not stack:
+                if pos != len(toks) - 1:
+                    raise ValueError(f"trailing tokens after formula: {toks[pos:-1]}")
+                return f
+            # the `(` around it
+            if toks[pos] != ")":
+                raise ValueError(f"expected ')' at token {pos}")
+            pos += 1
+            stack.pop()
             level -= 1
-            return PImp(a, b), too_deep(1 + max(da, db))
-        return a, da
-
-    def disj() -> tuple[PropFormula, int]:
-        a, da = conj()
-        while peek() == "|":
-            eat("|")
-            b, db = conj()
-            a, da = POr(a, b), too_deep(1 + max(da, db))
-        return a, da
-
-    def conj() -> tuple[PropFormula, int]:
-        a, da = atom_chain()
-        while peek() == "&":
-            eat("&")
-            b, db = atom_chain()
-            a, da = PAnd(a, b), too_deep(1 + max(da, db))
-        return a, da
-
-    def atom_chain() -> tuple[PropFormula, int]:
-        nonlocal level
-        t = peek()
-        if t == "!":
-            enter("!")
-            b, db = atom_chain()
-            level -= 1
-            return PNot(b), too_deep(1 + db)
-        if t == "(":
-            enter("(")
-            f = imp()
-            eat(")")
-            level -= 1
-            return f
-        if t == "T":
-            eat("T")
-            return TRUE, 0
-        if t == "F":
-            eat("F")
-            return FALSE, 0
-        if t is not None and t.startswith("x"):
-            eat(t)
-            return PVar(int(t[1:])), 0
-        raise ValueError(f"unexpected token {t!r}")
-
-    f, _ = imp()
-    if pos != len(toks):
-        raise ValueError(f"trailing tokens after formula: {toks[pos:]}")
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -315,51 +353,97 @@ def _sweep(n: int) -> Iterator[tuple[int, int, list[int]]]:
     low = min(n, _CHUNK_BITS)
     width = 1 << low
     full = (1 << width) - 1
-    low_cols = []
-    for i in range(low):
-        # 2**i zeros then 2**i ones, doubled until it fills the chunk
-        block, size = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
-        while size < width:
-            block |= block << size
-            size <<= 1
-        low_cols.append(block)
+    # 2**i zeros then 2**i ones, repeated to fill the chunk: the block times
+    # the sum of 2**(k * 2**(i + 1)) over the chunk's periods
+    low_cols = [(((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1)) for i in range(low)]
     for first in range(0, 1 << n, width):
         yield first, full, low_cols + [full if (first >> i) & 1 else 0 for i in range(low, n)]
 
 
 def _eval_mask(f: PropFormula, cols: list[int], full: int) -> int:
-    """f over a chunk of rows: bit j is f's value in the chunk's row j."""
-    t = type(f)
-    if t is PVar:
-        return cols[f.index]
-    if t is PAnd:
-        return _eval_mask(f.left, cols, full) & _eval_mask(f.right, cols, full)
-    if t is POr:
-        return _eval_mask(f.left, cols, full) | _eval_mask(f.right, cols, full)
-    if t is PNot:
-        return full ^ _eval_mask(f.body, cols, full)
-    if t is PImp:
-        return (full ^ _eval_mask(f.left, cols, full)) | _eval_mask(f.right, cols, full)
-    if t is PConst:
-        return full if f.value else 0
-    raise TypeError(f"not a propositional formula: {f!r}")
+    """f over a chunk of rows: bit j is f's value in the chunk's row j.
+
+    Without recursion, over the tree: the stack holds the connectives
+    waiting on their first operand, and as (node, mask) those waiting on
+    their right one; a right operand that is a variable is read in place."""
+    stack: list = []
+    push = stack.append
+    pop = stack.pop
+    x = f
+    while True:
+        t = type(x)
+        if t is PVar:
+            v = cols[x.index]
+        elif t is PAnd or t is POr or t is PImp:
+            push(x)
+            x = x.left
+            continue
+        elif t is PNot:
+            push(x)
+            x = x.body
+            continue
+        elif t is PConst:
+            v = full if x.value else 0
+        else:
+            raise TypeError(f"not a propositional formula: {x!r}")
+        while stack:
+            p = pop()
+            t = type(p)
+            if t is PNot:
+                v = full ^ v
+                continue
+            if t is tuple:
+                p, a = p
+                t = type(p)
+            else:
+                r = p.right
+                if type(r) is not PVar:
+                    push((p, v))
+                    x = r
+                    break
+                a, v = v, cols[r.index]
+            if t is PAnd:
+                v = a & v
+            elif t is POr:
+                v = a | v
+            else:
+                v = (full ^ a) | v
+        else:
+            return v
 
 
 def eval_prop(f: PropFormula, assignment: dict[int, bool]) -> bool:
-    match f:
-        case PVar(i):
-            return assignment[i]
-        case PConst(v):
-            return v
-        case PNot(b):
-            return not eval_prop(b, assignment)
-        case PAnd(a, b):
-            return eval_prop(a, assignment) and eval_prop(b, assignment)
-        case POr(a, b):
-            return eval_prop(a, assignment) or eval_prop(b, assignment)
-        case PImp(a, b):
-            return (not eval_prop(a, assignment)) or eval_prop(b, assignment)
-    raise TypeError(f"not a propositional formula: {f!r}")
+    """f's truth value under `assignment`, written apart from the brute
+    force's masks so that each checks the other.  Without recursion, and
+    short-circuiting as `and`, `or` and `->` do: the stack holds the
+    connectives waiting on their left operand, and a right operand that
+    decides its connective is entered in its place."""
+    stack: list = []
+    while True:
+        t = type(f)
+        if t is PNot or t is PAnd or t is POr or t is PImp:
+            stack.append(f)
+            f = f.body if t is PNot else f.left
+            continue
+        if t is PVar:
+            r = assignment[f.index]
+        elif t is PConst:
+            r = f.value
+        else:
+            raise TypeError(f"not a propositional formula: {f!r}")
+        while stack:
+            g = stack.pop()
+            t = type(g)
+            if t is PNot:
+                r = not r
+            elif (not r) if t is POr else r:
+                f = g.right
+                break
+            else:
+                # decided by the left operand: `or` true, `and` false, `->` true
+                r = t is not PAnd
+        else:
+            return r
 
 
 def falsifying_assignment(f: PropFormula) -> dict[int, bool] | None:
@@ -505,7 +589,8 @@ def check_resolution(cs: ClauseSet, proof: ResolutionProof, extended: bool = Fal
     """Validate a refutation.  Invalid proofs report a reason, never raise.
 
     `extended` admits Extend steps (fresh variable, exactly the three
-    defining clauses for v <-> (a and b)).
+    defining clauses for v <-> (a and b)).  A variable is fresh if no input
+    clause and no earlier definition, on either side, names it.
     """
     derived: list[Clause] = []
     # variables below cs.n_vars are in use too; they are not materialized
@@ -533,7 +618,8 @@ def check_resolution(cs: ClauseSet, proof: ResolutionProof, extended: bool = Fal
                     return ResolutionCheck(False, f"step {n}: extension variable x{v} is not fresh", tuple(derived))
                 if lit_var(a) == v or lit_var(b) == v or a == 0 or b == 0:
                     return ResolutionCheck(False, f"step {n}: ill-formed extension definition", tuple(derived))
-                used_vars.add(v)
+                # a and b name variables in use too, so none is defined later
+                used_vars.update((v, lit_var(a), lit_var(b)))
                 nv = lit(v, False)
                 pv = lit(v, True)
                 derived.append(frozenset({nv, a}))
@@ -629,18 +715,20 @@ def _imp(a: PropFormula, b: PropFormula) -> PropFormula:
 
 def _fold(f: PropFormula) -> PropFormula:
     """f rebuilt bottom-up through the folding constructors."""
-    t = type(f)
+    return _dag_fold(f, _fold_step)
+
+
+def _fold_step(x: PropFormula, a: PropFormula | None, b: PropFormula | None) -> PropFormula:
+    t = type(x)
     if t is PAnd:
-        return _and(_fold(f.left), _fold(f.right))
+        return _and(a, b)
     if t is POr:
-        return _or(_fold(f.left), _fold(f.right))
+        return _or(a, b)
     if t is PImp:
-        return _imp(_fold(f.left), _fold(f.right))
+        return _imp(a, b)
     if t is PNot:
-        return _not(_fold(f.body))
-    if t is PVar or t is PConst:
-        return f
-    raise TypeError(f"not a propositional formula: {f!r}")
+        return _not(a)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -678,42 +766,34 @@ def tseitin(f: PropFormula) -> TseitinResult:
             return TseitinResult(ClauseSet((), n_inputs), None, n_inputs)
         return TseitinResult(ClauseSet((frozenset(),), n_inputs), None, n_inputs)
     clauses: list[Clause] = []
-    number: dict[int, int] = {}  # id(node) -> structure number; g keeps every node alive
     numbers: dict[tuple, int] = {}  # (type, payload or children's numbers) -> structure number
     lits: list[int] = []  # structure number -> equivalent literal
     counter = [n_inputs]
 
-    def walk(node: PropFormula) -> tuple[int, int]:
-        """Structure number of the node, and a literal equivalent to it."""
-        k = number.get(id(node))
-        if k is not None:
-            return k, lits[k]
-        match node:
-            case PVar(i):
-                key, l = (PVar, i), lit(i, True)
-            case PNot(b):
-                kb, lb = walk(b)
-                key, l = (PNot, kb), -lb
-            case PAnd(a, b) | POr(a, b) | PImp(a, b):
-                ka, la = walk(a)
-                kb, lb = walk(b)
-                key = (type(node), ka, kb)
-            case PConst(_):
-                raise AssertionError("constants were folded away")
-            case _:
-                raise TypeError(f"not a propositional formula: {node!r}")
-        k = number[id(node)] = numbers.setdefault(key, len(numbers))
+    def define(node: PropFormula, a: tuple | None, b: tuple | None) -> tuple[int, int]:
+        """Structure number of the node, and a literal equivalent to it,
+        given its children's."""
+        t = type(node)
+        if t is PVar:
+            key, l = (PVar, node.index), lit(node.index, True)
+        elif t is PNot:
+            key, l = (PNot, a[0]), -a[1]
+        elif t is PConst:
+            raise AssertionError("constants were folded away")
+        else:
+            key = (t, a[0], b[0])
+        k = numbers.setdefault(key, len(numbers))
         if k < len(lits):
             return k, lits[k]
-        gate = _GATES.get(type(node))
+        gate = _GATES.get(t)
         if gate is not None:
             l = lit(counter[0], True)
             counter[0] += 1
-            clauses.extend(map(frozenset, gate(l, la, lb)))
+            clauses.extend(map(frozenset, gate(l, a[1], b[1])))
         lits.append(l)
         return k, l
 
-    _, root = walk(g)
+    _, root = _dag_fold(g, define)
     clauses.append(frozenset({root}))
     return TseitinResult(ClauseSet(tuple(clauses), counter[0]), root, n_inputs)
 
@@ -1015,25 +1095,51 @@ _Cases = Sequence[tuple[int, PropFormula]]
 def _term_value_cases(t: Term, x: str, selectors: _Cases, env: dict[str, int]) -> _Cases:
     """Possible values of t with their selector conditions (TRUE if forced).
 
-    `selectors` holds x's cases: (i, x_i) for each i in 0..n.
+    `selectors` holds x's cases: (i, x_i) for each i in 0..n.  Without
+    recursion: t's nodes are visited in preorder, left to right, and each
+    operator waits on the stack as (class, count of S or None) until the
+    cases of its operands are in; a run of S over a leaf, the common case,
+    needs no stack.
     """
-    k = type(t)
-    if k is Var:
-        if t.name == x:
-            return selectors
-        if t.name in env:
-            return [(env[t.name], TRUE)]
-        raise TranslationError(f"unbound variable {t.name!r} in translation")
-    if k is Zero:
-        return [(0, TRUE)]
-    if k is Succ:
-        return [(v + 1, c) for v, c in _term_value_cases(t.arg, x, selectors, env)]
-    if k is Plus or k is Times:
-        op = operator.add if k is Plus else operator.mul
-        return _combine(_term_value_cases(t.left, x, selectors, env), _term_value_cases(t.right, x, selectors, env), op)
-    if k is DefFn:
-        raise TranslationError(f"definitional symbol {t.symbol!r} has no propositional translation")
-    raise TypeError(f"not a term: {t!r}")
+    if type(t) is Var and t.name == x:
+        return selectors
+    stack: list = [t]
+    cases: list = []  # the cases of the operands done, in order
+    while stack:
+        y = stack.pop()
+        n = 0
+        while type(y) is Succ:
+            n += 1
+            y = y.arg
+        k = type(y)
+        if k is Var:
+            if y.name == x:
+                leaf = selectors
+            elif y.name in env:
+                leaf = [(env[y.name], TRUE)]
+            else:
+                raise TranslationError(f"unbound variable {y.name!r} in translation")
+        elif k is Zero:
+            leaf = [(0, TRUE)]
+        elif k is Plus or k is Times:
+            if n:
+                stack.append((Succ, n))
+            stack += ((k, None), y.right, y.left)
+            continue
+        elif k is tuple:
+            k, m = y
+            if k is Succ:
+                cases[-1] = [(v + m, c) for v, c in cases[-1]]
+            else:
+                right = cases.pop()
+                cases[-1] = _combine(cases[-1], right, operator.add if k is Plus else operator.mul)
+            continue
+        elif k is DefFn:
+            raise TranslationError(f"definitional symbol {y.symbol!r} has no propositional translation")
+        else:
+            raise TypeError(f"not a term: {y!r}")
+        cases.append([(v + n, c) for v, c in leaf] if n else leaf)
+    return cases[0]
 
 
 def _combine(left: _Cases, right: _Cases, op: Callable[[int, int], int]) -> _Cases:
@@ -1094,43 +1200,75 @@ def translate_delta0(A: Formula, x: str | None = None, n: int = 1) -> PropFormul
         raise TranslationError(f"free variables {sorted(fv)} are not exactly {{{x!r}}}")
     selectors, at_least, guard = _selector_nodes(n)
 
-    def tr(g: Formula, env: dict[str, int]) -> PropFormula:
+    # Without recursion: the stack holds the connectives waiting on a part's
+    # translation, each as [node, env] and, for an implication whose
+    # antecedent is done, that translation; a bounded quantifier as [node,
+    # env, expansion so far, value of its variable, last value, whether the
+    # bound is x].
+    stack: list = []
+    g, env = A, {}
+    while True:
         t = type(g)
         if t is Eq:
             lcases = _term_value_cases(g.left, x, selectors, env)
             rmap = dict(_term_value_cases(g.right, x, selectors, env))
-            out = FALSE
+            r = FALSE
             for v, c1 in lcases:
                 c2 = rmap.get(v)
                 if c2 is not None:
-                    out = _or(out, _and(c1, c2))
-            return out
-        if t is Implies:
-            return _imp(tr(g.antecedent, env), tr(g.consequent, env))
-        if t is Not:
-            return _not(tr(g.body, env))
-        if t is BoundedForAll or t is BoundedExists:
-            exists = t is BoundedExists
-            join, out = (_or, FALSE) if exists else (_and, TRUE)
-            v, bound, body = g.var, g.bound, g.body
+                    r = _or(r, _and(c1, c2))
+        elif t is Implies or t is Not:
+            stack.append([g, env])
+            g = g.antecedent if t is Implies else g.body
+            continue
+        elif t is BoundedForAll or t is BoundedExists:
+            bound = g.bound
             if type(bound) is Var and bound.name == x:
                 # value i admissible when i <= x: guarded by the selectors x_i..x_n
-                case = _and if exists else _imp
-                for i in range(n + 1):
-                    out = join(out, case(at_least[i], tr(body, {**env, v: i})))
-                return out
-            try:
-                b = eval_term_in(_BASE, bound, env=env)
-            except (KeyError, ValueError) as e:
-                raise TranslationError(f"untranslatable quantifier bound: {e.args[0]}") from None
-            for i in range(b + 1):
-                out = join(out, tr(body, {**env, v: i}))
-            return out
-        if t is ForAll:
+                last, guarded = n, True
+            else:
+                try:
+                    last, guarded = eval_term_in(_BASE, bound, env=env), False
+                except (KeyError, ValueError) as e:
+                    raise TranslationError(f"untranslatable quantifier bound: {e.args[0]}") from None
+            stack.append([g, env, FALSE if t is BoundedExists else TRUE, 0, last, guarded])
+            env = {**env, g.var: 0}
+            g = g.body
+            continue
+        elif t is ForAll:
             raise TranslationError("unbounded quantifier in a Delta0 formula")
-        raise TypeError(f"not a formula: {g!r}")
-
-    return PImp(guard, tr(A, {}))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        # r translates g: hand it to the connectives waiting on it
+        while stack:
+            frame = stack[-1]
+            node = frame[0]
+            t = type(node)
+            if t is Not:
+                stack.pop()
+                r = _not(r)
+            elif t is Implies:
+                if len(frame) == 2:
+                    frame.append(r)
+                    g, env = node.consequent, frame[1]
+                    break
+                stack.pop()
+                r = _imp(frame[2], r)
+            else:
+                _, env, out, i, last, guarded = frame
+                exists = t is BoundedExists
+                if guarded:
+                    r = (_and if exists else _imp)(at_least[i], r)
+                out = (_or if exists else _and)(out, r)
+                if i < last:
+                    frame[2] = out
+                    frame[3] = i = i + 1
+                    g, env = node.body, {**env, node.var: i}
+                    break
+                stack.pop()
+                r = out
+        else:
+            return PImp(guard, r)
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,7 @@ def _replay_resolution(cs: ClauseSet, proof: ResolutionProof, extended: bool) ->
         elif isinstance(s, Extend):
             if not extended or s.var in used or lit_var(s.a) == s.var or lit_var(s.b) == s.var:
                 return False
-            used.add(s.var)
+            used.update((s.var, lit_var(s.a), lit_var(s.b)))
             derived.extend(
                 [
                     frozenset({lit(s.var, False), s.a}),

@@ -30,6 +30,11 @@ Operator binding, loosest to tightest:  ->  (right associative), then
 | then & (parse-time sugar, left associative), then ! / quantifiers,
 then atoms.  In terms, * binds tighter than +; both are left associative.
 
+No walk recurses: parsing, printing, equality, hashing, sizes, free
+variables and substitution are loops over explicit stacks, as are the walks
+of the other modules, so deep input needs no raised recursion limit and no
+module touches it.
+
 Every node caches three values of its tree on itself, each computed on
 first use without recursion: `node_count` (`_n`), hash (`_h`) and size
 (`_s`).  `hash(node)` is the hash of the node's fields salted by its
@@ -52,7 +57,6 @@ rely on two equal nodes being distinct objects, nor on them being one.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 from operator import is_ as _is
@@ -460,60 +464,75 @@ def fresh_variable(base: str, taken: frozenset[str] | set[str]) -> str:
     return name
 
 
-def substitute_term(t: Term, var: str, replacement: Term) -> Term:
-    match t:
-        case Var(name):
-            return replacement if name == var else t
-        case Zero():
-            return t
-        case Succ(arg):
-            return Succ(substitute_term(arg, var, replacement))
-        case Plus(a, b):
-            return Plus(substitute_term(a, var, replacement), substitute_term(b, var, replacement))
-        case Times(a, b):
-            return Times(substitute_term(a, var, replacement), substitute_term(b, var, replacement))
-        case DefFn(sym, args):
-            return DefFn(sym, tuple(substitute_term(a, var, replacement) for a in args))
-    raise TypeError(f"not a term: {t!r}")
+def substitute(root: Term | Formula, var: str, replacement: Term) -> Term | Formula:
+    """Capture-avoiding substitution root[var := replacement], in a term or
+    a formula.
 
+    A bound variable is renamed deterministically (minimal prime count) when
+    the replacement would put a free variable of that name under it: in the
+    body, or in a bounded quantifier's bound, which may not mention its own
+    variable.  E.g. substitute(forall y (x = y), x, y) = forall y' (y = y').
+    The fresh name avoids the replacement's variables, the free variables of
+    body and bound, and `var`.
 
-def substitute(f: Formula, var: str, replacement: Term) -> Formula:
-    """Capture-avoiding substitution f[var := replacement].
-
-    Bound variables that would capture a free variable of the replacement
-    are renamed deterministically (minimal prime count), e.g.
-    substitute(forall y (x = y), x, y) = forall y' (y = y').
-    """
-    return _subst(f, var, replacement, free_variables(replacement))
-
-
-def _subst(f: Formula, var: str, rep: Term, rep_vars: frozenset[str]) -> Formula:
-    match f:
-        case Eq(a, b):
-            return Eq(substitute_term(a, var, rep), substitute_term(b, var, rep))
-        case Not(body):
-            return Not(_subst(body, var, rep, rep_vars))
-        case Implies(a, b):
-            return Implies(_subst(a, var, rep, rep_vars), _subst(b, var, rep, rep_vars))
-        case ForAll(v, body):
-            if v == var:
-                return f
-            if v in rep_vars and var in free_variables(body):
-                v2 = fresh_variable(v, rep_vars | free_variables(body) | {var})
-                body = _subst(body, v, Var(v2), frozenset((v2,)))
-                return ForAll(v2, _subst(body, var, rep, rep_vars))
-            return ForAll(v, _subst(body, var, rep, rep_vars))
-        case BoundedForAll(v, bound, body) | BoundedExists(v, bound, body):
-            ctor = BoundedForAll if isinstance(f, BoundedForAll) else BoundedExists
-            new_bound = substitute_term(bound, var, rep)
-            if v == var:
-                return ctor(v, new_bound, body)
-            if v in rep_vars and var in free_variables(body):
-                v2 = fresh_variable(v, rep_vars | free_variables(body) | {var})
-                body = _subst(body, v, Var(v2), frozenset((v2,)))
-                return ctor(v2, new_bound, _subst(body, var, rep, rep_vars))
-            return ctor(v, new_bound, _subst(body, var, rep, rep_vars))
-    raise TypeError(f"not a formula: {f!r}")
+    Without recursion: the walk keeps the current map from variable names to
+    (replacement, its free variables), which a renamed binder extends with
+    its old name for its body, and rebuilds a node, once its parts are done,
+    only if one of them changed."""
+    m = {var: (replacement, free_variables(replacement))}
+    out: list = []  # the results of the parts done, in order
+    stack: list = [root]
+    push = stack.append
+    while stack:
+        x = stack.pop()
+        cls = type(x)
+        if cls is Var:
+            hit = m.get(x.name)
+            out.append(x if hit is None else hit[0])
+        elif cls is Zero:
+            out.append(x)
+        elif cls is dict:
+            m = x
+        elif cls is tuple:
+            # x's parts are done: the last len(parts) results
+            x, name = x
+            parts = _children(x)
+            k = len(out) - len(parts)
+            new = out[k:]
+            del out[k:]
+            cls = type(x)
+            if name is None:
+                out.append(x if all(map(_is, new, parts)) else DefFn(x.symbol, tuple(new)) if cls is DefFn else cls(*new))
+            else:
+                out.append(x if name == x.var and all(map(_is, new, parts)) else cls(name, *new))
+        elif cls is ForAll or cls is BoundedForAll or cls is BoundedExists:
+            v, body = x.var, x.body
+            inner = m
+            if v in m:
+                inner = {k: hit for k, hit in m.items() if k != v}
+            name = v
+            if any(v in hit[1] for hit in m.values()):
+                # a replacement mentions v: rename v where it would land in
+                # the body or the bound
+                body_fv = free_variables(body)
+                bound_fv = free_variables(x.bound) if cls is not ForAll else frozenset()
+                if any(v in inner[k][1] for k in body_fv & inner.keys()) or any(v in m[k][1] for k in bound_fv & m.keys()):
+                    taken = set(inner).union(
+                        body_fv, bound_fv, *(hit[1] for hit in inner.values()), *(m[k][1] for k in bound_fv & m.keys())
+                    )
+                    name = fresh_variable(v, taken)
+                    inner = {**inner, v: (Var(name), frozenset((name,)))}
+            push((x, name))
+            push(m)
+            push(body)
+            push(inner)
+            if cls is not ForAll:
+                push(x.bound)
+        else:
+            parts = _children(x)
+            push((x, None))
+            stack += reversed(parts)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -853,23 +872,17 @@ def _token_span(text: str, index: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent)
+# Parser
 # ---------------------------------------------------------------------------
 
 # Deepest nesting the parser accepts.  Each parenthesis, function
 # application, S(...), !, quantifier and binary operator around a token
 # counts one level.  The fixed-point certificates of corpus.diagonal_shapes
 # nest at most 1,318 levels (x + x = x * x); about three times that leaves
-# room for them while input nested at the cap still checks without running
-# the walks that still recurse, such as substitution and term evaluation, out
-# of stack; equality, hashing, sizes and free variables do not recurse.
+# room for them.  No walk recurses, so the cap does not guard the stack: it
+# keeps what one hostile line can ask of the walks that are quadratic in its
+# depth, such as the derivation builder's lift, to a clean usage error.
 MAX_NESTING = 4_000
-
-# Input nested MAX_NESTING deep, and the deeper formulas that decoding large
-# Goedel codes and the derivation builder produce, recurse past CPython's
-# default limit in the tree walks over the AST.  Raised once, here, for the
-# whole process; never lowered.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 # Arity of every definitional function symbol the parser accepts.  The
 # standard registry in `goedel` gives each one its meaning and its token id.
@@ -905,343 +918,352 @@ def _too_deep(index: int) -> _ParseError:
     return _ParseError(f"nesting deeper than {MAX_NESTING} levels", index)
 
 
-class _Parser:
-    """Recursive descent over one text, reading each token once: a "(" where
-    an atom can start is read by `group`, which learns from what it reads
-    whether the group holds a formula or a term.  Every node it builds other
-    than ZERO is looked up first in the share table `share` (see
-    share_tree), so equal subtrees are one object: within the text, and
-    across every text parsed with the same table."""
+# The parser's stack holds one frame per construct that is open: a tuple
+# whose first item names what the construct waits for.
+#   a unary formula: the body of "!" ("!",), of "forall v" ("all", v), of
+#     "exists v" ("ex", v) or of a bounded quantifier ("body", ctor, v,
+#     bound), or the right operand of "&" ("&", left, depth before it);
+#   a conjunct: the right operand of "|" ("|", left, depth before it);
+#   a formula: the right side of "->" ("->", left), or a group known to hold
+#     a formula, up to its ")" ("group",);
+#   a unary formula or a factor: a group's first item ("first",), or a
+#     group where an atom can start ("ugroup",), whose term is an atom's
+#     left side;
+#   a factor: a bounded quantifier's bound ("bound", ctor, v), or the right
+#     operand of "*" ("*", left, depth before it);
+#   a product: the right operand of "+" ("+", left, depth before it);
+#   a term: an atom's left side ("atom",) or right side ("=", left), a group
+#     known to hold a term ("gterm",), a parenthesized term ("(",), the next
+#     argument of the application at token h ("args", h, arguments so far),
+#     or the argument of the innermost open head of a run of one-argument
+#     heads from token `first` to token h ("heads", h, first).
+# A value read is handed to the frame on top at its level: factor, product,
+# term, unary formula, conjunct, disjunct or formula.  A frame that waits
+# for a higher level than the value's lets the operators that follow build
+# the value up first, as the grammar's own loops do.
 
-    __slots__ = ("text", "toks", "kinds", "i", "depth", "arities", "share")
 
-    def __init__(self, text: str, deffn_arities: dict[str, int] | None, share: dict | None):
-        self.text = text
-        self.toks, self.kinds = _tokenize(text)
-        self.i = 0
-        self.depth = 0
-        self.arities = DEFFN_ARITIES if deffn_arities is None else deffn_arities
-        self.share: dict = {} if share is None else share
+def _found(toks: list[str], what: str, index: int) -> _ParseError:
+    return _ParseError(f"expected {what}, found {toks[index] or 'end of input'!r}", index)
 
-    def parse(self, rule) -> Term | Formula:
-        """Run `rule` over the whole input."""
-        try:
-            result = rule()
-            i = self.i
-            if self.kinds[i] != _EOF:
-                raise _ParseError(f"trailing input {self.toks[i]!r}", i)
-        except _ParseError as e:
-            raise SyntaxErrorWithPos(e.message, _token_span(self.text, e.index)[0]) from None
-        return result
 
-    def found(self, what: str, index: int) -> _ParseError:
-        return _ParseError(f"expected {what}, found {self.toks[index] or 'end of input'!r}", index)
+def _shared(share: dict, ctor, *parts) -> Formula:
+    """The share table's node for `ctor(*parts)`, for the abbreviations."""
+    key = (ctor, *[p if type(p) is str else id(p) for p in parts])
+    return share.get(key) or share.setdefault(key, ctor(*parts))
 
-    def nest(self, index: int) -> None:
-        """Enter one nesting level at token `index`."""
-        depth = self.depth + 1
-        if depth > MAX_NESTING:
-            raise _too_deep(index)
-        self.depth = depth
 
-    def close(self) -> None:
-        """Read the ")" that closes the innermost level."""
-        i = self.i
-        if self.kinds[i] != ")":
-            raise _ParseError("expected ')'", i)
-        self.i = i + 1
-        self.depth -= 1
-
-    def variable(self) -> str:
-        i = self.i
-        if self.kinds[i] != _IDENT:
-            raise self.found("a variable", i)
-        self.i = i + 1
-        return self.toks[i]
-
-    # -- formulas, loosest first; formula, disjunct and conjunct take as `a`
-    # a first operand that group has already read
-
-    def formula(self, a: Formula | None = None) -> Formula:
-        a = self.disjunct(a)
-        if self.kinds[self.i] == "->":
-            self.nest(self.i)
-            self.i += 1
-            b = self.formula()
-            self.depth -= 1
-            key = (Implies, id(a), id(b))
-            return self.share.get(key) or self.share.setdefault(key, Implies(a, b))
-        return a
-
-    def disjunct(self, a: Formula | None = None) -> Formula:
-        a = self.conjunct(a)
-        if self.kinds[self.i] == "|":
-            depth = self.depth
-            while self.kinds[self.i] == "|":
-                self.nest(self.i)
-                self.i += 1
-                b = self.conjunct()
-                a = self.shared(Implies, self.shared(Not, a), b)
-            self.depth = depth
-        return a
-
-    def conjunct(self, a: Formula | None = None) -> Formula:
-        if a is None:
-            a = self.unary()
-        if self.kinds[self.i] == "&":
-            depth = self.depth
-            while self.kinds[self.i] == "&":
-                self.nest(self.i)
-                self.i += 1
-                b = self.unary()
-                a = self.shared(Not, self.shared(Implies, a, self.shared(Not, b)))
-            self.depth = depth
-        return a
-
-    def shared(self, ctor, *parts) -> Formula:
-        """The table's node for `ctor(*parts)`, for the abbreviations; the
-        grammar's own construction sites inline the same lookup."""
-        key = (ctor, *[p if type(p) is str else id(p) for p in parts])
-        return self.share.get(key) or self.share.setdefault(key, ctor(*parts))
-
-    def unary(self) -> Formula:
-        i = self.i
-        k = self.kinds[i]
-        if k == "!":
-            self.nest(i)
-            self.i = i + 1
-            body = self.unary()
-            key = (Not, id(body))
-            f: Formula = self.share.get(key) or self.share.setdefault(key, Not(body))
-        elif k == "forall" or k == "exists":
-            self.nest(i)
-            if self.kinds[i + 1] == "<=":
-                self.i = i + 2
-                f = self.bounded(BoundedForAll if k == "forall" else BoundedExists)
-            else:
-                self.i = i + 1
-                v = self.variable()
-                body = self.unary()
-                if k == "forall":
-                    key = (ForAll, v, id(body))
-                    f = self.share.get(key) or self.share.setdefault(key, ForAll(v, body))
-                else:
-                    f = self.shared(Not, self.shared(ForAll, v, self.shared(Not, body)))
-        else:
-            return self.atom_or_group()
-        self.depth -= 1
-        return f
-
-    def bounded(self, ctor) -> Formula:
-        v = self.variable()
-        bound = self.bound_term()
-        if v in free_variables(bound):
-            raise _ParseError(f"bound of {ctor.__name__} mentions its own variable {v!r}", self.i)
-        body = self.unary()
-        key = (ctor, v, id(bound), id(body))
-        return self.share.get(key) or self.share.setdefault(key, ctor(v, bound, body))
-
-    def atom_or_group(self) -> Formula:
-        """An atom or a parenthesized formula.  A "(" here is read by group;
-        a term it returns is the first factor of the atom's left side."""
-        if self.kinds[self.i] != "(":
-            return self.atom(self.term())
-        g = self.group()
-        return g if type(g) in _FORMULA_TYPES else self.atom(self.term_rest(g))
-
-    def group(self) -> Term | Formula:
-        """The group opened by a "(" where an atom can start, up to its ")".
-        It holds a formula if "!" or a quantifier comes first.  Otherwise
-        its first factor (a "(" read by group again) and that factor's term
-        are read: a term closed by ")" is returned, any other term is an
-        atom's left side.  A formula read so far is the first operand of the
-        formula the group holds."""
-        i = self.i
-        self.nest(i)
-        self.i = i + 1
-        k = self.kinds[i + 1]
-        if k == "!" or k == "forall" or k == "exists":
-            f = self.formula()
-        else:
-            a = self.group() if k == "(" else self.term_primary()
-            if type(a) in _FORMULA_TYPES:
-                f = self.formula(a)
-            else:
-                a = self.term_rest(a)
-                f = a if self.kinds[self.i] == ")" else self.formula(self.atom(a))
-        self.close()
-        return f
-
-    def atom(self, left: Term) -> Formula:
-        """The atom whose left side `left` has been read."""
-        i = self.i
-        if self.kinds[i] != "=":
-            raise self.found("'='", i)
-        self.i = i + 1
-        right = self.term()
-        key = (Eq, id(left), id(right))
-        return self.share.get(key) or self.share.setdefault(key, Eq(left, right))
-
-    # -- terms
-
-    def term(self) -> Term:
-        return self.term_rest(self.term_primary())
-
-    def term_rest(self, a: Term) -> Term:
-        """The term whose first factor is `a`, already read: the rest of its
-        product, then any "+" operands."""
-        kinds = self.kinds
-        share = self.share
-        if kinds[self.i] == "*":
-            a = self.product_rest(a)
-        if kinds[self.i] == "+":
-            depth = self.depth
-            while kinds[self.i] == "+":
-                self.nest(self.i)
-                self.i += 1
-                b = self.term_primary()
-                if kinds[self.i] == "*":
-                    b = self.product_rest(b)
-                key = (Plus, id(a), id(b))
-                a = share.get(key) or share.setdefault(key, Plus(a, b))
-            self.depth = depth
-        return a
-
-    def product_rest(self, a: Term) -> Term:
-        """The product whose first factor is `a`, already read."""
-        kinds = self.kinds
-        share = self.share
-        depth = self.depth
-        while kinds[self.i] == "*":
-            self.nest(self.i)
-            self.i += 1
-            b = self.term_primary()
-            key = (Times, id(a), id(b))
-            a = share.get(key) or share.setdefault(key, Times(a, b))
-        self.depth = depth
-        return a
-
-    def bound_term(self) -> Term:
-        # A quantifier bound is immediately followed by the body, so a bare
-        # identifier before "(" is the bound variable's limit, not a function
-        # application — unless the name is a registered function symbol.
-        i = self.i
-        name = self.toks[i]
-        if self.kinds[i] == _IDENT and name not in self.arities:
-            self.i = i + 1
-            return self.share.get(name) or self.share.setdefault(name, Var(name))
-        return self.term_primary()
-
-    def term_primary(self) -> Term:
-        """A factor: 0 and variables here, runs of one-argument heads in
-        head_run, anything else in factor."""
-        i = self.i
-        kinds = self.kinds
-        k = kinds[i]
-        if k == "0":
-            self.i = i + 1
-            return ZERO
-        if k == _IDENT and kinds[i + 1] != "(":
-            name = self.toks[i]
-            if name in self.arities:
-                raise _ParseError(f"{name!r} is a function symbol, not a variable", i)
-            self.i = i + 1
-            return self.share.get(name) or self.share.setdefault(name, Var(name))
-        if (k == "S" or k == _IDENT and self.arities.get(self.toks[i]) == 1) and kinds[i + 1] == "(":
-            return self.head_run()
-        return self.factor()
-
-    def head_run(self) -> Term:
-        """A run of one-argument heads, S( and f( for an f of arity 1, read
-        in a loop: enter every level, read the innermost factor, then close
-        the levels from the inside out, finishing each level's argument term
-        where an operator follows it.  Nesting is counted and errors are
-        raised as if each level were read by its own call."""
-        kinds = self.kinds
-        toks = self.toks
-        arities = self.arities
-        share = self.share
-        i = first = self.i
-        depth = self.depth
-        k = kinds[i]
-        while (k == "S" or k == _IDENT and arities.get(toks[i]) == 1) and kinds[i + 1] == "(":
-            depth += 1
-            if depth > MAX_NESTING:
-                raise _too_deep(i)
-            i += 2
-            k = kinds[i]
-        heads = range(i - 2, first - 1, -2)  # token index of each head, innermost first
-        self.i = i
-        self.depth = depth
-        t = self.term_primary()
-        i = self.i
-        # i and depth are kept in locals here, and handed over around calls
-        for h in heads:
-            k = kinds[i]
-            if k == "*" or k == "+":
-                self.i = i
-                self.depth = depth
-                t = self.term_rest(t)
-                i = self.i
+def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, formula: bool) -> Term | Formula:
+    """The formula or term `text` spells, read without recursion, each token
+    once: a "(" where an atom can start opens a group that learns from what
+    it reads whether it holds a formula or a term.  Nesting is counted, and
+    errors are raised at the token they name, as a recursive descent over
+    the grammar would.  Every node built other than ZERO is looked up first
+    in the share table `share` (see share_tree), so equal subtrees are one
+    object: within the text, and across every text parsed with the same
+    table."""
+    toks, kinds = _tokenize(text)
+    arities = DEFFN_ARITIES if deffn_arities is None else deffn_arities
+    if share is None:
+        share = {}
+    get = share.get
+    put = share.setdefault
+    i = depth = 0
+    stack: list = [("root",)]
+    push = stack.append
+    pop = stack.pop
+    unary = formula  # whether a unary formula starts at token i, else a factor
+    try:
+        while True:
+            # the prefixes of a unary formula, up to its first factor
+            while unary:
                 k = kinds[i]
-            if k != ")":
-                if kinds[h] == "S":
-                    raise _ParseError("expected ')'", i)
-                self.i = i
-                self.depth = depth
-                t = self.arguments(h, t)
-                i = self.i
-                depth = self.depth
-                continue
-            i += 1
-            depth -= 1
-            if kinds[h] == "S":
-                key = (Succ, id(t))
-                t = share.get(key) or share.setdefault(key, Succ(t))
-            else:
-                key = (toks[h], id(t))
-                t = share.get(key) or share.setdefault(key, DefFn(toks[h], (t,)))
-        self.i = i
-        self.depth = depth
-        return t
+                if k == "!":
+                    depth += 1
+                    if depth > MAX_NESTING:
+                        raise _too_deep(i)
+                    push(("!",))
+                    i += 1
+                elif k == "forall" or k == "exists":
+                    depth += 1
+                    if depth > MAX_NESTING:
+                        raise _too_deep(i)
+                    bounded = kinds[i + 1] == "<="
+                    i += 2 if bounded else 1
+                    if kinds[i] != _IDENT:
+                        raise _found(toks, "a variable", i)
+                    v = toks[i]
+                    i += 1
+                    if not bounded:
+                        push(("all" if k == "forall" else "ex", v))
+                        continue
+                    ctor = BoundedForAll if k == "forall" else BoundedExists
+                    # the bound comes right before the body, so a bare
+                    # identifier before "(" is a variable, unless it names a
+                    # function symbol
+                    name = toks[i]
+                    if kinds[i] == _IDENT and name not in arities:
+                        i += 1
+                        if name == v:
+                            raise _ParseError(f"bound of {ctor.__name__} mentions its own variable {v!r}", i)
+                        push(("body", ctor, v, get(name) or put(name, Var(name))))
+                    else:
+                        push(("bound", ctor, v))
+                        unary = False
+                elif k == "(":
+                    # a group that starts with "!" or a quantifier holds a
+                    # formula; any other may turn out an atom's left side
+                    push(("ugroup",))
+                    while True:
+                        depth += 1
+                        if depth > MAX_NESTING:
+                            raise _too_deep(i)
+                        i += 1
+                        k = kinds[i]
+                        if k == "!" or k == "forall" or k == "exists":
+                            if stack[-1][0] == "ugroup":
+                                stack[-1] = ("group",)
+                            else:
+                                push(("group",))
+                            break
+                        push(("first",))
+                        if k != "(":
+                            unary = False
+                            break
+                else:
+                    push(("atom",))
+                    unary = False
 
-    def factor(self) -> Term:
-        """A factor other than 0, a variable or a run of one-argument heads:
-        a parenthesized term, an application of another arity, or an error."""
-        i = self.i
-        k = self.kinds[i]
-        if k == "S":
-            self.nest(i)
-            raise _ParseError("expected '('", i + 1)
-        if k == _IDENT:
-            self.nest(i)
-            self.i = i + 2
-            return self.arguments(i, self.term())
-        if k != "(":
-            raise self.found("a term", i)
-        self.nest(i)
-        self.i = i + 1
-        t = self.term()
-        self.close()
-        return t
+            # a factor, opening the parentheses and applications before it
+            while True:
+                k = kinds[i]
+                if k == "0":
+                    i += 1
+                    v = ZERO
+                    break
+                if k == _IDENT and kinds[i + 1] != "(":
+                    name = toks[i]
+                    if name in arities:
+                        raise _ParseError(f"{name!r} is a function symbol, not a variable", i)
+                    i += 1
+                    v = get(name) or put(name, Var(name))
+                    break
+                if (k == "S" or k == _IDENT and arities.get(toks[i]) == 1) and kinds[i + 1] == "(":
+                    first = i
+                    while (k == "S" or k == _IDENT and arities.get(toks[i]) == 1) and kinds[i + 1] == "(":
+                        depth += 1
+                        if depth > MAX_NESTING:
+                            raise _too_deep(i)
+                        i += 2
+                        k = kinds[i]
+                    push(("heads", i - 2, first))
+                    continue
+                if k != "S" and k != _IDENT and k != "(":
+                    raise _found(toks, "a term", i)
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise _too_deep(i)
+                if k == "S":
+                    raise _ParseError("expected '('", i + 1)
+                if k == "(":
+                    push(("(",))
+                    i += 1
+                else:
+                    push(("args", i, []))
+                    i += 2
 
-    def arguments(self, i: int, first: Term) -> Term:
-        """The application whose head is token i and whose first argument
-        has been read: the remaining arguments, the ")" and the checks of
-        the symbol and its arity, in that order."""
-        args = [first]
-        while self.kinds[self.i] == ",":
-            self.i += 1
-            args.append(self.term())
-        self.close()
-        name = self.toks[i]
-        arities = self.arities
-        if name not in arities:
-            raise _ParseError(f"unknown function symbol {name!r}", i)
-        if arities[name] != len(args):
-            raise _ParseError(f"{name!r} expects {arities[name]} arguments, got {len(args)}", i)
-        key = (name, *map(id, args))
-        return self.share.get(key) or self.share.setdefault(key, DefFn(name, tuple(args)))
+            # hand the value up until a frame waits for more input
+            level = "factor"
+            while True:
+                top = stack[-1]
+                tag = top[0]
+                if level == "factor":
+                    if tag == "bound":
+                        if top[2] in free_variables(v):
+                            raise _ParseError(f"bound of {top[1].__name__} mentions its own variable {top[2]!r}", i)
+                        stack[-1] = ("body", top[1], top[2], v)
+                        unary = True
+                        break
+                    if tag == "first":
+                        stack[-1] = top = ("gterm",)
+                        tag = "gterm"
+                    elif tag == "ugroup":
+                        stack[-1] = top = ("atom",)
+                        tag = "atom"
+                elif level == "unary":
+                    while tag == "!" or tag == "all" or tag == "body" or tag == "ex" or tag == "ugroup":
+                        pop()
+                        if tag != "ugroup":
+                            depth -= 1
+                            if tag == "!":
+                                key = (Not, id(v))
+                                v = get(key) or put(key, Not(v))
+                            elif tag == "all":
+                                key = (ForAll, top[1], id(v))
+                                v = get(key) or put(key, ForAll(top[1], v))
+                            elif tag == "body":
+                                key = (top[1], top[2], id(top[3]), id(v))
+                                v = get(key) or put(key, top[1](top[2], top[3], v))
+                            else:
+                                v = _shared(share, Not, _shared(share, ForAll, top[1], _shared(share, Not, v)))
+                        top = stack[-1]
+                        tag = top[0]
+                    if tag == "first":
+                        stack[-1] = top = ("group",)
+                        tag = "group"
+                # the left-associative chains: * over factors, + over
+                # products, & over unary formulas, | over conjuncts.  A
+                # chain's frame keeps the depth before its first operator;
+                # each operator nests one level more, as the grammar's loops
+                # do.
+                while True:
+                    if level == "factor":
+                        op, up = "*", "product"
+                    elif level == "product":
+                        op, up = "+", "term"
+                    elif level == "unary":
+                        op, up = "&", "conjunct"
+                    elif level == "conjunct":
+                        op, up = "|", "disjunct"
+                    else:
+                        break
+                    if tag == op:
+                        a = top[1]
+                        if op == "*" or op == "+":
+                            ctor = Times if op == "*" else Plus
+                            key = (ctor, id(a), id(v))
+                            v = get(key) or put(key, ctor(a, v))
+                        elif op == "&":
+                            v = _shared(share, Not, _shared(share, Implies, a, _shared(share, Not, v)))
+                        else:
+                            v = _shared(share, Implies, _shared(share, Not, a), v)
+                        if kinds[i] != op:
+                            pop()
+                            depth = top[2]
+                            level = up
+                            top = stack[-1]
+                            tag = top[0]
+                            continue
+                        stack[-1] = (op, v, top[2])
+                    elif kinds[i] == op:
+                        push((op, v, depth))
+                    else:
+                        level = up
+                        continue
+                    depth += 1
+                    if depth > MAX_NESTING:
+                        raise _too_deep(i)
+                    i += 1
+                    unary = op == "&" or op == "|"
+                    level = None
+                    break
+                if level is None:
+                    break
+                if level == "term":
+                    if tag == "heads":
+                        h, first = top[1], top[2]
+                        while kinds[i] == ")":
+                            i += 1
+                            depth -= 1
+                            if kinds[h] == "S":
+                                key = (Succ, id(v))
+                                v = get(key) or put(key, Succ(v))
+                            else:
+                                key = (toks[h], id(v))
+                                v = get(key) or put(key, DefFn(toks[h], (v,)))
+                            if h == first:
+                                pop()
+                                break
+                            h -= 2
+                            k = kinds[i]
+                            if k == "*" or k == "+":
+                                stack[-1] = ("heads", h, first)
+                                break
+                        else:
+                            # more arguments of a one-argument symbol: read,
+                            # then refused by their count
+                            if kinds[h] == "S" or kinds[i] != ",":
+                                raise _ParseError("expected ')'", i)
+                            if h == first:
+                                pop()
+                            else:
+                                stack[-1] = ("heads", h - 2, first)
+                            push(("args", h, [v]))
+                            i += 1
+                            break
+                        level = "factor"
+                        continue
+                    if tag == "=":
+                        pop()
+                        key = (Eq, id(top[1]), id(v))
+                        v = get(key) or put(key, Eq(top[1], v))
+                        level = "unary"
+                        continue
+                    if tag == "args":
+                        args = top[2]
+                        args.append(v)
+                        if kinds[i] == ",":
+                            i += 1
+                            break
+                    elif tag == "atom" or tag == "gterm" and kinds[i] != ")":
+                        if kinds[i] != "=":
+                            raise _found(toks, "'='", i)
+                        i += 1
+                        if tag == "atom":
+                            stack[-1] = ("=", v)
+                        else:
+                            stack[-1] = ("group",)
+                            push(("=", v))
+                        break
+                    if tag != "root":
+                        # "args", "(" or "gterm": the ")" that closes it
+                        if kinds[i] != ")":
+                            raise _ParseError("expected ')'", i)
+                        i += 1
+                        depth -= 1
+                        pop()
+                        if tag == "args":
+                            name = toks[top[1]]
+                            if name not in arities:
+                                raise _ParseError(f"unknown function symbol {name!r}", top[1])
+                            if arities[name] != len(args):
+                                raise _ParseError(f"{name!r} expects {arities[name]} arguments, got {len(args)}", top[1])
+                            key = (name, *map(id, args))
+                            v = get(key) or put(key, DefFn(name, tuple(args)))
+                        level = "factor"
+                        continue
+                    level = "formula"
+                if level == "disjunct":
+                    if kinds[i] == "->":
+                        depth += 1
+                        if depth > MAX_NESTING:
+                            raise _too_deep(i)
+                        i += 1
+                        push(("->", v))
+                        unary = True
+                        break
+                    level = "formula"
+                if level == "formula":
+                    if tag == "->":
+                        pop()
+                        depth -= 1
+                        key = (Implies, id(top[1]), id(v))
+                        v = get(key) or put(key, Implies(top[1], v))
+                        continue
+                    if tag == "group":
+                        if kinds[i] != ")":
+                            raise _ParseError("expected ')'", i)
+                        i += 1
+                        depth -= 1
+                        pop()
+                        level = "unary"
+                        continue
+                    # the root
+                    if kinds[i] != _EOF:
+                        raise _ParseError(f"trailing input {toks[i]!r}", i)
+                    return v
+    except _ParseError as e:
+        raise SyntaxErrorWithPos(e.message, _token_span(text, e.index)[0]) from None
 
 
 def parse_formula(text: str, deffn_arities: dict[str, int] | None = None, share: dict | None = None) -> Formula:
@@ -1249,13 +1271,11 @@ def parse_formula(text: str, deffn_arities: dict[str, int] | None = None, share:
     Function symbols and their arities come from `deffn_arities`, by default
     DEFFN_ARITIES.  Nodes are shared through the share table `share`, by
     default one for this text alone."""
-    p = _Parser(text, deffn_arities, share)
-    return p.parse(p.formula)
+    return _parse(text, deffn_arities, share, True)
 
 
 def parse_term(text: str, deffn_arities: dict[str, int] | None = None, share: dict | None = None) -> Term:
-    p = _Parser(text, deffn_arities, share)
-    return p.parse(p.term)
+    return _parse(text, deffn_arities, share, False)
 
 
 # ---------------------------------------------------------------------------

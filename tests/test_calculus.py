@@ -356,12 +356,30 @@ def test_eval_term_in_evaluates_a_shared_closed_node_once():
 
 def _fresh(node):
     """An equal tree of new objects, sharing none with `node`, so that a walk
-    over it meets no pair of one object."""
-    if isinstance(node, tuple):
-        return tuple(map(_fresh, node))
-    if isinstance(node, str):
-        return node
-    return type(node)(*(_fresh(getattr(node, f.name)) for f in fields(node)))
+    over it meets no pair of one object.  Built without recursion: a node's
+    fields are copied onto `out` in order, then the node is rebuilt from the
+    last of them, as the marker [constructor, number of fields] says."""
+    out: list = []
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        if type(x) is list:
+            make, n = x
+            k = len(out) - n
+            parts = out[k:]
+            del out[k:]
+            out.append(make(*parts))
+        elif isinstance(x, str):
+            out.append(x)
+        else:
+            parts = x if isinstance(x, tuple) else [getattr(x, f.name) for f in fields(x)]
+            stack.append([_tuple if isinstance(x, tuple) else type(x), len(parts)])
+            stack += reversed(parts)
+    return out[0]
+
+
+def _tuple(*parts):
+    return parts
 
 
 def _with_parts(formulas):

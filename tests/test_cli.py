@@ -58,8 +58,13 @@ def test_unparsable_formula_is_a_usage_error(proof_file, capsys):
         ("S(" * 40_000 + "0" + ")" * 40_000 + " = 0", 2 * MAX_NESTING),
         ("dbl(" * 40_000 + "0" + ")" * 40_000 + " = 0", 4 * MAX_NESTING),
         ("!" * 40_000 + "0 = 0", MAX_NESTING),
+        ("0 = 0 -> " * 40_000 + "0 = 0", 9 * MAX_NESTING + 6),
+        ("forall x " * 40_000 + "0 = 0", 9 * MAX_NESTING),
+        ("(!" * 40_000 + "0 = 0" + ")" * 40_000, MAX_NESTING),
+        ("!(" * 40_000 + "0 = 0" + ")" * 40_000, MAX_NESTING),
+        ("pair(" * 40_000 + "0" + ", 0)" * 40_000 + " = 0", 5 * MAX_NESTING),
     ],
-    ids=["S", "dbl", "not"],
+    ids=["S", "dbl", "not", "implies", "forall", "group-not", "not-group", "pair"],
 )
 def test_deeply_nested_proof_line_is_a_usage_error(tmp_path, capsys, formula, offset):
     p = tmp_path / "deep.fp"
@@ -68,6 +73,38 @@ def test_deeply_nested_proof_line_is_a_usage_error(tmp_path, capsys, formula, of
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"proof line 1: nesting deeper than {MAX_NESTING} levels (at offset {offset})" in err
+
+
+_UNDER_CAP = MAX_NESTING - 8
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "0 = 0 -> " * _UNDER_CAP + "0 = 0",
+        "forall x " * _UNDER_CAP + "0 = 0",
+        "(!" * (_UNDER_CAP // 2) + "0 = 0" + ")" * (_UNDER_CAP // 2),
+        "!(" * (_UNDER_CAP // 2) + "0 = 0" + ")" * (_UNDER_CAP // 2),
+        "S(" * _UNDER_CAP + "0" + ")" * _UNDER_CAP + " = dbl(0)",
+    ],
+    ids=["implies", "forall", "group-not", "not-group", "S"],
+)
+def test_proof_line_nested_just_under_the_cap_is_checked(tmp_path, capsys, formula):
+    # parsed and searched for a justification at the default recursion limit;
+    # no schema justifies these lines, so the verdict is INVALID
+    p = tmp_path / "deep.fp"
+    p.write_text(f"1. {formula} ; COMPUTE\n")
+    assert cli.main(["check", "q", str(p), formula]) == 1
+    assert capsys.readouterr().out.startswith("INVALID: 1 lines")
+
+
+def test_eqsubst_through_a_deep_nest_is_checked(tmp_path, capsys):
+    deep = "dbl(" * 3_990 + "{}" + ")" * 3_990
+    formula = f"x = y -> ({deep.format('x')} = 0 -> {deep.format('y')} = 0)"
+    p = tmp_path / "eqsubst.fp"
+    p.write_text(f"1. {formula} ; EQSUBST\n")
+    assert cli.main(["check", "q", str(p), formula]) == 0
+    assert capsys.readouterr().out.startswith("valid: 1 lines")
 
 
 def test_no_arguments_prints_help_and_exits_two(capsys):
@@ -187,6 +224,30 @@ def test_prop_check_verdicts(tmp_path, capsys):
     clause_import = tmp_path / "import.rp"
     clause_import.write_text("a 1 0\ni 1\nr 0 1 1\n")
     assert cli.main(["prop", "check", str(cnf), str(clause_import)]) == 2
+
+
+def test_prop_check_refuses_a_cyclic_extension(tmp_path, capsys):
+    # x1 <-> !x2, then x2 <-> x1 "refutes" the satisfiable {x0}; x2 is named
+    # by the first definition, so the second may not define it
+    cnf, rp = tmp_path / "sat.cnf", tmp_path / "cyc.rp"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    rp.write_text("i 0\ne 2 -3 -3\ne 3 2 2\nr 3 6 2\nr 4 1 2\nr 7 8 3\n")
+    assert cli.main(["prop", "check", str(cnf), str(rp), "--extended"]) == 1
+    assert "extension variable x2 is not fresh" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("depth", [500, 2_000])
+def test_diagonalize_prints_a_long_code_without_decimal_conversion(capsys, depth):
+    # the code of the fixed point has more digits than str() converts
+    # (4,300 by default); it is printed in hexadecimal, and the exit code is
+    # the equivalence check's.  At depth 2,000 the evaluator and the
+    # builder's lift walk past the default recursion limit.
+    psi = "x = " + "S(" * depth + "0" + ")" * depth
+    assert cli.main(["diagonalize", "q", "--psi", psi]) == 0
+    out = capsys.readouterr().out
+    code = next(line for line in out.splitlines() if line.startswith("code: "))
+    assert code.startswith("code: 0x") and code.endswith(" (hexadecimal)")
+    assert out.endswith(", accepted\n")
 
 
 def test_con_prints_statement_and_verdict(capsys):

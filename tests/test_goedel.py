@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import proofforge
-from proofforge.calculus import EvalBudget, EvalBudgetExceeded, Proof, ProofLine, eval_term_in
+from proofforge.calculus import EvalBudget, EvalBudgetExceeded, Proof, ProofLine, check_stored_proof, eval_term_in
 from proofforge.corpus import diagonal_shapes, random_delta0_sentence
+from proofforge.derivations import equivalence_proof
 from proofforge.goedel import (
     BASE,
     ID_TOKENS,
@@ -50,6 +51,7 @@ from proofforge.syntax import (
     Var,
     ZERO,
     formula_size,
+    iff,
     numeral,
     numeral_value,
     parse_formula,
@@ -477,3 +479,30 @@ def test_provability_formula_is_delta0_with_one_free_variable():
     pr = provability_formula(Q, 4, var="x")
     assert free_variables(pr) == frozenset({"x"})
     assert is_delta0(pr)
+
+
+# --- walks past the default recursion limit ------------------------------------
+
+
+def test_eval_delta0_through_a_deep_negation_chain():
+    # 4,000 negations over a sweep, at the default recursion limit: each
+    # negation charges one unit on top of what the sweep alone charges
+    sweep = BoundedExists("y", numeral(2), Eq(Var("y"), numeral(2)))
+    alone = EvalBudget()
+    assert eval_delta0(Q, sweep, budget=alone) is True
+    f = sweep
+    for _ in range(4_000):
+        f = Not(f)
+    budget = EvalBudget()
+    assert eval_delta0(Q, f, budget=budget) is True
+    assert budget.used == 4_000 + alone.used
+
+
+def test_equivalence_proof_through_a_deep_psi():
+    psi = Eq(Var("x"), ZERO)
+    for _ in range(1_200):
+        psi = Not(psi)
+    s, u = Plus(ZERO, ZERO), ZERO
+    proof = equivalence_proof(Q, psi, "x", s, u)
+    assert check_stored_proof(Q, proof).ok
+    assert proof.conclusion == iff(substitute(psi, "x", s), substitute(psi, "x", u))

@@ -1,8 +1,11 @@
-"""Process-wide settings have one owner: no module reads the environment,
-only `syntax` touches the recursion limit, and none switches the garbage
-collector."""
+"""Importing proofforge changes no process-wide setting: no module reads the
+environment, touches the recursion limit (no walk recurses) or switches the
+garbage collector."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import proofforge
@@ -32,7 +35,7 @@ def test_no_module_reads_the_environment():
     assert readers == {}
 
 
-def test_only_syntax_sets_the_recursion_limit():
+def test_no_module_sets_the_recursion_limit():
     calls = [
         path.name
         for path in MODULES
@@ -40,7 +43,25 @@ def test_only_syntax_sets_the_recursion_limit():
         if isinstance(node, ast.Call)
         and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "setrecursionlimit"
     ]
-    assert calls == ["syntax.py"]
+    assert calls == []
+
+
+_IMPORT_ALL = """
+import importlib
+import sys
+
+default = sys.getrecursionlimit()
+for name in sys.argv[1:]:
+    importlib.import_module("proofforge." + name)
+print(sys.getrecursionlimit() == default, default)
+"""
+
+
+def test_importing_every_module_keeps_the_default_recursion_limit():
+    env = dict(os.environ, PYTHONPATH=str(Path(proofforge.__file__).resolve().parents[1]))
+    names = [path.stem for path in MODULES if path.stem != "__main__"]
+    res = subprocess.run([sys.executable, "-c", _IMPORT_ALL, *names], env=env, capture_output=True, text=True, timeout=120)
+    assert res.stdout.split() == ["True", "1000"], res.stderr[-2000:]
 
 
 def test_no_module_calls_into_the_garbage_collector():

@@ -59,6 +59,7 @@ from proofforge.propositional import (
     truth_table_system,
     tseitin,
 )
+from proofforge.suite import _replay_resolution
 from proofforge.syntax import (
     BoundedExists,
     BoundedForAll,
@@ -153,6 +154,24 @@ def test_extension_variable_freshness_is_enforced():
     # ...while a genuinely fresh definition passes
     good = ResolutionProof((Input(0), Input(1), Extend(5, 1, -1), Resolve(0, 1, 0)))
     assert check_resolution(CONTRADICTION, good, extended=True).ok
+
+
+# x1 <-> !x2, then x2 <-> x1: a cycle that resolves to the empty clause on
+# the satisfiable set {x0}.  x2 is named by the first definition, so the
+# second may not define it.
+SATISFIABLE = ClauseSet((frozenset({1}),), 1)
+CYCLIC = ResolutionProof((Input(0), Extend(1, -3, -3), Extend(2, 2, 2), Resolve(3, 6, 1), Resolve(4, 1, 1), Resolve(7, 8, 2)))
+
+
+def test_a_variable_named_in_a_definition_is_not_fresh():
+    assert brute_force_satisfiable(SATISFIABLE)
+    r = check_resolution(SATISFIABLE, CYCLIC, extended=True)
+    assert (r.ok, r.reason) == (False, "step 2: extension variable x2 is not fresh")
+    # the fuzz classifier of criterion 7 replays the proof by its own code
+    assert not _replay_resolution(SATISFIABLE, CYCLIC, True)
+    # without the second definition the steps are a valid extension, not a refutation
+    prefix = ResolutionProof(CYCLIC.steps[:2])
+    assert check_resolution(SATISFIABLE, prefix, extended=True).reason == "final clause is not empty"
 
 
 def test_extension_steps_require_extended_mode():

@@ -210,6 +210,38 @@ def test_substitution_avoids_capture():
     assert free_variables(g) == frozenset({"y"})
 
 
+def test_substitution_renames_away_from_the_bound():
+    # the fresh name avoids the bound's variables: forall<= y' y' ... would
+    # mention its own variable in its bound
+    f = parse_formula("forall<= y y' (x = y)")
+    assert print_formula(substitute(f, "x", Var("y"))) == "forall<= y'' y' (y = y'')"
+    # a replacement landing in the bound renames the binder too, though x
+    # is not free in the body
+    f = parse_formula("exists<= y x (y = y)")
+    assert print_formula(substitute(f, "x", Var("y"))) == "exists<= y' y (y' = y')"
+
+
+def test_substitution_output_parses_back_to_itself():
+    rng = random.Random(7717)
+    for i in range(3_000):
+        f = random_formula(rng, rng.randrange(1, 5))
+        for rep in (random_term(rng, rng.randrange(3)), Var(rng.choice(VARS))):
+            g = substitute(f, rng.choice(VARS), rep)
+            text = print_formula(g)
+            assert parse_formula(text) == g, f"iteration {i}: {text}"
+
+
+def test_substitution_through_a_deep_nest():
+    # at the default recursion limit: 3,990 nested dbl( in a term and an atom
+    t = Var("x")
+    for _ in range(3_990):
+        t = DefFn("dbl", (t,))
+    u = substitute(t, "x", numeral(2))
+    assert print_term(u) == "dbl(" * 3_990 + "S(S(0))" + ")" * 3_990
+    f = substitute(Eq(t, t), "x", ZERO)
+    assert free_variables(f) == frozenset() and formula_size(f) == 2 * 3_991 + 1
+
+
 def test_substitution_no_free_occurrence_is_identity():
     f = parse_formula("forall x (x = x)")
     assert substitute(f, "x", numeral(3)) == f
@@ -571,9 +603,11 @@ def test_printing_deep_chains_does_not_recurse():
 _DEEP_WALKS = """
 import sys
 
+default = sys.getrecursionlimit()
+
 from proofforge.syntax import MAX_NESTING, ZERO, formula_size, free_variables, parse_formula, print_formula, substitute
 
-assert sys.getrecursionlimit() >= 100_000
+assert sys.getrecursionlimit() == default
 text = "!" * MAX_NESTING + "x = 0"
 f = parse_formula(text)
 assert free_variables(f) == {"x"}
@@ -586,10 +620,32 @@ print("ok")
 
 
 def test_importing_syntax_alone_covers_formulas_nested_to_the_cap():
-    # a fresh interpreter that has imported nothing but proofforge.syntax:
-    # the module itself raises the recursion limit the tree walks need
+    # a fresh interpreter that has imported nothing but proofforge.syntax,
+    # at the default recursion limit: no walk recurses
     env = dict(os.environ, PYTHONPATH=str(Path(proofforge.__file__).resolve().parents[1]))
     res = subprocess.run([sys.executable, "-c", _DEEP_WALKS], env=env, capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr[-2000:]
+
+
+_DEEP_REPR = """
+from proofforge.syntax import ZERO, Eq, Not
+
+f = Eq(ZERO, ZERO)
+for _ in range(20_000):
+    f = Not(f)
+try:
+    repr(f)
+except RecursionError:
+    pass
+print("ok")
+"""
+
+
+def test_repr_of_a_deep_chain_does_not_kill_the_interpreter():
+    # the generated repr recurses; at the default recursion limit it raises
+    # RecursionError long before the C stack runs out
+    env = dict(os.environ, PYTHONPATH=str(Path(proofforge.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", _DEEP_REPR], env=env, capture_output=True, text=True, timeout=120)
     assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr[-2000:]
 
 
