@@ -567,13 +567,16 @@ class ChainLevel:
     self_search: SearchReport
 
 
-def regeneration_chain(depth: int = 3, m: int = 8, margin: int = 6, limits: SearchLimits | None = None) -> list[ChainLevel]:
+SELF_SEARCH_MARGIN = 6
+
+
+def regeneration_chain(depth: int = 3, m: int = 8, limits: SearchLimits | None = None) -> list[ChainLevel]:
     """Climb depth levels: T_{i+1} = T_i + Con_{T_i}(m), with receipts.
 
     At each level: the consistency sentence for the current theory (its own
     provability symbol), a one-line proof of it accepted at the next level,
     and an exhaustive search showing the current level has no proof of its
-    own sentence within size(con) + margin.
+    own sentence within size(con) + SELF_SEARCH_MARGIN.
     """
     from .calculus import TheoryAxiomJust, check_stored_proof
     from .goedel import PROVER_CHAIN, con_bounded, encode_formula, extend_with_axiom, standard_theory
@@ -586,7 +589,7 @@ def regeneration_chain(depth: int = 3, m: int = 8, margin: int = 6, limits: Sear
         sym = PROVER_CHAIN[i]
         con = con_bounded(theory, m, symbol=sym)
         csize = formula_size(con)
-        self_search = enumerate_proofs(theory, con, csize + margin, limits=limits)
+        self_search = enumerate_proofs(theory, con, csize + SELF_SEARCH_MARGIN, limits=limits)
         nxt = extend_with_axiom(theory, con, PROVER_CHAIN[i + 1], name=f"{theory.name}+c{i + 1}")
         one_line = Proof((ProofLine(con, TheoryAxiomJust(len(nxt.extra_axioms))),))
         ok = proof_of(nxt, one_line, con) and check_stored_proof(nxt, one_line).ok

@@ -25,9 +25,9 @@ from . import config as cfgmod
 from . import propositional as prop
 from . import suite as suitemod
 from .bounded import SearchLimits, l_k_membership, regeneration_chain, shortest_proof_length
-from .calculus import parse_proof_text, print_proof_text
+from .calculus import check_stored_proof, parse_proof_text, print_proof_text
 from .goedel import THEORIES, con_bounded, diagonalize, encode_formula, eval_delta0
-from .syntax import formula_size, free_variables, parse_formula, print_formula
+from .syntax import equal, formula_size, free_variables, parse_formula, print_formula
 from .verifier import proof_of
 
 EXIT_OK = 0
@@ -147,8 +147,14 @@ def cmd_diagonalize(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     print(f"fixed point: {print_formula(delta)}")
     print(f"code: {_int_text(result.code)}")
     print(f"size: {formula_size(delta)}")
-    ok = proof_of(theory, result.equivalence, result.biconditional)
-    print(f"equivalence proof: {len(result.equivalence.lines)} lines, {'accepted' if ok else 'REJECTED'}")
+    # every line the Builder writes carries its justification, so checking
+    # those suffices: a proof valid by them is valid under proof_of's search
+    proof = result.equivalence
+    check = check_stored_proof(theory, proof)
+    ok = check.ok and equal(proof.conclusion, result.biconditional)
+    print(f"equivalence proof: {len(proof.lines)} lines, {'accepted' if ok else 'REJECTED'}")
+    if not ok:
+        print(f"  {check.reason or 'the conclusion is not the biconditional'}")
     if args.out:
         _write_text(args.out, print_proof_text(result.equivalence))
         print(f"wrote {args.out}")
@@ -249,7 +255,7 @@ def cmd_demo(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
         print(f"  statement size {lvl.con_size}, code {lvl.con_code}")
         print(f"  adopted by the next theory, where a one-line proof "
               f"{'passes' if lvl.next_level_one_line_ok else 'FAILS'} the checker")
-        print(f"  exhaustive search for a self-proof (size <= {lvl.con_size + 6}): "
+        print(f"  exhaustive search for a self-proof (size <= {lvl.self_search.budget}): "
               f"{lvl.self_search.outcome}"
               f"{' (definitive)' if lvl.self_search.definitive else ''}")
         print()

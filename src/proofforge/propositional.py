@@ -607,15 +607,15 @@ def check_resolution(cs: ClauseSet, proof: ResolutionProof, extended: bool = Fal
                 pos, neg = lit(p, True), lit(p, False)
                 ci, cj = derived[i], derived[j]
                 if pos not in ci:
-                    return ResolutionCheck(False, f"step {n}: pivot x{p} not positive in clause {i}", tuple(derived))
+                    return ResolutionCheck(False, f"step {n}: pivot variable {p + 1} not positive in clause {i}", tuple(derived))
                 if neg not in cj:
-                    return ResolutionCheck(False, f"step {n}: pivot x{p} not negative in clause {j}", tuple(derived))
+                    return ResolutionCheck(False, f"step {n}: pivot variable {p + 1} not negative in clause {j}", tuple(derived))
                 derived.append((ci - {pos}) | (cj - {neg}))
             case Extend(v, a, b):
                 if not extended:
                     return ResolutionCheck(False, f"step {n}: extension not admitted in this system", tuple(derived))
                 if v < cs.n_vars or v in used_vars:
-                    return ResolutionCheck(False, f"step {n}: extension variable x{v} is not fresh", tuple(derived))
+                    return ResolutionCheck(False, f"step {n}: extension variable {v + 1} is not fresh", tuple(derived))
                 if lit_var(a) == v or lit_var(b) == v or a == 0 or b == 0:
                     return ResolutionCheck(False, f"step {n}: ill-formed extension definition", tuple(derived))
                 # a and b name variables in use too, so none is defined later

@@ -28,7 +28,8 @@ size("0 = 0") = 3, size(S(S(0))) = 3, size(!A) = size(A) + 1.
 
 Operator binding, loosest to tightest:  ->  (right associative), then
 | then & (parse-time sugar, left associative), then ! / quantifiers,
-then atoms.  In terms, * binds tighter than +; both are left associative.
+then =, then + then * (left associative).  The parser reads this table of
+binding powers by precedence climbing; & | -> take formulas, = + * terms.
 
 No walk recurses: parsing, printing, equality, hashing, sizes, free
 variables and substitution are loops over explicit stacks, as are the walks
@@ -876,12 +877,14 @@ def _token_span(text: str, index: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 # Deepest nesting the parser accepts.  Each parenthesis, function
-# application, S(...), !, quantifier and binary operator around a token
-# counts one level.  The fixed-point certificates of corpus.diagonal_shapes
-# nest at most 1,318 levels (x + x = x * x); about three times that leaves
-# room for them.  No walk recurses, so the cap does not guard the stack: it
-# keeps what one hostile line can ask of the walks that are quadratic in its
-# depth, such as the derivation builder's lift, to a clean usage error.
+# application, S(...), ! and quantifier around a token counts one level, and
+# so does each binary operator but = before it in one chain: c is two levels
+# deep in a -> b -> c and in a + b + c.  The fixed-point certificates of
+# corpus.diagonal_shapes nest at most 1,318 levels (x + x = x * x); about
+# three times that leaves room for them.  No walk recurses, so the cap does
+# not guard the stack: it keeps what one hostile line can ask of the walks
+# that are quadratic in its depth, such as the derivation builder's lift, to
+# a clean usage error.
 MAX_NESTING = 4_000
 
 # Arity of every definitional function symbol the parser accepts.  The
@@ -918,31 +921,6 @@ def _too_deep(index: int) -> _ParseError:
     return _ParseError(f"nesting deeper than {MAX_NESTING} levels", index)
 
 
-# The parser's stack holds one frame per construct that is open: a tuple
-# whose first item names what the construct waits for.
-#   a unary formula: the body of "!" ("!",), of "forall v" ("all", v), of
-#     "exists v" ("ex", v) or of a bounded quantifier ("body", ctor, v,
-#     bound), or the right operand of "&" ("&", left, depth before it);
-#   a conjunct: the right operand of "|" ("|", left, depth before it);
-#   a formula: the right side of "->" ("->", left), or a group known to hold
-#     a formula, up to its ")" ("group",);
-#   a unary formula or a factor: a group's first item ("first",), or a
-#     group where an atom can start ("ugroup",), whose term is an atom's
-#     left side;
-#   a factor: a bounded quantifier's bound ("bound", ctor, v), or the right
-#     operand of "*" ("*", left, depth before it);
-#   a product: the right operand of "+" ("+", left, depth before it);
-#   a term: an atom's left side ("atom",) or right side ("=", left), a group
-#     known to hold a term ("gterm",), a parenthesized term ("(",), the next
-#     argument of the application at token h ("args", h, arguments so far),
-#     or the argument of the innermost open head of a run of one-argument
-#     heads from token `first` to token h ("heads", h, first).
-# A value read is handed to the frame on top at its level: factor, product,
-# term, unary formula, conjunct, disjunct or formula.  A frame that waits
-# for a higher level than the value's lets the operators that follow build
-# the value up first, as the grammar's own loops do.
-
-
 def _found(toks: list[str], what: str, index: int) -> _ParseError:
     return _ParseError(f"expected {what}, found {toks[index] or 'end of input'!r}", index)
 
@@ -953,15 +931,42 @@ def _shared(share: dict, ctor, *parts) -> Formula:
     return share.get(key) or share.setdefault(key, ctor(*parts))
 
 
+# Binding power of each binary operator, by the sort it takes on its left.
+# An operator applies to the value before it when that value fills a slot
+# of lower power, and its right operand is a slot of its own power, or of
+# power 0 after ->, which nests to the right.
+_FORMULA_OPS = {"->": 1, "|": 2, "&": 3}
+_TERM_OPS = {"=": 5, "+": 6, "*": 7}
+_UNARY = 4  # the operand of ! and of a quantifier
+_TERM = 5  # a slot that holds only a term, so = does not apply there
+_FACTOR = 8  # a bounded quantifier's bound, where no operator applies
+_BINARY = {"->": Implies, "=": Eq, "+": Plus, "*": Times, "&": None, "|": None}
+
+# The parser's stack holds one frame per open slot, a list [kind, power,
+# ...]; a slot of power below _TERM holds a formula or an atom's left side.
+#   ["root", 0 or _TERM]: the whole text;
+#   ["(", 0 or _TERM]: a group up to its ")", 0 where a formula may stand;
+#   ["!", _UNARY], ["all", _UNARY, v], ["ex", _UNARY, v]: a body, and for a
+#     bounded quantifier ["bound", _FACTOR, v, ctor], then ["body",
+#     _UNARY, v, ctor, bound];
+#   [op, power, left, depth before op]: a binary operator's right operand;
+#   ["args", _TERM, h, arguments so far]: the next argument of the
+#     application at token h;
+#   ["heads", _TERM, h, first]: the argument of the innermost open head of a
+#     run of one-argument heads from token `first` to token h.
+# A value read is handed to the frame on top: an operator that applies to
+# it opens a frame, else the frame takes it as its operand and closes,
+# handing its own value on, or waits for more input.
+
+
 def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, formula: bool) -> Term | Formula:
-    """The formula or term `text` spells, read without recursion, each token
-    once: a "(" where an atom can start opens a group that learns from what
-    it reads whether it holds a formula or a term.  Nesting is counted, and
-    errors are raised at the token they name, as a recursive descent over
-    the grammar would.  Every node built other than ZERO is looked up first
-    in the share table `share` (see share_tree), so equal subtrees are one
-    object: within the text, and across every text parsed with the same
-    table."""
+    """The formula or term `text` spells, read by precedence climbing
+    without recursion, each token once: a "(" where a formula may stand is a
+    group that holds whichever it reads.  Nesting is counted, and errors are
+    raised at the token they name, as a recursive descent over the grammar
+    would.  Every node built other than ZERO is looked up first in the share
+    table `share` (see share_tree), so equal subtrees are one object: within
+    the text, and across every text parsed with the same table."""
     toks, kinds = _tokenize(text)
     arities = DEFFN_ARITIES if deffn_arities is None else deffn_arities
     if share is None:
@@ -969,70 +974,46 @@ def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, 
     get = share.get
     put = share.setdefault
     i = depth = 0
-    stack: list = [("root",)]
+    top = ["root", 0 if formula else _TERM]
+    stack = [top]
     push = stack.append
     pop = stack.pop
-    unary = formula  # whether a unary formula starts at token i, else a factor
     try:
         while True:
-            # the prefixes of a unary formula, up to its first factor
-            while unary:
+            # where a formula may stand, the "!", quantifiers and "(" before
+            # an operand, each one level deeper
+            while top[1] < _TERM:
                 k = kinds[i]
-                if k == "!":
-                    depth += 1
-                    if depth > MAX_NESTING:
-                        raise _too_deep(i)
-                    push(("!",))
-                    i += 1
-                elif k == "forall" or k == "exists":
-                    depth += 1
-                    if depth > MAX_NESTING:
-                        raise _too_deep(i)
-                    bounded = kinds[i + 1] == "<="
-                    i += 2 if bounded else 1
+                if k != "!" and k != "(" and k != "forall" and k != "exists":
+                    break
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise _too_deep(i)
+                i += 1
+                if k == "!" or k == "(":
+                    top = [k, _UNARY if k == "!" else 0]
+                else:
+                    bounded = kinds[i] == "<="
+                    i += bounded
                     if kinds[i] != _IDENT:
                         raise _found(toks, "a variable", i)
                     v = toks[i]
                     i += 1
-                    if not bounded:
-                        push(("all" if k == "forall" else "ex", v))
-                        continue
                     ctor = BoundedForAll if k == "forall" else BoundedExists
-                    # the bound comes right before the body, so a bare
-                    # identifier before "(" is a variable, unless it names a
-                    # function symbol
                     name = toks[i]
-                    if kinds[i] == _IDENT and name not in arities:
+                    if not bounded:
+                        top = ["all" if k == "forall" else "ex", _UNARY, v]
+                    elif kinds[i] == _IDENT and name not in arities:
+                        # the bound comes right before the body, so a bare
+                        # identifier before "(" is a variable, unless it
+                        # names a function symbol
                         i += 1
                         if name == v:
                             raise _ParseError(f"bound of {ctor.__name__} mentions its own variable {v!r}", i)
-                        push(("body", ctor, v, get(name) or put(name, Var(name))))
+                        top = ["body", _UNARY, v, ctor, get(name) or put(name, Var(name))]
                     else:
-                        push(("bound", ctor, v))
-                        unary = False
-                elif k == "(":
-                    # a group that starts with "!" or a quantifier holds a
-                    # formula; any other may turn out an atom's left side
-                    push(("ugroup",))
-                    while True:
-                        depth += 1
-                        if depth > MAX_NESTING:
-                            raise _too_deep(i)
-                        i += 1
-                        k = kinds[i]
-                        if k == "!" or k == "forall" or k == "exists":
-                            if stack[-1][0] == "ugroup":
-                                stack[-1] = ("group",)
-                            else:
-                                push(("group",))
-                            break
-                        push(("first",))
-                        if k != "(":
-                            unary = False
-                            break
-                else:
-                    push(("atom",))
-                    unary = False
+                        top = ["bound", _FACTOR, v, ctor]
+                push(top)
 
             # a factor, opening the parentheses and applications before it
             while True:
@@ -1056,212 +1037,141 @@ def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, 
                             raise _too_deep(i)
                         i += 2
                         k = kinds[i]
-                    push(("heads", i - 2, first))
-                    continue
-                if k != "S" and k != _IDENT and k != "(":
-                    raise _found(toks, "a term", i)
-                depth += 1
-                if depth > MAX_NESTING:
-                    raise _too_deep(i)
-                if k == "S":
-                    raise _ParseError("expected '('", i + 1)
-                if k == "(":
-                    push(("(",))
-                    i += 1
+                    top = ["heads", _TERM, i - 2, first]
                 else:
-                    push(("args", i, []))
-                    i += 2
-
-            # hand the value up until a frame waits for more input
-            level = "factor"
-            while True:
-                top = stack[-1]
-                tag = top[0]
-                if level == "factor":
-                    if tag == "bound":
-                        if top[2] in free_variables(v):
-                            raise _ParseError(f"bound of {top[1].__name__} mentions its own variable {top[2]!r}", i)
-                        stack[-1] = ("body", top[1], top[2], v)
-                        unary = True
-                        break
-                    if tag == "first":
-                        stack[-1] = top = ("gterm",)
-                        tag = "gterm"
-                    elif tag == "ugroup":
-                        stack[-1] = top = ("atom",)
-                        tag = "atom"
-                elif level == "unary":
-                    while tag == "!" or tag == "all" or tag == "body" or tag == "ex" or tag == "ugroup":
-                        pop()
-                        if tag != "ugroup":
-                            depth -= 1
-                            if tag == "!":
-                                key = (Not, id(v))
-                                v = get(key) or put(key, Not(v))
-                            elif tag == "all":
-                                key = (ForAll, top[1], id(v))
-                                v = get(key) or put(key, ForAll(top[1], v))
-                            elif tag == "body":
-                                key = (top[1], top[2], id(top[3]), id(v))
-                                v = get(key) or put(key, top[1](top[2], top[3], v))
-                            else:
-                                v = _shared(share, Not, _shared(share, ForAll, top[1], _shared(share, Not, v)))
-                        top = stack[-1]
-                        tag = top[0]
-                    if tag == "first":
-                        stack[-1] = top = ("group",)
-                        tag = "group"
-                # the left-associative chains: * over factors, + over
-                # products, & over unary formulas, | over conjuncts.  A
-                # chain's frame keeps the depth before its first operator;
-                # each operator nests one level more, as the grammar's loops
-                # do.
-                while True:
-                    if level == "factor":
-                        op, up = "*", "product"
-                    elif level == "product":
-                        op, up = "+", "term"
-                    elif level == "unary":
-                        op, up = "&", "conjunct"
-                    elif level == "conjunct":
-                        op, up = "|", "disjunct"
-                    else:
-                        break
-                    if tag == op:
-                        a = top[1]
-                        if op == "*" or op == "+":
-                            ctor = Times if op == "*" else Plus
-                            key = (ctor, id(a), id(v))
-                            v = get(key) or put(key, ctor(a, v))
-                        elif op == "&":
-                            v = _shared(share, Not, _shared(share, Implies, a, _shared(share, Not, v)))
-                        else:
-                            v = _shared(share, Implies, _shared(share, Not, a), v)
-                        if kinds[i] != op:
-                            pop()
-                            depth = top[2]
-                            level = up
-                            top = stack[-1]
-                            tag = top[0]
-                            continue
-                        stack[-1] = (op, v, top[2])
-                    elif kinds[i] == op:
-                        push((op, v, depth))
-                    else:
-                        level = up
-                        continue
+                    if k != "S" and k != _IDENT and k != "(":
+                        raise _found(toks, "a term", i)
                     depth += 1
                     if depth > MAX_NESTING:
                         raise _too_deep(i)
-                    i += 1
-                    unary = op == "&" or op == "|"
-                    level = None
-                    break
-                if level is None:
-                    break
-                if level == "term":
-                    if tag == "heads":
-                        h, first = top[1], top[2]
-                        while kinds[i] == ")":
-                            i += 1
-                            depth -= 1
-                            if kinds[h] == "S":
-                                key = (Succ, id(v))
-                                v = get(key) or put(key, Succ(v))
-                            else:
-                                key = (toks[h], id(v))
-                                v = get(key) or put(key, DefFn(toks[h], (v,)))
-                            if h == first:
-                                pop()
-                                break
-                            h -= 2
-                            k = kinds[i]
-                            if k == "*" or k == "+":
-                                stack[-1] = ("heads", h, first)
-                                break
-                        else:
-                            # more arguments of a one-argument symbol: read,
-                            # then refused by their count
-                            if kinds[h] == "S" or kinds[i] != ",":
-                                raise _ParseError("expected ')'", i)
-                            if h == first:
-                                pop()
-                            else:
-                                stack[-1] = ("heads", h - 2, first)
-                            push(("args", h, [v]))
-                            i += 1
-                            break
-                        level = "factor"
-                        continue
-                    if tag == "=":
-                        pop()
-                        key = (Eq, id(top[1]), id(v))
-                        v = get(key) or put(key, Eq(top[1], v))
-                        level = "unary"
-                        continue
-                    if tag == "args":
-                        args = top[2]
-                        args.append(v)
-                        if kinds[i] == ",":
-                            i += 1
-                            break
-                    elif tag == "atom" or tag == "gterm" and kinds[i] != ")":
-                        if kinds[i] != "=":
-                            raise _found(toks, "'='", i)
+                    if k == "S":
+                        raise _ParseError("expected '('", i + 1)
+                    if k == "(":
+                        top = ["(", _TERM]
                         i += 1
-                        if tag == "atom":
-                            stack[-1] = ("=", v)
-                        else:
-                            stack[-1] = ("group",)
-                            push(("=", v))
-                        break
-                    if tag != "root":
-                        # "args", "(" or "gterm": the ")" that closes it
-                        if kinds[i] != ")":
+                    else:
+                        top = ["args", _TERM, i, []]
+                        i += 2
+                push(top)
+            is_formula = False
+
+            # hand the value up until a frame waits for more input
+            while True:
+                k = kinds[i]
+                p = (_FORMULA_OPS if is_formula else _TERM_OPS).get(k)
+                if p is not None and p > top[1]:
+                    top = [k, 0 if k == "->" else p, v, depth]
+                    push(top)
+                    if k != "=":
+                        depth += 1
+                        if depth > MAX_NESTING:
+                            raise _too_deep(i)
+                    i += 1
+                    break
+                kind = top[0]
+                if top[1] < _TERM and not is_formula and (kind != "(" or k != ")"):
+                    # a term where a formula may stand is an atom's left
+                    # side, unless the ")" of its group follows
+                    raise _found(toks, "'='", i)
+                if kind == "heads":
+                    h = top[2]
+                    if k != ")":
+                        # more arguments of a one-argument symbol: read,
+                        # then refused by their count
+                        if kinds[h] == "S" or k != ",":
                             raise _ParseError("expected ')'", i)
+                        if h == top[3]:
+                            pop()
+                        else:
+                            top[2] = h - 2
+                        top = ["args", _TERM, h, [v]]
+                        push(top)
+                        i += 1
+                        break
+                    # close the run's heads from the inside out, up to one
+                    # that other than ")" follows
+                    while True:
                         i += 1
                         depth -= 1
-                        pop()
-                        if tag == "args":
-                            name = toks[top[1]]
-                            if name not in arities:
-                                raise _ParseError(f"unknown function symbol {name!r}", top[1])
-                            if arities[name] != len(args):
-                                raise _ParseError(f"{name!r} expects {arities[name]} arguments, got {len(args)}", top[1])
-                            key = (name, *map(id, args))
-                            v = get(key) or put(key, DefFn(name, tuple(args)))
-                        level = "factor"
+                        if kinds[h] == "S":
+                            key = (Succ, id(v))
+                            v = get(key) or put(key, Succ(v))
+                        else:
+                            key = (toks[h], id(v))
+                            v = get(key) or put(key, DefFn(toks[h], (v,)))
+                        if h == top[3] or kinds[i] != ")":
+                            break
+                        h -= 2
+                    if h != top[3]:
+                        top[2] = h - 2
                         continue
-                    level = "formula"
-                if level == "disjunct":
-                    if kinds[i] == "->":
+                elif kind in _BINARY:
+                    a = top[2]
+                    if kind == "&":
+                        v = _shared(share, Not, _shared(share, Implies, a, _shared(share, Not, v)))
+                    elif kind == "|":
+                        v = _shared(share, Implies, _shared(share, Not, a), v)
+                    else:
+                        ctor = _BINARY[kind]
+                        key = (ctor, id(a), id(v))
+                        v = get(key) or put(key, ctor(a, v))
+                    if k == kind and kind != "=":
+                        # a chain of one operator keeps its frame, and the
+                        # depth from before its first operator
+                        top[2] = v
                         depth += 1
                         if depth > MAX_NESTING:
                             raise _too_deep(i)
                         i += 1
-                        push(("->", v))
-                        unary = True
                         break
-                    level = "formula"
-                if level == "formula":
-                    if tag == "->":
-                        pop()
-                        depth -= 1
-                        key = (Implies, id(top[1]), id(v))
-                        v = get(key) or put(key, Implies(top[1], v))
-                        continue
-                    if tag == "group":
-                        if kinds[i] != ")":
-                            raise _ParseError("expected ')'", i)
+                    depth = top[3]
+                    is_formula = is_formula or kind == "="
+                elif top[1] == _UNARY:
+                    depth -= 1
+                    if kind == "!":
+                        key = (Not, id(v))
+                        v = get(key) or put(key, Not(v))
+                    elif kind == "all":
+                        key = (ForAll, top[2], id(v))
+                        v = get(key) or put(key, ForAll(top[2], v))
+                    elif kind == "body":
+                        key = (top[3], top[2], id(top[4]), id(v))
+                        v = get(key) or put(key, top[3](top[2], top[4], v))
+                    else:
+                        v = _shared(share, Not, _shared(share, ForAll, top[2], _shared(share, Not, v)))
+                elif kind == "(":
+                    if k != ")":
+                        raise _ParseError("expected ')'", i)
+                    i += 1
+                    depth -= 1
+                elif kind == "args":
+                    args = top[3]
+                    args.append(v)
+                    if k == ",":
                         i += 1
-                        depth -= 1
-                        pop()
-                        level = "unary"
-                        continue
-                    # the root
-                    if kinds[i] != _EOF:
+                        break
+                    if k != ")":
+                        raise _ParseError("expected ')'", i)
+                    i += 1
+                    depth -= 1
+                    name = toks[top[2]]
+                    if name not in arities:
+                        raise _ParseError(f"unknown function symbol {name!r}", top[2])
+                    if arities[name] != len(args):
+                        raise _ParseError(f"{name!r} expects {arities[name]} arguments, got {len(args)}", top[2])
+                    key = (name, *map(id, args))
+                    v = get(key) or put(key, DefFn(name, tuple(args)))
+                elif kind == "bound":
+                    if top[2] in free_variables(v):
+                        raise _ParseError(f"bound of {top[3].__name__} mentions its own variable {top[2]!r}", i)
+                    stack[-1] = top = ["body", _UNARY, top[2], top[3], v]
+                    break
+                else:
+                    if k != _EOF:
                         raise _ParseError(f"trailing input {toks[i]!r}", i)
                     return v
+                pop()
+                top = stack[-1]
     except _ParseError as e:
         raise SyntaxErrorWithPos(e.message, _token_span(text, e.index)[0]) from None
 

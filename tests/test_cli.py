@@ -1,6 +1,7 @@
 """The forge command: exit codes, dispatch coverage, and reproducible outputs."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,8 +15,10 @@ import pytest
 
 from proofforge import cli
 from proofforge import config as cfgmod
+from proofforge import goedel
 from proofforge import propositional as prop
 from proofforge import suite as suitemod
+from proofforge.calculus import MPJust, Proof, ProofLine
 from proofforge.corpus import random_clause_set
 from proofforge.suite import CriterionResult
 from proofforge.syntax import MAX_NESTING
@@ -233,7 +236,8 @@ def test_prop_check_refuses_a_cyclic_extension(tmp_path, capsys):
     cnf.write_text("p cnf 1 1\n1 0\n")
     rp.write_text("i 0\ne 2 -3 -3\ne 3 2 2\nr 3 6 2\nr 4 1 2\nr 7 8 3\n")
     assert cli.main(["prop", "check", str(cnf), str(rp), "--extended"]) == 1
-    assert "extension variable x2 is not fresh" in capsys.readouterr().out
+    # the reason names the variable by its number in the proof text
+    assert "step 2: extension variable 3 is not fresh" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("depth", [500, 2_000])
@@ -248,6 +252,28 @@ def test_diagonalize_prints_a_long_code_without_decimal_conversion(capsys, depth
     code = next(line for line in out.splitlines() if line.startswith("code: "))
     assert code.startswith("code: 0x") and code.endswith(" (hexadecimal)")
     assert out.endswith(", accepted\n")
+
+
+def test_diagonalize_checks_a_long_proof_by_its_justifications(capsys):
+    # 300 negations give a proof of about 20,000 lines; the search verifier
+    # took minutes on it, checking the stored justifications about a second
+    start = time.perf_counter()
+    assert cli.main(["diagonalize", "q", "--psi", "!" * 300 + "x = 0"]) == 0
+    assert time.perf_counter() - start < 30
+    assert capsys.readouterr().out.endswith(" lines, accepted\n")
+
+
+def test_diagonalize_names_the_line_it_rejects(monkeypatch, capsys):
+    def broken(theory, psi, var=None):
+        result = goedel.diagonalize(theory, psi, var)
+        lines = list(result.equivalence.lines)
+        lines[1] = ProofLine(lines[1].formula, MPJust(1, 1))
+        return dataclasses.replace(result, equivalence=Proof(tuple(lines)))
+
+    monkeypatch.setattr(cli, "diagonalize", broken)
+    assert cli.main(["diagonalize", "q", "--psi", "x = x"]) == 1
+    out = capsys.readouterr().out
+    assert " lines, REJECTED\n  line 2: " in out
 
 
 def test_con_prints_statement_and_verdict(capsys):

@@ -134,7 +134,7 @@ def test_truth_table_sp_is_exactly_rows_times_width():
     [
         ((Input(7),), "input index"),
         ((Input(0), Input(1), Resolve(0, 1, 3)), "pivot"),
-        ((Input(0), Input(1), Resolve(1, 0, 0)), "not positive"),
+        ((Input(0), Input(1), Resolve(1, 0, 0)), "step 2: pivot variable 1 not positive in clause 1"),
         ((Input(0),), "final clause"),
         ((Input(0), Input(1), Resolve(0, 5, 0)), "out of range"),
     ],
@@ -166,7 +166,7 @@ CYCLIC = ResolutionProof((Input(0), Extend(1, -3, -3), Extend(2, 2, 2), Resolve(
 def test_a_variable_named_in_a_definition_is_not_fresh():
     assert brute_force_satisfiable(SATISFIABLE)
     r = check_resolution(SATISFIABLE, CYCLIC, extended=True)
-    assert (r.ok, r.reason) == (False, "step 2: extension variable x2 is not fresh")
+    assert (r.ok, r.reason) == (False, "step 2: extension variable 3 is not fresh")
     # the fuzz classifier of criterion 7 replays the proof by its own code
     assert not _replay_resolution(SATISFIABLE, CYCLIC, True)
     # without the second definition the steps are a valid extension, not a refutation

@@ -349,15 +349,50 @@ PARSE_ERRORS = [
     # a group whose term is not closed by ")" holds an atom
     ("(x", "expected '=', found 'end of input'", 2),
     ("(0 0) = 0", "expected '=', found '0'", 3),
+    ("S x = 0", "expected '('", 2),
+    ("pair(0 0) = 0", "expected ')'", 7),
+    ("(0 = 0", "expected ')'", 6),
+    ("forall x", "expected a term, found 'end of input'", 8),
+    ("0 = 0 & x", "expected '=', found 'end of input'", 9),
+    # a group that holds a formula is not an atom's left side
+    ("((0 = 0) = 0)", "expected ')'", 9),
+    ("0 + (0 = 0) = 0", "expected ')'", 7),
+    # a function symbol as a bound opens an application
+    ("forall<= x dbl (x = x)", "expected ')'", 18),
 ]
 
 
-@pytest.mark.parametrize("bad, message, offset", PARSE_ERRORS, ids=[row[0] for row in PARSE_ERRORS])
-def test_parse_errors_carry_position(bad, message, offset):
+TERM_PARSE_ERRORS = [
+    ("0 = 0", "trailing input '='", 2),
+    ("!x", "expected a term, found '!'", 0),
+    ("(0 = 0)", "expected ')'", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, bad, message, offset",
+    [(parse_formula, *row) for row in PARSE_ERRORS] + [(parse_term, *row) for row in TERM_PARSE_ERRORS],
+    ids=[row[0] for row in PARSE_ERRORS] + [f"term {row[0]}" for row in TERM_PARSE_ERRORS],
+)
+def test_parse_errors_carry_position(parse, bad, message, offset):
     with pytest.raises(SyntaxErrorWithPos) as info:
-        parse_formula(bad, DEFFN_ARITIES)
+        parse(bad, DEFFN_ARITIES)
     assert str(info.value) == f"{message} (at offset {offset})"
     assert info.value.pos == offset
+
+
+@pytest.mark.parametrize(
+    "parse, item, op, offset",
+    [(parse_term, "0", " + ", 16_002), (parse_formula, "0 = 0", " -> ", 36_006)],
+    ids=["+", "->"],
+)
+def test_operator_chains_count_one_level_per_operator(parse, item, op, offset):
+    # a chain of MAX_NESTING operators parses, one more crosses the cap at
+    # its last operator
+    parse(op.join([item] * (MAX_NESTING + 1)))
+    with pytest.raises(SyntaxErrorWithPos) as info:
+        parse(op.join([item] * (MAX_NESTING + 2)))
+    assert str(info.value) == f"nesting deeper than {MAX_NESTING} levels (at offset {offset})"
 
 
 def test_nesting_cap_is_inclusive():
