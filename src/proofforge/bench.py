@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .calculus import TheorySpec
 from .derivations import Builder
-from .goedel import standard_theory
 from .syntax import Eq, Formula, Implies, Plus, Succ, Term, Times, ZERO, formula_size
 from .verifier import CostReport, Proof, proof_of_with_cost
 
@@ -98,26 +97,19 @@ class BenchPoint:
 
 
 def run_chain_bench(
-    theory: TheorySpec | None = None,
-    k_values: list[int] | None = None,
-    m_values: list[int] | None = None,
-    fixed_k: int = 50,
-    fixed_m: int = 16,
+    theory: TheorySpec, k_values: list[int], m_values: list[int], fixed_k: int, fixed_m: int
 ) -> tuple[list[BenchPoint], list[BenchPoint]]:
     """Two sweeps: cost vs k at fixed m, and cost vs m at fixed k."""
-    th = theory if theory is not None else standard_theory()
-    ks = k_values if k_values is not None else [10, 20, 40, 70, 100, 140, 200]
-    ms = m_values if m_values is not None else [8, 16, 32, 64, 128, 256]
     k_points: list[BenchPoint] = []
-    for k in ks:
-        proof, phi = mp_chain(th, k, fixed_m)
-        ok, cost = proof_of_with_cost(th, proof, phi)
+    for k in k_values:
+        proof, phi = mp_chain(theory, k, fixed_m)
+        ok, cost = proof_of_with_cost(theory, proof, phi)
         assert ok
         k_points.append(BenchPoint(k, fixed_m, len(proof.lines), formula_size(phi), cost))
     m_points: list[BenchPoint] = []
-    for m in ms:
-        proof, phi = mp_chain(th, fixed_k, m)
-        ok, cost = proof_of_with_cost(th, proof, phi)
+    for m in m_values:
+        proof, phi = mp_chain(theory, fixed_k, m)
+        ok, cost = proof_of_with_cost(theory, proof, phi)
         assert ok
         m_points.append(BenchPoint(fixed_k, m, len(proof.lines), formula_size(phi), cost))
     return k_points, m_points

@@ -678,13 +678,7 @@ def could_be_axiom(f: Formula) -> bool:
 _AXIOM_SCHEMATA = frozenset(_MATCHERS) - {"COMPUTE"}
 
 
-def match_schema(
-    theory: TheorySpec,
-    schema: str,
-    f: Formula,
-    index: int | None = None,
-    cost: Cost | None = None,
-) -> Justification | None:
+def match_schema(theory: TheorySpec, schema: str, f: Formula, index: int | None = None) -> Justification | None:
     """The justification that makes f an instance of the named schema, or None.
 
     `index` pins QAX to one Robinson axiom; other schemata ignore it.
@@ -693,8 +687,8 @@ def match_schema(
     if matcher is None:
         raise ValueError(f"unknown schema {schema!r}")
     if schema == "QAX":
-        return _match_qax(theory, f, cost, index)
-    return matcher(theory, f, cost)
+        return _match_qax(theory, f, None, index)
+    return matcher(theory, f, None)
 
 
 def find_axiom_justification(theory: TheorySpec, f: Formula, cost: Cost | None = None) -> Justification | None:
@@ -745,7 +739,7 @@ class LineCheck:
     reason: str = ""
 
 
-def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost | None = None) -> LineCheck:
+def check_line(theory: TheorySpec, proof: Proof, i: int) -> LineCheck:
     """Validate line i of the proof against its *stored* justification.
 
     A None justification is rejected here (the search-based verifier in the
@@ -767,20 +761,20 @@ def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost | None = Non
             if schema == "Q1" and term is not None:
                 if isinstance(f, Implies) and isinstance(f.antecedent, ForAll):
                     expected = substitute(f.antecedent.body, f.antecedent.var, term)
-                    if equal(expected, f.consequent, cost):
+                    if equal(expected, f.consequent):
                         return LineCheck(True)
                 return LineCheck(False, "not the stated Q1 instance")
             if schema == "EQREFL" and term is not None:
-                if isinstance(f, Eq) and equal(f.left, term, cost) and equal(f.right, term, cost):
+                if isinstance(f, Eq) and equal(f.left, term) and equal(f.right, term):
                     return LineCheck(True)
                 return LineCheck(False, "not the stated EQREFL instance")
             if schema == "IND" and not theory.induction:
                 return LineCheck(False, "induction not enabled for this theory")
-            if match_schema(theory, schema, f, index=index, cost=cost) is None:
+            if match_schema(theory, schema, f, index=index) is None:
                 return LineCheck(False, f"not an instance of {schema}")
             return LineCheck(True)
         case TheoryAxiomJust(index):
-            if 1 <= index <= len(theory.extra_axioms) and equal(f, theory.extra_axioms[index - 1], cost):
+            if 1 <= index <= len(theory.extra_axioms) and equal(f, theory.extra_axioms[index - 1]):
                 return LineCheck(True)
             return LineCheck(False, f"not theory axiom {index}")
         case MPJust(imp, ant):
@@ -789,15 +783,15 @@ def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost | None = Non
             big = proof.lines[imp].formula
             if not isinstance(big, Implies):
                 return LineCheck(False, f"line {imp + 1} is not an implication")
-            if not equal(big.antecedent, proof.lines[ant].formula, cost):
+            if not equal(big.antecedent, proof.lines[ant].formula):
                 return LineCheck(False, "antecedent mismatch")
-            if not equal(big.consequent, f, cost):
+            if not equal(big.consequent, f):
                 return LineCheck(False, "consequent mismatch")
             return LineCheck(True)
         case GenJust(src, var):
             if not 0 <= src < i:
                 return LineCheck(False, "generalization source must precede the line")
-            if isinstance(f, ForAll) and f.var == var and equal(f.body, proof.lines[src].formula, cost):
+            if isinstance(f, ForAll) and f.var == var and equal(f.body, proof.lines[src].formula):
                 return LineCheck(True)
             return LineCheck(False, "not a generalization of the source line")
         case BGenJust(src, var, bound):
@@ -806,13 +800,13 @@ def check_line(theory: TheorySpec, proof: Proof, i: int, cost: Cost | None = Non
             if (
                 isinstance(f, BoundedForAll)
                 and f.var == var
-                and equal(f.bound, bound, cost)
-                and equal(f.body, proof.lines[src].formula, cost)
+                and equal(f.bound, bound)
+                and equal(f.body, proof.lines[src].formula)
             ):
                 return LineCheck(True)
             return LineCheck(False, "not a bounded generalization of the source line")
         case ComputeJust(value):
-            found = _match_compute(theory, f, cost)
+            found = _match_compute(theory, f, None)
             if found is None:
                 return LineCheck(False, "not a valid Compute step")
             if value is not None and found.value != value:

@@ -97,46 +97,34 @@ def _rand_delta0(rng: random.Random, depth: int, scope: tuple[str, ...], bound_c
             return ctor(fresh, bound, body)
 
 
-def random_delta0_single_var(
-    rng: random.Random, x: str = "x", depth: int = 2, bound_cap: int = 3
-) -> Formula:
-    """Delta0 formula whose free variables are exactly {x}; bounds are closed
-    numerals or the variable x itself (the shape the propositional translation
-    accepts)."""
+def random_delta0_single_var(rng: random.Random) -> Formula:
+    """Delta0 formula of depth at most 2 whose free variables are exactly
+    {x}; bounds are the numerals 0..3 or the variable x itself (the shape
+    the propositional translation accepts)."""
     for _ in range(200):
-        f = _rand_delta0_x(rng, depth, x, scope=(x,), bound_cap=bound_cap, allow_x_bound=True)
-        if free_variables(f) == {x}:
+        f = _rand_delta0_x(rng, 2, ("x",))
+        if free_variables(f) == {"x"}:
             return f
-    return Eq(Var(x), Var(x))
+    return Eq(Var("x"), Var("x"))
 
 
-def _rand_delta0_x(
-    rng: random.Random,
-    depth: int,
-    x: str,
-    scope: tuple[str, ...],
-    bound_cap: int,
-    allow_x_bound: bool,
-) -> Formula:
+def _rand_delta0_x(rng: random.Random, depth: int, scope: tuple[str, ...]) -> Formula:
     if depth <= 0 or rng.random() < 0.45:
         return Eq(_rand_term(rng, 1, scope), _rand_term(rng, 1, scope))
     match rng.choice(["not", "imp", "ball", "bex"]):
         case "not":
-            return Not(_rand_delta0_x(rng, depth - 1, x, scope, bound_cap, allow_x_bound))
+            return Not(_rand_delta0_x(rng, depth - 1, scope))
         case "imp":
-            return Implies(
-                _rand_delta0_x(rng, depth - 1, x, scope, bound_cap, allow_x_bound),
-                _rand_delta0_x(rng, depth - 1, x, scope, bound_cap, allow_x_bound),
-            )
+            return Implies(_rand_delta0_x(rng, depth - 1, scope), _rand_delta0_x(rng, depth - 1, scope))
         case kind:
-            fresh = next((v for v in _FRESH_POOL if v not in scope and v != x), None)
+            fresh = next((v for v in _FRESH_POOL if v not in scope and v != "x"), None)
             if fresh is None:
                 return Eq(_rand_term(rng, 1, scope), _rand_term(rng, 1, scope))
-            if allow_x_bound and rng.random() < 0.4:
-                bound: Term = Var(x)
+            if rng.random() < 0.4:
+                bound: Term = Var("x")
             else:
-                bound = numeral(rng.randrange(0, bound_cap + 1))
-            body = _rand_delta0_x(rng, depth - 1, x, scope + (fresh,), bound_cap, allow_x_bound)
+                bound = numeral(rng.randrange(0, 4))
+            body = _rand_delta0_x(rng, depth - 1, scope + (fresh,))
             ctor = BoundedForAll if kind == "ball" else BoundedExists
             return ctor(fresh, bound, body)
 
@@ -258,10 +246,10 @@ def membership_formula_corpus(rng: random.Random, count: int) -> list[Formula]:
 # ---------------------------------------------------------------------------
 
 
-def diagonal_shapes(theory: TheorySpec, var: str = "x") -> list[Formula]:
-    """Formulas with exactly one free variable, suitable as fixed-point
+def diagonal_shapes(theory: TheorySpec) -> list[Formula]:
+    """Formulas whose one free variable is x, suitable as fixed-point
     inputs; includes the bounded-provability shape and its negation."""
-    x = Var(var)
+    x = Var("x")
     shapes: list[Formula] = [
         Eq(x, x),
         Eq(x, ZERO),
@@ -282,10 +270,10 @@ def diagonal_shapes(theory: TheorySpec, var: str = "x") -> list[Formula]:
         Eq(DefFn("dbl", (x,)), Plus(x, x)),
         Not(Eq(DefFn("le", (x, numeral(3))), Succ(ZERO))),
     ]
-    shapes += [provability_formula(theory, m, var=var) for m in (1, 2, 4, 6)]
-    shapes += [Not(provability_formula(theory, m, var=var)) for m in (2, 6)]
+    shapes += [provability_formula(theory, m) for m in (1, 2, 4, 6)]
+    shapes += [Not(provability_formula(theory, m)) for m in (2, 6)]
     for s in shapes:
-        assert free_variables(s) == {var}, s
+        assert free_variables(s) == {"x"}, s
     return shapes
 
 

@@ -79,9 +79,9 @@ class Builder:
     def formula_at(self, i: int) -> Formula:
         return self._lines[i].formula
 
-    def axiom(self, schema: str, f: Formula, index: int | None = None, term: Term | None = None) -> int:
+    def axiom(self, schema: str, f: Formula, term: Term | None = None) -> int:
         f = share_tree(f, self._share)
-        just = match_schema(self.theory, schema, f, index=index)
+        just = match_schema(self.theory, schema, f)
         if just is None:
             raise DerivationError(f"not an instance of {schema}: {print_formula(f)}")
         if term is not None and schema in ("Q1", "EQREFL"):

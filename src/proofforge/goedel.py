@@ -816,7 +816,7 @@ def diagonalize(theory: TheorySpec, psi: Formula, var: str | None = None) -> Dia
     return DiagonalResult(delta, c_delta, psi_at_code, eqv)
 
 
-def goedel_sentence_bounded(theory: TheorySpec, m: int, numeral_mode: str = "binary", symbol: str = "prft") -> DiagonalResult:
+def goedel_sentence_bounded(theory: TheorySpec, m: int) -> DiagonalResult:
     """Fixed point of 'no proof of x with at most m tokens exists'."""
-    psi = Not(provability_formula(theory, m, var="x", numeral_mode=numeral_mode, symbol=symbol))
+    psi = Not(provability_formula(theory, m))
     return diagonalize(theory, psi, "x")

@@ -1,7 +1,10 @@
 """Propositional layer: tautologies, resolution, translations, proof length.
 
 Formulas are variable-indexed (PVar(0), PVar(1), ...) with constants, so a
-formula over n variables uses indices dense in [0, n).  The brute-force
+formula over n variables uses indices dense in [0, n).  The binary
+connectives are one table, `_CONNECTIVES`, of their texts, binding powers
+and constructors: parse_prop reads it in one binding-power loop, and
+print_prop writes each connective's text from it.  The brute-force
 tautology oracle, the SAT oracle and the truth-table proof system share one
 bit-parallel sweep of the truth table (at most 24 variables): each chunk of
 2**18 rows is a Python integer per variable, bit j holding the variable's
@@ -200,7 +203,10 @@ def big_or(parts: Iterable[PropFormula]) -> PropFormula:
     return acc if acc is not None else FALSE
 
 
-_INFIX = {PAnd: (" & ",), POr: (" | ",), PImp: (" -> ",)}
+# The binary connectives and their binding powers, loosest first: parse_prop
+# reads the table, and print_prop writes each connective's text from it.
+_CONNECTIVES = {"->": (1, PImp), "|": (2, POr), "&": (3, PAnd)}
+_INFIX = {ctor: (f" {op} ",) for op, (_, ctor) in _CONNECTIVES.items()}
 
 
 def print_prop(f: PropFormula) -> str:
@@ -238,12 +244,14 @@ MAX_PROP_NESTING = 1_000
 
 
 def parse_prop(text: str) -> PropFormula:
-    """x<i>, T, F, !, &, |, ->, parentheses.  -> loosest and right-assoc.
+    """x<i>, T, F, !, parentheses and the connectives of _CONNECTIVES: `&`
+    binds tightest, `->` loosest and nests to the right.
 
     Input nested deeper than MAX_PROP_NESTING levels raises ValueError.
-    Without recursion: the stack holds each open `!` and `(`, and each
-    operator waiting for its right operand with its left one and that
-    one's depth.
+    One loop, without recursion: the stack holds each open `!` and `(`, and
+    each connective waiting for its right operand with its left one and
+    that one's depth.  A complete operand takes the `!` before it, then
+    every waiting connective that binds at least as tightly as the next.
     """
     toks: list[str] = []
     i = 0
@@ -281,41 +289,27 @@ def parse_prop(text: str) -> PropFormula:
             raise ValueError(f"unexpected token {t or None!r}")
         pos += 1
         d = 0  # the depth of f
-        # hand f up until an operator waits for its right operand
         while True:
-            top = stack[-1] if stack else None
-            if top == "!":
+            connective = _CONNECTIVES.get(toks[pos])
+            power = connective[0] if connective else 0
+            while stack:
+                top = stack[-1]
+                if top == "!":
+                    f, d = PNot(f), too_deep(1 + d)
+                    level -= 1
+                # `->` waits for a whole implication: it nests to the right
+                elif type(top) is tuple and (top[0] > power or top[0] == power > 1):
+                    f, d = top[1](top[2], f), too_deep(1 + max(top[3], d))
+                    level -= top[0] == 1
+                else:
+                    break
                 stack.pop()
-                level -= 1
-                f, d = PNot(f), too_deep(1 + d)
-                continue
-            # f is an operand of `&`
-            if type(top) is tuple and top[0] == "&":
-                stack.pop()
-                f, d = PAnd(top[1], f), too_deep(1 + max(top[2], d))
-                top = stack[-1] if stack else None
-            if toks[pos] == "&":
+            if connective:
                 pos += 1
-                stack.append(("&", f, d))
+                if power == 1:
+                    level = too_deep(level + 1)
+                stack.append((*connective, f, d))
                 break
-            # f is an operand of `|`
-            if type(top) is tuple and top[0] == "|":
-                stack.pop()
-                f, d = POr(top[1], f), too_deep(1 + max(top[2], d))
-            if toks[pos] == "|":
-                pos += 1
-                stack.append(("|", f, d))
-                break
-            if toks[pos] == "->":
-                pos += 1
-                level = too_deep(level + 1)
-                stack.append(("->", f, d))
-                break
-            # f is a whole implication
-            while stack and type(stack[-1]) is tuple:
-                _, a, da = stack.pop()
-                level -= 1
-                f, d = PImp(a, f), too_deep(1 + max(da, d))
             if not stack:
                 if pos != len(toks) - 1:
                     raise ValueError(f"trailing tokens after formula: {toks[pos:-1]}")
@@ -353,9 +347,14 @@ def _sweep(n: int) -> Iterator[tuple[int, int, list[int]]]:
     low = min(n, _CHUNK_BITS)
     width = 1 << low
     full = (1 << width) - 1
-    # 2**i zeros then 2**i ones, repeated to fill the chunk: the block times
-    # the sum of 2**(k * 2**(i + 1)) over the chunk's periods
-    low_cols = [(((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1)) for i in range(low)]
+    low_cols = []
+    for i in range(low):
+        # 2**i zeros then 2**i ones, doubled until it fills the chunk
+        block, size = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while size < width:
+            block |= block << size
+            size <<= 1
+        low_cols.append(block)
     for first in range(0, 1 << n, width):
         yield first, full, low_cols + [full if (first >> i) & 1 else 0 for i in range(low, n)]
 

@@ -35,6 +35,7 @@ from proofforge.propositional import (
     TooManyVariables,
     TranslationError,
     _fold,
+    _sweep,
     big_and,
     brute_force_satisfiable,
     check_resolution,
@@ -683,6 +684,35 @@ def test_falsifying_assignment_matches_a_row_scan(n):
         assert is_tautology_bruteforce(POr(PVar(n - 1), PNot(PVar(n - 1))))
 
 
+def reference_sweep(n):
+    """_sweep with each low column in closed form: the block of 2**i zeros
+    and 2**i ones times the sum of 2**(k * 2**(i + 1)) over the chunk's
+    periods."""
+    low = min(n, _CHUNK_BITS)
+    width = 1 << low
+    full = (1 << width) - 1
+    low_cols = [(((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1)) for i in range(low)]
+    for first in range(0, 1 << n, width):
+        yield first, full, low_cols + [full if (first >> i) & 1 else 0 for i in range(low, n)]
+
+
+def test_sweep_columns_match_the_closed_form():
+    for n in range(MAX_BRUTE_VARS + 1):
+        assert list(_sweep(n)) == list(reference_sweep(n)), n
+
+
+def test_brute_force_builds_a_full_chunk_quickly():
+    # one chunk of 2**18 rows: doubling builds its columns in about 0.4 ms,
+    # the closed form in about 93 ms (Python 3.11, one Xeon core)
+    f = POr(PVar(_CHUNK_BITS - 1), PNot(PVar(_CHUNK_BITS - 1)))
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        assert is_tautology_bruteforce(f)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.02
+
+
 @pytest.mark.parametrize("n", [19, 20, 21])
 def test_brute_force_sat_matches_a_row_scan(n):
     rng = random.Random(8310 + n)
@@ -1012,6 +1042,58 @@ def test_prop_nesting_cap_counts_the_built_depth():
         text = "(" + text + " & x1" * 40 + ")"
     with pytest.raises(ValueError, match="nesting deeper"):
         parse_prop(text)
+
+
+def _grouped_chains() -> str:
+    text = "x0"
+    for _ in range(40):
+        text = "(" + text + " & x1" * 40 + ")"
+    return text
+
+
+_M = MAX_PROP_NESTING
+# (input, message): every way parse_prop refuses a text, recorded before the
+# parser became one loop over the connective table
+PROP_PARSE_ERRORS = [
+    ("x0 $ x1", "bad character '$' in propositional formula"),
+    ("x0 & & x1", "unexpected token '&'"),
+    ("x0 ->", "unexpected token None"),
+    ("x0 x1", "trailing tokens after formula: ['x1']"),
+    ("(x0 & x1) -> T)", "trailing tokens after formula: [')']"),
+    ("(x0 | x1", "expected ')' at token 4"),
+    ("!" * (_M + 1) + "x0", "nesting deeper than 1000 levels at token 1001"),
+    ("(" * (_M + 1) + "x0" + ")" * (_M + 1), "nesting deeper than 1000 levels at token 1001"),
+    (" -> ".join(["x0"] * (_M + 2)), "nesting deeper than 1000 levels at token 2002"),
+    ("!(x0 -> " * 400 + "x0" + ")" * 400, "nesting deeper than 1000 levels at token 1334"),
+    (" & ".join(["x0"] * (_M + 2)), "nesting deeper than 1000 levels at token 2003"),
+    (" | ".join(["x0"] * (_M + 2)), "nesting deeper than 1000 levels at token 2003"),
+    (_grouped_chains(), "nesting deeper than 1000 levels at token 2068"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    PROP_PARSE_ERRORS,
+    ids=[
+        "bad-character",
+        "unexpected-mid-text",
+        "unexpected-at-end",
+        "trailing-atom",
+        "trailing-paren",
+        "expected-paren",
+        "written-not",
+        "written-parens",
+        "written-implies",
+        "written-mixed",
+        "built-and",
+        "built-or",
+        "built-grouped-and",
+    ],
+)
+def test_parse_prop_errors_are_pinned(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_prop(text)
+    assert str(info.value) == message
 
 
 def test_dimacs_rejects_negative_counts():
