@@ -96,23 +96,15 @@ class BenchPoint:
     cost: CostReport
 
 
-def run_chain_bench(
-    theory: TheorySpec, k_values: list[int], m_values: list[int], fixed_k: int, fixed_m: int
-) -> tuple[list[BenchPoint], list[BenchPoint]]:
-    """Two sweeps: cost vs k at fixed m, and cost vs m at fixed k."""
-    k_points: list[BenchPoint] = []
-    for k in k_values:
-        proof, phi = mp_chain(theory, k, fixed_m)
+def run_chain_bench(theory: TheorySpec, points: list[tuple[int, int]]) -> list[BenchPoint]:
+    """The detachment chain's checking cost at each (k, m) point, in order."""
+    out: list[BenchPoint] = []
+    for k, m in points:
+        proof, phi = mp_chain(theory, k, m)
         ok, cost = proof_of_with_cost(theory, proof, phi)
         assert ok
-        k_points.append(BenchPoint(k, fixed_m, len(proof.lines), formula_size(phi), cost))
-    m_points: list[BenchPoint] = []
-    for m in m_values:
-        proof, phi = mp_chain(theory, fixed_k, m)
-        ok, cost = proof_of_with_cost(theory, proof, phi)
-        assert ok
-        m_points.append(BenchPoint(fixed_k, m, len(proof.lines), formula_size(phi), cost))
-    return k_points, m_points
+        out.append(BenchPoint(k, m, len(proof.lines), formula_size(phi), cost))
+    return out
 
 
 def loglog_slope(xs: list[int], ys: list[int]) -> float:

@@ -78,13 +78,23 @@ from .calculus import (
     MPJust,
     Proof,
     ProofLine,
+    TheoryAxiomJust,
     TheorySpec,
+    check_stored_proof,
     could_be_axiom,
     find_axiom_justification,
     find_rule_justification,
     proof_size,
 )
-from .goedel import DEFFN_ARITIES, VAR_POOL
+from .goedel import (
+    DEFFN_ARITIES,
+    PROVER_CHAIN,
+    VAR_POOL,
+    con_bounded,
+    encode_formula,
+    extend_with_axiom,
+    standard_theory,
+)
 from .syntax import (
     ZERO,
     BoundedExists,
@@ -576,11 +586,9 @@ def regeneration_chain(depth: int = 3, m: int = 8, limits: SearchLimits | None =
     At each level: the consistency sentence for the current theory (its own
     provability symbol), a one-line proof of it accepted at the next level,
     and an exhaustive search showing the current level has no proof of its
-    own sentence within size(con) + SELF_SEARCH_MARGIN.
+    own sentence within size(con) + SELF_SEARCH_MARGIN.  `chain_holds`
+    judges the result.
     """
-    from .calculus import TheoryAxiomJust, check_stored_proof
-    from .goedel import PROVER_CHAIN, con_bounded, encode_formula, extend_with_axiom, standard_theory
-
     if not 1 <= depth < len(PROVER_CHAIN):
         raise ValueError(f"depth must be in 1..{len(PROVER_CHAIN) - 1}")
     levels: list[ChainLevel] = []
@@ -592,7 +600,18 @@ def regeneration_chain(depth: int = 3, m: int = 8, limits: SearchLimits | None =
         self_search = enumerate_proofs(theory, con, csize + SELF_SEARCH_MARGIN, limits=limits)
         nxt = extend_with_axiom(theory, con, PROVER_CHAIN[i + 1], name=f"{theory.name}+c{i + 1}")
         one_line = Proof((ProofLine(con, TheoryAxiomJust(len(nxt.extra_axioms))),))
-        ok = proof_of(nxt, one_line, con) and check_stored_proof(nxt, one_line).ok
+        ok = proof_of(nxt, one_line, con).ok and check_stored_proof(nxt, one_line).ok
         levels.append(ChainLevel(theory.name, con, encode_formula(con), csize, ok, self_search))
         theory = nxt
     return levels
+
+
+def chain_holds(levels: list[ChainLevel]) -> bool:
+    """The chain's verdict: its consistency sentences are pairwise distinct,
+    each is accepted at the next level by a one-line proof, and each level's
+    search for a proof of its own sentence ends `none`, definitively."""
+    return (
+        len({lv.con_code for lv in levels}) == len(levels)
+        and all(lv.next_level_one_line_ok for lv in levels)
+        and all(lv.self_search.outcome == NONE and lv.self_search.definitive for lv in levels)
+    )

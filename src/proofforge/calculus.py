@@ -578,18 +578,18 @@ def _match_eqsubst(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJu
     return None
 
 
-def _match_qax(theory: TheorySpec, f: Formula, cost: Cost | None, index: int | None = None) -> AxiomJust | None:
-    """The Robinson axiom f is (the `index`-th one only, when given).
+def _match_qax(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust | None:
+    """The Robinson axiom that f is, by its 1-based index, or None.
 
     Every axiom is a `forall`, so f of another root class is none of them;
     it is charged the one root comparison `equal` makes with each axiom."""
     axioms = robinson_axioms()
     if type(f) is not ForAll:
         if cost is not None:
-            cost.symbol_comparisons += len(axioms) if index is None else int(1 <= index <= len(axioms))
+            cost.symbol_comparisons += len(axioms)
         return None
-    for i in (range(1, len(axioms) + 1) if index is None else (index,)):
-        if 1 <= i <= len(axioms) and equal(f, axioms[i - 1], cost):
+    for i, ax in enumerate(axioms, start=1):
+        if equal(f, ax, cost):
             return AxiomJust("QAX", index=i)
     return None
 
@@ -678,16 +678,11 @@ def could_be_axiom(f: Formula) -> bool:
 _AXIOM_SCHEMATA = frozenset(_MATCHERS) - {"COMPUTE"}
 
 
-def match_schema(theory: TheorySpec, schema: str, f: Formula, index: int | None = None) -> Justification | None:
-    """The justification that makes f an instance of the named schema, or None.
-
-    `index` pins QAX to one Robinson axiom; other schemata ignore it.
-    """
+def match_schema(theory: TheorySpec, schema: str, f: Formula) -> Justification | None:
+    """The justification that makes f an instance of the named schema, or None."""
     matcher = _MATCHERS.get(schema)
     if matcher is None:
         raise ValueError(f"unknown schema {schema!r}")
-    if schema == "QAX":
-        return _match_qax(theory, f, None, index)
     return matcher(theory, f, None)
 
 
@@ -735,8 +730,16 @@ def find_rule_justification(f: Formula, earlier: Sequence[Formula], cost: Cost |
 
 @dataclass(frozen=True)
 class LineCheck:
+    """A checker's verdict, and for a rejection the reason, naming the line.
+
+    It has no truth value: a caller reads `ok`, so one that tests the check
+    itself fails at once instead of accepting every proof."""
+
     ok: bool
     reason: str = ""
+
+    def __bool__(self) -> bool:
+        raise TypeError("read LineCheck.ok, not the check's truth value")
 
 
 def check_line(theory: TheorySpec, proof: Proof, i: int) -> LineCheck:
@@ -770,7 +773,12 @@ def check_line(theory: TheorySpec, proof: Proof, i: int) -> LineCheck:
                 return LineCheck(False, "not the stated EQREFL instance")
             if schema == "IND" and not theory.induction:
                 return LineCheck(False, "induction not enabled for this theory")
-            if match_schema(theory, schema, f, index=index) is None:
+            if index is not None:
+                axioms = robinson_axioms()
+                found = 1 <= index <= len(axioms) and equal(f, axioms[index - 1])
+            else:
+                found = match_schema(theory, schema, f) is not None
+            if not found:
                 return LineCheck(False, f"not an instance of {schema}")
             return LineCheck(True)
         case TheoryAxiomJust(index):

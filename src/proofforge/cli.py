@@ -24,8 +24,8 @@ from . import bench as benchmod
 from . import config as cfgmod
 from . import propositional as prop
 from . import suite as suitemod
-from .bounded import SearchLimits, l_k_membership, regeneration_chain, shortest_proof_length
-from .calculus import check_stored_proof, parse_proof_text, print_proof_text
+from .bounded import SearchLimits, chain_holds, l_k_membership, regeneration_chain, shortest_proof_length
+from .calculus import EvalBudget, check_stored_proof, parse_proof_text, print_proof_text
 from .goedel import THEORIES, con_bounded, diagonalize, encode_formula, eval_delta0
 from .syntax import equal, formula_size, free_variables, parse_formula, print_formula
 from .verifier import proof_of
@@ -98,14 +98,14 @@ def cmd_check(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     except ValueError as e:
         raise UsageError(f"{args.proof_file}: {e}") from e
     phi = _parse_formula_arg(args.formula)
-    ok = proof_of(theory, proof, phi)
-    print(f"{'valid' if ok else 'INVALID'}: {len(proof.lines)} lines, conclusion {print_formula(phi)}")
-    return EXIT_OK if ok else EXIT_VERDICT
+    check = proof_of(theory, proof, phi)
+    print(f"{'valid' if check.ok else 'INVALID'}: {len(proof.lines)} lines, conclusion {print_formula(phi)}")
+    if not check.ok:
+        print(f"  {check.reason}")
+    return EXIT_OK if check.ok else EXIT_VERDICT
 
 
 def cmd_bench(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
-    if args.family != "verifier":
-        raise UsageError(f"unknown bench family {args.family!r} (expected 'verifier')")
     k_spec = args.k if args.k is not None else cfg.bench_k
     m_spec = args.m if args.m is not None else cfg.bench_m
     try:
@@ -114,24 +114,17 @@ def cmd_bench(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from e
     theory = THEORIES[cfg.theory]()
-    # A single value on one axis pins it while the other sweeps.
+    # A single value on one axis pins it while the other sweeps; single
+    # values on both name the one point measured.
     fixed_m = m_points[0] if len(m_points) == 1 else cfg.fixed_m
     fixed_k = k_points[0] if len(k_points) == 1 else cfg.fixed_k
-    kp, mp = benchmod.run_chain_bench(
-        theory,
-        k_values=k_points if len(k_points) > 1 else [],
-        m_values=m_points if len(m_points) > 1 else [],
-        fixed_k=fixed_k,
-        fixed_m=fixed_m,
-    )
-    points = kp + mp
-    if not points:
-        kp, _ = benchmod.run_chain_bench(theory, k_values=k_points, m_values=[], fixed_k=fixed_k, fixed_m=fixed_m)
-        points = kp
+    k_sweep = [(k, fixed_m) for k in k_points] if len(k_points) > 1 else []
+    m_sweep = [(fixed_k, m) for m in m_points] if len(m_points) > 1 else []
+    points = benchmod.run_chain_bench(theory, k_sweep + m_sweep or [(fixed_k, fixed_m)])
     text = benchmod.points_to_csv(points, deterministic=cfg.deterministic)
     _emit(args.csv or cfg.out, text)
-    if kp and mp:
-        slope_k, slope_m = benchmod.chain_slopes(kp, mp)
+    if k_sweep and m_sweep:
+        slope_k, slope_m = benchmod.chain_slopes(points[: len(k_sweep)], points[len(k_sweep) :])
         print(f"slope vs k: {slope_k:.3f}   slope vs m: {slope_m:.3f}", file=sys.stderr)
     return EXIT_OK
 
@@ -163,8 +156,7 @@ def cmd_diagonalize(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 def cmd_con(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     theory = THEORIES[cfg.theory]()
-    mode = "binary" if args.binary_numerals else ("unary" if args.unary_numerals else cfg.numeral_mode)
-    sentence = con_bounded(theory, args.m, numeral_mode=mode)
+    sentence = con_bounded(theory, args.m, numeral_mode=args.numerals or cfg.numeral_mode)
     print(f"con({args.m}): {print_formula(sentence)}")
     print(f"size: {formula_size(sentence)}")
     print(f"code: {_int_text(encode_formula(sentence))}")
@@ -174,7 +166,7 @@ def cmd_con(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     # target alone up to m = 7, then also every run of whole lines before it
     # (289 at m = 8, 179,079 at m = 10), 20 to 30 times more per token;
     # m <= 10 takes seconds, beyond that --no-eval is the sane path.
-    verdict = eval_delta0(theory, sentence, budget=10**10)
+    verdict = eval_delta0(theory, sentence, budget=EvalBudget(10**10))
     print(f"eval: {'true' if verdict else 'false'}")
     return EXIT_OK if verdict else EXIT_VERDICT
 
@@ -231,7 +223,7 @@ def cmd_regen(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
             f"one-line-at-next={'ok' if lvl.next_level_one_line_ok else 'FAIL'}  "
             f"self-search={lvl.self_search.outcome}"
         )
-    ok = all(r["next_level_one_line_ok"] and r["self_proof_outcome"] == "none" for r in rows)
+    ok = chain_holds(levels)
     if args.report:
         payload = {"schema": "forge-regen/1", "depth": args.depth, "m": args.m, "ok": ok, "levels": rows}
         _write_text(args.report, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -261,8 +253,7 @@ def cmd_demo(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
         print()
     distinct = len({lvl.con_code for lvl in levels})
     print(f"{len(levels)} levels, {distinct} pairwise distinct consistency statements.")
-    ok = distinct == len(levels) and all(l.next_level_one_line_ok for l in levels)
-    return EXIT_OK if ok else EXIT_VERDICT
+    return EXIT_OK if chain_holds(levels) else EXIT_VERDICT
 
 
 def cmd_suite(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
@@ -307,10 +298,8 @@ def cmd_prop_taut(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 def cmd_prop_translate(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     phi = _parse_formula_arg(args.formula)
-    fv = free_variables(phi)
-    x = args.x if args.x else (next(iter(fv)) if len(fv) == 1 else None)
     try:
-        alpha = prop.translate_delta0(phi, x=x, n=args.n)
+        alpha = prop.translate_delta0(phi, x=args.x, n=args.n)
         # decided before printing: a formula past the brute-force cap is
         # refused without writing it out
         verdict = prop.is_tautology_bruteforce(alpha)
@@ -397,9 +386,9 @@ def cmd_prop_psim(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 OPERATION_MAP: dict[str, str] = {
     "calculus.parse_proof_text": "check",
     "verifier.proof_of": "check",
-    "verifier.proof_of_with_cost": "bench verifier",
-    "bench.run_chain_bench": "bench verifier",
-    "bench.points_to_csv": "bench verifier",
+    "verifier.proof_of_with_cost": "bench",
+    "bench.run_chain_bench": "bench",
+    "bench.points_to_csv": "bench",
     "goedel.diagonalize": "diagonalize",
     "goedel.encode_formula": "diagonalize",
     "goedel.con_bounded": "con",
@@ -433,8 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("formula")
     sp.set_defaults(handler=cmd_check)
 
-    sp = sub.add_parser("bench", help="measure checker cost on synthetic proof families")
-    sp.add_argument("family", help="bench family (verifier)")
+    sp = sub.add_parser("bench", help="measure checker cost on the detachment-chain proof family")
     sp.add_argument("--k", help="proof-length sweep, 'lo:hi' or 'a,b,c' or single value")
     sp.add_argument("--m", help="formula-size sweep, 'lo:hi' or 'a,b,c' or single value")
     sp.add_argument("--csv", metavar="FILE", help="write CSV here instead of stdout")
@@ -450,9 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("con", help="bounded consistency statement and its truth value")
     sp.add_argument("theory_arg", metavar="theory", choices=tuple(THEORIES))
     sp.add_argument("--m", type=int, required=True, help="proof-size bound (tokens)")
-    numerals = sp.add_mutually_exclusive_group()
-    numerals.add_argument("--binary-numerals", action="store_true", help="force binary numerals")
-    numerals.add_argument("--unary-numerals", action="store_true", help="force unary numerals")
+    sp.add_argument("--numerals", choices=("binary", "unary"), help="numeral mode (default: the configured numeral_mode)")
     sp.add_argument("--no-eval", action="store_true", help="print the statement without sweeping for its truth value")
     sp.set_defaults(handler=cmd_con)
 

@@ -462,7 +462,7 @@ def _make_prft(cell: dict) -> object:
             proof = Proof(tuple(map(ProofLine, _read(pd, "f"))))
         except CodingError:
             return 0
-        return 1 if verify(theory, proof) else 0
+        return 1 if verify(theory, proof).ok else 0
 
     return prover
 
@@ -590,14 +590,6 @@ def extend_with_axiom(theory: TheorySpec, axiom: Formula, symbol: str, name: str
 # ---------------------------------------------------------------------------
 
 
-def _as_budget(budget: EvalBudget | int | None) -> EvalBudget:
-    if budget is None:
-        return EvalBudget()
-    if isinstance(budget, int):
-        return EvalBudget(budget)
-    return budget
-
-
 def _exists_points(
     theory: TheorySpec, var: str, body: Formula, n: int, b: EvalBudget, scope: dict[str, int], memo: dict[int, int]
 ) -> Iterable[int]:
@@ -623,7 +615,7 @@ def eval_delta0(
     theory: TheorySpec,
     f: Formula,
     env: dict[str, int] | None = None,
-    budget: EvalBudget | int | None = None,
+    budget: EvalBudget | None = None,
 ) -> bool:
     """Truth value of a bounded formula in N (env supplies free variables).
 
@@ -644,7 +636,7 @@ def eval_delta0(
     Budget counts the nodes evaluated (memo hits are free), the formula
     nodes visited and the quantifier steps; EvalBudgetExceeded propagates.
     """
-    b = _as_budget(budget)
+    b = EvalBudget() if budget is None else budget
     scope: dict[str, int] = dict(env) if env else {}
     missing = free_variables(f) - scope.keys()
     if missing:
@@ -728,11 +720,10 @@ def eval_delta0(
 def provability_formula(
     theory: TheorySpec,
     m: int,
-    var: str = "x",
     numeral_mode: str = "binary",
     symbol: str = "prft",
 ) -> Formula:
-    """exists<= p bnd(m) (symbol(p, var) = S(0)): a proof of <= m tokens exists.
+    """exists<= p bnd(m) (symbol(p, x) = S(0)): a proof of <= m tokens exists.
 
     The bound does all the work: codes of at most m tokens are exactly the
     numbers up to bnd(m).  `symbol` selects which theory's provability is
@@ -742,9 +733,8 @@ def provability_formula(
         raise CodingError(f"{symbol!r} is not registered in theory {theory.name!r}")
     if m < 1:
         raise ValueError("the proof-size bound must be positive")
-    pvar = "p" if var != "p" else "q"
     bound = DefFn("bnd", (make_numeral(m, numeral_mode),))
-    return BoundedExists(pvar, bound, Eq(DefFn(symbol, (Var(pvar), Var(var))), Succ(ZERO)))
+    return BoundedExists("p", bound, Eq(DefFn(symbol, (Var("p"), Var("x"))), Succ(ZERO)))
 
 
 def refutation_target() -> Formula:
@@ -758,7 +748,7 @@ def con_bounded(
     symbol: str = "prft",
 ) -> Formula:
     """No proof of !(0 = 0) with at most m tokens exists."""
-    pr = provability_formula(theory, m, var="x", numeral_mode=numeral_mode, symbol=symbol)
+    pr = provability_formula(theory, m, numeral_mode=numeral_mode, symbol=symbol)
     c = encode_formula(refutation_target())
     return Not(substitute(pr, "x", binary_numeral(c)))
 

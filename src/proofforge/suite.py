@@ -17,8 +17,10 @@ from dataclasses import dataclass
 
 from . import config as cfgmod
 from .bench import chain_slopes, run_chain_bench
+from .calculus import EvalBudget
 from .bounded import (
     SearchLimits,
+    chain_holds,
     enumerate_proofs,
     l_k_membership,
     regeneration_chain,
@@ -82,7 +84,9 @@ def criterion_1_verifier_scaling(cfg: cfgmod.RunConfig) -> CriterionResult:
     t0 = time.monotonic()
     ks = cfgmod.parse_points(cfg.bench_k, cfgmod.K_LADDER)
     ms = cfgmod.parse_points(cfg.bench_m, cfgmod.M_LADDER)
-    k_points, m_points = run_chain_bench(THEORIES[cfg.theory](), ks, ms, fixed_k=cfg.fixed_k, fixed_m=cfg.fixed_m)
+    th = THEORIES[cfg.theory]()
+    k_points = run_chain_bench(th, [(k, cfg.fixed_m) for k in ks])
+    m_points = run_chain_bench(th, [(cfg.fixed_k, m) for m in ms])
     slope_k, slope_m = chain_slopes(k_points, m_points)
     elapsed = time.monotonic() - t0
     passed = slope_k <= 2.2 and slope_m <= 1.3 and elapsed < 120
@@ -145,7 +149,7 @@ def criterion_3_soundness(cfg: cfgmod.RunConfig) -> CriterionResult:
     samples = derived_theorem_corpus(th, rng, 1000)
     accepted = true_conclusions = 0
     for s in samples:
-        if verify(th, s.proof):
+        if verify(th, s.proof).ok:
             accepted += 1
             if eval_delta0(th, s.formula):
                 true_conclusions += 1
@@ -179,7 +183,7 @@ def criterion_4_fixed_point(cfg: cfgmod.RunConfig) -> CriterionResult:
     accepted = 0
     for psi in shapes:
         result = diagonalize(th, psi)
-        if proof_of(th, result.equivalence, result.biconditional):
+        if proof_of(th, result.equivalence, result.biconditional).ok:
             accepted += 1
         sizes.append(
             [formula_size(psi), formula_size(result.sentence), len(result.equivalence.lines)]
@@ -210,7 +214,7 @@ def criterion_5_bounded_consistency(cfg: cfgmod.RunConfig) -> CriterionResult:
     # none below m = 4, the target itself up to m = 7, and at m = 8 also
     # every 3-token line followed by a separator
     truths = {
-        m: bool(eval_delta0(th, con_bounded(th, m, numeral_mode=cfg.numeral_mode), budget=10**10))
+        m: bool(eval_delta0(th, con_bounded(th, m, numeral_mode=cfg.numeral_mode), budget=EvalBudget(10**10)))
         for m in range(1, eval_cap + 1)
     }
     target = encode_formula(refutation_target())
@@ -244,22 +248,15 @@ def criterion_5_bounded_consistency(cfg: cfgmod.RunConfig) -> CriterionResult:
 
 def criterion_6_regeneration(cfg: cfgmod.RunConfig) -> CriterionResult:
     levels = regeneration_chain(depth=3, m=8)
-    codes = [lv.con_code for lv in levels]
-    distinct = len(set(codes)) == len(codes) == 3
-    one_line = all(lv.next_level_one_line_ok for lv in levels)
-    no_self = all(
-        lv.self_search.outcome == "none" and lv.self_search.definitive for lv in levels
-    )
-    passed = distinct and one_line and no_self
     return CriterionResult(
         6,
         "regeneration chain",
-        passed,
+        chain_holds(levels),
         {
             "levels": [lv.theory_name for lv in levels],
             "con_sizes": [lv.con_size for lv in levels],
-            "pairwise_distinct": distinct,
-            "one_line_accepted": one_line,
+            "pairwise_distinct": len({lv.con_code for lv in levels}) == len(levels),
+            "one_line_accepted": all(lv.next_level_one_line_ok for lv in levels),
             "self_proof_outcomes": [lv.self_search.outcome for lv in levels],
         },
     )
@@ -406,7 +403,7 @@ def criterion_9_witness(cfg: cfgmod.RunConfig) -> CriterionResult:
                 "m": m,
                 "tokens": formula_size(g.sentence),
                 "candidates": sum(1 for _ in proof_candidates(g.code, BASE**m - 1)),
-                "eval_true": eval_delta0(th, g.sentence, budget=10**9),
+                "eval_true": eval_delta0(th, g.sentence, budget=EvalBudget(10**9)),
             }
         )
     passed = truth and out_of_l1 and in_level is not None and all(row["eval_true"] for row in goedel_rows)
@@ -438,9 +435,8 @@ ALL_CRITERIA = (
 )
 
 
-def run_suite(cfg: cfgmod.RunConfig | None = None) -> dict:
+def run_suite(cfg: cfgmod.RunConfig) -> dict:
     """Run every criterion in canonical order, printing one line per result."""
-    cfg = cfg or cfgmod.RunConfig()
     cfg.validate()
     results = []
     for fn in ALL_CRITERIA:

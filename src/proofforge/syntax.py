@@ -826,10 +826,6 @@ def iff(a: Formula, b: Formula) -> Formula:
     return conj(Implies(a, b), Implies(b, a))
 
 
-def exists(var: str, body: Formula) -> Formula:
-    return Not(ForAll(var, Not(body)))
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 from .calculus import (
     Cost,
+    LineCheck,
     Proof,
     TheorySpec,
     find_axiom_justification,
@@ -52,48 +53,32 @@ class CostReport:
     wall_ns: int
 
 
-def verify(
-    theory: TheorySpec,
-    proof: Proof,
-    cost: Cost | None = None,
-    diagnostics: list[str] | None = None,
-) -> bool:
-    """Every line justifiable by search?  Empty proofs are rejected.  Work
-    is counted into `cost` when one is given."""
+def verify(theory: TheorySpec, proof: Proof, cost: Cost | None = None) -> LineCheck:
+    """Every line justifiable by search?  Empty proofs are rejected; a
+    rejection names the first line with no justification.  Work is counted
+    into `cost` when one is given."""
     if not proof.lines:
-        if diagnostics is not None:
-            diagnostics.append("empty proof")
-        return False
+        return LineCheck(False, "empty proof")
     formulas = [ln.formula for ln in proof.lines]
     for i, f in enumerate(formulas):
         if find_axiom_justification(theory, f, cost) is None and find_rule_justification(f, formulas[:i], cost) is None:
-            if diagnostics is not None:
-                diagnostics.append(f"line {i + 1}: no justification found")
-            return False
-    return True
+            return LineCheck(False, f"line {i + 1}: no justification found")
+    return LineCheck(True)
 
 
-def proof_of(
-    theory: TheorySpec,
-    proof: Proof,
-    phi: Formula,
-    cost: Cost | None = None,
-    diagnostics: list[str] | None = None,
-) -> bool:
+def proof_of(theory: TheorySpec, proof: Proof, phi: Formula, cost: Cost | None = None) -> LineCheck:
     """The checking relation: proof is valid under theory and concludes phi
     (an empty proof is rejected by verify).  Work, the comparison of the
     conclusion with phi included, is counted into `cost` when one is given."""
     if proof.lines and not equal(proof.conclusion, phi, cost):
-        if diagnostics is not None:
-            diagnostics.append("conclusion differs from the target formula")
-        return False
-    return verify(theory, proof, cost, diagnostics)
+        return LineCheck(False, "conclusion differs from the target formula")
+    return verify(theory, proof, cost)
 
 
 def proof_of_with_cost(theory: TheorySpec, proof: Proof, phi: Formula) -> tuple[bool, CostReport]:
     cost = Cost()
     t0 = time.perf_counter_ns()
-    ok = proof_of(theory, proof, phi, cost)
+    ok = proof_of(theory, proof, phi, cost).ok
     wall = time.perf_counter_ns() - t0
     return ok, CostReport(
         lines=len(proof.lines),
@@ -112,7 +97,7 @@ def check_witness(theory: TheorySpec, phi: Formula, proof: Proof, k: int) -> boo
     if k < 1:
         raise ValueError("the polynomial exponent k must be >= 1")
     size = proof_size(proof)
-    return size <= power_capped(formula_size(phi), k, size) and proof_of(theory, proof, phi)
+    return size <= power_capped(formula_size(phi), k, size) and proof_of(theory, proof, phi).ok
 
 
 def power_capped(base: int, k: int, cap: int) -> int:

@@ -12,6 +12,7 @@ from proofforge.calculus import (
     ComputeJust,
     Cost,
     EvalBudget,
+    LineCheck,
     MPJust,
     Proof,
     ProofLine,
@@ -44,7 +45,6 @@ from proofforge.syntax import (
     Var,
     Zero,
     equal,
-    exists,
     numeral,
     parse_formula,
     parse_term,
@@ -97,10 +97,12 @@ def test_qax_matches_each_robinson_axiom_at_its_one_based_index():
     axioms = robinson_axioms()
     assert len(axioms) == 7
     for i, ax in enumerate(axioms, start=1):
-        assert match_schema(Q, "QAX", ax, index=i) is not None
         assert match_schema(Q, "QAX", ax) is not None
-        wrong = i % 7 + 1
-        assert match_schema(Q, "QAX", ax, index=wrong) is None
+        # a stored `QAX i` names the i-th axiom, and no other
+        assert check_stored_proof(Q, one_line(ax, AxiomJust("QAX", index=i))) == LineCheck(True)
+        for wrong in (0, 8, i % 7 + 1):
+            got = check_stored_proof(Q, one_line(ax, AxiomJust("QAX", index=wrong)))
+            assert got == LineCheck(False, "line 1: not an instance of QAX"), wrong
 
 
 def test_compute_accepts_only_true_closed_equations():
@@ -117,7 +119,6 @@ def test_match_schema_returns_the_justification_it_proves():
     assert match_schema(Q, "EQREFL", parse_formula("S(0) = S(0)")) == AxiomJust("EQREFL", term=parse_term("S(0)"))
     for i, ax in enumerate(robinson_axioms(), start=1):
         assert match_schema(Q, "QAX", ax) == AxiomJust("QAX", index=i)
-        assert match_schema(Q, "QAX", ax, index=i) == AxiomJust("QAX", index=i)
     assert match_schema(Q, "COMPUTE", parse_formula("S(0) * S(S(0)) = S(S(0))")) == ComputeJust(value=2)
     assert match_schema(Q, "P1", parse_formula("0 = 0 -> (S(0) = 0 -> 0 = 0)")) == AxiomJust("P1")
 

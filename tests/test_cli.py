@@ -46,6 +46,13 @@ def test_check_wrong_conclusion_exits_one(proof_file, capsys):
     assert "INVALID" in capsys.readouterr().out
 
 
+def test_check_names_the_line_it_rejects(tmp_path, capsys):
+    p = tmp_path / "proof.fp"
+    p.write_text("1. 0 = 0 ; COMPUTE\n2. S(0) = 0 ; ?\n")
+    assert cli.main(["check", "q", str(p), "S(0) = 0"]) == 1
+    assert capsys.readouterr().out == "INVALID: 2 lines, conclusion S(0) = 0\n  line 2: no justification found\n"
+
+
 def test_missing_file_is_a_usage_error(capsys):
     assert cli.main(["check", "q", "/nonexistent/proof.fp", "0 = 0"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -320,7 +327,7 @@ def test_prop_sp_emits_csv(tmp_path):
     [
         (["prop", "sp", "x0 | !x0", "--cap", "8"], "system,formula,size"),
         (["prop", "psim", "--n-max", "1"], "formula,original_ok"),
-        (["--deterministic", "bench", "verifier", "--k", "10,20", "--m", "8"], "k,m"),
+        (["--deterministic", "bench", "--k", "10,20", "--m", "8"], "k,m"),
     ],
     ids=["sp", "psim", "bench"],
 )
@@ -498,7 +505,7 @@ def test_bench_csv_is_byte_identical_in_deterministic_mode(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
-        rc = cli.main(["--config", str(cfgfile), "bench", "verifier", "--k", "10:40", "--m", "16", "--csv", str(out)])
+        rc = cli.main(["--config", str(cfgfile), "bench", "--k", "10:40", "--m", "16", "--csv", str(out)])
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -509,7 +516,7 @@ def test_bench_csv_is_byte_identical_in_deterministic_mode(tmp_path):
 
 def test_bench_symbol_comparisons_column_is_monotone_in_k(tmp_path):
     out = tmp_path / "mono.csv"
-    assert cli.main(["--deterministic", "bench", "verifier", "--k", "10:100", "--m", "16", "--csv", str(out)]) == 0
+    assert cli.main(["--deterministic", "bench", "--k", "10:100", "--m", "16", "--csv", str(out)]) == 0
     rows = out.read_text().splitlines()[1:]
     comparisons = [int(r.split(",")[4]) for r in rows]
     assert comparisons == sorted(comparisons)
@@ -517,20 +524,26 @@ def test_bench_symbol_comparisons_column_is_monotone_in_k(tmp_path):
 
 def test_global_deterministic_flag_zeroes_bench_wall_time(tmp_path):
     out = tmp_path / "bench.csv"
-    assert cli.main(["--deterministic", "bench", "verifier", "--k", "10,20", "--m", "8", "--csv", str(out)]) == 0
+    assert cli.main(["--deterministic", "bench", "--k", "10,20", "--m", "8", "--csv", str(out)]) == 0
     rows = out.read_text().splitlines()
     assert rows[0].split(",")[-1] == "wall_ns"
     assert [r.split(",")[-1] for r in rows[1:]] == ["0"] * (len(rows) - 1)
     # the flag belongs to the top-level parser only
-    assert cli.main(["bench", "verifier", "--k", "10,20", "--m", "8", "--deterministic"]) == 2
+    assert cli.main(["bench", "--k", "10,20", "--m", "8", "--deterministic"]) == 2
 
 
-def test_con_rejects_both_numeral_flags(capsys):
-    argv = ["con", "q", "--m", "1", "--binary-numerals", "--unary-numerals", "--no-eval"]
-    assert cli.main(argv) == 2
+def test_con_numerals_override_the_configured_mode(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfgmod.dumps(cfgmod.RunConfig(numeral_mode="binary")))
+    sizes = {}
+    for mode in ("binary", "unary"):
+        assert cli.main(["--config", str(cfgfile), "con", "q", "--m", "3", "--numerals", mode, "--no-eval"]) == 0
+        sizes[mode] = capsys.readouterr().out.splitlines()[1]
+    assert sizes == {"binary": "size: 32", "unary": "size: 33"}
+    assert cli.main(["con", "q", "--m", "1", "--numerals", "octal", "--no-eval"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: forge con")
-    assert "not allowed with argument" in err
+    assert "invalid choice: 'octal'" in err
 
 
 def test_config_file_unreadable_is_usage_error():
@@ -619,11 +632,28 @@ def test_suite_report_is_byte_identical_across_runs(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
-def test_deterministic_suite_report_is_pinned(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    assert cli.main(["--deterministic", "suite", "--report", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+def test_deterministic_suite_report_is_pinned(suite_run):
+    code, report = suite_run
+    assert code == 0
+    digest = hashlib.sha256(report).hexdigest()
     assert digest == "c7967af632f5352faa8d0d3f24d1ad308babe9239e14ba9d2cbd9388f8d59f1a"
+
+
+def _self_proving(levels):
+    found = dataclasses.replace(levels[0].self_search, outcome="found")
+    return [dataclasses.replace(levels[0], self_search=found), *levels[1:]]
+
+
+def _repeating(levels):
+    return [levels[0], dataclasses.replace(levels[1], con_code=levels[0].con_code), *levels[2:]]
+
+
+@pytest.mark.parametrize("command", ["regen", "demo"])
+@pytest.mark.parametrize("damage", [_self_proving, _repeating], ids=["self-proof", "repeated-code"])
+def test_a_failing_chain_exits_one(monkeypatch, command, damage):
+    real = cli.regeneration_chain
+    monkeypatch.setattr(cli, "regeneration_chain", lambda **kw: damage(real(**kw)))
+    assert cli.main([command, "--depth", "2", "--m", "8"]) == 1
 
 
 def test_regen_report_schema(tmp_path):

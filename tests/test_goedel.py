@@ -362,7 +362,7 @@ def test_pruned_sweep_matches_a_naive_loop(target):
         sentence = BoundedExists("p", binary_numeral(bound), Eq(prft, Succ(ZERO)))
         want = any(v == 1 for v in values[: bound + 1])
         assert eval_delta0(Q, sentence) is want, (target, bound)
-    assert eval_delta0(Q, provability_formula(Q, 3, var="x"), env={"x": c}) is bool(hits)
+    assert eval_delta0(Q, provability_formula(Q, 3), env={"x": c}) is bool(hits)
     # 0 = 0 is its own one-line proof: provable within 3 tokens, not within 2
     assert hits == ([c] if target == "0 = 0" else [])
 
@@ -445,7 +445,7 @@ def test_diagonalize_produces_a_checkable_fixed_point():
     # the fixed point really is psi at its own code
     assert r.psi_at_code == substitute(psi, "x", binary_numeral(r.code))
     assert encode_formula(r.sentence) == r.code
-    assert proof_of(Q, r.equivalence, r.biconditional)
+    assert proof_of(Q, r.equivalence, r.biconditional).ok
 
 
 def test_diagonal_shape_corpus_has_enough_variety():
@@ -459,7 +459,7 @@ def test_bounded_goedel_sentence_is_true_at_desk_scale():
     # m = 2: the sweep space is tiny, the sentence says "I have no proof
     # within 2 tokens", and indeed no 2-token proof of anything exists
     g = goedel_sentence_bounded(Q, 2)
-    assert eval_delta0(Q, g.sentence, budget=10**9) is True
+    assert eval_delta0(Q, g.sentence, budget=EvalBudget(10**9)) is True
 
 
 def test_con_sizes_track_log_m():
@@ -476,7 +476,7 @@ def test_con_sizes_track_log_m():
 def test_provability_formula_is_delta0_with_one_free_variable():
     from proofforge.syntax import free_variables, is_delta0
 
-    pr = provability_formula(Q, 4, var="x")
+    pr = provability_formula(Q, 4)
     assert free_variables(pr) == frozenset({"x"})
     assert is_delta0(pr)
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from proofforge.bench import mp_chain
-from proofforge.calculus import ComputeJust, Proof, ProofLine, check_stored_proof, proof_size
+from proofforge.calculus import ComputeJust, LineCheck, Proof, ProofLine, check_stored_proof, proof_size
 from proofforge.corpus import derived_theorem_corpus, random_delta0_sentence
 from proofforge.goedel import diagonalize, eval_delta0, standard_theory
 from proofforge.syntax import (
@@ -31,7 +31,7 @@ def sample_proofs(count):
 
 def test_verify_accepts_derived_corpus_and_search_agrees_with_stored():
     for sample in sample_proofs(150):
-        assert verify(Q, sample.proof), sample.strategy
+        assert verify(Q, sample.proof).ok, sample.strategy
         # the stored justifications must also replay line by line
         assert check_stored_proof(Q, sample.proof).ok, sample.strategy
 
@@ -66,7 +66,7 @@ def test_verify_counts_only_when_given_a_cost(monkeypatch):
         monkeypatch.setattr(verifier, name, lambda *args, real=real: costs.append(args[-1]) or real(*args))
     sample = sample_proofs(5)[-1]
     phi = sample.proof.conclusion
-    assert verify(Q, sample.proof) and proof_of(Q, sample.proof, phi)
+    assert verify(Q, sample.proof).ok and proof_of(Q, sample.proof, phi).ok
     assert check_witness(Q, phi, sample.proof, 3)
     assert costs and all(c is None for c in costs)
     costs.clear()
@@ -78,28 +78,32 @@ def test_verify_counts_only_when_given_a_cost(monkeypatch):
 def test_every_prefix_of_a_valid_proof_is_valid():
     sample = max(sample_proofs(40), key=lambda s: len(s.proof.lines))
     for cut in range(1, len(sample.proof.lines) + 1):
-        assert verify(Q, Proof(sample.proof.lines[:cut]))
+        assert verify(Q, Proof(sample.proof.lines[:cut])).ok
 
 
 def test_concatenation_of_valid_proofs_is_valid():
     a, b = sample_proofs(2)
     glued = Proof(a.proof.lines + b.proof.lines)
-    assert verify(Q, glued)
+    assert verify(Q, glued).ok
     assert glued.conclusion == b.proof.conclusion
 
 
 def test_empty_proof_rejected_with_diagnostic():
-    notes = []
-    assert not verify(Q, Proof(()), diagnostics=notes)
-    assert notes == ["empty proof"]
+    assert verify(Q, Proof(())) == LineCheck(False, "empty proof")
 
 
 def test_proof_of_demands_matching_conclusion():
     one = Proof((ProofLine(parse_formula("0 = 0"), ComputeJust()),))
-    assert proof_of(Q, one, parse_formula("0 = 0"))
-    notes = []
-    assert not proof_of(Q, one, parse_formula("S(0) = S(0)"), diagnostics=notes)
-    assert any("conclusion" in n for n in notes)
+    assert proof_of(Q, one, parse_formula("0 = 0")) == LineCheck(True)
+    assert proof_of(Q, one, parse_formula("S(0) = S(0)")) == LineCheck(False, "conclusion differs from the target formula")
+
+
+def test_a_check_has_no_truth_value():
+    one = Proof((ProofLine(parse_formula("0 = 0"), ComputeJust()),))
+    with pytest.raises(TypeError, match="LineCheck.ok"):
+        bool(proof_of(Q, one, parse_formula("0 = 0")))
+    with pytest.raises(TypeError, match="LineCheck.ok"):
+        assert check_stored_proof(Q, one)
 
 
 def mutate(rng, proof):
@@ -127,7 +131,7 @@ def test_mutation_fuzz_never_accepts_a_false_delta0_conclusion():
     for _ in range(600):
         sample = rng.choice(corpus)
         mutant = mutate(rng, sample.proof)
-        if verify(Q, mutant):
+        if verify(Q, mutant).ok:
             accepted_mutants += 1
             phi = mutant.conclusion
             if is_delta0(phi) and is_sentence(phi):
@@ -139,9 +143,7 @@ def test_mutation_fuzz_never_accepts_a_false_delta0_conclusion():
 
 def test_rejected_mutant_reports_the_offending_line():
     one = Proof((ProofLine(parse_formula("S(0) = 0"), None),))
-    notes = []
-    assert not verify(Q, one, diagnostics=notes)
-    assert notes and "line 1" in notes[0]
+    assert verify(Q, one) == LineCheck(False, "line 1: no justification found")
 
 
 def test_check_witness_enforces_the_size_bound():
@@ -210,7 +212,7 @@ def test_search_handles_stored_free_justifications():
     # verify ignores stored hints entirely: stripping them changes nothing
     for sample in sample_proofs(25):
         stripped = Proof(tuple(ProofLine(l.formula, None) for l in sample.proof.lines))
-        assert verify(Q, stripped)
+        assert verify(Q, stripped).ok
 
 
 def test_delta0_truth_spot_checks():
