@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .calculus import TheorySpec
+from .config import K_LADDER, M_LADDER, parse_points
 from .derivations import Builder
 from .syntax import Eq, Formula, Implies, Plus, Succ, Term, Times, ZERO, formula_size
 from .verifier import CostReport, Proof, proof_of_with_cost
@@ -96,17 +97,6 @@ class BenchPoint:
     cost: CostReport
 
 
-def run_chain_bench(theory: TheorySpec, points: list[tuple[int, int]]) -> list[BenchPoint]:
-    """The detachment chain's checking cost at each (k, m) point, in order."""
-    out: list[BenchPoint] = []
-    for k, m in points:
-        proof, phi = mp_chain(theory, k, m)
-        ok, cost = proof_of_with_cost(theory, proof, phi)
-        assert ok
-        out.append(BenchPoint(k, m, len(proof.lines), formula_size(phi), cost))
-    return out
-
-
 def loglog_slope(xs: list[int], ys: list[int]) -> float:
     """Least-squares slope of log(y) vs log(x), y clamped to at least 1."""
     lx = [math.log(x) for x in xs]
@@ -115,10 +105,45 @@ def loglog_slope(xs: list[int], ys: list[int]) -> float:
     return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum((a - mx) ** 2 for a in lx)
 
 
-def chain_slopes(k_points: list[BenchPoint], m_points: list[BenchPoint]) -> tuple[float, float]:
-    slope_k = loglog_slope([p.k for p in k_points], [p.cost.symbol_comparisons for p in k_points])
-    slope_m = loglog_slope([p.m for p in m_points], [p.cost.symbol_comparisons for p in m_points])
-    return slope_k, slope_m
+@dataclass(frozen=True)
+class ChainSweep:
+    """The chain measured along k at a fixed m and along m at a fixed k; a
+    slope is None where its axis has fewer than two distinct values."""
+
+    k_points: list[BenchPoint]
+    m_points: list[BenchPoint]
+    slope_k: float | None
+    slope_m: float | None
+
+
+def chain_sweep(theory: TheorySpec, k_spec: str, m_spec: str, fixed_k: int, fixed_m: int) -> ChainSweep:
+    """The detachment chain's checking cost over k_spec at fixed_m and over
+    m_spec at fixed_k (each spec as `config.parse_points` reads it), with
+    the log-log slopes of symbol comparisons against k and against m.
+
+    A spec of one value pins its axis instead: the other axis sweeps at that
+    value, and two pinned axes name the one point measured."""
+    ks = parse_points(k_spec, K_LADDER)
+    ms = parse_points(m_spec, M_LADDER)
+    k_sweep = [(k, ms[0] if len(ms) == 1 else fixed_m) for k in ks] if len(ks) > 1 else []
+    m_sweep = [(ks[0] if len(ks) == 1 else fixed_k, m) for m in ms] if len(ms) > 1 else []
+    grid = k_sweep + m_sweep or [(ks[0], ms[0])]
+    low = min(m for _, m in grid)
+    if low < 5:  # _equal_value_atoms builds no equation below five symbols
+        raise ValueError(f"m = {low} is below 5, the smallest atom of the detachment chain")
+    points = []
+    for k, m in grid:
+        proof, phi = mp_chain(theory, k, m)
+        ok, cost = proof_of_with_cost(theory, proof, phi)
+        assert ok
+        points.append(BenchPoint(k, m, len(proof.lines), formula_size(phi), cost))
+    k_points, m_points = points[: len(k_sweep)], points[len(k_sweep) :]
+
+    def slope(pts: list[BenchPoint], axis: str) -> float | None:
+        xs = [getattr(p, axis) for p in pts]
+        return loglog_slope(xs, [p.cost.symbol_comparisons for p in pts]) if len(set(xs)) > 1 else None
+
+    return ChainSweep(k_points, m_points, slope(k_points, "k"), slope(m_points, "m"))
 
 
 def points_to_csv(points: list[BenchPoint], deterministic: bool = False) -> str:

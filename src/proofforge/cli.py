@@ -24,10 +24,10 @@ from . import bench as benchmod
 from . import config as cfgmod
 from . import propositional as prop
 from . import suite as suitemod
-from .bounded import SearchLimits, chain_holds, l_k_membership, regeneration_chain, shortest_proof_length
+from .bounded import chain_holds, l_k_membership, shortest_proof_length
 from .calculus import EvalBudget, check_stored_proof, parse_proof_text, print_proof_text
 from .goedel import THEORIES, con_bounded, diagonalize, encode_formula, eval_delta0
-from .syntax import equal, formula_size, free_variables, parse_formula, print_formula
+from .syntax import equal, formula_size, parse_formula, print_formula
 from .verifier import proof_of
 
 EXIT_OK = 0
@@ -35,8 +35,9 @@ EXIT_VERDICT = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
-    """Bad input that argparse cannot catch (unreadable file, parse failure)."""
+class UsageError(ValueError):
+    """Bad input that argparse cannot catch (unreadable file, parse failure);
+    `main` turns it, like every ValueError, into exit 2."""
 
 
 def _read_text(path: str) -> str:
@@ -93,8 +94,9 @@ def _emit(out: str, text: str) -> None:
 
 def cmd_check(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     theory = THEORIES[cfg.theory]()
+    text = _read_text(args.proof_file)
     try:
-        proof = parse_proof_text(_read_text(args.proof_file), theory.arities())
+        proof = parse_proof_text(text, theory.arities())
     except ValueError as e:
         raise UsageError(f"{args.proof_file}: {e}") from e
     phi = _parse_formula_arg(args.formula)
@@ -108,34 +110,16 @@ def cmd_check(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 def cmd_bench(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     k_spec = args.k if args.k is not None else cfg.bench_k
     m_spec = args.m if args.m is not None else cfg.bench_m
-    try:
-        k_points = cfgmod.parse_points(k_spec, cfgmod.K_LADDER)
-        m_points = cfgmod.parse_points(m_spec, cfgmod.M_LADDER)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
-    theory = THEORIES[cfg.theory]()
-    # A single value on one axis pins it while the other sweeps; single
-    # values on both name the one point measured.
-    fixed_m = m_points[0] if len(m_points) == 1 else cfg.fixed_m
-    fixed_k = k_points[0] if len(k_points) == 1 else cfg.fixed_k
-    k_sweep = [(k, fixed_m) for k in k_points] if len(k_points) > 1 else []
-    m_sweep = [(fixed_k, m) for m in m_points] if len(m_points) > 1 else []
-    points = benchmod.run_chain_bench(theory, k_sweep + m_sweep or [(fixed_k, fixed_m)])
-    text = benchmod.points_to_csv(points, deterministic=cfg.deterministic)
-    _emit(args.csv or cfg.out, text)
-    if k_sweep and m_sweep:
-        slope_k, slope_m = benchmod.chain_slopes(points[: len(k_sweep)], points[len(k_sweep) :])
-        print(f"slope vs k: {slope_k:.3f}   slope vs m: {slope_m:.3f}", file=sys.stderr)
+    sweep = benchmod.chain_sweep(THEORIES[cfg.theory](), k_spec, m_spec, cfg.fixed_k, cfg.fixed_m)
+    _emit(args.csv or cfg.out, benchmod.points_to_csv(sweep.k_points + sweep.m_points, deterministic=cfg.deterministic))
+    if sweep.slope_k is not None and sweep.slope_m is not None:
+        print(f"slope vs k: {sweep.slope_k:.3f}   slope vs m: {sweep.slope_m:.3f}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_diagonalize(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     theory = THEORIES[cfg.theory]()
-    psi = _parse_formula_arg(args.psi)
-    fv = free_variables(psi)
-    if args.var not in fv and fv:
-        raise UsageError(f"--var {args.var} is not free in psi (free: {sorted(fv)})")
-    result = diagonalize(theory, psi, args.var)
+    result = diagonalize(theory, _parse_formula_arg(args.psi))
     delta = result.sentence
     print(f"fixed point: {print_formula(delta)}")
     print(f"code: {_int_text(result.code)}")
@@ -174,8 +158,7 @@ def cmd_con(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 def cmd_member(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     theory = THEORIES[cfg.theory]()
     phi = _parse_formula_arg(args.formula)
-    limits = SearchLimits(pool_cap=cfg.pool_cap, node_cap=cfg.node_cap)
-    report = l_k_membership(theory, phi, args.k, desk_cap=cfg.desk_cap, limits=limits)
+    report = l_k_membership(theory, phi, args.k, desk_cap=cfg.desk_cap, limits=suitemod.search_limits(cfg))
     verdict = "member" if report.member else ("non-member" if report.member is False else "unknown")
     print(f"L_{args.k} membership of {print_formula(phi)}: {verdict}")
     print(f"outcome: {report.outcome}  definitive: {report.definitive}")
@@ -192,8 +175,7 @@ def cmd_member(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 def cmd_shortest(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     theory = THEORIES[cfg.theory]()
     phi = _parse_formula_arg(args.formula)
-    limits = SearchLimits(pool_cap=cfg.pool_cap, node_cap=cfg.node_cap)
-    length, definitive = shortest_proof_length(theory, phi, args.cap, limits=limits)
+    length, definitive = shortest_proof_length(theory, phi, args.cap, limits=suitemod.search_limits(cfg))
     if length is None:
         print(f"no proof of {print_formula(phi)} within size {args.cap} (definitive: {definitive})")
         return EXIT_VERDICT
@@ -202,8 +184,7 @@ def cmd_shortest(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_regen(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
-    limits = SearchLimits(pool_cap=cfg.pool_cap, node_cap=cfg.node_cap)
-    levels = regeneration_chain(depth=args.depth, m=args.m, limits=limits)
+    levels = suitemod.chain_levels(cfg, args.depth, args.m)
     rows = []
     for i, lvl in enumerate(levels, start=1):
         rows.append(
@@ -241,7 +222,7 @@ def cmd_demo(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     print("cannot prove it at desk scale, while the next theory up proves it in")
     print("one line because it adopted the statement as an axiom.")
     print()
-    levels = regeneration_chain(depth=args.depth, m=args.m)
+    levels = suitemod.chain_levels(cfg, args.depth, args.m)
     for i, lvl in enumerate(levels, start=1):
         print(f"level {i} — theory {lvl.theory_name}")
         print(f"  statement size {lvl.con_size}, code {lvl.con_code}")
@@ -268,11 +249,8 @@ def cmd_suite(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_prop_check(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
-    try:
-        cs = prop.from_dimacs(_read_text(args.cnf_file))
-        rp = prop.parse_resolution_text(_read_text(args.proof_file))
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    cs = prop.from_dimacs(_read_text(args.cnf_file))
+    rp = prop.parse_resolution_text(_read_text(args.proof_file))
     result = prop.check_resolution(cs, rp, extended=args.extended)
     label = "extended resolution" if args.extended else "resolution"
     if result.ok:
@@ -284,10 +262,7 @@ def cmd_prop_check(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 def cmd_prop_taut(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     alpha = _parse_prop_arg(args.formula)
-    try:
-        witness = prop.falsifying_assignment(alpha)
-    except prop.TooManyVariables as e:
-        raise UsageError(str(e)) from e
+    witness = prop.falsifying_assignment(alpha)
     if witness is None:
         print(f"tautology: {prop.print_prop(alpha)}")
         return EXIT_OK
@@ -298,13 +273,10 @@ def cmd_prop_taut(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 def cmd_prop_translate(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     phi = _parse_formula_arg(args.formula)
-    try:
-        alpha = prop.translate_delta0(phi, x=args.x, n=args.n)
-        # decided before printing: a formula past the brute-force cap is
-        # refused without writing it out
-        verdict = prop.is_tautology_bruteforce(alpha)
-    except (prop.TranslationError, prop.TooManyVariables) as e:
-        raise UsageError(str(e)) from e
+    alpha = prop.translate_delta0(phi, x=args.x, n=args.n)
+    # decided before printing: a formula past the brute-force cap is refused
+    # without writing it out
+    verdict = prop.is_tautology_bruteforce(alpha)
     print(prop.print_prop(alpha))
     print(f"tautology at n={args.n}: {'yes' if verdict else 'no'}", file=sys.stderr)
     return EXIT_OK if verdict else EXIT_VERDICT
@@ -387,7 +359,7 @@ OPERATION_MAP: dict[str, str] = {
     "calculus.parse_proof_text": "check",
     "verifier.proof_of": "check",
     "verifier.proof_of_with_cost": "bench",
-    "bench.run_chain_bench": "bench",
+    "bench.chain_sweep": "bench",
     "bench.points_to_csv": "bench",
     "goedel.diagonalize": "diagonalize",
     "goedel.encode_formula": "diagonalize",
@@ -431,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("diagonalize", help="fixed point of a one-free-variable formula")
     sp.add_argument("theory_arg", metavar="theory", choices=tuple(THEORIES))
     sp.add_argument("--psi", required=True, help="formula with one free variable")
-    sp.add_argument("--var", default="x", help="the diagonalized variable (default x)")
     sp.add_argument("--out", metavar="FILE", help="write the equivalence proof file here")
     sp.set_defaults(handler=cmd_diagonalize)
 
@@ -531,9 +502,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg.deterministic = True
         cfg.validate()
         return args.handler(args, cfg)
-    except UsageError as e:
-        print(f"forge: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as e:
         print(f"forge: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -772,22 +772,19 @@ class DiagonalResult:
         return syntax.iff(self.sentence, self.psi_at_code)
 
 
-def diagonalize(theory: TheorySpec, psi: Formula, var: str | None = None) -> DiagonalResult:
+def diagonalize(theory: TheorySpec, psi: Formula) -> DiagonalResult:
     """Construct delta with  |- delta <-> psi(numeral of code(delta)).
 
-    psi must have exactly one free variable (or name it with `var`).  The
+    psi must have exactly one free variable, the one diagonalized.  The
     equivalence proof lifts the computed equation
         diag(numeral of code(theta)) = numeral of code(delta)
     through psi, so every quantifier bound inside psi that mentions the free
     variable may mention nothing else.
     """
     fv = free_variables(psi)
-    if var is None:
-        if len(fv) != 1:
-            raise ValueError(f"need exactly one free variable, got {sorted(fv)}")
-        var = next(iter(fv))
-    elif fv != {var}:
-        raise ValueError(f"free variables {sorted(fv)} are not exactly {{{var!r}}}")
+    if len(fv) != 1:
+        raise ValueError(f"need exactly one free variable, got {sorted(fv)}")
+    (var,) = fv
 
     theta = substitute(psi, var, DefFn("diag", (Var(var),)))
     c_theta = encode_formula(theta)
@@ -809,4 +806,4 @@ def diagonalize(theory: TheorySpec, psi: Formula, var: str | None = None) -> Dia
 def goedel_sentence_bounded(theory: TheorySpec, m: int) -> DiagonalResult:
     """Fixed point of 'no proof of x with at most m tokens exists'."""
     psi = Not(provability_formula(theory, m))
-    return diagonalize(theory, psi, "x")
+    return diagonalize(theory, psi)

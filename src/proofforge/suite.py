@@ -13,12 +13,13 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import config as cfgmod
-from .bench import chain_slopes, run_chain_bench
+from .bench import chain_sweep
 from .calculus import EvalBudget
 from .bounded import (
+    ChainLevel,
     SearchLimits,
     chain_holds,
     enumerate_proofs,
@@ -77,17 +78,27 @@ class CriterionResult:
         return f"criterion {self.cid} ({self.name}): {'PASS' if self.passed else 'FAIL'}"
 
 
+def search_limits(cfg: cfgmod.RunConfig) -> SearchLimits:
+    """The configured caps; every search of the suite and of `forge` runs
+    under them (criterion 2 lowers its node cap further)."""
+    return SearchLimits(pool_cap=cfg.pool_cap, node_cap=cfg.node_cap)
+
+
+def chain_levels(cfg: cfgmod.RunConfig, depth: int, m: int) -> list[ChainLevel]:
+    """The regeneration chain of `forge regen`, `forge demo` and criterion 6."""
+    return regeneration_chain(depth=depth, m=m, limits=search_limits(cfg))
+
+
 # -- 1: checker cost scaling ------------------------------------------------
 
 
 def criterion_1_verifier_scaling(cfg: cfgmod.RunConfig) -> CriterionResult:
     t0 = time.monotonic()
-    ks = cfgmod.parse_points(cfg.bench_k, cfgmod.K_LADDER)
-    ms = cfgmod.parse_points(cfg.bench_m, cfgmod.M_LADDER)
-    th = THEORIES[cfg.theory]()
-    k_points = run_chain_bench(th, [(k, cfg.fixed_m) for k in ks])
-    m_points = run_chain_bench(th, [(cfg.fixed_k, m) for m in ms])
-    slope_k, slope_m = chain_slopes(k_points, m_points)
+    sweep = chain_sweep(THEORIES[cfg.theory](), cfg.bench_k, cfg.bench_m, cfg.fixed_k, cfg.fixed_m)
+    for key, slope in (("bench_k", sweep.slope_k), ("bench_m", sweep.slope_m)):
+        if slope is None:
+            raise ValueError(f"{key} = {getattr(cfg, key)!r} has fewer than two distinct points to fit a slope over")
+    slope_k, slope_m = sweep.slope_k, sweep.slope_m
     elapsed = time.monotonic() - t0
     passed = slope_k <= 2.2 and slope_m <= 1.3 and elapsed < 120
     return CriterionResult(
@@ -99,38 +110,33 @@ def criterion_1_verifier_scaling(cfg: cfgmod.RunConfig) -> CriterionResult:
             "slope_vs_m": round(slope_m, 4),
             "slope_k_limit": 2.2,
             "slope_m_limit": 1.3,
-            "k_points": [[p.k, p.cost.symbol_comparisons] for p in k_points],
-            "m_points": [[p.m, p.cost.symbol_comparisons] for p in m_points],
+            "k_points": [[p.k, p.cost.symbol_comparisons] for p in sweep.k_points],
+            "m_points": [[p.m, p.cost.symbol_comparisons] for p in sweep.m_points],
             "seconds": 0.0 if cfg.deterministic else round(elapsed, 2),
         },
     )
 
 
-# -- 2: size-class membership vs raw search --------------------------------
+# -- 2: size-class membership and its witnesses -----------------------------
 
 
 def criterion_2_membership_agreement(cfg: cfgmod.RunConfig) -> CriterionResult:
     th = THEORIES[cfg.theory]()
     rng = random.Random(cfg.seed)
     formulas = membership_formula_corpus(rng, 200)
-    limits = SearchLimits(pool_cap=cfg.pool_cap, node_cap=min(cfg.node_cap, 4000))
+    limits = replace(search_limits(cfg), node_cap=min(cfg.node_cap, 4000))
     total = definitive = disagreements = 0
     for phi in formulas:
         for k in (1, 2, 3):
             total += 1
             mem = l_k_membership(th, phi, k, desk_cap=cfg.desk_cap, limits=limits)
-            bound = formula_size(phi) ** k
-            r = enumerate_proofs(th, phi, min(bound, cfg.desk_cap), limits=limits)
-            if not (mem.definitive and r.definitive):
+            if not mem.definitive:
                 continue
             definitive += 1
-            if r.found:
-                witness_ok = r.proof is not None and check_witness(th, phi, r.proof, k)
-                if not (mem.member is True and witness_ok):
-                    disagreements += 1
-            else:
-                if mem.member is not False:
-                    disagreements += 1
+            # a member's witness must pass the NP relation at its level; an
+            # "out" verdict has no check independent of the search yet
+            if mem.member and not (mem.proof is not None and check_witness(th, phi, mem.proof, k)):
+                disagreements += 1
     passed = disagreements == 0 and definitive > 0
     return CriterionResult(
         2,
@@ -207,7 +213,7 @@ def criterion_4_fixed_point(cfg: cfgmod.RunConfig) -> CriterionResult:
 def criterion_5_bounded_consistency(cfg: cfgmod.RunConfig) -> CriterionResult:
     th = THEORIES[cfg.theory]()
     enum_budget = 10
-    refutation = enumerate_proofs(th, refutation_target(), enum_budget)
+    refutation = enumerate_proofs(th, refutation_target(), enum_budget, limits=search_limits(cfg))
     enum_ok = refutation.outcome == "none" and refutation.definitive
     eval_cap = 8
     # the sweep visits only the codes that end in the refutation target:
@@ -247,7 +253,7 @@ def criterion_5_bounded_consistency(cfg: cfgmod.RunConfig) -> CriterionResult:
 
 
 def criterion_6_regeneration(cfg: cfgmod.RunConfig) -> CriterionResult:
-    levels = regeneration_chain(depth=3, m=8)
+    levels = chain_levels(cfg, 3, 8)
     return CriterionResult(
         6,
         "regeneration chain",
@@ -382,12 +388,13 @@ def criterion_9_witness(cfg: cfgmod.RunConfig) -> CriterionResult:
     th = THEORIES[cfg.theory]()
     phi = parse_formula("0 = 0 -> 0 = 0")
     truth = eval_delta0(th, phi)
-    m1 = l_k_membership(th, phi, 1, desk_cap=cfg.desk_cap)
+    limits = search_limits(cfg)
+    m1 = l_k_membership(th, phi, 1, desk_cap=cfg.desk_cap, limits=limits)
     out_of_l1 = m1.member is False and m1.definitive
     in_level = None
     witness_lines = None
     for k in (2, 3):
-        mk = l_k_membership(th, phi, k, desk_cap=cfg.desk_cap)
+        mk = l_k_membership(th, phi, k, desk_cap=cfg.desk_cap, limits=limits)
         if mk.member is True:
             in_level = k
             witness_lines = len(mk.proof.lines) if mk.proof is not None else None

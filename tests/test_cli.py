@@ -271,8 +271,8 @@ def test_diagonalize_checks_a_long_proof_by_its_justifications(capsys):
 
 
 def test_diagonalize_names_the_line_it_rejects(monkeypatch, capsys):
-    def broken(theory, psi, var=None):
-        result = goedel.diagonalize(theory, psi, var)
+    def broken(theory, psi):
+        result = goedel.diagonalize(theory, psi)
         lines = list(result.equivalence.lines)
         lines[1] = ProofLine(lines[1].formula, MPJust(1, 1))
         return dataclasses.replace(result, equivalence=Proof(tuple(lines)))
@@ -311,7 +311,17 @@ def test_diagonalize_writes_an_accepted_proof_file(tmp_path, capsys):
 
 
 def test_diagonalize_rejects_wrong_variable(capsys):
+    # psi's one free variable is the one diagonalized; none or several is a
+    # usage error, and there is no flag to name another
+    for psi in ("0 = 0", "x = y"):
+        assert cli.main(["diagonalize", "q", "--psi", psi]) == 2
+        assert "need exactly one free variable" in capsys.readouterr().err
     assert cli.main(["diagonalize", "q", "--psi", "x = x", "--var", "y"]) == 2
+
+
+def test_diagonalize_infers_the_free_variable(capsys):
+    assert cli.main(["diagonalize", "q", "--psi", "y = 0"]) == 0
+    assert capsys.readouterr().out.endswith(" lines, accepted\n")
 
 
 def test_prop_sp_emits_csv(tmp_path):
@@ -532,6 +542,35 @@ def test_global_deterministic_flag_zeroes_bench_wall_time(tmp_path):
     assert cli.main(["bench", "--k", "10,20", "--m", "8", "--deterministic"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, config, m",
+    [
+        (["bench", "--m", "3"], "", 3),
+        (["bench", "--m", "0:16"], "", 0),
+        (["bench"], "fixed_m = 4\n", 4),
+        (["suite"], "fixed_m = 4\n", 4),
+    ],
+    ids=["one-m", "m-range", "fixed-m", "suite"],
+)
+def test_a_chain_too_small_for_its_atoms_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, config, m):
+    # the chain's atoms are equations of at least five symbols
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(config)
+    assert cli.main(["--config", "run.cfg", *argv]) == 2
+    assert capsys.readouterr().err == f"forge: m = {m} is below 5, the smallest atom of the detachment chain\n"
+
+
+@pytest.mark.parametrize("key, spec", [("bench_k", "50"), ("bench_m", "16"), ("bench_k", "10,10")])
+def test_the_suite_refuses_a_sweep_with_no_slope(tmp_path, capsys, key, spec):
+    # criterion 1 fits a slope on each axis, which takes two distinct points;
+    # `forge bench` takes one value as pinning its axis
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {spec}\n")
+    assert cli.main(["--config", str(cfgfile), "suite", "--report", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"forge: {key} = {spec!r} has fewer than two distinct points to fit a slope over\n"
+    assert cli.main(["--config", str(cfgfile), "bench", "--csv", str(tmp_path / "b.csv")]) == 0
+
+
 def test_con_numerals_override_the_configured_mode(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(cfgmod.dumps(cfgmod.RunConfig(numeral_mode="binary")))
@@ -651,9 +690,58 @@ def _repeating(levels):
 @pytest.mark.parametrize("command", ["regen", "demo"])
 @pytest.mark.parametrize("damage", [_self_proving, _repeating], ids=["self-proof", "repeated-code"])
 def test_a_failing_chain_exits_one(monkeypatch, command, damage):
-    real = cli.regeneration_chain
-    monkeypatch.setattr(cli, "regeneration_chain", lambda **kw: damage(real(**kw)))
+    real = suitemod.regeneration_chain
+    monkeypatch.setattr(suitemod, "regeneration_chain", lambda **kw: damage(real(**kw)))
     assert cli.main([command, "--depth", "2", "--m", "8"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, marker",
+    [
+        (["member", "q", "x = 0", "--k", "2"], "definitive: False"),
+        (["shortest", "q", "x = 0", "--cap", "9"], "(definitive: False)"),
+        (["regen", "--depth", "1"], "self-search=budget_exhausted"),
+        (["demo", "--depth", "1"], "): budget_exhausted\n"),
+    ],
+    ids=["member", "shortest", "regen", "demo"],
+)
+def test_the_configured_node_cap_binds_every_search(tmp_path, capsys, argv, marker):
+    # at the default caps each of these searches ends definitively, after
+    # more than five nodes
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("node_cap = 5\n")
+    cli.main(argv)
+    assert marker not in capsys.readouterr().out
+    assert cli.main(["--config", str(cfgfile), *argv]) == 1
+    assert marker in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [suitemod.criterion_5_bounded_consistency, suitemod.criterion_6_regeneration, suitemod.criterion_9_witness],
+    ids=["5", "6", "9"],
+)
+def test_the_configured_node_cap_binds_the_suite_s_searches(criterion):
+    # criterion 9's searches end within 1 and 3 nodes, so a cap of 2 cuts them
+    assert criterion(cfgmod.RunConfig(node_cap=2)).passed is False
+
+
+def test_criterion_2_checks_the_membership_witness(monkeypatch):
+    real_corpus, real_membership = suitemod.membership_formula_corpus, suitemod.l_k_membership
+    forged = []
+
+    def forge_first_witness(*args, **kwargs):
+        report = real_membership(*args, **kwargs)
+        if report.member and not forged:
+            forged.append(report)
+            return dataclasses.replace(report, proof=Proof(()))
+        return report
+
+    monkeypatch.setattr(suitemod, "membership_formula_corpus", lambda rng, n: real_corpus(rng, n)[:20])
+    monkeypatch.setattr(suitemod, "l_k_membership", forge_first_witness)
+    result = suitemod.criterion_2_membership_agreement(cfgmod.RunConfig())
+    assert forged and result.passed is False
+    assert result.details["disagreements"] == 1
 
 
 def test_regen_report_schema(tmp_path):

@@ -441,7 +441,7 @@ def test_sweep_for_a_zero_right_side_is_not_pruned():
 
 def test_diagonalize_produces_a_checkable_fixed_point():
     psi = parse_formula("x = x")
-    r = diagonalize(Q, psi, "x")
+    r = diagonalize(Q, psi)
     # the fixed point really is psi at its own code
     assert r.psi_at_code == substitute(psi, "x", binary_numeral(r.code))
     assert encode_formula(r.sentence) == r.code
