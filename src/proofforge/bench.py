@@ -69,7 +69,8 @@ def _equal_value_atoms(m: int, count: int) -> list[Eq]:
 
 
 def mp_chain(theory: TheorySpec, k: int, m: int) -> tuple[Proof, Formula]:
-    """~k-line detachment chain with every atom of size ~m.
+    """~k-line detachment chain with every atom of size ~m: for k >= 4,
+    1 + 3 * ((k - 1) // 3) lines.
 
     Unit i contributes three lines: the atom A_i (a computation axiom), the
     padding axiom A_i -> (A_{i-1} -> A_i), and the detachment A_{i-1} -> A_i.
@@ -128,6 +129,9 @@ def chain_sweep(theory: TheorySpec, k_spec: str, m_spec: str, fixed_k: int, fixe
     k_sweep = [(k, ms[0] if len(ms) == 1 else fixed_m) for k in ks] if len(ks) > 1 else []
     m_sweep = [(ks[0] if len(ks) == 1 else fixed_k, m) for m in ms] if len(ms) > 1 else []
     grid = k_sweep + m_sweep or [(ks[0], ms[0])]
+    low = min(k for k, _ in grid)
+    if low < 4:  # mp_chain's shortest chain is four lines, whatever k asks
+        raise ValueError(f"k = {low} is below 4, the shortest detachment chain")
     low = min(m for _, m in grid)
     if low < 5:  # _equal_value_atoms builds no equation below five symbols
         raise ValueError(f"m = {low} is below 5, the smallest atom of the detachment chain")

@@ -71,6 +71,8 @@ from .syntax import (
     Times,
     Var,
     Zero,
+    _FORMULA_TYPES,
+    _print,
     equal,
     formula_size,
     free_variables,
@@ -876,9 +878,14 @@ def _print_justification(j: Justification | None) -> str:
 
 
 def print_proof_text(proof: Proof) -> str:
+    """One `<i>. <formula> ; <justification>` line per proof line.  One atom
+    memo serves the proof, whose lines keep every node it keys alive."""
+    memo: dict = {}
     out = []
     for i, line in enumerate(proof.lines, start=1):
-        out.append(f"{i}. {print_formula(line.formula)} ; {_print_justification(line.justification)}")
+        if type(line.formula) not in _FORMULA_TYPES:
+            raise TypeError(f"not a formula: {line.formula!r}")
+        out.append(f"{i}. {_print(line.formula, memo)} ; {_print_justification(line.justification)}")
     return "\n".join(out) + "\n"
 
 

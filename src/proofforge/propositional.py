@@ -1030,8 +1030,14 @@ def min_refutation_steps(cs: ClauseSet, cap: int, node_cap: int = 250_000) -> SP
     return SPMeasure(None, True, cap, nodes)
 
 
+def _check_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError(f"the size cap must be >= 1, not {cap}")
+
+
 def _resolution_s_p(alpha: PropFormula, cap: int) -> SPMeasure:
     """s_p of resolution: the minimal refutation of the negation's clauses."""
+    _check_cap(cap)
     return min_refutation_steps(negation_clauses(alpha).clause_set, cap)
 
 
@@ -1055,6 +1061,7 @@ def truth_table_system() -> ProofSystemHandle:
         return all(row.split() == line.split() for row, line in zip(rows, _table_lines(alpha)))
 
     def s_p(alpha: PropFormula, cap: int) -> SPMeasure:
+        _check_cap(cap)
         n = _n_vars(alpha)
         size = (1 << n) * (max(n, 1) + 1)
         if not is_tautology_bruteforce(alpha):

@@ -49,9 +49,11 @@ parser and `share_tree` key every node through a share table, which
 `calculus.parse_proof_text` keeps for a whole text and a
 `derivations.Builder` for its whole proof.  A numeral repeated from line
 to line is then built once, and comparing it with itself is an identity
-test (`equal` charges its cached `node_count`).  A table dies
-with its parse or Builder; none is module-wide, so the lru-cached pools of
-`bounded` are never interned.  Nodes still compare by value, so nothing may
+test (`equal` charges its cached `node_count`).  `calculus.print_proof_text`
+prints each atom object once per proof; it memoizes atoms only, as a memo of
+whole implications is quadratic in the depth of a right-nested chain.  A
+table dies with its parse or Builder; none is module-wide, so the lru-cached
+pools of `bounded` are never interned.  Nodes still compare by value, so nothing may
 rely on two equal nodes being distinct objects, nor on them being one.
 """
 
@@ -544,20 +546,23 @@ def substitute(root: Term | Formula, var: str, replacement: Term) -> Term | Form
 def print_term(t: Term) -> str:
     if type(t) not in _TERM_TYPES:
         raise TypeError(f"not a term: {t!r}")
-    return _print(t)
+    return _print(t, None)
 
 
 def print_formula(f: Formula) -> str:
     if type(f) not in _FORMULA_TYPES:
         raise TypeError(f"not a formula: {f!r}")
-    return _print(f)
+    return _print(f, None)
 
 
-def _print(root: Term | Formula) -> str:
+def _print(root: Term | Formula, memo: dict | None) -> str:
     """Canonical text of a term or formula, built without recursion.
 
     The stack holds nodes still to print and literal strings, in reverse
-    output order.  Parenthesization, by position:
+    output order.  A `memo` maps the id of each `Eq` printed to its text, the
+    same wherever it stands, as `=` never nests; a new atom's (node, start)
+    marker under its parts stores the output from `start`.  Parenthesization,
+    by position:
       * left of + and arguments of S, functions and =: never;
       * right of + and left of *: a Plus;
       * right of * and a quantifier bound: a Plus or a Times;
@@ -596,6 +601,12 @@ def _print(root: Term | Formula) -> str:
         elif cls is Zero:
             emit("0")
         elif cls is Eq:
+            if memo is not None:
+                text = memo.get(id(x))
+                if text is not None:
+                    emit(text)
+                    continue
+                push((x, len(out)))
             push(x.right)
             push(" = ")
             push(x.left)
@@ -655,6 +666,8 @@ def _print(root: Term | Formula) -> str:
             else:
                 push(" (")
                 push(b)
+        elif cls is tuple:
+            memo[id(x[0])] = "".join(out[x[1] :])
         else:
             raise TypeError(f"not a term or formula: {x!r}")
     return "".join(out)

@@ -332,6 +332,13 @@ def test_prop_sp_emits_csv(tmp_path):
     assert len(lines) == 3  # resolution + table rows
 
 
+@pytest.mark.parametrize("systems", ["resolution,table", "resolution", "table"])
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_prop_sp_refuses_a_cap_below_one(capsys, systems, cap):
+    assert cli.main(["prop", "sp", "x0 -> x0", "--systems", systems, "--cap", cap]) == 2
+    assert capsys.readouterr() == ("", f"forge: the size cap must be >= 1, not {cap}\n")
+
+
 @pytest.mark.parametrize(
     "argv, header",
     [
@@ -558,6 +565,23 @@ def test_a_chain_too_small_for_its_atoms_is_a_usage_error(tmp_path, monkeypatch,
     Path("run.cfg").write_text(config)
     assert cli.main(["--config", "run.cfg", *argv]) == 2
     assert capsys.readouterr().err == f"forge: m = {m} is below 5, the smallest atom of the detachment chain\n"
+
+
+@pytest.mark.parametrize(
+    "argv, k",
+    [(["--deterministic", "bench", "--k", "-3", "--m", "8"], -3), (["bench", "--k", "0:20", "--m", "8:16"], 0)],
+    ids=["one-k", "k-range"],
+)
+def test_a_chain_shorter_than_four_lines_is_a_usage_error(capsys, argv, k):
+    # mp_chain builds at least one unit, four lines, whatever k asks for
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"forge: k = {k} is below 4, the shortest detachment chain\n")
+
+
+def test_the_shortest_chain_is_measured(capsys):
+    assert cli.main(["--deterministic", "bench", "--k", "4,7", "--m", "8"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[:3] for row in rows[1:]] == [["4", "8", "4"], ["7", "8", "7"]]
 
 
 @pytest.mark.parametrize("key, spec", [("bench_k", "50"), ("bench_m", "16"), ("bench_k", "10,10")])
