@@ -72,6 +72,7 @@ from .syntax import (
     Var,
     Zero,
     _FORMULA_TYPES,
+    _parse,
     _print,
     equal,
     formula_size,
@@ -932,11 +933,15 @@ def _parse_justification(text: str, arities: dict[str, int] | None, share: dict)
 
 def parse_proof_text(text: str, deffn_arities: dict[str, int] | None = None) -> Proof:
     """Parse the proof text format; raises ValueError with the offending line.
-    One share table serves the whole text, so equal subtrees are one object
-    across its lines and their justification terms."""
+    Only a newline ends a line.  One share table serves the whole text, so
+    equal subtrees are one object across its lines and their justification
+    terms, and one atom memo, so each distinct atom text is parsed once (see
+    syntax._skeleton for the lines read so).  Errors are those of
+    `parse_formula`."""
     share: dict = {}
+    atoms: dict = {}
     lines: list[ProofLine] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
         m = _JUST_LINE_RE.match(raw)
@@ -946,7 +951,7 @@ def parse_proof_text(text: str, deffn_arities: dict[str, int] | None = None) -> 
         if idx != len(lines) + 1:
             raise ValueError(f"proof line {lineno}: index {idx} out of order (expected {len(lines) + 1})")
         try:
-            formula = parse_formula(m.group(2), deffn_arities, share)
+            formula = _parse(m.group(2), deffn_arities, share, True, atoms)
             just = _parse_justification(m.group(3), deffn_arities, share)
         except ValueError as e:
             raise ValueError(f"proof line {lineno}: {e}") from e

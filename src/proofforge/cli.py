@@ -44,7 +44,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read {path}: {e}") from e
 
 
@@ -104,6 +104,9 @@ def cmd_check(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     print(f"{'valid' if check.ok else 'INVALID'}: {len(proof.lines)} lines, conclusion {print_formula(phi)}")
     if not check.ok:
         print(f"  {check.reason}")
+    elif not (stored := check_stored_proof(theory, proof)).ok:
+        # the search justified a line its stored justification does not
+        print(f"  stored justification does not hold: {stored.reason}")
     return EXIT_OK if check.ok else EXIT_VERDICT
 
 

@@ -52,7 +52,7 @@ def dumps(cfg: RunConfig) -> str:
 def loads(text: str) -> RunConfig:
     cfg = RunConfig()
     types = {f.name: f.type for f in fields(cfg)}
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -648,7 +648,7 @@ def print_resolution_text(proof: ResolutionProof) -> str:
 
 def parse_resolution_text(text: str) -> ResolutionProof:
     steps: list[ResolutionStep] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -51,7 +51,11 @@ parser and `share_tree` key every node through a share table, which
 to line is then built once, and comparing it with itself is an identity
 test (`equal` charges its cached `node_count`).  `calculus.print_proof_text`
 prints each atom object once per proof; it memoizes atoms only, as a memo of
-whole implications is quadratic in the depth of a right-nested chain.  A
+whole implications is quadratic in the depth of a right-nested chain.
+`calculus.parse_proof_text` parses each distinct atom text once per proof
+text, reading a line without quantifiers and with at most MAX_NESTING
+nesting tokens as its `_skeleton`; other lines, and any it refuses, are read
+token by token.  A
 table dies with its parse or Builder; none is module-wide, so the lru-cached
 pools of `bounded` are never interned.  Nodes still compare by value, so nothing may
 rely on two equal nodes being distinct objects, nor on them being one.
@@ -968,18 +972,21 @@ _BINARY = {"->": Implies, "=": Eq, "+": Plus, "*": Times, "&": None, "|": None}
 # handing its own value on, or waits for more input.
 
 
-def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, formula: bool) -> Term | Formula:
+def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, formula: bool, atoms: dict | None = None) -> Term | Formula:
     """The formula or term `text` spells, read by precedence climbing
     without recursion, each token once: a "(" where a formula may stand is a
     group that holds whichever it reads.  Nesting is counted, and errors are
     raised at the token they name, as a recursive descent over the grammar
     would.  Every node built other than ZERO is looked up first in the share
     table `share` (see share_tree), so equal subtrees are one object: within
-    the text, and across every text parsed with the same table."""
-    toks, kinds = _tokenize(text)
+    the text, and across every text parsed with the same table.  With
+    `atoms` a formula is read as its _skeleton where it has one, and token
+    by token if that is refused, so that errors are a plain reading's."""
     arities = DEFFN_ARITIES if deffn_arities is None else deffn_arities
     if share is None:
         share = {}
+    skeleton = atoms is not None and _skeleton(text, arities, share, atoms)
+    toks, kinds = skeleton or _tokenize(text)
     get = share.get
     put = share.setdefault
     i = depth = 0
@@ -1027,6 +1034,10 @@ def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, 
             # a factor, opening the parentheses and applications before it
             while True:
                 k = kinds[i]
+                if k == _ATOM:
+                    v = atoms[toks[i]][1]
+                    i += 1
+                    break
                 if k == "0":
                     i += 1
                     v = ZERO
@@ -1062,7 +1073,7 @@ def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, 
                         top = ["args", _TERM, i, []]
                         i += 2
                 push(top)
-            is_formula = False
+            is_formula = k == _ATOM
 
             # hand the value up until a frame waits for more input
             while True:
@@ -1182,7 +1193,64 @@ def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, 
                 pop()
                 top = stack[-1]
     except _ParseError as e:
+        if skeleton:
+            return _parse(text, deffn_arities, share, formula)
         raise SyntaxErrorWithPos(e.message, _token_span(text, e.index)[0]) from None
+
+
+_ATOM = "atom"
+_CONNECTIVE_RE = re.compile(r"([-!&|]>?)")  # a class first splits fastest
+_CONNECTIVES = frozenset(("->", "!", "&", "|"))
+_NESTING = ("(", "!", "->", "+", "*", "&", "|")  # each opens at most one level
+
+
+def _skeleton(text: str, arities: dict[str, int], share: dict, atoms: dict) -> tuple[list[str], list[str]] | None:
+    """The tokens and kinds of formula `text` read as its skeleton, the
+    connectives and formula parentheses around its atoms, each atom one
+    token of kind _ATOM; None for a text with a quantifier, with more
+    nesting tokens than MAX_NESTING (so no atom first parsed shallow passes
+    the cap deeper) or not split so.  `atoms` maps the text of each segment
+    between connectives that holds an atom, the atom's own text among them,
+    to its tokens and the atom's node, so each is parsed once."""
+    if "forall" in text or "exists" in text or sum(map(text.count, _NESTING)) > MAX_NESTING:
+        return None
+    toks: list[str] = []
+    for n, seg in enumerate(_CONNECTIVE_RE.split(text)):
+        if n % 2:
+            if seg not in _CONNECTIVES:
+                return None
+            toks.append(seg)
+            continue
+        got = atoms.get(seg)
+        if got is not None:
+            toks += got[0]
+            continue
+        left, eq, right = seg.partition("=")
+        if not eq:
+            # formula parentheses alone
+            if seg.strip(" ()"):
+                return None
+            toks += seg.replace(" ", "")
+            continue
+        # the leading "(" its left side leaves open are the formula's, as
+        # are the trailing ")" its right side does not open
+        core = left.lstrip(" (")
+        lead = left.count("(", 0, len(left) - len(core))
+        opens = left.count("(") - left.count(")")
+        tail = right.rstrip(" )")
+        trail = right.count(")", len(tail))
+        closes = right.count(")") - right.count("(")
+        if not (0 <= opens <= lead and 0 <= closes <= trail):
+            return None
+        atom = "(" * (lead - opens) + core + "=" + tail + ")" * (trail - closes)
+        if atom not in atoms:
+            try:
+                atoms[atom] = (atom,), _parse(atom, arities, share, True)
+            except SyntaxErrorWithPos:
+                return None
+        got = atoms[seg] = ("(",) * opens + (atom,) + (")",) * closes, atoms[atom][1]
+        toks += got[0]
+    return toks + [""], [*map(_KINDS.get, toks, repeat(_ATOM)), _EOF]
 
 
 def parse_formula(text: str, deffn_arities: dict[str, int] | None = None, share: dict | None = None) -> Formula:

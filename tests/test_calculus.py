@@ -312,6 +312,17 @@ def test_proof_text_parse_errors(bad, message_part):
         parse_proof_text(bad)
 
 
+def test_proof_text_lines_end_at_newline_alone():
+    # a form feed, a line separator or a carriage return does not end a
+    # line; a "\r" before "\n" is read as a space
+    proof = parse_proof_text("1. 0 = 0 ; COMPUTE\x0c\n2. 0 = 0 ; COMPUTE\r\n")
+    assert len(proof.lines) == 2
+    with pytest.raises(ValueError, match="proof line 1: unexpected character ';'"):
+        parse_proof_text("1. 0 = 0 ; COMPUTE\u20282. 0 = 0 ; COMPUTE\n")
+    with pytest.raises(ValueError, match="proof line 2: index 3 out of order"):
+        parse_proof_text("1. 0 = 0 ; COMPUTE\x1c\n3. 0 = 0 ; COMPUTE\n")
+
+
 def test_eval_term_in_handles_definitional_symbols():
     assert eval_term_in(Q, parse_formula("S(0) + S(S(0)) = 0").left) == 3
     assert eval_term_in(Q, DefFn("dbl", (numeral(3),))) == 6

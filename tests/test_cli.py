@@ -58,6 +58,28 @@ def test_missing_file_is_a_usage_error(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_undecodable_file_is_a_usage_error_naming_it(tmp_path, capsys):
+    p = tmp_path / "bad.fp"
+    p.write_bytes(b"1. 0 = 0 ; COMPUTE\xff\n")
+    assert cli.main(["check", "q", str(p), "0 = 0"]) == 2
+    assert capsys.readouterr().err.startswith(f"forge: cannot read {p}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_check_names_a_stored_justification_that_does_not_hold(tmp_path, capsys):
+    # the search justifies the line as COMPUTE; its stored modus ponens cites itself
+    p = tmp_path / "self.fp"
+    p.write_text("1. 0 = 0 ; MP 1 1\n")
+    assert cli.main(["check", "q", str(p), "0 = 0"]) == 0
+    assert capsys.readouterr().out == (
+        "valid: 1 lines, conclusion 0 = 0\n"
+        "  stored justification does not hold: line 1: modus ponens premises must precede the line\n"
+    )
+    # a proof whose stored justifications hold prints one line
+    p.write_text(VALID_PROOF)
+    assert cli.main(["check", "q", str(p), "0 = 0"]) == 0
+    assert capsys.readouterr().out == "valid: 1 lines, conclusion 0 = 0\n"
+
+
 def test_unparsable_formula_is_a_usage_error(proof_file, capsys):
     assert cli.main(["check", "q", proof_file, "0 = ="]) == 2
 
@@ -514,6 +536,14 @@ def test_config_rejects_unknown_keys_and_bad_values():
         cfgmod.loads("not_a_field = 3\n")
     with pytest.raises(ValueError, match="theory"):
         cfgmod.loads("theory = zf\n")
+
+
+def test_config_lines_end_at_newline_alone():
+    with pytest.raises(ValueError, match="line 2: unknown key"):
+        cfgmod.loads("seed = 3\x0c\nnot_a_field = 3\r\n")
+    # one line, whose value is not a number
+    with pytest.raises(ValueError, match="invalid literal"):
+        cfgmod.loads("seed = 3\u2028seed = 4\n")
 
 
 def test_bench_csv_is_byte_identical_in_deterministic_mode(tmp_path):

@@ -212,6 +212,14 @@ def test_resolution_text_rejects_garbage_with_line_numbers():
         parse_resolution_text("i 0\nq 1 2\n")
 
 
+def test_resolution_text_lines_end_at_newline_alone():
+    assert parse_resolution_text("i 1\x0c\ni 2\r\n") == parse_resolution_text("i 1\ni 2\n")
+    with pytest.raises(ValueError, match="line 2: unrecognized step"):
+        parse_resolution_text("i 1\x85\nq\n")
+    with pytest.raises(ValueError, match="line 1: unrecognized step"):
+        parse_resolution_text("i 1\u2029i 2\n")
+
+
 # --- Tseitin ----------------------------------------------------------------------
 
 
