@@ -74,8 +74,9 @@ def mp_chain(theory: TheorySpec, k: int, m: int) -> tuple[Proof, Formula]:
 
     Unit i contributes three lines: the atom A_i (a computation axiom), the
     padding axiom A_i -> (A_{i-1} -> A_i), and the detachment A_{i-1} -> A_i.
-    Atoms are pairwise distinct, so justifying detachment line i scans the
-    whole prefix — the quadratic pair search this family is built to expose."""
+    Atoms are pairwise distinct, so at each detachment the scan's positions
+    (`lines_scanned`, `pair_searches`) cover the whole prefix and grow with
+    k^2; the checker's index finds the line by lookups."""
     b = Builder(theory)
     units = max(1, (k - 1) // 3)
     atoms = _equal_value_atoms(m, units + 1)

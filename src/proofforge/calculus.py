@@ -36,13 +36,14 @@ candidate line is linear in the line size.
 Nine schemata, P1-P3, Q2, BQ2A-BCONGE and EQREFL, are a shape alone: rows
 of one table, `_PATTERNS`, each its line above, checked by one matcher,
 `_schema_matcher`.  Q1, EQSUBST, QAX, IND and COMPUTE are written by hand.
-Each matcher returns the justification it proves, or None.  The one
+Each matcher returns the justification it proves, or None.  The
 justification search lives here: `find_axiom_justification` tries, in a
 fixed order, the matchers that accept the formula's root class (QAX is
 tried on every root and turns down all but `forall` at once), then the
 theory's axioms; `find_rule_justification` looks for modus ponens or
 (bounded) generalization over earlier lines.  The searching verifier and
-the exhaustive proof search both use these two functions.  Of the
+the exhaustive proof search both use the first; in place of the second the
+verifier looks up a `verifier.LineIndex`, which returns the same.  Of the
 schemata, only IND and COMPUTE read the theory, so `could_be_axiom` tells
 without one which formulas some theory accepts as axiom lines.
 """
@@ -97,10 +98,11 @@ class Cost:
     preorder of `syntax.equal` up to and including the first mismatch.  The
     count is the walk's whatever the shortcut: a subtree compared with
     itself (one object, as shared nodes are) costs its node_count without a
-    walk.  lines_scanned and pair_searches count the earlier lines
-    find_rule_justification looks at, singly and as modus ponens
-    antecedents.  A function given no Cost counts nothing, so an unmeasured
-    check never walks a subtree to count it."""
+    walk.  lines_scanned and pair_searches count positions: the earlier
+    lines find_rule_justification passes over, singly and as modus ponens
+    antecedents, as `verifier.LineIndex` reads them off its lookups.  A
+    function given no Cost counts nothing, so an unmeasured check never
+    walks a subtree to count it."""
 
     __slots__ = ("symbol_comparisons", "lines_scanned", "pair_searches")
 
@@ -701,27 +703,22 @@ def find_axiom_justification(theory: TheorySpec, f: Formula, cost: Cost | None =
     return None
 
 
-def find_rule_justification(f: Formula, earlier: Sequence[Formula], cost: Cost | None = None) -> Justification | None:
+def find_rule_justification(f: Formula, earlier: Sequence[Formula]) -> Justification | None:
     """Justify f by a rule from the `earlier` lines (indices are positions there).
 
     Modus ponens takes the first implication with consequent f whose
     antecedent is also among the earlier lines; failing that, (bounded)
-    generalization takes the first earlier line equal to f's body.
+    generalization takes the first earlier line equal to f's body.  The
+    verifier finds the same by lookups in a `verifier.LineIndex`.
     """
     for j, big in enumerate(earlier):
-        if cost is not None:
-            cost.lines_scanned += 1
-        if isinstance(big, Implies) and equal(big.consequent, f, cost):
+        if isinstance(big, Implies) and equal(big.consequent, f):
             for k, g in enumerate(earlier):
-                if cost is not None:
-                    cost.pair_searches += 1
-                if equal(g, big.antecedent, cost):
+                if equal(g, big.antecedent):
                     return MPJust(j, k)
     if isinstance(f, (ForAll, BoundedForAll)):
         for j, g in enumerate(earlier):
-            if cost is not None:
-                cost.lines_scanned += 1
-            if equal(g, f.body, cost):
+            if equal(g, f.body):
                 return GenJust(j, f.var) if isinstance(f, ForAll) else BGenJust(j, f.var, f.bound)
     return None
 

@@ -8,23 +8,25 @@ valid proof is automatically search-valid (the converse direction of the
 fast path in calculus.check_line).
 
 Per line the search is calculus.find_axiom_justification (each schema
-matcher for the line's root class, then the theory's axioms) and then
-calculus.find_rule_justification, which scans preceding lines and pairs of
-preceding lines.  The exhaustive search in the bounded module justifies its
-lines with the same two functions, so the checking relation is written down
-once.
+matcher for the line's root class, then the theory's axioms) and then a
+lookup in a `LineIndex` of the preceding lines, keyed by formula.  It
+returns what calculus.find_rule_justification, the exhaustive search's
+path and the index's test oracle, finds by scanning those lines and pairs
+of them.
 
 `proof_of_with_cost` reports the deterministic work counters; wall time is
 measured separately and carries no determinism guarantee.
+`lines_scanned` and `pair_searches` are positions of that scan (see `Cost`).
 `symbol_comparisons` counts syntax nodes compared: `syntax.equal` compares
 two trees node by node in a right-first preorder (the consequent before
 the antecedent, the right operand before the left) until the first
 mismatch, which is counted too.  The count is the walk's, but the walk is
-mostly not taken.  A parsed proof text, or a Builder's proof, holds each
-distinct subtree once (see `syntax`), so equal parts are one object, and a
-pair of one object costs its cached node count without a walk.  A proof
-built by hand, with no shared nodes, is walked node by node, to the same
-counts.
+mostly not taken.  The index compares on each hit of its dicts and
+counts what `equal` counts.  A parsed proof text, or a Builder's proof,
+holds each distinct subtree once (see `syntax`), so equal parts are one
+object, and a pair of one object costs its cached node count without a
+walk.  A proof built by hand, with no shared nodes, is walked node by
+node, to the same counts.
 """
 
 from __future__ import annotations
@@ -32,16 +34,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .calculus import (
-    Cost,
-    LineCheck,
-    Proof,
-    TheorySpec,
-    find_axiom_justification,
-    find_rule_justification,
-    proof_size,
-)
-from .syntax import Formula, equal, formula_size
+from .calculus import BGenJust, Cost, GenJust, Justification, LineCheck, MPJust, Proof, TheorySpec
+from .calculus import find_axiom_justification, proof_size
+from .syntax import BoundedForAll, ForAll, Formula, Implies, equal, formula_size, node_count
 
 
 @dataclass(frozen=True)
@@ -53,16 +48,63 @@ class CostReport:
     wall_ns: int
 
 
+class LineIndex:
+    """The lines of a proof so far, keyed by formula (hash, then `equal`):
+    the first line of each formula, and each consequent's implications in
+    line order."""
+
+    __slots__ = ("lines", "first", "implications")
+
+    def __init__(self) -> None:
+        self.lines, self.first, self.implications = [], {}, {}
+
+    def add(self, f: Formula) -> None:
+        self.first.setdefault(f, len(self.lines))
+        if type(f) is Implies:
+            self.implications.setdefault(f.consequent, []).append(len(self.lines))
+        self.lines.append(f)
+
+    def justify(self, f: Formula, cost: Cost | None) -> Justification | None:
+        """What calculus.find_rule_justification finds in the lines.  Counted:
+        the scan's positions, and what `equal` counts on each hit of a dict,
+        the node count of the equal trees."""
+        i = len(self.lines)
+        scanned, pairs, found = i, 0, None
+        implications = self.implications.get(f, ())
+        hits = [f] if implications else []
+        for j in implications:
+            a = self.lines[j].antecedent
+            k = self.first.get(a)
+            if k is not None:
+                scanned, pairs, found = j + 1, pairs + k + 1, MPJust(j, k)
+                hits.append(a)
+                break
+            pairs += i
+        if found is None and (type(f) is ForAll or type(f) is BoundedForAll):
+            k = self.first.get(f.body)
+            scanned += i if k is None else k + 1
+            if k is not None:
+                hits.append(f.body)
+                found = GenJust(k, f.var) if type(f) is ForAll else BGenJust(k, f.var, f.bound)
+        if cost is not None:
+            cost.symbol_comparisons += sum(map(node_count, hits))
+            cost.lines_scanned += scanned
+            cost.pair_searches += pairs
+        return found
+
+
 def verify(theory: TheorySpec, proof: Proof, cost: Cost | None = None) -> LineCheck:
     """Every line justifiable by search?  Empty proofs are rejected; a
     rejection names the first line with no justification.  Work is counted
     into `cost` when one is given."""
     if not proof.lines:
         return LineCheck(False, "empty proof")
-    formulas = [ln.formula for ln in proof.lines]
-    for i, f in enumerate(formulas):
-        if find_axiom_justification(theory, f, cost) is None and find_rule_justification(f, formulas[:i], cost) is None:
+    index = LineIndex()
+    for i, ln in enumerate(proof.lines):
+        f = ln.formula
+        if find_axiom_justification(theory, f, cost) is None and index.justify(f, cost) is None:
             return LineCheck(False, f"line {i + 1}: no justification found")
+        index.add(f)
     return LineCheck(True)
 
 

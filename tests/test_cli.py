@@ -729,7 +729,7 @@ def test_deterministic_suite_report_is_pinned(suite_run):
     code, report = suite_run
     assert code == 0
     digest = hashlib.sha256(report).hexdigest()
-    assert digest == "c7967af632f5352faa8d0d3f24d1ad308babe9239e14ba9d2cbd9388f8d59f1a"
+    assert digest == "a7534d13b7807d7075daeb8b4103e84cfce855fe669d35ff18b07390a6b6619a"
 
 
 def _self_proving(levels):

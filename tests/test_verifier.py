@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from test_calculus import _fresh
+from test_proof_text_reference import CERTIFY_REJECT_POINTS
 
 from proofforge.bench import mp_chain
 from proofforge.calculus import ComputeJust, LineCheck, Proof, ProofLine, check_stored_proof, proof_size
 from proofforge.corpus import derived_theorem_corpus, random_delta0_sentence
-from proofforge.goedel import diagonalize, eval_delta0, standard_theory
+from proofforge.goedel import diagonalize, eval_delta0, refutation_target, standard_theory
 from proofforge.syntax import (
     Eq,
     Implies,
@@ -61,9 +63,9 @@ def test_verify_counts_only_when_given_a_cost(monkeypatch):
     from proofforge import verifier
 
     costs = []
-    for name in ("find_axiom_justification", "find_rule_justification"):
-        real = getattr(verifier, name)
-        monkeypatch.setattr(verifier, name, lambda *args, real=real: costs.append(args[-1]) or real(*args))
+    for owner, name in ((verifier, "find_axiom_justification"), (verifier.LineIndex, "justify")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real: costs.append(args[-1]) or real(*args))
     sample = sample_proofs(5)[-1]
     phi = sample.proof.conclusion
     assert verify(Q, sample.proof).ok and proof_of(Q, sample.proof, phi).ok
@@ -185,7 +187,7 @@ def test_cost_counters_scale_with_proof_length():
     assert c_big.lines_scanned > c_small.lines_scanned
 
 
-@pytest.mark.parametrize("k, counters", [(50, (49, 3794, 408, 392)), (200, (199, 31308, 6633, 6567))])
+@pytest.mark.parametrize("k, counters", [(50, (49, 1510, 408, 392)), (200, (199, 6064, 6633, 6567))])
 def test_chain_cost_counters_are_pinned(k, counters):
     # (lines, symbol_comparisons, lines_scanned, pair_searches)
     proof, phi = mp_chain(Q, k, 16)
@@ -201,11 +203,42 @@ def test_deep_cost_counters_are_pinned():
     proof, phi = mp_chain(Q, 200, 64)
     ok, c = proof_of_with_cost(Q, proof, phi)
     assert ok
-    assert (c.lines, c.symbol_comparisons, c.lines_scanned, c.pair_searches) == (199, 254896, 6633, 6567)
+    assert (c.lines, c.symbol_comparisons, c.lines_scanned, c.pair_searches) == (199, 22044, 6633, 6567)
     result = diagonalize(Q, parse_formula("x = 0"))
     ok, c = proof_of_with_cost(Q, result.equivalence, result.biconditional)
     assert ok
-    assert (c.lines, c.symbol_comparisons, c.lines_scanned, c.pair_searches) == (97, 149153, 2413, 2718)
+    assert (c.lines, c.symbol_comparisons, c.lines_scanned, c.pair_searches) == (97, 95746, 2413, 2718)
+
+
+def test_an_unjustifiable_last_line_scans_every_line_before_it():
+    # the relation perfbench's certify rejections check: the search looks
+    # at all n - 1 lines above the false line, and at nothing more
+    for k, m in CERTIFY_REJECT_POINTS:
+        chain, phi = mp_chain(Q, k, m)
+        broken = Proof(chain.lines + (ProofLine(refutation_target(), chain.lines[-1].justification),))
+        ok, c_chain = proof_of_with_cost(Q, chain, phi)
+        rejected, c = proof_of_with_cost(Q, broken, refutation_target())
+        assert ok and not rejected
+        assert c.lines_scanned == c_chain.lines_scanned + len(broken.lines) - 1
+
+
+def test_cost_counters_do_not_depend_on_shared_nodes():
+    # a proof whose equal subtrees are one object, and a copy of new
+    # objects sharing none, cost the same
+    proofs = [mp_chain(Q, 60, 24)[0], diagonalize(Q, parse_formula("x = 0")).equivalence]
+    proofs += [s.proof for s in sample_proofs(30)]
+    for proof in proofs:
+        copy = Proof(tuple(ProofLine(_fresh(ln.formula), ln.justification) for ln in proof.lines))
+        assert copy.lines[-1].formula is not proof.lines[-1].formula
+        ok, c = proof_of_with_cost(Q, proof, proof.conclusion)
+        ok_copy, c_copy = proof_of_with_cost(Q, copy, copy.conclusion)
+        assert ok and ok_copy
+        assert (c.lines, c.symbol_comparisons, c.lines_scanned, c.pair_searches) == (
+            c_copy.lines,
+            c_copy.symbol_comparisons,
+            c_copy.lines_scanned,
+            c_copy.pair_searches,
+        )
 
 
 def test_search_handles_stored_free_justifications():
