@@ -37,18 +37,20 @@ silently narrowing the space.  Two further soundness notes:
 Lines are justified by the verifier's own search: axiom lines by
 calculus.find_axiom_justification, the target by the same function (once,
 at the root: the target and theory never change) and otherwise by
-calculus.find_rule_justification over the lines above it.  Axiom pools are
-cached by the theory's content and the variable pool, not the theory's name.
+`LineIndex.justify` over the lines above it: one index holds the current
+path, which also gives modus ponens closures their antecedents.  Axiom pools
+are cached by the theory's content and the variable pool, not its name.
 
 Almost every node is a leaf: its newest line leaves no room (fewer than 3
 symbols) for another.  A parent visits each child in its own loop: it
 counts the child against the node cap, checks the target on it, and calls
-itself on the child only when the child is inner, handing on its formula
-list extended by the one new line.  A leaf costs its own line only.  The
-target is checked on a child only where the child's newest line f can be
-cited.  A child checks the target only if its parent did (its prefix is
-longer), and the parent's check found nothing, or the search would have
-stopped there; so a justification on the child cites f.  That needs one of:
+itself on the child only when the child is inner.  The child's line is on
+the index while the child is checked or expanded.  A leaf costs its own
+line only.  The target is checked on a child only where the child's newest
+line f can be cited.  A child checks the target only if its parent did (its
+prefix is longer), and the parent's check found nothing, or the search
+would have stopped there; so a justification on the child cites f.  That
+needs one of:
 
   (a) f is an implication whose consequent is the target (f is MP's major
       premise);
@@ -56,8 +58,8 @@ stopped there; so a justification on the child cites f.  That needs one of:
       (f is the minor premise; the parent collects these antecedents once);
   (c) f is the body of a `forall` or `forall<=` target (GEN or BGEN).
 
-When one holds, find_rule_justification runs over all the lines, so the
-justification found is the one a check of every child would find.
+When one holds, the index is asked about the target over all the lines, so
+the justification found is the one a check of every child would find.
 
 Every line and candidate carries its size, so no node walks a formula to
 size it: a pool of size s holds formulas of size s, relevance instances are
@@ -75,6 +77,7 @@ from .calculus import (
     BGenJust,
     GenJust,
     Justification,
+    LineIndex,
     MPJust,
     Proof,
     ProofLine,
@@ -83,7 +86,6 @@ from .calculus import (
     check_stored_proof,
     could_be_axiom,
     find_axiom_justification,
-    find_rule_justification,
     proof_size,
 )
 from .goedel import (
@@ -394,9 +396,9 @@ def enumerate_proofs(
     def closures(lines: list[tuple[Formula, Justification, int]], max_size: int):
         for i, (g, _, _) in enumerate(lines):
             if isinstance(g, Implies) and formula_size(g.consequent) <= max_size:
-                for k, (h, _, _) in enumerate(lines):
-                    if h == g.antecedent:
-                        yield g.consequent, MPJust(i, k), formula_size(g.consequent)
+                k = index.first.get(g.antecedent)
+                if k is not None:
+                    yield g.consequent, MPJust(i, k), formula_size(g.consequent)
         for i, (g, _, gsize) in enumerate(lines):
             if gsize + 2 > max_size:
                 continue
@@ -421,13 +423,14 @@ def enumerate_proofs(
     check_limit = size_budget - tsize - 1  # a child with more used cannot fit the target
     leaf_limit = size_budget - tsize - 5  # a child with more used has no room for a line
     found: list[Proof] = []
+    index = LineIndex()  # the current path's formulas, which never repeat
 
-    def expand(lines: list[tuple[Formula, Justification, int]], formulas: list[Formula], used: int) -> bool:
-        """Visit every child of an inner node: count it, check the target
-        on it, and expand it in turn unless it is a leaf."""
+    def expand(lines: list[tuple[Formula, Justification, int]], used: int) -> bool:
+        """Visit every child of the inner node the index holds: count it,
+        check the target on it, and expand it in turn unless it is a leaf."""
         sep = 1 if lines else 0
         room = size_budget - used - sep - (tsize + 1)
-        cites = {g.antecedent for g in formulas if type(g) is Implies and g.consequent == target}
+        cites = {index.lines[j].antecedent for j in index.implications.get(target, ())}
 
         def candidates():
             # cheap, targeted material first so a "found" surfaces quickly;
@@ -440,7 +443,7 @@ def enumerate_proofs(
                 yield from pools.get(s, ())
             yield from closures(lines, room)
 
-        seen = set(formulas)
+        seen = set(index.first)
         for line in candidates():
             f = line[0]
             if f in seen:
@@ -450,18 +453,19 @@ def enumerate_proofs(
             if state["nodes"] > limits.node_cap:
                 raise _NodeCapHit
             cused = used + sep + line[2]
-            child = None
-            if cused <= check_limit and (
+            check = cused <= check_limit and (
                 (type(f) is Implies and f.consequent == target) or f in cites or (body is not None and f == body)
-            ):
-                child = formulas + [f]
-                j = find_rule_justification(target, child)
+            )
+            if check or cused <= leaf_limit:
+                index.add(f)
+                j = index.justify(target, None) if check else None
                 if j is not None:
                     prefix = tuple(ProofLine(g, jj) for g, jj, _ in lines)
                     found.append(Proof(prefix + (ProofLine(f, line[1]), ProofLine(target, j))))
                     return True
-            if cused <= leaf_limit and expand(lines + [line], child or formulas + [f], cused):
-                return True
+                if cused <= leaf_limit and expand(lines + [line], cused):
+                    return True
+                index.pop()
         return False
 
     try:
@@ -473,7 +477,7 @@ def enumerate_proofs(
             found.append(Proof((ProofLine(target, target_axiom),)))
             ok = True
         else:
-            ok = size_budget - (tsize + 1) >= 3 and expand([], [], 0)
+            ok = size_budget - (tsize + 1) >= 3 and expand([], 0)
     except _NodeCapHit:
         ok = False
         state["capped"] = True

@@ -40,10 +40,9 @@ Each matcher returns the justification it proves, or None.  The
 justification search lives here: `find_axiom_justification` tries, in a
 fixed order, the matchers that accept the formula's root class (QAX is
 tried on every root and turns down all but `forall` at once), then the
-theory's axioms; `find_rule_justification` looks for modus ponens or
-(bounded) generalization over earlier lines.  The searching verifier and
-the exhaustive proof search both use the first; in place of the second the
-verifier looks up a `verifier.LineIndex`, which returns the same.  Of the
+theory's axioms; a `LineIndex` of the earlier lines, keyed by formula,
+finds modus ponens or (bounded) generalization by lookups.  The searching
+verifier and the exhaustive proof search both use the two.  Of the
 schemata, only IND and COMPUTE read the theory, so `could_be_axiom` tells
 without one which formulas some theory accepts as axiom lines.
 """
@@ -54,7 +53,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .syntax import (
     ZERO,
@@ -79,6 +78,7 @@ from .syntax import (
     formula_size,
     free_variables,
     is_sentence,
+    node_count,
     parse_formula,
     parse_term,
     print_formula,
@@ -99,8 +99,8 @@ class Cost:
     count is the walk's whatever the shortcut: a subtree compared with
     itself (one object, as shared nodes are) costs its node_count without a
     walk.  lines_scanned and pair_searches count positions: the earlier
-    lines find_rule_justification passes over, singly and as modus ponens
-    antecedents, as `verifier.LineIndex` reads them off its lookups.  A
+    lines a scan for `LineIndex.justify`'s first match passes over, singly
+    and as modus ponens antecedents, read off the index's lookups.  A
     function given no Cost counts nothing, so an unmeasured check never
     walks a subtree to count it."""
 
@@ -703,24 +703,62 @@ def find_axiom_justification(theory: TheorySpec, f: Formula, cost: Cost | None =
     return None
 
 
-def find_rule_justification(f: Formula, earlier: Sequence[Formula]) -> Justification | None:
-    """Justify f by a rule from the `earlier` lines (indices are positions there).
+class LineIndex:
+    """The lines of a proof so far, keyed by formula (hash, then `equal`):
+    the first line of each formula, and each consequent's implications in
+    line order.  `pop` undoes the last `add`, so one index serves a whole
+    search path."""
 
-    Modus ponens takes the first implication with consequent f whose
-    antecedent is also among the earlier lines; failing that, (bounded)
-    generalization takes the first earlier line equal to f's body.  The
-    verifier finds the same by lookups in a `verifier.LineIndex`.
-    """
-    for j, big in enumerate(earlier):
-        if isinstance(big, Implies) and equal(big.consequent, f):
-            for k, g in enumerate(earlier):
-                if equal(g, big.antecedent):
-                    return MPJust(j, k)
-    if isinstance(f, (ForAll, BoundedForAll)):
-        for j, g in enumerate(earlier):
-            if equal(g, f.body):
-                return GenJust(j, f.var) if isinstance(f, ForAll) else BGenJust(j, f.var, f.bound)
-    return None
+    __slots__ = ("lines", "first", "implications")
+
+    def __init__(self) -> None:
+        self.lines, self.first, self.implications = [], {}, {}
+
+    def add(self, f: Formula) -> None:
+        self.first.setdefault(f, len(self.lines))
+        if type(f) is Implies:
+            self.implications.setdefault(f.consequent, []).append(len(self.lines))
+        self.lines.append(f)
+
+    def pop(self) -> None:
+        f = self.lines.pop()
+        if self.first[f] == len(self.lines):
+            del self.first[f]
+        if type(f) is Implies:
+            js = self.implications[f.consequent]
+            js.pop()
+            if not js:
+                del self.implications[f.consequent]
+
+    def justify(self, f: Formula, cost: Cost | None) -> Justification | None:
+        """The first rule justification of f from the lines, as a scan finds
+        it: modus ponens from the first implication into f whose antecedent
+        is a line (its first), else (bounded) generalization from the first
+        line equal to f's body.  Counted: the scan's positions (see `Cost`),
+        and per dict hit what `equal` counts, the equal trees' node count."""
+        i = len(self.lines)
+        scanned, pairs, found = i, 0, None
+        implications = self.implications.get(f, ())
+        hits = [f] if implications else []
+        for j in implications:
+            a = self.lines[j].antecedent
+            k = self.first.get(a)
+            if k is not None:
+                scanned, pairs, found = j + 1, pairs + k + 1, MPJust(j, k)
+                hits.append(a)
+                break
+            pairs += i
+        if found is None and (type(f) is ForAll or type(f) is BoundedForAll):
+            k = self.first.get(f.body)
+            scanned += i if k is None else k + 1
+            if k is not None:
+                hits.append(f.body)
+                found = GenJust(k, f.var) if type(f) is ForAll else BGenJust(k, f.var, f.bound)
+        if cost is not None:
+            cost.symbol_comparisons += sum(map(node_count, hits))
+            cost.lines_scanned += scanned
+            cost.pair_searches += pairs
+        return found
 
 
 # ---------------------------------------------------------------------------

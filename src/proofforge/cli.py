@@ -332,6 +332,8 @@ def _psim_corpus(n_max: int) -> list[prop.PropFormula]:
 
 
 def cmd_prop_psim(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
+    if args.n_max < 0:
+        raise UsageError(f"--n-max {args.n_max} is negative; 0 leaves the translations out")
     # the translation at bound n has n + 1 variables; past the truth-table
     # limit no table proof is accepted, and building the tables never ends
     if args.n_max + 1 > prop.MAX_BRUTE_VARS:

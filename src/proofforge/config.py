@@ -68,7 +68,10 @@ def loads(text: str) -> RunConfig:
                 raise ValueError(f"line {ln}: {key} must be true or false")
             setattr(cfg, key, val == "true")
         elif isinstance(current, int):
-            setattr(cfg, key, int(val))
+            try:
+                setattr(cfg, key, int(val))
+            except ValueError:
+                raise ValueError(f"line {ln}: {key} must be an integer, got {val!r}") from None
         else:
             setattr(cfg, key, val)
     cfg.validate()

@@ -7,16 +7,14 @@ an earlier line.  No annotations are consulted, so any stored-justification
 valid proof is automatically search-valid (the converse direction of the
 fast path in calculus.check_line).
 
-Per line the search is calculus.find_axiom_justification (each schema
-matcher for the line's root class, then the theory's axioms) and then a
-lookup in a `LineIndex` of the preceding lines, keyed by formula.  It
-returns what calculus.find_rule_justification, the exhaustive search's
-path and the index's test oracle, finds by scanning those lines and pairs
-of them.
+Per line the search is calculus's, the one the exhaustive proof search
+uses: find_axiom_justification (each schema matcher for the line's root
+class, then the theory's axioms) and then a lookup in a `LineIndex` of the
+preceding lines, keyed by formula.
 
 `proof_of_with_cost` reports the deterministic work counters; wall time is
 measured separately and carries no determinism guarantee.
-`lines_scanned` and `pair_searches` are positions of that scan (see `Cost`).
+`lines_scanned` and `pair_searches` are positions of a scan (see `Cost`).
 `symbol_comparisons` counts syntax nodes compared: `syntax.equal` compares
 two trees node by node in a right-first preorder (the consequent before
 the antecedent, the right operand before the left) until the first
@@ -34,9 +32,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .calculus import BGenJust, Cost, GenJust, Justification, LineCheck, MPJust, Proof, TheorySpec
-from .calculus import find_axiom_justification, proof_size
-from .syntax import BoundedForAll, ForAll, Formula, Implies, equal, formula_size, node_count
+from .calculus import Cost, LineCheck, LineIndex, Proof, TheorySpec, find_axiom_justification, proof_size
+from .syntax import Formula, equal, formula_size
 
 
 @dataclass(frozen=True)
@@ -46,51 +43,6 @@ class CostReport:
     lines_scanned: int
     pair_searches: int
     wall_ns: int
-
-
-class LineIndex:
-    """The lines of a proof so far, keyed by formula (hash, then `equal`):
-    the first line of each formula, and each consequent's implications in
-    line order."""
-
-    __slots__ = ("lines", "first", "implications")
-
-    def __init__(self) -> None:
-        self.lines, self.first, self.implications = [], {}, {}
-
-    def add(self, f: Formula) -> None:
-        self.first.setdefault(f, len(self.lines))
-        if type(f) is Implies:
-            self.implications.setdefault(f.consequent, []).append(len(self.lines))
-        self.lines.append(f)
-
-    def justify(self, f: Formula, cost: Cost | None) -> Justification | None:
-        """What calculus.find_rule_justification finds in the lines.  Counted:
-        the scan's positions, and what `equal` counts on each hit of a dict,
-        the node count of the equal trees."""
-        i = len(self.lines)
-        scanned, pairs, found = i, 0, None
-        implications = self.implications.get(f, ())
-        hits = [f] if implications else []
-        for j in implications:
-            a = self.lines[j].antecedent
-            k = self.first.get(a)
-            if k is not None:
-                scanned, pairs, found = j + 1, pairs + k + 1, MPJust(j, k)
-                hits.append(a)
-                break
-            pairs += i
-        if found is None and (type(f) is ForAll or type(f) is BoundedForAll):
-            k = self.first.get(f.body)
-            scanned += i if k is None else k + 1
-            if k is not None:
-                hits.append(f.body)
-                found = GenJust(k, f.var) if type(f) is ForAll else BGenJust(k, f.var, f.bound)
-        if cost is not None:
-            cost.symbol_comparisons += sum(map(node_count, hits))
-            cost.lines_scanned += scanned
-            cost.pair_searches += pairs
-        return found
 
 
 def verify(theory: TheorySpec, proof: Proof, cost: Cost | None = None) -> LineCheck:

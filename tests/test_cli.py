@@ -409,6 +409,14 @@ def test_prop_psim_refuses_a_bound_past_the_truth_table_limit(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_prop_psim_refuses_a_negative_bound(tmp_path, capsys):
+    out = tmp_path / "psim.csv"
+    assert cli.main(["prop", "psim", "--n-max", "-1", "--csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--n-max -1" in err
+    assert not out.exists()
+
+
 def test_prop_psim_table_to_resolution_completes_at_its_default_bound(tmp_path, capsys):
     out = tmp_path / "psim.csv"
     assert cli.main(["prop", "psim", "--csv", str(out)]) == 0
@@ -538,11 +546,18 @@ def test_config_rejects_unknown_keys_and_bad_values():
         cfgmod.loads("theory = zf\n")
 
 
+@pytest.mark.parametrize("value", ["abc", "1e3", "3.0", ""])
+def test_config_names_the_line_and_key_of_a_bad_integer(value):
+    with pytest.raises(ValueError) as e:
+        cfgmod.loads(f"theory = q\nseed = {value}\n")
+    assert str(e.value) == f"line 2: seed must be an integer, got {value!r}"
+
+
 def test_config_lines_end_at_newline_alone():
     with pytest.raises(ValueError, match="line 2: unknown key"):
         cfgmod.loads("seed = 3\x0c\nnot_a_field = 3\r\n")
     # one line, whose value is not a number
-    with pytest.raises(ValueError, match="invalid literal"):
+    with pytest.raises(ValueError, match="line 1: seed must be an integer"):
         cfgmod.loads("seed = 3\u2028seed = 4\n")
 
 

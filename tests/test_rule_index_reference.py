@@ -1,12 +1,13 @@
-"""The verifier's line index against the scan it replaced.
+"""The line index against the scan it replaced.
 
-`verifier.LineIndex` finds modus ponens and (bounded) generalization by
-dict lookups; `calculus.find_rule_justification` scans the earlier lines,
-and pairs of them, for the same rule.  Line by line, on every prefix of each
-proof below, the index must return the scan's justification and count the
-scan's `lines_scanned` and `pair_searches`: the positions its first-match
-rule passes over.  `_counting_scan` is the scan as it counted those two
-numbers before the index, kept verbatim here as their reference."""
+`calculus.LineIndex` finds modus ponens and (bounded) generalization by
+dict lookups; the scan it replaced went over the earlier lines, and pairs
+of them, for the same rule.  Line by line, on every prefix of each proof
+below, the index must return the scan's justification and count the scan's
+`lines_scanned` and `pair_searches`: the positions its first-match rule
+passes over.  `_counting_scan` is that scan, kept verbatim here with the
+two counts as their reference.  `LineIndex.pop` must leave the index it
+would be if built afresh from the lines left."""
 
 import random
 
@@ -14,7 +15,7 @@ import pytest
 from test_print_reference import CERTIFY_CHAIN_POINTS
 
 from proofforge.bench import mp_chain
-from proofforge.calculus import BGenJust, Cost, GenJust, MPJust, find_rule_justification
+from proofforge.calculus import BGenJust, Cost, GenJust, LineIndex, MPJust
 from proofforge.corpus import derived_theorem_corpus, diagonal_shapes
 from proofforge.goedel import diagonalize, refutation_target, standard_theory
 from proofforge.syntax import (
@@ -29,7 +30,6 @@ from proofforge.syntax import (
     equal,
     numeral,
 )
-from proofforge.verifier import LineIndex
 
 THEORY = standard_theory()
 
@@ -58,7 +58,6 @@ def _assert_index_is_the_scan(formulas):
     for i, f in enumerate(formulas):
         earlier = formulas[:i]
         want = _counting_scan(f, earlier)
-        assert want[0] == find_rule_justification(f, earlier), i
         cost = Cost()
         assert (index.justify(f, cost), cost.lines_scanned, cost.pair_searches) == want, i
         assert index.justify(f, None) == want[0], i
@@ -154,3 +153,40 @@ def test_index_takes_the_scans_first_match_on_hand_built_proofs():
             index.add(f)
         cost = Cost()
         assert (index.justify(lines[-1], cost), cost.lines_scanned, cost.pair_searches) == (justification, scanned, pairs)
+
+
+def _assert_pop_undoes_add(rng, formulas):
+    """A seeded walk of adds and pops over the formulas: after every step
+    the index is the one built afresh from its lines, and justifies as the
+    scan does over them."""
+    __tracebackhide__ = True
+    index = LineIndex()
+    for _ in range(3 * len(formulas)):
+        if index.lines and rng.random() < 0.4:
+            index.pop()
+        else:
+            index.add(rng.choice(formulas))
+        fresh = LineIndex()
+        for g in index.lines:
+            fresh.add(g)
+        assert (index.lines, index.first, index.implications) == (fresh.lines, fresh.first, fresh.implications)
+        f = rng.choice(formulas)
+        cost = Cost()
+        want = _counting_scan(f, index.lines)
+        assert (index.justify(f, cost), cost.lines_scanned, cost.pair_searches) == want
+    while index.lines:
+        index.pop()
+    assert (index.first, index.implications) == ({}, {})
+
+
+def test_pop_undoes_add(derived):
+    rng = random.Random(3232)
+    for k, m in CERTIFY_CHAIN_POINTS:
+        _assert_pop_undoes_add(rng, _formulas(mp_chain(THEORY, k, m)[0]))
+    for formulas in derived:
+        _assert_pop_undoes_add(rng, formulas)
+    a, b = Eq(ZERO, ZERO), Eq(numeral(1), numeral(1))
+    ab = Implies(a, b)
+    x = Var("x")
+    body = Eq(x, x)
+    _assert_pop_undoes_add(rng, [a, a, ab, ab, b, body, ForAll("x", body), Implies(body, b), Implies(body, b)])

@@ -60,10 +60,10 @@ def test_cost_report_is_deterministic_except_wall_clock():
 
 
 def test_verify_counts_only_when_given_a_cost(monkeypatch):
-    from proofforge import verifier
+    from proofforge import calculus, verifier
 
     costs = []
-    for owner, name in ((verifier, "find_axiom_justification"), (verifier.LineIndex, "justify")):
+    for owner, name in ((verifier, "find_axiom_justification"), (calculus.LineIndex, "justify")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, real=real: costs.append(args[-1]) or real(*args))
     sample = sample_proofs(5)[-1]
