@@ -775,6 +775,7 @@ class LineCheck:
 
     ok: bool
     reason: str = ""
+    proof: Proof | None = field(default=None, compare=False, repr=False)  # a search's elaborated proof
 
     def __bool__(self) -> bool:
         raise TypeError("read LineCheck.ok, not the check's truth value")
@@ -861,8 +862,15 @@ def check_line(theory: TheorySpec, proof: Proof, i: int) -> LineCheck:
     return LineCheck(False, f"unknown justification {j!r}")
 
 
-def check_stored_proof(theory: TheorySpec, proof: Proof) -> LineCheck:
-    for i in range(len(proof.lines)):
+def check_stored_proof(theory: TheorySpec, proof: Proof, found: Proof | None = None) -> LineCheck:
+    """Check each line by its stored justification.  Given `found`, the
+    search's elaborated proof, a line whose stored justification is `?`, the
+    found one or a bare COMPUTE the search computed is not checked again."""
+    for i, line in enumerate(proof.lines):
+        if found is not None:
+            j, k = line.justification, found.lines[i].justification
+            if j is None or j == k or (j == ComputeJust() and type(k) is ComputeJust):
+                continue
         res = check_line(theory, proof, i)
         if not res.ok:
             return LineCheck(False, f"line {i + 1}: {res.reason}")

@@ -104,7 +104,7 @@ def cmd_check(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     print(f"{'valid' if check.ok else 'INVALID'}: {len(proof.lines)} lines, conclusion {print_formula(phi)}")
     if not check.ok:
         print(f"  {check.reason}")
-    elif not (stored := check_stored_proof(theory, proof)).ok:
+    elif not (stored := check_stored_proof(theory, proof, check.proof)).ok:
         # the search justified a line its stored justification does not
         print(f"  stored justification does not hold: {stored.reason}")
     return EXIT_OK if check.ok else EXIT_VERDICT
@@ -216,6 +216,7 @@ def cmd_regen(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 
 def cmd_demo(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
+    levels = suitemod.chain_levels(cfg, args.depth, args.m)
     print("Consistency regeneration walkthrough")
     print("====================================")
     print()
@@ -225,7 +226,6 @@ def cmd_demo(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     print("cannot prove it at desk scale, while the next theory up proves it in")
     print("one line because it adopted the statement as an axiom.")
     print()
-    levels = suitemod.chain_levels(cfg, args.depth, args.m)
     for i, lvl in enumerate(levels, start=1):
         print(f"level {i} — theory {lvl.theory_name}")
         print(f"  statement size {lvl.con_size}, code {lvl.con_code}")
@@ -298,6 +298,8 @@ def cmd_prop_sp(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     if not formulas:
         raise UsageError("give a formula or --file with one formula per line")
     names = [s.strip() for s in args.systems.split(",") if s.strip()]
+    if not names:
+        raise UsageError(f"--systems {args.systems!r} names no proof system (choose from {sorted(_SYSTEMS)})")
     for name in names:
         if name not in _SYSTEMS:
             raise UsageError(f"unknown proof system {name!r} (choose from {sorted(_SYSTEMS)})")

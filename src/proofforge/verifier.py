@@ -3,9 +3,10 @@
 `proof_of` treats a proof as a bare sequence of formulas: a line is good if
 *some* justification exists for it — an axiom-schema instance, a theory
 axiom, modus ponens from two earlier lines, or (bounded) generalization of
-an earlier line.  No annotations are consulted, so any stored-justification
-valid proof is automatically search-valid (the converse direction of the
-fast path in calculus.check_line).
+an earlier line.  No annotations are consulted.  The search elaborates: an
+accepted proof comes back in `LineCheck.proof`, each line carrying the first
+justification found for it, which `calculus.check_stored_proof` accepts and,
+given it as `found`, reads instead of checking a line that agrees with it.
 
 Per line the search is calculus's, the one the exhaustive proof search
 uses: find_axiom_justification (each schema matcher for the line's root
@@ -32,7 +33,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .calculus import Cost, LineCheck, LineIndex, Proof, TheorySpec, find_axiom_justification, proof_size
+from .calculus import Cost, LineCheck, LineIndex, Proof, ProofLine, TheorySpec, find_axiom_justification, proof_size
 from .syntax import Formula, equal, formula_size
 
 
@@ -47,17 +48,20 @@ class CostReport:
 
 def verify(theory: TheorySpec, proof: Proof, cost: Cost | None = None) -> LineCheck:
     """Every line justifiable by search?  Empty proofs are rejected; a
-    rejection names the first line with no justification.  Work is counted
-    into `cost` when one is given."""
+    rejection names the first line with no justification, an acceptance
+    carries the elaborated proof.  Work is counted into `cost` if given."""
     if not proof.lines:
         return LineCheck(False, "empty proof")
     index = LineIndex()
+    found = []
     for i, ln in enumerate(proof.lines):
         f = ln.formula
-        if find_axiom_justification(theory, f, cost) is None and index.justify(f, cost) is None:
+        just = find_axiom_justification(theory, f, cost) or index.justify(f, cost)
+        if just is None:
             return LineCheck(False, f"line {i + 1}: no justification found")
+        found.append(ProofLine(f, just))
         index.add(f)
-    return LineCheck(True)
+    return LineCheck(True, proof=Proof(tuple(found)))
 
 
 def proof_of(theory: TheorySpec, proof: Proof, phi: Formula, cost: Cost | None = None) -> LineCheck:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from proofforge import cli
+from proofforge import calculus, cli
 from proofforge import config as cfgmod
 from proofforge import goedel
 from proofforge import propositional as prop
@@ -21,7 +22,7 @@ from proofforge import suite as suitemod
 from proofforge.calculus import MPJust, Proof, ProofLine
 from proofforge.corpus import random_clause_set
 from proofforge.suite import CriterionResult
-from proofforge.syntax import MAX_NESTING
+from proofforge.syntax import MAX_NESTING, print_formula
 
 VALID_PROOF = "1. 0 = 0 ; COMPUTE\n"
 
@@ -78,6 +79,40 @@ def test_check_names_a_stored_justification_that_does_not_hold(tmp_path, capsys)
     p.write_text(VALID_PROOF)
     assert cli.main(["check", "q", str(p), "0 = 0"]) == 0
     assert capsys.readouterr().out == "valid: 1 lines, conclusion 0 = 0\n"
+
+
+def _readme_proof_example() -> str:
+    """The first-order proof example in the README's "File formats" section."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("First-order proofs (`forge check`)", 1)[1].split("```\n", 2)[1]
+
+
+@pytest.mark.parametrize("justify", [False, True], ids=["as-written", "question-marks"])
+def test_the_readme_proof_example_checks(tmp_path, capsys, justify):
+    text = _readme_proof_example()
+    if justify:
+        # every justification left to the search: a `?` line takes the one found
+        text = re.sub(r" ; .*", " ; ?", text)
+    p = tmp_path / "readme.fp"
+    p.write_text(text)
+    conclusion = print_formula(calculus.parse_proof_text(text).conclusion)
+    assert cli.main(["check", "q", str(p), conclusion]) == 0
+    assert capsys.readouterr().out == f"valid: {len(text.splitlines())} lines, conclusion {conclusion}\n"
+
+
+def test_check_evaluates_each_compute_line_once(tmp_path, monkeypatch, capsys):
+    # eval_term_in evaluates one side of an equation.  The search computes
+    # lines 1 and 2, and the stored check reads their written COMPUTE off the
+    # search's record; line 3 the search justifies by EQREFL, so the stored
+    # check computes it.
+    calls = []
+    real = calculus.eval_term_in
+    monkeypatch.setattr(calculus, "eval_term_in", lambda *args: calls.append(args) or real(*args))
+    p = tmp_path / "compute.fp"
+    p.write_text("1. S(0) + S(0) = S(S(0)) ; COMPUTE\n2. S(0) * S(S(0)) = S(S(0)) ; COMPUTE[v=2]\n3. 0 = 0 ; COMPUTE\n")
+    assert cli.main(["check", "q", str(p), "0 = 0"]) == 0
+    assert capsys.readouterr().out == "valid: 3 lines, conclusion 0 = 0\n"
+    assert len(calls) == 2 * 3
 
 
 def test_unparsable_formula_is_a_usage_error(proof_file, capsys):
@@ -359,6 +394,15 @@ def test_prop_sp_emits_csv(tmp_path):
 def test_prop_sp_refuses_a_cap_below_one(capsys, systems, cap):
     assert cli.main(["prop", "sp", "x0 -> x0", "--systems", systems, "--cap", cap]) == 2
     assert capsys.readouterr() == ("", f"forge: the size cap must be >= 1, not {cap}\n")
+
+
+@pytest.mark.parametrize("systems", [",", "", " , "])
+def test_prop_sp_refuses_an_empty_system_list(tmp_path, capsys, systems):
+    out = tmp_path / "sp.csv"
+    assert cli.main(["prop", "sp", "x0 -> x0", "--systems", systems, "--csv", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--systems" in err
 
 
 @pytest.mark.parametrize(
@@ -762,6 +806,13 @@ def test_a_failing_chain_exits_one(monkeypatch, command, damage):
     real = suitemod.regeneration_chain
     monkeypatch.setattr(suitemod, "regeneration_chain", lambda **kw: damage(real(**kw)))
     assert cli.main([command, "--depth", "2", "--m", "8"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["--depth", "9"], ["--m", "0"]], ids=["depth", "m"])
+def test_a_demo_usage_error_prints_nothing_to_stdout(capsys, argv):
+    assert cli.main(["demo", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
