@@ -1,10 +1,10 @@
 """proofforge: a desk-scale laboratory for proof length in arithmetic.
 
-Feasible verification of Hilbert-style proofs for first-order arithmetic,
-numeric coding with a diagonalization engine, size-bounded provability and
-consistency statements, exhaustive proof search at small sizes, and a
-propositional layer (resolution with extension) with proof-length
-measurement.
+An instrumented checker for Hilbert-style proofs in first-order arithmetic
+(its COMPUTE lines are not yet polynomially bounded), numeric coding with a
+diagonalization engine, size-bounded provability and consistency
+statements, exhaustive proof search at small sizes, and a propositional
+layer (resolution and truth tables) with proof-length measurement.
 """
 
 from .calculus import (

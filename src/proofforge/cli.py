@@ -254,12 +254,11 @@ def cmd_suite(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 def cmd_prop_check(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     cs = prop.from_dimacs(_read_text(args.cnf_file))
     rp = prop.parse_resolution_text(_read_text(args.proof_file))
-    result = prop.check_resolution(cs, rp, extended=args.extended)
-    label = "extended resolution" if args.extended else "resolution"
+    result = prop.check_resolution(cs, rp)
     if result.ok:
-        print(f"valid {label} refutation: {len(rp.steps)} steps, {len(result.derived)} clauses derived")
+        print(f"valid resolution refutation: {len(rp.steps)} steps, {len(result.derived)} clauses derived")
         return EXIT_OK
-    print(f"INVALID {label} refutation: {result.reason}")
+    print(f"INVALID resolution refutation: {result.reason}")
     return EXIT_VERDICT
 
 
@@ -294,7 +293,7 @@ _SYSTEMS: dict[str, Callable[[], prop.ProofSystemHandle]] = {
 def cmd_prop_sp(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     formulas = [_parse_prop_arg(args.formula)] if args.formula else []
     if args.file:
-        formulas.extend(_parse_prop_arg(line) for line in _read_text(args.file).splitlines() if line.strip())
+        formulas.extend(_parse_prop_arg(line) for line in _read_text(args.file).split("\n") if line.strip())
     if not formulas:
         raise UsageError("give a formula or --file with one formula per line")
     names = [s.strip() for s in args.systems.split(",") if s.strip()]
@@ -453,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = psub.add_parser("check", help="check a resolution refutation of a DIMACS clause set")
     sp.add_argument("cnf_file")
     sp.add_argument("proof_file")
-    sp.add_argument("--extended", action="store_true", help="allow extension steps")
     sp.set_defaults(handler=cmd_prop_check)
 
     sp = psub.add_parser("taut", help="brute-force tautology check")

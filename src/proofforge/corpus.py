@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .calculus import TheorySpec, robinson_axioms
 from .derivations import Builder
 from .goedel import provability_formula
-from .propositional import ClauseSet, Extend, Input, Resolve, ResolutionProof
+from .propositional import ClauseSet, Input, Resolve, ResolutionProof
 from .reference import closed_term_value
 from .syntax import (
     BoundedExists,
@@ -299,7 +299,7 @@ def mutate_resolution_proof(rng: random.Random, proof: ResolutionProof) -> Resol
     steps = list(proof.steps)
     if not steps:
         return ResolutionProof((Resolve(0, 0, 0),))
-    match rng.choice(["pivot", "swap", "index", "drop", "input", "truncate", "extend"]):
+    match rng.choice(["pivot", "swap", "index", "drop", "input", "truncate"]):
         case "pivot":
             idx = rng.randrange(len(steps))
             s = steps[idx]
@@ -327,6 +327,4 @@ def mutate_resolution_proof(rng: random.Random, proof: ResolutionProof) -> Resol
             steps.insert(rng.randrange(len(steps) + 1), Input(rng.randrange(-3, 50)))
         case "truncate":
             steps = steps[: rng.randrange(len(steps))]
-        case "extend":
-            steps.append(Extend(rng.randrange(0, 3), rng.choice([-2, -1, 1, 2]), rng.choice([-2, -1, 1, 2])))
     return ResolutionProof(tuple(steps))

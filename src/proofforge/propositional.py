@@ -17,17 +17,13 @@ positively and -(i+1) negatively.  Resolution proofs are step lists:
     Input(k)              cite clause k of the clause set under refutation
     Resolve(i, j, v)      resolve derived clauses i and j on pivot variable v
                           (v positive in i, negative in j)
-    Extend(v, a, b)       introduce fresh variable v with v <-> (a and b),
-                          appending its three defining clauses
-                          {-v, a}, {-v, b}, {v, -a, -b}   [extended mode]
 
-Indices count derived clauses from 0 in order; Extend appends three.  A
-refutation must end with the empty clause.  The line-oriented text format
-uses 1-based DIMACS variable numbers:
+Indices count derived clauses from 0 in order, one per step.  A refutation
+must end with the empty clause.  The line-oriented text format uses 1-based
+DIMACS variable numbers:
 
     i <idx>
     r <i> <j> <pivot>
-    e <var> <a> <b>
 
 Tautology proofs refute the Tseitin clausification of the negated formula.
 The Delta0 translation maps an arithmetic formula with one free variable x
@@ -503,7 +499,7 @@ def from_dimacs(text: str) -> ClauseSet:
     clauses: list[Clause] = []
     declared: int | None = None
     pending: list[int] = []
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -562,14 +558,7 @@ class Resolve:
     pivot: int  # variable index; positive in `left`, negative in `right`
 
 
-@dataclass(frozen=True)
-class Extend:
-    var: int
-    a: int
-    b: int  # literals; defines var <-> (a and b)
-
-
-ResolutionStep = Union[Input, Resolve, Extend]
+ResolutionStep = Union[Input, Resolve]
 
 
 @dataclass(frozen=True)
@@ -584,16 +573,9 @@ class ResolutionCheck:
     derived: tuple[Clause, ...] = ()
 
 
-def check_resolution(cs: ClauseSet, proof: ResolutionProof, extended: bool = False) -> ResolutionCheck:
-    """Validate a refutation.  Invalid proofs report a reason, never raise.
-
-    `extended` admits Extend steps (fresh variable, exactly the three
-    defining clauses for v <-> (a and b)).  A variable is fresh if no input
-    clause and no earlier definition, on either side, names it.
-    """
+def check_resolution(cs: ClauseSet, proof: ResolutionProof) -> ResolutionCheck:
+    """Validate a refutation.  Invalid proofs report a reason, never raise."""
     derived: list[Clause] = []
-    # variables below cs.n_vars are in use too; they are not materialized
-    used_vars = {lit_var(l) for c in cs.clauses for l in c}
     for n, step in enumerate(proof.steps):
         match step:
             case Input(k):
@@ -610,20 +592,6 @@ def check_resolution(cs: ClauseSet, proof: ResolutionProof, extended: bool = Fal
                 if neg not in cj:
                     return ResolutionCheck(False, f"step {n}: pivot variable {p + 1} not negative in clause {j}", tuple(derived))
                 derived.append((ci - {pos}) | (cj - {neg}))
-            case Extend(v, a, b):
-                if not extended:
-                    return ResolutionCheck(False, f"step {n}: extension not admitted in this system", tuple(derived))
-                if v < cs.n_vars or v in used_vars:
-                    return ResolutionCheck(False, f"step {n}: extension variable {v + 1} is not fresh", tuple(derived))
-                if lit_var(a) == v or lit_var(b) == v or a == 0 or b == 0:
-                    return ResolutionCheck(False, f"step {n}: ill-formed extension definition", tuple(derived))
-                # a and b name variables in use too, so none is defined later
-                used_vars.update((v, lit_var(a), lit_var(b)))
-                nv = lit(v, False)
-                pv = lit(v, True)
-                derived.append(frozenset({nv, a}))
-                derived.append(frozenset({nv, b}))
-                derived.append(frozenset({pv, -a, -b}))
             case _:
                 return ResolutionCheck(False, f"step {n}: unknown step kind", tuple(derived))
     if not derived:
@@ -641,8 +609,6 @@ def print_resolution_text(proof: ResolutionProof) -> str:
                 out.append(f"i {k}")
             case Resolve(i, j, p):
                 out.append(f"r {i} {j} {p + 1}")
-            case Extend(v, a, b):
-                out.append(f"e {v + 1} {a} {b}")
     return "\n".join(out) + "\n"
 
 
@@ -662,11 +628,6 @@ def parse_resolution_text(text: str) -> ResolutionProof:
                     if pv < 1:
                         raise ValueError("pivot must be a positive variable number")
                     steps.append(Resolve(int(i), int(j), pv - 1))
-                case ["e", v, a, b]:
-                    vv = int(v)
-                    if vv < 1:
-                        raise ValueError("extension variable must be positive")
-                    steps.append(Extend(vv - 1, int(a), int(b)))
                 case _:
                     raise ValueError(f"unrecognized step {line!r}")
         except ValueError as e:
@@ -1053,7 +1014,7 @@ def truth_table_system() -> ProofSystemHandle:
             text = proof_bytes.decode("utf-8", errors="strict")
         except UnicodeDecodeError:
             return False
-        rows = [ln for ln in text.splitlines() if ln.strip()]
+        rows = [ln for ln in text.split("\n") if ln.strip()]
         n = _n_vars(alpha)
         # the row count first: a short proof never builds a large table
         if n > MAX_BRUTE_VARS or len(rows) != (1 << n) or not is_tautology_bruteforce(alpha):
@@ -1062,10 +1023,12 @@ def truth_table_system() -> ProofSystemHandle:
 
     def s_p(alpha: PropFormula, cap: int) -> SPMeasure:
         _check_cap(cap)
-        n = _n_vars(alpha)
-        size = (1 << n) * (max(n, 1) + 1)
+        # the sweep refuses more than MAX_BRUTE_VARS variables before the
+        # table size below is computed
         if not is_tautology_bruteforce(alpha):
             return SPMeasure(None, False, cap)
+        n = _n_vars(alpha)
+        size = (1 << n) * (max(n, 1) + 1)
         return SPMeasure(size, size > cap, cap)
 
     return ProofSystemHandle("truth-table", verify, s_p)

@@ -48,7 +48,6 @@ from .goedel import (
 )
 from .propositional import (
     ClauseSet,
-    Extend,
     Input,
     Resolve,
     ResolutionProof,
@@ -57,7 +56,6 @@ from .propositional import (
     dp_refutation,
     is_tautology_bruteforce,
     lit,
-    lit_var,
     translate_delta0,
 )
 from .reference import sentence_truth
@@ -271,10 +269,9 @@ def criterion_6_regeneration(cfg: cfgmod.RunConfig) -> CriterionResult:
 # -- 7: resolution layer -------------------------------------------------------
 
 
-def _replay_resolution(cs: ClauseSet, proof: ResolutionProof, extended: bool) -> bool:
+def _replay_resolution(cs: ClauseSet, proof: ResolutionProof) -> bool:
     """Independent little replay used to classify fuzz mutants."""
     derived: list[frozenset] = []
-    used = set(range(cs.n_vars)) | {lit_var(l) for c in cs.clauses for l in c}
     for s in proof.steps:
         if isinstance(s, Input):
             if not 0 <= s.index < len(cs.clauses):
@@ -287,17 +284,6 @@ def _replay_resolution(cs: ClauseSet, proof: ResolutionProof, extended: bool) ->
             if p not in derived[s.left] or n not in derived[s.right]:
                 return False
             derived.append((derived[s.left] - {p}) | (derived[s.right] - {n}))
-        elif isinstance(s, Extend):
-            if not extended or s.var in used or lit_var(s.a) == s.var or lit_var(s.b) == s.var:
-                return False
-            used.update((s.var, lit_var(s.a), lit_var(s.b)))
-            derived.extend(
-                [
-                    frozenset({lit(s.var, False), s.a}),
-                    frozenset({lit(s.var, False), s.b}),
-                    frozenset({lit(s.var, True), -s.a, -s.b}),
-                ]
-            )
         else:
             return False
     return bool(derived) and derived[-1] == frozenset()
@@ -316,11 +302,10 @@ def criterion_7_resolution(cfg: cfgmod.RunConfig) -> CriterionResult:
     while invalid_seen < 500:
         cs, base = bases[invalid_seen % len(bases)]
         mutant = mutate_resolution_proof(rng, base)
-        ext = rng.random() < 0.5
-        if _replay_resolution(cs, mutant, ext):
+        if _replay_resolution(cs, mutant):
             continue  # mutation happened to stay valid; not an invalid sample
         invalid_seen += 1
-        if check_resolution(cs, mutant, extended=ext).ok:
+        if check_resolution(cs, mutant).ok:
             false_accepts += 1
 
     violations = 0

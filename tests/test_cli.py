@@ -291,17 +291,14 @@ def test_prop_check_verdicts(tmp_path, capsys):
     clause_import = tmp_path / "import.rp"
     clause_import.write_text("a 1 0\ni 1\nr 0 1 1\n")
     assert cli.main(["prop", "check", str(cnf), str(clause_import)]) == 2
-
-
-def test_prop_check_refuses_a_cyclic_extension(tmp_path, capsys):
-    # x1 <-> !x2, then x2 <-> x1 "refutes" the satisfiable {x0}; x2 is named
-    # by the first definition, so the second may not define it
-    cnf, rp = tmp_path / "sat.cnf", tmp_path / "cyc.rp"
-    cnf.write_text("p cnf 1 1\n1 0\n")
-    rp.write_text("i 0\ne 2 -3 -3\ne 3 2 2\nr 3 6 2\nr 4 1 2\nr 7 8 3\n")
-    assert cli.main(["prop", "check", str(cnf), str(rp), "--extended"]) == 1
-    # the reason names the variable by its number in the proof text
-    assert "step 2: extension variable 3 is not fresh" in capsys.readouterr().out
+    # the extension rule is not a step of the format, nor an option
+    capsys.readouterr()
+    extension = tmp_path / "extension.rp"
+    extension.write_text("i 0\ni 1\ne 3 1 -2\nr 0 1 1\n")
+    assert cli.main(["prop", "check", str(cnf), str(extension)]) == 2
+    assert capsys.readouterr() == ("", "forge: line 3: unrecognized step 'e 3 1 -2'\n")
+    assert cli.main(["prop", "check", str(cnf), str(good), "--extended"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("depth", [500, 2_000])
@@ -394,6 +391,26 @@ def test_prop_sp_emits_csv(tmp_path):
 def test_prop_sp_refuses_a_cap_below_one(capsys, systems, cap):
     assert cli.main(["prop", "sp", "x0 -> x0", "--systems", systems, "--cap", cap]) == 2
     assert capsys.readouterr() == ("", f"forge: the size cap must be >= 1, not {cap}\n")
+
+
+def test_prop_sp_refuses_a_huge_variable_index_before_sizing_its_table(capsys):
+    # the table of x99999999999 would have 2**100000000000 rows; its size is
+    # never computed, so no memory limit is needed to see the usage error
+    assert cli.main(["prop", "sp", "x99999999999 | !x99999999999", "--cap", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "forge: 100000000000 variables exceeds the brute-force cap of 24\n"
+
+
+def test_prop_sp_file_lines_end_at_newline_alone(tmp_path, capsys):
+    plain, odd = tmp_path / "plain.txt", tmp_path / "odd.txt"
+    plain.write_text("x0 -> x0\n(x0 & x1) -> x0\n")
+    # a form feed, NEL or line separator inside a line is whitespace
+    odd.write_bytes("x0 ->\x0c x0\r\n(x0 & x1)\x85->\u2028x0\n".encode())
+    assert cli.main(["prop", "sp", "--file", str(plain), "--cap", "8"]) == 0
+    expected = capsys.readouterr().out
+    assert cli.main(["prop", "sp", "--file", str(odd), "--cap", "8"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("systems", [",", "", " , "])
@@ -560,8 +577,7 @@ def test_fuzzed_prop_inputs_exit_cleanly(tmp_path, capsys):
             rp_text = _mutate(rng, rp_text, "0123456789- \nirea#")
         cnf.write_text(cnf_text)
         rp.write_text(rp_text)
-        extended = ["--extended"] if rng.random() < 0.5 else []
-        code = cli.main(["prop", "check", str(cnf), str(rp), *extended])
+        code = cli.main(["prop", "check", str(cnf), str(rp)])
         _assert_clean_exit(code, capsys)
         codes.add(code)
     texts = ["x0 -> (x1 -> x0)", "((x0 -> x1) -> x0) -> x0", "(x0 & x1) -> x0", "!(x0 & !x0)", "x0 | !x1"]

@@ -1,6 +1,7 @@
 """Every name a module imports is read in that module (`__init__` re-exports
-and is left out), and the package imports nothing outside the standard
-library."""
+and is left out), the package imports nothing outside the standard
+library, and every source file parses as Python 3.10, the oldest version
+`pyproject.toml` admits."""
 
 import ast
 import sys
@@ -10,6 +11,7 @@ import proofforge
 
 PACKAGE = sorted(Path(proofforge.__file__).resolve().parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -68,3 +70,15 @@ def test_the_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.setdefault(path.name, []).append(name)
     assert outside == {}
+
+
+def test_every_source_file_parses_as_python_3_10():
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(paths) > 40
+    newer = {}
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as e:
+            newer[str(path.relative_to(ROOT))] = f"line {e.lineno}: {e.msg}"
+    assert newer == {}

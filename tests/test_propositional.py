@@ -20,7 +20,6 @@ from proofforge.propositional import (
     MAX_PROP_NESTING,
     TRUE,
     ClauseSet,
-    Extend,
     Input,
     PAnd,
     PConst,
@@ -60,7 +59,6 @@ from proofforge.propositional import (
     truth_table_system,
     tseitin,
 )
-from proofforge.suite import _replay_resolution
 from proofforge.syntax import (
     BoundedExists,
     BoundedForAll,
@@ -147,39 +145,6 @@ def test_rejection_reasons_name_the_offense(steps, part):
     assert part in r.reason
 
 
-def test_extension_variable_freshness_is_enforced():
-    # defining a variable already in use must be rejected...
-    bad = ResolutionProof((Input(0), Input(1), Extend(0, 1, -1), Resolve(0, 1, 0)))
-    r = check_resolution(CONTRADICTION, bad, extended=True)
-    assert not r.ok and "fresh" in r.reason
-    # ...while a genuinely fresh definition passes
-    good = ResolutionProof((Input(0), Input(1), Extend(5, 1, -1), Resolve(0, 1, 0)))
-    assert check_resolution(CONTRADICTION, good, extended=True).ok
-
-
-# x1 <-> !x2, then x2 <-> x1: a cycle that resolves to the empty clause on
-# the satisfiable set {x0}.  x2 is named by the first definition, so the
-# second may not define it.
-SATISFIABLE = ClauseSet((frozenset({1}),), 1)
-CYCLIC = ResolutionProof((Input(0), Extend(1, -3, -3), Extend(2, 2, 2), Resolve(3, 6, 1), Resolve(4, 1, 1), Resolve(7, 8, 2)))
-
-
-def test_a_variable_named_in_a_definition_is_not_fresh():
-    assert brute_force_satisfiable(SATISFIABLE)
-    r = check_resolution(SATISFIABLE, CYCLIC, extended=True)
-    assert (r.ok, r.reason) == (False, "step 2: extension variable 3 is not fresh")
-    # the fuzz classifier of criterion 7 replays the proof by its own code
-    assert not _replay_resolution(SATISFIABLE, CYCLIC, True)
-    # without the second definition the steps are a valid extension, not a refutation
-    prefix = ResolutionProof(CYCLIC.steps[:2])
-    assert check_resolution(SATISFIABLE, prefix, extended=True).reason == "final clause is not empty"
-
-
-def test_extension_steps_require_extended_mode():
-    p = ResolutionProof((Input(0), Input(1), Extend(5, 1, -1), Resolve(0, 1, 0)))
-    assert not check_resolution(CONTRADICTION, p, extended=False).ok
-
-
 # --- serialization ----------------------------------------------------------------
 
 
@@ -203,13 +168,17 @@ def test_resolution_text_round_trip():
         trips += 1
         assert parse_resolution_text(print_resolution_text(proof)) == proof
     assert trips >= 40
-    fancy = ResolutionProof((Input(0), Extend(5, 1, -2), Resolve(0, 1, 0)))
-    assert parse_resolution_text(print_resolution_text(fancy)) == fancy
 
 
 def test_resolution_text_rejects_garbage_with_line_numbers():
     with pytest.raises(ValueError, match="line 2"):
         parse_resolution_text("i 0\nq 1 2\n")
+
+
+def test_dimacs_lines_end_at_newline_alone():
+    # a form feed, NEL or line separator neither ends a comment nor a clause line
+    plain = from_dimacs("p cnf 2 2\nc note -1 0\n1 0\n2 -1 0\n")
+    assert from_dimacs("p cnf 2 2\r\nc note\x0c-1 0\n1 0\x85\n2\u2028-1 0\n") == plain
 
 
 def test_resolution_text_lines_end_at_newline_alone():
@@ -286,10 +255,9 @@ def test_dp_refutation_complete_on_small_unsat_sets():
 # --- fuzzed invalid proofs ---------------------------------------------------------
 
 
-def replay(cs, proof, extended):
+def replay(cs, proof):
     """Independent read-through of the step semantics, used as the oracle."""
     derived = []
-    used = {abs(l) for c in cs.clauses for l in c} | {0}
     for step in proof.steps:
         match step:
             case Input(k):
@@ -303,12 +271,6 @@ def replay(cs, proof, extended):
                 if pos not in derived[i] or neg not in derived[j]:
                     return None
                 derived.append((derived[i] - {pos}) | (derived[j] - {neg}))
-            case Extend(v, a, b):
-                if not extended or v in used or abs(a) == v or abs(b) == v:
-                    return None
-                used.add(v)
-                pos = v + 1
-                derived.extend([frozenset({-pos, a}), frozenset({-pos, b}), frozenset({pos, -a, -b})])
     return derived
 
 
@@ -325,7 +287,7 @@ def test_fuzzed_mutations_never_slip_past_the_checker():
     while invalid < 150:
         cs, proof = rng.choice(base_cs)
         mutant = mutate_resolution_proof(rng, proof)
-        mirror = replay(cs, mutant, extended=False)
+        mirror = replay(cs, mutant)
         bad = mirror is None or not mirror or mirror[-1] != frozenset()
         if not bad:
             continue
@@ -766,8 +728,21 @@ _NON_TAUT = parse_prop("x0 -> x1")
         (_TAUT, _TABLE.replace("10 1", "01 1", 1).encode(), False),
         (_NON_TAUT, print_truth_table_proof(_NON_TAUT).encode(), False),
         (_TAUT, _TABLE.encode() + b"\xff", False),
+        (_TAUT, _TABLE.replace("\n", "\r\n").encode(), True),
+        (_TAUT, _TABLE.replace("\n", "\x0c").encode(), False),
     ],
-    ids=["valid", "truncated", "re-spaced", "blank-padded", "flipped-value", "wrong-row", "non-tautology", "invalid-utf-8"],
+    ids=[
+        "valid",
+        "truncated",
+        "re-spaced",
+        "blank-padded",
+        "flipped-value",
+        "wrong-row",
+        "non-tautology",
+        "invalid-utf-8",
+        "crlf",
+        "form-feed-is-no-line-end",
+    ],
 )
 def test_truth_table_verify_verdicts(alpha, proof, accepted):
     assert truth_table_system().verify(proof, alpha) is accepted
@@ -1005,7 +980,7 @@ def test_dp_refutation_agrees_with_brute_force_and_replay():
             continue
         refuted += 1
         assert check_resolution(cs, proof).ok
-        derived = replay(cs, proof, extended=False)
+        derived = replay(cs, proof)
         assert derived is not None and derived[-1] == frozenset()
     assert refuted >= 60
 
@@ -1108,13 +1083,3 @@ def test_dimacs_rejects_negative_counts():
     for header in ("p cnf -3 0", "p cnf 3 -1"):
         with pytest.raises(ValueError, match="negative"):
             from_dimacs(header + "\n")
-
-
-def test_declared_but_unused_variables_are_not_fresh():
-    cs = from_dimacs("p cnf 50 2\n1 0\n-1 0\n")
-    for v in (1, 49):
-        proof = ResolutionProof((Input(0), Input(1), Extend(v, 1, -1), Resolve(0, 1, 0)))
-        r = check_resolution(cs, proof, extended=True)
-        assert not r.ok and "fresh" in r.reason
-    fresh = ResolutionProof((Input(0), Input(1), Extend(50, 1, -1), Resolve(0, 1, 0)))
-    assert check_resolution(cs, fresh, extended=True).ok

@@ -6,7 +6,7 @@ of them, for the same rule.  Line by line, on every prefix of each proof
 below, the index must return the scan's justification and count the scan's
 `lines_scanned` and `pair_searches`: the positions its first-match rule
 passes over.  `_counting_scan` is that scan, kept verbatim here with the
-two counts as their reference.  `LineIndex.pop` must leave the index it
+two counts as their reference; `test_search_reference` searches by it too.  `LineIndex.pop` must leave the index it
 would be if built afresh from the lines left."""
 
 import random

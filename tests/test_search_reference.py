@@ -4,10 +4,12 @@ target only where the newest line can be cited.
 `enumerate_proofs` is compared with the search it replaced, kept here as a
 reference: one `dfs` call per node, each rebuilding its line list and
 looking for the target over every line by the scan that `LineIndex`
-replaced.  Both must visit the same nodes in the same order, so outcome,
+replaced (`test_rule_index_reference._counting_scan`).  Both must visit the same nodes in the same order, so outcome,
 node count and proof are compared."""
 
 import random
+
+from test_rule_index_reference import _counting_scan
 
 from proofforge import bounded
 from proofforge.bounded import SearchLimits, SearchReport, enumerate_proofs
@@ -22,7 +24,7 @@ from proofforge.calculus import (
 )
 from proofforge.corpus import membership_formula_corpus
 from proofforge.goedel import extend_with_axiom, refutation_target, standard_theory
-from proofforge.syntax import BoundedForAll, ForAll, Implies, equal, formula_size, free_variables, parse_formula
+from proofforge.syntax import BoundedForAll, ForAll, Implies, formula_size, free_variables, parse_formula
 
 Q = standard_theory()
 DESK_LIMITS = SearchLimits(node_cap=4_000)
@@ -33,21 +35,6 @@ DESK_LIMITS = SearchLimits(node_cap=4_000)
 
 class _NodeCapHit(Exception):
     pass
-
-
-def find_rule_justification(f, earlier):
-    """The rule search as it was: a scan of the earlier lines, and pairs of
-    them, for modus ponens, then for (bounded) generalization."""
-    for j, big in enumerate(earlier):
-        if isinstance(big, Implies) and equal(big.consequent, f):
-            for k, g in enumerate(earlier):
-                if equal(g, big.antecedent):
-                    return MPJust(j, k)
-    if isinstance(f, (ForAll, BoundedForAll)):
-        for j, g in enumerate(earlier):
-            if equal(g, f.body):
-                return GenJust(j, f.var) if isinstance(f, ForAll) else BGenJust(j, f.var, f.bound)
-    return None
 
 
 def reference_search(theory, target, size_budget, limits=None):
@@ -103,7 +90,7 @@ def reference_search(theory, target, size_budget, limits=None):
         sep = 1 if lines else 0
         formulas = [f for f, _, _ in lines]
         if used + sep + tsize <= size_budget:
-            j = target_axiom or find_rule_justification(target, formulas)
+            j = target_axiom or _counting_scan(target, formulas)[0]
             if j is not None:
                 all_lines = tuple(ProofLine(f, jj) for f, jj, _ in lines) + (ProofLine(target, j),)
                 found.append(Proof(all_lines))
