@@ -13,16 +13,20 @@ within a total-size budget, and reports one of three outcomes:
 Definitive "none" claims are what make the miniature language levels
 L_k = {phi : some proof of phi has size <= size(phi)^k} decidable at small
 sizes, so the engine is deliberately conservative about them.  Candidate
-lines are drawn from complete pools of axiom instances -- every formula of
-each admissible size is generated and filtered through the axiom matchers --
-plus the closure of existing lines under the inference rules.  The filter
-has two stages.  The first reads no theory and runs once per size: it keeps
-every sentence and every instance of a schema other than COMPUTE, with IND
-on.  The second, per theory, runs find_axiom_justification on what the
-first kept.  It loses nothing, as only IND and COMPUTE read the theory, and
-COMPUTE instances and theory axioms are sentences.  When a pool
-would exceed its cap the outcome degrades to budget_exhausted rather than
-silently narrowing the space.  Two further soundness notes:
+lines are drawn from complete pools of axiom instances, plus the closure of
+existing lines under the inference rules.  A pool is built in two stages.
+The first reads no theory and runs once per size: it lists every sentence
+and every instance of a schema other than COMPUTE, with IND on.  Its
+equations are generated directly -- each closed left term with every closed
+right term, each open one only with itself (EQREFL) -- and the formulas of
+the other root classes are built from the smaller pools and filtered
+through the axiom matchers.  The second, per theory, runs
+find_axiom_justification on what the first listed.  It loses nothing, as
+only IND and COMPUTE read the theory, and COMPUTE instances and theory
+axioms are sentences.  The cap counts every formula of the size, candidate
+or not, without building them; when a pool would exceed it the outcome
+degrades to budget_exhausted rather than silently narrowing the space.  Two
+further soundness notes:
 
   * Variables range over the fixed 16-name pool (no primes).  Any proof
     within budget B uses fewer than B distinct variables, and renaming its
@@ -72,6 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .calculus import (
     BGenJust,
@@ -114,6 +119,7 @@ from .syntax import (
     Var,
     formula_size,
     free_variables,
+    is_sentence,
     print_formula,
     substitute,
     subterms,
@@ -176,35 +182,62 @@ def formulas_of_size(size: int, cap: int = 600_000) -> tuple[Formula, ...]:
 
 # The pools are cached by the variable pool they are built over, as well as
 # by size and cap, so a pool built under one `VAR_POOL` is never served
-# under another.
+# under another.  A pool larger than its cap is refused by its count, before
+# anything of it is built (the 1-token term pool never is).
+
+
+@lru_cache(maxsize=None)
+def _term_count(size: int, n: int) -> int:
+    """How many terms of `size` tokens `_terms_of_size` builds over n names."""
+    if size < 2:
+        return 1 + n if size == 1 else 0
+    pairs = sum(_term_count(a, n) * _term_count(size - 1 - a, n) for a in range(1, size - 1))
+    return _term_count(size - 1, n) * (1 + len(_UNARY_FNS)) + pairs * (2 + len(_BINARY_FNS))
+
+
+@lru_cache(maxsize=None)
+def _formula_count(size: int, n: int) -> int:
+    """How many formulas of `size` tokens `_formulas_of_size` builds over n
+    names: equations, negations, implications, `forall`s, then bounded
+    quantifiers."""
+    if size < 3:
+        return 0
+    t, f = _term_count, _formula_count
+    return (
+        sum(t(a, n) * t(size - 1 - a, n) for a in range(1, size - 1))
+        + f(size - 1, n)
+        + sum(f(a, n) * f(size - 1 - a, n) for a in range(3, size - 3))
+        + n * f(size - 2, n)
+        + 2 * n * sum(t(b, n) * f(size - 2 - b, n) for b in range(1, size - 4))
+    )
+
+
+def _check_formula_cap(size: int, cap: int, names: tuple[str, ...]) -> None:
+    if _formula_count(size, len(names)) > cap:
+        raise PoolCapExceeded(f"formula pool at size {size}")
 
 
 @lru_cache(maxsize=None)
 def _terms_of_size(size: int, cap: int, names: tuple[str, ...]) -> tuple[Term, ...]:
     if size < 1:
         return ()
-    out: list[Term] = []
     if size == 1:
-        out.append(ZERO)
-        out.extend(Var(v) for v in names)
-        return tuple(out)
+        return (ZERO, *(Var(v) for v in names))
+    if _term_count(size, len(names)) > cap:
+        raise PoolCapExceeded(f"term pool at size {size}")
+    out: list[Term] = []
     for inner in _terms_of_size(size - 1, cap, names):
         out.append(Succ(inner))
         for sym in _UNARY_FNS:
             out.append(DefFn(sym, (inner,)))
     for left_size in range(1, size - 1):
-        lefts = _terms_of_size(left_size, cap, names)
         rights = _terms_of_size(size - 1 - left_size, cap, names)
-        if len(out) + len(lefts) * len(rights) * (2 + len(_BINARY_FNS)) > cap:
-            raise PoolCapExceeded(f"term pool at size {size}")
-        for a in lefts:
+        for a in _terms_of_size(left_size, cap, names):
             for b in rights:
                 out.append(Plus(a, b))
                 out.append(Times(a, b))
                 for sym in _BINARY_FNS:
                     out.append(DefFn(sym, (a, b)))
-    if len(out) > cap:
-        raise PoolCapExceeded(f"term pool at size {size}")
     return tuple(out)
 
 
@@ -212,45 +245,65 @@ def _terms_of_size(size: int, cap: int, names: tuple[str, ...]) -> tuple[Term, .
 def _formulas_of_size(size: int, cap: int, names: tuple[str, ...]) -> tuple[Formula, ...]:
     if size < 3:
         return ()
-    out: list[Formula] = []
-    for left_size in range(1, size - 1):
-        lefts = _terms_of_size(left_size, cap, names)
-        rights = _terms_of_size(size - 1 - left_size, cap, names)
-        if len(out) + len(lefts) * len(rights) > cap:
-            raise PoolCapExceeded(f"formula pool at size {size}")
-        for a in lefts:
-            for b in rights:
-                out.append(Eq(a, b))
+    _check_formula_cap(size, cap, names)
+    equations = (
+        Eq(a, b)
+        for left_size in range(1, size - 1)
+        for a in _terms_of_size(left_size, cap, names)
+        for b in _terms_of_size(size - 1 - left_size, cap, names)
+    )
+    return (*equations, *_compound_formulas(size, cap, names))
+
+
+def _compound_formulas(size: int, cap: int, names: tuple[str, ...]) -> Iterator[Formula]:
+    """The formulas of `_formulas_of_size` whose root is not `=`, in its
+    order, built from the pools of smaller sizes."""
     for body in _formulas_of_size(size - 1, cap, names):
-        out.append(Not(body))
+        yield Not(body)
     for a_size in range(3, size - 3):
+        consequents = _formulas_of_size(size - 1 - a_size, cap, names)
         for a in _formulas_of_size(a_size, cap, names):
-            for b in _formulas_of_size(size - 1 - a_size, cap, names):
-                out.append(Implies(a, b))
-                if len(out) > cap:
-                    raise PoolCapExceeded(f"formula pool at size {size}")
+            for b in consequents:
+                yield Implies(a, b)
     for body in _formulas_of_size(size - 2, cap, names):
         for v in names:
-            out.append(ForAll(v, body))
+            yield ForAll(v, body)
     for bound_size in range(1, size - 4):
         bounds = _terms_of_size(bound_size, cap, names)
         for body in _formulas_of_size(size - 2 - bound_size, cap, names):
             for v in names:
                 for bt in bounds:
-                    out.append(BoundedForAll(v, bt, body))
-                    out.append(BoundedExists(v, bt, body))
-                    if len(out) > cap:
-                        raise PoolCapExceeded(f"formula pool at size {size}")
-    if len(out) > cap:
-        raise PoolCapExceeded(f"formula pool at size {size}")
-    return tuple(out)
+                    yield BoundedForAll(v, bt, body)
+                    yield BoundedExists(v, bt, body)
 
 
 @lru_cache(maxsize=None)
 def _axiom_candidates(size: int, cap: int, names: tuple[str, ...]) -> tuple[Formula, ...]:
     """The formulas of `_formulas_of_size` that some theory takes as axiom
-    lines (`calculus.could_be_axiom`), in that order."""
-    return tuple(f for f in _formulas_of_size(size, cap, names) if could_be_axiom(f))
+    lines (`calculus.could_be_axiom`), in that order, built without building
+    that pool.
+
+    An equation is a candidate iff it is a sentence or an EQREFL instance:
+    EQREFL is the only schema with open instances whose root is `=`.  So a
+    closed left term pairs with every closed term of the right size (the
+    closed pool, which lists the named pool's closed terms in its order), an
+    open one only with itself.  The other root classes are built from the
+    pools of smaller sizes and filtered.  The cap counts every formula of
+    the size, as `_formulas_of_size` does."""
+    if size < 3:
+        return ()
+    _check_formula_cap(size, cap, names)
+    out: list[Formula] = []
+    for left_size in range(1, size - 1):
+        right_size = size - 1 - left_size
+        closed_rights = _terms_of_size(right_size, cap, ())
+        for a in _terms_of_size(left_size, cap, names):
+            if is_sentence(a):
+                out.extend(Eq(a, b) for b in closed_rights)
+            elif left_size == right_size:
+                out.append(Eq(a, a))
+    out.extend(f for f in _compound_formulas(size, cap, names) if could_be_axiom(f))
+    return tuple(out)
 
 
 _AXIOM_POOLS: dict[tuple, tuple[tuple[Formula, Justification], ...]] = {}
@@ -260,9 +313,13 @@ def axiom_pool(theory: TheorySpec, size: int, cap: int) -> tuple[tuple[Formula, 
     """All axiom lines of exactly `size` tokens (schema instances + theory axioms).
 
     A pool is built in two stages.  The first reads no theory and runs once
-    per size, cap and variable pool: it keeps, in generation order, the
-    formulas some theory could justify -- every sentence, and every instance
-    of a schema other than COMPUTE, with IND on.  The second runs
+    per size, cap and variable pool (`_axiom_candidates`): it lists, in the
+    order of `_formulas_of_size`, the formulas some theory could justify --
+    every sentence, and every instance of a schema other than COMPUTE, with
+    IND on.  It generates the equations among them directly and filters the
+    rest from the smaller pools.  It raises `PoolCapExceeded` when all the
+    formulas of the size, candidates or not, number more than `cap`; that
+    count is computed, not built.  The second runs
     `find_axiom_justification(theory, f)` on those candidates only.  This
     is exact: of the schemata only IND reads the theory (`induction`, which
     the first stage turns on) and COMPUTE (the evaluators), every COMPUTE

@@ -275,6 +275,10 @@ def cmd_prop_taut(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
 
 def cmd_prop_translate(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     phi = _parse_formula_arg(args.formula)
+    # the translation at bound n has n + 1 variables, and its guard O(n^2)
+    # nodes: past the brute-force cap it is refused before it is built
+    if args.n + 1 > prop.MAX_BRUTE_VARS:
+        raise UsageError(f"--n {args.n}: {args.n + 1} variables exceeds the brute-force cap of {prop.MAX_BRUTE_VARS}")
     alpha = prop.translate_delta0(phi, x=args.x, n=args.n)
     # decided before printing: a formula past the brute-force cap is refused
     # without writing it out

@@ -16,7 +16,7 @@ from proofforge.bounded import (
     terms_of_size,
 )
 from proofforge.corpus import membership_formula_corpus
-from proofforge.calculus import find_axiom_justification, print_proof_text, proof_size
+from proofforge.calculus import could_be_axiom, find_axiom_justification, print_proof_text, proof_size
 from proofforge.goedel import (
     PROVER_CHAIN,
     con_bounded,
@@ -353,6 +353,50 @@ def test_axiom_pools_equal_the_generate_and_filter_pools(monkeypatch):
     for theory in (Q, induction_theory(), small):
         for size in (3, 4, 5):
             assert bounded.axiom_pool(theory, size, 600_000) == reference_pool(theory, size, 600_000), (theory.name, size)
+    # past size 5 and at the caps' edges: implications, quantifiers and
+    # refusals, on pools of 1-3 names.  The largest pool is not cached.
+    for names in (("x",), ("x", "y"), ("x", "y", "z")):
+        for cap in (300, 10_000, 600_000):
+            for size in range(1, 9):
+                try:
+                    filtered = tuple(filter(could_be_axiom, bounded._formulas_of_size.__wrapped__(size, cap, names)))
+                except bounded.PoolCapExceeded:
+                    filtered = None
+                try:
+                    assert bounded._axiom_candidates(size, cap, names) == filtered, (names, cap, size)
+                except bounded.PoolCapExceeded:
+                    assert filtered is None, (names, cap, size)
+    # a pool of exactly the cap is built, one formula more is refused
+    for names, size, whole in ((("x",), 6, 14_396), (("x", "y"), 5, 2_439)):
+        assert len(bounded._formulas_of_size.__wrapped__(size, whole, names)) == whole
+        assert bounded._axiom_candidates(size, whole, names) == tuple(
+            filter(could_be_axiom, bounded._formulas_of_size.__wrapped__(size, whole, names))
+        )
+        for build in (bounded._formulas_of_size, bounded._axiom_candidates):
+            with pytest.raises(bounded.PoolCapExceeded):
+                build(size, whole - 1, names)
+
+
+def test_no_pool_of_size_five_or_more_is_built_for_the_default_pools(monkeypatch):
+    # the equations of the candidates come from term pools, so the default
+    # pools of sizes 3-5 build no formula pool past size 4, and size 6 is
+    # refused by its count (4,135,301 formulas) before anything is built
+    names = tuple(f"g{i}" for i in range(16))
+    default = [len(bounded.axiom_pool(Q, size, 600_000)) for size in (3, 4, 5)]
+    built = []
+    formulas_of_size = bounded._formulas_of_size
+
+    def record(size, cap, names):
+        built.append(size)
+        return formulas_of_size(size, cap, names)
+
+    monkeypatch.setattr(bounded, "_formulas_of_size", record)
+    monkeypatch.setattr(bounded, "VAR_POOL", names)
+    pools = [bounded.axiom_pool(Q, size, 600_000) for size in (3, 4, 5)]
+    with pytest.raises(bounded.PoolCapExceeded):
+        bounded.axiom_pool(Q, 6, 600_000)
+    assert [len(p) for p in pools] == default == [17, 12, 258]
+    assert built and max(built) == 4
 
 
 def test_a_new_theory_justifies_only_the_candidates(monkeypatch):

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -274,6 +275,29 @@ def test_prop_translate_verdicts(capsys):
         assert cli.main(["prop", "translate", formula, "--n", str(n)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and message in err, n
+
+
+def test_prop_translate_refuses_a_bound_past_the_cap_before_translating(capsys):
+    # the translation at bound n has n + 1 variables and an O(n^2) guard, so
+    # a bound past the brute-force cap is refused before anything is built:
+    # one line naming --n, nothing on stdout, and no time or memory to speak
+    # of even at n = 10**6
+    cap = prop.MAX_BRUTE_VARS
+    assert cli.main(["prop", "translate", "x = x", "--n", str(cap)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and f"--n {cap}:" in err
+    assert cli.main(["prop", "translate", "x = x", "--n", str(cap - 1)]) == 0
+    capsys.readouterr()
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = [sys.executable, "-m", "proofforge", "prop", "translate", "x = x", "--n", str(10**6)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30, preexec_fn=limit_memory)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"forge: --n {10**6}: {10**6 + 1} variables exceeds the brute-force cap of {cap}\n"
 
 
 def test_prop_check_verdicts(tmp_path, capsys):
