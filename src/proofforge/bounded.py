@@ -50,11 +50,11 @@ symbols) for another.  A parent visits each child in its own loop: it
 counts the child against the node cap, checks the target on it, and calls
 itself on the child only when the child is inner.  The child's line is on
 the index while the child is checked or expanded.  A leaf costs its own
-line only.  The target is checked on a child only where the child's newest
-line f can be cited.  A child checks the target only if its parent did (its
-prefix is longer), and the parent's check found nothing, or the search
-would have stopped there; so a justification on the child cites f.  That
-needs one of:
+line only, and most leaves are counted without being built (below).  The
+target is checked on a child only where the child's newest line f can be
+cited.  A child checks the target only if its parent did (its prefix is
+longer), and the parent's check found nothing, or the search would have
+stopped there; so a justification on the child cites f.  That needs one of:
 
   (a) f is an implication whose consequent is the target (f is MP's major
       premise);
@@ -64,6 +64,21 @@ needs one of:
 
 When one holds, the index is asked about the target over all the lines, so
 the justification found is the one a check of every child would find.
+
+For a line g and a bound size b, the bounded generalizations
+`forall<= v t g`, one per pool variable v and pool term t of size b, are
+distinct, and if one is a leaf all are.  No later candidate of the node
+equals one of them: it generalizes another line, or over a bound of another
+size.  One of them can equal a path line or an earlier candidate F, or be
+checked, only if F, an antecedent of (b) or the body of (c) is a `forall<=`
+whose body is g.  So each node keeps the bodies of the `forall<=` formulas
+among its path lines, the candidates it met before its generalizations, its
+(b) antecedents and the (c) body; a block of leaves over a g that is none
+of them is counted by its length and never built, and any other block is
+visited one candidate at a time.  The node's own generalizations stay out
+of that set, as no later block can equal them.  A block that takes the
+count past the node cap stops the search at the cap plus one, as counting
+one by one would.
 
 Every line and candidate carries its size, so no node walks a formula to
 size it: a pool of size s holds formulas of size s, relevance instances are
@@ -152,13 +167,24 @@ class SearchLimits:
     node_cap: int = 300_000
 
 
+# What can make a search's outcome budget_exhausted, in the order
+# `SearchReport.stopped_by` lists them: a prefix line could be larger than
+# MAX_POOL_LINE_SIZE, a pool was refused by its cap, the node cap was hit, or
+# the target has too many variables for the renaming argument.
+STOP_CAUSES = ("line_size", "pool_cap", "node_cap", "var_pool")
+
+
 @dataclass(frozen=True)
 class SearchReport:
+    """`stopped_by` names the causes in `STOP_CAUSES` that the search met;
+    it is empty unless the outcome is budget_exhausted."""
+
     outcome: str
     proof: Proof | None
     budget: int
     nodes: int
     definitive: bool
+    stopped_by: tuple[str, ...] = ()
 
     @property
     def found(self) -> bool:
@@ -430,7 +456,8 @@ def enumerate_proofs(
     """Search every proof of `target` with total size <= size_budget."""
     limits = limits or SearchLimits()
     tsize = formula_size(target)
-    state = {"nodes": 0, "capped": False}
+    state = {"nodes": 0}
+    stopped: set[str] = set()
 
     if tsize > size_budget:
         return SearchReport(NONE, None, size_budget, 0, True)
@@ -441,16 +468,16 @@ def enumerate_proofs(
     pools: dict[int, tuple[tuple[Formula, Justification, int], ...]] = {}
     for s in range(3, max_prefix_line + 1):
         if s > MAX_POOL_LINE_SIZE:
-            state["capped"] = True
+            stopped.add("line_size")
             continue
         try:
             pools[s] = tuple((f, j, s) for f, j in axiom_pool(theory, s, limits.pool_cap))
         except PoolCapExceeded:
-            state["capped"] = True
+            stopped.add("pool_cap")
 
     rel = _relevance_instances(theory, target, max_prefix_line)
 
-    def closures(lines: list[tuple[Formula, Justification, int]], max_size: int):
+    def closures(lines: list[tuple[Formula, Justification, int]], max_size: int, bodies: set[Formula]):
         for i, (g, _, _) in enumerate(lines):
             if isinstance(g, Implies) and formula_size(g.consequent) <= max_size:
                 k = index.first.get(g.antecedent)
@@ -466,7 +493,11 @@ def enumerate_proofs(
                 try:
                     bts = terms_of_size(bsize, limits.pool_cap)
                 except PoolCapExceeded:
-                    state["capped"] = True
+                    stopped.add("pool_cap")
+                    continue
+                if gsize + 2 + bsize > max_size - 4 and g not in bodies:
+                    # a block of leaves, counted and not built (see above)
+                    yield None, len(bts) * len(VAR_POOL), gsize + 2 + bsize
                     continue
                 for bt in bts:
                     for v in VAR_POOL:
@@ -477,6 +508,7 @@ def enumerate_proofs(
     # only the rules, and only when its newest line can be cited (see above)
     target_axiom = find_axiom_justification(theory, target)
     body = target.body if isinstance(target, (ForAll, BoundedForAll)) else None
+    target_bodies = {body.body} if type(body) is BoundedForAll else set()
     check_limit = size_budget - tsize - 1  # a child with more used cannot fit the target
     leaf_limit = size_budget - tsize - 5  # a child with more used has no room for a line
     found: list[Proof] = []
@@ -488,6 +520,9 @@ def enumerate_proofs(
         sep = 1 if lines else 0
         room = size_budget - used - sep - (tsize + 1)
         cites = {index.lines[j].antecedent for j in index.implications.get(target, ())}
+        # the bodies g for which a `forall<= v b g` may equal a line met
+        # before the generalizations, or be checked; the loop adds those met
+        bodies = {g.body for g in (*index.first, *cites) if type(g) is BoundedForAll} | target_bodies
 
         def candidates():
             # cheap, targeted material first so a "found" surfaces quickly;
@@ -498,14 +533,22 @@ def enumerate_proofs(
                     yield line
             for s in range(3, room + 1):
                 yield from pools.get(s, ())
-            yield from closures(lines, room)
+            yield from closures(lines, room, bodies)
 
         seen = set(index.first)
         for line in candidates():
             f = line[0]
+            if f is None:
+                state["nodes"] += line[1]
+                if state["nodes"] > limits.node_cap:
+                    state["nodes"] = limits.node_cap + 1
+                    raise _NodeCapHit
+                continue
             if f in seen:
                 continue
             seen.add(f)
+            if type(f) is BoundedForAll and type(line[1]) is not BGenJust:
+                bodies.add(f.body)
             state["nodes"] += 1
             if state["nodes"] > limits.node_cap:
                 raise _NodeCapHit
@@ -537,15 +580,16 @@ def enumerate_proofs(
             ok = size_budget - (tsize + 1) >= 3 and expand([], 0)
     except _NodeCapHit:
         ok = False
-        state["capped"] = True
+        stopped.add("node_cap")
 
     if ok:
         return SearchReport(FOUND, found[0], size_budget, state["nodes"], True)
-    if state["capped"]:
-        return SearchReport(BUDGET_EXHAUSTED, None, size_budget, state["nodes"], False)
     # variable-pool guard: renaming into 16 names must be possible
     if max_prefix_line + len(free_variables(target)) > len(VAR_POOL):
-        return SearchReport(BUDGET_EXHAUSTED, None, size_budget, state["nodes"], False)
+        stopped.add("var_pool")
+    if stopped:
+        causes = tuple(c for c in STOP_CAUSES if c in stopped)
+        return SearchReport(BUDGET_EXHAUSTED, None, size_budget, state["nodes"], False, causes)
     return SearchReport(NONE, None, size_budget, state["nodes"], True)
 
 
@@ -557,7 +601,9 @@ def enumerate_proofs(
 @dataclass(frozen=True)
 class MembershipReport:
     """Decision for `phi in L_k` (proof of size <= size(phi)^k exists); the
-    bound size^k is computed in full on each read of `bound`."""
+    bound size^k is computed in full on each read of `bound`.  Unless phi is
+    a member, `stopped_by` is the search's, after "desk_cap" when the search
+    ran below the bound."""
 
     member: bool | None
     definitive: bool
@@ -566,6 +612,7 @@ class MembershipReport:
     k: int
     effective_bound: int
     proof: Proof | None = None
+    stopped_by: tuple[str, ...] = ()
 
     @property
     def bound(self) -> int:
@@ -595,7 +642,8 @@ def l_k_membership(
         return MembershipReport(True, True, r.outcome, size, k, effective, r.proof)
     if r.outcome == NONE and effective == bound:
         return MembershipReport(False, True, r.outcome, size, k, effective)
-    return MembershipReport(None, False, r.outcome, size, k, effective)
+    stopped_by = (("desk_cap",) if effective < bound else ()) + r.stopped_by
+    return MembershipReport(None, False, r.outcome, size, k, effective, stopped_by=stopped_by)
 
 
 def shortest_proof_length(

@@ -165,6 +165,8 @@ def cmd_member(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     verdict = "member" if report.member else ("non-member" if report.member is False else "unknown")
     print(f"L_{args.k} membership of {print_formula(phi)}: {verdict}")
     print(f"outcome: {report.outcome}  definitive: {report.definitive}")
+    if report.stopped_by:
+        print(f"stopped by: {', '.join(report.stopped_by)}")
     # size^k where the bound has more digits than str() converts, told from k
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     bound = f"{report.size}^{args.k}" if limit and args.k * math.log10(report.size) >= limit else report.bound

@@ -418,3 +418,38 @@ def test_a_new_theory_justifies_only_the_candidates(monkeypatch):
 def test_regeneration_depth_is_limited_by_the_symbol_pool():
     with pytest.raises(ValueError):
         regeneration_chain(depth=99)
+
+
+def test_leaf_bounded_generalizations_are_counted_without_being_built(monkeypatch):
+    # every prefix line of this search leaves no room for a line after its
+    # bounded generalizations, so each of them is a leaf
+    built = []
+    bgen = bounded.BGenJust
+
+    def record(*args):
+        built.append(args)
+        return bgen(*args)
+
+    monkeypatch.setattr(bounded, "BGenJust", record)
+    r = enumerate_proofs(Q, parse_formula("0 = S(S(0))"), 24, SearchLimits(node_cap=4000))
+    assert (r.outcome, r.nodes, "node_cap" in r.stopped_by) == ("budget_exhausted", 4001, True)
+    assert built == []
+
+
+STOPPED_BY_PINS = [
+    # (phi, budget, node cap, outcome, stopped_by)
+    ("0 = 0 -> 0 = 0", 24, 4000, "found", ()),
+    ("!(0 = 0)", 10, 300_000, "none", ()),
+    ("0 = S(0)", 9, 300_000, "none", ()),
+    ("0 = S(0)", 11, 300_000, "budget_exhausted", ("pool_cap",)),
+    ("0 = S(S(0))", 12, 300_000, "budget_exhausted", ("pool_cap",)),
+    ("0 = S(S(0))", 24, 4000, "budget_exhausted", ("line_size", "pool_cap", "node_cap", "var_pool")),
+    ("!(0 = 0)", 10, 5, "budget_exhausted", ("node_cap",)),
+    ("forall y forall x (x = x)", 16, 4000, "budget_exhausted", ("line_size", "pool_cap")),
+]
+
+
+@pytest.mark.parametrize("text, budget, node_cap, outcome, stopped_by", STOPPED_BY_PINS)
+def test_a_search_names_the_caps_that_stopped_it(text, budget, node_cap, outcome, stopped_by):
+    r = enumerate_proofs(Q, parse_formula(text), budget, SearchLimits(node_cap=node_cap))
+    assert (r.outcome, r.stopped_by) == (outcome, stopped_by)

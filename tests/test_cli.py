@@ -216,6 +216,14 @@ def test_member_verdicts(capsys):
     assert "size bound: 3^99999 (searched up to 24)" in out and "witness proof" in out
 
 
+def test_member_names_the_caps_that_stopped_its_search(capsys):
+    assert cli.main(["member", "q", "0 = S(S(0))", "--k", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "definitive: False\nstopped by: desk_cap, line_size, pool_cap, node_cap, var_pool\nsize bound: 25" in out
+    assert cli.main(["member", "q", "0 = 0 -> 0 = 0", "--k", "1"]) == 1
+    assert "stopped by" not in capsys.readouterr().out
+
+
 def test_member_answers_at_once_for_any_k(capsys):
     # 3^30000000 is computed neither to compare it with the desk cap nor to
     # tell how to print it

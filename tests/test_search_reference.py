@@ -194,3 +194,35 @@ def test_a_leaf_may_be_cited_by_an_earlier_implication(monkeypatch):
     assert (r.outcome, r.nodes, print_proof_text(r.proof)) == ("found", 3, text)
     assert _seen(reference_search(theory, target, 27)) == _seen(r)
 
+
+
+def test_leaf_generalizations_are_counted_as_the_reference_builds_them(monkeypatch):
+    # With no axiom pool and three variable names the search reaches blocks
+    # of leaf `forall<=` candidates that hold a path line (budget 30, and
+    # !(0 = 0) at 22) or the body that the target's check needs (budgets
+    # 19-22): blocks that must be visited one by one.
+    monkeypatch.setattr(bounded, "axiom_pool", lambda th, size, cap: ())
+    monkeypatch.setattr(bounded, "VAR_POOL", ("x", "y", "z"))
+    searches = [("forall z forall y forall<= x 0 0 = 0", 30), ("!(0 = 0)", 22)]
+    searches += [("forall y forall<= x 0 (x = x)", budget) for budget in range(19, 23)]
+    for text, budget in searches:
+        phi = parse_formula(text)
+        assert _seen(enumerate_proofs(Q, phi, budget)) == _seen(reference_search(Q, phi, budget)), (text, budget)
+
+
+def test_a_leaf_generalization_may_equal_a_modus_ponens_consequent(monkeypatch):
+    # Below THAX 1 and 0 = 0 the consequent forall<= x 0 (0 = 0) is met
+    # first, so the block of leaves forall<= v t (0 = 0) with t of size 1
+    # holds a formula already counted.  The node has no room for the last
+    # relevance line, which its parent then uses to prove the target.
+    imp = parse_formula("0 = 0 -> forall<= x 0 (0 = 0)")
+    theory = extend_with_axiom(Q, imp, "prft1")
+    lines = (imp, parse_formula("0 = 0"), parse_formula("S(S(S(0))) = S(S(S(0)))"))
+    rel = [(f, find_axiom_justification(theory, f), formula_size(f)) for f in lines]
+    monkeypatch.setattr(bounded, "axiom_pool", lambda th, size, cap: ())
+    monkeypatch.setattr(bounded, "_relevance_instances", lambda th, t, max_size: [ln for ln in rel if ln[2] <= max_size])
+    monkeypatch.setattr(bounded, "VAR_POOL", ("x", "y", "z"))
+    target = parse_formula("forall y (S(S(S(0))) = S(S(S(0))))")
+    for budget in (33, 34, 35):
+        r = enumerate_proofs(theory, target, budget)
+        assert r.outcome == "found" and _seen(r) == _seen(reference_search(theory, target, budget)), budget
