@@ -73,6 +73,7 @@ from .syntax import (
     Times,
     Var,
     Zero,
+    _free_names,
     free_variables,
     numeral,
     print_formula,
@@ -619,12 +620,12 @@ def eval_delta0(
 ) -> bool:
     """Truth value of a bounded formula in N (env supplies free variables).
 
-    Unbounded quantifiers raise ValueError.  Terms go to the one evaluator
-    behind `eval_term_in`, with the current values of the bound variables
-    and one memo for the whole call: every variable-free subterm, such as
-    the numeral inside `prft(p, N)`, is evaluated once and costs nothing
-    afterwards, so sweeping a bounded quantifier over a large range stays
-    close to the cost of the varying parts.
+    Terms go to the one evaluator behind `eval_term_in`, with the current
+    values of the bound variables and one memo for the whole call: every
+    variable-free subterm, such as the numeral inside `prft(p, N)`, is
+    evaluated once and costs nothing afterwards, so sweeping a bounded
+    quantifier over a large range stays close to the cost of the varying
+    parts.
 
     A bounded exists over p whose body is `sym(p, t) = r` skips the values
     of p at which sym is surely 0, when `sym` has a `support` (see
@@ -633,14 +634,38 @@ def eval_delta0(
     codes of the right shape for `prft`.  With r = 0 the body holds at every
     other p, so that sweep, like every other, visits the whole range.
 
+    A free variable with no value in env raises ValueError before any other
+    failure, and an object that is not a term or formula anywhere in f
+    raises TypeError before that.  The evaluation finds both where it goes;
+    the parts it skips (a consequent after a false antecedent, the body of a
+    sweep with no points) are only walked for them.  An unbounded
+    quantifier raises ValueError only where the evaluation reaches it:
+    `0 = S(0) -> forall x (x = x)` is true.
+
     Budget counts the nodes evaluated (memo hits are free), the formula
-    nodes visited and the quantifier steps; EvalBudgetExceeded propagates.
+    nodes visited and the quantifier steps.  The evaluation charges a
+    private budget holding what is left of the caller's, and the caller's
+    is charged that total in one step once f is known to have no free
+    variable without a value (a formula that has one charges nothing).
+    EvalBudgetExceeded propagates from the caller's budget, at the `used`
+    that charging it node by node would reach.
     """
     b = EvalBudget() if budget is None else budget
-    scope: dict[str, int] = dict(env) if env else {}
-    missing = free_variables(f) - scope.keys()
-    if missing:
-        raise ValueError(f"free variables {sorted(missing)} have no value")
+    own = EvalBudget(b.limit - b.used)
+    try:
+        r = _eval_bounded(theory, f, dict(env) if env else {}, own)
+    except Exception:
+        missing = free_variables(f).difference(env or ())
+        if missing:
+            raise ValueError(f"free variables {sorted(missing)} have no value") from None
+        b.charge(own.used)
+        raise
+    b.charge(own.used)
+    return r
+
+
+def _eval_bounded(theory: TheorySpec, f: Formula, scope: dict[str, int], b: EvalBudget) -> bool:
+    """eval_delta0's walk, charging `b`; a skipped part that is open in `scope` raises ValueError."""
     # the memo holds only variable-free nodes, so changing `scope` during a
     # sweep leaves every entry valid
     memo: dict[int, int] = {}
@@ -674,6 +699,8 @@ def eval_delta0(
                 scope[var] = i
                 g = g.body
                 continue
+            if _free_names(g, scope, True):
+                raise ValueError("the body of an empty sweep has a free variable without a value")
             r = not stop
         elif cls is ForAll:
             raise ValueError(f"not a bounded formula: {print_formula(g)}")
@@ -691,6 +718,8 @@ def eval_delta0(
                 if r:
                     g = node.consequent
                     break
+                if _free_names(node.consequent, scope, True):
+                    raise ValueError("a skipped consequent has a free variable without a value")
                 r = True
             else:
                 g, points, saved = node

@@ -67,7 +67,7 @@ import re
 from dataclasses import dataclass
 from itertools import repeat
 from operator import is_ as _is
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 # ---------------------------------------------------------------------------
 # AST
@@ -385,23 +385,23 @@ def numeral_value(t: Term) -> int | None:
 
 def free_variables(root: Term | Formula) -> frozenset[str]:
     """The variables that occur free in a term or formula."""
-    return frozenset(_free_occurrences(root))
+    return frozenset(_free_names(root))
 
 
 def is_sentence(f: Term | Formula) -> bool:
     """Whether f has no free variable; the walk stops at the first one."""
-    for _ in _free_occurrences(f):
-        return False
-    return True
+    return not _free_names(f, first=True)
 
 
-def _free_occurrences(root: Term | Formula) -> Iterator[str]:
-    """The name at each free occurrence of a variable in a term or formula,
-    found without recursion.  Below a quantifier's body the stack holds the
-    set of variables bound outside it, which is restored when the body is
-    done; a bounded quantifier's bound is visited before its variable is
-    bound."""
-    bound: frozenset[str] = frozenset()
+def _free_names(root: Term | Formula, bound: Iterable[str] = frozenset(), first: bool = False) -> set[str]:
+    """The names of the variables that occur free in a term or formula and
+    are not in `bound`; with `first`, only the first one found, the walk
+    stopping there.  Without recursion: below a quantifier's body the stack
+    holds the set of variables bound outside it, which is restored when the
+    body is done; a bounded quantifier's bound is visited before its
+    variable is bound."""
+    found: set[str] = set()
+    bound = frozenset(bound)
     stack: list = [root]
     push = stack.append
     pop = stack.pop
@@ -436,12 +436,15 @@ def _free_occurrences(root: Term | Formula) -> Iterator[str]:
             else:
                 if cls is Var:
                     if x.name not in bound:
-                        yield x.name
+                        found.add(x.name)
+                        if first:
+                            return found
                 elif cls is frozenset:
                     bound = x
                 elif cls is not Zero:
                     raise TypeError(f"not a term or formula: {x!r}")
                 break
+    return found
 
 
 def is_delta0(f: Formula) -> bool:

@@ -21,7 +21,7 @@ from proofforge.calculus import (
     _match_compute,
     eval_term_in,
 )
-from proofforge.corpus import derived_theorem_corpus, random_delta0_sentence
+from proofforge.corpus import _rand_delta0, derived_theorem_corpus, random_delta0_sentence
 from proofforge.goedel import (
     _exists_points,
     binary_numeral,
@@ -378,6 +378,72 @@ def test_open_terms_unknown_symbols_and_unbounded_quantifiers_fail_as_before():
     for f in (Eq(ZERO, Succ("junk")), Not(Eq(DefFn("dbl", ("junk",)), ZERO))):
         compared += _compare(*_sentence_pair(Q, f))[0]
     assert compared == (len(terms) + len(sentences) + 2) * len(LIMITS)
+
+
+def _compare_open(f, env):
+    """Compare like _compare; where f has a free variable that env gives no
+    value, the ValueError leaves the caller's budget untouched.  Returns how
+    many outcomes were that ValueError."""
+    new, old = _sentence_pair(Q, f, env)
+    missing = 0
+    for limit in LIMITS:
+        got, want = _outcome(new, limit), _outcome(old, limit)
+        assert got == want, (print_formula(f), env, limit)
+        if got[0] == "ValueError" and got[1].startswith("free variables"):
+            assert got[2] == 0, (print_formula(f), env, limit)
+            missing += 1
+    return missing
+
+
+def test_open_formulas_fail_and_charge_as_before():
+    rng = random.Random(11)
+    compared = missing = 0
+    for _ in range(1_000):
+        f = _rand_delta0(rng, 3, ("x",), 3)
+        k = rng.randrange(4)
+        for env in (None, {"x": k}, {"y": k}):
+            missing += _compare_open(f, env)
+            compared += len(LIMITS)
+    # 775 of the 1,000 formulas have x free; "y" is also the first bound
+    # variable the generator picks, so {"y": k} is shadowed inside a sweep
+    assert (compared, missing) == (12_000, 6_200)
+
+
+def test_free_variables_and_junk_in_skipped_parts_fail_as_before():
+    x, y = Var("x"), Var("y")
+    false = Eq(ZERO, Succ(ZERO))
+    missing, value, bad = "free variables", "value", "not a "
+    cases = [
+        # the only free variable sits in a consequent after a false antecedent
+        (parse_formula("0 = S(0) -> x = 0"), None, missing),
+        (parse_formula("0 = S(0) -> x = 0"), {"x": 0}, value),
+        (parse_formula("0 = S(0) -> forall<= y x (y = 0)"), {"y": 2}, missing),
+        (parse_formula("!(0 = S(0) -> (S(0) = 0 -> z = 0))"), None, missing),
+        # in a consequent that one iteration of a sweep evaluates and another skips
+        (parse_formula("forall<= y S(0) (y = 0 -> z = y)"), None, missing),
+        (parse_formula("forall<= y S(0) (y = S(0) -> z = y)"), None, missing),
+        (parse_formula("forall<= y S(0) (y = S(0) -> z = y)"), {"y": 7}, missing),
+        (parse_formula("exists<= y S(S(0)) !(y = S(0) -> z = y)"), {"z": 1}, value),
+        # in the body of a sweep with no points
+        (parse_formula("forall<= y x (y = z)"), {"x": -1}, missing),
+        (parse_formula("exists<= y x (y = z)"), {"x": -1}, missing),
+        (parse_formula("forall<= y x (y = z)"), {"x": -1, "z": 0}, value),
+        (parse_formula("exists<= p 0 (prft(p, 0) = S(0))"), None, value),
+        # an unbounded quantifier fails only where the evaluation reaches it
+        (parse_formula("0 = S(0) -> forall x (x = x)"), None, value),
+        (parse_formula("0 = 0 -> forall x (x = x)"), None, bad),
+        (parse_formula("0 = S(0) -> forall x (x = z)"), None, missing),
+        # an object that is not a term, only in a skipped part
+        (Implies(false, Eq(Succ("junk"), ZERO)), None, bad),
+        (Implies(false, Eq(Succ("junk"), Var("z"))), None, bad),
+        (BoundedForAll("y", x, Eq(DefFn("dbl", ("junk",)), y)), {"x": -1}, bad),
+    ]
+    found = 0
+    for f, env, want in cases:
+        kind, message, _ = _outcome(_sentence_pair(Q, f, env)[0], 10**10)
+        assert (kind if kind == value else message).startswith(want), print_formula(f)
+        found += _compare_open(f, env)
+    assert found == 9 * len(LIMITS)
 
 
 def test_exists_points_visit_and_charge_as_before():

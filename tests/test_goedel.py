@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import proofforge
+from proofforge import goedel, syntax
 from proofforge.calculus import EvalBudget, EvalBudgetExceeded, Proof, ProofLine, check_stored_proof, eval_term_in
 from proofforge.corpus import diagonal_shapes, random_delta0_sentence
 from proofforge.derivations import equivalence_proof
@@ -295,6 +296,33 @@ def test_eval_budget_is_enforced():
 def test_eval_rejects_open_formulas():
     with pytest.raises(ValueError):
         eval_delta0(Q, parse_formula("x = x"))
+
+
+def test_a_sentence_is_walked_for_free_variables_only_where_its_evaluation_skips(monkeypatch):
+    # the evaluation itself meets every variable it does not skip, so a
+    # closed sentence starts a walk only at a consequent after a false
+    # antecedent, at an empty sweep, or in the support prune of an exists
+    walks = []
+    walk = syntax._free_names
+
+    def record(*args, **kwargs):
+        walks.append(args[0])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(syntax, "_free_names", record)
+    monkeypatch.setattr(goedel, "_free_names", record)
+    rng = random.Random(3)
+    unwalked = 0
+    for _ in range(10_000):
+        f = random_delta0_sentence(rng, depth=3, bound_cap=3)
+        before = len(walks)
+        eval_delta0(Q, f)
+        text = print_formula(f)
+        if "->" not in text and "exists<=" not in text:
+            assert len(walks) == before, text
+            unwalked += 1
+    # criterion 3's sentences: one walk per call would make 10,000
+    assert (len(walks), unwalked) == (3_694, 5_351)
 
 
 def test_eval_shares_a_closed_node_between_a_bound_and_an_open_term():
