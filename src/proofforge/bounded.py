@@ -80,11 +80,28 @@ of that set, as no later block can equal them.  A block that takes the
 count past the node cap stops the search at the cap plus one, as counting
 one by one would.
 
+The axiom pools come after the relevance lines and before the closures, and
+a pool of size s is all leaves, or none, as its lines have one size.  A
+line of a pool of leaves changes no count, check or later deduplication
+unless it equals a line met before the pool (a path line or a relevance
+line: no other pool has its size), or it is a line (a) or (b) or the body
+of (c).  So the node visits those lines one at a time, in pool order, and
+counts each run between them by its length.  Counted lines are still met:
+the node adds the bodies of the pool's `forall<=` lines to the bodies above,
+and a closure candidate that equals a pool line of a counted pool is
+skipped, as if it had been met there.  Each pool is indexed for this once,
+when it is built and cached: the position of each line, the positions of
+the implications by consequent, and the `forall<=` bodies.
+
 Every line and candidate carries its size, so no node walks a formula to
-size it: a pool of size s holds formulas of size s, relevance instances are
-sized once per search, a generalization adds two symbols (pool variables
-are unprimed) and a bounded one its bound's size more, and a modus ponens
-consequent reads the size cached on it.
+size it: a pool of size s holds formulas of size s, a generalization adds
+two symbols (pool variables are unprimed) and a bounded one its bound's size
+more, and a modus ponens consequent reads the size cached on it.  Relevance
+instances are sized once per search, from the sizes of their parts, before
+they are built: EQREFL `t = t` has 2|t| + 1 symbols, P1 2|a| + |b| + 2, P3
+2|a| + 2|b| + 5 and P2 3|a| + 2|b| + 2|c| + 6, and an instance too large for
+the search is never built.  Q1 instances substitute into a body, so they
+are built and then sized.
 """
 
 from __future__ import annotations
@@ -332,7 +349,39 @@ def _axiom_candidates(size: int, cap: int, names: tuple[str, ...]) -> tuple[Form
     return tuple(out)
 
 
-_AXIOM_POOLS: dict[tuple, tuple[tuple[Formula, Justification], ...]] = {}
+@dataclass(frozen=True, eq=False)
+class _PoolIndex:
+    """What the search looks up in an axiom pool of one size: its lines as
+    (formula, justification, size) triples, each formula's position, the
+    positions of the implications by consequent, and the bodies of its
+    `forall<=` lines."""
+
+    lines: tuple[tuple[Formula, Justification, int], ...]
+    position: dict[Formula, int]
+    implications: dict[Formula, tuple[int, ...]]
+    bounded_bodies: frozenset[Formula]
+
+
+def _index_pool(pool: tuple[tuple[Formula, Justification], ...], size: int) -> _PoolIndex:
+    implications: dict[Formula, list[int]] = {}
+    for p, (f, _) in enumerate(pool):
+        if type(f) is Implies:
+            implications.setdefault(f.consequent, []).append(p)
+    return _PoolIndex(
+        tuple((f, j, size) for f, j in pool),
+        {f: p for p, (f, _) in enumerate(pool)},
+        {g: tuple(ps) for g, ps in implications.items()},
+        frozenset(f.body for f, _ in pool if type(f) is BoundedForAll),
+    )
+
+
+# a pool and its index, by `_pool_key`
+_AXIOM_POOLS: dict[tuple, tuple[tuple[tuple[Formula, Justification], ...], _PoolIndex]] = {}
+
+
+def _pool_key(theory: TheorySpec, size: int, cap: int) -> tuple:
+    names = tuple(VAR_POOL)
+    return (theory.extra_axioms, tuple(sorted(theory.arities().items())), theory.induction, names, size, cap)
 
 
 def axiom_pool(theory: TheorySpec, size: int, cap: int) -> tuple[tuple[Formula, Justification], ...]:
@@ -355,21 +404,29 @@ def axiom_pool(theory: TheorySpec, size: int, cap: int) -> tuple[tuple[Formula, 
     (symbol, arity) table, `induction` and the variable pool -- never by its
     name, which two different extensions can share.  This assumes that a
     function symbol of a theory with given axioms has one evaluator meaning,
-    so COMPUTE accepts the same equations wherever the key is the same.
+    so COMPUTE accepts the same equations wherever the key is the same.  The
+    search's index of the pool is built with it and cached beside it.
     """
-    names = tuple(VAR_POOL)
-    key = (theory.extra_axioms, tuple(sorted(theory.arities().items())), theory.induction, names, size, cap)
+    key = _pool_key(theory, size, cap)
     hit = _AXIOM_POOLS.get(key)
     if hit is not None:
-        return hit
+        return hit[0]
     pool: list[tuple[Formula, Justification]] = []
-    for f in _axiom_candidates(size, cap, names):
+    for f in _axiom_candidates(size, cap, tuple(VAR_POOL)):
         j = find_axiom_justification(theory, f)
         if j is not None:
             pool.append((f, j))
     result = tuple(pool)
-    _AXIOM_POOLS[key] = result
+    _AXIOM_POOLS[key] = (result, _index_pool(result, size))
     return result
+
+
+def _search_pool(theory: TheorySpec, size: int, cap: int) -> _PoolIndex:
+    """The index of `axiom_pool(theory, size, cap)`: the cached one, or, for
+    a pool that did not come from the cache, one built for this call."""
+    pool = axiom_pool(theory, size, cap)
+    hit = _AXIOM_POOLS.get(_pool_key(theory, size, cap))
+    return hit[1] if hit is not None and hit[0] is pool else _index_pool(pool, size)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +456,11 @@ def _subformulas(f: Formula) -> set[Formula]:
 
 
 def _relevance_instances(theory: TheorySpec, target: Formula, max_size: int) -> list[tuple[Formula, Justification, int]]:
+    """EQREFL over the target's subterms, P1, P3 and P2 over its
+    subformulas and Q1 over its `forall` subformulas and subterms, in that
+    order, each once, that fit `max_size` and are axioms of the theory.
+    Every candidate but Q1's is sized from its parts and built only if it
+    fits."""
     subf = sorted(_subformulas(target), key=print_formula)
     subt: set[Term] = set()
     for g in subf:
@@ -409,26 +471,30 @@ def _relevance_instances(theory: TheorySpec, target: Formula, max_size: int) -> 
             case BoundedForAll(_, bt, _) | BoundedExists(_, bt, _):
                 subt.update(subterms(bt))
     terms = sorted(subt, key=lambda t: (term_size(t), str(t)))
-    cands: list[Formula] = []
+    sized = [(g, formula_size(g)) for g in subf]
+    cands: list[tuple[Formula, int]] = []
     for t in terms:
-        cands.append(Eq(t, t))
-    for a in subf:
-        for b in subf:
-            cands.append(Implies(a, Implies(b, a)))
-            na, nb = Not(a), Not(b)
-            cands.append(Implies(Implies(na, nb), Implies(b, a)))
-            for c in subf:
-                cands.append(
-                    Implies(Implies(a, Implies(b, c)), Implies(Implies(a, b), Implies(a, c)))
-                )
+        size = 2 * term_size(t) + 1
+        if size <= max_size:
+            cands.append((Eq(t, t), size))
+    for a, sa in sized:
+        for b, sb in sized:
+            if 2 * sa + sb + 2 <= max_size:
+                cands.append((Implies(a, Implies(b, a)), 2 * sa + sb + 2))
+            if 2 * sa + 2 * sb + 5 <= max_size:
+                cands.append((Implies(Implies(Not(a), Not(b)), Implies(b, a)), 2 * sa + 2 * sb + 5))
+            for c, sc in sized:
+                size = 3 * sa + 2 * sb + 2 * sc + 6
+                if size <= max_size:
+                    cands.append((Implies(Implies(a, Implies(b, c)), Implies(Implies(a, b), Implies(a, c))), size))
     for g in subf:
         if isinstance(g, ForAll):
             for t in terms:
-                cands.append(Implies(g, substitute(g.body, g.var, t)))
+                f = Implies(g, substitute(g.body, g.var, t))
+                cands.append((f, formula_size(f)))
     out: list[tuple[Formula, Justification, int]] = []
     seen: set[Formula] = set()
-    for f in cands:
-        size = formula_size(f)
+    for f, size in cands:
         if f in seen or size > max_size:
             continue
         seen.add(f)
@@ -465,29 +531,41 @@ def enumerate_proofs(
     max_prefix_line = size_budget - tsize - 1
     # Lines and candidates are (formula, justification, size) triples.
     # Complete axiom pools, one per admissible prefix-line size:
-    pools: dict[int, tuple[tuple[Formula, Justification, int], ...]] = {}
+    pools: dict[int, _PoolIndex] = {}
     for s in range(3, max_prefix_line + 1):
         if s > MAX_POOL_LINE_SIZE:
             stopped.add("line_size")
             continue
         try:
-            pools[s] = tuple((f, j, s) for f, j in axiom_pool(theory, s, limits.pool_cap))
+            pools[s] = _search_pool(theory, s, limits.pool_cap)
         except PoolCapExceeded:
             stopped.add("pool_cap")
 
     rel = _relevance_instances(theory, target, max_prefix_line)
 
-    def closures(lines: list[tuple[Formula, Justification, int]], max_size: int, bodies: set[Formula]):
+    def closures(
+        lines: list[tuple[Formula, Justification, int]],
+        max_size: int,
+        bodies: set[Formula],
+        counted: dict[int, dict[Formula, int]],
+    ):
+        # `counted` holds the positions of the pools whose leaves were
+        # counted in blocks: a candidate in one was met there
         for i, (g, _, _) in enumerate(lines):
-            if isinstance(g, Implies) and formula_size(g.consequent) <= max_size:
-                k = index.first.get(g.antecedent)
-                if k is not None:
-                    yield g.consequent, MPJust(i, k), formula_size(g.consequent)
+            if isinstance(g, Implies):
+                f, fsize = g.consequent, formula_size(g.consequent)
+                if fsize <= max_size and f not in counted.get(fsize, ()):
+                    k = index.first.get(g.antecedent)
+                    if k is not None:
+                        yield f, MPJust(i, k), fsize
         for i, (g, _, gsize) in enumerate(lines):
             if gsize + 2 > max_size:
                 continue
+            met = counted.get(gsize + 2, ())
             for v in VAR_POOL:
-                yield ForAll(v, g), GenJust(i, v), gsize + 2
+                f = ForAll(v, g)
+                if f not in met:
+                    yield f, GenJust(i, v), gsize + 2
             room = max_size - gsize - 2
             for bsize in range(1, room + 1):
                 try:
@@ -499,9 +577,12 @@ def enumerate_proofs(
                     # a block of leaves, counted and not built (see above)
                     yield None, len(bts) * len(VAR_POOL), gsize + 2 + bsize
                     continue
+                met = counted.get(gsize + 2 + bsize, ())
                 for bt in bts:
                     for v in VAR_POOL:
-                        yield BoundedForAll(v, bt, g), BGenJust(i, v, bt), gsize + 2 + bsize
+                        f = BoundedForAll(v, bt, g)
+                        if f not in met:
+                            yield f, BGenJust(i, v, bt), gsize + 2 + bsize
 
     # the target and the theory are the same at every node, so the target is
     # checked against the axioms once, at the root; every other node tries
@@ -513,6 +594,14 @@ def enumerate_proofs(
     leaf_limit = size_budget - tsize - 5  # a child with more used has no room for a line
     found: list[Proof] = []
     index = LineIndex()  # the current path's formulas, which never repeat
+    # the positions in each pool that a block of its leaves visits at every
+    # node: relevance lines (met before it), (a) implications and (c) body
+    pinned = {
+        s: {pool.position[f] for f in (*(line[0] for line in rel), body) if f in pool.position}.union(
+            pool.implications.get(target, ())
+        )
+        for s, pool in pools.items()
+    }
 
     def expand(lines: list[tuple[Formula, Justification, int]], used: int) -> bool:
         """Visit every child of the inner node the index holds: count it,
@@ -523,6 +612,7 @@ def enumerate_proofs(
         # the bodies g for which a `forall<= v b g` may equal a line met
         # before the generalizations, or be checked; the loop adds those met
         bodies = {g.body for g in (*index.first, *cites) if type(g) is BoundedForAll} | target_bodies
+        counted: dict[int, dict[Formula, int]] = {}
 
         def candidates():
             # cheap, targeted material first so a "found" surfaces quickly;
@@ -532,8 +622,27 @@ def enumerate_proofs(
                 if line[2] <= room:
                     yield line
             for s in range(3, room + 1):
-                yield from pools.get(s, ())
-            yield from closures(lines, room, bodies)
+                pool = pools.get(s)
+                if pool is None:
+                    continue
+                if used + sep + s <= leaf_limit:
+                    yield from pool.lines
+                    continue
+                # a pool of leaves, counted in blocks between the lines that
+                # are met before it or can be cited (see above)
+                at = pool.position
+                counted[s] = at
+                bodies.update(pool.bounded_bodies)
+                held = [at.get(f) for f, _, fsize in lines if fsize == s] + [at.get(f) for f in cites]
+                start = 0
+                for p in sorted(pinned[s].union(p for p in held if p is not None)):
+                    if p > start:
+                        yield None, p - start, s
+                    yield pool.lines[p]
+                    start = p + 1
+                if start < len(pool.lines):
+                    yield None, len(pool.lines) - start, s
+            yield from closures(lines, room, bodies, counted)
 
         seen = set(index.first)
         for line in candidates():

@@ -621,17 +621,21 @@ def _match_ind(theory: TheorySpec, f: Formula, cost: Cost | None) -> AxiomJust |
 
 
 def _match_compute(theory: TheorySpec, f: Formula, cost: Cost | None) -> ComputeJust | None:
+    """A closed equation whose sides evaluate equal.  A closed equation is
+    charged its size, an open one nothing.  The evaluator raises on a free
+    variable, so only an equation whose evaluation raises is walked to tell
+    which it is."""
     if not isinstance(f, Eq):
         return None
-    if not is_sentence(f):
-        return None
-    if cost is not None:
-        cost.symbol_comparisons += formula_size(f)
     try:
         lv = eval_term_in(theory, f.left)
         rv = eval_term_in(theory, f.right)
     except (EvalBudgetExceeded, KeyError, ValueError):
+        if cost is not None and is_sentence(f):
+            cost.symbol_comparisons += formula_size(f)
         return None
+    if cost is not None:
+        cost.symbol_comparisons += formula_size(f)
     if lv == rv:
         return ComputeJust(value=lv)
     return None

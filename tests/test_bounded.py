@@ -278,12 +278,27 @@ def test_regeneration_chain_climbs_with_receipts():
         assert lvl.self_search.definitive
 
 
-def test_regeneration_chain_reuses_axiom_pools_across_calls():
+def test_regeneration_chain_reuses_axiom_pools_across_calls(monkeypatch):
     regeneration_chain(depth=2, m=8)
     before = dict(bounded._AXIOM_POOLS)
+    indexed = []
+    index_pool = bounded._index_pool
+
+    def record(pool, size):
+        indexed.append(size)
+        return index_pool(pool, size)
+
+    monkeypatch.setattr(bounded, "_index_pool", record)
     regeneration_chain(depth=2, m=8)
     assert bounded._AXIOM_POOLS.keys() == before.keys()
-    assert all(bounded._AXIOM_POOLS[key] is pool for key, pool in before.items())
+    assert all(bounded._AXIOM_POOLS[key] is entry for key, entry in before.items())
+    # each pool keeps its index, which the searches use and do not rebuild
+    assert indexed == []
+    for theory in chain_theories(2, 8):
+        for size in (3, 4, 5):
+            pool, index = before[bounded._pool_key(theory, size, 600_000)]
+            assert bounded._search_pool(theory, size, 600_000) is index
+            assert index.lines == tuple((f, j, size) for f, j in pool)
 
 
 def test_axiom_pools_are_keyed_by_theory_content_not_name():
@@ -300,6 +315,11 @@ def test_axiom_pools_are_keyed_by_theory_content_not_name():
     assert (r2.outcome, r2.definitive) == ("none", True)
     fresh = extend_with_axiom(Q, parse_formula("0 = 0"), "prft1", name="fresh")
     assert enumerate_proofs(fresh, target, 13).nodes == r2.nodes
+    # and so are their indexes: equal content shares one, the two Q+1 get two
+    axiom = parse_formula("!(0 = S(0))")
+    i1, i2, i3 = (bounded._search_pool(t, 5, 600_000) for t in (t1, t2, fresh))
+    assert i2 is i3 and i1 is not i2
+    assert axiom in i1.position and axiom not in i2.position
 
 
 def reference_pool(theory, size, cap):
@@ -434,6 +454,40 @@ def test_leaf_bounded_generalizations_are_counted_without_being_built(monkeypatc
     r = enumerate_proofs(Q, parse_formula("0 = S(S(0))"), 24, SearchLimits(node_cap=4000))
     assert (r.outcome, r.nodes, "node_cap" in r.stopped_by) == ("budget_exhausted", 4001, True)
     assert built == []
+
+
+def test_leaf_pool_lines_are_counted_in_blocks(monkeypatch):
+    # of a pool whose lines are all leaves, only the lines a relevance or
+    # path line equals, the implications into the target and the lines the
+    # target's check may cite are visited one at a time; the others are
+    # counted in blocks.  Visiting every line, these searches would meet
+    # 287, 29 and 955 pool lines one at a time.
+    visits = []
+
+    class Line(tuple):
+        def __getitem__(self, i):
+            if i == 0:
+                visits.append(tuple.__getitem__(self, 0))
+            return tuple.__getitem__(self, i)
+
+    index_pool = bounded._index_pool
+
+    def record(pool, size):
+        index = index_pool(pool, size)
+        return replace(index, lines=tuple(Line(line) for line in index.lines))
+
+    monkeypatch.setattr(bounded, "_index_pool", record)
+    monkeypatch.setattr(bounded, "_AXIOM_POOLS", {})
+    pins = [
+        # (phi, budget, node cap, outcome, nodes, pool lines met one at a time)
+        ("!(0 = 0)", 10, 300_000, "none", 288, 1),
+        ("0 = S(0)", 9, 300_000, "none", 30, 1),
+        ("0 = S(S(0))", 24, 4000, "budget_exhausted", 4001, 74),
+    ]
+    for text, budget, node_cap, outcome, nodes, visited in pins:
+        visits.clear()
+        r = enumerate_proofs(Q, parse_formula(text), budget, SearchLimits(node_cap=node_cap))
+        assert (r.outcome, r.nodes, len(visits)) == (outcome, nodes, visited), text
 
 
 STOPPED_BY_PINS = [

@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 
+from proofforge import syntax
 from proofforge.bench import _equal_value_atoms, mp_chain
 from proofforge.calculus import (
     AxiomJust,
@@ -18,6 +19,7 @@ from proofforge.calculus import (
     ProofLine,
     TheoryAxiomJust,
     TheorySpec,
+    _match_compute,
     check_line,
     check_stored_proof,
     eval_term_in,
@@ -52,6 +54,7 @@ from proofforge.syntax import (
     share_tree,
     substitute,
 )
+from proofforge.verifier import proof_of
 from test_syntax import _reference_walk  # the recursive reference for `equal`
 
 Q = standard_theory()
@@ -109,6 +112,44 @@ def test_compute_accepts_only_true_closed_equations():
     assert match_schema(Q, "COMPUTE", parse_formula("S(0) + S(0) = S(S(0))")) is not None
     assert match_schema(Q, "COMPUTE", parse_formula("S(0) + S(0) = S(0)")) is None
     assert match_schema(Q, "COMPUTE", parse_formula("x + 0 = x")) is None  # not closed
+
+
+def test_compute_walks_for_free_variables_only_when_evaluation_fails(monkeypatch):
+    # the evaluator raises on a free variable, so an equation it evaluates
+    # is closed; only one it cannot evaluate is walked, and then charged its
+    # size if closed, nothing if open
+    walks = []
+    walk = syntax._free_names
+
+    def record(*args, **kwargs):
+        walks.append(args[0])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(syntax, "_free_names", record)
+    nope = DefFn("nope", (ZERO,))
+    cases = [
+        # (equation, justification, symbol_comparisons, walked)
+        (parse_formula("S(0) + S(0) = S(S(0))"), ComputeJust(value=2), 9, False),
+        (parse_formula("S(0) + S(0) = S(0)"), None, 8, False),
+        (Eq(nope, ZERO), None, 4, True),
+        (parse_formula("x + 0 = x"), None, 0, True),
+        (Eq(nope, Var("x")), None, 0, True),
+    ]
+    for f, just, charged, walked in cases:
+        for cost in (Cost(), None):
+            walks.clear()
+            assert _match_compute(Q, f, cost) == just, print_formula(f)
+            assert walks == ([f] if walked and cost is not None else []), print_formula(f)
+        cost = Cost()
+        _match_compute(Q, f, cost)
+        assert cost.symbol_comparisons == charged, print_formula(f)
+    # chain atoms, built, searched for and checked by record as certify does
+    walks.clear()
+    atoms = _equal_value_atoms(15, 6)
+    b = Builder(Q)
+    proof = b.proof([b.compute(f) for f in atoms][-1])
+    assert proof_of(Q, proof, atoms[-1], Cost()).ok and check_stored_proof(Q, proof) == LineCheck(True)
+    assert walks == []
 
 
 def test_match_schema_returns_the_justification_it_proves():

@@ -5,7 +5,11 @@ target only where the newest line can be cited.
 reference: one `dfs` call per node, each rebuilding its line list and
 looking for the target over every line by the scan that `LineIndex`
 replaced (`test_rule_index_reference._counting_scan`).  Both must visit the same nodes in the same order, so outcome,
-node count and proof are compared."""
+node count and proof are compared.
+
+The reference takes its relevance instances from `bounded`, so
+`_relevance_instances` is compared on its own with the version that built
+every candidate and then dropped those too large."""
 
 import random
 
@@ -22,9 +26,23 @@ from proofforge.calculus import (
     find_axiom_justification,
     print_proof_text,
 )
-from proofforge.corpus import membership_formula_corpus
+from proofforge.corpus import membership_formula_corpus, random_delta0_sentence
 from proofforge.goedel import extend_with_axiom, refutation_target, standard_theory
-from proofforge.syntax import BoundedForAll, ForAll, Implies, formula_size, free_variables, parse_formula
+from proofforge.syntax import (
+    BoundedExists,
+    BoundedForAll,
+    Eq,
+    ForAll,
+    Implies,
+    Not,
+    formula_size,
+    free_variables,
+    parse_formula,
+    print_formula,
+    substitute,
+    subterms,
+    term_size,
+)
 
 Q = standard_theory()
 DESK_LIMITS = SearchLimits(node_cap=4_000)
@@ -132,6 +150,46 @@ def reference_search(theory, target, size_budget, limits=None):
     return SearchReport(bounded.NONE, None, size_budget, state["nodes"], True)
 
 
+def reference_relevance_candidates(target):
+    """Every candidate `_relevance_instances` considers for the target, of
+    any size, in its order."""
+    subf = sorted(bounded._subformulas(target), key=print_formula)
+    subt = set()
+    for g in subf:
+        match g:
+            case Eq(a, b):
+                subt.update(subterms(a))
+                subt.update(subterms(b))
+            case BoundedForAll(_, bt, _) | BoundedExists(_, bt, _):
+                subt.update(subterms(bt))
+    terms = sorted(subt, key=lambda t: (term_size(t), str(t)))
+    cands = [Eq(t, t) for t in terms]
+    for a in subf:
+        for b in subf:
+            cands.append(Implies(a, Implies(b, a)))
+            cands.append(Implies(Implies(Not(a), Not(b)), Implies(b, a)))
+            for c in subf:
+                cands.append(Implies(Implies(a, Implies(b, c)), Implies(Implies(a, b), Implies(a, c))))
+    for g in subf:
+        if isinstance(g, ForAll):
+            for t in terms:
+                cands.append(Implies(g, substitute(g.body, g.var, t)))
+    return cands
+
+
+def reference_relevance_instances(theory, cands, max_size):
+    out, seen = [], set()
+    for f in cands:
+        size = formula_size(f)
+        if f in seen or size > max_size:
+            continue
+        seen.add(f)
+        j = find_axiom_justification(theory, f)
+        if j is not None:
+            out.append((f, j, size))
+    return out
+
+
 # --- the comparison ------------------------------------------------------------
 
 
@@ -226,3 +284,28 @@ def test_a_leaf_generalization_may_equal_a_modus_ponens_consequent(monkeypatch):
     for budget in (33, 34, 35):
         r = enumerate_proofs(theory, target, budget)
         assert r.outcome == "found" and _seen(r) == _seen(reference_search(theory, target, budget)), budget
+
+
+def test_a_closure_candidate_may_equal_a_counted_pool_line():
+    # forall x (x = x) is a THAX line of the size-5 pool.  Below the path
+    # line x = x that pool is all leaves, so it is counted in blocks, and
+    # the generalization of x = x over x is that counted line again
+    theory = extend_with_axiom(Q, parse_formula("forall x (x = x)"), "prft1")
+    target = parse_formula("0 = S(0)")
+    r = enumerate_proofs(theory, target, 14, SearchLimits(node_cap=20_000))
+    assert (r.outcome, r.stopped_by, r.nodes) == ("budget_exhausted", ("line_size", "pool_cap"), 10_248)
+    assert _seen(r) == _seen(reference_search(theory, target, 14, SearchLimits(node_cap=20_000)))
+
+
+def test_relevance_instances_match_building_every_candidate():
+    rng = random.Random(3_801)
+    targets = membership_formula_corpus(rng, 40) + [parse_formula(t) for t in QUANTIFIED_TARGETS]
+    targets += [random_delta0_sentence(rng, depth=3, bound_cap=3) for _ in range(40)]
+    found = 0
+    for target in targets:
+        cands = reference_relevance_candidates(target)
+        for max_size in range(30):
+            got = bounded._relevance_instances(Q, target, max_size)
+            assert got == reference_relevance_instances(Q, cands, max_size), (print_formula(target), max_size)
+            found += len(got)
+    assert found >= 10_000
