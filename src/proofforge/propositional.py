@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -471,10 +472,6 @@ def lit_var(literal: int) -> int:
     return abs(literal) - 1
 
 
-def is_tautological_clause(c: Clause) -> bool:
-    return any(-l in c for l in c)
-
-
 @dataclass(frozen=True)
 class ClauseSet:
     clauses: tuple[Clause, ...]
@@ -779,49 +776,70 @@ def dp_refutation(cs: ClauseSet) -> ResolutionProof | None:
     nothing, so only mentioned ones are candidates.  The proof cites every
     input clause first, then records each non-tautological resolvent; it is
     pruned afterwards to the steps the empty clause actually uses.
+
+    Inside, a clause is an int bitmask.  The variables that occur are
+    numbered densely by rank in index order: rank r's positive literal is
+    bit 2r and its negative literal bit 2r + 1, so a huge variable index
+    costs no huge integer.  A clause clashes with another where it meets
+    the other's complement, its bit pairs swapped, so a tautology test is
+    one AND and a resolvent one OR.  The occurrence count of each literal
+    over the live clauses is kept as clauses come and go.
     """
+    ranked = sorted({lit_var(l) for c in cs.clauses for l in c})
+    rank = {v: r for r, v in enumerate(ranked)}
+    odd = (4 ** len(ranked) - 1) // 3 << 1  # the negative literals' bits
+
+    def swapped(m: int) -> int:
+        return (m & odd) >> 1 | (m << 1 & odd)
+
+    occurrences = [0] * (2 * len(ranked))  # by bit, over the live clauses
+
+    def tally(m: int, by: int) -> None:
+        while m:
+            low = m & -m
+            occurrences[low.bit_length() - 1] += by
+            m ^= low
+
     steps: list[ResolutionStep] = [Input(k) for k in range(len(cs.clauses))]
-    index_of: dict[Clause, int] = {}
-    alive: dict[Clause, int] = {}
+    index_of: dict[int, int] = {}
+    alive: dict[int, int] = {}
     for k, c in enumerate(cs.clauses):
-        if c not in index_of:
-            index_of[c] = k
-        if not is_tautological_clause(c) and c not in alive:
-            alive[c] = index_of[c]
-        if c == frozenset():
-            return _prune_refutation(cs, ResolutionProof(tuple(steps[: index_of[c] + 1])))
+        m = 0
+        for l in c:
+            m |= 1 << (2 * rank[lit_var(l)] + (l < 0))
+        if m not in index_of:
+            index_of[m] = k
+        if not m & swapped(m) and m not in alive:
+            alive[m] = index_of[m]
+            tally(m, 1)
+        if not m:
+            return _prune_refutation(cs, ResolutionProof(tuple(steps[: index_of[m] + 1])))
     while alive:
-        occurrences: dict[int, int] = {}
-        for c in alive:
-            for l in c:
-                occurrences[l] = occurrences.get(l, 0) + 1
-
-        def resolvent_bound(v: int) -> tuple[int, int]:
-            p, n = occurrences.get(v + 1, 0), occurrences.get(-v - 1, 0)
-            return p * n - p - n, v
-
-        v = min({lit_var(l) for l in occurrences}, key=resolvent_bound)
-        pos_l, neg_l = lit(v, True), lit(v, False)
-        pos = [(c, c - {pos_l}, i) for c, i in alive.items() if pos_l in c]
-        neg = [(c, c - {neg_l}, i) for c, i in alive.items() if neg_l in c]
-        negated = [frozenset(-l for l in b) for _, b, _ in neg]
+        r, fewest = -1, 0
+        for q in range(len(ranked)):
+            p, n = occurrences[2 * q], occurrences[2 * q + 1]
+            if (p or n) and (r < 0 or p * n - p - n < fewest):
+                r, fewest = q, p * n - p - n
+        v, pos_bit, neg_bit = ranked[r], 1 << 2 * r, 2 << 2 * r
+        pos = [(c, c ^ pos_bit, i) for c, i in alive.items() if c & pos_bit]
+        neg = [(c, c ^ neg_bit, swapped(c ^ neg_bit), i) for c, i in alive.items() if c & neg_bit]
         for _, a, ip in pos:
-            for (_, b, jn), nb in zip(neg, negated):
-                if not a.isdisjoint(nb):
+            for _, b, nb, jn in neg:
+                if a & nb:
                     continue  # tautological: a and b clash outside the pivot
-                r = a | b
-                if r in index_of:
+                m = a | b
+                if m in index_of:
                     continue
                 steps.append(Resolve(ip, jn, v))
                 idx = len(steps) - 1
-                index_of[r] = idx
-                alive[r] = idx
-                if not r:
+                index_of[m] = idx
+                alive[m] = idx
+                if not m:
                     return _prune_refutation(cs, ResolutionProof(tuple(steps)))
-        for c, _, _ in pos:
+                tally(m, 1)
+        for c, *_ in pos + neg:
             del alive[c]
-        for c, _, _ in neg:
-            del alive[c]
+            tally(c, -1)
     return None
 
 
@@ -919,32 +937,75 @@ def min_refutation_steps(cs: ClauseSet, cap: int, node_cap: int = 250_000) -> SP
       stored, and the path to the refutation is walked in the order above.
     - counts only grow, so the node cap still fires at node cap + 1.
     The tables live and die with one call.
-    """
-    entries: dict[Clause, tuple[int, Clause]] = {}  # clause -> (its bit, the clause)
 
-    def entry(c: Clause) -> tuple[int, Clause]:
+    Below a node with two steps left no child is visited.  Let ks be the
+    node's child list, none of them empty, and c a child (bit b) with no
+    stored count.  c's own children are ks less every copy of b, plus the
+    resolvents of the new pairs (d, c) and (c, d), d derived, whose bits
+    are not in mask | b.  (The pair (c, c) resolves to c itself, as
+    (c - {l}) | (c - {-l}) = c, and c is derived, so it adds no child.)  So
+    c's subtree has
+
+        1 + len(ks) - (copies of b in ks) + (those new resolvents)
+
+    nodes, which is counted and stored without building c's list.  Where
+    ks holds the empty clause, or a child's new pairs resolve to it, the
+    lists are cut there and the child is visited as above; either case ends
+    the search, so it happens at most once.  The resolvents of each pair are
+    listed once per call, and the current node keeps them in one row per
+    derived clause, the resolvents of (that clause, each other derived
+    clause) in order: a push extends every row and a pop cuts them back.
+    """
+    entries: dict[Clause, tuple[int, Clause, int]] = {}  # clause -> (its bit, the clause, its number)
+    clauses: list[Clause] = []  # by number
+    pairs: list[dict[int, list]] = []  # pairs[i][j]: the resolvents of clauses i and j, as entries
+    meets: list[dict[int, list]] = []  # meets[i][j]: those of (j, i), then those of (i, j)
+
+    def entry(c: Clause) -> tuple[int, Clause, int]:
         e = entries.get(c)
         if e is None:
-            e = entries[c] = (1 << len(entries), c)
+            k = len(clauses)
+            e = entries[c] = (1 << k, c, k)
+            clauses.append(c)
+            pairs.append({})
+            meets.append({})
         return e
 
+    def resolvents(i: int, j: int) -> list[tuple[int, Clause, int]]:
+        row = pairs[i]
+        out = row.get(j)
+        if out is None:
+            ci, cj = clauses[i], clauses[j]
+            out = row[j] = [entry((ci - {l}) | (cj - {-l})) for l in ci if l > 0 and -l in cj]
+        return out
+
     inputs = [entry(c) for c in cs.clauses]
-    pair_resolvents: dict[tuple[Clause, Clause], list[tuple[int, Clause]]] = {}
-    derived: list[Clause] = []
+    derived: list[int] = []  # the current node's clauses, by number
+    rows: list[list[tuple[int, Clause, int]]] = []  # aligned with derived
+    cuts: list[list[int]] = []  # the rows' lengths before each push
     nodes = 0
 
-    def children(mask: int) -> list[tuple[int, Clause]]:
-        """The current node's children, as (bit, clause), up to an empty one."""
-        # the pairs without the last clause got their resolvents when the
-        # parent's children were listed
-        if derived:
-            c = derived[-1]
-            for d in derived:
-                for ci, cj in ((d, c), (c, d)):
-                    if (ci, cj) not in pair_resolvents:
-                        pair_resolvents[ci, cj] = [entry((ci - {l}) | (cj - {-l})) for l in ci if l > 0 and -l in cj]
+    def push(k: int) -> None:
+        cuts.append([len(row) for row in rows])
+        for row, d in zip(rows, derived):
+            row += resolvents(d, k)
+        row = []
+        for d in derived:
+            row += resolvents(k, d)
+        derived.append(k)
+        rows.append(row)
+
+    def pop() -> None:
+        derived.pop()
+        rows.pop()
+        for row, n in zip(rows, cuts.pop()):
+            del row[n:]
+
+    def children(mask: int) -> list[tuple[int, Clause, int]]:
+        """The current node's children, as entries, up to an empty one."""
         out = [e for e in inputs if not mask & e[0]]
-        out += [e for ci in derived for cj in derived for e in pair_resolvents[ci, cj] if not mask & e[0]]
+        for row in rows:
+            out += [e for e in row if not mask & e[0]]
         empty = entries.get(frozenset())
         if empty in out:
             del out[out.index(empty) + 1:]
@@ -956,26 +1017,50 @@ def min_refutation_steps(cs: ClauseSet, cap: int, node_cap: int = 250_000) -> SP
         if nodes > node_cap:
             raise _NodeCapReached
 
+    def leaf_count(ks: list, copies: Counter, k: int, child: int) -> int | None:
+        """The size of the subtree of child k below a node with two steps
+        left, or None if its new pairs resolve to the empty clause."""
+        size = 1 + len(ks) - copies[k]
+        met = meets[k]
+        for d in derived:
+            es = met.get(d)
+            if es is None:
+                es = met[d] = resolvents(d, k) + resolvents(k, d)
+            for e in es:
+                if not child & e[0]:
+                    if not e[1]:
+                        return None
+                    size += 1
+        return size
+
     def below(mask: int, steps_left: int, done: dict[int, int]) -> bool:
         """Count the nodes below the current one; True at a refutation."""
         ks = children(mask)
+        refutes = bool(ks) and not ks[-1][1]
         if steps_left == 1:
             count(len(ks))
-            return bool(ks) and not ks[-1][1]
-        for b, c in ks:
+            return refutes
+        leaves = steps_left == 2 and not refutes
+        if leaves:
+            copies = Counter(e[2] for e in ks)
+        for b, c, k in ks:
             if not c:
                 count(1)
                 return True
             child = mask | b
             size = done.get(child)
+            if size is None and leaves:
+                size = leaf_count(ks, copies, k, child)
+                if size is not None:
+                    done[child] = size
             if size is not None:
                 count(size)
                 continue
             start = nodes
             count(1)
-            derived.append(c)
+            push(k)
             found = below(child, steps_left - 1, done)
-            derived.pop()
+            pop()
             if found:
                 return True
             done[child] = nodes - start

@@ -2,7 +2,8 @@
 
 import random
 import sys
-from dataclasses import fields
+import time
+from dataclasses import fields, replace
 
 import pytest
 
@@ -47,6 +48,7 @@ from proofforge.syntax import (
     Var,
     Zero,
     equal,
+    formula_size,
     numeral,
     parse_formula,
     parse_term,
@@ -150,6 +152,34 @@ def test_compute_walks_for_free_variables_only_when_evaluation_fails(monkeypatch
     proof = b.proof([b.compute(f) for f in atoms][-1])
     assert proof_of(Q, proof, atoms[-1], Cost()).ok and check_stored_proof(Q, proof) == LineCheck(True)
     assert walks == []
+
+
+def test_compute_refuses_an_open_equation_before_its_costly_closed_side():
+    # bnd(dbl^18(S(0))) is 44^262144 - 1.  An open equation is refused
+    # before that power is taken, whatever side the variable is on; the
+    # closed equation is evaluated in full and charged its size
+    base = Q.def_extensions
+    powers = []
+
+    def bnd(m, *, budget):
+        value = base["bnd"].evaluator(m, budget=budget)
+        powers.append(m)
+        return value
+
+    theory = TheorySpec("probed", def_extensions={"le": base["le"], "dbl": base["dbl"], "bnd": replace(base["bnd"], evaluator=bnd)})
+    big = "bnd(" + "dbl(" * 18 + "S(0)" + ")" * 19
+    for text in (f"le({big}, 0) = x", f"le({big}, x) = 0", f"le({big}, x) = x", f"x = le({big}, 0)"):
+        f = parse_formula(text, deffn_arities=theory.arities())
+        for cost in (Cost(), None):
+            start = time.perf_counter()
+            assert _match_compute(theory, f, cost) is None, text
+            assert time.perf_counter() - start < 0.05, text
+            assert powers == [], text
+            assert cost is None or cost.symbol_comparisons == 0
+    closed = parse_formula(f"le({big}, 0) = 0", deffn_arities=theory.arities())
+    cost = Cost()
+    assert _match_compute(theory, closed, cost) == ComputeJust(value=0)
+    assert powers == [2**18] and cost.symbol_comparisons == formula_size(closed)
 
 
 def test_match_schema_returns_the_justification_it_proves():

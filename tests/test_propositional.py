@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 import time
+import tracemalloc
 from typing import Callable, Iterable
 
 import pytest
@@ -899,6 +900,11 @@ REPEATS_AND_TAUTOLOGIES = [
     ClauseSet((F({1, 2}), F({2, -2}), F({-1, 2}), F({1, 2}), F({-2})), 2),
     ClauseSet((F({1, 2}), F({-1, 2}), F({1, 2}), F({1, -2}), F({-1, -2}), F({2, -2})), 2),
     ClauseSet((F({1, 2}), F({-1}), F({1, -2, 2}), F({-1})), 2),  # satisfiable
+    # the empty clause first arises among the new pairs of a child, {-1},
+    # that has two copies below a node with two steps left
+    ClauseSet((F({1, 2}), F({-2}), F({-1}), F({-1})), 2),
+    # the empty clause as an input, after others and before a repeat
+    ClauseSet((F({1, 2}), F({-1}), F(), F({1, 2})), 2),
 ]
 
 
@@ -992,6 +998,49 @@ def test_dp_refutes_the_reflexivity_translations_quickly():
         proof = dp_refutation(cs)
         assert proof is not None and len(proof.steps) == steps
         assert check_resolution(cs, proof).ok
+
+
+# sha256 of the printed proofs (or "none") of `dp_refutation` on the sets
+# of test_dp_refutation_agrees_with_brute_force_and_replay and the
+# reflexivity translations at n = 1..6, as the frozenset implementation of
+# Davis-Putnam produced them
+DP_PROOFS_SHA256 = "482ccfbc35e005dc9c681562e5e71708de68505826d78c9eb954bb8488defda2"
+
+
+def test_dp_refutation_proofs_are_pinned():
+    rng = random.Random(8200)
+    sets = [random_clause_set(rng) for _ in range(200)]
+    sets += [random_3cnf(rng, n) for n in range(4, 13) for _ in range(6)]
+    sets += [negation_clauses(translate_delta0(parse_formula("x = x"), x="x", n=n)).clause_set for n in range(1, 7)]
+    digest = hashlib.sha256()
+    for cs in sets:
+        proof = dp_refutation(cs)
+        digest.update(("none" if proof is None else print_resolution_text(proof)).encode() + b"\n;\n")
+    assert digest.hexdigest() == DP_PROOFS_SHA256
+
+
+def test_dp_refutation_numbers_variables_by_rank():
+    # an unsatisfiable 3-CNF over variables spread up to index 999,999: the
+    # same proof as over indices 0..7, with the pivots renamed, and no
+    # integer as wide as the largest index
+    rng = random.Random(8203)
+    small = random_3cnf(rng, 8)
+    while brute_force_satisfiable(small):
+        small = random_3cnf(rng, 8)
+    spread = 125_000
+    big = ClauseSet(tuple(frozenset(l * spread for l in c) for c in small.clauses), 8 * spread)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        proof = dp_refutation(big)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 0.5 and peak < 150_000  # one 2,000,000-bit mask is 250 KB
+    assert check_resolution(big, proof).ok
+    renamed = [Resolve(s.left, s.right, (s.pivot + 1) * spread - 1) if isinstance(s, Resolve) else s for s in dp_refutation(small).steps]
+    assert list(proof.steps) == renamed
 
 
 # --- hostile input ----------------------------------------------------------------------
