@@ -96,11 +96,11 @@ class Cost:
 
     symbol_comparisons counts syntax nodes compared, in the right-first
     preorder of `syntax.equal` up to and including the first mismatch.  The
-    count is the walk's whatever the shortcut: a subtree compared with
-    itself (one object, as shared nodes are) costs its node_count without a
-    walk.  lines_scanned and pair_searches count positions: the earlier
-    lines a scan for `LineIndex.justify`'s first match passes over, singly
-    and as modus ponens antecedents, read off the index's lookups.  A
+    count is the walk's, but a pair of equal subtrees, which are one object,
+    costs its node_count without a walk.  lines_scanned and pair_searches
+    count positions: the earlier lines a scan for `LineIndex.justify`'s
+    first match passes over, singly and as modus ponens antecedents, read
+    off the index's lookups.  A
     function given no Cost counts nothing, so an unmeasured check never
     walks a subtree to count it."""
 
@@ -214,9 +214,9 @@ def _eval_term(theory: TheorySpec, t: Term, budget: EvalBudget, env: Mapping[str
     hit costs no budget.  Ids are reused after garbage collection, so a memo
     serves one top-level call, whose term keeps every keyed node alive, and
     is never shared across calls.  It holds no Var, so `env` may change
-    between evaluations that share it.  A parsed term holds each distinct
-    subtree once (see `syntax`), so its repeated closed subterms are
-    evaluated and charged once.
+    between evaluations that share it.  Equal nodes are one object (see
+    `syntax`), so every repeated closed subterm is evaluated and charged
+    once, however the term was built.
 
     Without recursion, charging as a recursive walk would: a node is charged
     when it is entered, then its children are evaluated left to right, each
@@ -726,7 +726,7 @@ def find_axiom_justification(theory: TheorySpec, f: Formula, cost: Cost | None =
 
 
 class LineIndex:
-    """The lines of a proof so far, keyed by formula (hash, then `equal`):
+    """The lines of a proof so far, keyed by formula (one object each):
     the first line of each formula, and each consequent's implications in
     line order.  `pop` undoes the last `add`, so one index serves a whole
     search path."""
@@ -825,25 +825,25 @@ def check_line(theory: TheorySpec, proof: Proof, i: int) -> LineCheck:
             if schema == "Q1" and term is not None:
                 if isinstance(f, Implies) and isinstance(f.antecedent, ForAll):
                     expected = substitute(f.antecedent.body, f.antecedent.var, term)
-                    if equal(expected, f.consequent):
+                    if expected is f.consequent:
                         return LineCheck(True)
                 return LineCheck(False, "not the stated Q1 instance")
             if schema == "EQREFL" and term is not None:
-                if isinstance(f, Eq) and equal(f.left, term) and equal(f.right, term):
+                if isinstance(f, Eq) and f.left is term and f.right is term:
                     return LineCheck(True)
                 return LineCheck(False, "not the stated EQREFL instance")
             if schema == "IND" and not theory.induction:
                 return LineCheck(False, "induction not enabled for this theory")
             if index is not None:
                 axioms = robinson_axioms()
-                found = 1 <= index <= len(axioms) and equal(f, axioms[index - 1])
+                found = 1 <= index <= len(axioms) and f is axioms[index - 1]
             else:
                 found = match_schema(theory, schema, f) is not None
             if not found:
                 return LineCheck(False, f"not an instance of {schema}")
             return LineCheck(True)
         case TheoryAxiomJust(index):
-            if 1 <= index <= len(theory.extra_axioms) and equal(f, theory.extra_axioms[index - 1]):
+            if 1 <= index <= len(theory.extra_axioms) and f is theory.extra_axioms[index - 1]:
                 return LineCheck(True)
             return LineCheck(False, f"not theory axiom {index}")
         case MPJust(imp, ant):
@@ -852,15 +852,15 @@ def check_line(theory: TheorySpec, proof: Proof, i: int) -> LineCheck:
             big = proof.lines[imp].formula
             if not isinstance(big, Implies):
                 return LineCheck(False, f"line {imp + 1} is not an implication")
-            if not equal(big.antecedent, proof.lines[ant].formula):
+            if big.antecedent is not proof.lines[ant].formula:
                 return LineCheck(False, "antecedent mismatch")
-            if not equal(big.consequent, f):
+            if big.consequent is not f:
                 return LineCheck(False, "consequent mismatch")
             return LineCheck(True)
         case GenJust(src, var):
             if not 0 <= src < i:
                 return LineCheck(False, "generalization source must precede the line")
-            if isinstance(f, ForAll) and f.var == var and equal(f.body, proof.lines[src].formula):
+            if isinstance(f, ForAll) and f.var == var and f.body is proof.lines[src].formula:
                 return LineCheck(True)
             return LineCheck(False, "not a generalization of the source line")
         case BGenJust(src, var, bound):
@@ -869,8 +869,8 @@ def check_line(theory: TheorySpec, proof: Proof, i: int) -> LineCheck:
             if (
                 isinstance(f, BoundedForAll)
                 and f.var == var
-                and equal(f.bound, bound)
-                and equal(f.body, proof.lines[src].formula)
+                and f.bound is bound
+                and f.body is proof.lines[src].formula
             ):
                 return LineCheck(True)
             return LineCheck(False, "not a bounded generalization of the source line")
@@ -964,7 +964,7 @@ _GEN_RE = re.compile(r"GEN (\d+) ([a-z][a-z0-9']*)")
 _BGEN_RE = re.compile(r"BGEN (\d+) ([a-z][a-z0-9']*) (.*)")
 
 
-def _parse_justification(text: str, arities: dict[str, int] | None, share: dict) -> Justification | None:
+def _parse_justification(text: str, arities: dict[str, int] | None) -> Justification | None:
     text = text.strip()
     if text == "?":
         return None
@@ -977,7 +977,7 @@ def _parse_justification(text: str, arities: dict[str, int] | None, share: dict)
         return ComputeJust(value=int(m.group(1)))
     m = _TERM_AXIOM_RE.fullmatch(text)
     if m:
-        return AxiomJust(m.group(1), term=parse_term(m.group(2), arities, share))
+        return AxiomJust(m.group(1), term=parse_term(m.group(2), arities))
     m = _QAX_RE.fullmatch(text)
     if m:
         return AxiomJust("QAX", index=int(m.group(1)))
@@ -992,18 +992,15 @@ def _parse_justification(text: str, arities: dict[str, int] | None, share: dict)
         return GenJust(int(m.group(1)) - 1, m.group(2))
     m = _BGEN_RE.fullmatch(text)
     if m:
-        return BGenJust(int(m.group(1)) - 1, m.group(2), parse_term(m.group(3), arities, share))
+        return BGenJust(int(m.group(1)) - 1, m.group(2), parse_term(m.group(3), arities))
     raise ValueError(f"unparsable justification {text!r}")
 
 
 def parse_proof_text(text: str, deffn_arities: dict[str, int] | None = None) -> Proof:
     """Parse the proof text format; raises ValueError with the offending line.
-    Only a newline ends a line.  One share table serves the whole text, so
-    equal subtrees are one object across its lines and their justification
-    terms, and one atom memo, so each distinct atom text is parsed once (see
-    syntax._skeleton for the lines read so).  Errors are those of
-    `parse_formula`."""
-    share: dict = {}
+    Only a newline ends a line.  One atom memo serves the whole text, so
+    each distinct atom text is parsed once (see syntax._skeleton for the
+    lines read so).  Errors are those of `parse_formula`."""
     atoms: dict = {}
     lines: list[ProofLine] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -1016,8 +1013,8 @@ def parse_proof_text(text: str, deffn_arities: dict[str, int] | None = None) -> 
         if idx != len(lines) + 1:
             raise ValueError(f"proof line {lineno}: index {idx} out of order (expected {len(lines) + 1})")
         try:
-            formula = _parse(m.group(2), deffn_arities, share, True, atoms)
-            just = _parse_justification(m.group(3), deffn_arities, share)
+            formula = _parse(m.group(2), deffn_arities, True, atoms)
+            just = _parse_justification(m.group(3), deffn_arities)
         except ValueError as e:
             raise ValueError(f"proof line {lineno}: {e}") from e
         lines.append(ProofLine(formula, just))

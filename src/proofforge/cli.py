@@ -27,7 +27,7 @@ from . import suite as suitemod
 from .bounded import chain_holds, l_k_membership, shortest_proof_length
 from .calculus import EvalBudget, check_stored_proof, parse_proof_text, print_proof_text
 from .goedel import THEORIES, con_bounded, diagonalize, encode_formula, eval_delta0
-from .syntax import equal, formula_size, parse_formula, print_formula
+from .syntax import formula_size, parse_formula, print_formula
 from .verifier import proof_of
 
 EXIT_OK = 0
@@ -131,7 +131,7 @@ def cmd_diagonalize(args: argparse.Namespace, cfg: cfgmod.RunConfig) -> int:
     # those suffices: a proof valid by them is valid under proof_of's search
     proof = result.equivalence
     check = check_stored_proof(theory, proof)
-    ok = check.ok and equal(proof.conclusion, result.biconditional)
+    ok = check.ok and proof.conclusion is result.biconditional
     print(f"equivalence proof: {len(proof.lines)} lines, {'accepted' if ok else 'REJECTED'}")
     if not ok:
         print(f"  {check.reason or 'the conclusion is not the biconditional'}")

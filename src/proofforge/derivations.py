@@ -6,11 +6,8 @@ once.  Each combinator returns the 0-based index of its conclusion line.
 Every added axiom line is matched against its schema eagerly, so a bug in a
 template raises at construction time rather than at verification time.
 
-A Builder owns one share table (see `syntax.share_tree`).  Every formula
-and justification term passes through it before its schema check, so equal
-subtrees of the whole proof are one object: the matchers compare them by
-identity, a line is found again by the id of its formula, and modus
-ponens checks its premise with `is`.  The table dies with the Builder.
+Equal nodes are one object (see `syntax`), so a line is found again by
+the id of its formula, and modus ponens checks its premise with `is`.
 
 The centerpiece is `lift`: given closed terms s and u with the same value,
 it derives  phi[x:=s] -> phi[x:=u]  along phi's structure — EQSUBST at
@@ -46,7 +43,6 @@ from .syntax import (
     Term,
     free_variables,
     print_formula,
-    share_tree,
     substitute,
 )
 
@@ -61,13 +57,12 @@ class Builder:
     def __init__(self, theory: TheorySpec):
         self.theory = theory
         self._lines: list[ProofLine] = []
-        self._share: dict = {}  # the share table of every formula and term of the proof
         self._index: dict[int, int] = {}  # id of a line's formula -> the line
 
     # -- line-level primitives ------------------------------------------------
 
     def _add(self, f: Formula, just: Justification) -> int:
-        """Append f unless it is a line already; f is the table's node."""
+        """Append f unless it is a line already."""
         existing = self._index.get(id(f))
         if existing is not None:
             return existing
@@ -80,17 +75,15 @@ class Builder:
         return self._lines[i].formula
 
     def axiom(self, schema: str, f: Formula, term: Term | None = None) -> int:
-        f = share_tree(f, self._share)
         just = match_schema(self.theory, schema, f)
         if just is None:
             raise DerivationError(f"not an instance of {schema}: {print_formula(f)}")
         if term is not None and schema in ("Q1", "EQREFL"):
             # the caller's instantiation: Q1 holds for any t when x is not free
-            just = AxiomJust(schema, term=share_tree(term, self._share))
+            just = AxiomJust(schema, term=term)
         return self._add(f, just)
 
     def compute(self, f: Formula) -> int:
-        f = share_tree(f, self._share)
         just = match_schema(self.theory, "COMPUTE", f)
         if just is None:
             raise DerivationError(f"Compute line is not a true closed equation: {print_formula(f)}")
@@ -100,17 +93,15 @@ class Builder:
         big = self.formula_at(i_impl)
         if not isinstance(big, Implies):
             raise DerivationError(f"line {i_impl} is not an implication")
-        # lines are the table's nodes, so equal parts of them are one object
         if big.antecedent is not self.formula_at(i_ant):
             raise DerivationError("modus ponens premise mismatch")
         return self._add(big.consequent, MPJust(i_impl, i_ant))
 
     def gen(self, i: int, var: str) -> int:
-        return self._add(share_tree(ForAll(var, self.formula_at(i)), self._share), GenJust(i, var))
+        return self._add(ForAll(var, self.formula_at(i)), GenJust(i, var))
 
     def bgen(self, i: int, var: str, bound: Term) -> int:
-        f = share_tree(BoundedForAll(var, bound, self.formula_at(i)), self._share)
-        return self._add(f, BGenJust(i, var, f.bound))
+        return self._add(BoundedForAll(var, bound, self.formula_at(i)), BGenJust(i, var, bound))
 
     def proof(self, conclusion_index: int) -> Proof:
         """Finish, making the conclusion the last line (re-stating it if needed)."""

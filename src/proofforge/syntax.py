@@ -31,39 +31,38 @@ Operator binding, loosest to tightest:  ->  (right associative), then
 then =, then + then * (left associative).  The parser reads this table of
 binding powers by precedence climbing; & | -> take formulas, = + * terms.
 
-No walk recurses: parsing, printing, equality, hashing, sizes, free
+No walk recurses: parsing, printing, counted equality, sizes, free
 variables and substitution are loops over explicit stacks, as are the walks
 of the other modules, so deep input needs no raised recursion limit and no
 module touches it.
 
-Every node caches three values of its tree on itself, each computed on
-first use without recursion: `node_count` (`_n`), hash (`_h`) and size
-(`_s`).  `hash(node)` is the hash of the node's fields salted by its
-class, so that `+`, `*` and `=` over the same children hash apart; no
-output depends on the order of a set of nodes.
-Equality is `equal`, one walk without recursion that can also count the
-nodes it compares; every node's `==` calls it.
+Equal nodes are one object.  Every constructor interns: it looks its node
+up in one module-wide table, keyed by class, payload and the ids of the
+children, which are interned before it, and builds the node only if it is
+missing; an entry leaves the table when its node dies.  So `==` on nodes
+is `is`, and every tree, however it was built (a parse, a derivation, a
+substitution, a search candidate, an lru-cached pool of `bounded`), is
+shared with every equal one.  A node caches three values of its tree,
+each computed on first use without recursion: `node_count` (`_n`), hash
+(`_h`) and size (`_s`).  `hash(node)` is the hash of its class name and
+fields, never of an id, so no output depends on the order of a set of
+nodes.  `equal` is identity; with a cost it also counts the nodes a walk
+of both trees up to their first mismatch compares, descending only into
+pairs that differ.
 
-Equal subtrees within one proof text or Builder are one object: the
-parser and `share_tree` key every node through a share table, which
-`calculus.parse_proof_text` keeps for a whole text and a
-`derivations.Builder` for its whole proof.  A numeral repeated from line
-to line is then built once, and comparing it with itself is an identity
-test (`equal` charges its cached `node_count`).  `calculus.print_proof_text`
-prints each atom object once per proof; it memoizes atoms only, as a memo of
-whole implications is quadratic in the depth of a right-nested chain.
-`calculus.parse_proof_text` parses each distinct atom text once per proof
-text, reading a line without quantifiers and with at most MAX_NESTING
-nesting tokens as its `_skeleton`; other lines, and any it refuses, are read
-token by token.  A
-table dies with its parse or Builder; none is module-wide, so the lru-cached
-pools of `bounded` are never interned.  Nodes still compare by value, so nothing may
-rely on two equal nodes being distinct objects, nor on them being one.
+`calculus.print_proof_text` prints each atom object once per proof; it
+memoizes atoms only, as a memo of whole implications is quadratic in the
+depth of a right-nested chain.  `calculus.parse_proof_text` parses each
+distinct atom text once per proof text, reading a line without quantifiers
+and with at most MAX_NESTING nesting tokens as its `_skeleton`; other lines,
+and any it refuses, are read token by token.  Both memos save text work;
+interning saves node work.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from itertools import repeat
 from operator import is_ as _is
@@ -73,69 +72,177 @@ from typing import Iterable, Iterator, Union
 # AST
 # ---------------------------------------------------------------------------
 
+# The intern table maps (class, payload, ids of the children) to a weak
+# reference to the node built from them; the entry leaves when its node
+# dies.  A node keeps its children, so their ids in a live key are not
+# reused, and the key is shallow: building a node is one lookup, whatever
+# the size of its tree.  Each constructor returns the live node of its key,
+# or enters a new one and sets its fields.
+_TABLE: dict = {}
+_get = _TABLE.get
 
-@dataclass(frozen=True)
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(entry: _Entry) -> None:
+    # a node may already have taken the key while this one was dying
+    if _get(entry.key) is entry:
+        del _TABLE[entry.key]
+
+
+def _enter(node: Term | Formula, key: tuple) -> Term | Formula:
+    entry = _TABLE[key] = _Entry(node, _drop)
+    entry.key = key
+    return node
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Var:
     name: str
 
+    def __new__(cls, name: str) -> Var:
+        key = (cls, name)
+        entry = _get(key)
+        if entry is None or (node := entry()) is None:
+            node = _enter(object.__new__(cls), key)
+            object.__setattr__(node, "name", name)
+        return node
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Zero:
-    pass
+    def __new__(cls) -> Zero:
+        key = (cls,)
+        entry = _get(key)
+        if entry is None or (node := entry()) is None:
+            node = _enter(object.__new__(cls), key)
+        return node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Succ:
     arg: "Term"
 
+    def __new__(cls, arg: Term) -> Succ:
+        key = (cls, id(arg))
+        entry = _get(key)
+        if entry is None or (node := entry()) is None:
+            node = _enter(object.__new__(cls), key)
+            object.__setattr__(node, "arg", arg)
+        return node
 
-@dataclass(frozen=True)
+
+def _left_right(cls, left: Term, right: Term) -> Plus | Times | Eq:
+    """The constructor of Plus, Times and Eq."""
+    key = (cls, id(left), id(right))
+    entry = _get(key)
+    if entry is None or (node := entry()) is None:
+        node = _enter(object.__new__(cls), key)
+        object.__setattr__(node, "left", left)
+        object.__setattr__(node, "right", right)
+    return node
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Plus:
     left: "Term"
     right: "Term"
+    __new__ = _left_right
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Times:
     left: "Term"
     right: "Term"
+    __new__ = _left_right
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class DefFn:
     """Application of a registered definitional function symbol."""
 
     symbol: str
     args: tuple["Term", ...]
 
+    def __new__(cls, symbol: str, args: Iterable[Term]) -> DefFn:
+        args = tuple(args)
+        key = (cls, symbol, *map(id, args))
+        entry = _get(key)
+        if entry is None or (node := entry()) is None:
+            node = _enter(object.__new__(cls), key)
+            object.__setattr__(node, "symbol", symbol)
+            object.__setattr__(node, "args", args)
+        return node
+
 
 Term = Union[Var, Zero, Succ, Plus, Times, DefFn]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Eq:
     left: Term
     right: Term
+    __new__ = _left_right
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Not:
     body: "Formula"
 
+    def __new__(cls, body: Formula) -> Not:
+        key = (cls, id(body))
+        entry = _get(key)
+        if entry is None or (node := entry()) is None:
+            node = _enter(object.__new__(cls), key)
+            object.__setattr__(node, "body", body)
+        return node
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Implies:
     antecedent: "Formula"
     consequent: "Formula"
 
+    def __new__(cls, antecedent: Formula, consequent: Formula) -> Implies:
+        key = (cls, id(antecedent), id(consequent))
+        entry = _get(key)
+        if entry is None or (node := entry()) is None:
+            node = _enter(object.__new__(cls), key)
+            object.__setattr__(node, "antecedent", antecedent)
+            object.__setattr__(node, "consequent", consequent)
+        return node
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class ForAll:
     var: str
     body: "Formula"
 
+    def __new__(cls, var: str, body: Formula) -> ForAll:
+        key = (cls, var, id(body))
+        entry = _get(key)
+        if entry is None or (node := entry()) is None:
+            node = _enter(object.__new__(cls), key)
+            object.__setattr__(node, "var", var)
+            object.__setattr__(node, "body", body)
+        return node
 
-@dataclass(frozen=True)
+
+def _bounded(cls, var: str, bound: Term, body: Formula) -> BoundedForAll | BoundedExists:
+    """The constructor of BoundedForAll and BoundedExists."""
+    key = (cls, var, id(bound), id(body))
+    entry = _get(key)
+    if entry is None or (node := entry()) is None:
+        node = _enter(object.__new__(cls), key)
+        object.__setattr__(node, "var", var)
+        object.__setattr__(node, "bound", bound)
+        object.__setattr__(node, "body", body)
+    return node
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class BoundedForAll:
     """forall<= var bound body — var ranges over 0..bound inclusive.
 
@@ -146,13 +253,15 @@ class BoundedForAll:
     var: str
     bound: Term
     body: "Formula"
+    __new__ = _bounded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class BoundedExists:
     var: str
     bound: Term
     body: "Formula"
+    __new__ = _bounded
 
 
 Formula = Union[Eq, Not, Implies, ForAll, BoundedForAll, BoundedExists]
@@ -173,35 +282,17 @@ ZERO = Zero()
 
 def _hash(node: Term | Formula) -> int:
     h = node._h
-    if h is None:
-        # a node built on hashed children (a generalization over a search
-        # line, say) hashes its fields at once; any other walks its tree
-        for part in _children(node):
-            if part._h is None:
-                return _fill(node, "_h", _field_hash)
-        h = node._dataclass_hash() ^ node._salt
-        object.__setattr__(node, "_h", h)
-    return h
+    return _fill(node, "_h", _own_hash) if h is None else h
 
 
-def _field_hash(x: Term | Formula, parts: tuple) -> int:
-    # the generated hash of x's fields (its children's are cached), salted
-    return x._dataclass_hash() ^ x._salt
-
-
-def _eq(self: Term | Formula, other: object) -> bool:
-    # as the generated __eq__: a node of another class is not compared here
-    if type(other) is not type(self):
-        return NotImplemented
-    return equal(self, other)
+def _own_hash(x: Term | Formula, parts: tuple) -> int:
+    # its class name and fields, whose nodes' hashes are cached
+    return hash((type(x).__name__, *[getattr(x, name) for name in x.__match_args__]))
 
 
 for _cls in _TERM_TYPES | _FORMULA_TYPES:
     _cls._n = _cls._h = _cls._s = None
-    _cls._dataclass_hash = _cls.__hash__
-    _cls._salt = hash(_cls.__name__)  # so that classes over equal fields hash apart
     _cls.__hash__ = _hash
-    _cls.__eq__ = _eq
 
 
 def _children(x: Term | Formula) -> tuple:
@@ -251,52 +342,39 @@ def _fill(root: Term | Formula, attr: str, value):
 
 
 def equal(a: Term | Formula, b: Term | Formula, cost=None) -> bool:
-    """Whether two terms or formulas are equal: one walk of both trees in
+    """Whether two terms or formulas are equal, that is, one object.
+
+    With `cost`, its `symbol_comparisons` gets the node pairs one walk of
+    both trees compares up to and including the first mismatch, in
     right-first preorder (the consequent before the antecedent, the right
     operand of + and * before the left, function arguments last to first,
     the left side of = before the right, a bounded quantifier's bound before
-    its body), without recursion, up to the first mismatch.
-
-    `cost`, when given, gets the number of node pairs compared, the mismatch
-    included, added to its `symbol_comparisons`; a pair of one object is
-    equal without a walk and counts its `node_count`.  Without `cost` nothing
-    is counted, so no subtree is walked to count it."""
+    its body).  A pair of one object counts its `node_count` without a walk,
+    so the walk, which does not recurse, descends only into pairs that
+    differ."""
     if a is b:
         if cost is not None:
             cost.symbol_comparisons += node_count(a)
         return True
-    if type(a) is not type(b):
-        # most comparisons of the proof search stop here
-        if cost is not None:
-            cost.symbol_comparisons += 1
+    if cost is None:
         return False
     # a node's first child in visit order is compared next, its others
     # wait on the stack in pairs
     n = 0
-    same = False
     stack: list = []
     pop = stack.pop
     x, y = a, b
     while True:
         if x is y:
-            if cost is not None:
-                # the count cached on x, or node_count's, which caches it
-                n += x._n or node_count(x)
+            n += x._n or node_count(x)
         else:
             n += 1
             cls = type(x)
             if cls is not type(y):
                 break
             if cls is Plus or cls is Times:
-                if x.right is y.right:
-                    # left-folded chains that share their right operands
-                    # step straight to the left ones
-                    if cost is not None:
-                        n += x.right._n or node_count(x.right)
-                    x, y = x.left, y.left
-                else:
-                    stack += (x.left, y.left)
-                    x, y = x.right, y.right
+                stack += (x.left, y.left)
+                x, y = x.right, y.right
                 continue
             elif cls is DefFn:
                 xs, ys = x.args, y.args
@@ -337,13 +415,11 @@ def equal(a: Term | Formula, b: Term | Formula, cost=None) -> bool:
             elif cls is not Zero:
                 raise TypeError(f"not a term or formula: {x!r}")
         if not stack:
-            same = True
             break
         y = pop()
         x = pop()
-    if cost is not None:
-        cost.symbol_comparisons += n
-    return same
+    cost.symbol_comparisons += n
+    return False
 
 
 class SyntaxErrorWithPos(ValueError):
@@ -717,21 +793,8 @@ def _own_size_plus_parts(x: Term | Formula, parts: tuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Shared nodes
+# Node count
 # ---------------------------------------------------------------------------
-
-# A share table makes equal subtrees one object.  It is a dict that maps
-#   * a variable's name to the table's Var of that name;
-#   * (constructor, payload, ids of the children) to the node built from
-#     them, where a function application's constructor is its symbol and a
-#     quantifier's payload is its variable; Zero is always ZERO;
-#   * the id of a node to the node, for the nodes share_tree has handed
-#     out, and the id of a root share_tree was given to the table's node
-#     equal to it, with (id,) of that root to the root, which keeps it alive.
-# Every id among its keys belongs to a node the table keeps alive (or to
-# ZERO), so no id is reused while the table lives.  The parser and
-# share_tree key nodes alike, and a table serves one proof text or one
-# derivation: no table is module-wide.
 
 
 def node_count(root: Term | Formula) -> int:
@@ -748,89 +811,6 @@ def _one_plus_parts(x: Term | Formula, parts: tuple) -> int:
     for p in parts:
         n += p._n
     return n
-
-
-def share_tree(root: Term | Formula, table: dict) -> Term | Formula:
-    """The table's node equal to `root`, entering the subtrees it lacks.  A
-    node whose children are the table's enters as it is; any other is
-    rebuilt on the table's children.  The table remembers the id of every
-    node it hands out and of `root`, so sharing a subtree already shared, or
-    a tree handed in before, is one lookup.  Walks without recursion: a node
-    stays on the stack until its children are the table's, and one met
-    twice is looked up in the table the second time."""
-    get = table.get
-    got = get(id(root))
-    if got is not None:
-        return got
-    memo: dict[int, Term | Formula] = {}  # id of a node of this walk the table lacks -> the table's node
-    mget = memo.get
-    stack = [root]
-    push = stack.append
-    while stack:
-        x = stack[-1]
-        cls = type(x)
-        if cls is Succ or cls is Not:
-            a = x.arg if cls is Succ else x.body
-            ia = id(a)
-            ca = get(ia) or mget(ia)
-            if ca is None:
-                push(a)
-                continue
-            key = (cls, id(ca))
-            got = get(key)
-            if got is None:
-                got = x if ca is a else cls(ca)
-                table[key] = table[id(got)] = got
-        elif cls is Plus or cls is Times or cls is Eq or cls is Implies:
-            a, b = (x.antecedent, x.consequent) if cls is Implies else (x.left, x.right)
-            ia, ib = id(a), id(b)
-            ca = get(ia) or mget(ia)
-            cb = get(ib) or mget(ib)
-            if ca is None or cb is None:
-                if ca is None:
-                    push(a)
-                if cb is None:
-                    push(b)
-                continue
-            key = (cls, id(ca), id(cb))
-            got = get(key)
-            if got is None:
-                got = x if ca is a and cb is b else cls(ca, cb)
-                table[key] = table[id(got)] = got
-        elif cls is Var:
-            got = get(x.name)
-            if got is None:
-                got = table[x.name] = x
-        elif cls is Zero:
-            got = ZERO
-        else:
-            parts = _children(x)
-            shared = [get(id(p)) or mget(id(p)) for p in parts]
-            todo = [p for p, q in zip(parts, shared) if q is None]
-            if todo:
-                stack += todo
-                continue
-            ids = map(id, shared)
-            key = (x.symbol, *ids) if cls is DefFn else (cls, x.var, *ids)
-            got = get(key)
-            if got is None:
-                if all(map(_is, shared, parts)):
-                    got = x
-                elif cls is DefFn:
-                    got = DefFn(x.symbol, tuple(shared))
-                else:
-                    got = cls(x.var, *shared)
-                table[key] = table[id(got)] = got
-        stack.pop()
-        if got is x:
-            table[id(x)] = x
-        else:
-            memo[id(x)] = got
-    got = get(id(root)) or memo[id(root)]
-    if got is not root:
-        table[id(root)] = got
-        table[(id(root),)] = root
-    return got
 
 
 # ---------------------------------------------------------------------------
@@ -941,12 +921,6 @@ def _found(toks: list[str], what: str, index: int) -> _ParseError:
     return _ParseError(f"expected {what}, found {toks[index] or 'end of input'!r}", index)
 
 
-def _shared(share: dict, ctor, *parts) -> Formula:
-    """The share table's node for `ctor(*parts)`, for the abbreviations."""
-    key = (ctor, *[p if type(p) is str else id(p) for p in parts])
-    return share.get(key) or share.setdefault(key, ctor(*parts))
-
-
 # Binding power of each binary operator, by the sort it takes on its left.
 # An operator applies to the value before it when that value fills a slot
 # of lower power, and its right operand is a slot of its own power, or of
@@ -975,23 +949,16 @@ _BINARY = {"->": Implies, "=": Eq, "+": Plus, "*": Times, "&": None, "|": None}
 # handing its own value on, or waits for more input.
 
 
-def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, formula: bool, atoms: dict | None = None) -> Term | Formula:
+def _parse(text: str, deffn_arities: dict[str, int] | None, formula: bool, atoms: dict | None = None) -> Term | Formula:
     """The formula or term `text` spells, read by precedence climbing
     without recursion, each token once: a "(" where a formula may stand is a
     group that holds whichever it reads.  Nesting is counted, and errors are
     raised at the token they name, as a recursive descent over the grammar
-    would.  Every node built other than ZERO is looked up first in the share
-    table `share` (see share_tree), so equal subtrees are one object: within
-    the text, and across every text parsed with the same table.  With
-    `atoms` a formula is read as its _skeleton where it has one, and token
+    would.  With `atoms` a formula is read as its _skeleton where it has one, and token
     by token if that is refused, so that errors are a plain reading's."""
     arities = DEFFN_ARITIES if deffn_arities is None else deffn_arities
-    if share is None:
-        share = {}
-    skeleton = atoms is not None and _skeleton(text, arities, share, atoms)
+    skeleton = atoms is not None and _skeleton(text, arities, atoms)
     toks, kinds = skeleton or _tokenize(text)
-    get = share.get
-    put = share.setdefault
     i = depth = 0
     top = ["root", 0 if formula else _TERM]
     stack = [top]
@@ -1029,7 +996,7 @@ def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, 
                         i += 1
                         if name == v:
                             raise _ParseError(f"bound of {ctor.__name__} mentions its own variable {v!r}", i)
-                        top = ["body", _UNARY, v, ctor, get(name) or put(name, Var(name))]
+                        top = ["body", _UNARY, v, ctor, Var(name)]
                     else:
                         top = ["bound", _FACTOR, v, ctor]
                 push(top)
@@ -1050,7 +1017,7 @@ def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, 
                     if name in arities:
                         raise _ParseError(f"{name!r} is a function symbol, not a variable", i)
                     i += 1
-                    v = get(name) or put(name, Var(name))
+                    v = Var(name)
                     break
                 if (k == "S" or k == _IDENT and arities.get(toks[i]) == 1) and kinds[i + 1] == "(":
                     first = i
@@ -1116,12 +1083,7 @@ def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, 
                     while True:
                         i += 1
                         depth -= 1
-                        if kinds[h] == "S":
-                            key = (Succ, id(v))
-                            v = get(key) or put(key, Succ(v))
-                        else:
-                            key = (toks[h], id(v))
-                            v = get(key) or put(key, DefFn(toks[h], (v,)))
+                        v = Succ(v) if kinds[h] == "S" else DefFn(toks[h], (v,))
                         if h == top[3] or kinds[i] != ")":
                             break
                         h -= 2
@@ -1131,13 +1093,11 @@ def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, 
                 elif kind in _BINARY:
                     a = top[2]
                     if kind == "&":
-                        v = _shared(share, Not, _shared(share, Implies, a, _shared(share, Not, v)))
+                        v = Not(Implies(a, Not(v)))
                     elif kind == "|":
-                        v = _shared(share, Implies, _shared(share, Not, a), v)
+                        v = Implies(Not(a), v)
                     else:
-                        ctor = _BINARY[kind]
-                        key = (ctor, id(a), id(v))
-                        v = get(key) or put(key, ctor(a, v))
+                        v = _BINARY[kind](a, v)
                     if k == kind and kind != "=":
                         # a chain of one operator keeps its frame, and the
                         # depth from before its first operator
@@ -1152,16 +1112,13 @@ def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, 
                 elif top[1] == _UNARY:
                     depth -= 1
                     if kind == "!":
-                        key = (Not, id(v))
-                        v = get(key) or put(key, Not(v))
+                        v = Not(v)
                     elif kind == "all":
-                        key = (ForAll, top[2], id(v))
-                        v = get(key) or put(key, ForAll(top[2], v))
+                        v = ForAll(top[2], v)
                     elif kind == "body":
-                        key = (top[3], top[2], id(top[4]), id(v))
-                        v = get(key) or put(key, top[3](top[2], top[4], v))
+                        v = top[3](top[2], top[4], v)
                     else:
-                        v = _shared(share, Not, _shared(share, ForAll, top[2], _shared(share, Not, v)))
+                        v = Not(ForAll(top[2], Not(v)))
                 elif kind == "(":
                     if k != ")":
                         raise _ParseError("expected ')'", i)
@@ -1182,8 +1139,7 @@ def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, 
                         raise _ParseError(f"unknown function symbol {name!r}", top[2])
                     if arities[name] != len(args):
                         raise _ParseError(f"{name!r} expects {arities[name]} arguments, got {len(args)}", top[2])
-                    key = (name, *map(id, args))
-                    v = get(key) or put(key, DefFn(name, tuple(args)))
+                    v = DefFn(name, args)
                 elif kind == "bound":
                     if top[2] in free_variables(v):
                         raise _ParseError(f"bound of {top[3].__name__} mentions its own variable {top[2]!r}", i)
@@ -1197,7 +1153,7 @@ def _parse(text: str, deffn_arities: dict[str, int] | None, share: dict | None, 
                 top = stack[-1]
     except _ParseError as e:
         if skeleton:
-            return _parse(text, deffn_arities, share, formula)
+            return _parse(text, deffn_arities, formula)
         raise SyntaxErrorWithPos(e.message, _token_span(text, e.index)[0]) from None
 
 
@@ -1207,7 +1163,7 @@ _CONNECTIVES = frozenset(("->", "!", "&", "|"))
 _NESTING = ("(", "!", "->", "+", "*", "&", "|")  # each opens at most one level
 
 
-def _skeleton(text: str, arities: dict[str, int], share: dict, atoms: dict) -> tuple[list[str], list[str]] | None:
+def _skeleton(text: str, arities: dict[str, int], atoms: dict) -> tuple[list[str], list[str]] | None:
     """The tokens and kinds of formula `text` read as its skeleton, the
     connectives and formula parentheses around its atoms, each atom one
     token of kind _ATOM; None for a text with a quantifier, with more
@@ -1248,7 +1204,7 @@ def _skeleton(text: str, arities: dict[str, int], share: dict, atoms: dict) -> t
         atom = "(" * (lead - opens) + core + "=" + tail + ")" * (trail - closes)
         if atom not in atoms:
             try:
-                atoms[atom] = (atom,), _parse(atom, arities, share, True)
+                atoms[atom] = (atom,), _parse(atom, arities, True)
             except SyntaxErrorWithPos:
                 return None
         got = atoms[seg] = ("(",) * opens + (atom,) + (")",) * closes, atoms[atom][1]
@@ -1256,16 +1212,15 @@ def _skeleton(text: str, arities: dict[str, int], share: dict, atoms: dict) -> t
     return toks + [""], [*map(_KINDS.get, toks, repeat(_ATOM)), _EOF]
 
 
-def parse_formula(text: str, deffn_arities: dict[str, int] | None = None, share: dict | None = None) -> Formula:
+def parse_formula(text: str, deffn_arities: dict[str, int] | None = None) -> Formula:
     """Parse a formula; raises SyntaxErrorWithPos with an offset on bad input.
     Function symbols and their arities come from `deffn_arities`, by default
-    DEFFN_ARITIES.  Nodes are shared through the share table `share`, by
-    default one for this text alone."""
-    return _parse(text, deffn_arities, share, True)
+    DEFFN_ARITIES."""
+    return _parse(text, deffn_arities, True)
 
 
-def parse_term(text: str, deffn_arities: dict[str, int] | None = None, share: dict | None = None) -> Term:
-    return _parse(text, deffn_arities, share, False)
+def parse_term(text: str, deffn_arities: dict[str, int] | None = None) -> Term:
+    return _parse(text, deffn_arities, False)
 
 
 # ---------------------------------------------------------------------------

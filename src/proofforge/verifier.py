@@ -21,11 +21,9 @@ two trees node by node in a right-first preorder (the consequent before
 the antecedent, the right operand before the left) until the first
 mismatch, which is counted too.  The count is the walk's, but the walk is
 mostly not taken.  The index compares on each hit of its dicts and
-counts what `equal` counts.  A parsed proof text, or a Builder's proof,
-holds each distinct subtree once (see `syntax`), so equal parts are one
-object, and a pair of one object costs its cached node count without a
-walk.  A proof built by hand, with no shared nodes, is walked node by
-node, to the same counts.
+counts what `equal` counts.  Equal nodes are one object (see `syntax`),
+however the proof was built, so a pair of equal parts costs its cached node
+count without a walk, and a walk descends only into parts that differ.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Axiom schema recognition, the stored-proof checker, and proof text files."""
 
+import operator
 import random
 import sys
 import time
@@ -53,11 +54,10 @@ from proofforge.syntax import (
     parse_formula,
     parse_term,
     print_formula,
-    share_tree,
     substitute,
 )
 from proofforge.verifier import proof_of
-from test_syntax import _reference_walk  # the recursive reference for `equal`
+from test_syntax import _VISIT_ORDER, _reference_walk  # the recursive reference for `equal`
 
 Q = standard_theory()
 
@@ -422,9 +422,12 @@ def test_eval_term_in_evaluates_a_shared_closed_node_once():
     c = parse_term("dbl(S(S(0))) * S(S(0))")
     shared, copied = EvalBudget(), EvalBudget()
     assert eval_term_in(Q, Plus(c, c), shared) == 16
-    assert eval_term_in(Q, Plus(c, parse_term("dbl(S(S(0))) * S(S(0))")), copied) == 16
+    # a copy parsed apart, or built node by node, is the same node
+    again = parse_term("dbl(S(S(0))) * S(S(0))")
+    assert again is c and _fresh(c) is c
+    assert eval_term_in(Q, Plus(c, again), copied) == 16
     # the second visit of the shared node is a memo hit and costs nothing
-    assert shared.used == _eval_cost(c) + 1 < copied.used
+    assert shared.used == copied.used == _eval_cost(c) + 1
     # a shared open node is evaluated at each visit: the root, then Plus and
     # Var twice, and c once
     x_plus_c = Plus(Var("x"), c)
@@ -438,10 +441,10 @@ def test_eval_term_in_evaluates_a_shared_closed_node_once():
 
 
 def _fresh(node):
-    """An equal tree of new objects, sharing none with `node`, so that a walk
-    over it meets no pair of one object.  Built without recursion: a node's
-    fields are copied onto `out` in order, then the node is rebuilt from the
-    last of them, as the marker [constructor, number of fields] says."""
+    """`node` rebuilt node by node from its fields, which interning makes
+    `node` itself.  Built without recursion: a node's fields are copied onto
+    `out` in order, then the node is rebuilt from the last of them, as the
+    marker [constructor, number of fields] says."""
     out: list = []
     stack = [node]
     while stack:
@@ -559,22 +562,32 @@ def test_deep_chains_compare_without_recursion():
 _TERM_TYPES = (Var, Zero, Succ, Plus, Times, DefFn)
 
 
-def _assert_identity_agrees(pairs, copies=None):
-    """`equal` gives pairs that share objects the verdicts and
-    symbol_comparisons of the walk over fresh copies, which share none
-    (`copies`, where a copy cannot be made by recursion)."""
+def _plain_walk(a, b) -> tuple[bool, int]:
+    """The verdict and the node pairs compared of `_reference_walk`, without
+    recursion, so that it takes the deep chains too: it walks a pair of one
+    object node by node like any other."""
+    n = 0
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        n += 1
+        if type(x) is not type(y) or any(getattr(x, k, None) != getattr(y, k, None) for k in ("name", "symbol", "var")):
+            return False, n
+        if type(x) is DefFn and len(x.args) != len(y.args):
+            return False, n
+        order = _VISIT_ORDER.get(type(x), lambda z: [])
+        stack += reversed(list(zip(order(x), order(y))))
+    return True, n
+
+
+def _assert_identity_agrees(pairs):
+    """`equal` gives the pairs the verdicts and symbol_comparisons of the
+    plain walk, which takes no shortcut for a pair of one object."""
     __tracebackhide__ = True  # a failure must not print the pairs: repr recurses
-    if copies is None:
-        fresh = {}
-        for x in (x for pair in pairs for x in pair if id(x) not in fresh):
-            fresh[id(x)] = _fresh(x)
-        copies = [(fresh[id(a)], fresh[id(b)]) for a, b in pairs]
-    for n, ((a, b), (fa, fb)) in enumerate(zip(pairs, copies)):
-        walk, shared = Cost(), Cost()
-        verdict = equal(fa, fb, walk)
-        same = equal(a, b, shared)  # not in the assert, whose message would print the trees
-        assert same is verdict, n
-        assert shared.symbol_comparisons == walk.symbol_comparisons, n
+    for n, (a, b) in enumerate(pairs):
+        cost = Cost()
+        same = equal(a, b, cost)  # not in the assert, whose message would print the trees
+        assert (same, cost.symbol_comparisons) == _plain_walk(a, b), n
 
 
 def _with_terms(formulas):
@@ -583,46 +596,22 @@ def _with_terms(formulas):
     return out + [side for f in out if isinstance(f, Eq) for side in (f.left, f.right)]
 
 
-def _copies(roots):
-    """Equal trees of new objects, one per root, sharing among themselves what
-    the roots share, built without recursion."""
-    made = {}
-    stack = list(roots)
-    while stack:
-        x = stack[-1]
-        if id(x) in made:
-            stack.pop()
-            continue
-        values = [getattr(x, f.name) for f in fields(x)]
-        parts = [p for v in values for p in (v if isinstance(v, tuple) else (v,)) if not isinstance(p, str)]
-        todo = [p for p in parts if id(p) not in made]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        new = [tuple(made[id(p)] for p in v) if isinstance(v, tuple) else v if isinstance(v, str) else made[id(v)] for v in values]
-        made[id(x)] = type(x)(*new)
-    return [made[id(r)] for r in roots]
-
-
 def _line_pairs(rng, formulas, n):
     """Pairs of nodes of the lines, their parts and their atoms' sides, which
     share objects: every distinct node with itself and n random pairs of
-    terms and of formulas.  Then the same pairs taken from two fresh copies
-    of the lines."""
+    terms and of formulas."""
     nodes = _with_terms(formulas)
-    copies = [_with_terms(_copies(formulas)) for _ in range(2)]
     first = sorted({id(x): i for i, x in reversed(list(enumerate(nodes)))}.values())
     at = [(i, i) for i in first]
     for group in ([i for i in first if type(nodes[i]) in _TERM_TYPES], [i for i in first if type(nodes[i]) not in _TERM_TYPES]):
         at += [(rng.choice(group), rng.choice(group)) for _ in range(n if group else 0)]
-    return [(nodes[i], nodes[j]) for i, j in at], [(copies[0][i], copies[1][j]) for i, j in at]
+    return [(nodes[i], nodes[j]) for i, j in at]
 
 
 def test_identity_first_equality_agrees_with_the_walk_on_the_derived_corpus():
     rng = random.Random(777)
     for sample in derived_theorem_corpus(Q, rng, 40):
-        _assert_identity_agrees(*_line_pairs(rng, [ln.formula for ln in sample.proof.lines], 200))
+        _assert_identity_agrees(_line_pairs(rng, [ln.formula for ln in sample.proof.lines], 200))
 
 
 def test_identity_first_equality_agrees_with_the_walk_on_certificates():
@@ -632,17 +621,17 @@ def test_identity_first_equality_agrees_with_the_walk_on_certificates():
         built = diagonalize(theory, parse_formula(shape)).equivalence
         parsed = parse_proof_text(print_proof_text(built), theory.arities())
         for proof in (built, parsed):
-            _assert_identity_agrees(*_line_pairs(rng, [ln.formula for ln in proof.lines], 300))
-        # the two proofs hold equal lines as different objects
+            _assert_identity_agrees(_line_pairs(rng, [ln.formula for ln in proof.lines], 300))
+        # the two proofs hold their equal lines as one object
         lines = [[ln.formula for ln in proof.lines] for proof in (built, parsed)]
-        _assert_identity_agrees(list(zip(*lines)), list(zip(*map(_copies, lines))))
+        assert all(map(operator.is_, *lines))
+        _assert_identity_agrees(list(zip(*lines)))
 
 
 def test_identity_first_equality_on_chain_atoms_and_lines():
-    # left-folded + and * chains over one ZERO, their prefixes shared through
-    # one table: most pairs meet a right operand that is one object
-    table: dict = {}
-    atoms = [share_tree(a, table) for a in _equal_value_atoms(64, 70)]
+    # left-folded + and * chains over one ZERO, their prefixes one object:
+    # most pairs meet a right operand that is one object
+    atoms = _equal_value_atoms(64, 70)
     _assert_identity_agrees([(a, b) for a in atoms for b in atoms])
     proof, _ = mp_chain(Q, 60, 24)
     parsed = parse_proof_text(print_proof_text(proof), Q.arities())
@@ -681,8 +670,7 @@ def test_identity_first_equality_counts_a_mismatch_below_a_shared_prefix():
 
 
 def test_identity_first_equality_on_deep_chains():
-    # the copies are built apart, down to their zeros, so that the walk over
-    # them meets no pair of one object
+    # the plain walk goes down these chains node by node, without recursion
     def wrap(ctor, n, node):
         for _ in range(n):
             node = ctor(node)
@@ -693,20 +681,12 @@ def test_identity_first_equality_on_deep_chains():
     atoms += [Eq(Plus(numeral(1300), ZERO), numeral(1300)), Eq(DefFn("dbl", (numeral(650),)), numeral(1300))]
     _assert_identity_agrees([(a, b) for a in atoms for b in atoms])
     deep = wrap(Succ, 50_000, ZERO)
-    a, b = (wrap(Succ, 50_000, Zero()) for _ in range(2))
-    _assert_identity_agrees(
-        [(deep, deep), (Succ(deep), deep), (Eq(deep, ZERO), Eq(deep, ZERO)), (Eq(ZERO, deep), Eq(ZERO, Succ(deep)))],
-        [(a, b), (Succ(a), b), (Eq(a, Zero()), Eq(b, Zero())), (Eq(Zero(), a), Eq(Zero(), Succ(b)))],
-    )
+    assert wrap(Succ, 50_000, Zero()) is deep
+    _assert_identity_agrees([(deep, deep), (Succ(deep), deep), (Eq(deep, ZERO), Eq(deep, ZERO)), (Eq(ZERO, deep), Eq(ZERO, Succ(deep)))])
     atom = Eq(ZERO, ZERO)
     chain = wrap(Not, 20_000, atom)
     wrong = wrap(Not, 20_000, Eq(ZERO, Succ(ZERO)))
-    x, y = (wrap(Not, 20_000, Eq(Zero(), Zero())) for _ in range(2))
-    z = wrap(Not, 20_000, Eq(Zero(), Succ(Zero())))
-    _assert_identity_agrees(
-        [(chain, chain), (Implies(chain, atom), Implies(chain, atom)), (Implies(atom, chain), Implies(atom, wrong))],
-        [(x, y), (Implies(x, Eq(Zero(), Zero())), Implies(y, Eq(Zero(), Zero()))), (Implies(Eq(Zero(), Zero()), x), Implies(Eq(Zero(), Zero()), z))],
-    )
+    _assert_identity_agrees([(chain, chain), (Implies(chain, atom), Implies(chain, atom)), (Implies(atom, chain), Implies(atom, wrong))])
 
 
 def test_builder_gives_equal_formulas_one_line():

@@ -349,25 +349,29 @@ def _without_support(theory):
 # work of the con_bounded sweeps.  `used` visits only the codes that can pass
 # prft's filter; `brute` sweeps every code up to bnd(m) (the counts before
 # the sweep was pruned); `before` is the brute count when every visit of a
-# closed node cost one unit, an upper bound that memo hits may only lower
+# closed node cost one unit, an upper bound that memo hits may only lower.
+# `was` holds (used, brute) from before nodes were interned, when a repeated
+# closed subterm built apart was charged again: upper bounds too.  The ids
+# name the rows by the brute counts they were first pinned under.
 CON_WORK = [
-    (1, "binary", 132, 615, 706),
-    (2, "binary", 139, 23_240, 27_115),
-    (3, "binary", 140, 1_094_242, 1_264_613),
-    (1, "unary", 128, 611, 702),
-    (2, "unary", 130, 23_231, 27_106),
-    (3, "unary", 132, 1_094_234, 1_264_605),
+    (1, "binary", 126, 609, (132, 615), 706),
+    (2, "binary", 133, 23_234, (139, 23_240), 27_115),
+    (3, "binary", 128, 1_094_230, (140, 1_094_242), 1_264_613),
+    (1, "unary", 126, 609, (128, 611), 702),
+    (2, "unary", 130, 23_231, (130, 23_231), 27_106),
+    (3, "unary", 132, 1_094_234, (132, 1_094_234), 1_264_605),
 ]
 
 
 @pytest.mark.parametrize(
-    "m, mode, used, brute, before", CON_WORK, ids=[f"{m}-{mode}-{brute}-{before}" for m, mode, _, brute, before in CON_WORK]
+    "m, mode, used, brute, was, before", CON_WORK, ids=[f"{m}-{mode}-{was[1]}-{before}" for m, mode, _, _, was, before in CON_WORK]
 )
-def test_con_bounded_eval_work_is_pinned(m, mode, used, brute, before):
+def test_con_bounded_eval_work_is_pinned(m, mode, used, brute, was, before):
     sentence = con_bounded(Q, m, numeral_mode=mode)
     budget = EvalBudget(10**10)
     assert eval_delta0(Q, sentence, budget=budget) is True
     assert budget.used == used <= brute <= before
+    assert used <= was[0] and brute <= was[1]
     swept = EvalBudget(10**10)
     assert eval_delta0(_without_support(Q), sentence, budget=swept) is True
     assert swept.used == brute

@@ -513,9 +513,9 @@ def nested_inputs(n: int) -> list[str]:
 # --- comparison --------------------------------------------------------------------
 
 
-def _outcome(parse, text: str, arities, share: dict, formula: bool):
+def _outcome(parse, text: str, *args):
     try:
-        return parse(text, arities, share, formula)
+        return parse(text, *args)
     except SyntaxErrorWithPos as e:
         return (str(e), e.pos)
 
@@ -550,18 +550,19 @@ def _assert_same_dag(refs: list, news: list) -> None:
 
 def compare(texts: list[str]) -> tuple[int, int]:
     """Parse every text with both parsers, as a formula and as a term, under
-    both arity tables, one share table per parser and run, as a proof text
-    keeps one; return how many parses succeeded and how many were refused."""
+    both arity tables, one share table per run for the reference, as a
+    proof text once kept one; return how many parses succeeded and how many
+    were refused.  The parser builds interned nodes, so its trees are the
+    reference's, object for object."""
     ok = refused = 0
     for arities in TABLES:
         for formula in (True, False):
             ref_share: dict = {}
-            new_share: dict = {}
             refs, news = [], []
             for text in texts:
                 refs.append(_outcome(_parse, text, arities, ref_share, formula))
-                news.append(_outcome(syntax._parse, text, arities, new_share, formula))
-                assert len(ref_share) == len(new_share), text
+                news.append(_outcome(syntax._parse, text, arities, formula))
+                assert news[-1] is refs[-1] or type(news[-1]) is tuple and news[-1] == refs[-1], text
                 if type(news[-1]) is tuple:
                     refused += 1
                 else:
@@ -582,10 +583,12 @@ def test_parser_agrees_with_the_reference_at_the_nesting_cap(n):
 
 
 def test_a_mismatch_is_seen():
-    # the comparison itself: a different tree or different sharing fails it
+    # the comparison itself: a different tree fails it; equal trees are one
+    # object, so their sharing cannot differ
     a, b = Eq(ZERO, ZERO), Eq(ZERO, ZERO)
-    with pytest.raises(AssertionError):
-        _assert_same_dag([Implies(a, a)], [Implies(a, b)])
+    assert a is b
     with pytest.raises(AssertionError):
         _assert_same_dag([Eq(Var("x"), ZERO)], [Eq(Var("y"), ZERO)])
+    with pytest.raises(AssertionError):
+        _assert_same_dag([Implies(a, a)], [Implies(a, Eq(ZERO, Succ(ZERO)))])
     _assert_same_dag([Implies(a, a)], [Implies(b, b)])

@@ -3,7 +3,8 @@
 It is compared with the proof-text parser it replaced, kept here as a
 reference: every line read token by token through `parse_formula`, with one
 share table for the whole text.  The reference is the old function verbatim
-but for its line split, which follows the current one (lines end at "\\n").
+but for its line split, which follows the current one (lines end at "\\n"),
+and its share table, which interned nodes made redundant.
 On certify's chains and rejected chains, derived proofs, the `x = 0`
 certificate, seeded mutations of a few lines of these, and lines nested up
 to the cap around atoms first read shallow, both must give equal trees with
@@ -28,9 +29,9 @@ from test_print_reference import CERTIFY_CHAIN_POINTS
 
 def reference_parse_proof_text(text: str, deffn_arities: dict[str, int] | None = None) -> Proof:
     """Parse the proof text format; raises ValueError with the offending line.
-    One share table serves the whole text, so equal subtrees are one object
-    across its lines and their justification terms."""
-    share: dict = {}
+    One share table served the whole text, so that equal subtrees were one
+    object across its lines and their justification terms; nodes are now
+    interned, so the calls below no longer pass it."""
     lines: list[ProofLine] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
@@ -42,8 +43,8 @@ def reference_parse_proof_text(text: str, deffn_arities: dict[str, int] | None =
         if idx != len(lines) + 1:
             raise ValueError(f"proof line {lineno}: index {idx} out of order (expected {len(lines) + 1})")
         try:
-            formula = parse_formula(m.group(2), deffn_arities, share)
-            just = _parse_justification(m.group(3), deffn_arities, share)
+            formula = parse_formula(m.group(2), deffn_arities)
+            just = _parse_justification(m.group(3), deffn_arities)
         except ValueError as e:
             raise ValueError(f"proof line {lineno}: {e}") from e
         lines.append(ProofLine(formula, just))

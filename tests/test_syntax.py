@@ -43,7 +43,6 @@ from proofforge.syntax import (
     parse_term,
     print_formula,
     print_term,
-    share_tree,
     substitute,
     term_size,
 )
@@ -543,60 +542,76 @@ def test_a_derivation_shares_each_distinct_subtree_across_its_lines():
     assert len(distinct) == len({_text(x) for x in distinct}) == 260
 
 
-def test_share_tree_enters_new_subtrees_and_finds_known_ones():
-    table: dict = {}
+def test_equal_trees_are_one_object_on_every_construction_path():
+    from proofforge import syntax
+    from proofforge.bounded import axiom_pool, enumerate_proofs
+    from proofforge.derivations import Builder
+
+    text = "x + S(S(S(0))) = S(y) -> x + S(S(S(0))) = S(y)"
+    f = parse_formula(text)
+    assert f is parse_formula(text) and f.antecedent is f.consequent
     x = Var("x")
-    a = Eq(Plus(x, numeral(3)), Succ(Var("y")))
-    assert share_tree(a, table) is a  # nothing equal is known: a enters as it is
-    b = Eq(Plus(Var("x"), numeral(3)), Succ(Var("y")))
-    assert share_tree(b, table) is a
-    size = len(table)
-    assert share_tree(a, table) is a and share_tree(b, table) is a and len(table) == size
-    # a new node over known children enters as it is; one over copies is rebuilt
-    c = Implies(a, a)
-    assert share_tree(c, table) is c
-    d = share_tree(Implies(a, Eq(Plus(Var("x"), numeral(3)), Succ(Var("z")))), table)
-    assert d.antecedent is a and d.consequent.left is a.left and d.consequent.right.arg is not a.right.arg
-    assert share_tree(Zero(), table) is ZERO
-    # the parser keys nodes alike, so a table serves parses and built trees
-    assert parse_formula("x + S(S(S(0))) = S(y) -> x + S(S(S(0))) = S(z)", share=table) is d
-    assert parse_term("S(y)", share=table) is a.right
-    y = a.right.arg
-    for quantifier in (ForAll("x", a), BoundedForAll("x", y, a), BoundedExists("x", y, a)):
-        assert share_tree(quantifier, table) is quantifier
-    assert share_tree(BoundedExists("x", Var("y"), b), table) is quantifier
-    assert share_tree(BoundedExists("x'", y, a), table) is not quantifier
-    assert share_tree(BoundedForAll("x", ZERO, a), table) is not share_tree(BoundedForAll("x", y, a), table)
-    f = DefFn("pair", (x, ZERO))
-    assert share_tree(f, table) is f and share_tree(DefFn("pair", (Var("x"), Zero())), table) is f
-    assert share_tree(DefFn("pair", (ZERO, x)), table) is not f
+    built = Implies(Eq(Plus(x, numeral(3)), Succ(Var("y"))), Eq(Plus(Var("x"), Succ(numeral(2))), Succ(Var("y"))))
+    assert built is f and built == f and hash(built) == hash(f)
+    assert substitute(parse_formula("z + S(S(S(0))) = S(y) -> z + S(S(S(0))) = S(y)"), "z", x) is f
+    assert parse_term("S(S(S(0)))") is numeral(3) is Succ(Succ(Succ(Zero())))
+    assert Zero() is ZERO and numeral(0) is ZERO
+    assert DefFn("dbl", [x]) is DefFn("dbl", (x,)) is parse_term("dbl(x)")
+    assert DefFn("pair", (x, ZERO)) is not DefFn("pair", (ZERO, x))
+    for q in (ForAll, BoundedForAll, BoundedExists):
+        made = q("z", f) if q is ForAll else q("z", Var("y"), f)
+        assert made is parse_formula(print_formula(made))
+    assert BoundedForAll("z", Var("y"), f) is not BoundedExists("z", Var("y"), f)
+    # a proof text, a derivation and a search build their lines as one object
+    theory = standard_theory()
+    proof = diagonalize(theory, parse_formula("x = 0")).equivalence
+    parsed = parse_proof_text(print_proof_text(proof), theory.arities())
+    assert all(a.formula is b.formula for a, b in zip(proof.lines, parsed.lines))
+    builder = Builder(theory)
+    line = builder.formula_at(builder.identity(f))
+    assert line is Implies(f, f) is parse_formula(f"({text}) -> {text}")
+    found = enumerate_proofs(theory, parse_formula("forall x (0 = 0)"), 12).proof
+    assert [ln.formula for ln in found.lines] == [parse_formula("0 = 0"), parse_formula("forall x (0 = 0)")]
+    # the search's line is the object of the cached pool (== is identity)
+    assert found.lines[0].formula in [g for g, _ in axiom_pool(theory, 3, 10_000)]
+    # an entry leaves the table once its node is dropped
+    key = (Var, "a name no other test uses")
+    node = Var(key[1])
+    assert syntax._TABLE[key]() is node
+    del node
+    assert key not in syntax._TABLE
 
 
 _DEEP_SHARING = """
 import sys
 
-from proofforge.syntax import ZERO, Eq, Not, Succ, node_count, numeral, share_tree
+from proofforge import syntax
+from proofforge.syntax import Eq, Not, Succ, Var, node_count
 
-def negations(n):
-    f = Eq(ZERO, ZERO)
+def wrap(ctor, n, node):
     for _ in range(n):
-        f = Not(f)
-    return f
+        node = ctor(node)
+    return node
 
-# a recursive walk of these trees would fail far below their depth
+# a recursive walk of these trees would fail far below their depth; their
+# variable is used nowhere else, so every node is new
 sys.setrecursionlimit(200)
-deep = [numeral(50_000), negations(20_000), Eq(numeral(50_000), numeral(49_999))]
+size = len(syntax._TABLE)
+v = Var("deep")
+deep = [wrap(Succ, 50_000, v), wrap(Not, 20_000, Eq(v, v))]
+deep.append(Eq(deep[0], wrap(Succ, 49_999, v)))
 assert [node_count(tree) for tree in deep] == [50_001, 20_003, 100_002]
-table = {}
-assert share_tree(deep[0], table) is deep[0] and share_tree(deep[1], table) is deep[1]
-eq = share_tree(deep[2], table)
-assert eq.left is deep[0] and eq.right is deep[0].arg
-assert share_tree(numeral(50_000), table) is deep[0]
+assert deep[2].left is deep[0] and deep[2].right is deep[0].arg
+assert wrap(Succ, 50_000, Var("deep")) is deep[0] and wrap(Not, 20_000, Eq(v, v)) is deep[1]
+assert len(syntax._TABLE) == size + 50_001 + 20_001 + 1
+# dropping them empties their entries without recursion
+del deep, v
+assert len(syntax._TABLE) == size
 print("ok")
 """
 
 
-def test_node_count_and_share_tree_walk_deep_trees_without_recursion():
+def test_node_count_and_interning_take_deep_trees_without_recursion():
     env = dict(os.environ, PYTHONPATH=str(Path(proofforge.__file__).resolve().parents[1]))
     res = subprocess.run([sys.executable, "-c", _DEEP_SHARING], env=env, capture_output=True, text=True, timeout=120)
     assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr[-2000:]
@@ -736,10 +751,9 @@ def test_equal_nodes_hash_alike_and_classes_hash_apart():
     assert len({type(x) for x in nodes}) == 12  # every node type
     alike = ((Plus, Times, Eq), (Succ, Not), (BoundedForAll, BoundedExists))
     for x in nodes:
-        # a copy parsed from the text has no hash cached yet; the parser
-        # reads every 0 as ZERO, so Zero's copy is built here
-        copy = Zero() if x is ZERO else parse_term(_text(x)) if type(x) in NODE_TYPES[:6] else parse_formula(_text(x))
-        assert copy is not x and hash(copy) == hash(x), x
+        # a tree read back from its text is the node itself
+        copy = parse_term(_text(x)) if type(x) in NODE_TYPES[:6] else parse_formula(_text(x))
+        assert copy is x and hash(copy) == hash(x), x
         for classes in alike:
             if type(x) in classes:
                 parts = [getattr(x, f.name) for f in fields(x)]
@@ -773,12 +787,11 @@ NODE_TYPES = (Var, Zero, Succ, Plus, Times, DefFn, Eq, Not, Implies, ForAll, Bou
 
 
 def test_no_node_class_keeps_a_generated_eq():
-    from proofforge import syntax
-
+    # equal nodes are one object, so == is identity
     for cls in NODE_TYPES:
-        assert cls.__eq__ is syntax._eq, cls.__name__
-        assert cls.__eq__.__qualname__ != f"{cls.__qualname__}.__eq__"
+        assert cls.__eq__ is object.__eq__ and cls.__ne__ is object.__ne__, cls.__name__
     x = Var("x")
+    assert x.__eq__(Var("x")) is True and x == Var("x") and not x != Var("x")
     assert x.__eq__(Zero()) is NotImplemented and x.__eq__("x") is NotImplemented and x.__eq__(None) is NotImplemented
 
 

@@ -223,13 +223,14 @@ def test_an_unjustifiable_last_line_scans_every_line_before_it():
 
 
 def test_cost_counters_do_not_depend_on_shared_nodes():
-    # a proof whose equal subtrees are one object, and a copy of new
-    # objects sharing none, cost the same
+    # a proof rebuilt node by node is the same proof, its lines the same
+    # objects, so it costs the same
     proofs = [mp_chain(Q, 60, 24)[0], diagonalize(Q, parse_formula("x = 0")).equivalence]
     proofs += [s.proof for s in sample_proofs(30)]
     for proof in proofs:
         copy = Proof(tuple(ProofLine(_fresh(ln.formula), ln.justification) for ln in proof.lines))
-        assert copy.lines[-1].formula is not proof.lines[-1].formula
+        assert all(a.formula is b.formula for a, b in zip(copy.lines, proof.lines))
+        assert copy == proof
         ok, c = proof_of_with_cost(Q, proof, proof.conclusion)
         ok_copy, c_copy = proof_of_with_cost(Q, copy, copy.conclusion)
         assert ok and ok_copy
